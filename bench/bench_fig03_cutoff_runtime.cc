@@ -54,9 +54,8 @@ int main(int argc, char** argv) {
       }
       std::printf("\n");
     }
-    // Per-device totals via the engine's snapshot API (the deprecated
-    // DiskStats::ToString replacement); opt-in so default rows stay
-    // bit-identical.
+    // Per-device totals via the engine's metrics snapshot; opt-in so default
+    // rows stay bit-identical.
     if (flags::GetBool("metrics", false)) {
       obs::MetricsSnapshot snap = env.metrics()->Snapshot();
       std::printf("# metrics C=%.2f: reads=%.0f seeks=%.0f seek_ms=%.1f "

@@ -42,21 +42,20 @@ int main(int argc, char** argv) {
   for (double qt = 0.1; qt <= 0.91; qt += 0.1) {
     QueryCost pii = RunCold(pii_db.env(), [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(table->path()->QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(table->path()->OpenPtq(d.popular_institution, qt)->Drain(&out));
       return out.size();
     });
     QueryCost upic = RunCold(upi_db.env(), [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(upi->path()->QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(upi->path()->OpenPtq(d.popular_institution, qt)->Drain(&out));
       return out.size();
     });
     std::printf("%-6.1f %12.3f %12.3f %8.1fx %6zu %12.1f\n", qt,
                 pii.sim_ms / 1000.0, upic.sim_ms / 1000.0,
                 pii.sim_ms / upic.sim_ms, upic.rows, upic.wall_ms);
   }
-  // Per-side device totals via the engine's snapshot API (the deprecated
-  // DiskStats::ToString replacement); opt-in so default rows stay
-  // bit-identical.
+  // Per-side device totals via the engine's metrics snapshot; opt-in so
+  // default rows stay bit-identical.
   if (flags::GetBool("metrics", false)) {
     for (const auto& [label, dbp] :
          {std::pair<const char*, engine::Database*>{"pii", &pii_db},

@@ -50,21 +50,25 @@ int main(int argc, char** argv) {
   for (double qt = 0.1; qt <= 0.91; qt += 0.1) {
     QueryCost pii = RunCold(pii_db.env(), [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(table->path()->QueryPtq(d.mid_country, qt, &out));
+      CheckOk(table->path()->OpenPtq(d.mid_country, qt)->Drain(&out));
       return out.size();
     });
     QueryCost plain = RunCold(upi_db.env(), [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(upi->path()->QuerySecondary(
-          datagen::PublicationCols::kCountry, d.mid_country, qt,
-          core::SecondaryAccessMode::kFirstPointer, &out));
+      CheckOk(upi->path()
+                  ->OpenSecondary(datagen::PublicationCols::kCountry,
+                                  d.mid_country, qt,
+                                  core::SecondaryAccessMode::kFirstPointer)
+                  ->Drain(&out));
       return out.size();
     });
     QueryCost tailored = RunCold(upi_db.env(), [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(upi->path()->QuerySecondary(
-          datagen::PublicationCols::kCountry, d.mid_country, qt,
-          core::SecondaryAccessMode::kTailored, &out));
+      CheckOk(upi->path()
+                  ->OpenSecondary(datagen::PublicationCols::kCountry,
+                                  d.mid_country, qt,
+                                  core::SecondaryAccessMode::kTailored)
+                  ->Drain(&out));
       return out.size();
     });
     std::printf("%-6.1f %14.3f %14.3f %14.3f %7zu\n", qt, pii.sim_ms / 1000.0,

@@ -13,11 +13,13 @@ double AvgEntryBytes(uint64_t table_bytes, uint64_t entries) {
                             static_cast<double>(entries);
 }
 
-/// ResultCursor over a core::UpiPtqCursor (streaming Algorithm 2).
-class UpiStreamCursor : public ResultCursor {
+/// ResultCursor over a core streaming cursor: core::UpiPtqCursor (Algorithm
+/// 2) or core::FracturedPtqCursor (the pruned fan-out executed lazily, which
+/// holds the table's shared lock for the cursor's lifetime).
+template <typename CoreCursor>
+class CoreStreamCursor : public ResultCursor {
  public:
-  explicit UpiStreamCursor(core::UpiPtqCursor cursor)
-      : cursor_(std::move(cursor)) {}
+  explicit CoreStreamCursor(CoreCursor cursor) : cursor_(std::move(cursor)) {}
 
  private:
   bool Produce(core::PtqMatch* out) override {
@@ -26,32 +28,13 @@ class UpiStreamCursor : public ResultCursor {
     return false;
   }
 
-  core::UpiPtqCursor cursor_;
-};
-
-/// ResultCursor over a core::FracturedPtqCursor: the pruned fan-out executed
-/// lazily. Holds the table's shared lock for the cursor's lifetime.
-class FracturedStreamCursor : public ResultCursor {
- public:
-  explicit FracturedStreamCursor(core::FracturedPtqCursor cursor)
-      : cursor_(std::move(cursor)) {}
-
- private:
-  bool Produce(core::PtqMatch* out) override {
-    if (cursor_.Next(out)) return true;
-    status_ = cursor_.status();
-    return false;
-  }
-
-  core::FracturedPtqCursor cursor_;
+  CoreCursor cursor_;
 };
 
 /// ResultCursor over the PII baseline's probe: the inverted-list entries are
 /// collected up front (one index scan, as QueryPii does), but each tuple's
 /// random heap seek happens only when the consumer pulls its row. A failed
-/// collection is carried as the cursor's status (the open already charged
-/// simulated I/O — falling back to a second materialized scan would double
-/// the query's cost).
+/// collection is carried as the cursor's status.
 class PiiStreamCursor : public ResultCursor {
  public:
   PiiStreamCursor(const baseline::UnclusteredTable* table,
@@ -82,27 +65,6 @@ class PiiStreamCursor : public ResultCursor {
 // ---------------------------------------------------------------------------
 // AccessPath defaults
 // ---------------------------------------------------------------------------
-
-Status AccessPath::QueryTopK(std::string_view, size_t,
-                             std::vector<core::PtqMatch>*) const {
-  return Status::NotSupported(name() + ": no direct top-k cursor");
-}
-
-Status AccessPath::QuerySecondary(int, std::string_view, double,
-                                  core::SecondaryAccessMode,
-                                  std::vector<core::PtqMatch>*) const {
-  return Status::NotSupported(name() + ": no secondary index");
-}
-
-Status AccessPath::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>&) const {
-  return Status::NotSupported(name() + ": no sequential scan");
-}
-
-Status AccessPath::QueryRange(prob::Point, double, double,
-                              std::vector<core::PtqMatch>*) const {
-  return Status::NotSupported(name() + ": no spatial range query");
-}
 
 core::PruneEstimate AccessPath::EstimatePrune(int, std::string_view,
                                               double) const {
@@ -138,25 +100,31 @@ PathStats UpiAccessPath::Stats() const {
   return s;
 }
 
-Status UpiAccessPath::QueryPtq(std::string_view value, double qt,
-                               std::vector<core::PtqMatch>* out) const {
-  return upi_->QueryPtq(value, qt, out);
+std::unique_ptr<ResultCursor> UpiAccessPath::OpenPtq(std::string_view value,
+                                                     double qt) const {
+  return std::make_unique<CoreStreamCursor<core::UpiPtqCursor>>(
+      upi_->OpenPtqCursor(value, qt));
 }
 
-Status UpiAccessPath::QueryTopK(std::string_view value, size_t k,
-                                std::vector<core::PtqMatch>* out) const {
-  return upi_->QueryTopK(value, k, out);
+std::unique_ptr<ResultCursor> UpiAccessPath::OpenTopK(std::string_view value,
+                                                      size_t k) const {
+  auto cursor = std::make_unique<CoreStreamCursor<core::UpiPtqCursor>>(
+      upi_->OpenTopKCursor(value));
+  cursor->SetLimit(k);
+  return cursor;
 }
 
-Status UpiAccessPath::QuerySecondary(int column, std::string_view value,
-                                     double qt, core::SecondaryAccessMode mode,
-                                     std::vector<core::PtqMatch>* out) const {
-  return upi_->QueryBySecondary(column, value, qt, mode, out);
+std::unique_ptr<ResultCursor> UpiAccessPath::OpenSecondary(
+    int column, std::string_view value, double qt,
+    core::SecondaryAccessMode mode) const {
+  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
+    return upi_->QueryBySecondary(column, value, qt, mode, rows);
+  });
 }
 
 Status UpiAccessPath::ScanTuples(
     const std::function<void(const catalog::Tuple&)>& fn) const {
-  // Same open protocol as QueryPtq (and as ScanMs prices it).
+  // Same open protocol as OpenPtq (and as ScanMs prices it).
   if (upi_->options().charge_open_per_query) {
     upi_->heap_tree()->pager()->file()->ChargeOpen();
   }
@@ -181,16 +149,6 @@ Status UpiAccessPath::ScanTuples(
     fn(std::move(tuple).value());
   });
   return st;
-}
-
-std::unique_ptr<ResultCursor> UpiAccessPath::OpenPtqStream(
-    std::string_view value, double qt) const {
-  return std::make_unique<UpiStreamCursor>(upi_->OpenPtqCursor(value, qt));
-}
-
-std::unique_ptr<ResultCursor> UpiAccessPath::OpenTopKStream(
-    std::string_view value) const {
-  return std::make_unique<UpiStreamCursor>(upi_->OpenTopKCursor(value));
 }
 
 bool UpiAccessPath::HasSecondary(int column) const {
@@ -267,20 +225,25 @@ PathStats FracturedAccessPath::Stats() const {
   return s;
 }
 
-Status FracturedAccessPath::QueryPtq(std::string_view value, double qt,
-                                     std::vector<core::PtqMatch>* out) const {
-  return table_->QueryPtq(value, qt, out);
+std::unique_ptr<ResultCursor> FracturedAccessPath::OpenPtq(
+    std::string_view value, double qt) const {
+  return std::make_unique<CoreStreamCursor<core::FracturedPtqCursor>>(
+      table_->OpenPtqCursor(value, qt));
 }
 
-Status FracturedAccessPath::QueryTopK(std::string_view value, size_t k,
-                                      std::vector<core::PtqMatch>* out) const {
-  return table_->QueryTopK(value, k, out);
+std::unique_ptr<ResultCursor> FracturedAccessPath::OpenTopK(
+    std::string_view value, size_t k) const {
+  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
+    return table_->QueryTopK(value, k, rows);
+  });
 }
 
-Status FracturedAccessPath::QuerySecondary(
+std::unique_ptr<ResultCursor> FracturedAccessPath::OpenSecondary(
     int column, std::string_view value, double qt,
-    core::SecondaryAccessMode mode, std::vector<core::PtqMatch>* out) const {
-  return table_->QueryBySecondary(column, value, qt, mode, out);
+    core::SecondaryAccessMode mode) const {
+  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
+    return table_->QueryBySecondary(column, value, qt, mode, rows);
+  });
 }
 
 Status FracturedAccessPath::ScanTuples(
@@ -292,12 +255,6 @@ Status FracturedAccessPath::ScanTuplesMatching(
     int column, std::string_view value, double qt,
     const std::function<void(const catalog::Tuple&)>& fn) const {
   return table_->ScanTuplesMatching(column, value, qt, fn);
-}
-
-std::unique_ptr<ResultCursor> FracturedAccessPath::OpenPtqStream(
-    std::string_view value, double qt) const {
-  return std::make_unique<FracturedStreamCursor>(
-      table_->OpenPtqCursor(value, qt));
 }
 
 bool FracturedAccessPath::HasSecondary(int column) const {
@@ -414,21 +371,28 @@ PathStats UnclusteredAccessPath::Stats() const {
   return s;
 }
 
-Status UnclusteredAccessPath::QueryPtq(std::string_view value, double qt,
-                                       std::vector<core::PtqMatch>* out) const {
-  return table_->QueryPii(primary_column_, value, qt, out);
+std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenPtq(
+    std::string_view value, double qt) const {
+  std::vector<baseline::PiiIndex::Entry> entries;
+  Status st = table_->CollectPiiMatches(primary_column_, value, qt, &entries);
+  return std::make_unique<PiiStreamCursor>(table_, std::move(entries),
+                                           std::move(st));
 }
 
-Status UnclusteredAccessPath::QueryTopK(std::string_view value, size_t k,
-                                        std::vector<core::PtqMatch>* out) const {
-  return table_->QueryTopK(primary_column_, value, k, out);
+std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenTopK(
+    std::string_view value, size_t k) const {
+  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
+    return table_->QueryTopK(primary_column_, value, k, rows);
+  });
 }
 
-Status UnclusteredAccessPath::QuerySecondary(
-    int column, std::string_view value, double qt, core::SecondaryAccessMode,
-    std::vector<core::PtqMatch>* out) const {
+std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenSecondary(
+    int column, std::string_view value, double qt,
+    core::SecondaryAccessMode) const {
   // PII entries carry a single RID — there is nothing to tailor.
-  return table_->QueryPii(column, value, qt, out);
+  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
+    return table_->QueryPii(column, value, qt, rows);
+  });
 }
 
 Status UnclusteredAccessPath::ScanTuples(
@@ -449,17 +413,6 @@ Status UnclusteredAccessPath::ScanTuples(
     return true;
   });
   return st;
-}
-
-std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenPtqStream(
-    std::string_view value, double qt) const {
-  if (table_->pii(primary_column_) == nullptr) {
-    return nullptr;  // no PII index: cannot stream, let callers materialize
-  }
-  std::vector<baseline::PiiIndex::Entry> entries;
-  Status st = table_->CollectPiiMatches(primary_column_, value, qt, &entries);
-  return std::make_unique<PiiStreamCursor>(table_, std::move(entries),
-                                           std::move(st));
 }
 
 bool UnclusteredAccessPath::HasSecondary(int column) const {
@@ -494,34 +447,6 @@ double UnclusteredAccessPath::EstimateTopKThreshold(std::string_view value,
   if (it == histograms_.end()) return 0.0;
   histogram::SelectivityEstimator est(&it->second);
   return est.EstimateKthThreshold(value, k);
-}
-
-// ---------------------------------------------------------------------------
-// UtreeAccessPath
-// ---------------------------------------------------------------------------
-
-PathStats UtreeAccessPath::Stats() const {
-  PathStats s;
-  storage::HeapFile* heap = table_->heap();
-  s.table.table_bytes = heap->pager()->file()->size_bytes();
-  s.table.num_leaf_pages = heap->num_pages();
-  s.table.page_size = heap->pager()->file()->page_size();
-  s.heap_entries = heap->live_records();
-  s.num_tuples = table_->num_tuples();
-  s.avg_entry_bytes = AvgEntryBytes(s.table.table_bytes, s.heap_entries);
-  s.charges_open_per_query = utree_->charge_open_per_query;
-  s.clustered = false;
-  return s;
-}
-
-Status UtreeAccessPath::QueryPtq(std::string_view, double,
-                                 std::vector<core::PtqMatch>*) const {
-  return Status::NotSupported("secondary-utree answers only range queries");
-}
-
-Status UtreeAccessPath::QueryRange(prob::Point center, double radius, double qt,
-                                   std::vector<core::PtqMatch>* out) const {
-  return utree_->QueryRange(*table_, center, radius, qt, out);
 }
 
 }  // namespace upi::engine

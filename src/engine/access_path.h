@@ -1,14 +1,17 @@
 // The engine's physical-access abstraction.
 //
 // Every concrete layout in this codebase — the clustered UPI (Section 3), the
-// Fractured UPI (Section 4), and the Section 7.2 baselines (PII over an
-// unclustered heap, secondary U-Tree) — answers the same logical requests:
-// probabilistic threshold queries, top-k, secondary probes. AccessPath is the
-// common interface the executor operators and the cost-based QueryPlanner
-// work against, so callers are no longer welded to core::Upi. Adapters are
-// thin non-owning views (cheap to construct, no I/O of their own); the
-// estimation hooks are RAM-only so the planner never spends simulated disk
-// time to make a decision.
+// Fractured UPI (Section 4), the PII-over-unclustered-heap baseline (Section
+// 7.2), and the horizontally partitioned table (engine/partition.h) — answers
+// the same logical requests: probabilistic threshold queries, top-k,
+// secondary probes. AccessPath is the common interface the executor and the
+// cost-based QueryPlanner work against, and it has one read contract: every
+// probe answers through a ResultCursor. Streaming cursors (clustered PTQ and
+// top-k, the Fractured PTQ fan-out, PII probes) pay for each row as it is
+// pulled; eager ones (fan-out unions, secondary probes) computed every row at
+// open. Adapters are thin non-owning views (cheap to construct, no I/O of
+// their own); the estimation hooks are RAM-only so the planner never spends
+// simulated disk time to make a decision.
 #pragma once
 
 #include <functional>
@@ -18,7 +21,6 @@
 #include <string_view>
 #include <vector>
 
-#include "baseline/secondary_utree.h"
 #include "baseline/unclustered_table.h"
 #include "core/cost_model.h"
 #include "core/fractured_upi.h"
@@ -64,28 +66,32 @@ class AccessPath {
   virtual const catalog::Schema& schema() const = 0;
   virtual PathStats Stats() const = 0;
 
-  // --- Physical operators (charge simulated I/O) ---------------------------
+  // --- Physical reads (charge simulated I/O) --------------------------------
+  //
+  // Never null: an open that fails rides in the cursor's status(). Drain a
+  // cursor before writing to the table it reads (see Table::OpenCursor).
 
-  /// PTQ on the path's primary uncertain attribute.
-  virtual Status QueryPtq(std::string_view value, double qt,
-                          std::vector<core::PtqMatch>* out) const = 0;
+  /// PTQ on the path's primary uncertain attribute. Streaming paths defer
+  /// later phases (e.g. cutoff-pointer fetches) until the consumer drains
+  /// that far.
+  virtual std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
+                                                double qt) const = 0;
 
-  /// Direct top-k (early-terminating cursor). NotSupported unless
-  /// Stats().supports_direct_topk.
-  virtual Status QueryTopK(std::string_view value, size_t k,
-                           std::vector<core::PtqMatch>* out) const;
+  /// Direct top-k on the primary attribute: at most k rows, highest
+  /// confidence first. NotSupported unless Stats().supports_direct_topk.
+  virtual std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
+                                                 size_t k) const = 0;
 
   /// Probe through a secondary index on `column`. Paths without pointer
   /// tailoring ignore `mode`.
-  virtual Status QuerySecondary(int column, std::string_view value, double qt,
-                                core::SecondaryAccessMode mode,
-                                std::vector<core::PtqMatch>* out) const;
+  virtual std::unique_ptr<ResultCursor> OpenSecondary(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const = 0;
 
   /// Full sequential sweep; `fn` is called exactly once per live tuple (heap
-  /// duplicates are deduplicated here). NotSupported unless
-  /// Stats().supports_scan.
+  /// duplicates are deduplicated here).
   virtual Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const;
+      const std::function<void(const catalog::Tuple&)>& fn) const = 0;
 
   /// Sweep in service of a scan-filter on (column, value, qt): same
   /// semantics over every tuple that could match, but paths with pruning
@@ -99,10 +105,6 @@ class AccessPath {
     return ScanTuples(fn);
   }
 
-  /// Probabilistic spatial range query (continuous paths only).
-  virtual Status QueryRange(prob::Point center, double radius, double qt,
-                            std::vector<core::PtqMatch>* out) const;
-
   virtual bool HasSecondary(int column) const {
     (void)column;
     return false;
@@ -110,27 +112,6 @@ class AccessPath {
 
   /// Schema column the primary probe filters on (-1 when N/A).
   virtual int primary_column() const { return -1; }
-
-  // --- Streaming entry points (pull-based execution) -----------------------
-
-  /// Streaming primary-attribute PTQ: QueryPtq's rows pulled one at a time,
-  /// with deferred phases (e.g. cutoff-pointer fetches) run only if the
-  /// consumer drains that far. nullptr when the path cannot stream — callers
-  /// fall back to materialized execution.
-  virtual std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                                      double qt) const {
-    (void)value, (void)qt;
-    return nullptr;
-  }
-
-  /// Streaming direct top-k: the probability-descending row stream without
-  /// the k bound (the consumer's limit provides it). nullptr when the path
-  /// has no direct cursor.
-  virtual std::unique_ptr<ResultCursor> OpenTopKStream(
-      std::string_view value) const {
-    (void)value;
-    return nullptr;
-  }
 
   /// The underlying table's stats epoch (see core::Upi::stats_epoch);
   /// prepared-plan caches re-plan when it moves. 0 = path never changes.
@@ -199,20 +180,20 @@ class UpiAccessPath : public AccessPath {
   const catalog::Schema& schema() const override { return upi_->schema(); }
   PathStats Stats() const override;
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override;
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const override;
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const override;
+  /// Streams Algorithm 2 (core::UpiPtqCursor).
+  std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
+                                        double qt) const override;
+  /// Streams the value's heap region (cutoff pointers only if it runs
+  /// short of k); stops after k rows.
+  std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
+                                         size_t k) const override;
+  /// Eager: Algorithm 3 (or first-pointer) fetch in heap order.
+  std::unique_ptr<ResultCursor> OpenSecondary(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const override;
   Status ScanTuples(
       const std::function<void(const catalog::Tuple&)>& fn) const override;
 
-  std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                              double qt) const override;
-  std::unique_ptr<ResultCursor> OpenTopKStream(
-      std::string_view value) const override;
   uint64_t StatsEpoch() const override { return upi_->stats_epoch(); }
 
   bool HasSecondary(int column) const override;
@@ -245,24 +226,23 @@ class FracturedAccessPath : public AccessPath {
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override;
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const override;
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const override;
+  /// Streams the pruned fan-out, fractures opened lazily. Holds the table's
+  /// shared lock until destroyed (see core::FracturedPtqCursor): drain
+  /// promptly and never write to this table while one is open.
+  std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
+                                        double qt) const override;
+  /// Eager: FracturedUpi::QueryTopK's bounded fan-out.
+  std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
+                                         size_t k) const override;
+  /// Eager: the pruned secondary fan-out.
+  std::unique_ptr<ResultCursor> OpenSecondary(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const override;
   Status ScanTuples(
       const std::function<void(const catalog::Tuple&)>& fn) const override;
   Status ScanTuplesMatching(
       int column, std::string_view value, double qt,
       const std::function<void(const catalog::Tuple&)>& fn) const override;
-
-  /// Streaming PTQ over the pruned fan-out, fractures opened lazily. Holds
-  /// the table's shared lock until destroyed (see core::FracturedPtqCursor):
-  /// drain promptly and never write to this table while one is open.
-  std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                              double qt) const override;
 
   uint64_t StatsEpoch() const override { return table_->stats_epoch(); }
   core::PruneEstimate EstimatePrune(int column, std::string_view value,
@@ -291,7 +271,7 @@ class FracturedAccessPath : public AccessPath {
 };
 
 /// Adapter over the unclustered baseline: PTQ / top-k route through the PII
-/// index on `primary_column`; QuerySecondary probes the PII index on the
+/// index on `primary_column`; OpenSecondary probes the PII index on the
 /// requested column (no pointer tailoring exists — `mode` is ignored).
 /// Estimation uses in-RAM probability histograms built by BuildStatistics
 /// (the facade calls it at table creation; a real system would persist them
@@ -308,18 +288,20 @@ class UnclusteredAccessPath : public AccessPath {
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override;
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const override;
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const override;
+  /// Reads the inverted list at open; each tuple's random heap fetch
+  /// happens only when the consumer pulls its row.
+  std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
+                                        double qt) const override;
+  /// Eager: k inverted-list entries and their heap fetches.
+  std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
+                                         size_t k) const override;
+  /// Eager: the PII probe on `column`, fetched in RID order.
+  std::unique_ptr<ResultCursor> OpenSecondary(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const override;
   Status ScanTuples(
       const std::function<void(const catalog::Tuple&)>& fn) const override;
 
-  std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                              double qt) const override;
   uint64_t StatsEpoch() const override { return table_->stats_epoch(); }
 
   bool HasSecondary(int column) const override;
@@ -339,33 +321,6 @@ class UnclusteredAccessPath : public AccessPath {
   int primary_column_;
   std::string name_ = "unclustered";
   std::map<int, histogram::ProbHistogram> histograms_;
-};
-
-/// Adapter over the secondary U-Tree baseline (spatial range queries only).
-class UtreeAccessPath : public AccessPath {
- public:
-  UtreeAccessPath(baseline::UnclusteredTable* table,
-                  const baseline::SecondaryUtree* utree)
-      : table_(table), utree_(utree) {}
-
-  const std::string& name() const override { return name_; }
-  const catalog::Schema& schema() const override { return table_->schema(); }
-  PathStats Stats() const override;
-
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override;
-  Status QueryRange(prob::Point center, double radius, double qt,
-                    std::vector<core::PtqMatch>* out) const override;
-  histogram::PtqEstimate EstimatePtq(std::string_view value,
-                                     double qt) const override {
-    (void)value, (void)qt;
-    return {};
-  }
-
- private:
-  baseline::UnclusteredTable* table_;
-  const baseline::SecondaryUtree* utree_;
-  std::string name_ = "secondary-utree";
 };
 
 }  // namespace upi::engine

@@ -147,22 +147,6 @@ Result<std::string> Table::ExplainAnalyze(const Query& q) const {
   return std::move(r.text);
 }
 
-#ifndef UPI_NO_LEGACY_QUERY_API
-Result<Plan> Table::Ptq(std::string_view value, double qt,
-                        std::vector<core::PtqMatch>* out) const {
-  return Run(Query::Ptq(value, qt), out);
-}
-
-Result<Plan> Table::Secondary(int column, std::string_view value, double qt,
-                              std::vector<core::PtqMatch>* out) const {
-  return Run(Query::Secondary(column, value, qt), out);
-}
-
-Result<Plan> Table::TopK(std::string_view value, size_t k,
-                         std::vector<core::PtqMatch>* out) const {
-  return Run(Query::TopK(value, k), out);
-}
-#endif  // UPI_NO_LEGACY_QUERY_API
 
 Status Table::Insert(const catalog::Tuple& tuple) {
   wal::WalWriter* w = db_->wal();
@@ -231,10 +215,7 @@ Status Table::ApplyDelete(const catalog::Tuple& tuple) {
 
 Database::Database(DatabaseOptions options)
     : options_(options),
-      profile_(options.device.has_value()
-                   ? *options.device
-                   : sim::DeviceProfile::SpinningDisk(options.params)),
-      params_(profile_.cost),
+      profile_(options.device),
       env_(options.pool_bytes, profile_, options.pool_shards),
       slow_log_(options.slow_query_log_capacity),
       manager_(&env_, options.maintenance) {
@@ -260,7 +241,7 @@ Database::Database(DatabaseOptions options)
       auto replayed = wal::Replay(this, log);
       UPI_CHECK(replayed.ok(), replayed.status().ToString().c_str());
       recovery_stats_ = std::move(replayed).value();
-      recovery_stats_.sim_ms = window.Delta().SimMs(params_);
+      recovery_stats_.sim_ms = window.Delta().SimMs(profile_.cost);
       manager_.SetNotifyPaused(false);
     }
     wal::WalWriterOptions wopts;
@@ -389,12 +370,12 @@ Result<Table*> Database::CreatePartitionedTable(
   table->spec_.secondary_columns = secondary_columns;
   table->spec_.partition = popts;
   UPI_ASSIGN_OR_RETURN(
-      table->partitioned_,
+      std::unique_ptr<PartitionedTable> partitioned,
       PartitionedTable::Create(&env_, &manager_, EnsureGatherPool(), name,
                                std::move(schema), options,
                                std::move(secondary_columns), popts, tuples));
-  table->path_ =
-      std::make_unique<PartitionedAccessPath>(table->partitioned_.get());
+  table->partitioned_ = partitioned.get();
+  table->path_ = std::move(partitioned);
   table->planner_ = std::make_unique<QueryPlanner>(table->path_.get(), profile_,
                                                    env_.metrics());
   table->instruments_ = &instruments_;

@@ -10,14 +10,10 @@
 // Fractured tables are auto-registered with the environment's
 // MaintenanceManager, and every Insert/Delete notifies it so the Section 6.2
 // watermarks drive flushes and merges.
-//
-// Building with -DUPI_NO_LEGACY_QUERY_API removes the deprecated
-// Ptq/Secondary/TopK shims, so new code cannot regress onto them.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -64,15 +60,16 @@ class Table {
   /// order is plan-dependent (see exec/cursor.h).
   ///
   /// Lifetime contract: a *streaming* cursor (clustered PTQ / direct top-k
-  /// on a plain UPI table) walks live index pages — drain it before any
-  /// Insert/Delete on this table, and do not hold it across another
-  /// session's writes. A fractured PTQ cursor streams the pruned fan-out
-  /// lazily while *holding the table's shared lock*: results stay
+  /// on a plain UPI table, PII probes) walks live index pages — drain it
+  /// before any Insert/Delete on this table, and do not hold it across
+  /// another session's writes. A fractured PTQ cursor streams the pruned
+  /// fan-out lazily while *holding the table's shared lock*: results stay
   /// consistent under background maintenance, but writes and maintenance
   /// installs on that table block until it is destroyed — drain promptly,
   /// and never write to the table from the thread holding the cursor.
-  /// Remaining fan-out and union plans (secondary probes, scans, threshold
-  /// top-k) materialize at open and have no such hazard.
+  /// Eager cursors (secondary probes, scans, threshold top-k, fractured
+  /// top-k, every partitioned read) computed their rows at open and have no
+  /// such hazard.
   Result<std::unique_ptr<ResultCursor>> OpenCursor(const Query& q) const;
 
   /// Validates and prepares `q` for repeated execution: the plan is cached
@@ -110,19 +107,6 @@ class Table {
   /// actual totals.
   Result<std::string> ExplainAnalyze(const Query& q) const;
 
-#ifndef UPI_NO_LEGACY_QUERY_API
-  // --- Deprecated pre-Query shims (one release; see Run/Prepare). ---------
-  [[deprecated("use Run(Query::Ptq(value, qt), out)")]]
-  Result<Plan> Ptq(std::string_view value, double qt,
-                   std::vector<core::PtqMatch>* out) const;
-  [[deprecated("use Run(Query::Secondary(column, value, qt), out)")]]
-  Result<Plan> Secondary(int column, std::string_view value, double qt,
-                         std::vector<core::PtqMatch>* out) const;
-  [[deprecated("use Run(Query::TopK(value, k), out)")]]
-  Result<Plan> TopK(std::string_view value, size_t k,
-                    std::vector<core::PtqMatch>* out) const;
-#endif  // UPI_NO_LEGACY_QUERY_API
-
   // --- Writes. Fractured tables notify the maintenance manager, which
   // flushes/merges per its cost-model policy. When the database has a WAL,
   // the write is journaled first (holding the checkpoint gate shared across
@@ -135,7 +119,7 @@ class Table {
   core::Upi* upi() const { return upi_.get(); }
   core::FracturedUpi* fractured() const { return fractured_.get(); }
   baseline::UnclusteredTable* unclustered() const { return unclustered_.get(); }
-  PartitionedTable* partitioned() const { return partitioned_.get(); }
+  PartitionedTable* partitioned() const { return partitioned_; }
 
  private:
   friend class Database;
@@ -155,7 +139,8 @@ class Table {
   std::unique_ptr<core::Upi> upi_;
   std::unique_ptr<core::FracturedUpi> fractured_;
   std::unique_ptr<baseline::UnclusteredTable> unclustered_;
-  std::unique_ptr<PartitionedTable> partitioned_;
+  /// A partitioned table is its own AccessPath: path_ owns it.
+  PartitionedTable* partitioned_ = nullptr;
   std::unique_ptr<AccessPath> path_;
   std::unique_ptr<QueryPlanner> planner_;
 };
@@ -165,12 +150,10 @@ struct DatabaseOptions {
   uint64_t pool_bytes = 32ull << 20;
   /// Buffer-pool latch shards (see BufferPool; 1 = single classic pool).
   size_t pool_shards = storage::BufferPool::kDefaultShards;
-  sim::CostParams params{};
-  /// Device profile the database runs on (sim/device_profile.h). When set it
-  /// wins over `params`: disk, planners, and merge policy all price against
-  /// it. Unset (the default) means the spinning disk built from `params` —
-  /// bit-identical to the pre-profile engine.
-  std::optional<sim::DeviceProfile> device;
+  /// Device profile the database runs on (sim/device_profile.h): disk,
+  /// planners, and merge policy all price against it. The default is the
+  /// paper's spinning disk (Table 6).
+  sim::DeviceProfile device = sim::DeviceProfile::SpinningDisk();
   /// Maintenance setup; num_workers == 0 keeps maintenance synchronous
   /// (drain with RunMaintenance()), > 0 runs it on background threads.
   maintenance::MaintenanceManagerOptions maintenance{};
@@ -304,7 +287,6 @@ class Database {
   /// The Section 7.1 cold-cache protocol (benches).
   void ColdCache() { env_.ColdCache(); }
 
-  const sim::CostParams& params() const { return params_; }
   const sim::DeviceProfile& profile() const { return profile_; }
 
  private:
@@ -326,7 +308,6 @@ class Database {
 
   DatabaseOptions options_;
   sim::DeviceProfile profile_;
-  sim::CostParams params_;  // == profile_.cost
   storage::DbEnv env_;
   obs::SlowQueryLog slow_log_;
   ExecInstruments instruments_;  // handed by pointer to every table

@@ -478,71 +478,77 @@ Status PartitionedTable::Scatter(
   return st;
 }
 
-namespace {
-
-/// One shard's PTQ, through the exact code path an unpartitioned execution
-/// takes (stream when the path offers one, materialized otherwise) — so a
-/// partitioned gather is bit-identical to the flat table, row for row.
-Status ProbeShardPtq(const AccessPath& path, std::string_view value, double qt,
-                     std::vector<core::PtqMatch>* rows) {
-  std::unique_ptr<ResultCursor> stream = path.OpenPtqStream(value, qt);
-  if (stream == nullptr) return path.QueryPtq(value, qt, rows);
-  core::PtqMatch m;
-  while (stream->TakeNext(&m)) rows->push_back(std::move(m));
-  return stream->status();
-}
-
-}  // namespace
-
-Status PartitionedTable::QueryPtq(std::string_view value, double qt,
-                                  std::vector<core::PtqMatch>* out) const {
+std::unique_ptr<ResultCursor> PartitionedTable::GatherMerged(
+    int column, std::string_view value, double qt, const char* op,
+    const std::function<std::unique_ptr<ResultCursor>(const AccessPath&)>&
+        open) const {
+  // A shard failure rides in the cursor's status — its I/O is already
+  // charged.
   std::vector<ShardRun> runs;
-  UPI_RETURN_NOT_OK(Scatter(
-      -1, value, qt, "ptq",
+  Status st = Scatter(
+      column, value, qt, op,
       [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        return ProbeShardPtq(*s.path, value, qt, rows);
+        return open(*s.path)->Drain(rows);
       },
-      &runs));
+      &runs);
+  std::vector<std::vector<core::PtqMatch>> sorted_runs;
+  sorted_runs.reserve(runs.size());
   for (ShardRun& run : runs) {
-    out->insert(out->end(), std::make_move_iterator(run.rows.begin()),
-                std::make_move_iterator(run.rows.end()));
+    if (run.rows.empty()) continue;
+    // Streams return heap rows in confidence order but the cutoff-pointer
+    // tail (and a fractured shard's RAM buffer) in storage order; the merge
+    // needs fully sorted runs.
+    exec::SortByConfidenceDesc(&run.rows);
+    sorted_runs.push_back(std::move(run.rows));
   }
-  exec::SortByConfidenceDesc(out);
-  return Status::OK();
+  return std::make_unique<exec::MergedRunsCursor>(std::move(sorted_runs),
+                                                  std::move(st));
 }
 
-Status PartitionedTable::QueryTopK(std::string_view value, size_t k,
-                                   std::vector<core::PtqMatch>* out) const {
-  if (k == 0) return Status::OK();
+std::unique_ptr<ResultCursor> PartitionedTable::OpenPtq(std::string_view value,
+                                                        double qt) const {
+  return GatherMerged(-1, value, qt, "ptq", [&](const AccessPath& shard) {
+    return shard.OpenPtq(value, qt);
+  });
+}
+
+std::unique_ptr<ResultCursor> PartitionedTable::OpenSecondary(
+    int column, std::string_view value, double qt,
+    core::SecondaryAccessMode mode) const {
+  return GatherMerged(column, value, qt, "secondary",
+                      [&](const AccessPath& shard) {
+                        return shard.OpenSecondary(column, value, qt, mode);
+                      });
+}
+
+std::unique_ptr<ResultCursor> PartitionedTable::OpenTopK(std::string_view value,
+                                                         size_t k) const {
+  if (k == 0) {
+    return std::make_unique<MaterializedCursor>(std::vector<core::PtqMatch>{});
+  }
   exec::GlobalTopKBound bound(k);
   const bool use_bound = popts_.topk_global_bound;
   std::vector<ShardRun> runs;
-  UPI_RETURN_NOT_OK(Scatter(
+  Status st = Scatter(
       -1, value, /*qt=*/0.0, "topk",
       [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        std::unique_ptr<ResultCursor> stream = s.path->OpenTopKStream(value);
-        if (stream == nullptr) {
-          // Fractured shards run their own internally-bounded top-k; their
-          // scores still feed the global bound so streaming shards that race
-          // them can exit earlier.
-          UPI_RETURN_NOT_OK(s.path->QueryTopK(value, k, rows));
-          if (use_bound) {
-            for (const core::PtqMatch& m : *rows) bound.Offer(m.confidence);
-          }
-          return Status::OK();
-        }
-        // The stream descends in confidence: once the global bound is
-        // saturated and a row falls strictly below the k-th score, nothing
-        // later in this shard can contribute — stop without paying for the
-        // pages behind it (deferred cutoff-pointer fetches included).
+        std::unique_ptr<ResultCursor> shard = s.path->OpenTopK(value, k);
         core::PtqMatch m;
-        while (rows->size() < k && stream->TakeNext(&m)) {
-          if (use_bound && !bound.Offer(m.confidence)) break;
+        while (shard->TakeNext(&m)) {
+          // A streaming shard descends in confidence: once the global bound
+          // is saturated and a row falls strictly below the k-th score,
+          // nothing later in it can contribute — stop without paying for the
+          // pages behind it (deferred cutoff-pointer fetches included). An
+          // eager shard's rows are already paid for; all of them still
+          // tighten the bound for the shards racing it.
+          if (use_bound && !bound.Offer(m.confidence) && !shard->eager()) {
+            break;
+          }
           rows->push_back(std::move(m));
         }
-        return stream->status();
+        return shard->status();
       },
-      &runs));
+      &runs);
   std::vector<core::PtqMatch> merged;
   for (ShardRun& run : runs) {
     merged.insert(merged.end(), std::make_move_iterator(run.rows.begin()),
@@ -550,28 +556,7 @@ Status PartitionedTable::QueryTopK(std::string_view value, size_t k,
   }
   exec::SortByConfidenceDesc(&merged);
   if (merged.size() > k) merged.resize(k);
-  out->insert(out->end(), std::make_move_iterator(merged.begin()),
-              std::make_move_iterator(merged.end()));
-  return Status::OK();
-}
-
-Status PartitionedTable::QuerySecondary(int column, std::string_view value,
-                                        double qt,
-                                        core::SecondaryAccessMode mode,
-                                        std::vector<core::PtqMatch>* out) const {
-  std::vector<ShardRun> runs;
-  UPI_RETURN_NOT_OK(Scatter(
-      column, value, qt, "secondary",
-      [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        return s.path->QuerySecondary(column, value, qt, mode, rows);
-      },
-      &runs));
-  for (ShardRun& run : runs) {
-    out->insert(out->end(), std::make_move_iterator(run.rows.begin()),
-                std::make_move_iterator(run.rows.end()));
-  }
-  exec::SortByConfidenceDesc(out);
-  return Status::OK();
+  return std::make_unique<MaterializedCursor>(std::move(merged), std::move(st));
 }
 
 Status PartitionedTable::ScanTuples(
@@ -602,32 +587,6 @@ Status PartitionedTable::ScanTuplesMatching(
     m_shards_pruned_->Add(shards_.size() - probed);
   }
   return Status::OK();
-}
-
-std::unique_ptr<ResultCursor> PartitionedTable::OpenPtqStream(
-    std::string_view value, double qt) const {
-  // The scatter happens at open (the shard runs come back sorted); only the
-  // k-way merge is lazy. A shard failure rides in the cursor's status — the
-  // I/O is already charged, so falling back to materialized execution would
-  // double it.
-  std::vector<ShardRun> runs;
-  Status st = Scatter(
-      -1, value, qt, "ptq",
-      [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        return ProbeShardPtq(*s.path, value, qt, rows);
-      },
-      &runs);
-  std::vector<std::vector<core::PtqMatch>> sorted_runs;
-  sorted_runs.reserve(runs.size());
-  for (ShardRun& run : runs) {
-    if (run.rows.empty()) continue;
-    // Streams return heap rows in confidence order but the cutoff-pointer
-    // tail in storage order; the merge needs fully sorted runs.
-    exec::SortByConfidenceDesc(&run.rows);
-    sorted_runs.push_back(std::move(run.rows));
-  }
-  return std::make_unique<exec::MergedRunsCursor>(std::move(sorted_runs),
-                                                  std::move(st));
 }
 
 PathStats PartitionedTable::Stats() const {

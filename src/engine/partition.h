@@ -23,10 +23,10 @@
 // probe measures its simulated I/O on the worker's SimDisk stripe and the
 // gather re-attributes it to the calling thread (SimDisk::Withdraw/Deposit),
 // so Session latencies, the slow-query log, and EXPLAIN ANALYZE totals stay
-// exact. Merging: PTQ/secondary runs concatenate then confidence-sort (or
-// k-way-merge into a stream, exec/gather.h); top-k shares a global k-th-score
-// bound so lagging shards stop as soon as their descending streams fall below
-// it — results are identical with the bound on or off.
+// exact. Merging: PTQ/secondary runs are confidence-sorted and k-way-merged
+// into one stream (exec/gather.h); top-k shares a global k-th-score bound so
+// lagging shards stop as soon as their descending streams fall below it —
+// results are identical with the bound on or off.
 #pragma once
 
 #include <deque>
@@ -181,10 +181,11 @@ class GatherPool {
 };
 
 /// The logical table: N shards plus the router, summaries, and gather logic.
-/// Database owns one per partitioned table and exposes it through the usual
-/// Table/AccessPath surface (PartitionedAccessPath below), so Query /
-/// Prepare / EXPLAIN work unchanged against the logical name.
-class PartitionedTable {
+/// It is its own AccessPath, so the planner, executor, prepared queries and
+/// EXPLAIN ANALYZE work unchanged against the logical name. Every read is
+/// eager: the scatter runs at open (shard probes drained where they ran,
+/// on the gather pool) and the cursor serves the merged rows.
+class PartitionedTable : public AccessPath {
  public:
   /// Bulk-builds N shards named `name.s<i>` from `tuples` (routed by the
   /// clustered attribute's highest-probability alternative). Fractured
@@ -197,7 +198,7 @@ class PartitionedTable {
       core::UpiOptions options, std::vector<int> secondary_columns,
       PartitionOptions popts, const std::vector<catalog::Tuple>& tuples);
 
-  ~PartitionedTable();
+  ~PartitionedTable() override;
 
   PartitionedTable(const PartitionedTable&) = delete;
   PartitionedTable& operator=(const PartitionedTable&) = delete;
@@ -216,42 +217,45 @@ class PartitionedTable {
 
   // --- Reads (scatter-gather) ----------------------------------------------
 
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const;
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const;
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const;
+  /// The admissible shards' PTQ runs (gathered concurrently), confidence-
+  /// sorted and k-way-merged into one stream.
+  std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
+                                        double qt) const override;
+  /// Each admissible shard streams at most k rows under the shared global
+  /// k-th-score bound; the merged best k are served.
+  std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
+                                         size_t k) const override;
+  std::unique_ptr<ResultCursor> OpenSecondary(
+      int column, std::string_view value, double qt,
+      core::SecondaryAccessMode mode) const override;
   Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const;
+      const std::function<void(const catalog::Tuple&)>& fn) const override;
   Status ScanTuplesMatching(
       int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const;
-  /// Gathers the admissible shards' sorted PTQ runs (concurrently), merged
-  /// into one descending-confidence stream.
-  std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                              double qt) const;
+      const std::function<void(const catalog::Tuple&)>& fn) const override;
 
   // --- Estimation (RAM only) -----------------------------------------------
 
-  PathStats Stats() const;
-  uint64_t StatsEpoch() const;
-  histogram::PtqEstimate EstimatePtq(std::string_view value, double qt) const;
+  PathStats Stats() const override;
+  uint64_t StatsEpoch() const override;
+  histogram::PtqEstimate EstimatePtq(std::string_view value,
+                                     double qt) const override;
   double EstimateSecondaryMatches(int column, std::string_view value,
-                                  double qt) const;
+                                  double qt) const override;
   core::PruneEstimate EstimatePrune(int column, std::string_view value,
-                                    double qt) const;
-  double SecondaryAvgPointers(int column) const;
-  double EstimateTopKThreshold(std::string_view value, size_t k) const;
-  AccessPath::ShardFanout EstimateShards(int column, std::string_view value,
-                                         double qt) const;
-  bool HasSecondary(int column) const;
+                                    double qt) const override;
+  double SecondaryAvgPointers(int column) const override;
+  double EstimateTopKThreshold(std::string_view value,
+                               size_t k) const override;
+  ShardFanout EstimateShards(int column, std::string_view value,
+                             double qt) const override;
+  bool HasSecondary(int column) const override;
+  int primary_column() const override { return options_.cluster_column; }
 
   // --- Introspection --------------------------------------------------------
 
-  const std::string& name() const { return name_; }
-  const catalog::Schema& schema() const { return schema_; }
+  const std::string& name() const override { return name_; }
+  const catalog::Schema& schema() const override { return schema_; }
   const core::UpiOptions& options() const { return options_; }
   const Partitioner& partitioner() const { return partitioner_; }
   const PartitionOptions& partition_options() const { return popts_; }
@@ -313,6 +317,12 @@ class PartitionedTable {
       const std::function<Status(const Shard&, std::vector<core::PtqMatch>*)>&
           probe,
       std::vector<ShardRun>* runs) const;
+  /// Scatters `open` over the admissible shards, drains each shard's cursor
+  /// where it ran, and merges the confidence-sorted runs into one stream.
+  std::unique_ptr<ResultCursor> GatherMerged(
+      int column, std::string_view value, double qt, const char* op,
+      const std::function<std::unique_ptr<ResultCursor>(const AccessPath&)>&
+          open) const;
   void ForEachShardPath(const std::function<void(const AccessPath&)>& fn) const;
 
   storage::DbEnv* env_ = nullptr;
@@ -332,86 +342,6 @@ class PartitionedTable {
   obs::Counter* m_shards_probed_ = nullptr;  // upi_partition_shards_probed_total
   obs::Counter* m_shards_pruned_ = nullptr;  // upi_partition_shards_pruned_total
   obs::Counter* m_rows_routed_ = nullptr;    // upi_partition_rows_routed_total
-};
-
-/// Thin AccessPath adapter over a PartitionedTable — the same shape
-/// UpiAccessPath/FracturedAccessPath give their cores, so the planner,
-/// executor, prepared queries, and EXPLAIN ANALYZE work against partitioned
-/// tables unchanged.
-class PartitionedAccessPath : public AccessPath {
- public:
-  explicit PartitionedAccessPath(const PartitionedTable* table)
-      : table_(table) {}
-
-  const std::string& name() const override { return table_->name(); }
-  const catalog::Schema& schema() const override { return table_->schema(); }
-  PathStats Stats() const override { return table_->Stats(); }
-
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const override {
-    return table_->QueryPtq(value, qt, out);
-  }
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const override {
-    return table_->QueryTopK(value, k, out);
-  }
-  Status QuerySecondary(int column, std::string_view value, double qt,
-                        core::SecondaryAccessMode mode,
-                        std::vector<core::PtqMatch>* out) const override {
-    return table_->QuerySecondary(column, value, qt, mode, out);
-  }
-  Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override {
-    return table_->ScanTuples(fn);
-  }
-  Status ScanTuplesMatching(
-      int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const override {
-    return table_->ScanTuplesMatching(column, value, qt, fn);
-  }
-  std::unique_ptr<ResultCursor> OpenPtqStream(std::string_view value,
-                                              double qt) const override {
-    return table_->OpenPtqStream(value, qt);
-  }
-  // No OpenTopKStream: the consumer's k must reach the gather (the global
-  // bound is sized by it), so top-k flows through the materialized
-  // QueryTopK.
-
-  uint64_t StatsEpoch() const override { return table_->StatsEpoch(); }
-  bool HasSecondary(int column) const override {
-    return table_->HasSecondary(column);
-  }
-  int primary_column() const override {
-    return table_->options().cluster_column;
-  }
-  histogram::PtqEstimate EstimatePtq(std::string_view value,
-                                     double qt) const override {
-    return table_->EstimatePtq(value, qt);
-  }
-  double EstimateSecondaryMatches(int column, std::string_view value,
-                                  double qt) const override {
-    return table_->EstimateSecondaryMatches(column, value, qt);
-  }
-  core::PruneEstimate EstimatePrune(int column, std::string_view value,
-                                    double qt) const override {
-    return table_->EstimatePrune(column, value, qt);
-  }
-  double SecondaryAvgPointers(int column) const override {
-    return table_->SecondaryAvgPointers(column);
-  }
-  double EstimateTopKThreshold(std::string_view value,
-                               size_t k) const override {
-    return table_->EstimateTopKThreshold(value, k);
-  }
-  ShardFanout EstimateShards(int column, std::string_view value,
-                             double qt) const override {
-    return table_->EstimateShards(column, value, qt);
-  }
-
-  const PartitionedTable* partitioned() const { return table_; }
-
- private:
-  const PartitionedTable* table_;
 };
 
 }  // namespace upi::engine

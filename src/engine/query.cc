@@ -12,6 +12,7 @@
 #include "engine/planner.h"
 #include "exec/cursor.h"
 #include "exec/operators.h"
+#include "exec/ptq.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "sim/sim_disk.h"
@@ -195,6 +196,24 @@ bool ResultCursor::Next(RowView* row) {
 bool ResultCursor::TakeNext(core::PtqMatch* match) {
   if (!Advance()) return false;
   *match = std::move(slot_);
+  return true;
+}
+
+Status ResultCursor::Drain(std::vector<core::PtqMatch>* out) {
+  while (Advance()) out->push_back(std::move(slot_));
+  return status_;
+}
+
+MaterializedCursor::MaterializedCursor(std::vector<core::PtqMatch> rows,
+                                       Status status)
+    : rows_(std::move(rows)) {
+  status_ = std::move(status);
+  exec::SortByConfidenceDesc(&rows_);
+}
+
+bool MaterializedCursor::Produce(core::PtqMatch* out) {
+  if (idx_ >= rows_.size()) return false;
+  *out = std::move(rows_[idx_++]);
   return true;
 }
 

@@ -120,10 +120,14 @@ struct RowView {
   const catalog::Tuple* tuple = nullptr;
 };
 
-/// Pull-based result stream. Implementations either stream straight off the
-/// storage structures (clustered PTQ, direct top-k, PII probes) or serve a
-/// materialized vector (fan-out and union plans). The base class enforces the
-/// row limit and the residual predicate so every producer stays simple.
+/// Pull-based result stream: the one physical read interface (every
+/// AccessPath probe and every executed Plan answers through one).
+/// Implementations either stream straight off the storage structures
+/// (clustered PTQ and top-k, the Fractured PTQ fan-out, PII probes), paying
+/// for each row as it is pulled, or are eager: every row was computed, and
+/// its I/O charged, at open (MaterializedCursor, the partitioned gather). The
+/// base class enforces the row limit and the residual predicate so every
+/// producer stays simple.
 ///
 /// Streaming cursors read live index pages: drain them before writing to
 /// the table (see Table::OpenCursor for the full lifetime contract).
@@ -139,6 +143,13 @@ class ResultCursor {
 
   /// Moves the next row out (avoids a tuple copy when the caller keeps it).
   bool TakeNext(core::PtqMatch* match);
+
+  /// Moves every remaining row onto the end of `out`; returns status().
+  Status Drain(std::vector<core::PtqMatch>* out);
+
+  /// True when every row was computed at open: pulling reads nothing more,
+  /// so a predicate cannot make the producer fetch rows past its bound.
+  virtual bool eager() const { return false; }
 
   const Status& status() const { return status_; }
   /// Rows handed to the consumer so far.
@@ -169,6 +180,32 @@ class ResultCursor {
   std::function<bool(const catalog::Tuple&)> predicate_;
   core::PtqMatch slot_;
   size_t rows_ = 0;
+};
+
+/// Eager cursor over a result set computed at open, served in descending
+/// confidence (ties by TupleId). A non-OK `status` — the computation failed
+/// after charging its I/O — makes it produce nothing.
+class MaterializedCursor : public ResultCursor {
+ public:
+  explicit MaterializedCursor(std::vector<core::PtqMatch> rows,
+                              Status status = Status::OK());
+
+  /// Runs `compute(&rows)` now and serves what it produced (or its error).
+  template <typename Fn>
+  static std::unique_ptr<ResultCursor> Of(Fn&& compute) {
+    std::vector<core::PtqMatch> rows;
+    Status st = compute(&rows);
+    return std::make_unique<MaterializedCursor>(std::move(rows),
+                                                std::move(st));
+  }
+
+  bool eager() const override { return true; }
+
+ private:
+  bool Produce(core::PtqMatch* out) override;
+
+  std::vector<core::PtqMatch> rows_;
+  size_t idx_ = 0;
 };
 
 class PreparedQuery;

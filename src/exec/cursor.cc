@@ -3,89 +3,70 @@
 #include <algorithm>
 #include <utility>
 
-#include "exec/operators.h"
-#include "exec/ptq.h"
 #include "exec/topk.h"
 
 namespace upi::exec {
 
 namespace {
 
-/// Runs a materialized top-k (direct cursor or threshold strategy) with
-/// enough raw rows that `predicate` survivors still reach plan.k: the k
-/// bound is retried doubled until the filtered count suffices or the table
-/// runs out of rows. Without a predicate this is one plain k-bounded run.
-Status MaterializeTopK(const engine::AccessPath& path,
-                       const engine::Plan& plan,
-                       const std::function<bool(const catalog::Tuple&)>& pred,
-                       std::vector<core::PtqMatch>* rows) {
-  auto run_once = [&](size_t k, std::vector<core::PtqMatch>* out) -> Status {
-    out->clear();
-    if (plan.kind == engine::PlanKind::kTopKDirect) {
-      return TopKDirect(path, plan.value, k, out);
-    }
-    // Same descent loop for both threshold strategies; they differ in the
-    // planner-set starting threshold (histogram estimate vs. fixed 0.5).
-    return TopKByDecreasingThreshold(path, plan.value, k, plan.initial_qt,
-                                     out);
-  };
-  if (!pred) return run_once(plan.k, rows);
-  size_t want = plan.k;
-  for (;;) {
-    UPI_RETURN_NOT_OK(run_once(want, rows));
-    size_t passing = 0;
-    for (const auto& m : *rows) {
-      if (pred(m.tuple)) ++passing;
-    }
-    // Stop when k rows survive the filter, or the table has no more rows to
-    // offer (the run returned fewer than asked).
-    if (passing >= plan.k || rows->size() < want) return Status::OK();
-    want *= 2;
+/// One k-bounded top-k run: the path's direct cursor, or the Section 9
+/// threshold descent (both threshold plans share it; they differ only in the
+/// planner-set starting threshold).
+std::unique_ptr<engine::ResultCursor> OpenTopKRun(
+    const engine::AccessPath& path, const engine::Plan& plan, size_t k) {
+  if (plan.kind == engine::PlanKind::kTopKDirect) {
+    return path.OpenTopK(plan.value, k);
   }
+  return engine::MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
+    return TopKByDecreasingThreshold(path, plan.value, k, plan.initial_qt,
+                                     rows);
+  });
+}
+
+/// Top-k whose k rows must survive `predicate`. A streaming run filters as
+/// it descends, so its k bound already counts survivors. An eager run holds
+/// exactly k raw rows: it is rerun with the bound doubled until k rows
+/// survive or the table runs out (the run came back short).
+std::unique_ptr<engine::ResultCursor> OpenFilteredTopK(
+    const engine::AccessPath& path, const engine::Plan& plan,
+    const std::function<bool(const catalog::Tuple&)>& predicate) {
+  std::unique_ptr<engine::ResultCursor> run = OpenTopKRun(path, plan, plan.k);
+  if (!predicate || !run->eager()) return run;
+  for (size_t want = plan.k;; want *= 2) {
+    std::vector<core::PtqMatch> rows;
+    Status st = run->Drain(&rows);
+    run.reset();
+    size_t passing = std::count_if(
+        rows.begin(), rows.end(),
+        [&](const core::PtqMatch& m) { return predicate(m.tuple); });
+    if (!st.ok() || passing >= plan.k || rows.size() < want) {
+      return std::make_unique<engine::MaterializedCursor>(std::move(rows),
+                                                          std::move(st));
+    }
+    run = OpenTopKRun(path, plan, want * 2);
+  }
+}
+
+/// Sequential-sweep operator: one full scan keeping tuples whose combined
+/// probability of `value` in `column` reaches `qt` (exact: the full tuple is
+/// inspected; deduplicated).
+std::unique_ptr<engine::ResultCursor> OpenScanFilter(
+    const engine::AccessPath& path, int column, std::string_view value,
+    double qt) {
+  return engine::MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
+    // The filter rides along so paths with pruning metadata can skip storage
+    // units that cannot contain a qualifying alternative; the exact
+    // per-tuple check below still decides every emitted row.
+    return path.ScanTuplesMatching(column, value, qt,
+                                   [&](const catalog::Tuple& tuple) {
+      double conf = tuple.ConfidenceOf(static_cast<size_t>(column), value);
+      if (conf < qt || conf <= 0.0) return;
+      rows->push_back(core::PtqMatch{tuple.id(), conf, tuple});
+    });
+  });
 }
 
 }  // namespace
-
-Status ExecuteMaterialized(
-    const engine::AccessPath& path, const engine::Plan& plan,
-    const std::function<bool(const catalog::Tuple&)>& predicate,
-    std::vector<core::PtqMatch>* out) {
-  std::vector<core::PtqMatch>& rows = *out;
-  switch (plan.kind) {
-    case engine::PlanKind::kPrimaryProbe:
-      UPI_RETURN_NOT_OK(path.QueryPtq(plan.value, plan.qt, &rows));
-      break;
-    case engine::PlanKind::kSecondaryFirstPointer:
-      UPI_RETURN_NOT_OK(path.QuerySecondary(
-          plan.column, plan.value, plan.qt,
-          core::SecondaryAccessMode::kFirstPointer, &rows));
-      break;
-    case engine::PlanKind::kSecondaryTailored:
-      UPI_RETURN_NOT_OK(
-          path.QuerySecondary(plan.column, plan.value, plan.qt,
-                              core::SecondaryAccessMode::kTailored, &rows));
-      break;
-    case engine::PlanKind::kHeapScan: {
-      int column = plan.column >= 0 ? plan.column : path.primary_column();
-      UPI_RETURN_NOT_OK(ScanFilter(path, column, plan.value, plan.qt, &rows));
-      break;
-    }
-    case engine::PlanKind::kTopKDirect:
-    case engine::PlanKind::kTopKEstimatedThreshold:
-    case engine::PlanKind::kTopKDecreasingThreshold:
-      UPI_RETURN_NOT_OK(MaterializeTopK(path, plan, predicate, &rows));
-      break;
-  }
-  if (predicate) {
-    // Top-k already over-fetched for survivors (MaterializeTopK); here the
-    // filter just drops the failures uniformly.
-    std::erase_if(rows, [&](const core::PtqMatch& m) {
-      return !predicate(m.tuple);
-    });
-  }
-  SortByConfidenceDesc(&rows);
-  return Status::OK();
-}
 
 Result<std::unique_ptr<engine::ResultCursor>> OpenCursor(
     const engine::AccessPath& path, const engine::Plan& plan,
@@ -93,24 +74,29 @@ Result<std::unique_ptr<engine::ResultCursor>> OpenCursor(
   std::unique_ptr<engine::ResultCursor> cursor;
   switch (plan.kind) {
     case engine::PlanKind::kPrimaryProbe:
-      cursor = path.OpenPtqStream(plan.value, plan.qt);
+      cursor = path.OpenPtq(plan.value, plan.qt);
+      break;
+    case engine::PlanKind::kSecondaryFirstPointer:
+      cursor = path.OpenSecondary(plan.column, plan.value, plan.qt,
+                                  core::SecondaryAccessMode::kFirstPointer);
+      break;
+    case engine::PlanKind::kSecondaryTailored:
+      cursor = path.OpenSecondary(plan.column, plan.value, plan.qt,
+                                  core::SecondaryAccessMode::kTailored);
+      break;
+    case engine::PlanKind::kHeapScan:
+      cursor = OpenScanFilter(
+          path, plan.column >= 0 ? plan.column : path.primary_column(),
+          plan.value, plan.qt);
       break;
     case engine::PlanKind::kTopKDirect:
-      // Paths without a stream fall through to the materialized run, whose
-      // TopKDirect call either uses the path's own QueryTopK or reports
-      // NotSupported.
-      cursor = path.OpenTopKStream(plan.value);
+    case engine::PlanKind::kTopKEstimatedThreshold:
+    case engine::PlanKind::kTopKDecreasingThreshold:
+      cursor = OpenFilteredTopK(path, plan, predicate);
       break;
-    default:
-      break;  // fan-out / union plans run materialized
   }
-  if (cursor != nullptr) {
-    if (predicate) cursor->SetPredicate(std::move(predicate));
-  } else {
-    std::vector<core::PtqMatch> rows;
-    UPI_RETURN_NOT_OK(ExecuteMaterialized(path, plan, predicate, &rows));
-    cursor = std::make_unique<MaterializedCursor>(std::move(rows));
-  }
+  UPI_RETURN_NOT_OK(cursor->status());
+  if (predicate) cursor->SetPredicate(std::move(predicate));
   size_t limit = plan.limit;
   if (plan.k > 0 && (limit == 0 || plan.k < limit)) limit = plan.k;
   cursor->SetLimit(limit);

@@ -1,62 +1,37 @@
 // Pull-based plan execution: the cursor layer under the declarative Query
-// API.
+// API, and the one place a Plan meets the physical read interface.
 //
-// OpenCursor() turns a planner-produced Plan into an engine::ResultCursor.
-// Plans the access path can stream — clustered PTQ (Algorithm 2), the direct
-// top-k cursor, the PII probe's heap fetches — execute incrementally: a
-// consumer that stops after k rows never runs the deferred phases (cutoff
-// pointer collection, remaining heap fetches), which is where LIMIT/top-k
-// beat materialized execution on simulated page reads. Fan-out and union
-// plans (fractured tables, secondary probes, threshold top-k, scans) run
-// materialized with exactly the access sequence of the classic executor and
-// serve the buffered rows.
+// OpenCursor() turns a planner-produced Plan into an engine::ResultCursor by
+// opening the access path's cursor for the plan's kind (see
+// engine/access_path.h). Streaming cursors — clustered PTQ (Algorithm 2),
+// the direct top-k, the Fractured PTQ fan-out, the PII probe's heap fetches —
+// execute incrementally: a consumer that stops after k rows never runs the
+// deferred phases (cutoff pointer collection, later fractures, remaining
+// heap fetches), which is where LIMIT/top-k beat full execution on simulated
+// page reads. Eager cursors (secondary probes, scans, threshold top-k, the
+// partitioned gather) computed their rows at open and serve them.
 //
-// Row order: materialized plans stream in descending confidence (ties by
-// TupleId); streaming plans deliver storage order — the heap phase
-// (descending confidence within the probed region) before the cutoff phase.
-// Execute() drains a cursor fully and applies the final confidence sort, so
-// its results are identical to the classic materialized executor.
+// Row order: eager cursors serve descending confidence (ties by TupleId);
+// streaming cursors deliver storage order — the heap phase (descending
+// confidence within the probed region) before the cutoff phase, a Fractured
+// table's RAM buffer before its fractures. Execute() (exec/operators.h) is a
+// drained cursor plus the final confidence sort.
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <vector>
 
 #include "engine/access_path.h"
 #include "engine/planner.h"
 
 namespace upi::exec {
 
-/// Cursor over an already-materialized result set (takes ownership).
-class MaterializedCursor : public engine::ResultCursor {
- public:
-  explicit MaterializedCursor(std::vector<core::PtqMatch> rows)
-      : matches_(std::move(rows)) {}
-
- private:
-  bool Produce(core::PtqMatch* out) override {
-    if (idx_ >= matches_.size()) return false;
-    *out = std::move(matches_[idx_++]);
-    return true;
-  }
-
-  std::vector<core::PtqMatch> matches_;
-  size_t idx_ = 0;
-};
-
 /// Opens a cursor executing `plan` against `path`. The cursor enforces
 /// plan.k / plan.limit (whichever is tighter) and, when given, `predicate`.
+/// A plan whose open already failed (an eager read's error) is returned as
+/// that error.
 Result<std::unique_ptr<engine::ResultCursor>> OpenCursor(
     const engine::AccessPath& path, const engine::Plan& plan,
     std::function<bool(const catalog::Tuple&)> predicate = {});
-
-/// Runs `plan` materialized — the classic executor's access sequence — into
-/// `rows`: predicate applied, confidence-sorted, but *not* k/limit-truncated.
-/// OpenCursor wraps this for plans the path cannot stream; Execute calls it
-/// directly so the hot materialized path skips the cursor round-trip.
-Status ExecuteMaterialized(const engine::AccessPath& path,
-                           const engine::Plan& plan,
-                           const std::function<bool(const catalog::Tuple&)>&
-                               predicate,
-                           std::vector<core::PtqMatch>* rows);
 
 }  // namespace upi::exec

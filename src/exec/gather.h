@@ -62,9 +62,9 @@ class GlobalTopKBound {
   std::priority_queue<double, std::vector<double>, std::greater<double>> heap_;
 };
 
-/// K-way merge over per-shard result runs, each already sorted by descending
-/// confidence (ties by ascending TupleId) — the order shard QueryPtq results
-/// come back in. Produces one stream in the same global order.
+/// K-way merge over per-shard result runs, each sorted by descending
+/// confidence (ties by ascending TupleId). Produces one stream in the same
+/// global order. Eager: the runs were gathered before it opened.
 class MergedRunsCursor : public engine::ResultCursor {
  public:
   /// A non-OK `status` (a failed shard probe) makes the cursor produce
@@ -74,6 +74,8 @@ class MergedRunsCursor : public engine::ResultCursor {
       : runs_(std::move(runs)), pos_(runs_.size(), 0) {
     status_ = std::move(status);
   }
+
+  bool eager() const override { return true; }
 
  protected:
   bool Produce(core::PtqMatch* out) override;

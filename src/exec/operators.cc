@@ -9,56 +9,24 @@
 
 namespace upi::exec {
 
-Status ScanFilter(const engine::AccessPath& path, int column,
-                  std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) {
-  if (column < 0) {
-    return Status::InvalidArgument("scan-filter needs a concrete column");
-  }
-  // The filter predicate rides along so paths with pruning metadata can
-  // skip storage units that cannot contain a qualifying alternative; the
-  // exact per-tuple check below still decides every emitted row.
-  return path.ScanTuplesMatching(column, value, qt,
-                                 [&](const catalog::Tuple& tuple) {
-    double conf = tuple.ConfidenceOf(static_cast<size_t>(column), value);
-    if (conf < qt || conf <= 0.0) return;
-    core::PtqMatch m;
-    m.id = tuple.id();
-    m.confidence = conf;
-    m.tuple = tuple;
-    out->push_back(std::move(m));
-  });
-}
-
 Status Execute(const engine::AccessPath& path, const engine::Plan& plan,
                std::vector<core::PtqMatch>* out,
                std::function<bool(const catalog::Tuple&)> predicate) {
-  // LIMIT is applied only *after* the confidence sort (the documented
-  // contract: the limit keeps the highest-confidence rows) — pushing it into
-  // a streaming cursor would truncate in storage order, which can differ
-  // once a PTQ spills into the cutoff phase. Early-exit LIMIT execution is
-  // OpenCursor()'s job; top-k stays pushed down (its stream is the k bound).
   obs::QueryTrace* trace = obs::CurrentTrace();
   const size_t trace_ops_before = trace != nullptr ? trace->ops.size() : 0;
   obs::TraceOpScope whole_op;
-  std::unique_ptr<engine::ResultCursor> stream;
-  if (plan.kind == engine::PlanKind::kPrimaryProbe) {
-    stream = path.OpenPtqStream(plan.value, plan.qt);
-  } else if (plan.kind == engine::PlanKind::kTopKDirect) {
-    stream = path.OpenTopKStream(plan.value);
-  }
+  UPI_ASSIGN_OR_RETURN(std::unique_ptr<engine::ResultCursor> cursor,
+                       OpenCursor(path, plan, std::move(predicate)));
+  // LIMIT keeps the highest-confidence rows, so it applies only after the
+  // confidence sort — left in the cursor it would truncate in storage order,
+  // which differs once a PTQ spills into the cutoff phase. Early-exit LIMIT
+  // is OpenCursor()'s job; top-k stays pushed down (its stream is the k
+  // bound).
+  cursor->SetLimit(plan.k);
   std::vector<core::PtqMatch> rows;
-  if (stream != nullptr) {
-    if (plan.k > 0) stream->SetLimit(plan.k);
-    if (predicate) stream->SetPredicate(std::move(predicate));
-    core::PtqMatch m;
-    while (stream->TakeNext(&m)) rows.push_back(std::move(m));
-    UPI_RETURN_NOT_OK(stream->status());
-    SortByConfidenceDesc(&rows);
-  } else {
-    // Already predicate-filtered and confidence-sorted.
-    UPI_RETURN_NOT_OK(ExecuteMaterialized(path, plan, predicate, &rows));
-  }
+  UPI_RETURN_NOT_OK(cursor->Drain(&rows));
+  cursor.reset();
+  SortByConfidenceDesc(&rows);
   if (plan.k > 0 && rows.size() > plan.k) rows.resize(plan.k);
   if (plan.limit > 0 && rows.size() > plan.limit) rows.resize(plan.limit);
   // Plans with no finer-grained instrumentation (clustered probes, scans,
@@ -74,6 +42,17 @@ Status Execute(const engine::AccessPath& path, const engine::Plan& plan,
                 std::make_move_iterator(rows.end()));
   }
   return Status::OK();
+}
+
+Status ScanFilter(const engine::AccessPath& path, int column,
+                  std::string_view value, double qt,
+                  std::vector<core::PtqMatch>* out) {
+  engine::Plan plan;
+  plan.kind = engine::PlanKind::kHeapScan;
+  plan.column = column;
+  plan.value = std::string(value);
+  plan.qt = qt;
+  return Execute(path, plan, out);
 }
 
 Status RunBatch(const engine::AccessPath& path,

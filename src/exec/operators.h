@@ -1,11 +1,11 @@
 // Executor operators over the engine's AccessPath abstraction.
 //
-// Execute() runs a planner-produced Plan materialized: a fully drained
-// ResultCursor (see exec/cursor.h) plus the final confidence sort — the
-// EXPLAIN output and the executed physical operator can never disagree,
-// because both come from the same Plan. ScanFilter() is the sequential
-// fallback operator the planner falls back to when a pointer sweep
-// saturates. RunBatch() is the batched cursor-merging layer: it groups
+// Execute() runs a planner-produced Plan materialized: the plan's cursor
+// (exec/cursor.h) fully drained, plus the final confidence sort and the
+// k/LIMIT trim — the EXPLAIN output and the executed physical operator can
+// never disagree, because both come from the same Plan. ScanFilter() is the
+// sequential fallback the planner picks when a pointer sweep saturates.
+// RunBatch() is the batched cursor-merging layer: it groups
 // same-(column, value) probes into one cursor at the group's lowest
 // threshold and fans the drained rows back out per query, and runs distinct
 // groups in sorted key order so consecutive probes land in nearby heap
@@ -31,8 +31,8 @@ Status Execute(const engine::AccessPath& path, const engine::Plan& plan,
                std::function<bool(const catalog::Tuple&)> predicate = {});
 
 /// Sequential-sweep operator: one full scan, keeping tuples whose combined
-/// probability of `value` in `column` reaches `qt`. Exact (the full tuple is
-/// inspected), deduplicated, heap order.
+/// probability of `value` in `column` reaches `qt` — Execute() of a
+/// heap-scan plan. Exact (the full tuple is inspected), deduplicated.
 Status ScanFilter(const engine::AccessPath& path, int column,
                   std::string_view value, double qt,
                   std::vector<core::PtqMatch>* out);

@@ -8,7 +8,7 @@ namespace upi::exec {
 
 Status TopKDirect(const engine::AccessPath& path, std::string_view value,
                   size_t k, std::vector<core::PtqMatch>* out) {
-  return path.QueryTopK(value, k, out);
+  return path.OpenTopK(value, k)->Drain(out);
 }
 
 Status TopKByDecreasingThreshold(const engine::AccessPath& path,
@@ -19,7 +19,7 @@ Status TopKByDecreasingThreshold(const engine::AccessPath& path,
   int used = 0;
   for (;;) {
     std::vector<core::PtqMatch> matches;
-    UPI_RETURN_NOT_OK(path.QueryPtq(value, qt, &matches));
+    UPI_RETURN_NOT_OK(path.OpenPtq(value, qt)->Drain(&matches));
     ++used;
     if (matches.size() >= k || qt <= 1e-6) {
       SortByConfidenceDesc(&matches);

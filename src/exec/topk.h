@@ -4,9 +4,8 @@
 // it serves as an efficient Tuple Access Layer (Soliman et al. [14]): top-k
 // needs only the first k entries. Section 9 sketches two TAL strategies for
 // engines that only expose threshold queries; both are implemented here over
-// the engine's AccessPath abstraction, so they run unchanged against a plain
-// UPI, a Fractured UPI (which has no direct top-k cursor — exactly the
-// Section 9 scenario), or the PII baseline:
+// the engine's AccessPath cursors, so they run unchanged against a plain
+// UPI, a Fractured UPI, a partitioned table, or the PII baseline:
 //  * estimate a minimum probability and issue one PTQ with it;
 //  * issue PTQs with geometrically decreasing thresholds until k results.
 #pragma once
@@ -18,8 +17,8 @@
 
 namespace upi::exec {
 
-/// Direct top-k through the path's early-terminating cursor. NotSupported
-/// when Stats().supports_direct_topk is false.
+/// Direct top-k: the path's OpenTopK cursor drained (rows appended in its
+/// order). NotSupported when Stats().supports_direct_topk is false.
 Status TopKDirect(const engine::AccessPath& path, std::string_view value,
                   size_t k, std::vector<core::PtqMatch>* out);
 

@@ -1,7 +1,6 @@
 #include "sim/sim_disk.h"
 
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 namespace upi::sim {
@@ -50,20 +49,6 @@ double DiskStats::SimMs(const CostParams& p) const {
          static_cast<double>(file_opens) * p.init_ms +
          static_cast<double>(rotations) * p.rotation_ms + gc_ms -
          overlap_saved_ms;
-}
-
-std::string DiskStats::ToString(const CostParams& p) const {
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "seeks=%llu seek_ms=%.1f reads=%llu writes=%llu MB_read=%.2f "
-                "MB_written=%.2f opens=%llu sim_ms=%.2f",
-                static_cast<unsigned long long>(seeks), seek_ms,
-                static_cast<unsigned long long>(reads),
-                static_cast<unsigned long long>(writes),
-                static_cast<double>(bytes_read) / (1024.0 * 1024.0),
-                static_cast<double>(bytes_written) / (1024.0 * 1024.0),
-                static_cast<unsigned long long>(file_opens), SimMs(p));
-  return buf;
 }
 
 uint64_t SimDisk::Allocate(uint64_t bytes) {

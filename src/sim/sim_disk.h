@@ -47,7 +47,6 @@
 #include <atomic>
 #include <cstdint>
 #include <mutex>
-#include <string>
 
 #include "sim/cost_params.h"
 #include "sim/device_profile.h"
@@ -76,10 +75,6 @@ struct DiskStats {
   /// seek/transfer/open/rotation arithmetic plus the GC surcharge, minus the
   /// service time the device queue overlapped away.
   double SimMs(const CostParams& p) const;
-  [[deprecated(
-      "pretty-print via obs::MetricsSnapshot (DbEnv::metrics()->Snapshot()) "
-      "instead")]]
-  std::string ToString(const CostParams& p) const;
 };
 
 /// \brief The simulated device. One instance per "machine"; every PageFile of

@@ -95,7 +95,8 @@ TEST(PlannerTest, SecondaryModeAgreesWithMeasurementOnFigure6Shapes) {
       measured[kind] = ColdSimMs(fx.db.env(), [&] {
         std::vector<core::PtqMatch> out;
         ASSERT_TRUE(fx.pub_table->path()
-                        ->QuerySecondary(col, country, qt, mode, &out)
+                        ->OpenSecondary(col, country, qt, mode)
+                        ->Drain(&out)
                         .ok());
       });
     }
@@ -152,7 +153,7 @@ TEST(PlannerTest, PtqPrefersClusteredProbeAndPredictsWithinBounds) {
 
   double probe_ms = ColdSimMs(fx.db.env(), [&] {
     std::vector<core::PtqMatch> out;
-    ASSERT_TRUE(fx.author_table->path()->QueryPtq(inst, 0.5, &out).ok());
+    ASSERT_TRUE(fx.author_table->path()->OpenPtq(inst, 0.5)->Drain(&out).ok());
   });
   double scan_ms = ColdSimMs(fx.db.env(), [&] {
     std::vector<core::PtqMatch> out;
@@ -308,8 +309,10 @@ TEST(RunBatchTest, AmortizesRepeatedProbesOnAFracturedTable) {
   std::vector<std::vector<core::PtqMatch>> solo(probes.size());
   for (size_t i = 0; i < probes.size(); ++i) {
     individual += ColdSimMs(fx.db.env(), [&] {
-      ASSERT_TRUE(
-          table->path()->QueryPtq(probes[i].value, probes[i].qt, &solo[i]).ok());
+      ASSERT_TRUE(table->path()
+                      ->OpenPtq(probes[i].value, probes[i].qt)
+                      ->Drain(&solo[i])
+                      .ok());
     });
   }
 
@@ -516,7 +519,7 @@ TEST(AccessPathTest, UnclusteredAdapterEstimatesFromBuiltStatistics) {
 
   // And the adapter's direct top-k (PII inverted list) works.
   std::vector<core::PtqMatch> out;
-  ASSERT_TRUE(heap->path()->QueryTopK(inst, 5, &out).ok());
+  ASSERT_TRUE(heap->path()->OpenTopK(inst, 5)->Drain(&out).ok());
   EXPECT_EQ(out.size(), 5u);
 }
 

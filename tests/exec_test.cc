@@ -219,7 +219,7 @@ TEST(RunBatchTest, GroupsSameValueProbesAndMatchesIndividualResults) {
   ASSERT_EQ(batched.size(), probes.size());
   for (size_t i = 0; i < probes.size(); ++i) {
     std::vector<core::PtqMatch> solo;
-    ASSERT_TRUE(path.QueryPtq(probes[i].value, probes[i].qt, &solo).ok());
+    ASSERT_TRUE(path.OpenPtq(probes[i].value, probes[i].qt)->Drain(&solo).ok());
     SortByConfidenceDesc(&solo);
     ASSERT_EQ(batched[i].size(), solo.size()) << "probe " << i;
     for (size_t j = 0; j < solo.size(); ++j) {

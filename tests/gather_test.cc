@@ -167,7 +167,7 @@ TEST(GatherTest, TopKGlobalBoundReadsStrictlyFewerPagesThanDrainAll) {
     db.ColdCache();
     sim::DiskStats before = db.env()->disk()->stats();
     EXPECT_TRUE(
-        t->partitioned()->QueryTopK(fx.hot, TopKFixture::kK, rows).ok());
+        t->partitioned()->OpenTopK(fx.hot, TopKFixture::kK)->Drain(rows).ok());
     return db.env()->disk()->stats() - before;
   };
 
@@ -336,8 +336,9 @@ TEST(GatherTest, PartitionedSecondaryAndTopKMatchUnpartitioned) {
   for (size_t k : {1u, 5u, 20u}) {
     std::vector<core::PtqMatch> flat_k, part_k;
     ASSERT_TRUE(fx.flat_frac->partitioned() == nullptr);
-    ASSERT_TRUE(fx.flat_frac->path()->QueryTopK(inst, k, &flat_k).ok());
-    ASSERT_TRUE(fx.pruned->partitioned()->QueryTopK(inst, k, &part_k).ok());
+    ASSERT_TRUE(fx.flat_frac->path()->OpenTopK(inst, k)->Drain(&flat_k).ok());
+    ASSERT_TRUE(
+        fx.pruned->partitioned()->OpenTopK(inst, k)->Drain(&part_k).ok());
     ExpectSameRows(flat_k, part_k, "topk k=" + std::to_string(k));
   }
 }

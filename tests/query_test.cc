@@ -1,18 +1,23 @@
-// Tests for the declarative Query API: Query validation, streaming
-// ResultCursors (early exit = strictly fewer simulated page reads),
-// PreparedQuery plan caching with stats-epoch invalidation (including the
-// maintenance-full-merge plan flip), Session async submission, and the
-// legacy shim equivalence.
+// Tests for the declarative Query API: Query validation, the one read
+// contract (every design x plan kind answers identically through Run,
+// OpenCursor and Prepare, at pinned simulated I/O), streaming ResultCursors
+// (early exit = strictly fewer simulated page reads), PreparedQuery plan
+// caching with stats-epoch invalidation (including the maintenance-full-
+// merge plan flip), and Session async submission.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 #include <set>
 
 #include "datagen/dblp.h"
 #include "engine/database.h"
 #include "engine/session.h"
 #include "exec/cursor.h"
+#include "exec/operators.h"
 #include "exec/ptq.h"
+#include "obs/trace.h"
 #include "sim/sim_disk.h"
 
 namespace upi::engine {
@@ -72,32 +77,464 @@ TEST(QueryTest, ValidateRejectsMalformedQueries) {
 }
 
 // ---------------------------------------------------------------------------
-// Cursor semantics
+// One read contract: every design x plan kind x {plain, Where, LIMIT}
 // ---------------------------------------------------------------------------
 
-TEST(QueryTest, DrainedCursorMatchesMaterializedRun) {
-  QueryFx fx;
-  std::string inst = fx.gen->PopularInstitution();
+/// The four physical designs over one author set, in one Database with a
+/// serial gather and synchronous maintenance, so every simulated count below
+/// is deterministic.
+struct DesignsFx {
+  datagen::DblpConfig cfg;
+  std::unique_ptr<datagen::DblpGenerator> gen;
+  std::vector<Tuple> authors;
+  Database db;
+  std::vector<Table*> tables;  // upi, frac, heap, part
 
-  std::vector<core::PtqMatch> materialized;
-  ASSERT_TRUE(
-      fx.authors_table->Run(Query::Ptq(inst, 0.05), &materialized).ok());
-  ASSERT_GT(materialized.size(), 10u);
-
-  auto cursor = fx.authors_table->OpenCursor(Query::Ptq(inst, 0.05))
-                    .ValueOrDie();
-  std::vector<core::PtqMatch> streamed;
-  core::PtqMatch m;
-  while (cursor->TakeNext(&m)) streamed.push_back(std::move(m));
-  ASSERT_TRUE(cursor->status().ok());
-  exec::SortByConfidenceDesc(&streamed);
-
-  ASSERT_EQ(streamed.size(), materialized.size());
-  for (size_t i = 0; i < streamed.size(); ++i) {
-    EXPECT_EQ(streamed[i].id, materialized[i].id);
-    EXPECT_NEAR(streamed[i].confidence, materialized[i].confidence, 1e-12);
+  static DatabaseOptions Options() {
+    DatabaseOptions o;
+    o.gather_workers = 0;
+    return o;
   }
+
+  DesignsFx() : db(Options()) {
+    cfg.num_authors = 2000;
+    cfg.num_institutions = 80;
+    cfg.seed = 77;
+    gen = std::make_unique<datagen::DblpGenerator>(cfg);
+    authors = gen->GenerateAuthors();
+    const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+    core::UpiOptions opt;
+    opt.cluster_column = AuthorCols::kInstitution;
+    opt.cutoff = 0.1;
+    const std::vector<int> secondary = {AuthorCols::kCountry};
+
+    tables.push_back(
+        db.CreateUpiTable("upi", schema, opt, secondary, authors).ValueOrDie());
+
+    // One flushed fracture and a buffered tail, with a delete in each.
+    Table* frac =
+        db.CreateFracturedTable("frac", schema, opt, secondary, {})
+            .ValueOrDie();
+    for (size_t i = 0; i < 1500; ++i) {
+      EXPECT_TRUE(frac->Insert(authors[i]).ok());
+    }
+    EXPECT_TRUE(frac->fractured()->FlushBuffer().ok());
+    for (size_t i = 1500; i < authors.size(); ++i) {
+      EXPECT_TRUE(frac->Insert(authors[i]).ok());
+    }
+    EXPECT_TRUE(frac->Delete(authors[3]).ok());
+    EXPECT_TRUE(frac->Delete(authors[1700]).ok());
+    tables.push_back(frac);
+
+    tables.push_back(db.CreateUnclusteredTable(
+                           "heap", schema, AuthorCols::kInstitution,
+                           {AuthorCols::kInstitution, AuthorCols::kCountry},
+                           authors)
+                         .ValueOrDie());
+
+    PartitionOptions popts;
+    popts.scheme = PartitionOptions::Scheme::kRange;
+    popts.num_shards = 4;
+    popts.range_splits = {"inst00002", "inst00010", "inst00030"};
+    tables.push_back(db.CreatePartitionedTable("part", schema, opt, secondary,
+                                               popts, authors)
+                         .ValueOrDie());
+  }
+};
+
+enum class Variant { kPlain, kWhere, kLimit };
+
+/// What one (design, plan kind, variant) cost at the seed of this sweep:
+/// simulated page reads and seeks of the materialized run and of the drained
+/// cursor (they differ only under LIMIT, where a streaming cursor stops
+/// early), and the EXPLAIN ANALYZE operators as "label:rows" pairs (pruned
+/// operators marked).
+struct SweepCost {
+  const char* design;
+  PlanKind kind;
+  Variant variant;
+  uint64_t reads, seeks, cursor_reads, cursor_seeks;
+  const char* ops;
+};
+
+// clang-format off
+const SweepCost kSweepCosts[] = {
+    {"upi", PlanKind::kPrimaryProbe, Variant::kPlain, 120, 46, 120, 46,
+     "primary-probe:793"},
+    {"upi", PlanKind::kPrimaryProbe, Variant::kWhere, 120, 46, 120, 46,
+     "primary-probe:260"},
+    {"upi", PlanKind::kPrimaryProbe, Variant::kLimit, 120, 46, 2, 2,
+     "primary-probe:5"},
+    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 9, 7, 9, 7,
+     "secondary-first-pointer:37"},
+    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 9, 7, 9, 7,
+     "secondary-first-pointer:15"},
+    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 9, 7, 9, 7,
+     "secondary-first-pointer:5"},
+    {"upi", PlanKind::kSecondaryTailored, Variant::kPlain, 7, 5, 7, 5,
+     "secondary-tailored:37"},
+    {"upi", PlanKind::kSecondaryTailored, Variant::kWhere, 7, 5, 7, 5,
+     "secondary-tailored:15"},
+    {"upi", PlanKind::kSecondaryTailored, Variant::kLimit, 7, 5, 7, 5,
+     "secondary-tailored:5"},
+    {"upi", PlanKind::kHeapScan, Variant::kPlain, 231, 2, 231, 2,
+     "heap-scan:793"},
+    {"upi", PlanKind::kHeapScan, Variant::kWhere, 231, 2, 231, 2,
+     "heap-scan:260"},
+    {"upi", PlanKind::kHeapScan, Variant::kLimit, 231, 2, 231, 2,
+     "heap-scan:5"},
+    {"upi", PlanKind::kTopKDirect, Variant::kPlain, 2, 2, 2, 2,
+     "topk-direct:10"},
+    {"upi", PlanKind::kTopKDirect, Variant::kWhere, 3, 2, 3, 2,
+     "topk-direct:10"},
+    {"upi", PlanKind::kTopKDirect, Variant::kLimit, 2, 2, 2, 2,
+     "topk-direct:5"},
+    {"upi", PlanKind::kTopKDecreasingThreshold, Variant::kPlain, 7, 2, 7, 2,
+     "topk-decreasing-threshold:10"},
+    {"upi", PlanKind::kTopKDecreasingThreshold, Variant::kWhere, 7, 2, 7, 2,
+     "topk-decreasing-threshold:10"},
+    {"upi", PlanKind::kTopKDecreasingThreshold, Variant::kLimit, 7, 2, 7, 2,
+     "topk-decreasing-threshold:5"},
+    {"frac", PlanKind::kPrimaryProbe, Variant::kPlain, 96, 35, 96, 35,
+     "frac.buffer:196,frac.frac0:596"},
+    {"frac", PlanKind::kPrimaryProbe, Variant::kWhere, 96, 35, 96, 35,
+     "frac.buffer:196,frac.frac0:596"},
+    {"frac", PlanKind::kPrimaryProbe, Variant::kLimit, 96, 35, 0, 0,
+     "frac.buffer:196,frac.frac0:596"},
+    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 8, 7, 8, 7,
+     "secondary-first-pointer:37"},
+    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 8, 7, 8, 7,
+     "secondary-first-pointer:15"},
+    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 8, 7, 8, 7,
+     "secondary-first-pointer:5"},
+    {"frac", PlanKind::kSecondaryTailored, Variant::kPlain, 6, 5, 6, 5,
+     "secondary-tailored:37"},
+    {"frac", PlanKind::kSecondaryTailored, Variant::kWhere, 6, 5, 6, 5,
+     "secondary-tailored:15"},
+    {"frac", PlanKind::kSecondaryTailored, Variant::kLimit, 6, 5, 6, 5,
+     "secondary-tailored:5"},
+    {"frac", PlanKind::kHeapScan, Variant::kPlain, 173, 2, 173, 2,
+     "frac.buffer:499,frac.frac0:1499"},
+    {"frac", PlanKind::kHeapScan, Variant::kWhere, 173, 2, 173, 2,
+     "frac.buffer:499,frac.frac0:1499"},
+    {"frac", PlanKind::kHeapScan, Variant::kLimit, 173, 2, 173, 2,
+     "frac.buffer:499,frac.frac0:1499"},
+    {"frac", PlanKind::kTopKDirect, Variant::kPlain, 2, 2, 2, 2,
+     "topk-direct:10"},
+    {"frac", PlanKind::kTopKDirect, Variant::kWhere, 3, 2, 3, 2,
+     "topk-direct:10"},
+    {"frac", PlanKind::kTopKDirect, Variant::kLimit, 2, 2, 2, 2,
+     "topk-direct:5"},
+    {"frac", PlanKind::kTopKDecreasingThreshold, Variant::kPlain, 6, 2, 6, 2,
+     "frac.buffer:30,frac.frac0:120"},
+    {"frac", PlanKind::kTopKDecreasingThreshold, Variant::kWhere, 6, 2, 6, 2,
+     "frac.buffer:30,frac.frac0:120,frac.buffer:30,frac.frac0:120,frac.buffer:30,frac.frac0:120"},
+    {"frac", PlanKind::kTopKDecreasingThreshold, Variant::kLimit, 6, 2, 6, 2,
+     "frac.buffer:30,frac.frac0:120"},
+    {"heap", PlanKind::kPrimaryProbe, Variant::kPlain, 89, 3, 89, 3,
+     "primary-probe:793"},
+    {"heap", PlanKind::kPrimaryProbe, Variant::kWhere, 89, 3, 89, 3,
+     "primary-probe:260"},
+    {"heap", PlanKind::kPrimaryProbe, Variant::kLimit, 89, 3, 6, 3,
+     "primary-probe:5"},
+    {"heap", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 32, 19, 32, 19,
+     "secondary-first-pointer:37"},
+    {"heap", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 32, 19, 32, 19,
+     "secondary-first-pointer:15"},
+    {"heap", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 32, 19, 32, 19,
+     "secondary-first-pointer:5"},
+    {"heap", PlanKind::kSecondaryTailored, Variant::kPlain, 32, 19, 32, 19,
+     "secondary-tailored:37"},
+    {"heap", PlanKind::kSecondaryTailored, Variant::kWhere, 32, 19, 32, 19,
+     "secondary-tailored:15"},
+    {"heap", PlanKind::kSecondaryTailored, Variant::kLimit, 32, 19, 32, 19,
+     "secondary-tailored:5"},
+    {"heap", PlanKind::kHeapScan, Variant::kPlain, 84, 1, 84, 1,
+     "heap-scan:793"},
+    {"heap", PlanKind::kHeapScan, Variant::kWhere, 84, 1, 84, 1,
+     "heap-scan:260"},
+    {"heap", PlanKind::kHeapScan, Variant::kLimit, 84, 1, 84, 1,
+     "heap-scan:5"},
+    {"heap", PlanKind::kTopKDirect, Variant::kPlain, 11, 11, 11, 11,
+     "topk-direct:10"},
+    {"heap", PlanKind::kTopKDirect, Variant::kWhere, 32, 32, 32, 32,
+     "topk-direct:10"},
+    {"heap", PlanKind::kTopKDirect, Variant::kLimit, 11, 11, 11, 11,
+     "topk-direct:5"},
+    {"heap", PlanKind::kTopKDecreasingThreshold, Variant::kPlain, 71, 15, 71, 15,
+     "topk-decreasing-threshold:10"},
+    {"heap", PlanKind::kTopKDecreasingThreshold, Variant::kWhere, 71, 15, 71, 15,
+     "topk-decreasing-threshold:10"},
+    {"heap", PlanKind::kTopKDecreasingThreshold, Variant::kLimit, 71, 15, 71, 15,
+     "topk-decreasing-threshold:5"},
+    {"part", PlanKind::kPrimaryProbe, Variant::kPlain, 119, 37, 119, 37,
+     "ptq shard[0]:353,ptq shard[1]:150,ptq shard[2]:153,ptq shard[3]:137"},
+    {"part", PlanKind::kPrimaryProbe, Variant::kWhere, 119, 37, 119, 37,
+     "ptq shard[0]:353,ptq shard[1]:150,ptq shard[2]:153,ptq shard[3]:137"},
+    {"part", PlanKind::kPrimaryProbe, Variant::kLimit, 119, 37, 119, 37,
+     "ptq shard[0]:353,ptq shard[1]:150,ptq shard[2]:153,ptq shard[3]:137"},
+    {"part", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 16, 14, 16, 14,
+     "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
+    {"part", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 16, 14, 16, 14,
+     "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
+    {"part", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 16, 14, 16, 14,
+     "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
+    {"part", PlanKind::kSecondaryTailored, Variant::kPlain, 15, 13, 15, 13,
+     "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
+    {"part", PlanKind::kSecondaryTailored, Variant::kWhere, 15, 13, 15, 13,
+     "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
+    {"part", PlanKind::kSecondaryTailored, Variant::kLimit, 15, 13, 15, 13,
+     "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
+    {"part", PlanKind::kHeapScan, Variant::kPlain, 236, 8, 236, 8,
+     "part.s0.main:456,part.s1.main:501,part.s2.main:511,part.s3.main:532"},
+    {"part", PlanKind::kHeapScan, Variant::kWhere, 236, 8, 236, 8,
+     "part.s0.main:456,part.s1.main:501,part.s2.main:511,part.s3.main:532"},
+    {"part", PlanKind::kHeapScan, Variant::kLimit, 236, 8, 236, 8,
+     "part.s0.main:456,part.s1.main:501,part.s2.main:511,part.s3.main:532"},
+    {"part", PlanKind::kTopKDirect, Variant::kPlain, 8, 8, 8, 8,
+     "topk shard[0]:10,topk shard[1]:10,topk shard[2]:10,topk shard[3]:10"},
+    {"part", PlanKind::kTopKDirect, Variant::kWhere, 14, 12, 14, 12,
+     "topk shard[0]:10,topk shard[1]:10,topk shard[2]:10,topk shard[3]:10,topk shard[0]:20,topk shard[1]:20,topk shard[2]:20,topk shard[3]:20,topk shard[0]:40,topk shard[1]:40,topk shard[2]:40,topk shard[3]:40"},
+    {"part", PlanKind::kTopKDirect, Variant::kLimit, 8, 8, 8, 8,
+     "topk shard[0]:10,topk shard[1]:10,topk shard[2]:10,topk shard[3]:10"},
+    {"part", PlanKind::kTopKDecreasingThreshold, Variant::kPlain, 13, 8, 13, 8,
+     "ptq shard[0]:150,ptq shard[1]:0,ptq shard[2]:0,ptq shard[3]:0"},
+    {"part", PlanKind::kTopKDecreasingThreshold, Variant::kWhere, 13, 8, 13, 8,
+     "ptq shard[0]:150,ptq shard[1]:0,ptq shard[2]:0,ptq shard[3]:0,ptq shard[0]:150,ptq shard[1]:0,ptq shard[2]:0,ptq shard[3]:0,ptq shard[0]:150,ptq shard[1]:0,ptq shard[2]:0,ptq shard[3]:0"},
+    {"part", PlanKind::kTopKDecreasingThreshold, Variant::kLimit, 13, 8, 13, 8,
+     "ptq shard[0]:150,ptq shard[1]:0,ptq shard[2]:0,ptq shard[3]:0"},
+};
+// clang-format on
+
+const char* VariantName(Variant v) {
+  switch (v) {
+    case Variant::kPlain: return "kPlain";
+    case Variant::kWhere: return "kWhere";
+    case Variant::kLimit: return "kLimit";
+  }
+  return "?";
 }
+
+const char* PlanKindEnum(PlanKind k) {
+  switch (k) {
+    case PlanKind::kPrimaryProbe: return "kPrimaryProbe";
+    case PlanKind::kSecondaryFirstPointer: return "kSecondaryFirstPointer";
+    case PlanKind::kSecondaryTailored: return "kSecondaryTailored";
+    case PlanKind::kHeapScan: return "kHeapScan";
+    case PlanKind::kTopKDirect: return "kTopKDirect";
+    case PlanKind::kTopKEstimatedThreshold: return "kTopKEstimatedThreshold";
+    case PlanKind::kTopKDecreasingThreshold: return "kTopKDecreasingThreshold";
+  }
+  return "?";
+}
+
+/// One execution route's answer and its cold-cache device traffic.
+struct RouteRun {
+  std::vector<core::PtqMatch> rows;
+  sim::DiskStats io;
+};
+
+bool SameRows(const std::vector<core::PtqMatch>& a,
+              const std::vector<core::PtqMatch>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id || a[i].confidence != b[i].confidence) return false;
+  }
+  return true;
+}
+
+bool SameIo(const sim::DiskStats& a, const sim::DiskStats& b) {
+  return a.reads == b.reads && a.seeks == b.seeks && a.seek_ms == b.seek_ms &&
+         a.bytes_read == b.bytes_read && a.file_opens == b.file_opens &&
+         a.writes == b.writes;
+}
+
+TEST(QueryTest, DrainedCursorMatchesMaterializedRun) {
+  // Every design answers every plan kind three ways — materialized (Run),
+  // as a drained and confidence-sorted cursor (OpenCursor), and prepared
+  // (Prepare().Bind().Execute) — and the three must agree on rows and, when
+  // all of them read everything (no LIMIT), on device traffic. Kinds the
+  // planner would not pick for the query are forced with a hand-built Plan
+  // and run through the same executor entry points the Table API uses.
+  // Pages, seeks and operators are pinned to kSweepCosts, so a change in
+  // any design's physical access sequence fails here.
+  DesignsFx fx;
+  const sim::SimDisk* disk = fx.db.env()->disk();
+  const std::string inst = fx.gen->PopularInstitution();
+  const std::string country = fx.gen->MidCountry();
+  const std::function<bool(const Tuple&)> every_third = [](const Tuple& t) {
+    return t.id() % 3 == 0;
+  };
+  const PlanKind kinds[] = {
+      PlanKind::kPrimaryProbe,     PlanKind::kSecondaryFirstPointer,
+      PlanKind::kSecondaryTailored, PlanKind::kHeapScan,
+      PlanKind::kTopKDirect,       PlanKind::kTopKDecreasingThreshold};
+
+  auto cold = [&](const std::function<void()>& fn) {
+    fx.db.ColdCache();
+    sim::DiskStats before = disk->stats();
+    fn();
+    return disk->stats() - before;
+  };
+  auto drain = [](ResultCursor* c, std::vector<core::PtqMatch>* rows) {
+    core::PtqMatch m;
+    while (c->TakeNext(&m)) rows->push_back(std::move(m));
+    ASSERT_TRUE(c->status().ok()) << c->status().ToString();
+  };
+
+  std::string recorded;
+  for (Table* table : fx.tables) {
+    for (PlanKind kind : kinds) {
+      std::vector<core::PtqMatch> plain_stream;  // unsorted, for LIMIT
+      std::vector<core::PtqMatch> plain_run;
+      for (Variant variant :
+           {Variant::kPlain, Variant::kWhere, Variant::kLimit}) {
+        SCOPED_TRACE(table->name() + " " + PlanKindName(kind) + " " +
+                     VariantName(variant));
+        Query q;
+        Plan plan;
+        plan.kind = kind;
+        plan.table = table->name();
+        switch (kind) {
+          case PlanKind::kPrimaryProbe:
+            q = Query::Ptq(inst, 0.05);
+            break;
+          case PlanKind::kSecondaryFirstPointer:
+          case PlanKind::kSecondaryTailored:
+            q = Query::Secondary(AuthorCols::kCountry, country, 0.3);
+            break;
+          case PlanKind::kHeapScan:
+            q = Query::ScanFilter(AuthorCols::kInstitution, inst, 0.05);
+            break;
+          default:
+            q = Query::TopK(inst, 10);
+            plan.initial_qt = 0.5;
+            break;
+        }
+        if (variant == Variant::kWhere) q.predicate = every_third;
+        if (variant == Variant::kLimit) q.limit = 5;
+        plan.column = q.column;
+        plan.value = q.value;
+        plan.qt = q.qt;
+        plan.k = q.k;
+        plan.limit = q.limit;
+        const bool native = table->planner().PlanQuery(q).kind == kind;
+        const AccessPath& path = *table->path();
+
+        RouteRun run, cursor, prepared;
+        std::vector<core::PtqMatch> stream;
+        obs::QueryTrace trace;
+        if (native) {
+          run.io = cold([&] {
+            Result<Plan> p = table->Run(q, &run.rows);
+            ASSERT_TRUE(p.ok()) << p.status().ToString();
+            ASSERT_EQ(p.value().kind, kind);
+          });
+          cursor.io = cold([&] {
+            auto c = table->OpenCursor(q);
+            ASSERT_TRUE(c.ok()) << c.status().ToString();
+            drain(c.value().get(), &stream);
+          });
+          prepared.io = cold([&] {
+            Result<PreparedQuery> pq = table->Prepare(q);
+            ASSERT_TRUE(pq.ok()) << pq.status().ToString();
+            ASSERT_TRUE(
+                pq.value().Bind(q.value, q.qt).Execute(&prepared.rows).ok());
+          });
+          fx.db.ColdCache();
+          auto analyzed = table->AnalyzeQuery(q);
+          ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+          trace = std::move(analyzed).value().trace;
+        } else {
+          run.io = cold([&] {
+            Status st = exec::Execute(path, plan, &run.rows, q.predicate);
+            ASSERT_TRUE(st.ok()) << st.ToString();
+          });
+          cursor.io = cold([&] {
+            auto c = exec::OpenCursor(path, plan, q.predicate);
+            ASSERT_TRUE(c.ok()) << c.status().ToString();
+            drain(c.value().get(), &stream);
+          });
+          prepared.io = cold([&] {
+            Status st = InstrumentedExecute(path, plan, &fx.db.instruments(),
+                                            q.predicate, &prepared.rows);
+            ASSERT_TRUE(st.ok()) << st.ToString();
+          });
+          fx.db.ColdCache();
+          obs::TraceScope scope(&trace);
+          std::vector<core::PtqMatch> traced;
+          ASSERT_TRUE(exec::Execute(path, plan, &traced, q.predicate).ok());
+        }
+        cursor.rows = stream;
+        exec::SortByConfidenceDesc(&cursor.rows);
+
+        ASSERT_FALSE(run.rows.empty());
+        EXPECT_TRUE(SameRows(run.rows, prepared.rows));
+        if (variant == Variant::kLimit) {
+          // LIMIT keeps the highest-confidence rows of the materialized
+          // answer; a cursor keeps the head of its own stream (storage order
+          // for streaming plans), so each is a prefix of its unlimited self.
+          std::vector<core::PtqMatch> head(
+              plain_run.begin(),
+              plain_run.begin() + std::min(plain_run.size(), q.limit));
+          EXPECT_TRUE(SameRows(run.rows, head));
+          head.assign(plain_stream.begin(),
+                      plain_stream.begin() +
+                          std::min(plain_stream.size(), q.limit));
+          EXPECT_TRUE(SameRows(stream, head));
+        } else {
+          EXPECT_TRUE(SameRows(run.rows, cursor.rows));
+          EXPECT_TRUE(SameIo(run.io, cursor.io));
+          EXPECT_TRUE(SameIo(run.io, prepared.io));
+        }
+        if (variant == Variant::kPlain) {
+          plain_run = run.rows;
+          plain_stream = stream;
+        }
+
+        std::string ops;
+        for (const obs::TraceOp& op : trace.ops) {
+          if (!ops.empty()) ops += ",";
+          ops += op.label + (op.pruned ? "[pruned]" : "") + ":" +
+                 std::to_string(op.rows);
+        }
+        char line[512];
+        std::snprintf(line, sizeof(line),
+                      "    {\"%s\", PlanKind::%s, Variant::%s, %llu, %llu, "
+                      "%llu, %llu,\n     \"%s\"},\n",
+                      table->name().c_str(), PlanKindEnum(kind),
+                      VariantName(variant),
+                      static_cast<unsigned long long>(run.io.reads),
+                      static_cast<unsigned long long>(run.io.seeks),
+                      static_cast<unsigned long long>(cursor.io.reads),
+                      static_cast<unsigned long long>(cursor.io.seeks),
+                      ops.c_str());
+        recorded += line;
+        const SweepCost* want = nullptr;
+        for (const SweepCost& c : kSweepCosts) {
+          if (table->name() == c.design && c.kind == kind &&
+              c.variant == variant) {
+            want = &c;
+          }
+        }
+        if (want == nullptr) {
+          ADD_FAILURE() << "no recorded cost; observed:\n" << line;
+          continue;
+        }
+        EXPECT_EQ(run.io.reads, want->reads) << line;
+        EXPECT_EQ(run.io.seeks, want->seeks) << line;
+        EXPECT_EQ(cursor.io.reads, want->cursor_reads) << line;
+        EXPECT_EQ(cursor.io.seeks, want->cursor_seeks) << line;
+        EXPECT_EQ(ops, want->ops) << line;
+      }
+    }
+  }
+  if (HasFailure()) std::printf("observed sweep costs:\n%s", recorded.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Cursor semantics
+// ---------------------------------------------------------------------------
 
 TEST(QueryTest, CursorLimitStopsEarlyAndReadsStrictlyFewerPages) {
   QueryFx fx;
@@ -426,41 +863,6 @@ TEST(SessionTest, ManyConcurrentSessionsAgree) {
   EXPECT_LE(pq.plans(), static_cast<uint64_t>(kSessions));
   EXPECT_EQ(pq.plans() + pq.hits(), kSessions * 8u);
 }
-
-// ---------------------------------------------------------------------------
-// Legacy shims (compiled out under -DUPI_NO_LEGACY_QUERY_API)
-// ---------------------------------------------------------------------------
-
-#ifndef UPI_NO_LEGACY_QUERY_API
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(LegacyShimTest, ShimsMatchQueryApiRowsAndSimCost) {
-  QueryFx fx;
-  std::string inst = fx.gen->PopularInstitution();
-  const sim::SimDisk* disk = fx.db.env()->disk();
-
-  fx.db.ColdCache();
-  sim::DiskStats w0 = disk->stats();
-  std::vector<core::PtqMatch> via_shim;
-  ASSERT_TRUE(fx.authors_table->Ptq(inst, 0.2, &via_shim).ok());
-  double shim_ms = (disk->stats() - w0).SimMs(fx.db.params());
-
-  fx.db.ColdCache();
-  w0 = disk->stats();
-  std::vector<core::PtqMatch> via_query;
-  ASSERT_TRUE(fx.authors_table->Run(Query::Ptq(inst, 0.2), &via_query).ok());
-  double query_ms = (disk->stats() - w0).SimMs(fx.db.params());
-
-  EXPECT_EQ(Ids(via_shim), Ids(via_query));
-  EXPECT_DOUBLE_EQ(shim_ms, query_ms);
-
-  std::vector<core::PtqMatch> topk_shim, topk_query;
-  ASSERT_TRUE(fx.authors_table->TopK(inst, 7, &topk_shim).ok());
-  ASSERT_TRUE(fx.authors_table->Run(Query::TopK(inst, 7), &topk_query).ok());
-  EXPECT_EQ(Ids(topk_shim), Ids(topk_query));
-}
-#pragma GCC diagnostic pop
-#endif  // UPI_NO_LEGACY_QUERY_API
 
 }  // namespace
 }  // namespace upi::engine

@@ -99,18 +99,6 @@ TEST(SimDiskTest, StatsWindowDeltas) {
   EXPECT_NEAR(w.ElapsedMs(), 10.0, 1e-9);
 }
 
-TEST(DiskStatsTest, ToStringMentionsSeeks) {
-  SimDisk disk;
-  uint64_t a = disk.Allocate(4096);
-  disk.Read(a, 4096);
-  // Exercises the deprecated formatter on purpose until it is removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  EXPECT_NE(disk.stats().ToString(disk.params()).find("seeks=1"), std::string::npos);
-#pragma GCC diagnostic pop
-}
-
-
 TEST(SimDiskTest, ShortSeekCheaperThanLongSeek) {
   SimDisk disk;
   uint64_t base = disk.Allocate(512ull << 20);  // half-GB span
