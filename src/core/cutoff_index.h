@@ -43,8 +43,8 @@ class CutoffIndex {
   Status CollectPointers(std::string_view attr, double qt,
                          std::vector<PointerEntry>* out) const;
 
-  /// Charges the Costinit of opening this index's file (cold query protocol).
-  void ChargeOpen() { file_->ChargeOpen(); }
+  /// The index's file (a query opens it before consulting the index).
+  storage::PageFile* file() const { return file_; }
 
   btree::BTree* tree() { return tree_.get(); }
   const btree::BTree* tree() const { return tree_.get(); }

@@ -112,6 +112,7 @@ Status FracturedUpi::BuildMain(const std::vector<Tuple>& tuples) {
   if (main_ != nullptr) return Status::Internal("main fracture already built");
   UPI_ASSIGN_OR_RETURN(main_, Upi::Build(env_, name_ + ".main", schema_,
                                          options_, secondary_columns_, tuples));
+  main_->fracture_ = true;
   main_summary_ = SummarizeTuples(tuples);
   main_and_fracture_tuples_ = tuples.size();
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
@@ -219,6 +220,7 @@ Status FracturedUpi::FlushBufferLocked() {
     UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> frac,
                          Upi::Build(env_, frac_name, schema_, options_,
                                     secondary_columns_, tuples));
+    frac->fracture_ = true;
     fractures_.push_back(std::move(frac));
     fracture_summaries_.push_back(SummarizeTuples(tuples));
     main_and_fracture_tuples_ += buffer_.size();
@@ -371,7 +373,6 @@ Status FracturedUpi::QueryBySecondary(int column, std::string_view value,
       return Status::OK();
     }
     ++probed;
-    upi.heap_file_->ChargeOpen();  // per-fracture Costinit, as in QueryPtq
     std::vector<PtqMatch> part;
     UPI_RETURN_NOT_OK(upi.QueryBySecondary(column, value, qt, mode, &part));
     for (auto& m : part) {
@@ -427,10 +428,7 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
       }
     }
     ++probed;
-    // Per-fracture Costinit: heap now, the cutoff index if (and when) the
-    // stream actually consults it.
-    upi.heap_file_->ChargeOpen();
-    UpiPtqCursor c = upi.OpenTopKCursor(value, /*charge_open_on_consult=*/true);
+    UpiPtqCursor c = upi.OpenTopKCursor(value);
     PtqMatch m;
     size_t got = 0;
     // k surviving rows per fracture suffice: the global top-k is contained
@@ -502,7 +500,6 @@ Status FracturedUpi::ScanTuplesMatching(
     }
     ++probed;
     uint64_t emitted = 0;
-    upi.heap_file_->ChargeOpen();  // per-fracture Costinit, as in QueryPtq
     upi.ScanHeap([&](std::string_view key, std::string_view tuple_bytes) {
       if (!st.ok()) return;
       UpiKey k;
@@ -589,13 +586,12 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
     if (!cur_.has_value()) {
       if (next_fracture_ >= pending_.size()) return false;
       const Upi* u = pending_[next_fracture_++];
-      // Opening the fracture is where its Costinit lands (the Section 6.2
-      // Nfrac term): heap file now, cutoff file when the stream actually
-      // consults it (qt < C and the consumer drains past the heap phase).
-      // A consumer that stops before this fracture never pays either.
-      u->heap_tree()->pager()->file()->ChargeOpen();
-      cur_.emplace(u->OpenPtqCursor(value_, qt_,
-                                    /*charge_open_on_consult=*/true));
+      // Opening the fracture is where its Costinit can land (the Section
+      // 6.2 Nfrac term, paid only while the file's handle is closed): heap
+      // file now, cutoff file when the stream actually consults it (qt < C
+      // and the consumer drains past the heap phase). A consumer that stops
+      // before this fracture never pays either.
+      cur_.emplace(u->OpenPtqCursor(value_, qt_));
       cur_upi_ = u;
       cur_rows_ = 0;
     }
@@ -645,6 +641,7 @@ Result<std::unique_ptr<Upi>> FracturedUpi::MergeUpis(
   // The empty structures this constructor makes are replaced below by the
   // bulk-merged ones.
   auto merged = std::make_unique<Upi>(env_, merged_name, schema_, merged_options);
+  merged->fracture_ = true;
 
   auto not_deleted = [&](std::string_view key, bool* keep) -> Status {
     *keep = false;

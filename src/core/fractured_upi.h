@@ -14,6 +14,15 @@
 // costs an extra Costinit + H seeks, the linear-in-Nfrac overhead the
 // Section 6.2 cost model captures and MergeAll() (Section 4.3) repays.
 //
+// Costinit follows a handle cache, as the immutable runs of an LSM tree do:
+// a fracture's heap file pays it on its first touch, and its cutoff file on
+// its first consult, after the fracture is built and after each
+// DbEnv::ColdCache() (which closes every handle); later touches are free
+// until the next ColdCache(). The Section 6.2 price is therefore the cold
+// one, and the planner and MergePolicy keep pricing it. With
+// UpiOptions::charge_open_per_query every query instead pays Costinit once
+// for every file it touches.
+//
 // Per-fracture tuning: each flush snapshots the current UpiOptions, so the
 // cutoff threshold or pointer limit can differ between fractures (the paper's
 // adaptive-design hook; see core/advisor.h).
@@ -54,10 +63,10 @@ class FracturedUpi;
 /// Pull-based streaming PTQ over a Fractured UPI: the pruned fan-out,
 /// executed lazily. Construction scans the RAM buffer (free) and prunes the
 /// fracture list through the table's FractureSummaries; each surviving
-/// fracture is opened — Costinit charged, cursor seeked — only when the
-/// consumer drains into it, so a LIMIT consumer that stops early never pays
-/// for the fractures behind it, and a pruned fracture costs zero simulated
-/// pages. Delete sets are applied per row. Fully drained, the access
+/// fracture is opened — Costinit charged if its handle is closed, cursor
+/// seeked — only when the consumer drains into it, so a LIMIT consumer that
+/// stops early never pays for the fractures behind it, and a pruned
+/// fracture costs zero simulated pages. Delete sets are applied per row. Fully drained, the access
 /// sequence is identical to FracturedUpi::QueryPtq (which is implemented as
 /// this cursor, drained and confidence-sorted).
 ///
@@ -191,8 +200,8 @@ class FracturedUpi {
 
   /// Full sequential sweep: RAM-buffered tuples first (no I/O), then main +
   /// every delta fracture in order, deduplicated by TupleId with delete sets
-  /// applied — `fn` runs exactly once per live tuple. Charges each fracture's
-  /// per-file Costinit like every other fractured read.
+  /// applied — `fn` runs exactly once per live tuple. Opens each fracture's
+  /// heap file like every other fractured read.
   Status ScanTuples(const std::function<void(const catalog::Tuple&)>& fn) const;
 
   /// ScanTuples for a scan-filter on (column, value, qt): identical

@@ -315,6 +315,8 @@ Status Upi::QueryBySecondary(int column, std::string_view value, double qt,
                              std::vector<PtqMatch>* out) const {
   SecondaryIndex* sec = secondary(column);
   if (sec == nullptr) return Status::InvalidArgument("no secondary index");
+  // The secondary index's file pays Costinit only per query: the paper's
+  // Cost_frac prices a fracture's open as its heap's, opened below.
   if (options_.charge_open_per_query) sec->ChargeOpen();
   std::vector<SecondaryEntry> entries;
   UPI_RETURN_NOT_OK(sec->Collect(value, qt, &entries));
@@ -363,7 +365,7 @@ Status Upi::QueryBySecondary(int column, std::string_view value, double qt,
   // Bitmap-scan style ordered fetch from the heap.
   std::sort(chosen.begin(), chosen.end(),
             [](const Chosen& a, const Chosen& b) { return a.heap_key < b.heap_key; });
-  if (options_.charge_open_per_query) heap_file_->ChargeOpen();
+  OpenFile(heap_file_);
   for (const auto& ch : chosen) {
     PtqMatch m;
     m.id = ch.entry->key.id;
@@ -376,6 +378,7 @@ Status Upi::QueryBySecondary(int column, std::string_view value, double qt,
 
 void Upi::ScanHeap(
     const std::function<void(std::string_view, std::string_view)>& fn) const {
+  OpenFile(heap_file_);
   for (btree::Cursor c = heap_->SeekToFirst(); c.Valid(); c.Next()) {
     fn(c.key(), c.value());
   }
@@ -385,29 +388,32 @@ void Upi::ScanHeap(
 // Streaming cursor (pull-based Algorithm 2)
 // ---------------------------------------------------------------------------
 
-UpiPtqCursor Upi::OpenPtqCursor(std::string_view value, double qt,
-                                bool charge_open_on_consult) const {
-  return UpiPtqCursor(this, value, qt, /*topk_mode=*/false,
-                      charge_open_on_consult);
+void Upi::OpenFile(storage::PageFile* file) const {
+  if (options_.charge_open_per_query) {
+    file->ChargeOpen();
+  } else if (fracture_) {
+    file->OpenIfClosed();
+  }
 }
 
-UpiPtqCursor Upi::OpenTopKCursor(std::string_view value,
-                                 bool charge_open_on_consult) const {
-  return UpiPtqCursor(this, value, /*qt=*/0.0, /*topk_mode=*/true,
-                      charge_open_on_consult);
+UpiPtqCursor Upi::OpenPtqCursor(std::string_view value, double qt) const {
+  return UpiPtqCursor(this, value, qt, /*topk_mode=*/false);
+}
+
+UpiPtqCursor Upi::OpenTopKCursor(std::string_view value) const {
+  return UpiPtqCursor(this, value, /*qt=*/0.0, /*topk_mode=*/true);
 }
 
 UpiPtqCursor::UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
-                           bool topk_mode, bool charge_open_on_consult)
+                           bool topk_mode)
     : upi_(upi),
       value_(value),
       prefix_(UpiKeyPrefix(value)),
       qt_(qt),
-      topk_mode_(topk_mode),
-      charge_open_on_consult_(charge_open_on_consult) {
-  // Same opening sequence as QueryPtq/QueryTopK: the optional Costinit, then
+      topk_mode_(topk_mode) {
+  // Same opening sequence as QueryPtq/QueryTopK: open the heap file, then
   // one index descent to the start of the value's clustered region.
-  if (upi_->options_.charge_open_per_query) upi_->heap_file_->ChargeOpen();
+  upi_->OpenFile(upi_->heap_file_);
   heap_ = upi_->heap_->Seek(prefix_);
 }
 
@@ -467,9 +473,7 @@ void UpiPtqCursor::EnterCutoffPhase() {
     phase_ = Phase::kDone;
     return;
   }
-  if (upi_->options_.charge_open_per_query || charge_open_on_consult_) {
-    upi_->cutoff_->ChargeOpen();
-  }
+  upi_->OpenFile(upi_->cutoff_->file());
   Status st = upi_->cutoff_->CollectPointers(value_, topk_mode_ ? 0.0 : qt_,
                                              &pointers_);
   if (!st.ok()) {

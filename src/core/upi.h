@@ -41,12 +41,16 @@ struct UpiOptions {
   /// Max pointers stored per secondary-index entry (Section 3.2's tuning
   /// knob); < 0 means unlimited.
   int max_secondary_pointers = 10;
-  /// Charge Costinit per query per file touched. Off by default: the
-  /// paper's measured single-table query times are below Costinit, so its
-  /// prototype clearly kept table handles open across queries; Costinit
-  /// appears only in the fractured cost model (per-fracture opens), which
-  /// FracturedUpi charges itself. Figure 3's bench enables this to match the
-  /// Cost_cut formula's 2*(Costinit + H*Tseek) term.
+  /// Charge Costinit on every query for every file it touches. Off by
+  /// default: the paper's measured single-table query times are below
+  /// Costinit, so its prototype clearly kept table handles open across
+  /// queries. With it off, a plain UPI never pays Costinit, and a fracture
+  /// of a FracturedUpi pays it once per file per cold epoch: on the first
+  /// touch of its heap, and on the first consult of its cutoff index, after
+  /// the fracture is built and after each DbEnv::ColdCache() (which closes
+  /// every handle). The planner and MergePolicy still price the paper's cold
+  /// Cost_frac, one Costinit per probed fracture. Figure 3's bench enables
+  /// this to match the Cost_cut formula's 2*(Costinit + H*Tseek) term.
   bool charge_open_per_query = false;
   /// Fractured tables only: consult per-fracture FractureSummary metadata
   /// (zone maps, Bloom fences, max-probability cutoffs) to skip fractures a
@@ -91,7 +95,7 @@ class UpiPtqCursor {
  private:
   friend class Upi;
   UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
-               bool topk_mode, bool charge_open_on_consult);
+               bool topk_mode);
 
   enum class Phase { kHeap, kCutoff, kDone };
   bool NextHeap(PtqMatch* out);
@@ -105,10 +109,6 @@ class UpiPtqCursor {
   std::string prefix_;
   double qt_ = 0.0;
   bool topk_mode_ = false;
-  /// Charge the cutoff index's Costinit when (and only when) the cutoff
-  /// phase is actually entered — the fractured fan-out's per-file open
-  /// protocol, independent of charge_open_per_query.
-  bool charge_open_on_consult_ = false;
   Phase phase_ = Phase::kHeap;
   btree::Cursor heap_;
   std::vector<CutoffIndex::PointerEntry> pointers_;
@@ -161,17 +161,13 @@ class Upi {
                           std::vector<PtqMatch>* out) const;
 
   /// Streaming Algorithm 2: QueryPtq's rows, pulled one at a time (the
-  /// cutoff phase runs only if the consumer drains past the heap phase).
-  /// `charge_open_on_consult` makes the cursor charge the cutoff index's
-  /// Costinit when its phase is entered — how a fractured fan-out pays the
-  /// per-file open for fractures whose own options don't charge opens.
-  UpiPtqCursor OpenPtqCursor(std::string_view value, double qt,
-                             bool charge_open_on_consult = false) const;
+  /// cutoff phase runs only if the consumer drains past the heap phase, and
+  /// only then opens the cutoff index's file).
+  UpiPtqCursor OpenPtqCursor(std::string_view value, double qt) const;
 
   /// Streaming top-k: QueryTopK's row stream without the k bound — the
   /// caller stops pulling after k rows, which is what makes it early-exit.
-  UpiPtqCursor OpenTopKCursor(std::string_view value,
-                              bool charge_open_on_consult = false) const;
+  UpiPtqCursor OpenTopKCursor(std::string_view value) const;
 
   // --- Introspection -------------------------------------------------------
 
@@ -201,8 +197,8 @@ class Upi {
     return stats_epoch_.load(std::memory_order_relaxed);
   }
 
-  /// Enumerates all heap entries in key order (used by merge and by tests):
-  /// fn(encoded_key, serialized_tuple).
+  /// Enumerates all heap entries in key order (full-table scans and tests):
+  /// fn(encoded_key, serialized_tuple). Opens the heap file like a query.
   void ScanHeap(const std::function<void(std::string_view, std::string_view)>& fn) const;
 
   /// Splits a tuple's clustered-column alternatives per Algorithm 1.
@@ -220,6 +216,11 @@ class Upi {
                                 const AltPartition& part);
   Status RemoveSecondaryEntries(const catalog::Tuple& tuple);
   Status FetchHeapTuple(const std::string& heap_key, catalog::Tuple* out) const;
+  /// The one Costinit rule for a read touching `file` (this UPI's heap or
+  /// cutoff file): with charge_open_per_query every touch pays (a query
+  /// touches each file once); otherwise a fracture pays only if the file's
+  /// handle is closed (PageFile::OpenIfClosed), and a plain UPI never pays.
+  void OpenFile(storage::PageFile* file) const;
 
   storage::DbEnv* env_;
   std::string name_;
@@ -236,6 +237,9 @@ class Upi {
   std::map<int, histogram::ProbHistogram> sec_histograms_;
   uint64_t num_tuples_ = 0;
   std::atomic<uint64_t> stats_epoch_{0};
+  /// Set by FracturedUpi on each fracture it builds: reads keep this UPI's
+  /// file handles open across queries (see OpenFile).
+  bool fracture_ = false;
 };
 
 }  // namespace upi::core

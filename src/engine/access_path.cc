@@ -124,10 +124,7 @@ std::unique_ptr<ResultCursor> UpiAccessPath::OpenSecondary(
 
 Status UpiAccessPath::ScanTuples(
     const std::function<void(const catalog::Tuple&)>& fn) const {
-  // Same open protocol as OpenPtq (and as ScanMs prices it).
-  if (upi_->options().charge_open_per_query) {
-    upi_->heap_tree()->pager()->file()->ChargeOpen();
-  }
+  // ScanHeap opens the heap file as OpenPtq does (and as ScanMs prices it).
   // The heap duplicates a tuple once per (non-cutoff) alternative; report
   // each tuple once.
   std::unordered_set<catalog::TupleId> seen;
@@ -214,8 +211,9 @@ PathStats FracturedAccessPath::Stats() const {
   s.table.num_fractures = fractures > 0 ? fractures : 1;
   s.num_tuples += table_->buffered_inserts();
   s.avg_entry_bytes = AvgEntryBytes(s.table.table_bytes, s.heap_entries);
-  // Every fractured query pays Costinit per probed fracture (Section 6.2's
-  // Nfrac * Costinit term; FracturedUpi charges it itself).
+  // Priced cold, as Section 6.2's Cost_frac: Costinit per probed fracture.
+  // At run time a fracture pays it only while its file handle is closed
+  // (first touch after its build or a DbEnv::ColdCache()).
   s.charges_open_per_query = true;
   s.supports_scan = true;  // fan-out sweep incl. the RAM buffer
   // Summary-pruned fan-out with a running k-th-score bound (see

@@ -43,8 +43,10 @@ struct PathStats {
   uint64_t seek_span_bytes = 0;
   /// Distinct primary-attribute values (heap regions a sweep can target).
   double distinct_primary_values = 0.0;
-  /// Whether each probe pays Costinit per file touched (the Fractured UPI
-  /// always does, per fracture; plain UPIs only with charge_open_per_query).
+  /// Whether the planner prices Costinit per file a probe touches: the
+  /// Fractured UPI always, per probed fracture (the paper's cold Cost_frac,
+  /// even though a fracture whose handle is open pays nothing at run time);
+  /// plain UPIs only with charge_open_per_query.
   bool charges_open_per_query = false;
   bool supports_scan = false;
   bool supports_direct_topk = false;

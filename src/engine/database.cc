@@ -45,18 +45,22 @@ Result<PreparedQuery> Table::Prepare(Query q) const {
 namespace {
 
 std::string FormatAnalyzeOp(const obs::TraceOp& op) {
-  char buf[192];
+  char buf[256];
   char est[64] = "";
   if (op.est_pages >= 0.0) {
     std::snprintf(est, sizeof(est), "  (est rows=%.0f pages=%.0f)",
                   op.est_rows, op.est_pages);
   }
-  std::snprintf(buf, sizeof(buf),
-                "  -> %-28s rows=%-6llu pages=%-5llu seeks=%-4llu %9.2f ms%s%s\n",
-                op.label.c_str(), static_cast<unsigned long long>(op.rows),
-                static_cast<unsigned long long>(op.io.reads),
-                static_cast<unsigned long long>(op.io.seeks), op.sim_ms,
-                op.pruned ? "  [pruned]" : "", est);
+  // opens = Costinit charges: a fracture served from an open handle shows 0.
+  std::snprintf(
+      buf, sizeof(buf),
+      "  -> %-28s rows=%-6llu pages=%-5llu seeks=%-4llu opens=%-2llu %9.2f "
+      "ms%s%s\n",
+      op.label.c_str(), static_cast<unsigned long long>(op.rows),
+      static_cast<unsigned long long>(op.io.reads),
+      static_cast<unsigned long long>(op.io.seeks),
+      static_cast<unsigned long long>(op.io.file_opens), op.sim_ms,
+      op.pruned ? "  [pruned]" : "", est);
   return buf;
 }
 
@@ -130,11 +134,12 @@ Result<Table::AnalyzeResult> Table::AnalyzeQuery(const Query& q) const {
   for (const obs::TraceOp& op : r.trace.ops) text += FormatAnalyzeOp(op);
   char buf[192];
   std::snprintf(buf, sizeof(buf),
-                "  total: rows=%llu pages=%llu seeks=%llu sim=%.2f ms  "
-                "(est rows=%.0f pages=%.0f, predicted=%.1f ms)\n",
+                "  total: rows=%llu pages=%llu seeks=%llu opens=%llu "
+                "sim=%.2f ms  (est rows=%.0f pages=%.0f, predicted=%.1f ms)\n",
                 static_cast<unsigned long long>(r.trace.rows),
                 static_cast<unsigned long long>(r.trace.total.reads),
                 static_cast<unsigned long long>(r.trace.total.seeks),
+                static_cast<unsigned long long>(r.trace.total.file_opens),
                 r.trace.total_sim_ms, r.est_rows, r.est_pages,
                 r.plan.predicted_ms);
   text += buf;

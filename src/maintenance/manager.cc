@@ -173,6 +173,8 @@ void MaintenanceManager::ExecuteAndFollowUp(const MaintenanceTask& task) {
         stats_.merge_sim_ms += sim_ms;
         if (m_full_merges_ != nullptr) m_full_merges_->Add();
         break;
+      case TaskKind::kCheckpoint:  // returned above
+        break;
     }
     if (!st.ok() && last_error_.ok()) last_error_ = st;
     auto it = tables_.find(task.table);

@@ -114,6 +114,15 @@ class SimDisk {
   /// full-cost seek. Benches call this as part of the cold-cache protocol.
   void ResetHead();
 
+  /// Closes every file handle on the device by starting a new *cold epoch*
+  /// (the interval between two calls): each storage::PageFile's next
+  /// OpenIfClosed() pays Costinit again. DbEnv::ColdCache calls this.
+  void CloseFiles() { cold_epoch_.fetch_add(1, std::memory_order_relaxed); }
+  /// The current cold epoch; starts at 1, so 0 can mean "never opened".
+  uint64_t cold_epoch() const {
+    return cold_epoch_.load(std::memory_order_relaxed);
+  }
+
   /// When `wall_us_per_sim_ms` > 0, every subsequent access sleeps for its
   /// simulated cost times this factor (outside all locks), so concurrent
   /// clients genuinely overlap their I/O waits. 0 (the default) disables it.
@@ -203,6 +212,7 @@ class SimDisk {
   uint64_t gc_written_ = 0;     // cumulative bytes written (GC debt proxy)
   std::atomic<double> realtime_us_per_sim_ms_{0.0};
   std::atomic<uint32_t> concurrent_issuers_{0};
+  std::atomic<uint64_t> cold_epoch_{1};
   mutable std::atomic<uint64_t> queue_depth_counts_[kQueueDepthBuckets] = {};
   mutable Stripe stripes_[kStripes];
 };

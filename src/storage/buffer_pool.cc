@@ -124,8 +124,9 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create) {
     Frame& f = it->second;
     if (f.state != Frame::State::kResident) {
       // Another thread is reading this page in (kLoading) or writing a
-      // detached victim back (kWriting): wait, then re-resolve.
-      s.cv.wait(lock);
+      // detached victim back (kWriting): wait, then re-resolve. An I/O
+      // wait: the transferring thread takes no lock but this shard latch.
+      s.cv.io_wait(lock);
       continue;
     }
     ++s.hits;

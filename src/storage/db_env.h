@@ -95,11 +95,13 @@ class DbEnv {
   Pager MakePager(PageFile* file) { return Pager(&pool_, file); }
 
   /// The cold-cache protocol from Section 7.1 ("performed with a cold
-  /// database and buffer cache"): flush + drop every cached page and forget
-  /// the head position.
+  /// database and buffer cache"): flush + drop every cached page, forget
+  /// the head position, and close every file handle, so the next
+  /// PageFile::OpenIfClosed() of each file pays Costinit again.
   void ColdCache() {
     pool_.DropAll();
     disk_.ResetHead();
+    disk_.CloseFiles();
   }
 
   sim::SimDisk* disk() { return &disk_; }

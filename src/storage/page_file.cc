@@ -59,6 +59,13 @@ void PageFile::Write(PageId id, std::string_view data) {
   disk_->Write(addr, page_size_);
 }
 
+void PageFile::OpenIfClosed() {
+  const uint64_t epoch = disk_->cold_epoch();
+  if (open_epoch_.exchange(epoch, std::memory_order_relaxed) != epoch) {
+    ChargeOpen();
+  }
+}
+
 uint64_t PageFile::AddressOf(PageId id) const {
   std::lock_guard<sync::Mutex> lock(mu_);
   UPI_CHECK(id < pages_.size(), "AddressOf out of range");

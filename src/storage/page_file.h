@@ -17,6 +17,7 @@
 // building it, per the buffer pool's contract.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -59,8 +60,15 @@ class PageFile {
   /// transfer is always a whole page.
   void Write(PageId id, std::string_view data);
 
-  /// Charges the paper's Costinit for opening this file.
+  /// Charges the paper's Costinit for opening this file, unconditionally.
   void ChargeOpen() { disk_->ChargeFileOpen(); }
+
+  /// Opens this file's handle if it is closed, charging Costinit; free while
+  /// it is open. A handle is closed until its first open, and every handle
+  /// closes when a new cold epoch begins (SimDisk::CloseFiles, called by
+  /// DbEnv::ColdCache). Thread-safe: of concurrent opens in one cold epoch,
+  /// exactly one pays.
+  void OpenIfClosed();
 
   uint32_t page_size() const { return page_size_; }
   /// Pages currently in use (excludes freed pages).
@@ -97,6 +105,8 @@ class PageFile {
   std::vector<PageMeta> pages_;
   std::vector<std::string> data_;  // RAM backing store, index == PageId
   std::vector<PageId> free_list_;
+  /// Cold epoch this file's handle was last opened in; 0 = never.
+  std::atomic<uint64_t> open_epoch_{0};
 };
 
 }  // namespace upi::storage

@@ -134,8 +134,9 @@ constexpr const char* LockRankName(LockRank rank) {
 }
 
 /// Whether a lock of this rank may be held while a SimDisk transfer is
-/// charged. True for exactly three locks, each with a documented sanctioned
-/// hold:
+/// charged — or across an I/O wait (sync::CondVar::io_wait) for another
+/// thread's transfer. True for exactly three locks, each with a documented
+/// sanctioned hold:
 ///
 ///  * kWalGate — a logged write holds it shared across append + in-memory
 ///    apply (whose storage writes charge the device), and the checkpoint

@@ -101,13 +101,13 @@ void OnRelease(const void* instance) {
   UPI_CHECK(false, "sync: releasing a lock this thread does not hold");
 }
 
-void OnCondVarWait(const void* mutex) {
+void OnCondVarWait(const void* mutex, bool io_wait) {
   const ThreadLockStack& s = tls_stack;
   bool found = false;
   for (int i = 0; i < s.depth; ++i) {
     if (s.held[i].instance == mutex) {
       found = true;
-    } else {
+    } else if (!(io_wait && LockRankAllowsIo(s.held[i].rank))) {
       AbortWithStack("condvar wait while still holding",
                      s.held[i].rank, s.held[i].shared);
     }

@@ -14,7 +14,9 @@
 //        shared -> exclusive upgrade attempt on one SharedMutex, UB on the
 //        underlying std::shared_mutex);
 //      - waiting on a sync::CondVar while holding any lock besides the one
-//        being waited with (a blocked thread must not pin an outer lock);
+//        being waited with (a blocked thread must not pin an outer lock) —
+//        except that an I/O wait (CondVar::io_wait) may also span the
+//        ranks an I/O may span;
 //      - holding any latch whose rank forbids it across a simulated I/O
 //        charge (SimDisk calls sync::CheckIoAllowed on every transfer).
 //
@@ -47,8 +49,9 @@ void OnAcquire(const void* instance, LockRank rank, bool shared);
 /// Pops `instance` from this thread's stack (any position: early unlock of
 /// a unique_lock is legal and used by the buffer pool).
 void OnRelease(const void* instance);
-/// Validates a condvar wait: `mutex` must be the only checked lock held.
-void OnCondVarWait(const void* mutex);
+/// Validates a condvar wait: `mutex` must be the only checked lock held,
+/// apart from — when `io_wait` — locks whose rank allows I/O.
+void OnCondVarWait(const void* mutex, bool io_wait);
 
 }  // namespace detail
 
@@ -149,12 +152,14 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void wait(std::unique_lock<Mutex>& lock) {
-    detail::OnCondVarWait(lock.mutex());
-    std::unique_lock<std::mutex> native(lock.mutex()->mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();
-  }
+  void wait(std::unique_lock<Mutex>& lock) { Wait(lock, /*io_wait=*/false); }
+
+  /// A wait for another thread's device transfer that this thread could
+  /// have issued itself (the buffer pool's in-flight page load or
+  /// write-back), where the transferring thread needs no lock the waiter
+  /// holds. Like the transfer, it may span locks whose rank allows I/O
+  /// (LockRankAllowsIo); any other held lock aborts as in wait().
+  void io_wait(std::unique_lock<Mutex>& lock) { Wait(lock, /*io_wait=*/true); }
 
   template <typename Predicate>
   void wait(std::unique_lock<Mutex>& lock, Predicate pred) {
@@ -165,6 +170,13 @@ class CondVar {
   void notify_all() { cv_.notify_all(); }
 
  private:
+  void Wait(std::unique_lock<Mutex>& lock, bool io_wait) {
+    detail::OnCondVarWait(lock.mutex(), io_wait);
+    std::unique_lock<std::mutex> native(lock.mutex()->mu_, std::adopt_lock);
+    cv_.wait(native);
+    native.release();
+  }
+
   std::condition_variable cv_;
 };
 
@@ -215,6 +227,8 @@ class CondVar {
     cv_.wait(native);
     native.release();
   }
+
+  void io_wait(std::unique_lock<Mutex>& lock) { wait(lock); }
 
   template <typename Predicate>
   void wait(std::unique_lock<Mutex>& lock, Predicate pred) {

@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
+#include <thread>
 
 #include "core/cost_model.h"
 #include "core/fractured_upi.h"
 #include "datagen/dblp.h"
+#include "engine/access_path.h"
+#include "exec/topk.h"
 #include "storage/db_env.h"
 
 namespace upi::core {
@@ -21,7 +25,8 @@ struct Fx {
   storage::DbEnv env;
   std::unique_ptr<FracturedUpi> table;
 
-  explicit Fx(uint64_t n = 600, uint64_t seed = 11) {
+  explicit Fx(uint64_t n = 600, uint64_t seed = 11,
+              bool charge_open_per_query = false) {
     cfg.num_authors = n;
     cfg.num_institutions = 50;
     cfg.seed = seed;
@@ -30,7 +35,7 @@ struct Fx {
     UpiOptions opt;
     opt.cluster_column = datagen::AuthorCols::kInstitution;
     opt.cutoff = 0.1;
-    opt.charge_open_per_query = false;
+    opt.charge_open_per_query = charge_open_per_query;
     table = std::make_unique<FracturedUpi>(
         &env, "authors", datagen::DblpGenerator::AuthorSchema(), opt,
         std::vector<int>{datagen::AuthorCols::kCountry});
@@ -64,7 +69,54 @@ struct Fx {
       EXPECT_NEAR(got[id], conf, 1e-6);
     }
   }
+
+  /// Flushes `batches` delta fractures of 30 fresh authors each, ids from
+  /// `first_id` on.
+  void AddDeltas(int batches, TupleId first_id) {
+    for (int b = 0; b < batches; ++b) {
+      for (TupleId id = first_id + b * 1000; id < first_id + b * 1000 + 30;
+           ++id) {
+        ASSERT_TRUE(table->Insert(gen->MakeAuthor(id)).ok());
+      }
+      ASSERT_TRUE(table->FlushBuffer().ok());
+    }
+  }
+
+  /// Costinit charges (file opens) `fn` pays on this environment's disk.
+  uint64_t OpensOf(const std::function<void()>& fn) {
+    sim::StatsWindow window(env.disk());
+    fn();
+    return window.Delta().file_opens;
+  }
 };
+
+/// The four fractured read shapes, each a query on (Institution, Country).
+struct ReadShape {
+  const char* name;
+  std::function<Status(const FracturedUpi&)> run;
+};
+
+std::vector<ReadShape> ReadShapes(const std::string& inst,
+                                  const std::string& country) {
+  auto rows = std::make_shared<std::vector<PtqMatch>>();
+  return {
+      {"ptq",  // qt < C: consults every probed fracture's cutoff index
+       [=](const FracturedUpi& t) { return t.QueryPtq(inst, 0.05, rows.get()); }},
+      {"top-k",  // k beyond every match: each heap runs short of k
+       [=](const FracturedUpi& t) {
+         return t.QueryTopK(inst, 100000, rows.get());
+       }},
+      {"secondary",
+       [=](const FracturedUpi& t) {
+         return t.QueryBySecondary(datagen::AuthorCols::kCountry, country, 0.1,
+                                   SecondaryAccessMode::kTailored, rows.get());
+       }},
+      {"scan-filter",
+       [=](const FracturedUpi& t) {
+         return t.ScanTuplesMatching(-1, inst, 0.05, [](const Tuple&) {});
+       }},
+  };
+}
 
 TEST(FracturedUpiTest, MainOnlyQueryMatchesOracle) {
   Fx fx;
@@ -365,6 +417,195 @@ TEST(FracturedUpiTest, AdaptiveTuningRetunesPerFracture) {
   std::vector<PtqMatch> out;
   ASSERT_TRUE(fx.table->QueryPtq(v, 0.02, &out).ok());
   EXPECT_GE(out.size(), fx.Oracle(v, 0.02).size());
+}
+
+// ---------------------------------------------------------------------------
+// Handle cache: a fracture's files pay Costinit once per cold epoch
+// ---------------------------------------------------------------------------
+
+/// Files a cold `shape` run touches on a table probed in full (pruning off):
+/// every heap; every cutoff index for PTQ (qt < C) and for top-k when it is
+/// non-empty (its heap runs short of k); no secondary-index file.
+uint64_t ColdFilesTouched(const FracturedUpi& t, const std::string& shape) {
+  uint64_t files = 0;
+  auto count = [&](const Upi& u) {
+    ++files;  // heap
+    if (shape == "ptq" ||
+        (shape == "top-k" && u.cutoff_index()->num_entries() > 0)) {
+      ++files;
+    }
+  };
+  if (t.main() != nullptr) count(*t.main());
+  for (const auto& f : t.fractures()) count(*f);
+  return files;
+}
+
+TEST(FracturedHandleCacheTest, WarmRepeatChargesNoOpens) {
+  Fx fx;
+  fx.AddDeltas(3, 500000);
+  fx.table->mutable_options()->enable_pruning = false;
+  ASSERT_EQ(fx.table->num_fractures(), 4u);
+  for (const ReadShape& shape :
+       ReadShapes(fx.gen->PopularInstitution(), fx.gen->MidCountry())) {
+    fx.env.ColdCache();
+    const uint64_t cold =
+        fx.OpensOf([&] { ASSERT_TRUE(shape.run(*fx.table).ok()); });
+    EXPECT_EQ(cold, ColdFilesTouched(*fx.table, shape.name)) << shape.name;
+    EXPECT_EQ(fx.OpensOf([&] { ASSERT_TRUE(shape.run(*fx.table).ok()); }), 0u)
+        << shape.name << ": a warm repeat re-paid Costinit";
+    // ColdCache closes every handle: the next run pays for the same files.
+    fx.env.ColdCache();
+    EXPECT_EQ(fx.OpensOf([&] { ASSERT_TRUE(shape.run(*fx.table).ok()); }), cold)
+        << shape.name;
+  }
+}
+
+TEST(FracturedHandleCacheTest, ColdCacheReArmsExactlyTheProbedFiles) {
+  // Pruning on: each PTQ opens only the fractures its summaries admit — the
+  // heap of each, plus the cutoff index when qt < C.
+  Fx fx;
+  fx.AddDeltas(4, 510000);
+  const std::string v = fx.gen->InstitutionName(7);
+  const PruneSet high = fx.table->ForQuery(-1, v, 0.5);
+  const PruneSet low = fx.table->ForQuery(-1, v, 0.05);
+  ASSERT_EQ(high.probe.size(), low.probe.size());
+  uint64_t new_heaps = 0;  // heaps the qt=0.05 probe adds to the qt=0.5 one
+  for (size_t i = 0; i < low.probe.size(); ++i) {
+    if (low.probe[i] && !high.probe[i]) ++new_heaps;
+  }
+  std::vector<PtqMatch> out;
+  auto ptq = [&](double qt) {
+    return fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryPtq(v, qt, &out).ok()); });
+  };
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    fx.env.ColdCache();
+    EXPECT_EQ(ptq(0.5), high.probed) << "epoch " << epoch;  // heaps only
+    EXPECT_EQ(ptq(0.05), new_heaps + low.probed) << "epoch " << epoch;
+    EXPECT_EQ(ptq(0.5), 0u);
+    EXPECT_EQ(ptq(0.05), 0u);
+  }
+}
+
+TEST(FracturedHandleCacheTest, NewFracturePaysOnceOnFirstTouch) {
+  // Flush, partial merge and full merge each install fresh files; the first
+  // query to touch one pays its Costinit, the next query nothing. No
+  // ColdCache() in between: already-open fractures stay free throughout.
+  Fx fx;
+  fx.table->mutable_options()->enable_pruning = false;
+  const std::string v = fx.gen->PopularInstitution();
+  std::vector<PtqMatch> out;
+  auto ptq = [&] {  // qt >= C: heap files only
+    return fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryPtq(v, 0.5, &out).ok()); });
+  };
+  EXPECT_EQ(ptq(), 1u) << "the bulk-built main fracture";
+  EXPECT_EQ(ptq(), 0u);
+
+  fx.AddDeltas(1, 520000);
+  EXPECT_EQ(ptq(), 1u) << "a flushed fracture";
+  EXPECT_EQ(ptq(), 0u);
+
+  fx.AddDeltas(3, 530000);
+  ASSERT_EQ(fx.table->num_fractures(), 5u);
+  EXPECT_EQ(ptq(), 3u);
+  ASSERT_TRUE(fx.table->MergeOldestFractures(3).ok());
+  ASSERT_EQ(fx.table->num_fractures(), 3u);
+  EXPECT_EQ(ptq(), 1u) << "a partially merged fracture";
+  EXPECT_EQ(ptq(), 0u);
+
+  ASSERT_TRUE(fx.table->MergeAll().ok());
+  ASSERT_EQ(fx.table->num_fractures(), 1u);
+  EXPECT_EQ(ptq(), 1u) << "a fully merged main fracture";
+  EXPECT_EQ(ptq(), 0u);
+}
+
+TEST(FracturedHandleCacheTest, ConcurrentColdQueriesOpenEachFileOnce) {
+  // Eight threads race through every read shape on a cold table: of all
+  // the first touches of one file, exactly one pays.
+  Fx fx;
+  fx.AddDeltas(3, 540000);
+  fx.table->mutable_options()->enable_pruning = false;
+  const std::string inst = fx.gen->PopularInstitution();
+  const std::string country = fx.gen->MidCountry();
+  fx.env.ColdCache();
+  const uint64_t opens = fx.OpensOf([&] {
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < 8; ++i) {
+      threads.emplace_back([&, i] {
+        // Own shapes per thread (each list shares one result vector), run
+        // in a rotated order so the threads race on different files.
+        const std::vector<ReadShape> shapes = ReadShapes(inst, country);
+        for (size_t j = 0; j < shapes.size(); ++j) {
+          const ReadShape& shape = shapes[(i + j) % shapes.size()];
+          EXPECT_TRUE(shape.run(*fx.table).ok()) << shape.name;
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  });
+  // PTQ at qt < C touches every heap and every cutoff file.
+  EXPECT_EQ(opens, ColdFilesTouched(*fx.table, "ptq"));
+}
+
+TEST(FracturedHandleCacheTest, ThresholdTopKOpensEachFractureOnceAcrossRounds) {
+  // The one intended within-query change of the handle cache: every round
+  // of the decreasing-threshold search re-runs the fractured PTQ, and each
+  // round used to re-pay Costinit for every fracture it probed. Now the
+  // first round opens the heaps, the first round below C the cutoff files,
+  // and later rounds find them open.
+  Fx fx;
+  fx.AddDeltas(2, 550000);
+  fx.table->mutable_options()->enable_pruning = false;
+  engine::FracturedAccessPath path(fx.table.get());
+  std::vector<PtqMatch> out;
+  int rounds = 0;
+  fx.env.ColdCache();
+  const uint64_t opens = fx.OpensOf([&] {
+    ASSERT_TRUE(exec::TopKByDecreasingThreshold(
+                    path, fx.gen->InstitutionName(40), 1000, 0.9, &out, &rounds)
+                    .ok());
+  });
+  ASSERT_GE(rounds, 3);  // 0.9, 0.225, then below C = 0.1
+  EXPECT_EQ(opens, ColdFilesTouched(*fx.table, "ptq"));
+}
+
+TEST(FracturedHandleCacheTest, ChargeOpenPerQueryPaysOncePerFilePerQuery) {
+  // charge_open_per_query means the same on every design: each query pays
+  // Costinit once for every file it touches, warm or cold. The fan-out used
+  // to charge a fracture's heap open on top of the fracture's own charge.
+  Fx fx(600, 11, /*charge_open_per_query=*/true);
+  ASSERT_EQ(fx.table->num_fractures(), 1u);
+  const std::string v = fx.gen->PopularInstitution();
+  std::vector<PtqMatch> out;
+  for (int run = 0; run < 2; ++run) {  // cold, then warm: same charges
+    if (run == 0) fx.env.ColdCache();
+    EXPECT_EQ(fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryPtq(v, 0.5, &out).ok()); }),
+              1u)
+        << "ptq, heap only, run " << run;
+    EXPECT_EQ(fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok()); }),
+              2u)
+        << "ptq, heap + cutoff, run " << run;
+    EXPECT_EQ(fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryTopK(v, 5, &out).ok()); }),
+              1u)
+        << "top-k, heap only, run " << run;
+    EXPECT_EQ(fx.OpensOf([&] {
+                ASSERT_TRUE(fx.table
+                                ->QueryBySecondary(datagen::AuthorCols::kCountry,
+                                                   fx.gen->MidCountry(), 0.1,
+                                                   SecondaryAccessMode::kTailored,
+                                                   &out)
+                                .ok());
+              }),
+              2u)
+        << "secondary, index + heap, run " << run;
+    EXPECT_EQ(fx.OpensOf([&] {
+                ASSERT_TRUE(fx.table
+                                ->ScanTuplesMatching(-1, v, 0.5,
+                                                     [](const Tuple&) {})
+                                .ok());
+              }),
+              1u)
+        << "scan-filter, heap only, run " << run;
+  }
 }
 
 }  // namespace

@@ -290,40 +290,43 @@ TEST(ObsEngineTest, ExplainAnalyzeReconcilesOnSsdProfile) {
             std::string::npos);
 }
 
+/// An author whose only institution is "inst<part>_<id % 1000>": fractures
+/// built from different parts hold disjoint institution ranges.
+Tuple PartTuple(catalog::TupleId id, int part) {
+  char inst[32];
+  std::snprintf(inst, sizeof(inst), "inst%02d_%04llu", part,
+                static_cast<unsigned long long>(id % 1000));
+  std::vector<catalog::Value> values(4);
+  values[AuthorCols::kName] = catalog::Value::String("n" + std::to_string(id));
+  values[AuthorCols::kInstitution] = catalog::Value::Discrete(
+      prob::DiscreteDistribution::Make({{inst, 0.9}}).ValueOrDie());
+  values[AuthorCols::kCountry] = catalog::Value::Discrete(
+      prob::DiscreteDistribution::Make({{"c", 0.9}}).ValueOrDie());
+  values[AuthorCols::kPayload] = catalog::Value::String("p");
+  return Tuple(id, 0.95, values);
+}
+
+core::UpiOptions PartOptions() {
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  opt.cutoff = 0.1;
+  return opt;
+}
+
 TEST(ObsEngineTest, ExplainAnalyzeFracturedPrunedProbe) {
   // A 16-fracture table whose fractures hold disjoint institution ranges:
   // a point probe can touch exactly one, and the zone maps prove it.
   engine::Database db;
-  constexpr int kInst = AuthorCols::kInstitution;
-  core::UpiOptions opt;
-  opt.cluster_column = kInst;
-  opt.cutoff = 0.1;
-
-  auto make_tuple = [](catalog::TupleId id, int part) {
-    char inst[32];
-    std::snprintf(inst, sizeof(inst), "inst%02d_%04llu", part,
-                  static_cast<unsigned long long>(id % 1000));
-    std::vector<catalog::Value> values(4);
-    values[AuthorCols::kName] =
-        catalog::Value::String("n" + std::to_string(id));
-    values[kInst] = catalog::Value::Discrete(
-        prob::DiscreteDistribution::Make({{inst, 0.9}}).ValueOrDie());
-    values[AuthorCols::kCountry] = catalog::Value::Discrete(
-        prob::DiscreteDistribution::Make({{"c", 0.9}}).ValueOrDie());
-    values[AuthorCols::kPayload] = catalog::Value::String("p");
-    return Tuple(id, 0.95, values);
-  };
-
   std::vector<Tuple> main_batch;
   catalog::TupleId id = 1;
-  for (int i = 0; i < 300; ++i) main_batch.push_back(make_tuple(id++, 0));
+  for (int i = 0; i < 300; ++i) main_batch.push_back(PartTuple(id++, 0));
   engine::Table* t =
       db.CreateFracturedTable("parts", datagen::DblpGenerator::AuthorSchema(),
-                              opt, {}, main_batch)
+                              PartOptions(), {}, main_batch)
           .ValueOrDie();
   for (int part = 1; part < 16; ++part) {
     for (int i = 0; i < 120; ++i) {
-      ASSERT_TRUE(t->Insert(make_tuple(id++, part)).ok());
+      ASSERT_TRUE(t->Insert(PartTuple(id++, part)).ok());
     }
     ASSERT_TRUE(t->fractured()->FlushBuffer().ok());
     db.RunMaintenance();  // drain any policy-enqueued follow-ups
@@ -369,6 +372,70 @@ TEST(ObsEngineTest, ExplainAnalyzeFracturedPrunedProbe) {
             static_cast<double>(pruned_ops));
   EXPECT_GE(snap.Find("upi_pruning_fractures_probed_total")->value, 1.0);
 #endif
+}
+
+TEST(ObsEngineTest, ExplainAnalyzeReconcilesOverOpenAndClosedFractures) {
+  // A cold epoch in which one fracture's handle is already open: its node
+  // shows opens=0, every other probed fracture pays Costinit (opens=1), and
+  // the per-operator actuals, Costinit included, still sum exactly to the
+  // device delta of the query.
+  engine::Database db;
+  std::vector<Tuple> main_batch;
+  catalog::TupleId id = 1;
+  for (int i = 0; i < 60; ++i) main_batch.push_back(PartTuple(id++, 0));
+  engine::Table* t =
+      db.CreateFracturedTable("parts", datagen::DblpGenerator::AuthorSchema(),
+                              PartOptions(), {}, main_batch)
+          .ValueOrDie();
+  for (int part = 1; part < 4; ++part) {
+    for (int i = 0; i < 40; ++i) {
+      ASSERT_TRUE(t->Insert(PartTuple(id++, part)).ok());
+    }
+    ASSERT_TRUE(t->fractured()->FlushBuffer().ok());
+  }
+  db.RunMaintenance();
+  const size_t nfrac = t->fractured()->num_fractures();
+  ASSERT_GE(nfrac, 3u);
+
+  // Part 2's ids are 101..140: "inst02_0121" lives in one fracture, and a
+  // pruned probe opens only that one.
+  const engine::Query q = engine::Query::Ptq("inst02_0121", 0.5);
+  db.ColdCache();
+  std::vector<core::PtqMatch> rows;
+  ASSERT_TRUE(t->Run(q, &rows).ok());
+  ASSERT_EQ(rows.size(), 1u);
+
+  // Without pruning the same probe visits every fracture.
+  t->fractured()->mutable_options()->enable_pruning = false;
+  const sim::SimDisk* disk = db.env()->disk();
+  sim::ThreadStatsWindow outer(disk);
+  auto r = t->AnalyzeQuery(q);
+  sim::DiskStats outer_delta = outer.Delta();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const engine::Table::AnalyzeResult& a = r.value();
+  EXPECT_EQ(a.rows.size(), 1u);
+
+  sim::DiskStats op_sum;
+  double op_ms = 0.0;
+  size_t open_ops = 0, paid_ops = 0;
+  for (const TraceOp& op : a.trace.ops) {
+    op_sum += op.io;
+    op_ms += op.sim_ms;
+    EXPECT_FALSE(op.pruned) << op.label;
+    ++(op.io.file_opens == 0 ? open_ops : paid_ops);
+    EXPECT_LE(op.io.file_opens, 1u) << op.label;
+  }
+  EXPECT_EQ(open_ops, 1u);
+  EXPECT_EQ(paid_ops, nfrac - 1);
+  EXPECT_EQ(outer_delta.file_opens, nfrac - 1);
+  EXPECT_EQ(a.trace.total.file_opens, outer_delta.file_opens);
+  EXPECT_EQ(op_sum.file_opens, a.trace.total.file_opens);
+  EXPECT_EQ(op_sum.reads, a.trace.total.reads);
+  EXPECT_EQ(op_sum.seeks, a.trace.total.seeks);
+  EXPECT_EQ(a.trace.total_sim_ms, outer_delta.SimMs(disk->params()));
+  EXPECT_NEAR(op_ms, a.trace.total_sim_ms, 1e-9);
+  EXPECT_NE(a.text.find("opens=0 "), std::string::npos) << a.text;
+  EXPECT_NE(a.text.find("opens=1 "), std::string::npos) << a.text;
 }
 
 TEST(ObsEngineTest, SlowQueryLogFiresAtThresholdOnly) {

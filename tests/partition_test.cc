@@ -276,6 +276,40 @@ TEST(PartitionTest, SummariesPruneAcrossAllAlternatives) {
   EXPECT_NEAR(rows[0].confidence, 0.4, 1e-8);
 }
 
+TEST(PartitionTest, ProbedShardFractureOpensOncePerColdEpoch) {
+  // Fractured shards inherit the handle cache: a probed shard's fracture
+  // pays Costinit on its first touch in a cold epoch, then nothing until
+  // the next ColdCache().
+  DatabaseOptions dopt;
+  dopt.gather_workers = 0;
+  Database db(dopt);
+  Table* t = db.CreatePartitionedTable("t", TwoColSchema(), Options(), {},
+                                       RangePopts(), RangeTuples())
+                 .ValueOrDie();
+  // Neither shard nor fracture pruning: every shard's fracture is probed.
+  PartitionOptions no_prune = RangePopts();
+  no_prune.enable_pruning = false;
+  core::UpiOptions probe_all = Options();
+  probe_all.enable_pruning = false;
+  Table* all = db.CreatePartitionedTable("all", TwoColSchema(), probe_all, {},
+                                         no_prune, RangeTuples())
+                   .ValueOrDie();
+  auto opens = [&](Table* table) {
+    sim::StatsWindow window(db.env()->disk());
+    std::vector<core::PtqMatch> rows;
+    EXPECT_TRUE(table->Run(Query::Ptq("p5f", 0.3), &rows).ok());
+    EXPECT_EQ(rows.size(), 1u);
+    return window.Delta().file_opens;
+  };
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    db.ColdCache();
+    EXPECT_EQ(opens(t), 1u) << "one probed shard, epoch " << epoch;
+    EXPECT_EQ(opens(t), 0u);
+    EXPECT_EQ(opens(all), 4u) << "every shard probed, epoch " << epoch;
+    EXPECT_EQ(opens(all), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE shard rendering + metric families
 // ---------------------------------------------------------------------------

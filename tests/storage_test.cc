@@ -26,6 +26,22 @@ TEST(PageFileTest, AllocateSequentialAddresses) {
   EXPECT_EQ(f.size_bytes(), 8192u);
 }
 
+TEST(PageFileTest, OpenIfClosedChargesOncePerColdEpoch) {
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  PageFile g(&disk, "u", 4096);
+  f.OpenIfClosed();  // never opened: pays
+  f.OpenIfClosed();
+  EXPECT_EQ(disk.stats().file_opens, 1u);
+  disk.CloseFiles();  // a new cold epoch closes every handle
+  f.OpenIfClosed();
+  g.OpenIfClosed();
+  f.OpenIfClosed();
+  EXPECT_EQ(disk.stats().file_opens, 3u);
+  f.ChargeOpen();  // the per-query charge ignores the handle
+  EXPECT_EQ(disk.stats().file_opens, 4u);
+}
+
 TEST(PageFileTest, ReadWriteRoundTrip) {
   sim::SimDisk disk;
   PageFile f(&disk, "t", 4096);

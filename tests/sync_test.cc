@@ -13,10 +13,37 @@
 
 #include "maintenance/task_queue.h"
 #include "sim/sim_disk.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_file.h"
 #include "sync/sync.h"
 
 namespace upi::sync {
 namespace {
+
+/// A page whose load by a second thread stays in flight for a while of real
+/// time (its simulated read is realtime-scaled), so a Fetch of the same page
+/// from the calling thread waits on the buffer-pool shard's condvar.
+struct InFlightLoad {
+  sim::SimDisk disk;
+  storage::PageFile file{&disk, "f", 4096};
+  storage::BufferPool pool{1 << 20, 1};
+  storage::PageId id = file.Allocate();
+  std::thread loader;
+
+  explicit InFlightLoad(double wall_us_per_sim_ms) {
+    file.Write(id, "page");
+    disk.ResetHead();  // the load pays a full seek
+    disk.SetRealtimeScale(wall_us_per_sim_ms);
+    loader = std::thread([this] {
+      pool.Fetch(&file, id);
+      pool.Unpin(&file, id);
+    });
+    // The loading frame is installed (and charged to the pool) before the
+    // loader starts its read.
+    while (pool.cached_bytes() == 0) std::this_thread::yield();
+  }
+  ~InFlightLoad() { loader.join(); }
+};
 
 TEST(LockRankTest, NamesAndIoPolicy) {
   EXPECT_STREQ(LockRankName(LockRank::kBufferPoolShard), "BufferPoolShard");
@@ -173,7 +200,8 @@ TEST(SyncChecksDeathTest, WalTailBeforeSyncInversionAborts) {
   static Mutex sync_mu(LockRank::kWalSync);
   static Mutex tail_mu(LockRank::kWalTail);
   std::lock_guard<Mutex> tail(tail_mu);
-  EXPECT_DEATH(sync_mu.lock(), "lock-rank inversion.*WalTail.*WalSync");
+  // The transcript names the lock being acquired, then the held stack.
+  EXPECT_DEATH(sync_mu.lock(), "lock-rank inversion.*WalSync.*WalTail");
 }
 
 TEST(SyncChecksDeathTest, IoChargeUnderWalSyncLockIsAllowed) {
@@ -185,6 +213,34 @@ TEST(SyncChecksDeathTest, IoChargeUnderWalSyncLockIsAllowed) {
   std::lock_guard<Mutex> held(sync_mu);
   disk.Read(addr, 4096);  // must not abort
   EXPECT_EQ(disk.stats().reads, 1u);
+}
+
+TEST(SyncChecksDeathTest, PoolLoadWaitUnderNoIoLatchAborts) {
+  // Waiting for another thread's in-flight page load is an I/O wait: it may
+  // span only the I/O-sanctioned ranks. The WAL tail latch is not one, so
+  // pinning it across the wait still aborts.
+  EXPECT_DEATH(
+      {
+        InFlightLoad load(/*wall_us_per_sim_ms=*/1e6);  // seconds in flight
+        static Mutex tail(LockRank::kWalTail);
+        std::lock_guard<Mutex> held(tail);
+        load.pool.Fetch(&load.file, load.id);
+      },
+      "condvar wait while still holding WalTail");
+}
+
+TEST(SyncChecksDeathTest, PoolLoadWaitUnderFracturedUpiLockIsAllowed) {
+  // The sanctioned shape: a fractured query holds its table's lock shared
+  // across its page reads, and so across a wait for a page another reader
+  // is loading — it could have read the page itself.
+  InFlightLoad load(/*wall_us_per_sim_ms=*/2e4);  // ~0.1 s in flight
+  SharedMutex table_lock(LockRank::kFracturedUpi);
+  {
+    std::shared_lock<SharedMutex> held(table_lock);
+    EXPECT_EQ(*load.pool.Fetch(&load.file, load.id), "page");  // no abort
+    load.pool.Unpin(&load.file, load.id);
+  }
+  EXPECT_EQ(load.pool.misses(), 1u);  // one device read, shared
 }
 
 TEST(SyncChecksDeathTest, OppositeOrderDeadlockAbortsDeterministically) {
