@@ -123,6 +123,13 @@ class SimDisk {
     return cold_epoch_.load(std::memory_order_relaxed);
   }
 
+  /// Hands out file ids in creation order (0, 1, ...). Unlike a file's
+  /// address, the id is the same on every run that creates files in the same
+  /// order, so structures keyed by it (the buffer pool's shards) are too.
+  uint64_t NewFileId() {
+    return next_file_id_.fetch_add(1, std::memory_order_relaxed);
+  }
+
   /// When `wall_us_per_sim_ms` > 0, every subsequent access sleeps for its
   /// simulated cost times this factor (outside all locks), so concurrent
   /// clients genuinely overlap their I/O waits. 0 (the default) disables it.
@@ -213,6 +220,7 @@ class SimDisk {
   std::atomic<double> realtime_us_per_sim_ms_{0.0};
   std::atomic<uint32_t> concurrent_issuers_{0};
   std::atomic<uint64_t> cold_epoch_{1};
+  std::atomic<uint64_t> next_file_id_{0};
   mutable std::atomic<uint64_t> queue_depth_counts_[kQueueDepthBuckets] = {};
   mutable Stripe stripes_[kStripes];
 };

@@ -126,9 +126,11 @@ class BufferPool {
     PageId id;
     bool operator==(const Key& o) const { return file == o.file && id == o.id; }
   };
+  // Hashes the file's creation ordinal, not its address: shard placement
+  // (and so which page a miss evicts) must not follow ASLR.
   struct KeyHash {
     size_t operator()(const Key& k) const {
-      return std::hash<void*>()(k.file) * 1000003u ^ k.id;
+      return std::hash<uint64_t>()(k.file->id()) * 1000003u ^ k.id;
     }
   };
 

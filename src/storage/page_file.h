@@ -84,6 +84,8 @@ class PageFile {
   }
   const std::string& name() const { return name_; }
   sim::SimDisk* disk() const { return disk_; }
+  /// Creation ordinal on the disk (SimDisk::NewFileId).
+  uint64_t id() const { return id_; }
 
   /// Physical device address of a page (for tests asserting layout).
   uint64_t AddressOf(PageId id) const;
@@ -98,6 +100,7 @@ class PageFile {
   void CheckLiveLocked(PageId id, const char* op) const;
 
   sim::SimDisk* disk_;
+  const uint64_t id_;
   std::string name_;
   const uint32_t page_size_;
   mutable sync::Mutex mu_{

@@ -380,6 +380,26 @@ TEST(BufferPoolTest, PagesSpreadAcrossShards) {
   EXPECT_GE(used.size(), pool.num_shards() - 2);
 }
 
+TEST(BufferPoolTest, ShardPlacementIsStableAcrossEnvironments) {
+  // Two environments that create the same files in the same order place
+  // every page in the same shard: placement follows creation order, not
+  // where the allocator happened to put each PageFile.
+  DbEnv a, b;
+  std::vector<PageFile*> files_a, files_b;
+  for (int i = 0; i < 4; ++i) {
+    std::string name = "f" + std::to_string(i);
+    files_a.push_back(a.CreateFile(name, 4096));
+    files_b.push_back(b.CreateFile(name, 4096));
+  }
+  for (size_t f = 0; f < files_a.size(); ++f) {
+    for (PageId id = 0; id < 64; ++id) {
+      ASSERT_EQ(a.pool()->ShardIndexOf(files_a[f], id),
+                b.pool()->ShardIndexOf(files_b[f], id))
+          << "file " << f << " page " << id;
+    }
+  }
+}
+
 // --- Scan resistance (midpoint insertion) ---------------------------------
 
 TEST(BufferPoolTest, FullScanDoesNotEvictHotPages) {
