@@ -10,11 +10,7 @@
 //      of multi-ms region seeks), so the planner picks heap-scan; on flash
 //      the same regions cost ~20us each and the secondary plan wins. The
 //      EXPLAIN pair is printed verbatim — the flip is discovered by the cost
-//      model, not special-cased. A self-check re-prices every candidate with
-//      the legacy CostParams planner and demands bit-identical predictions
-//      from the SpinningDisk-profile planner, and runs one real query on a
-//      CostParams-constructed env vs a SpinningDisk-profile env demanding
-//      bit-identical simulated time.
+//      model, not special-cased.
 //
 //   B. Merge schedule. The cost-model maintenance policy runs the same
 //      insert/query workload on both profiles. On flash the fracture tax
@@ -41,9 +37,8 @@
 //                           [--json=BENCH_device_profiles.json]
 //
 // --smoke runs A..C at reduced sizes and exits non-zero unless (1) the
-// planner flips between profiles, (2) every spinning-disk row is
-// bit-identical to the legacy CostParams pricing, and (3) flash ingest
-// reaches the 1.5x bar. The full run applies the same gates.
+// planner flips between profiles and (2) flash ingest reaches the 1.5x bar.
+// The full run applies the same gates.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -131,55 +126,6 @@ void RunPlanChoice(Gate* gate, JsonWriter* json, bool smoke) {
   row.sim_ms = on_ssd.predicted_ms;
   json->AddRow("plan ssd " + std::string(engine::PlanKindName(on_ssd.kind)),
                row);
-
-  // Spinning-disk bit-identity, prediction side: every candidate of every
-  // query shape, legacy CostParams pricing vs the SpinningDisk profile.
-  engine::QueryPlanner legacy(&path, sim::CostParams{});
-  bool identical = true;
-  auto same = [&identical](const engine::Plan& a, const engine::Plan& b) {
-    identical = identical && a.kind == b.kind &&
-                a.predicted_ms == b.predicted_ms &&
-                a.candidates().size() == b.candidates().size();
-    for (size_t i = 0;
-         identical && i < a.candidates().size() && i < b.candidates().size();
-         ++i) {
-      identical = a.candidates()[i].predicted_ms ==
-                  b.candidates()[i].predicted_ms;
-    }
-  };
-  same(legacy.PlanSecondary(datagen::AuthorCols::kCountry, value, qt), on_hdd);
-  same(legacy.PlanPtq(value, 0.3), hdd.PlanPtq(value, 0.3));
-  same(legacy.PlanTopK(value, 10), hdd.PlanTopK(value, 10));
-  gate->Check(identical,
-              "spinning-profile predictions must be bit-identical to legacy");
-
-  // Spinning-disk bit-identity, execution side: the same cold query on a
-  // CostParams-constructed env and a SpinningDisk-profile env.
-  auto measure = [&](storage::DbEnv* e) {
-    core::UpiOptions o;
-    o.cluster_column = datagen::AuthorCols::kInstitution;
-    auto u = core::Upi::Build(e, "authors",
-                              datagen::DblpGenerator::AuthorSchema(), o,
-                              {datagen::AuthorCols::kCountry}, authors)
-                 .ValueOrDie();
-    return RunCold(e, [&]() -> size_t {
-      std::vector<core::PtqMatch> out;
-      CheckOk(u->QueryBySecondary(datagen::AuthorCols::kCountry, value, qt,
-                                  core::SecondaryAccessMode::kTailored, &out));
-      return out.size();
-    });
-  };
-  storage::DbEnv legacy_env(256ull << 20, sim::CostParams{});
-  storage::DbEnv profile_env(256ull << 20, sim::DeviceProfile::SpinningDisk());
-  QueryCost on_legacy = measure(&legacy_env);
-  QueryCost on_profile = measure(&profile_env);
-  std::printf("spinning bit-identity: legacy env %.6f sim-ms, profile env "
-              "%.6f sim-ms, predictions %s\n",
-              on_legacy.sim_ms, on_profile.sim_ms,
-              identical ? "identical" : "DIFFER");
-  gate->Check(on_legacy.sim_ms == on_profile.sim_ms &&
-                  on_legacy.rows == on_profile.rows,
-              "spinning-profile execution must be bit-identical to legacy");
 }
 
 // --------------------------------------------------------------------------

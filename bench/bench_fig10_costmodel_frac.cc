@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       CheckOk(fractured.QueryPtq(d.popular_institution, qt, &out));
       return out.size();
     });
-    core::CostModel model(env.params(), core::TableStats::Of(fractured));
+    core::CostModel model(env.profile(), core::TableStats::Of(fractured));
     double est_ms = model.FracturedQueryMs(
         fractured.EstimateSelectivity(d.popular_institution, qt));
     std::printf("%-7d %9.3f %12.3f %7zu %7s\n", batch, real.sim_ms / 1000.0,

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
                                 datagen::DblpGenerator::AuthorSchema(),
                                 AuthorUpiOptions(c), {}, d.authors)
                    .ValueOrDie();
-    core::CostModel model(env.params(), core::TableStats::Of(*upi));
+    core::CostModel model(env.profile(), core::TableStats::Of(*upi));
     for (const auto& [label, value] :
          {std::pair<const char*, std::string>{"nonsel", d.popular_institution},
           {"select", d.selective_institution}}) {

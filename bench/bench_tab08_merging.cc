@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       CheckOk(fractured.FlushBuffer());
     }
     size_t nfrac = fractured.num_fractures();
-    core::CostModel model(env.params(), core::TableStats::Of(fractured));
+    core::CostModel model(env.profile(), core::TableStats::Of(fractured));
     double model_s = model.MergeMs() / 1000.0;
     QueryCost merge = RunMaintenance(&env, [&]() -> size_t {
       CheckOk(fractured.MergeAll());

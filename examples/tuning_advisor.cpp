@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   }
   double avg_entry = total_bytes / static_cast<double>(authors.size()) + 24;
   histogram::SelectivityEstimator estimator(&hist);
-  core::Advisor advisor(sim::CostParams{}, &estimator, avg_entry, 8192);
+  core::Advisor advisor(sim::DeviceProfile::SpinningDisk(), &estimator,
+                        avg_entry, 8192);
 
   // Step 2: describe the observed workload (value, threshold, frequency).
   std::vector<core::WorkloadQuery> workload = {

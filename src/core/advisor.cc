@@ -35,7 +35,7 @@ CutoffRecommendation Advisor::Evaluate(double cutoff,
   TableStats stats = StatsForCutoff(cutoff);
   rec.expected_heap_bytes = static_cast<double>(stats.table_bytes);
   rec.feasible = rec.expected_heap_bytes <= storage_budget_bytes;
-  CostModel model(params_, stats);
+  CostModel model(profile_, stats);
   double total_weight = 0.0;
   double total_ms = 0.0;
   for (const WorkloadQuery& q : workload) {
@@ -86,7 +86,7 @@ uint32_t Advisor::FracturesBeforeMerge(double tolerable_query_ms,
   stats.num_leaf_pages = table_bytes / page_size_ + 1;
   for (uint32_t nfrac = 1; nfrac < 10000; ++nfrac) {
     stats.num_fractures = nfrac;
-    CostModel model(params_, stats);
+    CostModel model(profile_, stats);
     if (model.FracturedQueryMs(selectivity) > tolerable_query_ms) {
       return nfrac > 1 ? nfrac - 1 : 1;
     }

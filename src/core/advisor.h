@@ -34,11 +34,13 @@ struct CutoffRecommendation {
 
 class Advisor {
  public:
-  /// `estimator` wraps the table's probability histogram; `avg_entry_bytes`
-  /// is the average serialized heap entry (tuple + key overhead).
-  Advisor(sim::CostParams params, const histogram::SelectivityEstimator* estimator,
+  /// Prices with `profile`'s cost model. `estimator` wraps the table's
+  /// probability histogram; `avg_entry_bytes` is the average serialized heap
+  /// entry (tuple + key overhead).
+  Advisor(sim::DeviceProfile profile,
+          const histogram::SelectivityEstimator* estimator,
           double avg_entry_bytes, uint32_t page_size)
-      : params_(params),
+      : profile_(profile),
         estimator_(estimator),
         avg_entry_bytes_(avg_entry_bytes),
         page_size_(page_size) {}
@@ -65,7 +67,7 @@ class Advisor {
   /// Hypothetical physical stats for a cutoff candidate.
   TableStats StatsForCutoff(double cutoff) const;
 
-  sim::CostParams params_;
+  sim::DeviceProfile profile_;
   const histogram::SelectivityEstimator* estimator_;
   double avg_entry_bytes_;
   uint32_t page_size_;

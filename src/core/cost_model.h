@@ -23,8 +23,7 @@
 // the same formulas price the same query differently per device — on flash
 // (near-free seeks, tiny Costinit) the Nfrac * (Costinit + H * Tseek)
 // fracture tax collapses, which is what lets MergePolicy defer merges there
-// without any flash-specific rule. The CostParams ctor remains and is
-// bit-identical to the spinning-disk profile.
+// without any flash-specific rule.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +51,6 @@ struct TableStats {
 
 class CostModel {
  public:
-  /// Spinning-disk compatibility shape: prices with `params` on the paper's
-  /// device, bit-identical to the pre-profile model.
-  CostModel(sim::CostParams params, TableStats stats)
-      : CostModel(sim::DeviceProfile::SpinningDisk(params), stats) {}
-
   CostModel(sim::DeviceProfile profile, TableStats stats)
       : profile_(profile), params_(profile.cost), stats_(stats) {}
 

@@ -188,7 +188,7 @@ void FracturedUpi::RetuneFromBuffer() {
                          static_cast<double>(buffer_.size()) +
                      24.0;
   histogram::SelectivityEstimator estimator(&hist);
-  Advisor advisor(env_->params(), &estimator, avg_entry, options_.page_size);
+  Advisor advisor(env_->profile(), &estimator, avg_entry, options_.page_size);
   CutoffRecommendation rec = advisor.RecommendCutoff(
       {0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5}, tuning_workload_,
       tuning_budget_bytes_);
@@ -276,7 +276,9 @@ Status FracturedUpi::QueryBuffer(std::string_view value, double qt,
   for (const auto& [id, bt] : buffer_) {
     const Value& cv = bt.tuple.Get(options_.cluster_column);
     if (cv.type() != ValueType::kDiscrete) continue;
-    double p = cv.discrete().ProbabilityOf(value) * bt.tuple.existence();
+    // On the heap key's grid, so flushing never changes a row's confidence.
+    double p =
+        QuantizeProb(cv.discrete().ProbabilityOf(value) * bt.tuple.existence());
     if (p >= qt && p > 0.0) {
       out->push_back(PtqMatch{id, p, bt.tuple});
     }
@@ -290,7 +292,8 @@ Status FracturedUpi::QueryBufferSecondary(int column, std::string_view value,
   for (const auto& [id, bt] : buffer_) {
     const Value& sv = bt.tuple.Get(column);
     if (sv.type() != ValueType::kDiscrete) continue;
-    double p = sv.discrete().ProbabilityOf(value) * bt.tuple.existence();
+    double p =
+        QuantizeProb(sv.discrete().ProbabilityOf(value) * bt.tuple.existence());
     if (p >= qt && p > 0.0) {
       out->push_back(PtqMatch{id, p, bt.tuple});
     }

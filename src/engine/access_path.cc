@@ -13,6 +13,11 @@ double AvgEntryBytes(uint64_t table_bytes, uint64_t entries) {
                             static_cast<double>(entries);
 }
 
+Status ReadOnlyView(const std::string& name) {
+  return Status::NotSupported("access path over '" + name +
+                              "' is a read-only view");
+}
+
 /// ResultCursor over a core streaming cursor: core::UpiPtqCursor (Algorithm
 /// 2) or core::FracturedPtqCursor (the pruned fan-out executed lazily, which
 /// holds the table's shared lock for the cursor's lifetime).
@@ -98,6 +103,14 @@ PathStats UpiAccessPath::Stats() const {
   s.supports_direct_topk = true;
   s.clustered = true;
   return s;
+}
+
+Status UpiAccessPath::Insert(const catalog::Tuple& tuple) {
+  return owned_ ? owned_->Insert(tuple) : ReadOnlyView(name());
+}
+
+Status UpiAccessPath::Delete(const catalog::Tuple& tuple) {
+  return owned_ ? owned_->Delete(tuple) : ReadOnlyView(name());
 }
 
 std::unique_ptr<ResultCursor> UpiAccessPath::OpenPtq(std::string_view value,
@@ -221,6 +234,20 @@ PathStats FracturedAccessPath::Stats() const {
   s.supports_direct_topk = true;
   s.clustered = true;
   return s;
+}
+
+Status FracturedAccessPath::Insert(const catalog::Tuple& tuple) {
+  if (!owned_) return ReadOnlyView(name());
+  UPI_RETURN_NOT_OK(owned_->Insert(tuple));
+  if (manager_ != nullptr) manager_->NotifyWrite(owned_.get());
+  return Status::OK();
+}
+
+Status FracturedAccessPath::Delete(const catalog::Tuple& tuple) {
+  if (!owned_) return ReadOnlyView(name());
+  UPI_RETURN_NOT_OK(owned_->Delete(tuple.id()));
+  if (manager_ != nullptr) manager_->NotifyWrite(owned_.get());
+  return Status::OK();
 }
 
 std::unique_ptr<ResultCursor> FracturedAccessPath::OpenPtq(
@@ -367,6 +394,14 @@ PathStats UnclusteredAccessPath::Stats() const {
   s.supports_direct_topk = pii != nullptr;
   s.clustered = false;
   return s;
+}
+
+Status UnclusteredAccessPath::Insert(const catalog::Tuple& tuple) {
+  return owned_ ? owned_->Insert(tuple) : ReadOnlyView(name());
+}
+
+Status UnclusteredAccessPath::Delete(const catalog::Tuple& tuple) {
+  return owned_ ? owned_->Delete(tuple.id()) : ReadOnlyView(name());
 }
 
 std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenPtq(

@@ -9,9 +9,12 @@
 // probe answers through a ResultCursor. Streaming cursors (clustered PTQ and
 // top-k, the Fractured PTQ fan-out, PII probes) pay for each row as it is
 // pulled; eager ones (fan-out unions, secondary probes) computed every row at
-// open. Adapters are thin non-owning views (cheap to construct, no I/O of
-// their own); the estimation hooks are RAM-only so the planner never spends
-// simulated disk time to make a decision.
+// open. The path is also the table's write path: Insert/Delete are the
+// in-memory mutation (engine::Table journals to the WAL first). An adapter
+// built from a unique_ptr owns its design and is the table; one built from a
+// raw pointer is a cheap read-only view of a design owned elsewhere (its
+// writes return NotSupported). The estimation hooks are RAM-only so the
+// planner never spends simulated disk time to make a decision.
 #pragma once
 
 #include <functional>
@@ -27,6 +30,7 @@
 #include "core/upi.h"
 #include "engine/query.h"
 #include "histogram/selectivity.h"
+#include "maintenance/manager.h"
 
 namespace upi::engine {
 
@@ -67,6 +71,12 @@ class AccessPath {
   virtual const std::string& name() const = 0;
   virtual const catalog::Schema& schema() const = 0;
   virtual PathStats Stats() const = 0;
+
+  // --- Writes (the in-memory mutation; NotSupported on a read-only view) ----
+
+  virtual Status Insert(const catalog::Tuple& tuple) = 0;
+  /// Removes the tuple with `tuple`'s id.
+  virtual Status Delete(const catalog::Tuple& tuple) = 0;
 
   // --- Physical reads (charge simulated I/O) --------------------------------
   //
@@ -176,11 +186,16 @@ class AccessPath {
 /// Adapter over a clustered UPI (Section 3).
 class UpiAccessPath : public AccessPath {
  public:
+  explicit UpiAccessPath(std::unique_ptr<core::Upi> upi)
+      : owned_(std::move(upi)), upi_(owned_.get()) {}
+  /// A read-only view.
   explicit UpiAccessPath(const core::Upi* upi) : upi_(upi) {}
 
   const std::string& name() const override { return upi_->name(); }
   const catalog::Schema& schema() const override { return upi_->schema(); }
   PathStats Stats() const override;
+  Status Insert(const catalog::Tuple& tuple) override;
+  Status Delete(const catalog::Tuple& tuple) override;
 
   /// Streams Algorithm 2 (core::UpiPtqCursor).
   std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
@@ -207,9 +222,11 @@ class UpiAccessPath : public AccessPath {
   double SecondaryAvgPointers(int column) const override;
   double EstimateTopKThreshold(std::string_view value, size_t k) const override;
 
-  const core::Upi* upi() const { return upi_; }
+  /// The owned UPI; nullptr for a view.
+  core::Upi* upi() const { return owned_.get(); }
 
  private:
+  std::unique_ptr<core::Upi> owned_;
   const core::Upi* upi_;
 };
 
@@ -221,12 +238,20 @@ class UpiAccessPath : public AccessPath {
 /// background maintenance workers merge underneath.
 class FracturedAccessPath : public AccessPath {
  public:
+  /// Every write notifies `manager` (null = no background maintenance), which
+  /// the table's owner registers the table with.
+  FracturedAccessPath(std::unique_ptr<core::FracturedUpi> table,
+                      maintenance::MaintenanceManager* manager)
+      : owned_(std::move(table)), table_(owned_.get()), manager_(manager) {}
+  /// A read-only view.
   explicit FracturedAccessPath(const core::FracturedUpi* table)
       : table_(table) {}
 
   const std::string& name() const override;
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
+  Status Insert(const catalog::Tuple& tuple) override;
+  Status Delete(const catalog::Tuple& tuple) override;
 
   /// Streams the pruned fan-out, fractures opened lazily. Holds the table's
   /// shared lock until destroyed (see core::FracturedPtqCursor): drain
@@ -263,13 +288,16 @@ class FracturedAccessPath : public AccessPath {
   double SecondaryAvgPointers(int column) const override;
   double EstimateTopKThreshold(std::string_view value, size_t k) const override;
 
-  const core::FracturedUpi* fractured() const { return table_; }
+  /// The owned Fractured UPI; nullptr for a view.
+  core::FracturedUpi* fractured() const { return owned_.get(); }
 
  private:
   /// Applies `fn` to main + every delta fracture.
   void ForEachUpi(const std::function<void(const core::Upi&)>& fn) const;
 
+  std::unique_ptr<core::FracturedUpi> owned_;
   const core::FracturedUpi* table_;
+  maintenance::MaintenanceManager* manager_ = nullptr;
 };
 
 /// Adapter over the unclustered baseline: PTQ / top-k route through the PII
@@ -280,6 +308,12 @@ class FracturedAccessPath : public AccessPath {
 /// in the catalog).
 class UnclusteredAccessPath : public AccessPath {
  public:
+  UnclusteredAccessPath(std::unique_ptr<baseline::UnclusteredTable> table,
+                        int primary_column)
+      : owned_(std::move(table)),
+        table_(owned_.get()),
+        primary_column_(primary_column) {}
+  /// A read-only view.
   UnclusteredAccessPath(baseline::UnclusteredTable* table, int primary_column)
       : table_(table), primary_column_(primary_column) {}
 
@@ -289,6 +323,8 @@ class UnclusteredAccessPath : public AccessPath {
   const std::string& name() const override { return name_; }
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
+  Status Insert(const catalog::Tuple& tuple) override;
+  Status Delete(const catalog::Tuple& tuple) override;
 
   /// Reads the inverted list at open; each tuple's random heap fetch
   /// happens only when the consumer pulls its row.
@@ -314,11 +350,10 @@ class UnclusteredAccessPath : public AccessPath {
                                   double qt) const override;
   double EstimateTopKThreshold(std::string_view value, size_t k) const override;
 
-  baseline::UnclusteredTable* table() const { return table_; }
-
  private:
   double CountMatches(int column, std::string_view value, double qt) const;
 
+  std::unique_ptr<baseline::UnclusteredTable> owned_;
   baseline::UnclusteredTable* table_;
   int primary_column_;
   std::string name_ = "unclustered";

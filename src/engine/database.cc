@@ -155,12 +155,12 @@ Result<std::string> Table::ExplainAnalyze(const Query& q) const {
 
 Status Table::Insert(const catalog::Tuple& tuple) {
   wal::WalWriter* w = db_->wal();
-  if (w == nullptr) return ApplyInsert(tuple);
+  if (w == nullptr) return path_->Insert(tuple);
   // Gate held shared across append + apply: the checkpoint's exclusive hold
   // is an atomic cut (never applied-but-unlogged or logged-but-unapplied).
   std::shared_lock<sync::SharedMutex> gate(w->gate());
   wal::Lsn lsn = w->Append(wal::EncodeInsert(name_, tuple));
-  Status s = ApplyInsert(tuple);
+  Status s = path_->Insert(tuple);
   gate.unlock();
   w->Commit(lsn);  // may park on the group-commit condvar — no locks held
   db_->MaybeScheduleCheckpoint();
@@ -169,49 +169,24 @@ Status Table::Insert(const catalog::Tuple& tuple) {
 
 Status Table::Delete(const catalog::Tuple& tuple) {
   wal::WalWriter* w = db_->wal();
-  if (w == nullptr) return ApplyDelete(tuple);
+  if (w == nullptr) return path_->Delete(tuple);
   std::shared_lock<sync::SharedMutex> gate(w->gate());
   wal::Lsn lsn = w->Append(wal::EncodeDelete(name_, tuple));
-  Status s = ApplyDelete(tuple);
+  Status s = path_->Delete(tuple);
   gate.unlock();
   w->Commit(lsn);
   db_->MaybeScheduleCheckpoint();
   return s;
 }
 
-Status Table::ApplyInsert(const catalog::Tuple& tuple) {
-  switch (kind_) {
-    case Kind::kUpi:
-      return upi_->Insert(tuple);
-    case Kind::kFractured: {
-      UPI_RETURN_NOT_OK(fractured_->Insert(tuple));
-      db_->maintenance()->NotifyWrite(fractured_.get());
-      return Status::OK();
-    }
-    case Kind::kUnclustered:
-      return unclustered_->Insert(tuple);
-    case Kind::kPartitioned:
-      // Routed to the owning shard; the table notifies maintenance itself.
-      return partitioned_->Insert(tuple);
-  }
-  return Status::Internal("unknown table kind");
+core::Upi* Table::upi() const {
+  auto* path = dynamic_cast<UpiAccessPath*>(path_.get());
+  return path != nullptr ? path->upi() : nullptr;
 }
 
-Status Table::ApplyDelete(const catalog::Tuple& tuple) {
-  switch (kind_) {
-    case Kind::kUpi:
-      return upi_->Delete(tuple);
-    case Kind::kFractured: {
-      UPI_RETURN_NOT_OK(fractured_->Delete(tuple.id()));
-      db_->maintenance()->NotifyWrite(fractured_.get());
-      return Status::OK();
-    }
-    case Kind::kUnclustered:
-      return unclustered_->Delete(tuple.id());
-    case Kind::kPartitioned:
-      return partitioned_->Delete(tuple);
-  }
-  return Status::Internal("unknown table kind");
+core::FracturedUpi* Table::fractured() const {
+  auto* path = dynamic_cast<FracturedAccessPath*>(path_.get());
+  return path != nullptr ? path->fractured() : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -271,12 +246,8 @@ Database::Database(DatabaseOptions options)
 }
 
 Database::~Database() {
-  // Stop maintenance before any table goes away (the manager's destructor
-  // would do it too, but being explicit keeps the ordering obvious).
-  for (auto& [name, table] : tables_) {
-    if (table->fractured() != nullptr) manager_.Unregister(table->fractured());
-    if (table->partitioned() != nullptr) table->partitioned()->UnregisterShards();
-  }
+  // Stop maintenance before any table goes away: a synchronous queue's
+  // never-started tasks are dropped, a worker queue drains.
   manager_.Stop();
 }
 
@@ -292,137 +263,129 @@ GatherPool* Database::EnsureGatherPool() {
   return gather_pool_.get();
 }
 
-Result<Table*> Database::Install(std::unique_ptr<Table> table) {
-  auto [it, inserted] = tables_.emplace(table->name_, std::move(table));
-  if (!inserted) {
-    return Status::AlreadyExists("table '" + it->first + "' already exists");
+namespace {
+
+wal::TableSpec UpiSpec(wal::TableKind kind, catalog::Schema schema,
+                       core::UpiOptions options,
+                       std::vector<int> secondary_columns) {
+  wal::TableSpec spec;
+  spec.kind = kind;
+  spec.schema = std::move(schema);
+  spec.options = options;
+  spec.secondary_columns = std::move(secondary_columns);
+  return spec;
+}
+
+}  // namespace
+
+Result<Table*> Database::CreateTable(
+    const std::string& name, wal::TableSpec spec,
+    const std::vector<catalog::Tuple>& tuples) {
+  if (tables_.contains(name)) {
+    return Status::AlreadyExists("table '" + name + "' already exists");
   }
-  return it->second.get();
+  std::unique_ptr<AccessPath> path;
+  switch (spec.kind) {
+    case wal::TableKind::kUpi: {
+      UPI_ASSIGN_OR_RETURN(
+          std::unique_ptr<core::Upi> upi,
+          core::Upi::Build(&env_, name, spec.schema, spec.options,
+                           spec.secondary_columns, tuples));
+      path = std::make_unique<UpiAccessPath>(std::move(upi));
+      break;
+    }
+    case wal::TableKind::kFractured: {
+      auto fractured = std::make_unique<core::FracturedUpi>(
+          &env_, name, spec.schema, spec.options, spec.secondary_columns);
+      if (!tuples.empty()) UPI_RETURN_NOT_OK(fractured->BuildMain(tuples));
+      path = std::make_unique<FracturedAccessPath>(std::move(fractured),
+                                                   &manager_);
+      break;
+    }
+    case wal::TableKind::kUnclustered: {
+      UPI_ASSIGN_OR_RETURN(
+          std::unique_ptr<baseline::UnclusteredTable> heap,
+          baseline::UnclusteredTable::Build(&env_, name, spec.schema,
+                                            spec.pii_columns, tuples));
+      auto unclustered = std::make_unique<UnclusteredAccessPath>(
+          std::move(heap), spec.primary_column);
+      unclustered->BuildStatistics(tuples);
+      path = std::move(unclustered);
+      break;
+    }
+    case wal::TableKind::kPartitioned: {
+      UPI_ASSIGN_OR_RETURN(
+          path, PartitionedTable::Create(&env_, &manager_, EnsureGatherPool(),
+                                         name, spec.schema, spec.options,
+                                         spec.secondary_columns,
+                                         spec.partition, tuples));
+      break;
+    }
+  }
+  if (path == nullptr) return Status::InvalidArgument("unknown table kind");
+
+  auto owned = std::unique_ptr<Table>(new Table());
+  Table* table = owned.get();
+  table->name_ = name;
+  table->db_ = this;
+  table->spec_ = std::move(spec);
+  table->path_ = std::move(path);
+  table->planner_ = std::make_unique<QueryPlanner>(table->path_.get(), profile_,
+                                                   env_.metrics());
+  table->instruments_ = &instruments_;
+  tables_.emplace(name, std::move(owned));
+  if (core::FracturedUpi* fractured = table->fractured()) {
+    ManageFractured(fractured, name, /*shard=*/-1);
+  } else if (PartitionedTable* partitioned = table->partitioned()) {
+    for (size_t i = 0; i < partitioned->num_shards(); ++i) {
+      if (core::FracturedUpi* shard = partitioned->shard_fractured(i)) {
+        ManageFractured(shard, name, static_cast<int>(i));
+      }
+    }
+  }
+  LogCreate(table, tuples);
+  return table;
 }
 
 Result<Table*> Database::CreateUpiTable(
     const std::string& name, catalog::Schema schema, core::UpiOptions options,
     std::vector<int> secondary_columns,
     const std::vector<catalog::Tuple>& tuples) {
-  if (tables_.contains(name)) {
-    return Status::AlreadyExists("table '" + name + "' already exists");
-  }
-  auto table = std::unique_ptr<Table>(new Table());
-  table->name_ = name;
-  table->kind_ = Table::Kind::kUpi;
-  table->db_ = this;
-  table->spec_.kind = wal::TableKind::kUpi;
-  table->spec_.schema = schema;
-  table->spec_.options = options;
-  table->spec_.secondary_columns = secondary_columns;
-  UPI_ASSIGN_OR_RETURN(
-      table->upi_, core::Upi::Build(&env_, name, std::move(schema), options,
-                                    std::move(secondary_columns), tuples));
-  table->path_ = std::make_unique<UpiAccessPath>(table->upi_.get());
-  table->planner_ = std::make_unique<QueryPlanner>(table->path_.get(), profile_,
-                                                   env_.metrics());
-  table->instruments_ = &instruments_;
-  UPI_ASSIGN_OR_RETURN(Table * installed, Install(std::move(table)));
-  LogCreate(installed, tuples);
-  return installed;
+  return CreateTable(name,
+                     UpiSpec(wal::TableKind::kUpi, std::move(schema), options,
+                             std::move(secondary_columns)),
+                     tuples);
 }
 
 Result<Table*> Database::CreateFracturedTable(
     const std::string& name, catalog::Schema schema, core::UpiOptions options,
     std::vector<int> secondary_columns,
     const std::vector<catalog::Tuple>& tuples) {
-  if (tables_.contains(name)) {
-    return Status::AlreadyExists("table '" + name + "' already exists");
-  }
-  auto table = std::unique_ptr<Table>(new Table());
-  table->name_ = name;
-  table->kind_ = Table::Kind::kFractured;
-  table->db_ = this;
-  table->spec_.kind = wal::TableKind::kFractured;
-  table->spec_.schema = schema;
-  table->spec_.options = options;
-  table->spec_.secondary_columns = secondary_columns;
-  table->fractured_ = std::make_unique<core::FracturedUpi>(
-      &env_, name, std::move(schema), options, std::move(secondary_columns));
-  if (!tuples.empty()) {
-    UPI_RETURN_NOT_OK(table->fractured_->BuildMain(tuples));
-  }
-  table->path_ = std::make_unique<FracturedAccessPath>(table->fractured_.get());
-  table->planner_ = std::make_unique<QueryPlanner>(table->path_.get(), profile_,
-                                                   env_.metrics());
-  table->instruments_ = &instruments_;
-  InstallMaintenanceHook(table->fractured_.get(), name, /*shard=*/-1);
-  manager_.Register(table->fractured_.get());
-  UPI_ASSIGN_OR_RETURN(Table * installed, Install(std::move(table)));
-  LogCreate(installed, tuples);
-  return installed;
+  return CreateTable(name,
+                     UpiSpec(wal::TableKind::kFractured, std::move(schema),
+                             options, std::move(secondary_columns)),
+                     tuples);
 }
 
 Result<Table*> Database::CreatePartitionedTable(
     const std::string& name, catalog::Schema schema, core::UpiOptions options,
     std::vector<int> secondary_columns, PartitionOptions popts,
     const std::vector<catalog::Tuple>& tuples) {
-  if (tables_.contains(name)) {
-    return Status::AlreadyExists("table '" + name + "' already exists");
-  }
-  auto table = std::unique_ptr<Table>(new Table());
-  table->name_ = name;
-  table->kind_ = Table::Kind::kPartitioned;
-  table->db_ = this;
-  table->spec_.kind = wal::TableKind::kPartitioned;
-  table->spec_.schema = schema;
-  table->spec_.options = options;
-  table->spec_.secondary_columns = secondary_columns;
-  table->spec_.partition = popts;
-  UPI_ASSIGN_OR_RETURN(
-      std::unique_ptr<PartitionedTable> partitioned,
-      PartitionedTable::Create(&env_, &manager_, EnsureGatherPool(), name,
-                               std::move(schema), options,
-                               std::move(secondary_columns), popts, tuples));
-  table->partitioned_ = partitioned.get();
-  table->path_ = std::move(partitioned);
-  table->planner_ = std::make_unique<QueryPlanner>(table->path_.get(), profile_,
-                                                   env_.metrics());
-  table->instruments_ = &instruments_;
-  for (size_t i = 0; i < table->partitioned_->num_shards(); ++i) {
-    core::FracturedUpi* shard = table->partitioned_->shard_fractured(i);
-    if (shard != nullptr) {
-      InstallMaintenanceHook(shard, name, static_cast<int>(i));
-    }
-  }
-  UPI_ASSIGN_OR_RETURN(Table * installed, Install(std::move(table)));
-  LogCreate(installed, tuples);
-  return installed;
+  wal::TableSpec spec = UpiSpec(wal::TableKind::kPartitioned, std::move(schema),
+                                options, std::move(secondary_columns));
+  spec.partition = std::move(popts);
+  return CreateTable(name, std::move(spec), tuples);
 }
 
 Result<Table*> Database::CreateUnclusteredTable(
     const std::string& name, catalog::Schema schema, int primary_column,
     std::vector<int> pii_columns, const std::vector<catalog::Tuple>& tuples) {
-  if (tables_.contains(name)) {
-    return Status::AlreadyExists("table '" + name + "' already exists");
-  }
-  auto table = std::unique_ptr<Table>(new Table());
-  table->name_ = name;
-  table->kind_ = Table::Kind::kUnclustered;
-  table->db_ = this;
-  table->spec_.kind = wal::TableKind::kUnclustered;
-  table->spec_.schema = schema;
-  table->spec_.primary_column = primary_column;
-  table->spec_.pii_columns = pii_columns;
-  UPI_ASSIGN_OR_RETURN(table->unclustered_,
-                       baseline::UnclusteredTable::Build(
-                           &env_, name, std::move(schema),
-                           std::move(pii_columns), tuples));
-  auto path = std::make_unique<UnclusteredAccessPath>(table->unclustered_.get(),
-                                                      primary_column);
-  path->BuildStatistics(tuples);
-  table->path_ = std::move(path);
-  table->planner_ = std::make_unique<QueryPlanner>(table->path_.get(), profile_,
-                                                   env_.metrics());
-  table->instruments_ = &instruments_;
-  UPI_ASSIGN_OR_RETURN(Table * installed, Install(std::move(table)));
-  LogCreate(installed, tuples);
-  return installed;
+  wal::TableSpec spec;
+  spec.kind = wal::TableKind::kUnclustered;
+  spec.schema = std::move(schema);
+  spec.primary_column = primary_column;
+  spec.pii_columns = std::move(pii_columns);
+  return CreateTable(name, std::move(spec), tuples);
 }
 
 // ---------------------------------------------------------------------------
@@ -465,13 +428,14 @@ void Database::LogMaintenance(const std::string& table, int shard,
   MaybeScheduleCheckpoint();
 }
 
-void Database::InstallMaintenanceHook(core::FracturedUpi* frac,
-                                      const std::string& name, int shard) {
+void Database::ManageFractured(core::FracturedUpi* frac,
+                               const std::string& name, int shard) {
   frac->SetMaintenanceHook(
       [this, name, shard](core::FracturedUpi::MaintenanceEvent event,
                           size_t merge_count) {
         LogMaintenance(name, shard, event, merge_count);
       });
+  manager_.Register(frac);
 }
 
 Status Database::Checkpoint() {

@@ -7,7 +7,8 @@
 // with Run(), streamed through OpenCursor(), or planned-once via Prepare()
 // whose plan cache the table's stats epoch invalidates. Every execution
 // returns its explainable Plan. Maintenance is never scheduled by hand:
-// Fractured tables are auto-registered with the environment's
+// every Fractured UPI under a table (the table itself, or each fractured
+// partition shard) is auto-registered with the environment's
 // MaintenanceManager, and every Insert/Delete notifies it so the Section 6.2
 // watermarks drive flushes and merges.
 #pragma once
@@ -37,14 +38,11 @@ class Database;
 /// std::thread::hardware_concurrency (clamped to [4, 16]).
 inline constexpr size_t kGatherWorkersAuto = static_cast<size_t>(-1);
 
-/// A named table: one underlying physical design, its AccessPath view, and a
-/// QueryPlanner. Created and owned by a Database.
+/// A named table: the AccessPath that owns its physical design, the WAL spec
+/// that re-creates it, and a QueryPlanner. Created and owned by a Database.
 class Table {
  public:
-  enum class Kind { kUpi, kFractured, kUnclustered, kPartitioned };
-
   const std::string& name() const { return name_; }
-  Kind kind() const { return kind_; }
   AccessPath* path() const { return path_.get(); }
   const QueryPlanner& planner() const { return *planner_; }
 
@@ -107,40 +105,31 @@ class Table {
   /// actual totals.
   Result<std::string> ExplainAnalyze(const Query& q) const;
 
-  // --- Writes. Fractured tables notify the maintenance manager, which
-  // flushes/merges per its cost-model policy. When the database has a WAL,
-  // the write is journaled first (holding the checkpoint gate shared across
-  // append + apply) and made durable per the configured WalMode before
-  // returning.
+  // --- Writes: the path's Insert/Delete (fractured designs notify the
+  // maintenance manager, which flushes/merges per its cost-model policy).
+  // When the database has a WAL, the write is journaled first (holding the
+  // checkpoint gate shared across append + apply) and made durable per the
+  // configured WalMode before returning.
   Status Insert(const catalog::Tuple& tuple);
   Status Delete(const catalog::Tuple& tuple);
 
   // --- Escape hatches to the concrete design (nullptr when not that kind).
-  core::Upi* upi() const { return upi_.get(); }
-  core::FracturedUpi* fractured() const { return fractured_.get(); }
-  baseline::UnclusteredTable* unclustered() const { return unclustered_.get(); }
-  PartitionedTable* partitioned() const { return partitioned_; }
+  core::Upi* upi() const;
+  core::FracturedUpi* fractured() const;
+  PartitionedTable* partitioned() const {
+    return dynamic_cast<PartitionedTable*>(path_.get());
+  }
 
  private:
   friend class Database;
   Table() = default;
 
-  /// The in-memory mutation, sans WAL (also the recovery replay path).
-  Status ApplyInsert(const catalog::Tuple& tuple);
-  Status ApplyDelete(const catalog::Tuple& tuple);
-
   std::string name_;
-  Kind kind_ = Kind::kUpi;
   Database* db_ = nullptr;
   /// Everything needed to journal this table's creation (and checkpoint
   /// snapshots of it) as a WAL kCreateTable record.
   wal::TableSpec spec_;
   const ExecInstruments* instruments_ = nullptr;  // owned by the Database
-  std::unique_ptr<core::Upi> upi_;
-  std::unique_ptr<core::FracturedUpi> fractured_;
-  std::unique_ptr<baseline::UnclusteredTable> unclustered_;
-  /// A partitioned table is its own AccessPath: path_ owns it.
-  PartitionedTable* partitioned_ = nullptr;
   std::unique_ptr<AccessPath> path_;
   std::unique_ptr<QueryPlanner> planner_;
 };
@@ -199,14 +188,22 @@ class Database {
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
 
+  /// Creates the table `spec` describes, bulk-building it from `tuples`, and
+  /// journals the creation. Every Fractured UPI under it (the table itself,
+  /// or each fractured shard) is registered with the maintenance manager and
+  /// journals its flushes and merges. WAL recovery replays a create record
+  /// through this call; the Create*Table helpers below build the spec.
+  Result<Table*> CreateTable(const std::string& name, wal::TableSpec spec,
+                             const std::vector<catalog::Tuple>& tuples);
+
   /// Bulk-builds a clustered UPI table.
   Result<Table*> CreateUpiTable(const std::string& name, catalog::Schema schema,
                                 core::UpiOptions options,
                                 std::vector<int> secondary_columns,
                                 const std::vector<catalog::Tuple>& tuples);
 
-  /// Creates a Fractured UPI table (bulk-building the main fracture from
-  /// `tuples` when non-empty) and registers it with the maintenance manager.
+  /// Creates a Fractured UPI table, bulk-building the main fracture from
+  /// `tuples` when non-empty.
   Result<Table*> CreateFracturedTable(const std::string& name,
                                       catalog::Schema schema,
                                       core::UpiOptions options,
@@ -290,8 +287,6 @@ class Database {
   const sim::DeviceProfile& profile() const { return profile_; }
 
  private:
-  friend class Table;
-  Result<Table*> Install(std::unique_ptr<Table> table);
   /// Spawns the shared gather pool on first use (per options_.gather_workers).
   GatherPool* EnsureGatherPool();
   /// Journals a table's creation (no-op while wal_ is unarmed).
@@ -302,9 +297,10 @@ class Database {
   void LogMaintenance(const std::string& table, int shard,
                       core::FracturedUpi::MaintenanceEvent event,
                       size_t merge_count);
-  /// Hooks `frac` (owned by table `name`, shard `shard`) into LogMaintenance.
-  void InstallMaintenanceHook(core::FracturedUpi* frac, const std::string& name,
-                              int shard);
+  /// Registers `frac` (owned by table `name`, shard `shard`) with the
+  /// maintenance manager and hooks it into LogMaintenance.
+  void ManageFractured(core::FracturedUpi* frac, const std::string& name,
+                       int shard);
 
   DatabaseOptions options_;
   sim::DeviceProfile profile_;
@@ -318,9 +314,8 @@ class Database {
   wal::RecoveryStats recovery_stats_;
   std::string wal_path_;
   // The gather pool is declared before the tables so in-flight shard probes
-  // can never outlive it... and the tables before the manager so the manager
-  // (whose destructor stops workers and waits for in-flight tasks) is
-  // destroyed first.
+  // can never outlive it... and the tables before the manager, which the
+  // destructor stops before any table goes away.
   std::unique_ptr<GatherPool> gather_pool_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
   maintenance::MaintenanceManager manager_;

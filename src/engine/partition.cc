@@ -275,7 +275,6 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
 
   auto table = std::unique_ptr<PartitionedTable>(new PartitionedTable());
   table->env_ = env;
-  table->manager_ = manager;
   table->pool_ = pool;
   table->name_ = std::move(name);
   table->schema_ = schema;
@@ -292,9 +291,6 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
   table->m_shards_pruned_ =
       metrics->counter("upi_partition_shards_pruned_total");
   table->m_rows_routed_ = metrics->counter("upi_partition_rows_routed_total");
-  // Set before any shard registers, so a mid-build failure still unregisters
-  // the shards that made it in.
-  table->registered_ = manager != nullptr && popts.fractured;
 
   // Route the bulk data.
   const size_t n = table->partitioner_.num_shards();
@@ -308,19 +304,19 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
     std::string shard_name = table->name_ + ".s" + std::to_string(i);
     auto shard = std::make_unique<Shard>();
     if (popts.fractured) {
-      shard->fractured = std::make_unique<core::FracturedUpi>(
+      auto fractured = std::make_unique<core::FracturedUpi>(
           env, shard_name, schema, options, secondary_columns);
       if (!parts[i].empty()) {
-        UPI_RETURN_NOT_OK(shard->fractured->BuildMain(parts[i]));
+        UPI_RETURN_NOT_OK(fractured->BuildMain(parts[i]));
       }
       shard->path =
-          std::make_unique<FracturedAccessPath>(shard->fractured.get());
-      if (manager != nullptr) manager->Register(shard->fractured.get());
+          std::make_unique<FracturedAccessPath>(std::move(fractured), manager);
     } else {
       UPI_ASSIGN_OR_RETURN(
-          shard->upi, core::Upi::Build(env, shard_name, schema, options,
-                                       secondary_columns, parts[i]));
-      shard->path = std::make_unique<UpiAccessPath>(shard->upi.get());
+          std::unique_ptr<core::Upi> upi,
+          core::Upi::Build(env, shard_name, schema, options, secondary_columns,
+                           parts[i]));
+      shard->path = std::make_unique<UpiAccessPath>(std::move(upi));
     }
     for (const catalog::Tuple& t : parts[i]) {
       shard->summary.AddTuple(t, table->summary_columns_);
@@ -330,14 +326,9 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
   return table;
 }
 
-PartitionedTable::~PartitionedTable() { UnregisterShards(); }
-
-void PartitionedTable::UnregisterShards() {
-  if (!registered_ || manager_ == nullptr) return;
-  registered_ = false;
-  for (auto& shard : shards_) {
-    if (shard->fractured != nullptr) manager_->Unregister(shard->fractured.get());
-  }
+core::FracturedUpi* PartitionedTable::shard_fractured(size_t i) const {
+  auto* path = dynamic_cast<FracturedAccessPath*>(shards_[i]->path.get());
+  return path != nullptr ? path->fractured() : nullptr;
 }
 
 Result<std::string_view> PartitionedTable::RoutingKeyOf(
@@ -371,12 +362,7 @@ Status PartitionedTable::Insert(const catalog::Tuple& tuple) {
                             std::to_string(shards_.size()));
   }
   Shard& shard = *shards_[idx];
-  if (shard.fractured != nullptr) {
-    UPI_RETURN_NOT_OK(shard.fractured->Insert(tuple));
-    if (manager_ != nullptr) manager_->NotifyWrite(shard.fractured.get());
-  } else {
-    UPI_RETURN_NOT_OK(shard.upi->Insert(tuple));
-  }
+  UPI_RETURN_NOT_OK(shard.path->Insert(tuple));
   shard.summary.AddTuple(tuple, summary_columns_);
   if (m_rows_routed_ != nullptr) m_rows_routed_->Add();
   return Status::OK();
@@ -389,15 +375,9 @@ Status PartitionedTable::Delete(const catalog::Tuple& tuple) {
                             " but table has " +
                             std::to_string(shards_.size()));
   }
-  Shard& shard = *shards_[idx];
-  if (shard.fractured != nullptr) {
-    UPI_RETURN_NOT_OK(shard.fractured->Delete(tuple.id()));
-    if (manager_ != nullptr) manager_->NotifyWrite(shard.fractured.get());
-    return Status::OK();
-  }
-  return shard.upi->Delete(tuple);
   // Summaries never shrink on delete — conservative, like fracture
   // summaries: a stale fence costs one extra probe, never a lost row.
+  return shards_[idx]->path->Delete(tuple);
 }
 
 bool PartitionedTable::Admissible(size_t i, int column, std::string_view value,

@@ -1,12 +1,13 @@
 // Horizontally partitioned tables: scatter-gather over independent UPIs.
 //
-// A PartitionedTable splits one logical table into N shards — each a full
-// `Upi` or `FracturedUpi` with its own heap, cutoff index, secondary indexes,
-// and (for fractured shards) its own MaintenanceManager registration — by
-// hash or key-range on the clustered attribute's *highest-probability*
-// alternative. Writes route to the owning shard, so the single-index ceiling
-// (one latch, one maintenance domain, one flush blocking every reader) turns
-// into N independent domains that flush and merge in parallel.
+// A PartitionedTable splits one logical table into N shards — each an
+// AccessPath owning a full `Upi` or `FracturedUpi` with its own heap, cutoff
+// index, secondary indexes, and (for fractured shards) its own
+// MaintenanceManager registration — by hash or key-range on the clustered
+// attribute's *highest-probability* alternative. Writes route to the owning
+// shard's path, so the single-index ceiling (one latch, one maintenance
+// domain, one flush blocking every reader) turns into N independent domains
+// that flush and merge in parallel.
 //
 // Reads generalize PR 5's fracture pruning to shard granularity: the router
 // keeps an incremental per-shard summary (zone map + Bloom fence + max
@@ -188,9 +189,10 @@ class GatherPool {
 class PartitionedTable : public AccessPath {
  public:
   /// Bulk-builds N shards named `name.s<i>` from `tuples` (routed by the
-  /// clustered attribute's highest-probability alternative). Fractured
-  /// shards register with `manager` (may be null: no background
-  /// maintenance). `pool` may be null: shard probes run serially on the
+  /// clustered attribute's highest-probability alternative). Writes to a
+  /// fractured shard notify `manager` (may be null: no background
+  /// maintenance); the table's owner registers the shards with it (see
+  /// shard_fractured). `pool` may be null: shard probes run serially on the
   /// calling thread.
   static Result<std::unique_ptr<PartitionedTable>> Create(
       storage::DbEnv* env, maintenance::MaintenanceManager* manager,
@@ -198,15 +200,13 @@ class PartitionedTable : public AccessPath {
       core::UpiOptions options, std::vector<int> secondary_columns,
       PartitionOptions popts, const std::vector<catalog::Tuple>& tuples);
 
-  ~PartitionedTable() override;
-
   PartitionedTable(const PartitionedTable&) = delete;
   PartitionedTable& operator=(const PartitionedTable&) = delete;
 
   // --- Writes (routed) ------------------------------------------------------
 
-  Status Insert(const catalog::Tuple& tuple);
-  Status Delete(const catalog::Tuple& tuple);
+  Status Insert(const catalog::Tuple& tuple) override;
+  Status Delete(const catalog::Tuple& tuple) override;
 
   /// Rejects a client-held router that disagrees with this table's layout
   /// (see Partitioner::CheckCompatible) — the guard against re-routing after
@@ -261,9 +261,8 @@ class PartitionedTable : public AccessPath {
   const PartitionOptions& partition_options() const { return popts_; }
   size_t num_shards() const { return shards_.size(); }
   AccessPath* shard_path(size_t i) const { return shards_[i]->path.get(); }
-  core::FracturedUpi* shard_fractured(size_t i) const {
-    return shards_[i]->fractured.get();
-  }
+  /// Shard i's Fractured UPI; nullptr for a plain-UPI shard.
+  core::FracturedUpi* shard_fractured(size_t i) const;
   const ShardSummary& shard_summary(size_t i) const {
     return shards_[i]->summary;
   }
@@ -275,15 +274,9 @@ class PartitionedTable : public AccessPath {
     return shards_pruned_total_.load(std::memory_order_relaxed);
   }
 
-  /// Unregisters fractured shards from the maintenance manager (idempotent).
-  /// Database calls this in its destructor before stopping the manager.
-  void UnregisterShards();
-
  private:
   struct Shard {
-    std::unique_ptr<core::Upi> upi;                 // plain design
-    std::unique_ptr<core::FracturedUpi> fractured;  // fractured design
-    std::unique_ptr<AccessPath> path;
+    std::unique_ptr<AccessPath> path;  // owns the shard's UPI
     ShardSummary summary;
   };
 
@@ -326,8 +319,7 @@ class PartitionedTable : public AccessPath {
   void ForEachShardPath(const std::function<void(const AccessPath&)>& fn) const;
 
   storage::DbEnv* env_ = nullptr;
-  maintenance::MaintenanceManager* manager_ = nullptr;  // null = none
-  GatherPool* pool_ = nullptr;                          // null = serial
+  GatherPool* pool_ = nullptr;  // null = serial
   std::string name_;
   catalog::Schema schema_;
   core::UpiOptions options_;
@@ -335,7 +327,6 @@ class PartitionedTable : public AccessPath {
   PartitionOptions popts_;
   Partitioner partitioner_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  bool registered_ = false;
 
   mutable std::atomic<uint64_t> shards_probed_total_{0};
   mutable std::atomic<uint64_t> shards_pruned_total_{0};

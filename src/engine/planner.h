@@ -102,23 +102,18 @@ struct Plan {
 
 class QueryPlanner {
  public:
-  /// `path` must outlive the planner. `params` are the device constants the
-  /// predictions are denominated in (defaults to the paper's Table 6, i.e.
-  /// the spinning-disk profile — bit-identical to the pre-profile planner).
+  /// `path` must outlive the planner. Predictions are denominated in
+  /// `profile`'s cost constants (default: the paper's Table 6 spinning disk),
+  /// and scatter-gather overlap is additionally capped by the device's
+  /// internal queue depth (see GatherSpeedup). The same query on the same
+  /// table can — and on realistic stats does — pick a different winning plan
+  /// per profile; nothing here special-cases flash beyond the constants.
   /// `metrics`, when non-null, receives `upi_planner_plans_total` (one per
   /// planning decision) and must outlive the planner.
-  explicit QueryPlanner(const AccessPath* path,
-                        sim::CostParams params = sim::CostParams{},
-                        obs::MetricsRegistry* metrics = nullptr)
-      : QueryPlanner(path, sim::DeviceProfile::SpinningDisk(params), metrics) {}
-
-  /// Device-profile shape: predictions are denominated in the profile's cost
-  /// constants, and scatter-gather overlap is additionally capped by the
-  /// device's internal queue depth (see GatherSpeedup). The same query on the
-  /// same table can — and on realistic stats does — pick a different winning
-  /// plan per profile; nothing here special-cases flash beyond the constants.
-  QueryPlanner(const AccessPath* path, sim::DeviceProfile profile,
-               obs::MetricsRegistry* metrics = nullptr)
+  explicit QueryPlanner(
+      const AccessPath* path,
+      sim::DeviceProfile profile = sim::DeviceProfile::SpinningDisk(),
+      obs::MetricsRegistry* metrics = nullptr)
       : path_(path),
         profile_(profile),
         params_(profile.cost),

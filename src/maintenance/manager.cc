@@ -30,15 +30,6 @@ void MaintenanceManager::Register(core::FracturedUpi* table) {
   tables_.try_emplace(table);
 }
 
-void MaintenanceManager::Unregister(core::FracturedUpi* table) {
-  std::unique_lock<sync::Mutex> lock(mu_);
-  idle_cv_.wait(lock, [&] {
-    auto it = tables_.find(table);
-    return it == tables_.end() || !it->second.active;
-  });
-  tables_.erase(table);
-}
-
 bool MaintenanceManager::TryEnqueue(core::FracturedUpi* table, TaskKind kind,
                                     size_t merge_count, bool force) {
   {
@@ -264,7 +255,7 @@ void MaintenanceManager::Stop() {
   for (std::thread& w : workers_) w.join();
   workers_.clear();
   // Synchronous mode: anything still queued was never started; release the
-  // slots so WaitIdle()/Unregister() can't hang.
+  // slots so WaitIdle() can't hang.
   MaintenanceTask task;
   size_t dropped = 0;
   while (queue_.TryPop(&task)) {

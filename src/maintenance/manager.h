@@ -69,11 +69,9 @@ class MaintenanceManager {
   MaintenanceManager& operator=(const MaintenanceManager&) = delete;
 
   /// Puts `table` under management. The caller keeps ownership; the table
-  /// must outlive the manager or be Unregister()ed first.
+  /// must outlive Stop() (Database stops its manager before any table goes
+  /// away).
   void Register(core::FracturedUpi* table);
-
-  /// Waits for the table's in-flight task (if any), then forgets the table.
-  void Unregister(core::FracturedUpi* table);
 
   /// The write hook: call after Insert/Delete. Checks the flush watermarks
   /// and enqueues a flush when due (deduplicated: a table with a task

@@ -32,7 +32,6 @@
 // flash the fracture tax (Costinit + H * Tseek per probed fracture) is two
 // orders of magnitude smaller, so the same thresholds fire far later — merges
 // defer and write amplification is avoided without any flash-specific rule.
-// The CostParams ctor remains and prices identically to the spinning profile.
 #pragma once
 
 #include <string>
@@ -95,10 +94,6 @@ struct Decision {
 
 class MergePolicy {
  public:
-  /// Spinning-disk compatibility shape; prices exactly as before profiles.
-  MergePolicy(MergePolicyOptions options, sim::CostParams params)
-      : MergePolicy(options, sim::DeviceProfile::SpinningDisk(params)) {}
-
   MergePolicy(MergePolicyOptions options, sim::DeviceProfile profile)
       : options_(options), profile_(profile) {}
 

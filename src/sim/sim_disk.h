@@ -87,12 +87,8 @@ class SimDisk {
   /// absorbs everything deeper).
   static constexpr size_t kQueueDepthBuckets = 16;
 
-  /// Legacy shape: a spinning disk with these Table 6 constants —
-  /// bit-identical to the pre-profile SimDisk.
-  explicit SimDisk(CostParams params = CostParams{})
-      : profile_(DeviceProfile::SpinningDisk(params)) {}
-
-  explicit SimDisk(DeviceProfile profile) : profile_(profile) {}
+  explicit SimDisk(DeviceProfile profile = DeviceProfile::SpinningDisk())
+      : profile_(profile) {}
 
   /// Reserves `bytes` of address space at the current end of the device and
   /// returns the starting address. Allocation itself costs nothing; writes do.

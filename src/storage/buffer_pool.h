@@ -8,12 +8,13 @@
 //
 // Concurrency design (the serving-path requirements, in order of importance):
 //
-//  * Sharding. (file, page) hashes to one of N independent shards, each with
-//    its own mutex, LRU lists, and hit/miss counters, so concurrent clients
-//    probing different pages never touch the same lock. Capacity is accounted
-//    globally (one atomic), victims are taken from the miss's own shard; a
-//    shard with nothing evictable admits its page anyway, so the pool can
-//    exceed capacity by at most one page per shard (exact with one shard).
+//  * Sharding. (file creation ordinal, page) hashes to one of N independent
+//    shards, each with its own mutex, LRU lists, and hit/miss counters, so
+//    concurrent clients probing different pages never touch the same lock.
+//    Capacity is accounted globally (one atomic), victims are taken from the
+//    miss's own shard; a shard with nothing evictable admits its page anyway,
+//    so the pool can exceed capacity by at most one page per shard (exact
+//    with one shard).
 //
 //  * I/O outside the latch. A miss installs a *loading* frame, releases the
 //    shard latch, performs the eviction write-backs and the PageFile::Read,

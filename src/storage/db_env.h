@@ -27,19 +27,15 @@ class DbEnv {
   /// `pool_bytes` defaults to 32 MiB — deliberately smaller than the bench
   /// datasets so that maintenance workloads show the eviction-driven random
   /// writes the paper measures (Table 7), while single queries still keep
-  /// their working set resident as on the paper's machine. `pool_shards`
-  /// controls buffer-pool latch sharding (1 = a single classic pool).
-  explicit DbEnv(uint64_t pool_bytes = 32ull << 20,
-                 sim::CostParams params = sim::CostParams{},
-                 size_t pool_shards = BufferPool::kDefaultShards)
-      : DbEnv(pool_bytes, sim::DeviceProfile::SpinningDisk(params),
-              pool_shards) {}
-
-  /// Device-profile shape: the environment's disk impersonates `profile`
-  /// (sim/device_profile.h); planner and merge policy built on this
-  /// environment price against the same profile via profile().
-  DbEnv(uint64_t pool_bytes, sim::DeviceProfile profile,
-        size_t pool_shards = BufferPool::kDefaultShards)
+  /// their working set resident as on the paper's machine. The disk
+  /// impersonates `profile` (sim/device_profile.h; default: the paper's
+  /// spinning disk); planner and merge policy built on this environment price
+  /// against the same profile via profile(). `pool_shards` controls
+  /// buffer-pool latch sharding (1 = a single classic pool).
+  explicit DbEnv(
+      uint64_t pool_bytes = 32ull << 20,
+      sim::DeviceProfile profile = sim::DeviceProfile::SpinningDisk(),
+      size_t pool_shards = BufferPool::kDefaultShards)
       : disk_(profile), pool_(pool_bytes, pool_shards) {
     // Export the counters disk and pool already maintain for themselves as
     // snapshot-time hooks — zero hot-path cost, no double accounting. The

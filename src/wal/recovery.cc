@@ -8,35 +8,6 @@ namespace upi::wal {
 
 namespace {
 
-Status ApplyCreate(engine::Database* db, const WalRecord& rec) {
-  switch (rec.spec.kind) {
-    case TableKind::kUpi:
-      return db
-          ->CreateUpiTable(rec.table, rec.spec.schema, rec.spec.options,
-                           rec.spec.secondary_columns, rec.tuples)
-          .status();
-    case TableKind::kFractured:
-      return db
-          ->CreateFracturedTable(rec.table, rec.spec.schema, rec.spec.options,
-                                 rec.spec.secondary_columns, rec.tuples)
-          .status();
-    case TableKind::kUnclustered:
-      return db
-          ->CreateUnclusteredTable(rec.table, rec.spec.schema,
-                                   rec.spec.primary_column,
-                                   rec.spec.pii_columns, rec.tuples)
-          .status();
-    case TableKind::kPartitioned:
-      return db
-          ->CreatePartitionedTable(rec.table, rec.spec.schema,
-                                   rec.spec.options,
-                                   rec.spec.secondary_columns,
-                                   rec.spec.partition, rec.tuples)
-          .status();
-  }
-  return Status::Corruption("wal: unknown table kind in create record");
-}
-
 Status ApplyMaintenance(engine::Database* db, const WalRecord& rec) {
   engine::Table* table = db->GetTable(rec.table);
   if (table == nullptr) {
@@ -73,7 +44,7 @@ Status ApplyRecord(engine::Database* db, const WalRecord& rec,
   switch (rec.type) {
     case RecordType::kCreateTable:
       ++stats->creates;
-      return ApplyCreate(db, rec);
+      return db->CreateTable(rec.table, rec.spec, rec.tuples).status();
     case RecordType::kInsert: {
       ++stats->inserts;
       engine::Table* table = db->GetTable(rec.table);

@@ -71,7 +71,9 @@ enum class MaintenanceOp : uint8_t {
   kMergePartial = 2,
 };
 
-/// Mirrors engine::Table::Kind, pinned to stable wire values.
+/// The table design a create record re-creates, pinned to stable wire
+/// values. Outside this codec, engine::Database::CreateTable holds the one
+/// switch over it.
 enum class TableKind : uint8_t {
   kUpi = 0,
   kFractured = 1,
@@ -79,10 +81,9 @@ enum class TableKind : uint8_t {
   kPartitioned = 3,
 };
 
-/// Everything needed to re-create a table: the arguments its
-/// Database::Create*Table call took, minus the tuples. Each engine::Table
-/// retains its spec so checkpoints can snapshot live rows into a fresh
-/// CreateTable record.
+/// Everything needed to re-create a table: Database::CreateTable's argument,
+/// beside the name and tuples. Each engine::Table retains its spec so
+/// checkpoints can snapshot live rows into a fresh CreateTable record.
 struct TableSpec {
   TableKind kind = TableKind::kUpi;
   catalog::Schema schema;

@@ -31,15 +31,19 @@ TableStats MakeStats(uint64_t bytes = 100 * kMB, uint32_t h = 4,
   return s;
 }
 
+CostModel Spinning(TableStats stats) {
+  return CostModel(sim::DeviceProfile::SpinningDisk(), stats);
+}
+
 TEST(CostModelTest, CostScanMatchesTable6) {
-  CostModel m(sim::CostParams{}, MakeStats(10ull * 1024 * kMB));
+  CostModel m = Spinning(MakeStats(10ull * 1024 * kMB));
   // Paper Table 6: Costscan = Tread * Stable = 20 ms/MB * 10 GB.
   EXPECT_NEAR(m.CostScanMs(), 20.0 * 10.0 * 1024.0, 1e-6);
 }
 
 TEST(CostModelTest, FracturedFormula) {
   // Costfrac = Costscan*sel + Nfrac*(Costinit + H*Tseek).
-  CostModel m(sim::CostParams{}, MakeStats(100 * kMB, 4, 10));
+  CostModel m = Spinning(MakeStats(100 * kMB, 4, 10));
   double expected = 2000.0 * 0.5 + 10.0 * (100.0 + 4 * 10.0);
   EXPECT_NEAR(m.FracturedQueryMs(0.5), expected, 1e-6);
 }
@@ -47,33 +51,33 @@ TEST(CostModelTest, FracturedFormula) {
 TEST(CostModelTest, FracturedCostLinearInNfrac) {
   double prev = 0;
   for (uint32_t n : {1u, 5u, 10u, 20u}) {
-    CostModel m(sim::CostParams{}, MakeStats(100 * kMB, 4, n));
+    CostModel m = Spinning(MakeStats(100 * kMB, 4, n));
     double cost = m.FracturedQueryMs(0.01);
     EXPECT_GT(cost, prev);
     prev = cost;
   }
-  CostModel m1(sim::CostParams{}, MakeStats(100 * kMB, 4, 1));
-  CostModel m11(sim::CostParams{}, MakeStats(100 * kMB, 4, 11));
+  CostModel m1 = Spinning(MakeStats(100 * kMB, 4, 1));
+  CostModel m11 = Spinning(MakeStats(100 * kMB, 4, 11));
   // Ten extra fractures cost exactly 10 * (Costinit + H*Tseek).
   EXPECT_NEAR(m11.FracturedQueryMs(0.2) - m1.FracturedQueryMs(0.2),
               10 * (100.0 + 40.0), 1e-6);
 }
 
 TEST(CostModelTest, MergeCostIsReadPlusWrite) {
-  CostModel m(sim::CostParams{}, MakeStats(100 * kMB));
+  CostModel m = Spinning(MakeStats(100 * kMB));
   EXPECT_NEAR(m.MergeMs(), 100.0 * (20.0 + 50.0), 1e-6);
 }
 
 TEST(CostModelTest, CeilingIsCostScan) {
   // Section 6.3: a saturated sorted sweep degenerates to a full table scan.
-  CostModel m(sim::CostParams{}, MakeStats());
+  CostModel m = Spinning(MakeStats());
   EXPECT_DOUBLE_EQ(m.SaturationCeilingMs(), m.CostScanMs());
 }
 
 TEST(CostModelTest, DeviceCalibratedSlope) {
   // f'(0) = ceiling * k / 2 must equal one isolated pointer dereference.
   sim::CostParams p;
-  CostModel m(p, MakeStats());
+  CostModel m(sim::DeviceProfile::SpinningDisk(p), MakeStats());
   double per_pointer = p.min_seek_ms + p.ReadMs(8192);
   EXPECT_NEAR(m.SaturationCeilingMs() * m.SigmoidK() / 2.0, per_pointer, 1e-9);
   // Small pointer counts cost about per_pointer each.
@@ -83,7 +87,7 @@ TEST(CostModelTest, DeviceCalibratedSlope) {
 
 TEST(CostModelTest, PaperHeuristicCalibration) {
   // The paper's rule: f(0.05 * Nleaf) = 0.99 * ceiling.
-  CostModel m(sim::CostParams{}, MakeStats());
+  CostModel m = Spinning(MakeStats());
   double x0 = 0.05 * m.stats().num_leaf_pages;
   double k = m.PaperHeuristicK();
   double e = std::exp(-k * x0);
@@ -93,7 +97,7 @@ TEST(CostModelTest, PaperHeuristicCalibration) {
 }
 
 TEST(CostModelTest, SigmoidShape) {
-  CostModel m(sim::CostParams{}, MakeStats());
+  CostModel m = Spinning(MakeStats());
   EXPECT_DOUBLE_EQ(m.PointerFollowMs(0), 0.0);
   // Monotone nondecreasing, bounded by the ceiling.
   double prev = 0;
@@ -109,7 +113,7 @@ TEST(CostModelTest, SigmoidShape) {
 }
 
 TEST(CostModelTest, CutoffFormulaAddsTwoLookups) {
-  CostModel m(sim::CostParams{}, MakeStats(100 * kMB, 4, 1));
+  CostModel m = Spinning(MakeStats(100 * kMB, 4, 1));
   double base = m.CostScanMs() * 0.1;
   double expect = base + 2 * (100.0 + 40.0) + m.PointerFollowMs(500);
   EXPECT_NEAR(m.CutoffQueryMs(0.1, 500), expect, 1e-6);
@@ -135,18 +139,6 @@ TEST(CostModelTest, StatsOfRealUpi) {
 
 // ------------------------- Device-profile pricing ---------------------------
 
-TEST(DeviceProfileCostTest, SpinningProfileIsBitIdenticalToParams) {
-  TableStats s = MakeStats(100 * kMB, 4, 10);
-  CostModel legacy{sim::CostParams{}, s};
-  CostModel spinning{sim::DeviceProfile::SpinningDisk(), s};
-  EXPECT_EQ(legacy.CostScanMs(), spinning.CostScanMs());
-  EXPECT_EQ(legacy.FracturedQueryMs(0.2), spinning.FracturedQueryMs(0.2));
-  EXPECT_EQ(legacy.MergeMs(), spinning.MergeMs());
-  EXPECT_EQ(legacy.CutoffQueryMs(0.1, 500), spinning.CutoffQueryMs(0.1, 500));
-  // GC pressure is meaningless on spinning disks: the amp factor is zero.
-  EXPECT_EQ(spinning.MergeMs(1.0), spinning.MergeMs());
-}
-
 TEST(DeviceProfileCostTest, FractureTaxCollapsesOnFlash) {
   // The Nfrac * (Costinit + H * Tseek) deterioration term — the whole reason
   // merges exist on the spinning disk — is ~two orders of magnitude smaller
@@ -168,6 +160,9 @@ TEST(DeviceProfileCostTest, MergeGcPressureAmplifiesWriteHalfOnly) {
                    read_half + write_half * (1.0 + prof.gc_write_amp_max));
   EXPECT_DOUBLE_EQ(m.MergeMs(0.5),
                    read_half + write_half * (1.0 + 0.5 * prof.gc_write_amp_max));
+  // GC pressure is meaningless on spinning disks: the amp factor is zero.
+  CostModel hdd = Spinning(s);
+  EXPECT_EQ(hdd.MergeMs(1.0), hdd.MergeMs());
 }
 
 // The tentpole acceptance pin: one table, one query, two devices, two
@@ -224,26 +219,6 @@ TEST_F(DeviceProfilePlanFlipTest, SecondaryQueryFlipsWinnerBetweenProfiles) {
   EXPECT_NE(on_ssd.Explain().find("chosen: secondary"), std::string::npos);
 }
 
-TEST_F(DeviceProfilePlanFlipTest, SpinningPlannerPredictionsBitIdentical) {
-  // A profile-constructed spinning planner must price every candidate of
-  // every query shape exactly like the legacy CostParams planner.
-  engine::QueryPlanner legacy(path_.get(), sim::CostParams{});
-  engine::QueryPlanner spinning(path_.get(), sim::DeviceProfile::SpinningDisk());
-  auto expect_same = [](const engine::Plan& a, const engine::Plan& b) {
-    EXPECT_EQ(a.kind, b.kind);
-    EXPECT_EQ(a.predicted_ms, b.predicted_ms);
-    ASSERT_EQ(a.candidates().size(), b.candidates().size());
-    for (size_t i = 0; i < a.candidates().size(); ++i) {
-      EXPECT_EQ(a.candidates()[i].predicted_ms, b.candidates()[i].predicted_ms);
-    }
-  };
-  expect_same(legacy.PlanPtq(value_, 0.3), spinning.PlanPtq(value_, 0.3));
-  expect_same(
-      legacy.PlanSecondary(datagen::AuthorCols::kCountry, value_, 0.05),
-      spinning.PlanSecondary(datagen::AuthorCols::kCountry, value_, 0.05));
-  expect_same(legacy.PlanTopK(value_, 10), spinning.PlanTopK(value_, 10));
-}
-
 // ----------------------------- Advisor -------------------------------------
 
 class AdvisorFixture : public ::testing::Test {
@@ -265,7 +240,8 @@ class AdvisorFixture : public ::testing::Test {
       }
     }
     est_ = std::make_unique<histogram::SelectivityEstimator>(hist_.get());
-    advisor_ = std::make_unique<Advisor>(sim::CostParams{}, est_.get(),
+    advisor_ = std::make_unique<Advisor>(sim::DeviceProfile::SpinningDisk(),
+                                         est_.get(),
                                          /*avg_entry_bytes=*/300.0,
                                          /*page_size=*/8192);
     popular_ = datagen::DblpGenerator(cfg).PopularInstitution();

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <map>
+#include <memory>
+#include <thread>
 
 #include "datagen/dblp.h"
 #include "engine/access_path.h"
@@ -436,6 +440,57 @@ TEST(DatabaseTest, PlannedQueriesRunConcurrentlyWithWorkerMaintenance) {
   std::vector<core::PtqMatch> out;
   ASSERT_TRUE(table->Run(Query::Ptq(inst, 0.3), &out).status().ok());
   EXPECT_EQ(out.size(), expected);
+}
+
+TEST(DatabaseTest, DestroyWithQueuedSyncMaintenanceDoesNotHang) {
+  // Synchronous maintenance (the default) runs nothing until
+  // RunMaintenance(). Destroying the database with a flush still queued must
+  // drop the task, not wait for a slot no thread will ever release. The
+  // destructor runs on its own thread, detached only if it overruns the
+  // bounded wait, so a regression fails an assertion instead of hanging the
+  // suite.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 10;
+  cfg.num_institutions = 5;
+  cfg.seed = 5;
+  datagen::DblpGenerator gen(cfg);
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  opt.cutoff = 0.1;
+  PartitionOptions popts;
+  popts.num_shards = 2;
+  for (bool partitioned : {false, true}) {
+    SCOPED_TRACE(partitioned ? "partitioned" : "fractured");
+    DatabaseOptions dbopt;
+    dbopt.maintenance.policy.flush_max_buffered_tuples = 4;
+    dbopt.gather_workers = 0;
+    auto db = std::make_unique<Database>(dbopt);
+    catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+    Table* table =
+        (partitioned
+             ? db->CreatePartitionedTable("t", schema, opt, {}, popts, {})
+             : db->CreateFracturedTable("t", schema, opt, {}, {}))
+            .ValueOrDie();
+    for (catalog::TupleId id = 0; id < 10; ++id) {
+      ASSERT_TRUE(table->Insert(gen.MakeAuthor(id)).ok());
+    }
+    ASSERT_GT(db->maintenance()->queued_tasks(), 0u);
+
+    auto destroyed = std::make_shared<std::promise<void>>();
+    std::future<void> done = destroyed->get_future();
+    std::thread destroyer([db = std::move(db), destroyed]() mutable {
+      db.reset();
+      destroyed->set_value();
+    });
+    bool finished = done.wait_for(std::chrono::seconds(20)) ==
+                    std::future_status::ready;
+    if (finished) {
+      destroyer.join();
+    } else {
+      destroyer.detach();
+    }
+    ASSERT_TRUE(finished) << "~Database still blocked after 20 s";
+  }
 }
 
 // ---------------------------------------------------------------------------

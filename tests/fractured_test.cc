@@ -136,6 +136,59 @@ TEST(FracturedUpiTest, BufferedInsertsVisibleWithoutFlush) {
   fx.ExpectQueryMatches(v, 0.01, fx.Oracle(v, 0.01, 1, {}, {extra}));
 }
 
+TEST(FracturedUpiTest, BufferedConfidenceEqualsFlushedConfidence) {
+  // A row reports the same confidence from the insert buffer as from the
+  // fracture it is flushed into (the heap stores it on the 2^-30 grid), so
+  // flushing never moves a row across a threshold.
+  Fx fx;
+  std::vector<Tuple> extras;
+  for (TupleId id = 100000; id < 100040; ++id) {
+    extras.push_back(fx.gen->MakeAuthor(id));
+    ASSERT_TRUE(fx.table->Insert(extras.back()).ok());
+  }
+  auto confidences = [&](int column, const std::string& value) {
+    std::vector<PtqMatch> out;
+    if (column == datagen::AuthorCols::kInstitution) {
+      EXPECT_TRUE(fx.table->QueryPtq(value, 0.0, &out).ok());
+    } else {
+      EXPECT_TRUE(fx.table
+                      ->QueryBySecondary(column, value, 0.0,
+                                         SecondaryAccessMode::kTailored, &out)
+                      .ok());
+    }
+    std::map<TupleId, double> got;
+    for (const PtqMatch& m : out) {
+      if (m.id >= 100000) got[m.id] = m.confidence;
+    }
+    return got;
+  };
+  std::vector<std::pair<int, std::string>> probes;
+  for (const Tuple& t : extras) {
+    probes.emplace_back(datagen::AuthorCols::kInstitution,
+                        t.Get(datagen::AuthorCols::kInstitution)
+                            .discrete()
+                            .First()
+                            .value);
+    probes.emplace_back(
+        datagen::AuthorCols::kCountry,
+        t.Get(datagen::AuthorCols::kCountry).discrete().First().value);
+  }
+  std::vector<std::map<TupleId, double>> buffered;
+  for (const auto& [column, value] : probes) {
+    buffered.push_back(confidences(column, value));
+  }
+  ASSERT_TRUE(fx.table->FlushBuffer().ok());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    std::map<TupleId, double> flushed =
+        confidences(probes[i].first, probes[i].second);
+    ASSERT_EQ(flushed.size(), buffered[i].size()) << probes[i].second;
+    for (const auto& [id, conf] : buffered[i]) {
+      EXPECT_EQ(flushed[id], conf) << "tuple " << id << " on "
+                                   << probes[i].second;
+    }
+  }
+}
+
 TEST(FracturedUpiTest, FlushCreatesFractureAndPreservesResults) {
   Fx fx;
   std::vector<Tuple> extras;

@@ -131,7 +131,7 @@ TEST(IntegrationTest, DiscreteLifecycle) {
   EXPECT_EQ(table.num_fractures(), 4u);
 
   // Cost model consistency while fractured.
-  core::CostModel model(env.params(), core::TableStats::Of(table));
+  core::CostModel model(env.profile(), core::TableStats::Of(table));
   double est = model.FracturedQueryMs(table.EstimateSelectivity(inst, 0.3));
   EXPECT_GT(est, 4 * env.params().init_ms);  // at least Nfrac opens
 

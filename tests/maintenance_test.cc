@@ -119,7 +119,7 @@ TEST(MergePolicyTest, FlushWatermarks) {
   opt.flush_max_buffered_tuples = 5;
   opt.flush_max_buffered_bytes = 1ull << 40;
   opt.flush_max_buffered_deletes = 3;
-  MergePolicy policy(opt, fx.env.params());
+  MergePolicy policy(opt, fx.env.profile());
 
   EXPECT_EQ(policy.DecideFlush(*fx.table).action, ActionKind::kNone);
   for (int i = 0; i < 4; ++i) {
@@ -144,7 +144,7 @@ TEST(MergePolicyTest, ByteWatermark) {
   MergePolicyOptions opt;
   opt.flush_max_buffered_tuples = 1u << 30;
   opt.flush_max_buffered_bytes = 512;  // a handful of tuples
-  MergePolicy policy(opt, fx.env.params());
+  MergePolicy policy(opt, fx.env.profile());
   while (policy.DecideFlush(*fx.table).action == ActionKind::kNone) {
     ASSERT_TRUE(fx.table->Insert(fx.MakeAuthor()).ok());
     ASSERT_LT(fx.table->buffered_inserts(), 100u) << "watermark never hit";
@@ -160,7 +160,7 @@ TEST(MergePolicyTest, MergeTriggersFollowTheCostModel) {
   opt.reference_selectivity = 0.0;
   opt.partial_merge_overhead_fraction = 0.5;
   opt.full_merge_deterioration = 100.0;  // off for this test
-  MergePolicy policy(opt, fx.env.params());
+  MergePolicy policy(opt, fx.env.profile());
 
   EXPECT_EQ(policy.DecideMerge(*fx.table).action, ActionKind::kNone)
       << "nothing to merge on a clean table";
@@ -178,14 +178,14 @@ TEST(MergePolicyTest, MergeTriggersFollowTheCostModel) {
 
   // With the deterioration knee at 2x, Nfrac = 3 is past it: full merge wins.
   opt.full_merge_deterioration = 2.0;
-  MergePolicy strict(opt, fx.env.params());
+  MergePolicy strict(opt, fx.env.profile());
   Decision full = strict.DecideMerge(*fx.table);
   EXPECT_EQ(full.action, ActionKind::kMergeAll);
   EXPECT_GT(full.predicted_query_ms, 2.0 * full.merged_query_ms);
 
   MergePolicyOptions off = opt;
   off.merges_enabled = false;
-  EXPECT_EQ(MergePolicy(off, fx.env.params()).DecideMerge(*fx.table).action,
+  EXPECT_EQ(MergePolicy(off, fx.env.profile()).DecideMerge(*fx.table).action,
             ActionKind::kNone);
 }
 
@@ -408,7 +408,6 @@ TEST(MaintenanceManagerTest, ThreadedQueriesStayCorrectDuringMerges) {
   ASSERT_EQ(out.size(), oracle.size());
 
   mgr.Stop();
-  mgr.Unregister(fx.table.get());
 }
 
 TEST(MaintenanceManagerTest, StopDropsQueuedSyncTasksWithoutHanging) {
@@ -423,7 +422,6 @@ TEST(MaintenanceManagerTest, StopDropsQueuedSyncTasksWithoutHanging) {
   EXPECT_EQ(mgr.queued_tasks(), 1u);
   mgr.Stop();           // never ran RunPending
   mgr.WaitIdle();       // must not hang
-  mgr.Unregister(fx.table.get());
   EXPECT_EQ(mgr.stats().flushes, 0u);
 }
 

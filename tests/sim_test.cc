@@ -123,26 +123,20 @@ TEST(SimDiskTest, SeekTimeCappedForHugeJumps) {
 // Device profiles (sim/device_profile.h)
 // ---------------------------------------------------------------------------
 
-TEST(DeviceProfileTest, SpinningProfileBitIdenticalToLegacy) {
-  // The same access sequence on a legacy CostParams disk and on the
-  // spinning-disk profile must agree exactly — profiles are strictly opt-in.
-  SimDisk legacy{CostParams{}};
-  SimDisk profiled{DeviceProfile::SpinningDisk()};
-  for (SimDisk* d : {&legacy, &profiled}) {
-    uint64_t a = d->Allocate(4 * kMB);
-    d->Read(a, kMB);
-    {
-      // Scopes register nothing on a queue_depth-1 device.
-      ConcurrentIoScope s1(d);
-      ConcurrentIoScope s2(d);
-      d->Write(a + kMB, 2 * kMB);
-    }
-    d->ChargeFileOpen();
-    d->ChargeRotation();
-    d->Read(a, 4096);
+TEST(DeviceProfileTest, SpinningProfileHasNoGcOrOverlap) {
+  SimDisk d{DeviceProfile::SpinningDisk()};
+  uint64_t a = d.Allocate(4 * kMB);
+  d.Read(a, kMB);
+  {
+    // Scopes register nothing on a queue_depth-1 device.
+    ConcurrentIoScope s1(&d);
+    ConcurrentIoScope s2(&d);
+    d.Write(a + kMB, 2 * kMB);
   }
-  EXPECT_EQ(legacy.TotalMs(), profiled.TotalMs());
-  DiskStats s = profiled.stats();
+  d.ChargeFileOpen();
+  d.ChargeRotation();
+  d.Read(a, 4096);
+  DiskStats s = d.stats();
   EXPECT_EQ(s.gc_ms, 0.0);
   EXPECT_EQ(s.gc_erases, 0u);
   EXPECT_EQ(s.overlapped_ios, 0u);
