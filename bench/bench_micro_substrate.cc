@@ -53,6 +53,24 @@ void BM_BTreeGet(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeGet);
 
+void BM_BTreeSeek(benchmark::State& state) {
+  storage::DbEnv env(256ull << 20);
+  storage::PageFile* file = env.CreateFile("t", 8192);
+  btree::BTreeBuilder builder(env.MakePager(file));
+  const int kN = 100000;
+  for (int i = 0; i < kN; ++i) {
+    (void)builder.Add(Key(i), "value");
+  }
+  btree::BTree tree = builder.Finish().ValueOrDie();
+  Rng rng(2);
+  for (auto _ : state) {
+    btree::Cursor c = tree.Seek(Key(static_cast<int>(rng.Uniform(kN))));
+    benchmark::DoNotOptimize(c.value().data());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BTreeSeek);
+
 void BM_BTreeBulkLoad100k(benchmark::State& state) {
   for (auto _ : state) {
     storage::DbEnv env(256ull << 20);
@@ -149,6 +167,36 @@ void BM_UpiQueryPtq(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UpiQueryPtq)->Unit(benchmark::kMillisecond);
+
+// Query 3 with tailored access (Algorithm 3) on a warm, pool-resident
+// Publication table: one heap Get per returned row, so this is the B-tree
+// point-lookup path under a real secondary probe.
+void BM_UpiQueryBySecondary(benchmark::State& state) {
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 10000;
+  cfg.num_publications = 20000;
+  datagen::DblpGenerator gen(cfg);
+  auto authors = gen.GenerateAuthors();
+  auto pubs = gen.GeneratePublications(authors);
+  storage::DbEnv env(512ull << 20);
+  core::UpiOptions opt;
+  opt.cluster_column = datagen::PublicationCols::kInstitution;
+  opt.charge_open_per_query = false;
+  auto upi = core::Upi::Build(&env, "p", datagen::DblpGenerator::PublicationSchema(),
+                              opt, {datagen::PublicationCols::kCountry}, pubs)
+                 .ValueOrDie();
+  std::string v = gen.MidCountry();
+  size_t rows = 0;
+  for (auto _ : state) {
+    std::vector<core::PtqMatch> out;
+    benchmark::DoNotOptimize(upi->QueryBySecondary(
+        datagen::PublicationCols::kCountry, v, 0.3,
+        core::SecondaryAccessMode::kTailored, &out));
+    rows += out.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_UpiQueryBySecondary)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace upi

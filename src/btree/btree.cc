@@ -23,6 +23,21 @@ Status BTree::ReadNode(PageId id, Node* out) const {
   return Node::Deserialize(*ref.data(), out);
 }
 
+Status BTree::PinNode(PageId id, storage::PageRef* ref, NodeView* view) const {
+  ref->Release();
+  *ref = pager_.Get(id);
+  return NodeView::Parse(*ref->data(), view);
+}
+
+Status BTree::FindLeaf(std::string_view key, storage::PageRef* ref,
+                       NodeView* leaf) const {
+  UPI_RETURN_NOT_OK(PinNode(root_, ref, leaf));
+  while (!leaf->is_leaf()) {
+    UPI_RETURN_NOT_OK(PinNode(leaf->ChildFor(key), ref, leaf));
+  }
+  return Status::OK();
+}
+
 void BTree::WriteNode(PageId id, const Node& node) {
   storage::PageRef ref = pager_.Get(id);
   node.Serialize(ref.data());
@@ -142,41 +157,29 @@ Status BTree::PutRec(PageId page_id, std::string_view key, std::string_view valu
 // ---------------------------------------------------------------------------
 
 Result<std::string> BTree::Get(std::string_view key) const {
-  Node node;
-  PageId id = root_;
-  UPI_RETURN_NOT_OK(ReadNode(id, &node));
-  while (!node.is_leaf) {
-    id = node.children[node.ChildIndex(key)].child;
-    UPI_RETURN_NOT_OK(ReadNode(id, &node));
-  }
-  size_t idx = node.LowerBound(key);
-  if (idx < node.entries.size() && node.entries[idx].key == key) {
-    return node.entries[idx].value;
-  }
+  storage::PageRef ref;
+  NodeView leaf;
+  UPI_RETURN_NOT_OK(FindLeaf(key, &ref, &leaf));
+  std::string_view value;
+  if (leaf.Find(key, &value)) return std::string(value);
   return Status::NotFound("key not in btree");
 }
 
+// The descent fetches the leaf and the cursor fetches it again: that second
+// fetch is a pool hit that promotes the leaf in the midpoint LRU, and keeping
+// it keeps every eviction (and so every simulated I/O) as it was.
 Cursor BTree::Seek(std::string_view key) const {
-  Node node;
-  PageId id = root_;
-  if (!ReadNode(id, &node).ok()) return Cursor();
-  while (!node.is_leaf) {
-    id = node.children[node.ChildIndex(key)].child;
-    if (!ReadNode(id, &node).ok()) return Cursor();
-  }
-  return Cursor(this, id, node.LowerBound(key));
+  storage::PageRef ref;
+  NodeView leaf;
+  if (!FindLeaf(key, &ref, &leaf).ok()) return Cursor();
+  PageId id = ref.id();
+  ref.Release();
+  return Cursor(this, id, key);
 }
 
-Cursor BTree::SeekToFirst() const {
-  Node node;
-  PageId id = root_;
-  if (!ReadNode(id, &node).ok()) return Cursor();
-  while (!node.is_leaf) {
-    id = node.children[0].child;
-    if (!ReadNode(id, &node).ok()) return Cursor();
-  }
-  return Cursor(this, id, 0);
-}
+// The empty key sorts below every other, so this is the leftmost leaf's first
+// entry (and the same fetches as any Seek).
+Cursor BTree::SeekToFirst() const { return Seek(std::string_view()); }
 
 // ---------------------------------------------------------------------------
 // Delete
@@ -187,14 +190,18 @@ Status BTree::Delete(std::string_view key) {
   UPI_RETURN_NOT_OK(DeleteRec(root_, key, &underflow));
   --num_entries_;
   // Shrink the root while it is an internal node with a single child.
-  Node root_node;
-  UPI_RETURN_NOT_OK(ReadNode(root_, &root_node));
-  while (!root_node.is_leaf && root_node.children.size() == 1) {
-    PageId old_root = root_;
-    root_ = root_node.children[0].child;
-    pager_.Free(old_root);
+  for (;;) {
+    PageId only_child = kInvalidPage;
+    {
+      storage::PageRef ref;
+      NodeView root;
+      UPI_RETURN_NOT_OK(PinNode(root_, &ref, &root));
+      if (root.is_leaf() || root.count() != 1) break;
+      only_child = root.FirstChild();
+    }  // unpinned: Free must not discard a pinned frame
+    pager_.Free(root_);
+    root_ = only_child;
     --height_;
-    UPI_RETURN_NOT_OK(ReadNode(root_, &root_node));
   }
   return Status::OK();
 }

@@ -27,16 +27,30 @@ namespace upi::btree {
 
 class BTree;
 
-/// \brief Forward iterator positioned on a leaf entry. Holds a private copy
-/// of the current leaf, so it stays safe if the pool evicts the page, but it
-/// must not be used across tree modifications.
+/// \brief Forward iterator positioned on a leaf entry.
+///
+/// Contract:
+///  * The cursor holds one byte copy of its current leaf, never a pin: a pin
+///    held while a consumer stalls, or across a gather hand-off, would block
+///    eviction. The copy is validated (NodeView::Parse) when loaded, and a
+///    leaf that fails validation ends the cursor (Valid() turns false).
+///  * key() and value() view that copy. They are valid until the next call
+///    to Next(); moving or copying the cursor keeps its position.
+///  * Each leaf costs one pool fetch when the cursor reaches it; Seek and
+///    SeekToFirst fetch the first leaf once in their descent and once more
+///    here (the second fetch is what promotes it in the midpoint LRU).
+///  * It must not be used across tree modifications.
 class Cursor {
  public:
   Cursor() = default;
 
   bool Valid() const { return valid_; }
-  std::string_view key() const { return leaf_.entries[idx_].key; }
-  std::string_view value() const { return leaf_.entries[idx_].value; }
+  std::string_view key() const {
+    return std::string_view(leaf_.data() + key_off_, key_len_);
+  }
+  std::string_view value() const {
+    return std::string_view(leaf_.data() + value_off_, value_len_);
+  }
   /// Advances to the next entry in key order (following the leaf chain).
   void Next();
 
@@ -45,20 +59,31 @@ class Cursor {
   /// buffered streaming a storage engine does during merges — without it, a
   /// k-way merge would charge one head movement per page as it alternates
   /// between source files, which no real merge does (Section 4.3's merge
-  /// costs "about the same as sequentially reading all files").
+  /// costs "about the same as sequentially reading all files"). A prefetched
+  /// page is only fetched and its right-sibling field read.
   void SetReadahead(uint32_t pages) { readahead_ = pages; }
 
  private:
   friend class BTree;
-  Cursor(const BTree* tree, PageId leaf_id, size_t idx);
-  void LoadLeaf(PageId id);
+  /// Positions on the first entry >= `key` of leaf `leaf_id`, moving right
+  /// if there is none.
+  Cursor(const BTree* tree, PageId leaf_id, std::string_view key);
+  /// Copies leaf `id` into leaf_ and parses the copy into *view; false (and
+  /// the cursor invalid) if it is not a valid leaf.
+  bool CopyLeaf(PageId id, NodeView* view);
+  /// Moves right past exhausted leaves, then decodes the entry at offset_.
   void SkipForwardToValid();
   void MaybePrefetch();
 
   const BTree* tree_ = nullptr;
-  Node leaf_;
-  PageId leaf_id_ = kInvalidPage;
-  size_t idx_ = 0;
+  std::string leaf_;  // byte copy of the current leaf page
+  PageId right_sibling_ = kInvalidPage;
+  uint32_t count_ = 0;  // entries on the current leaf
+  uint32_t idx_ = 0;
+  size_t offset_ = 0;  // byte offset in leaf_ of the next entry to decode
+  // The current entry as offsets into leaf_, not views: a moved cursor's
+  // short (inline-stored) leaf_ would leave views dangling.
+  size_t key_off_ = 0, key_len_ = 0, value_off_ = 0, value_len_ = 0;
   bool valid_ = false;
   uint32_t readahead_ = 0;
   uint32_t prefetch_remaining_ = 0;
@@ -75,10 +100,12 @@ class BTree {
   /// Removes an exact key.
   Status Delete(std::string_view key);
 
-  /// Point lookup of an exact key.
+  /// Point lookup of an exact key: height() pool fetches, each page read
+  /// through a NodeView (no per-entry decoding).
   Result<std::string> Get(std::string_view key) const;
 
-  /// Cursor on the first entry with entry.key >= key.
+  /// Cursor on the first entry with entry.key >= key: height() + 1 pool
+  /// fetches up to the first entry (see Cursor).
   Cursor Seek(std::string_view key) const;
   Cursor SeekToFirst() const;
 
@@ -118,8 +145,18 @@ class BTree {
         num_entries_(n),
         num_leaf_pages_(leaves) {}
 
+  /// Decodes page `id` into a Node (the write paths and ValidateInvariants).
   Status ReadNode(PageId id, Node* out) const;
   void WriteNode(PageId id, const Node& node);
+  /// Pins page `id` into *ref and parses it into *view (the read paths).
+  /// The previous pin in *ref is released first, so a descent holds one pin
+  /// at a time, exactly as one ReadNode per level did: the pool's eviction
+  /// choices, and so every I/O counter, stay the same.
+  Status PinNode(PageId id, storage::PageRef* ref, NodeView* view) const;
+  /// Descends from the root to the leaf covering `key`: one pool fetch per
+  /// level, the leaf left pinned in *ref and parsed into *leaf.
+  Status FindLeaf(std::string_view key, storage::PageRef* ref,
+                  NodeView* leaf) const;
 
   Status PutRec(PageId page_id, std::string_view key, std::string_view value,
                 SplitResult* split, bool* added);

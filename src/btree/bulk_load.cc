@@ -15,17 +15,31 @@ BTreeBuilder::BTreeBuilder(storage::Pager pager, double fill_factor)
     : pager_(pager),
       fill_bytes_(static_cast<size_t>(pager.page_size() * fill_factor)) {
   if (fill_bytes_ < kNodeHeaderSize + 64) fill_bytes_ = kNodeHeaderSize + 64;
-  leaf_.is_leaf = true;
+}
+
+void BTreeBuilder::QueuePage(storage::PageId id, std::string bytes) {
+  UPI_CHECK(bytes.size() <= pager_.page_size(),
+            "bulk-loaded node overflows its page");
+  pending_.push_back(PendingPage{id, std::move(bytes)});
+  if (pending_.size() >= kOutputBatchPages) FlushPending();
 }
 
 void BTreeBuilder::WritePage(storage::PageId id, const Node& node) {
-  PendingPage p;
-  p.id = id;
-  node.Serialize(&p.bytes);
-  UPI_CHECK(p.bytes.size() <= pager_.page_size(),
-            "bulk-loaded node overflows its page");
-  pending_.push_back(std::move(p));
-  if (pending_.size() >= kOutputBatchPages) FlushPending();
+  std::string bytes;
+  node.Serialize(&bytes);
+  QueuePage(id, std::move(bytes));
+}
+
+void BTreeBuilder::WriteLeaf(storage::PageId right_sibling) {
+  std::string bytes;
+  bytes.reserve(kNodeHeaderSize + leaf_entries_.size());
+  Node::AppendHeader(/*is_leaf=*/true, leaf_count_, right_sibling, &bytes);
+  bytes.append(leaf_entries_);
+  QueuePage(leaf_page_, std::move(bytes));
+  ++leaf_pages_;
+  AddToLevel(1, leaf_first_key_, leaf_page_);
+  leaf_entries_.clear();
+  leaf_count_ = 0;
 }
 
 void BTreeBuilder::FlushPending() {
@@ -57,20 +71,17 @@ Status BTreeBuilder::Add(std::string_view key, std::string_view value) {
     started_ = true;
   }
 
-  if (!leaf_.entries.empty() && leaf_.SerializedSize() + esize > fill_bytes_) {
+  if (leaf_count_ > 0 &&
+      kNodeHeaderSize + leaf_entries_.size() + esize > fill_bytes_) {
     // Allocate the successor leaf first so the sibling link is known.
     storage::PageId next_leaf = pager_.file()->Allocate();
-    leaf_.right_sibling = next_leaf;
-    WritePage(leaf_page_, leaf_);
-    ++leaf_pages_;
-    AddToLevel(1, leaf_first_key_, leaf_page_);
-    leaf_ = Node{};
-    leaf_.is_leaf = true;
+    WriteLeaf(next_leaf);
     leaf_page_ = next_leaf;
   }
 
-  if (leaf_.entries.empty()) leaf_first_key_.assign(key.data(), key.size());
-  leaf_.entries.push_back(LeafEntry{std::string(key), std::string(value)});
+  if (leaf_count_ == 0) leaf_first_key_.assign(key.data(), key.size());
+  Node::AppendLeafEntry(key, value, &leaf_entries_);
+  ++leaf_count_;
   last_key_.assign(key.data(), key.size());
   ++count_;
   return Status::OK();
@@ -117,10 +128,7 @@ Result<BTree> BTreeBuilder::Finish() {
     return BTree::FromBuilt(pager_, root, 1, 0, 1);
   }
 
-  leaf_.right_sibling = storage::kInvalidPage;
-  WritePage(leaf_page_, leaf_);
-  ++leaf_pages_;
-  AddToLevel(1, leaf_first_key_, leaf_page_);
+  WriteLeaf(storage::kInvalidPage);
 
   for (size_t lvl = 1; lvl < levels_.size(); ++lvl) {
     Level& L = levels_[lvl];

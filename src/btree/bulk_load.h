@@ -39,9 +39,12 @@ class BTreeBuilder {
     std::string bytes;
   };
 
-  /// Queues a completed node's page; batches are written out sorted by page
-  /// id so consecutive output pages transfer sequentially.
+  /// Queues a completed page; batches are written out sorted by page id so
+  /// consecutive output pages transfer sequentially.
+  void QueuePage(storage::PageId id, std::string bytes);
   void WritePage(storage::PageId id, const Node& node);
+  /// Queues the leaf under construction, linked to `right_sibling`.
+  void WriteLeaf(storage::PageId right_sibling);
   void FlushPending();
   storage::PageId AllocAndWrite(const Node& node);
   void AddToLevel(size_t level, const std::string& first_key,
@@ -55,7 +58,10 @@ class BTreeBuilder {
   uint64_t leaf_pages_ = 0;
   std::string last_key_;
 
-  Node leaf_;
+  // The leaf under construction, as its serialized entries: appending costs
+  // no allocation per entry, and its size is the page's running byte count.
+  std::string leaf_entries_;
+  uint32_t leaf_count_ = 0;
   std::string leaf_first_key_;
   storage::PageId leaf_page_ = storage::kInvalidPage;
   std::vector<Level> levels_;  // index 0 unused (leaf level handled above)

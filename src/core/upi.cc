@@ -189,6 +189,10 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   };
   std::vector<HeapEntry> heap_entries;
   std::vector<CutoffEntry> cutoff_entries;
+  // Each tuple is partitioned once; the secondary phase reuses the result
+  // (every secondary entry records its tuple's heap pointers).
+  std::vector<AltPartition> parts;
+  if (!secondary_columns.empty()) parts.reserve(tuples.size());
 
   for (const Tuple& t : tuples) {
     const Value& cv = t.Get(options.cluster_column);
@@ -209,6 +213,7 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
                                 first_key, alt.attr, alt.prob, t.id()});
       upi->histogram_.Add(alt.attr, alt.prob, /*is_first=*/false);
     }
+    if (!secondary_columns.empty()) parts.push_back(std::move(part));
   }
 
   std::sort(heap_entries.begin(), heap_entries.end(),
@@ -238,6 +243,10 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
     }
     UPI_ASSIGN_OR_RETURN(upi->cutoff_, builder.Finish());
   }
+  // Release the heap and cutoff staging before the secondary phase, so the
+  // cached partitions never raise peak memory.
+  heap_entries = std::vector<HeapEntry>();
+  cutoff_entries = std::vector<CutoffEntry>();
 
   for (int col : secondary_columns) {
     if (col < 0 || static_cast<size_t>(col) >= upi->schema_.num_columns() ||
@@ -246,19 +255,20 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
     }
     struct SecEntry {
       std::string key;
-      const Tuple* tuple;
+      size_t tuple;  // index into `tuples` and `parts`
       double conf;
       std::string value;
     };
     std::vector<SecEntry> entries;
     histogram::ProbHistogram& sec_hist = upi->sec_histograms_[col];
-    for (const Tuple& t : tuples) {
+    for (size_t i = 0; i < tuples.size(); ++i) {
+      const Tuple& t = tuples[i];
       const Value& sv = t.Get(col);
       if (sv.type() != ValueType::kDiscrete) continue;
       for (const auto& alt : sv.discrete().alternatives()) {
         double conf = t.existence() * alt.prob;
         entries.push_back(
-            {EncodeUpiKey(alt.value, conf, t.id()), &t, conf, alt.value});
+            {EncodeUpiKey(alt.value, conf, t.id()), i, conf, alt.value});
         sec_hist.Add(alt.value, conf, /*is_first=*/false);
       }
     }
@@ -268,8 +278,8 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
         env, upi->name_ + ".sec." + upi->schema_.column(col).name + ".built",
         options.page_size, options.max_secondary_pointers);
     for (const SecEntry& e : entries) {
-      AltPartition part = upi->PartitionAlternatives(*e.tuple);
-      UPI_RETURN_NOT_OK(builder.Add(e.value, e.conf, e.tuple->id(),
+      const AltPartition& part = parts[e.tuple];
+      UPI_RETURN_NOT_OK(builder.Add(e.value, e.conf, tuples[e.tuple].id(),
                                     part.heap_alts, !part.cutoff_alts.empty()));
     }
     UPI_ASSIGN_OR_RETURN(upi->secondaries_[col], builder.Finish());

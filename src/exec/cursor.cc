@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/coding.h"
 #include "exec/topk.h"
 
 namespace upi::exec {
@@ -49,7 +50,9 @@ std::unique_ptr<engine::ResultCursor> OpenFilteredTopK(
 
 /// Sequential-sweep operator: one full scan keeping tuples whose combined
 /// probability of `value` in `column` reaches `qt` (exact: the full tuple is
-/// inspected; deduplicated).
+/// inspected; deduplicated). The confidence is rounded to the 2^-30 grid
+/// index keys store, so a row reports the same confidence, and qualifies at
+/// the same threshold, under every plan.
 std::unique_ptr<engine::ResultCursor> OpenScanFilter(
     const engine::AccessPath& path, int column, std::string_view value,
     double qt) {
@@ -59,7 +62,8 @@ std::unique_ptr<engine::ResultCursor> OpenScanFilter(
     // per-tuple check below still decides every emitted row.
     return path.ScanTuplesMatching(column, value, qt,
                                    [&](const catalog::Tuple& tuple) {
-      double conf = tuple.ConfidenceOf(static_cast<size_t>(column), value);
+      double conf =
+          QuantizeProb(tuple.ConfidenceOf(static_cast<size_t>(column), value));
       if (conf < qt || conf <= 0.0) return;
       rows->push_back(core::PtqMatch{tuple.id(), conf, tuple});
     });

@@ -179,6 +179,18 @@ TEST(BTreeTest, BinaryKeysWithEmbeddedZeros) {
 
 // --- Property test: random interleaved puts/deletes vs std::map oracle. ---
 
+/// A full SeekToFirst scan must equal the oracle exactly, in order.
+void ExpectScanMatches(const BTree& t,
+                       const std::map<std::string, std::string>& oracle) {
+  auto it = oracle.begin();
+  for (Cursor c = t.SeekToFirst(); c.Valid(); c.Next(), ++it) {
+    ASSERT_NE(it, oracle.end());
+    EXPECT_EQ(c.key(), it->first);
+    EXPECT_EQ(c.value(), it->second);
+  }
+  EXPECT_EQ(it, oracle.end());
+}
+
 class BTreeRandomOpsTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(BTreeRandomOpsTest, MatchesMapOracle) {
@@ -208,18 +220,26 @@ TEST_P(BTreeRandomOpsTest, MatchesMapOracle) {
         ASSERT_TRUE(r.ok());
         EXPECT_EQ(r.value(), it->second);
       }
+      // Seek at a random bound, often between stored keys, lands on the
+      // oracle's lower bound and walks on in order (across leaves).
+      std::string bound = rng.Bernoulli(0.5) ? key : key + "~";
+      auto oit = oracle.lower_bound(bound);
+      Cursor c = t.Seek(bound);
+      for (int step = 0; step < 40 && oit != oracle.end(); ++step, ++oit) {
+        ASSERT_TRUE(c.Valid()) << "seek " << bound << " step " << step;
+        EXPECT_EQ(c.key(), oit->first);
+        EXPECT_EQ(c.value(), oit->second);
+        c.Next();
+      }
+      if (oit == oracle.end()) {
+        EXPECT_FALSE(c.Valid()) << "seek " << bound;
+      }
     }
+    if (op % 1000 == 999) ExpectScanMatches(t, oracle);
   }
   EXPECT_EQ(t.num_entries(), oracle.size());
   ASSERT_TRUE(t.ValidateInvariants().ok()) << t.ValidateInvariants().ToString();
-  // Full scan must equal the oracle exactly, in order.
-  auto it = oracle.begin();
-  for (Cursor c = t.SeekToFirst(); c.Valid(); c.Next(), ++it) {
-    ASSERT_NE(it, oracle.end());
-    EXPECT_EQ(c.key(), it->first);
-    EXPECT_EQ(c.value(), it->second);
-  }
-  EXPECT_EQ(it, oracle.end());
+  ExpectScanMatches(t, oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BTreeRandomOpsTest,
@@ -402,6 +422,71 @@ TEST(BTreeTest, SeekOnEmptyTreeAndPastEnd) {
   ASSERT_TRUE(t.Put("m", "1").ok());
   EXPECT_FALSE(t.Seek("z").Valid());
   EXPECT_TRUE(t.Seek("a").Valid());
+}
+
+// Reads go through NodeView, but the pool sees the fetches one decode per
+// page made: Get fetches each level once, and Seek fetches its leaf once more
+// (that hit promotes the leaf in the midpoint LRU, so keeping it keeps every
+// eviction, and so every simulated I/O, unchanged).
+TEST(BTreeTest, ReadFetchCountsArePinned) {
+  Fixture fx;
+  BTreeBuilder b(fx.pager);
+  const int kN = 20000;
+  for (int i = 0; i < kN; ++i) ASSERT_TRUE(b.Add(Key(i), std::string(100, 'v')).ok());
+  BTree t = b.Finish().ValueOrDie();
+  const uint64_t h = t.height();
+  ASSERT_GE(h, 3u);
+  auto fetches = [&] {
+    storage::BufferPool::PoolCounters c = fx.pool.counters();
+    return c.hits + c.misses;
+  };
+  for (bool cold : {true, false}) {
+    for (int i : {0, 777, kN - 1, kN}) {  // kN is absent, past the end
+      if (cold) fx.pool.DropAll();
+      uint64_t before = fetches();
+      (void)t.Get(Key(i));
+      EXPECT_EQ(fetches() - before, h) << "Get " << i;
+      before = fetches();
+      Cursor c = t.Seek(Key(i));
+      EXPECT_EQ(fetches() - before, h + 1) << "Seek " << i;
+      EXPECT_EQ(c.Valid(), i < kN);
+    }
+  }
+  uint64_t before = fetches();
+  uint64_t n = 0;
+  for (Cursor c = t.SeekToFirst(); c.Valid(); c.Next()) ++n;
+  EXPECT_EQ(n, static_cast<uint64_t>(kN));
+  // The descent, the first leaf's second fetch, then one fetch per leaf.
+  EXPECT_EQ(fetches() - before, h + t.num_leaf_pages());
+}
+
+// The cursor owns its leaf bytes: a moved or copied cursor keeps its entry
+// after the source is overwritten or destroyed, even when the leaf is short
+// enough to be stored inline in the string (views into it would dangle).
+TEST(BTreeCursorTest, SurvivesMoveAndCopy) {
+  Fixture fx, other;
+  BTree t(fx.pager), t2(other.pager);
+  ASSERT_TRUE(t.Put("a", "").ok());  // a 15-byte leaf page
+  ASSERT_TRUE(t2.Put("b", "").ok());
+  Cursor a = t.SeekToFirst();
+  ASSERT_TRUE(a.Valid());
+  Cursor moved = std::move(a);
+  a = t2.SeekToFirst();  // reuses a's inline buffer for "b"
+  ASSERT_TRUE(moved.Valid());
+  EXPECT_EQ(moved.key(), "a");
+  EXPECT_EQ(a.key(), "b");
+
+  ASSERT_TRUE(t.Put("k", std::string(40, 'v')).ok());
+  Cursor copy;
+  {
+    Cursor b = t.Seek("k");
+    copy = b;
+  }  // b and its leaf copy are gone
+  ASSERT_TRUE(copy.Valid());
+  EXPECT_EQ(copy.key(), "k");
+  EXPECT_EQ(copy.value(), std::string(40, 'v'));
+  copy.Next();
+  EXPECT_FALSE(copy.Valid());
 }
 
 }  // namespace

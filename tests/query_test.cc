@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <map>
 #include <set>
 
 #include "datagen/dblp.h"
@@ -686,6 +687,29 @@ TEST(QueryTest, ScanFilterOnFracturedSeesBufferFracturesAndDeletes) {
           .ok());
   ASSERT_GT(via_ptq.size(), 0u);
   EXPECT_EQ(Ids(via_scan), Ids(via_ptq));
+}
+
+// A row's confidence must not depend on the plan. Index probes report the
+// 2^-30-quantized value their keys store, so the scan filter must report
+// exactly that value too (a row at the threshold then qualifies under both).
+TEST(QueryTest, ScanFilterConfidencesMatchIndexProbeBitForBit) {
+  QueryFx fx;
+  std::string inst = fx.gen->PopularInstitution();
+  std::vector<core::PtqMatch> via_ptq, via_scan;
+  ASSERT_TRUE(fx.authors_table->Run(Query::Ptq(inst, 0.2), &via_ptq).ok());
+  ASSERT_TRUE(fx.authors_table
+                  ->Run(Query::ScanFilter(AuthorCols::kInstitution, inst, 0.2),
+                        &via_scan)
+                  .ok());
+  ASSERT_GT(via_ptq.size(), 0u);
+  ASSERT_EQ(via_scan.size(), via_ptq.size());
+  std::map<catalog::TupleId, double> ptq_conf;
+  for (const auto& m : via_ptq) ptq_conf[m.id] = m.confidence;
+  for (const auto& m : via_scan) {
+    auto it = ptq_conf.find(m.id);
+    ASSERT_NE(it, ptq_conf.end()) << "id " << m.id << " only in the scan";
+    EXPECT_EQ(m.confidence, it->second) << "id " << m.id;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 // answers; codecs must reject malformed input at every truncation point.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "btree/node.h"
 #include "catalog/tuple.h"
 #include "common/coding.h"
@@ -42,30 +45,118 @@ TEST(NodeCodecTest, RoundTripLeafAndInternal) {
   EXPECT_EQ(out.children[1].child, 9u);
 }
 
-TEST(NodeCodecTest, EveryTruncationPointFailsCleanly) {
-  btree::Node leaf;
-  leaf.is_leaf = true;
+// The truncation and garbage cases run each page through both parsers: the
+// decoding one (Node::Deserialize, the write paths) and NodeView (the read
+// paths). Every page lives in its own exact-size allocation, so under ASan a
+// read past the page's end aborts instead of reading a neighbour.
+
+btree::Node SampleNode(bool leaf) {
+  btree::Node node;
+  node.is_leaf = leaf;
   for (int i = 0; i < 8; ++i) {
-    leaf.entries.push_back({"key" + std::to_string(i), std::string(20, 'v')});
+    std::string key = i == 0 && !leaf ? "" : "key" + std::to_string(i);
+    if (leaf) {
+      node.entries.push_back({key, std::string(20, 'v')});
+    } else {
+      node.children.push_back({key, static_cast<storage::PageId>(100 + i)});
+    }
   }
+  return node;
+}
+
+/// Runs every NodeView reader over a parsed page.
+size_t ExerciseView(const btree::NodeView& view) {
+  size_t walked = 0;
+  view.Walk([&](const btree::EntryView& e, size_t) {
+    walked += e.key.size() + e.value.size() + 1;
+    return true;
+  });
+  if (view.is_leaf()) {
+    size_t offset = 0;
+    walked += view.LowerBound("key4", &offset);
+    std::string_view value;
+    walked += view.Find("key4", &value) ? value.size() : 0;
+  } else {
+    walked += view.ChildFor("key4") + view.FirstChild();
+  }
+  return walked;
+}
+
+TEST(NodeCodecTest, EveryTruncationPointFailsCleanly) {
+  for (bool leaf : {true, false}) {
+    std::string page;
+    SampleNode(leaf).Serialize(&page);
+    for (size_t cut = 0; cut < page.size(); ++cut) {
+      std::vector<char> bytes(page.begin(), page.begin() + cut);
+      std::string_view truncated(bytes.data(), bytes.size());
+      btree::NodeView view;
+      Status st = btree::NodeView::Parse(truncated, &view);
+      EXPECT_EQ(st.code(), StatusCode::kCorruption)
+          << (leaf ? "leaf" : "internal") << " truncated at " << cut;
+      btree::Node out;
+      EXPECT_EQ(btree::Node::Deserialize(truncated, &out).code(),
+                StatusCode::kCorruption)
+          << (leaf ? "leaf" : "internal") << " truncated at " << cut;
+    }
+    std::vector<char> bytes(page.begin(), page.end());
+    btree::NodeView view;
+    ASSERT_TRUE(btree::NodeView::Parse({bytes.data(), bytes.size()}, &view).ok());
+    EXPECT_EQ(view.is_leaf(), leaf);
+    EXPECT_EQ(view.count(), 8u);
+    EXPECT_GT(ExerciseView(view), 0u);
+  }
+}
+
+TEST(NodeCodecTest, ViewLookupsMatchTheDecodedNode) {
+  btree::Node leaf = SampleNode(true);
   std::string page;
   leaf.Serialize(&page);
-  btree::Node out;
-  for (size_t cut = 0; cut < page.size(); ++cut) {
-    Status st = btree::Node::Deserialize(std::string_view(page.data(), cut), &out);
-    EXPECT_FALSE(st.ok()) << "truncation at " << cut << " must be rejected";
+  btree::NodeView view;
+  ASSERT_TRUE(btree::NodeView::Parse(page, &view).ok());
+  for (std::string probe : {"", "key0", "key3", "key35", "key7", "zzz"}) {
+    size_t offset = 0;
+    uint32_t idx = view.LowerBound(probe, &offset);
+    EXPECT_EQ(idx, leaf.LowerBound(probe)) << probe;
+    std::string_view value;
+    bool exact = idx < leaf.entries.size() && leaf.entries[idx].key == probe;
+    EXPECT_EQ(view.Find(probe, &value), exact) << probe;
+    if (idx < leaf.entries.size()) {
+      btree::EntryView e;
+      ASSERT_GT(btree::DecodeEntry(page, offset, /*is_leaf=*/true, &e), 0u);
+      EXPECT_EQ(e.key, leaf.entries[idx].key) << probe;
+    }
   }
-  ASSERT_TRUE(btree::Node::Deserialize(page, &out).ok());
+  btree::Node inner = SampleNode(false);
+  inner.Serialize(&page);
+  ASSERT_TRUE(btree::NodeView::Parse(page, &view).ok());
+  for (std::string probe : {"", "key0", "key1", "key35", "key7", "zzz"}) {
+    EXPECT_EQ(view.ChildFor(probe), inner.children[inner.ChildIndex(probe)].child)
+        << probe;
+  }
+  EXPECT_EQ(view.FirstChild(), inner.children[0].child);
 }
 
 TEST(NodeCodecTest, RandomGarbageNeverCrashes) {
   Rng rng(99);
-  btree::Node out;
-  for (int trial = 0; trial < 2000; ++trial) {
-    std::string garbage(rng.Uniform(200), '\0');
-    for (char& c : garbage) c = static_cast<char>(rng.Uniform(256));
-    // Either parses (harmlessly) or errors; must not crash or hang.
-    (void)btree::Node::Deserialize(garbage, &out);
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::vector<char> bytes(rng.Uniform(200));
+    for (char& c : bytes) c = static_cast<char>(rng.Uniform(256));
+    if (bytes.size() >= btree::kNodeHeaderSize) {
+      // Half leaf, half internal, with plausible entry counts so some pages
+      // parse and reach the lookups.
+      bytes[0] = trial % 2 == 0 ? '\x01' : '\x00';
+      if (trial % 4 < 2) {
+        bytes[4] = static_cast<char>(rng.Uniform(6));
+        bytes[5] = bytes[6] = bytes[7] = '\0';
+      }
+    }
+    std::string_view page(bytes.data(), bytes.size());
+    btree::NodeView view;
+    if (btree::NodeView::Parse(page, &view).ok()) (void)ExerciseView(view);
+    btree::Node out;
+    (void)btree::Node::Deserialize(page, &out);
+    storage::PageId sibling;
+    (void)btree::NodeView::PeekRightSibling(page, &sibling);
   }
 }
 
