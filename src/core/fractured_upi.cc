@@ -4,7 +4,6 @@
 #include <functional>
 #include <queue>
 
-#include "common/check.h"
 #include "common/coding.h"
 
 namespace upi::core {
@@ -39,18 +38,6 @@ Status MergeTrees(const std::vector<const btree::BTree*>& trees,
     curs[best].Next();
   }
   return Status::OK();
-}
-
-/// Result order every fan-out delivers: descending confidence, ties by
-/// TupleId — identical across materialized, streamed, and pruned paths.
-void SortByConfidence(std::vector<PtqMatch>* all) {
-  std::sort(all->begin(), all->end(),
-            [](const PtqMatch& a, const PtqMatch& b) {
-              if (a.confidence != b.confidence) {
-                return a.confidence > b.confidence;
-              }
-              return a.id < b.id;
-            });
 }
 
 }  // namespace
@@ -90,38 +77,47 @@ std::shared_ptr<const FractureSummary> FracturedUpi::SummarizeTuples(
   return builder.Build();
 }
 
-bool FracturedUpi::SkipFracture(const FractureSummary* summary, int column,
-                                std::string_view value, double qt) const {
-  if (!options_.enable_pruning || summary == nullptr) return false;
-  FractureSummary::SkipReason r = summary->WhySkip(column, value, qt);
+FractureSummary::SkipReason FracturedUpi::WhySkip(const Fracture& f,
+                                                  int column,
+                                                  std::string_view value,
+                                                  double qt) const {
+  if (!options_.enable_pruning || f.summary == nullptr) {
+    return FractureSummary::SkipReason::kNone;
+  }
+  return f.summary->WhySkip(column, value, qt);
+}
+
+bool FracturedUpi::Prune(const Fracture& f, int column, std::string_view value,
+                         double qt) const {
+  const FractureSummary::SkipReason r = WhySkip(f, column, value, qt);
+  const bool skip = r != FractureSummary::SkipReason::kNone;
+  (skip ? fractures_pruned_total_ : fractures_probed_total_)
+      .fetch_add(1, std::memory_order_relaxed);
+  obs::Counter* counter = skip ? m_fractures_pruned_ : m_fractures_probed_;
+  if (counter != nullptr) counter->Add();
   if (r == FractureSummary::SkipReason::kBloom && m_bloom_rejects_ != nullptr) {
     m_bloom_rejects_->Add();
   }
-  return r != FractureSummary::SkipReason::kNone;
-}
-
-void FracturedUpi::BumpFanout(uint64_t probed, uint64_t pruned) const {
-  fractures_probed_total_.fetch_add(probed, std::memory_order_relaxed);
-  fractures_pruned_total_.fetch_add(pruned, std::memory_order_relaxed);
-  if (m_fractures_probed_ != nullptr) m_fractures_probed_->Add(probed);
-  if (m_fractures_pruned_ != nullptr) m_fractures_pruned_->Add(pruned);
+  return skip;
 }
 
 Status FracturedUpi::BuildMain(const std::vector<Tuple>& tuples) {
   std::unique_lock lock(mu_);
-  if (main_ != nullptr) return Status::Internal("main fracture already built");
-  UPI_ASSIGN_OR_RETURN(main_, Upi::Build(env_, name_ + ".main", schema_,
-                                         options_, secondary_columns_, tuples));
-  main_->fracture_ = true;
-  main_summary_ = SummarizeTuples(tuples);
-  main_and_fracture_tuples_ = tuples.size();
+  if (has_main_) return Status::Internal("main fracture already built");
+  UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> main,
+                       Upi::Build(env_, name_ + ".main", schema_, options_,
+                                  secondary_columns_, tuples));
+  main->fracture_ = true;
+  fractures_.insert(fractures_.begin(),
+                    Fracture{std::move(main), SummarizeTuples(tuples)});
+  has_main_ = true;
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
 Status FracturedUpi::Insert(const Tuple& tuple) {
   std::unique_lock lock(mu_);
-  if (deleted_.contains(tuple.id()) || buffer_deletes_.contains(tuple.id())) {
+  if (Deleted(tuple.id())) {
     return Status::InvalidArgument("TupleId reuse after deletion is not allowed");
   }
   std::string buf;
@@ -196,19 +192,29 @@ void FracturedUpi::RetuneFromBuffer() {
 }
 
 Status FracturedUpi::FlushBuffer() {
-  bool did_work = false;
-  Status s;
+  bool wrote = false;
   {
     std::unique_lock lock(mu_);
-    did_work = !buffer_.empty() || !buffer_deletes_.empty();
-    s = FlushBufferLocked();
+    UPI_ASSIGN_OR_RETURN(wrote, FlushBufferLocked());
   }
-  if (s.ok() && did_work) FireMaintenanceHook(MaintenanceEvent::kFlush, 0);
-  return s;
+  if (wrote) FireMaintenanceHook(MaintenanceOp::kFlush, 0);
+  return Status::OK();
 }
 
-Status FracturedUpi::FlushBufferLocked() {
-  if (buffer_.empty() && buffer_deletes_.empty()) return Status::OK();
+Status FracturedUpi::Run(MaintenanceOp op, size_t merge_count) {
+  switch (op) {
+    case MaintenanceOp::kFlush:
+      return FlushBuffer();
+    case MaintenanceOp::kMergeAll:
+      return MergeAll();
+    case MaintenanceOp::kMergePartial:
+      return MergeOldestFractures(merge_count);
+  }
+  return Status::InvalidArgument("unknown maintenance op");
+}
+
+Result<bool> FracturedUpi::FlushBufferLocked() {
+  if (buffer_.empty() && buffer_deletes_.empty()) return false;
   RetuneFromBuffer();
   std::string frac_name = name_ + ".frac" + std::to_string(fracture_seq_++);
   if (!buffer_.empty()) {
@@ -221,9 +227,7 @@ Status FracturedUpi::FlushBufferLocked() {
                          Upi::Build(env_, frac_name, schema_, options_,
                                     secondary_columns_, tuples));
     frac->fracture_ = true;
-    fractures_.push_back(std::move(frac));
-    fracture_summaries_.push_back(SummarizeTuples(tuples));
-    main_and_fracture_tuples_ += buffer_.size();
+    fractures_.push_back(Fracture{std::move(frac), SummarizeTuples(tuples)});
   }
   if (!buffer_deletes_.empty()) {
     std::vector<TupleId> ids(buffer_deletes_.begin(), buffer_deletes_.end());
@@ -235,26 +239,34 @@ Status FracturedUpi::FlushBufferLocked() {
   buffer_deletes_.clear();
   env_->pool()->FlushAll();
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  return true;
 }
 
 uint64_t FracturedUpi::num_live_tuples() const {
   std::shared_lock lock(mu_);
-  return main_and_fracture_tuples_ + buffer_.size() - deleted_.size() -
-         buffer_deletes_.size();
+  uint64_t tuples = buffer_.size();
+  for (const Fracture& f : fractures_) tuples += f.upi->num_tuples();
+  return tuples - deleted_.size() - buffer_deletes_.size();
+}
+
+std::vector<std::shared_ptr<const FractureSummary>> FracturedUpi::summaries()
+    const {
+  std::shared_lock lock(mu_);
+  std::vector<std::shared_ptr<const FractureSummary>> out;
+  out.reserve(fractures_.size());
+  for (const Fracture& f : fractures_) out.push_back(f.summary);
+  return out;
 }
 
 double FracturedUpi::EstimateSelectivity(std::string_view value,
                                          double qt) const {
   std::shared_lock lock(mu_);
   double hits = 0.0, total = 0.0;
-  auto add = [&](const Upi& u) {
-    const auto& h = u.prob_histogram();
-    hits += h.EstimateHeapHits(value, qt, u.options().cutoff);
-    total += h.EstimateTotalHeapEntries(u.options().cutoff);
-  };
-  if (main_ != nullptr) add(*main_);
-  for (const auto& f : fractures_) add(*f);
+  for (const Fracture& f : fractures_) {
+    const auto& h = f.upi->prob_histogram();
+    hits += h.EstimateHeapHits(value, qt, f.upi->options().cutoff);
+    total += h.EstimateTotalHeapEntries(f.upi->options().cutoff);
+  }
   if (total <= 0) return 0.0;
   double s = hits / total;
   return s > 1.0 ? 1.0 : s;
@@ -262,8 +274,8 @@ double FracturedUpi::EstimateSelectivity(std::string_view value,
 
 uint64_t FracturedUpi::size_bytes() const {
   std::shared_lock lock(mu_);
-  uint64_t total = main_ != nullptr ? main_->size_bytes() : 0;
-  for (const auto& f : fractures_) total += f->size_bytes();
+  uint64_t total = 0;
+  for (const Fracture& f : fractures_) total += f.upi->size_bytes();
   return total;
 }
 
@@ -271,34 +283,18 @@ uint64_t FracturedUpi::size_bytes() const {
 // Queries
 // ---------------------------------------------------------------------------
 
-Status FracturedUpi::QueryBuffer(std::string_view value, double qt,
-                                 std::vector<PtqMatch>* out) const {
+void FracturedUpi::QueryBuffer(int column, std::string_view value, double qt,
+                               std::vector<PtqMatch>* out) const {
   for (const auto& [id, bt] : buffer_) {
-    const Value& cv = bt.tuple.Get(options_.cluster_column);
-    if (cv.type() != ValueType::kDiscrete) continue;
+    const Value& v = bt.tuple.Get(column);
+    if (v.type() != ValueType::kDiscrete) continue;
     // On the heap key's grid, so flushing never changes a row's confidence.
     double p =
-        QuantizeProb(cv.discrete().ProbabilityOf(value) * bt.tuple.existence());
+        QuantizeProb(v.discrete().ProbabilityOf(value) * bt.tuple.existence());
     if (p >= qt && p > 0.0) {
       out->push_back(PtqMatch{id, p, bt.tuple});
     }
   }
-  return Status::OK();
-}
-
-Status FracturedUpi::QueryBufferSecondary(int column, std::string_view value,
-                                          double qt,
-                                          std::vector<PtqMatch>* out) const {
-  for (const auto& [id, bt] : buffer_) {
-    const Value& sv = bt.tuple.Get(column);
-    if (sv.type() != ValueType::kDiscrete) continue;
-    double p =
-        QuantizeProb(sv.discrete().ProbabilityOf(value) * bt.tuple.existence());
-    if (p >= qt && p > 0.0) {
-      out->push_back(PtqMatch{id, p, bt.tuple});
-    }
-  }
-  return Status::OK();
 }
 
 PruneSet FracturedUpi::ForQuery(int column, std::string_view value,
@@ -306,14 +302,11 @@ PruneSet FracturedUpi::ForQuery(int column, std::string_view value,
   std::shared_lock lock(mu_);
   PruneSet set;
   const int col = ResolveColumn(column);
-  auto consider = [&](const FractureSummary* s) {
-    bool skip = SkipFracture(s, col, value, qt);
+  for (const Fracture& f : fractures_) {
+    const bool skip =
+        WhySkip(f, col, value, qt) != FractureSummary::SkipReason::kNone;
     set.probe.push_back(!skip);
     ++(skip ? set.pruned : set.probed);
-  };
-  if (main_ != nullptr) consider(main_summary_.get());
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    consider(DeltaSummary(i));
   }
   return set;
 }
@@ -323,15 +316,13 @@ PruneEstimate FracturedUpi::EstimatePrune(int column, std::string_view value,
   std::shared_lock lock(mu_);
   PruneEstimate pe;
   const int col = ResolveColumn(column);
-  auto consider = [&](const Upi& u, const FractureSummary* s) {
+  for (const Fracture& f : fractures_) {
     ++pe.total_fractures;
-    if (SkipFracture(s, col, value, qt)) return;
+    if (WhySkip(f, col, value, qt) != FractureSummary::SkipReason::kNone) {
+      continue;
+    }
     pe.probed_fractures += 1.0;
-    pe.probed_bytes += u.heap_tree()->size_bytes();
-  };
-  if (main_ != nullptr) consider(*main_, main_summary_.get());
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    consider(*fractures_[i], DeltaSummary(i));
+    pe.probed_bytes += f.upi->heap_tree()->size_bytes();
   }
   if (pe.total_fractures == 0) {
     pe.total_fractures = 1;  // an empty table still prices one probe
@@ -355,7 +346,7 @@ Status FracturedUpi::QueryPtq(std::string_view value, double qt,
   PtqMatch m;
   while (c.Next(&m)) all.push_back(std::move(m));
   UPI_RETURN_NOT_OK(c.status());
-  SortByConfidence(&all);
+  SortByConfidenceDesc(&all);
   out->insert(out->end(), std::make_move_iterator(all.begin()),
               std::make_move_iterator(all.end()));
   return Status::OK();
@@ -366,33 +357,18 @@ Status FracturedUpi::QueryBySecondary(int column, std::string_view value,
                                       std::vector<PtqMatch>* out) const {
   std::shared_lock lock(mu_);
   std::vector<PtqMatch> all;
-  UPI_RETURN_NOT_OK(QueryBufferSecondary(column, value, qt, &all));
-  size_t probed = 0, pruned = 0;
-  auto query_one = [&](const Upi& upi, const FractureSummary* s) -> Status {
+  QueryBuffer(column, value, qt, &all);
+  for (const Fracture& f : fractures_) {
     // The summary fences cover every secondary alternative, so a fracture
     // whose zone/Bloom/max-prob summary rules the probe out never opens.
-    if (SkipFracture(s, column, value, qt)) {
-      ++pruned;
-      return Status::OK();
-    }
-    ++probed;
+    if (Prune(f, column, value, qt)) continue;
     std::vector<PtqMatch> part;
-    UPI_RETURN_NOT_OK(upi.QueryBySecondary(column, value, qt, mode, &part));
+    UPI_RETURN_NOT_OK(f.upi->QueryBySecondary(column, value, qt, mode, &part));
     for (auto& m : part) {
-      if (!IsDeleted(m.id) && !buffer_deletes_.contains(m.id)) {
-        all.push_back(std::move(m));
-      }
+      if (!Deleted(m.id)) all.push_back(std::move(m));
     }
-    return Status::OK();
-  };
-  if (main_ != nullptr) {
-    UPI_RETURN_NOT_OK(query_one(*main_, main_summary_.get()));
   }
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    UPI_RETURN_NOT_OK(query_one(*fractures_[i], DeltaSummary(i)));
-  }
-  BumpFanout(probed, pruned);
-  SortByConfidence(&all);
+  SortByConfidenceDesc(&all);
   out->insert(out->end(), std::make_move_iterator(all.begin()),
               std::make_move_iterator(all.end()));
   return Status::OK();
@@ -403,9 +379,9 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
   std::shared_lock lock(mu_);
   if (k == 0) return Status::OK();
   std::vector<PtqMatch> all;
-  // Buffer candidates compete at any confidence (no threshold in top-k).
-  UPI_RETURN_NOT_OK(QueryBuffer(value, 0.0, &all));
   const int col = options_.cluster_column;
+  // Buffer candidates compete at any confidence (no threshold in top-k).
+  QueryBuffer(col, value, 0.0, &all);
   // Running k-th-best bound: a min-heap of the k highest confidences seen so
   // far. A later fracture must beat heap.top() to change the answer.
   std::priority_queue<double, std::vector<double>, std::greater<double>> best;
@@ -418,38 +394,27 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
     }
   };
   for (const PtqMatch& m : all) note(m.confidence);
-  size_t probed = 0, pruned = 0;
-  auto topk_one = [&](const Upi& upi, const FractureSummary* s) -> Status {
-    if (options_.enable_pruning && s != nullptr) {
-      // Skip when the value cannot be present, or — strictly — when no
-      // alternative can beat the current k-th score (a tie could still win
-      // its id tie-break, so equality must probe).
-      if (!s->MayContainKey(col, value) ||
-          (best.size() >= k && s->MaxProb(col) < best.top())) {
-        ++pruned;
-        return Status::OK();
-      }
-    }
-    ++probed;
-    UpiPtqCursor c = upi.OpenTopKCursor(value);
+  for (const Fracture& f : fractures_) {
+    // The PTQ decision with the k-th score as its threshold: skip when the
+    // value cannot be present, or — strictly — when no alternative can beat
+    // the bound (a tie could still win its id tie-break, so equality must
+    // probe). Until k scores are seen any alternative can enter.
+    const double bound = best.size() >= k ? best.top() : 0.0;
+    if (Prune(f, col, value, bound)) continue;
+    UpiPtqCursor c = f.upi->OpenTopKCursor(value);
     PtqMatch m;
     size_t got = 0;
     // k surviving rows per fracture suffice: the global top-k is contained
     // in the union of per-fracture (delete-filtered) top-k streams.
     while (got < k && c.Next(&m)) {
-      if (IsDeleted(m.id) || buffer_deletes_.contains(m.id)) continue;
+      if (Deleted(m.id)) continue;
       note(m.confidence);
       all.push_back(std::move(m));
       ++got;
     }
-    return c.status();
-  };
-  if (main_ != nullptr) UPI_RETURN_NOT_OK(topk_one(*main_, main_summary_.get()));
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    UPI_RETURN_NOT_OK(topk_one(*fractures_[i], DeltaSummary(i)));
+    UPI_RETURN_NOT_OK(c.status());
   }
-  BumpFanout(probed, pruned);
-  SortByConfidence(&all);
+  SortByConfidenceDesc(&all);
   if (all.size() > k) all.resize(k);
   out->insert(out->end(), std::make_move_iterator(all.begin()),
               std::make_move_iterator(all.end()));
@@ -486,22 +451,21 @@ Status FracturedUpi::ScanTuplesMatching(
     trace->ops.push_back(std::move(op));
   }
   Status st = Status::OK();
-  size_t probed = 0, pruned = 0;
   obs::TraceOpScope op_scope;  // one re-arming scope spans the fan-out
-  auto scan_one = [&](const Upi& upi, const FractureSummary* s) {
+  for (const Fracture& f : fractures_) {
+    if (!st.ok()) break;
+    const Upi& upi = *f.upi;
     // A fracture that cannot contain a qualifying (value, qt) alternative
     // contributes nothing to a filtered sweep: skip it, zero pages read.
-    if (filtered && SkipFracture(s, col, value, qt)) {
-      ++pruned;
+    if (filtered && Prune(f, col, value, qt)) {
       if (trace != nullptr) {
         obs::TraceOp op;
         op.label = upi.name();
         op.pruned = true;
         trace->ops.push_back(std::move(op));
       }
-      return;
+      continue;
     }
-    ++probed;
     uint64_t emitted = 0;
     upi.ScanHeap([&](std::string_view key, std::string_view tuple_bytes) {
       if (!st.ok()) return;
@@ -513,7 +477,7 @@ Status FracturedUpi::ScanTuplesMatching(
       }
       // The heap duplicates a tuple per qualifying alternative; report once,
       // and apply both the flushed and the still-buffered delete sets.
-      if (IsDeleted(k.id) || buffer_deletes_.contains(k.id)) return;
+      if (Deleted(k.id)) return;
       if (!seen.insert(k.id).second) return;
       auto tuple = catalog::Tuple::Deserialize(tuple_bytes);
       if (!tuple.ok()) {
@@ -524,13 +488,7 @@ Status FracturedUpi::ScanTuplesMatching(
       ++emitted;
     });
     if (op_scope.active()) op_scope.Finish(upi.name(), emitted);
-  };
-  if (main_ != nullptr) scan_one(*main_, main_summary_.get());
-  for (size_t i = 0; i < fractures_.size(); ++i) {
-    if (!st.ok()) break;
-    scan_one(*fractures_[i], DeltaSummary(i));
   }
-  if (filtered) BumpFanout(probed, pruned);
   return st;
 }
 
@@ -543,40 +501,29 @@ FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
     : lock_(table->mu_), table_(table), value_(value), qt_(qt) {
   // The RAM buffer's matches are collected eagerly — they cost no I/O and
   // stream first.
-  status_ = table_->QueryBuffer(value_, qt_, &buffer_rows_);
   const int col = table_->options_.cluster_column;
+  table_->QueryBuffer(col, value_, qt_, &buffer_rows_);
   obs::QueryTrace* trace = obs::CurrentTrace();
-  auto consider = [&](const Upi* u, const FractureSummary* s) {
-    if (table_->SkipFracture(s, col, value_, qt_)) {
-      ++pruned_;
-      if (trace != nullptr) {
-        // A pruned fracture is a real plan node with provably-zero actuals.
-        obs::TraceOp op;
-        op.label = u->name();
-        op.pruned = true;
-        trace->ops.push_back(std::move(op));
-      }
-    } else {
-      pending_.push_back(u);
+  for (const Fracture& f : table_->fractures_) {
+    if (!table_->Prune(f, col, value_, qt_)) {
+      pending_.push_back(f.upi.get());
+      continue;
     }
-  };
-  if (table_->main_ != nullptr) {
-    consider(table_->main_.get(), table_->main_summary_.get());
+    ++pruned_;
+    if (trace != nullptr) {
+      // A pruned fracture is a real plan node with provably-zero actuals.
+      obs::TraceOp op;
+      op.label = f.upi->name();
+      op.pruned = true;
+      trace->ops.push_back(std::move(op));
+    }
   }
-  for (size_t i = 0; i < table_->fractures_.size(); ++i) {
-    consider(table_->fractures_[i].get(), table_->DeltaSummary(i));
-  }
-  table_->BumpFanout(pending_.size(), pruned_);
   if (trace != nullptr && !buffer_rows_.empty()) {
     obs::TraceOp op;
     op.label = table_->name_ + ".buffer";
     op.rows = buffer_rows_.size();  // RAM scan: no I/O by construction
     trace->ops.push_back(std::move(op));
   }
-}
-
-bool FracturedPtqCursor::Deleted(catalog::TupleId id) const {
-  return table_->IsDeleted(id) || table_->buffer_deletes_.contains(id);
 }
 
 bool FracturedPtqCursor::Next(PtqMatch* out) {
@@ -600,7 +547,7 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
     }
     PtqMatch m;
     while (cur_->Next(&m)) {
-      if (Deleted(m.id)) continue;
+      if (table_->Deleted(m.id)) continue;
       *out = std::move(m);
       ++cur_rows_;
       return true;
@@ -820,55 +767,66 @@ Result<std::unique_ptr<Upi>> FracturedUpi::MergeUpis(
   return merged;
 }
 
-Status FracturedUpi::MergeAll() {
-  // Phase 1 (exclusive): flush pending buffers and snapshot the sources plus
-  // the delete set, so the build can run without the lock.
+Status FracturedUpi::MergeAll() { return Merge(MaintenanceOp::kMergeAll, 0); }
+
+Status FracturedUpi::MergeOldestFractures(size_t count) {
+  return Merge(MaintenanceOp::kMergePartial, count);
+}
+
+Status FracturedUpi::Merge(MaintenanceOp op, size_t count) {
+  const bool full = op == MaintenanceOp::kMergeAll;
+  // Phase 1 (exclusive): flush pending buffers and snapshot the merged range
+  // of the list plus the delete set, so the build can run without the lock.
+  // A full merge takes the whole list; a partial merge the `count` oldest
+  // deltas, so its build cost is proportional to the deltas.
   std::vector<const Upi*> sources;
   std::string merged_name;
   std::set<catalog::TupleId> deleted_snapshot;
-  size_t delta_count = 0;
+  size_t first = 0;  // the merged range is [first, first + sources.size())
   {
     std::unique_lock lock(mu_);
-    UPI_RETURN_NOT_OK(FlushBufferLocked());
-    if (main_ == nullptr && fractures_.empty()) return Status::OK();
-    if (main_ != nullptr) sources.push_back(main_.get());
-    for (const auto& f : fractures_) sources.push_back(f.get());
-    delta_count = fractures_.size();
+    UPI_ASSIGN_OR_RETURN(bool flushed, FlushBufferLocked());
+    first = (full || !has_main_) ? 0 : 1;
+    const size_t n =
+        std::min(full ? fractures_.size() : count, fractures_.size() - first);
+    if (n < (full ? 1u : 2u)) {
+      lock.unlock();
+      // The flush alone changed the layout: journal it as one.
+      if (flushed) FireMaintenanceHook(MaintenanceOp::kFlush, 0);
+      return Status::OK();
+    }
+    for (size_t i = first; i < first + n; ++i) {
+      sources.push_back(fractures_[i].upi.get());
+    }
     deleted_snapshot = deleted_;
-    merged_name = name_ + ".merged" + std::to_string(fracture_seq_++);
+    merged_name = name_ + (full ? ".merged" : ".partial") +
+                  std::to_string(fracture_seq_++);
   }
 
   // Phase 2 (no lock): the expensive sort-merge. Concurrent queries keep
   // fanning out over the unchanged source fractures.
   std::set<catalog::TupleId> filtered;
-  std::shared_ptr<const FractureSummary> merged_summary;
-  UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> merged,
+  Fracture result;
+  UPI_ASSIGN_OR_RETURN(result.upi,
                        MergeUpis(sources, merged_name, deleted_snapshot,
-                                 &filtered, &merged_summary));
+                                 &filtered, &result.summary));
 
   // Phase 3 (exclusive): atomic install. Fractures flushed *during* the
   // build (possible only via a direct caller; the manager serializes
-  // maintenance) sit past delta_count and survive the swap.
+  // maintenance) were appended past the range and survive the swap.
   {
     std::unique_lock lock(mu_);
-    main_ = std::move(merged);
-    main_summary_ = std::move(merged_summary);
-    // The summary list is parallel to the fracture list (DeltaSummary pairs
-    // them by index); a drifted pair would mis-prune and silently drop rows,
-    // so fail fast instead.
-    UPI_CHECK(fracture_summaries_.size() == fractures_.size(),
-              "fracture/summary lists out of lockstep");
-    fractures_.erase(fractures_.begin(), fractures_.begin() + delta_count);
-    fracture_summaries_.erase(fracture_summaries_.begin(),
-                              fracture_summaries_.begin() + delta_count);
-    main_and_fracture_tuples_ = main_->num_tuples();
-    for (const auto& f : fractures_) main_and_fracture_tuples_ += f->num_tuples();
-    // TupleIds are never reused, so a filtered id cannot exist elsewhere.
-    // Ids deleted after the snapshot stay until the next merge.
+    auto range = fractures_.begin() + first;
+    *range = std::move(result);
+    fractures_.erase(range + 1, range + sources.size());
+    has_main_ = has_main_ || full;
+    // TupleIds are unique across the table and never reused, so a filtered
+    // id cannot exist elsewhere: retire it from the delete set. Ids deleted
+    // after the snapshot stay until the next merge.
     for (catalog::TupleId id : filtered) deleted_.erase(id);
     // Phantom deletes (ids that never matched any entry) are retired too when
-    // nothing remains that could contain them.
-    if (fractures_.empty()) {
+    // a full merge leaves nothing else that could contain them.
+    if (full && fractures().empty()) {
       for (auto it = deleted_.begin(); it != deleted_.end();) {
         if (deleted_snapshot.contains(*it)) {
           it = deleted_.erase(it);
@@ -880,59 +838,9 @@ Status FracturedUpi::MergeAll() {
   }
   env_->pool()->FlushAll();
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
-  FireMaintenanceHook(MaintenanceEvent::kMergeAll, 0);
-  return Status::OK();
-}
-
-Status FracturedUpi::MergeOldestFractures(size_t count) {
-  const size_t requested = count;
-  // Same three-phase structure as MergeAll; only the `count` oldest delta
-  // fractures are touched, so the build cost is proportional to the deltas.
-  std::vector<const Upi*> sources;
-  std::string merged_name;
-  std::set<catalog::TupleId> deleted_snapshot;
-  {
-    std::unique_lock lock(mu_);
-    UPI_RETURN_NOT_OK(FlushBufferLocked());
-    if (count > fractures_.size()) count = fractures_.size();
-    if (count < 2) return Status::OK();
-    for (size_t i = 0; i < count; ++i) sources.push_back(fractures_[i].get());
-    deleted_snapshot = deleted_;
-    merged_name = name_ + ".partial" + std::to_string(fracture_seq_++);
-  }
-
-  std::set<catalog::TupleId> filtered;
-  std::shared_ptr<const FractureSummary> merged_summary;
-  UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> merged,
-                       MergeUpis(sources, merged_name, deleted_snapshot,
-                                 &filtered, &merged_summary));
-
-  {
-    std::unique_lock lock(mu_);
-    // TupleIds are unique across the table, so a deleted id filtered out here
-    // cannot exist elsewhere: retire it from the delete set and the counters.
-    for (catalog::TupleId id : filtered) deleted_.erase(id);
-    uint64_t merged_sources_tuples = 0;
-    for (size_t i = 0; i < count; ++i) {
-      merged_sources_tuples += fractures_[i]->num_tuples();
-    }
-    main_and_fracture_tuples_ -= merged_sources_tuples;
-    main_and_fracture_tuples_ += merged->num_tuples();
-
-    UPI_CHECK(fracture_summaries_.size() == fractures_.size(),
-              "fracture/summary lists out of lockstep");
-    fractures_.erase(fractures_.begin(), fractures_.begin() + count);
-    fractures_.insert(fractures_.begin(), std::move(merged));
-    fracture_summaries_.erase(fracture_summaries_.begin(),
-                              fracture_summaries_.begin() + count);
-    fracture_summaries_.insert(fracture_summaries_.begin(),
-                               std::move(merged_summary));
-  }
-  env_->pool()->FlushAll();
-  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
-  // Logged with the *requested* count: replay re-clamps against the same
-  // fracture list, so the recovered layout matches.
-  FireMaintenanceHook(MaintenanceEvent::kMergePartial, requested);
+  // A partial merge is logged with the *requested* count: replay re-clamps
+  // against the same fracture list, so the recovered layout matches.
+  FireMaintenanceHook(op, full ? 0 : count);
   return Status::OK();
 }
 

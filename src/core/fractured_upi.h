@@ -9,10 +9,21 @@
 // what keeps maintenance cost near an append-only heap (Table 7) and
 // eliminates fragmentation (Figure 9).
 //
-// Queries fan out to the buffer, the main fracture and every delta fracture,
-// union the results, and subtract delete sets (Section 4.2). Each fracture
-// costs an extra Costinit + H seeks, the linear-in-Nfrac overhead the
-// Section 6.2 cost model captures and MergeAll() (Section 4.3) repays.
+// The on-disk part is one ordered list of immutable fractures, each paired
+// with its pruning summary: the main fracture first when one exists, then the
+// deltas oldest first. Queries fan out to the buffer and that list, union the
+// results, and subtract delete sets (Section 4.2); each executed fan-out makes
+// its per-fracture pruning decision through one member. Each probed fracture
+// costs an extra Costinit + H seeks, the linear-in-Nfrac overhead the Section
+// 6.2 cost model captures and merging (Section 4.3) repays. Both merges are
+// one sort-merge over a range of the list: a full merge (MergeAll) turns the
+// whole list into a new main, a partial merge (MergeOldestFractures) the
+// oldest deltas into one delta.
+//
+// Maintenance is one op type, core::MaintenanceOp (flush, full merge,
+// partial merge), with one dispatch, Run(op, merge_count). The maintenance
+// manager schedules it, the maintenance hook reports it, the WAL journals it
+// and recovery replays it.
 //
 // Costinit follows a handle cache, as the immutable runs of an LSM tree do:
 // a fracture's heap file pays it on its first touch, and its cutoff file on
@@ -33,10 +44,10 @@
 // their expensive build phase *without* the lock — concurrent queries keep
 // fanning out over the old fracture list — and take the exclusive lock only
 // to swap the new list in atomically. At most ONE maintenance operation
-// (FlushBuffer / MergeAll / MergeOldestFractures) may be in flight at a time;
-// MaintenanceManager serializes them per table. Flushes hold the exclusive
-// lock end-to-end (they are sequential appends, cheap next to merges), which
-// keeps the buffered tuples visible to every query.
+// (BuildMain / FlushBuffer / MergeAll / MergeOldestFractures / Run) may be in
+// flight at a time; MaintenanceManager serializes them per table. Flushes
+// hold the exclusive lock end-to-end (they are sequential appends, cheap next
+// to merges), which keeps the buffered tuples visible to every query.
 #pragma once
 
 #include <atomic>
@@ -45,6 +56,7 @@
 #include <optional>
 #include <set>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -59,6 +71,21 @@
 namespace upi::core {
 
 class FracturedUpi;
+
+/// A maintenance operation on a Fractured UPI. The values are the WAL's wire
+/// values (wal/wal_format.h), so they never change.
+enum class MaintenanceOp : uint8_t {
+  kFlush = 0,         // FracturedUpi::FlushBuffer
+  kMergeAll = 1,      // FracturedUpi::MergeAll
+  kMergePartial = 2,  // FracturedUpi::MergeOldestFractures(merge_count)
+};
+
+/// One immutable on-disk fracture and its pruning summary (shared, so a
+/// FracturedUpi::summaries() snapshot outlives a later install).
+struct Fracture {
+  std::unique_ptr<Upi> upi;
+  std::shared_ptr<const FractureSummary> summary;
+};
 
 /// Pull-based streaming PTQ over a Fractured UPI: the pruned fan-out,
 /// executed lazily. Construction scans the RAM buffer (free) and prunes the
@@ -94,8 +121,6 @@ class FracturedPtqCursor {
   friend class FracturedUpi;
   FracturedPtqCursor(const FracturedUpi* table, std::string_view value,
                      double qt);
-
-  bool Deleted(catalog::TupleId id) const;
 
   std::shared_lock<sync::SharedMutex> lock_;
   const FracturedUpi* table_;
@@ -138,16 +163,22 @@ class FracturedUpi {
   /// advisor may have retuned since the last flush.
   Status FlushBuffer();
 
-  /// Merges main + all fractures into a fresh main UPI (Section 4.3): a
+  /// Merges the whole fracture list into a fresh main UPI (Section 4.3): a
   /// parallel sort-merge costing about one sequential read plus one
-  /// sequential write of the whole database (Table 8).
+  /// sequential write of the whole database (Table 8). Flushes the buffer
+  /// first; no merge when that leaves no fracture.
   Status MergeAll();
 
   /// Section 4.3's cheaper alternative: "One option is to only merge a few
   /// fractures at a time." Merges the `count` *oldest delta fractures* into
   /// one (the main fracture is untouched, so the cost is proportional to the
-  /// merged deltas, not the whole database). No-op if fewer than two deltas.
+  /// merged deltas, not the whole database). Flushes the buffer first; no
+  /// merge when that leaves fewer than two deltas.
   Status MergeOldestFractures(size_t count);
+
+  /// The one maintenance dispatch: FlushBuffer, MergeAll or
+  /// MergeOldestFractures(merge_count) for `op`.
+  Status Run(MaintenanceOp op, size_t merge_count);
 
   /// Section 4.2's adaptive design: when set, every FlushBuffer() re-runs the
   /// cutoff advisor over the given workload profile using the *buffered*
@@ -158,18 +189,16 @@ class FracturedUpi {
 
   // --- Durability hook (see src/wal/) --------------------------------------
 
-  /// A maintenance operation that actually changed the physical shape.
-  /// `merge_count` carries MergeOldestFractures' requested count.
-  enum class MaintenanceEvent { kFlush, kMergeAll, kMergePartial };
-
-  /// Fired by FlushBuffer / MergeAll / MergeOldestFractures after the
-  /// operation completes and the fracture-list lock is RELEASED (the hook
-  /// may append to the WAL, whose locks rank below this table's), and only
-  /// when the call was not a no-op. Set once at registration time, before
-  /// the table sees concurrent traffic; the WAL layer journals the event so
-  /// recovery reproduces the same fracture layout.
+  /// Fired by FlushBuffer / MergeAll / MergeOldestFractures with the op that
+  /// actually changed the physical shape, after the operation completes and
+  /// the fracture-list lock is RELEASED (the hook may append to the WAL,
+  /// whose locks rank below this table's), and only when the call was not a
+  /// no-op: a merge call that only flushed reports kFlush. `merge_count`
+  /// carries MergeOldestFractures' requested count. Set once at registration
+  /// time, before the table sees concurrent traffic; the WAL layer journals
+  /// the op so recovery reproduces the same fracture layout.
   void SetMaintenanceHook(
-      std::function<void(MaintenanceEvent, size_t merge_count)> hook) {
+      std::function<void(MaintenanceOp, size_t merge_count)> hook) {
     maintenance_hook_ = std::move(hook);
   }
 
@@ -187,10 +216,12 @@ class FracturedUpi {
   /// each probed fracture contributes its first k surviving (non-deleted)
   /// rows off a top-k cursor; the union is confidence-sorted (ties by
   /// TupleId) and truncated to k. Keeps a running k-th-score bound and —
-  /// when pruning is enabled — skips fractures whose summary max probability
-  /// cannot beat it, as well as fractures that cannot contain `value` at
-  /// all. The bound only ever skips fractures that cannot change the answer,
-  /// so rows are identical with pruning on or off.
+  /// when pruning is enabled — prunes through the same summary decision as
+  /// a PTQ, with the bound as its threshold (0 until k scores are seen): a
+  /// fracture whose max probability cannot beat the bound, or that cannot
+  /// contain `value` at all, is skipped. The bound only ever skips fractures
+  /// that cannot change the answer, so rows are identical with pruning on or
+  /// off.
   Status QueryTopK(std::string_view value, size_t k,
                    std::vector<PtqMatch>* out) const;
 
@@ -198,8 +229,8 @@ class FracturedUpi {
   /// FracturedPtqCursor for ordering and the lock-lifetime contract).
   FracturedPtqCursor OpenPtqCursor(std::string_view value, double qt) const;
 
-  /// Full sequential sweep: RAM-buffered tuples first (no I/O), then main +
-  /// every delta fracture in order, deduplicated by TupleId with delete sets
+  /// Full sequential sweep: RAM-buffered tuples first (no I/O), then the
+  /// fracture list in order, deduplicated by TupleId with delete sets
   /// applied — `fn` runs exactly once per live tuple. Opens each fracture's
   /// heap file like every other fractured read.
   Status ScanTuples(const std::function<void(const catalog::Tuple&)>& fn) const;
@@ -219,15 +250,15 @@ class FracturedUpi {
   /// fracture first *when one exists*, then the deltas in list order (a
   /// table grown purely from flushes has no main slot). column < 0 means
   /// the clustered attribute. Respects options().enable_pruning
-  /// (everything probed when disabled).
+  /// (everything probed when disabled). Counts nothing.
   PruneSet ForQuery(int column, std::string_view value, double qt) const;
 
   /// Planner-facing expectation for the same decision: fracture count plus
-  /// the probed fractures' heap bytes. RAM-only.
+  /// the probed fractures' heap bytes. RAM-only; counts nothing.
   PruneEstimate EstimatePrune(int column, std::string_view value,
                               double qt) const;
 
-  /// Cumulative fractures skipped / opened by query fan-outs since
+  /// Cumulative fractures skipped / opened by executed query fan-outs since
   /// construction (bench/test telemetry).
   uint64_t fractures_pruned_total() const {
     return fractures_pruned_total_.load(std::memory_order_relaxed);
@@ -236,13 +267,9 @@ class FracturedUpi {
     return fractures_probed_total_.load(std::memory_order_relaxed);
   }
 
-  /// Summary snapshots (unsynchronized, like main()/fractures(): only safe
-  /// while no maintenance operation is in flight).
-  const FractureSummary* main_summary() const { return main_summary_.get(); }
-  const std::vector<std::shared_ptr<const FractureSummary>>&
-  fracture_summaries() const {
-    return fracture_summaries_;
-  }
+  /// Every fracture's summary in fan-out order (main first when one exists),
+  /// snapshotted under the shared lock.
+  std::vector<std::shared_ptr<const FractureSummary>> summaries() const;
 
   // --- Tuning / introspection ---------------------------------------------
 
@@ -252,7 +279,7 @@ class FracturedUpi {
   /// Nfrac).
   size_t num_fractures() const {
     std::shared_lock lock(mu_);
-    return (main_ != nullptr ? 1 : 0) + fractures_.size();
+    return fractures_.size();
   }
   size_t buffered_inserts() const {
     std::shared_lock lock(mu_);
@@ -288,22 +315,26 @@ class FracturedUpi {
   uint64_t stats_epoch() const {
     return stats_epoch_.load(std::memory_order_relaxed);
   }
-  /// Aggregated histogram estimate across main + fractures: the fraction of
+  /// Aggregated histogram estimate across the fractures: the fraction of
   /// all heap entries a PTQ(value, qt) scans — the Section 6.2 Selectivity.
   double EstimateSelectivity(std::string_view value, double qt) const;
   /// Unsynchronized structural accessors: only safe while no maintenance
   /// operation is in flight (single-threaded benches/tests, or between
-  /// MaintenanceManager tasks).
-  Upi* main() const { return main_.get(); }
-  const std::vector<std::unique_ptr<Upi>>& fractures() const { return fractures_; }
-  /// Iterates main + every delta fracture under the shared lock — safe while
+  /// MaintenanceManager tasks). main() is nullptr when the table has no main
+  /// fracture; fractures() is the list past it, the deltas oldest first.
+  Upi* main() const {
+    return has_main_ ? fractures_.front().upi.get() : nullptr;
+  }
+  std::span<const Fracture> fractures() const {
+    return std::span<const Fracture>(fractures_).subspan(has_main_ ? 1 : 0);
+  }
+  /// Iterates the fracture list under the shared lock — safe while
   /// background maintenance runs (installed fractures are immutable; the list
-  /// swap takes the exclusive lock). The engine's planner reads stats and
-  /// histograms through this.
+  /// swap takes the exclusive lock). The engine's planner and the cost model
+  /// read stats and histograms through this.
   void ForEachFractureShared(const std::function<void(const Upi&)>& fn) const {
     std::shared_lock lock(mu_);
-    if (main_ != nullptr) fn(*main_);
-    for (const auto& f : fractures_) fn(*f);
+    for (const Fracture& f : fractures_) fn(*f.upi);
   }
   const catalog::Schema& schema() const { return schema_; }
   const std::string& name() const { return name_; }
@@ -312,33 +343,37 @@ class FracturedUpi {
   friend class FracturedPtqCursor;
 
   /// Fires maintenance_hook_ if set. Caller must NOT hold mu_.
-  void FireMaintenanceHook(MaintenanceEvent event, size_t merge_count) {
-    if (maintenance_hook_) maintenance_hook_(event, merge_count);
+  void FireMaintenanceHook(MaintenanceOp op, size_t merge_count) {
+    if (maintenance_hook_) maintenance_hook_(op, merge_count);
   }
 
-  bool IsDeleted(catalog::TupleId id) const { return deleted_.contains(id); }
+  /// True when `id` is in a flushed or a still-buffered delete set. Caller
+  /// holds at least the shared lock.
+  bool Deleted(catalog::TupleId id) const {
+    return deleted_.contains(id) || buffer_deletes_.contains(id);
+  }
   void RetuneFromBuffer();
-  /// FlushBuffer body; caller holds the exclusive lock.
-  Status FlushBufferLocked();
-  /// True when the summary proves a probe (column, value, qt) cannot match
-  /// anything in the fracture. Caller holds at least the shared lock;
-  /// `column` is a concrete schema column index. Never skips when pruning is
-  /// disabled or the summary is missing.
-  bool SkipFracture(const FractureSummary* summary, int column,
-                    std::string_view value, double qt) const;
-  /// Adds one fan-out's probe/prune counts to the table atomics and the
-  /// engine-wide registry counters.
-  void BumpFanout(uint64_t probed, uint64_t pruned) const;
+  /// FlushBuffer body; caller holds the exclusive lock. Returns whether it
+  /// wrote anything.
+  Result<bool> FlushBufferLocked();
+  /// The one body of MergeAll (kMergeAll) and MergeOldestFractures
+  /// (kMergePartial, `count` oldest deltas).
+  Status Merge(MaintenanceOp op, size_t count);
+  /// Which fence proves a probe (column, value, qt) cannot match anything in
+  /// `f` (kNone: probe it). Never skips when pruning is disabled or the
+  /// summary is missing. Caller holds at least the shared lock; `column` is
+  /// a concrete schema column index. Counting-free: the estimates use it.
+  FractureSummary::SkipReason WhySkip(const Fracture& f, int column,
+                                      std::string_view value, double qt) const;
+  /// The pruning decision of every executed fan-out: WhySkip, plus counting
+  /// the probe or the prune (and a Bloom reject) in the table atomics and
+  /// the engine-wide registry counters. True means skip `f`.
+  bool Prune(const Fracture& f, int column, std::string_view value,
+             double qt) const;
   /// Maps the query convention (column < 0 = clustered attribute) to a
   /// concrete schema column.
   int ResolveColumn(int column) const {
     return column < 0 ? options_.cluster_column : column;
-  }
-  /// Delta fracture i's summary, nullptr when absent. Caller holds at least
-  /// the shared lock.
-  const FractureSummary* DeltaSummary(size_t i) const {
-    return i < fracture_summaries_.size() ? fracture_summaries_[i].get()
-                                          : nullptr;
   }
   /// Builds the summary of a fracture about to be flushed/bulk-built: every
   /// clustered-column alternative (heap *and* cutoff — both are reachable by
@@ -355,10 +390,9 @@ class FracturedUpi {
                                          std::set<catalog::TupleId>* filtered_ids,
                                          std::shared_ptr<const FractureSummary>*
                                              summary_out);
-  Status QueryBuffer(std::string_view value, double qt,
-                     std::vector<PtqMatch>* out) const;
-  Status QueryBufferSecondary(int column, std::string_view value, double qt,
-                              std::vector<PtqMatch>* out) const;
+  /// The RAM buffer's matches of (column, value, qt); column is concrete.
+  void QueryBuffer(int column, std::string_view value, double qt,
+                   std::vector<PtqMatch>* out) const;
   /// Writes `ids` sequentially to a fresh delete-set file (cost accounting).
   void PersistDeleteSet(const std::string& name,
                         const std::vector<catalog::TupleId>& ids);
@@ -370,20 +404,17 @@ class FracturedUpi {
   std::vector<int> secondary_columns_;
 
   /// Fired (without mu_) after a flush/merge completes; see SetMaintenanceHook.
-  std::function<void(MaintenanceEvent, size_t)> maintenance_hook_;
+  std::function<void(MaintenanceOp, size_t)> maintenance_hook_;
 
   /// Guards fracture list, buffers, delete sets, and counters. Shared:
   /// queries/introspection. Exclusive: Insert/Delete (cheap RAM mutation),
   /// flush, and merge installation.
   mutable sync::SharedMutex mu_{sync::LockRank::kFracturedUpi};
 
-  std::unique_ptr<Upi> main_;
-  std::vector<std::unique_ptr<Upi>> fractures_;
-  /// Pruning summaries, parallel to main_/fractures_ and swapped with them
-  /// under the exclusive lock (shared_ptr: an in-flight lazy cursor may
-  /// outlive the list entry it pruned against).
-  std::shared_ptr<const FractureSummary> main_summary_;
-  std::vector<std::shared_ptr<const FractureSummary>> fracture_summaries_;
+  /// The fracture list in fan-out order: the main fracture first when
+  /// has_main_, then the deltas oldest first.
+  std::vector<Fracture> fractures_;
+  bool has_main_ = false;
   int fracture_seq_ = 0;
 
   // Adaptive per-fracture tuning (empty workload = disabled).
@@ -401,8 +432,6 @@ class FracturedUpi {
   std::set<catalog::TupleId> buffer_deletes_;  // deletions not yet flushed
   // Union of all flushed delete sets (each fracture also persists its own).
   std::set<catalog::TupleId> deleted_;
-  uint64_t deleted_count_applied_ = 0;
-  uint64_t main_and_fracture_tuples_ = 0;
   std::atomic<uint64_t> stats_epoch_{0};
   mutable std::atomic<uint64_t> fractures_pruned_total_{0};
   mutable std::atomic<uint64_t> fractures_probed_total_{0};

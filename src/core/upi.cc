@@ -11,6 +11,17 @@ using catalog::TupleId;
 using catalog::Value;
 using catalog::ValueType;
 
+void SortByConfidenceDesc(std::vector<PtqMatch>* matches) {
+  auto before = [](const PtqMatch& a, const PtqMatch& b) {
+    if (a.confidence != b.confidence) return a.confidence > b.confidence;
+    return a.id < b.id;
+  };
+  // Eager cursors already serve this order; re-sorting their drained rows
+  // costs one linear pass.
+  if (std::is_sorted(matches->begin(), matches->end(), before)) return;
+  std::sort(matches->begin(), matches->end(), before);
+}
+
 Upi::Upi(storage::DbEnv* env, std::string name, catalog::Schema schema,
          UpiOptions options)
     : env_(env),

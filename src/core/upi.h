@@ -68,6 +68,10 @@ struct PtqMatch {
   catalog::Tuple tuple;
 };
 
+/// Sorts matches into the order every read path delivers: descending
+/// confidence, ties by TupleId.
+void SortByConfidenceDesc(std::vector<PtqMatch>* matches);
+
 /// How a query uses secondary-index pointers (Figure 6's three curves are
 /// PII-on-heap vs. these two modes).
 enum class SecondaryAccessMode {

@@ -193,20 +193,12 @@ double UpiAccessPath::EstimateTopKThreshold(std::string_view value,
 
 const std::string& FracturedAccessPath::name() const { return table_->name(); }
 
-void FracturedAccessPath::ForEachUpi(
-    const std::function<void(const core::Upi&)>& fn) const {
-  // Shared-lock iteration: installed fractures are immutable and the list
-  // swap takes the exclusive lock, so planning stays safe while background
-  // maintenance workers merge underneath.
-  table_->ForEachFractureShared(fn);
-}
-
 PathStats FracturedAccessPath::Stats() const {
   PathStats s;
   s.cutoff = table_->options().cutoff;
   s.table.page_size = table_->options().page_size;
   uint32_t fractures = 0;
-  ForEachUpi([&](const core::Upi& u) {
+  table_->ForEachFractureShared([&](const core::Upi& u) {
     core::TableStats t = core::TableStats::Of(u);
     s.table.table_bytes += t.table_bytes;
     s.table.num_leaf_pages += t.num_leaf_pages;
@@ -284,7 +276,8 @@ Status FracturedAccessPath::ScanTuplesMatching(
 
 bool FracturedAccessPath::HasSecondary(int column) const {
   bool has = false;
-  ForEachUpi([&](const core::Upi& u) { has |= u.secondary(column) != nullptr; });
+  table_->ForEachFractureShared(
+      [&](const core::Upi& u) { has |= u.secondary(column) != nullptr; });
   return has;
 }
 
@@ -292,7 +285,7 @@ histogram::PtqEstimate FracturedAccessPath::EstimatePtq(std::string_view value,
                                                         double qt) const {
   histogram::PtqEstimate est;
   double total_heap = 0.0;
-  ForEachUpi([&](const core::Upi& u) {
+  table_->ForEachFractureShared([&](const core::Upi& u) {
     histogram::PtqEstimate e = u.EstimatePtq(value, qt);
     est.heap_entries += e.heap_entries;
     est.cutoff_pointers += e.cutoff_pointers;
@@ -307,7 +300,7 @@ double FracturedAccessPath::EstimateSecondaryMatches(int column,
                                                      std::string_view value,
                                                      double qt) const {
   double n = 0.0;
-  ForEachUpi([&](const core::Upi& u) {
+  table_->ForEachFractureShared([&](const core::Upi& u) {
     n += u.EstimateSecondaryMatches(column, value, qt);
   });
   return n;
@@ -315,7 +308,7 @@ double FracturedAccessPath::EstimateSecondaryMatches(int column,
 
 double FracturedAccessPath::SecondaryAvgPointers(int column) const {
   double weighted = 0.0, entries = 0.0;
-  ForEachUpi([&](const core::Upi& u) {
+  table_->ForEachFractureShared([&](const core::Upi& u) {
     core::SecondaryIndex* sec = u.secondary(column);
     if (sec == nullptr) return;
     double n = static_cast<double>(sec->num_entries());
@@ -330,7 +323,7 @@ double FracturedAccessPath::EstimateTopKThreshold(std::string_view value,
   // Combined k-th threshold across fractures: walk the shared bucket grid
   // from the top, accumulating every fracture's expected entries per bucket.
   int nb = 0;
-  ForEachUpi([&](const core::Upi& u) {
+  table_->ForEachFractureShared([&](const core::Upi& u) {
     nb = std::max(nb, u.prob_histogram().num_buckets());
   });
   if (nb == 0) return 0.0;
@@ -338,7 +331,7 @@ double FracturedAccessPath::EstimateTopKThreshold(std::string_view value,
   for (int b = nb - 1; b >= 0; --b) {
     double lo = static_cast<double>(b) / nb;
     double hi = static_cast<double>(b + 1) / nb + (b == nb - 1 ? 1e-9 : 0.0);
-    ForEachUpi([&](const core::Upi& u) {
+    table_->ForEachFractureShared([&](const core::Upi& u) {
       acc += u.prob_histogram().CountFirst(value, lo, hi) +
              u.prob_histogram().CountRest(value, lo, hi);
     });

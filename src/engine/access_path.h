@@ -292,9 +292,6 @@ class FracturedAccessPath : public AccessPath {
   core::FracturedUpi* fractured() const { return owned_.get(); }
 
  private:
-  /// Applies `fn` to main + every delta fracture.
-  void ForEachUpi(const std::function<void(const core::Upi&)>& fn) const;
-
   std::unique_ptr<core::FracturedUpi> owned_;
   const core::FracturedUpi* table_;
   maintenance::MaintenanceManager* manager_ = nullptr;

@@ -405,21 +405,8 @@ void Database::LogCreate(Table* table,
 }
 
 void Database::LogMaintenance(const std::string& table, int shard,
-                              core::FracturedUpi::MaintenanceEvent event,
-                              size_t merge_count) {
+                              core::MaintenanceOp op, size_t merge_count) {
   if (wal_ == nullptr) return;
-  wal::MaintenanceOp op = wal::MaintenanceOp::kFlush;
-  switch (event) {
-    case core::FracturedUpi::MaintenanceEvent::kFlush:
-      op = wal::MaintenanceOp::kFlush;
-      break;
-    case core::FracturedUpi::MaintenanceEvent::kMergeAll:
-      op = wal::MaintenanceOp::kMergeAll;
-      break;
-    case core::FracturedUpi::MaintenanceEvent::kMergePartial:
-      op = wal::MaintenanceOp::kMergePartial;
-      break;
-  }
   std::shared_lock<sync::SharedMutex> gate(wal_->gate());
   wal::Lsn lsn =
       wal_->Append(wal::EncodeMaintenance(table, shard, op, merge_count));
@@ -431,9 +418,8 @@ void Database::LogMaintenance(const std::string& table, int shard,
 void Database::ManageFractured(core::FracturedUpi* frac,
                                const std::string& name, int shard) {
   frac->SetMaintenanceHook(
-      [this, name, shard](core::FracturedUpi::MaintenanceEvent event,
-                          size_t merge_count) {
-        LogMaintenance(name, shard, event, merge_count);
+      [this, name, shard](core::MaintenanceOp op, size_t merge_count) {
+        LogMaintenance(name, shard, op, merge_count);
       });
   manager_.Register(frac);
 }

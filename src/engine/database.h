@@ -295,8 +295,7 @@ class Database {
   /// and partition shard: journals the completed flush/merge so recovery
   /// reproduces the exact fracture layout. shard < 0 = the table itself.
   void LogMaintenance(const std::string& table, int shard,
-                      core::FracturedUpi::MaintenanceEvent event,
-                      size_t merge_count);
+                      core::MaintenanceOp op, size_t merge_count);
   /// Registers `frac` (owned by table `name`, shard `shard`) with the
   /// maintenance manager and hooks it into LogMaintenance.
   void ManageFractured(core::FracturedUpi* frac, const std::string& name,

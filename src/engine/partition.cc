@@ -507,7 +507,6 @@ std::unique_ptr<ResultCursor> PartitionedTable::OpenTopK(std::string_view value,
     return std::make_unique<MaterializedCursor>(std::vector<core::PtqMatch>{});
   }
   exec::GlobalTopKBound bound(k);
-  const bool use_bound = popts_.topk_global_bound;
   std::vector<ShardRun> runs;
   Status st = Scatter(
       -1, value, /*qt=*/0.0, "topk",
@@ -521,7 +520,7 @@ std::unique_ptr<ResultCursor> PartitionedTable::OpenTopK(std::string_view value,
           // pages behind it (deferred cutoff-pointer fetches included). An
           // eager shard's rows are already paid for; all of them still
           // tighten the bound for the shards racing it.
-          if (use_bound && !bound.Offer(m.confidence) && !shard->eager()) {
+          if (!bound.Offer(m.confidence) && !shard->eager()) {
             break;
           }
           rows->push_back(std::move(m));

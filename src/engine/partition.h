@@ -63,9 +63,6 @@ struct PartitionOptions {
   /// Consult per-shard summaries to skip inadmissible shards. Off = every
   /// query probes all shards (results identical; see ShardSummary).
   bool enable_pruning = true;
-  /// Top-k shares a global k-th-score bound across shard streams (early
-  /// exit). Off = every admitted shard streams its full k rows.
-  bool topk_global_bound = true;
 };
 
 /// The routing function: key -> owning shard. Deterministic and stateless,

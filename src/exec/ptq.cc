@@ -5,17 +5,6 @@
 
 namespace upi::exec {
 
-void SortByConfidenceDesc(std::vector<core::PtqMatch>* matches) {
-  auto before = [](const core::PtqMatch& a, const core::PtqMatch& b) {
-    if (a.confidence != b.confidence) return a.confidence > b.confidence;
-    return a.id < b.id;
-  };
-  // Eager cursors already serve this order; re-sorting their drained rows
-  // costs one linear pass.
-  if (std::is_sorted(matches->begin(), matches->end(), before)) return;
-  std::sort(matches->begin(), matches->end(), before);
-}
-
 void FilterByThreshold(std::vector<core::PtqMatch>* matches, double qt) {
   matches->erase(std::remove_if(matches->begin(), matches->end(),
                                 [qt](const core::PtqMatch& m) {

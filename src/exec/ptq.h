@@ -8,8 +8,8 @@
 
 namespace upi::exec {
 
-/// Sorts matches by descending confidence (ties by TupleId).
-void SortByConfidenceDesc(std::vector<core::PtqMatch>* matches);
+/// The one result-order sort (descending confidence, ties by TupleId).
+using core::SortByConfidenceDesc;
 
 /// Drops matches below the threshold (defensive re-filter for union paths).
 void FilterByThreshold(std::vector<core::PtqMatch>* matches, double qt);

@@ -30,7 +30,8 @@ void MaintenanceManager::Register(core::FracturedUpi* table) {
   tables_.try_emplace(table);
 }
 
-bool MaintenanceManager::TryEnqueue(core::FracturedUpi* table, TaskKind kind,
+bool MaintenanceManager::TryEnqueue(core::FracturedUpi* table,
+                                    core::MaintenanceOp op,
                                     size_t merge_count, bool force) {
   {
     std::lock_guard<sync::Mutex> lock(mu_);
@@ -39,15 +40,14 @@ bool MaintenanceManager::TryEnqueue(core::FracturedUpi* table, TaskKind kind,
     if (it->second.active) {
       if (force) {
         // Remember the request; it runs as the in-flight task's follow-up.
-        it->second.has_forced = true;
-        it->second.forced = kind;
+        it->second.forced = op;
       }
       return false;
     }
     it->second.active = true;
     ++in_flight_;
   }
-  if (!queue_.Push(MaintenanceTask{kind, table, merge_count})) {
+  if (!queue_.Push(MaintenanceTask{op, table, merge_count})) {
     // Queue closed between the slot claim and the push: release the slot.
     std::lock_guard<sync::Mutex> lock(mu_);
     auto it = tables_.find(table);
@@ -63,17 +63,16 @@ bool MaintenanceManager::TryEnqueue(core::FracturedUpi* table, TaskKind kind,
 void MaintenanceManager::NotifyWrite(core::FracturedUpi* table) {
   if (stopped_.load(std::memory_order_relaxed)) return;
   if (notify_paused_.load(std::memory_order_relaxed)) return;
-  Decision d = policy_.DecideFlush(*table);
-  if (d.action != ActionKind::kFlush) return;
-  TryEnqueue(table, TaskKind::kFlush, 0, /*force=*/false);
+  if (!policy_.DecideFlush(*table).action.has_value()) return;
+  TryEnqueue(table, core::MaintenanceOp::kFlush, 0, /*force=*/false);
 }
 
 void MaintenanceManager::ScheduleFlush(core::FracturedUpi* table) {
-  TryEnqueue(table, TaskKind::kFlush, 0, /*force=*/true);
+  TryEnqueue(table, core::MaintenanceOp::kFlush, 0, /*force=*/true);
 }
 
 void MaintenanceManager::ScheduleMergeAll(core::FracturedUpi* table) {
-  TryEnqueue(table, TaskKind::kMergeAll, 0, /*force=*/true);
+  TryEnqueue(table, core::MaintenanceOp::kMergeAll, 0, /*force=*/true);
 }
 
 bool MaintenanceManager::ScheduleCheckpoint() {
@@ -84,7 +83,7 @@ bool MaintenanceManager::ScheduleCheckpoint() {
     checkpoint_active_ = true;
     ++in_flight_;
   }
-  if (!queue_.Push(MaintenanceTask{TaskKind::kCheckpoint, nullptr, 0})) {
+  if (!queue_.Push(MaintenanceTask{})) {  // table == nullptr: checkpoint
     std::lock_guard<sync::Mutex> lock(mu_);
     checkpoint_active_ = false;
     --in_flight_;
@@ -96,21 +95,14 @@ bool MaintenanceManager::ScheduleCheckpoint() {
 }
 
 Status MaintenanceManager::Execute(const MaintenanceTask& task) {
-  switch (task.kind) {
-    case TaskKind::kFlush:
-      return task.table->FlushBuffer();
-    case TaskKind::kMergePartial:
-      return task.table->MergeOldestFractures(task.merge_count);
-    case TaskKind::kMergeAll:
-      return task.table->MergeAll();
-    case TaskKind::kCheckpoint:
-      return checkpoint_cb_ ? checkpoint_cb_() : Status::OK();
+  if (task.table == nullptr) {
+    return checkpoint_cb_ ? checkpoint_cb_() : Status::OK();
   }
-  return Status::Internal("unknown task kind");
+  return task.table->Run(task.op, task.merge_count);
 }
 
 void MaintenanceManager::ExecuteAndFollowUp(const MaintenanceTask& task) {
-  if (task.kind == TaskKind::kCheckpoint) {
+  if (task.table == nullptr) {
     // Checkpoints are database-wide (no per-table slot, no follow-up).
     UpdateQueueGauge();
     sim::StatsWindow window(env_->disk());
@@ -144,35 +136,31 @@ void MaintenanceManager::ExecuteAndFollowUp(const MaintenanceTask& task) {
   double sim_ms = window.ElapsedMs();
   if (m_task_sim_ms_ != nullptr) m_task_sim_ms_->Record(sim_ms);
 
-  bool forced = false;
-  TaskKind forced_kind = TaskKind::kFlush;
+  std::optional<core::MaintenanceOp> forced;
   {
     std::lock_guard<sync::Mutex> lock(mu_);
-    switch (task.kind) {
-      case TaskKind::kFlush:
+    switch (task.op) {
+      case core::MaintenanceOp::kFlush:
         ++stats_.flushes;
         stats_.flush_sim_ms += sim_ms;
         if (m_flushes_ != nullptr) m_flushes_->Add();
         break;
-      case TaskKind::kMergePartial:
+      case core::MaintenanceOp::kMergePartial:
         ++stats_.partial_merges;
         stats_.merge_sim_ms += sim_ms;
         if (m_partial_merges_ != nullptr) m_partial_merges_->Add();
         break;
-      case TaskKind::kMergeAll:
+      case core::MaintenanceOp::kMergeAll:
         ++stats_.full_merges;
         stats_.merge_sim_ms += sim_ms;
         if (m_full_merges_ != nullptr) m_full_merges_->Add();
         break;
-      case TaskKind::kCheckpoint:  // returned above
-        break;
     }
     if (!st.ok() && last_error_.ok()) last_error_ = st;
     auto it = tables_.find(task.table);
-    if (it != tables_.end() && it->second.has_forced) {
-      forced = true;
-      forced_kind = it->second.forced;
-      it->second.has_forced = false;
+    if (it != tables_.end()) {
+      forced = it->second.forced;
+      it->second.forced.reset();
     }
   }
 
@@ -181,25 +169,18 @@ void MaintenanceManager::ExecuteAndFollowUp(const MaintenanceTask& task) {
   // flush just installed may have tipped the cost model's merge trigger.
   // (Policy reads table stats; safe here because this thread still owns the
   // table's single maintenance slot.)
-  MaintenanceTask next{TaskKind::kFlush, task.table, 0};
+  MaintenanceTask next{core::MaintenanceOp::kFlush, task.table, 0};
   bool have_next = false;
-  if (forced) {
-    next.kind = forced_kind;
+  if (forced.has_value()) {
+    next.op = *forced;
     have_next = true;
   } else if (st.ok()) {
-    if (policy_.DecideFlush(*task.table).action == ActionKind::kFlush) {
-      next.kind = TaskKind::kFlush;
+    Decision d = policy_.DecideFlush(*task.table);
+    if (!d.action.has_value()) d = policy_.DecideMerge(*task.table);
+    if (d.action.has_value()) {
+      next.op = *d.action;
+      next.merge_count = d.merge_count;
       have_next = true;
-    } else {
-      Decision m = policy_.DecideMerge(*task.table);
-      if (m.action == ActionKind::kMergePartial) {
-        next.kind = TaskKind::kMergePartial;
-        next.merge_count = m.merge_count;
-        have_next = true;
-      } else if (m.action == ActionKind::kMergeAll) {
-        next.kind = TaskKind::kMergeAll;
-        have_next = true;
-      }
     }
   }
 
@@ -210,9 +191,9 @@ void MaintenanceManager::ExecuteAndFollowUp(const MaintenanceTask& task) {
       // A forced Schedule* may have arrived while the follow-up was being
       // computed above; without this re-check it would be dropped (the table
       // goes inactive with the request recorded but never enqueued).
-      if (!have_next && it->second.has_forced) {
-        next = MaintenanceTask{it->second.forced, task.table, 0};
-        it->second.has_forced = false;
+      if (!have_next && it->second.forced.has_value()) {
+        next = MaintenanceTask{*it->second.forced, task.table, 0};
+        it->second.forced.reset();
         have_next = true;
       }
       if (have_next && queue_.Push(next)) {
@@ -220,7 +201,7 @@ void MaintenanceManager::ExecuteAndFollowUp(const MaintenanceTask& task) {
         return;  // table stays active: the slot passes to the successor task
       }
       it->second.active = false;
-      it->second.has_forced = false;  // shutdown path: drop, don't go stale
+      it->second.forced.reset();  // shutdown path: drop, don't go stale
     }
     --in_flight_;
   }
@@ -260,7 +241,7 @@ void MaintenanceManager::Stop() {
   size_t dropped = 0;
   while (queue_.TryPop(&task)) {
     std::lock_guard<sync::Mutex> lock(mu_);
-    if (task.kind == TaskKind::kCheckpoint) {
+    if (task.table == nullptr) {
       checkpoint_active_ = false;
     } else {
       auto it = tables_.find(task.table);

@@ -22,6 +22,7 @@
 #include <atomic>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -122,8 +123,8 @@ class MaintenanceManager {
  private:
   struct TableState {
     bool active = false;      // a task is queued or executing
-    bool has_forced = false;  // a Schedule* arrived while active
-    TaskKind forced = TaskKind::kFlush;
+    /// The op a Schedule* asked for while the table was active.
+    std::optional<core::MaintenanceOp> forced;
   };
 
   void WorkerLoop();
@@ -131,8 +132,8 @@ class MaintenanceManager {
   void ExecuteAndFollowUp(const MaintenanceTask& task);
   /// Marks the table active and pushes; no-op if already active (returns
   /// false). Caller must NOT hold mu_.
-  bool TryEnqueue(core::FracturedUpi* table, TaskKind kind, size_t merge_count,
-                  bool force);
+  bool TryEnqueue(core::FracturedUpi* table, core::MaintenanceOp op,
+                  size_t merge_count, bool force);
   /// Publishes the current queue length to the registry gauge.
   void UpdateQueueGauge() {
     if (m_queue_depth_ != nullptr) {

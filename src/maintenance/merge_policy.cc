@@ -11,13 +11,13 @@ Decision MergePolicy::DecideFlush(const core::FracturedUpi& table) const {
   Decision d;
   core::FracturedUpi::BufferWatermarks w = table.buffer_watermarks();
   if (w.inserts >= options_.flush_max_buffered_tuples) {
-    d.action = ActionKind::kFlush;
+    d.action = core::MaintenanceOp::kFlush;
     d.reason = "buffered-tuple watermark";
   } else if (w.bytes >= options_.flush_max_buffered_bytes) {
-    d.action = ActionKind::kFlush;
+    d.action = core::MaintenanceOp::kFlush;
     d.reason = "buffered-byte watermark";
   } else if (w.deletes >= options_.flush_max_buffered_deletes) {
-    d.action = ActionKind::kFlush;
+    d.action = core::MaintenanceOp::kFlush;
     d.reason = "buffered-delete watermark";
   }
   return d;
@@ -79,8 +79,7 @@ Decision MergePolicy::DecideMerge(const core::FracturedUpi& table) const {
       core::CostModel(profile_, merged_stats).FracturedQueryMs(sel);
   if (!options_.merges_enabled) return d;
 
-  const size_t deltas =
-      table.num_fractures() - (table.main() != nullptr ? 1 : 0);
+  const size_t deltas = table.fractures().size();
   if (deltas < 1) return d;  // nothing to repay
 
   // Full merge past the deterioration knee: the query is paying several times
@@ -88,7 +87,7 @@ Decision MergePolicy::DecideMerge(const core::FracturedUpi& table) const {
   // (the main fracture dominates and partial merges never touch it).
   if (d.predicted_query_ms >
       options_.full_merge_deterioration * d.merged_query_ms) {
-    d.action = ActionKind::kMergeAll;
+    d.action = core::MaintenanceOp::kMergeAll;
     d.reason = "deterioration threshold";
     return d;
   }
@@ -97,7 +96,7 @@ Decision MergePolicy::DecideMerge(const core::FracturedUpi& table) const {
   // at least two deltas to fold.
   if (deltas >= 2 && d.overhead_ms > options_.partial_merge_overhead_fraction *
                                          d.predicted_query_ms) {
-    d.action = ActionKind::kMergePartial;
+    d.action = core::MaintenanceOp::kMergePartial;
     d.merge_count = std::min(options_.partial_merge_fanin, deltas);
     d.reason = "fracture-overhead fraction";
   }

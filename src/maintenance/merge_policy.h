@@ -34,14 +34,12 @@
 // defer and write amplification is avoided without any flash-specific rule.
 #pragma once
 
+#include <optional>
 #include <string>
 
+#include "core/fractured_upi.h"
 #include "sim/cost_params.h"
 #include "sim/device_profile.h"
-
-namespace upi::core {
-class FracturedUpi;
-}
 
 namespace upi::maintenance {
 
@@ -76,12 +74,10 @@ struct MergePolicyOptions {
   double reference_selectivity = 0.02;
 };
 
-enum class ActionKind { kNone, kFlush, kMergePartial, kMergeAll };
-
 /// A policy verdict plus the model numbers that produced it (surfaced in
 /// bench output so threshold sweeps are explainable).
 struct Decision {
-  ActionKind action = ActionKind::kNone;
+  std::optional<core::MaintenanceOp> action;  // nullopt: nothing due
   size_t merge_count = 0;         // kMergePartial: fan-in
   double predicted_query_ms = 0;  // Cost_frac at decision time
   double overhead_ms = 0;         // expected_probed * (Costinit + H*Tseek)

@@ -2,20 +2,6 @@
 
 namespace upi::maintenance {
 
-const char* TaskKindName(TaskKind kind) {
-  switch (kind) {
-    case TaskKind::kFlush:
-      return "flush";
-    case TaskKind::kMergePartial:
-      return "merge-partial";
-    case TaskKind::kMergeAll:
-      return "merge-all";
-    case TaskKind::kCheckpoint:
-      return "checkpoint";
-  }
-  return "unknown";
-}
-
 bool TaskQueue::Push(MaintenanceTask task) {
   {
     std::lock_guard<sync::Mutex> lock(mu_);

@@ -13,25 +13,15 @@
 #include <deque>
 #include <mutex>
 
+#include "core/fractured_upi.h"
 #include "sync/sync.h"
-
-namespace upi::core {
-class FracturedUpi;
-}
 
 namespace upi::maintenance {
 
-enum class TaskKind {
-  kFlush,         // FracturedUpi::FlushBuffer
-  kMergePartial,  // FracturedUpi::MergeOldestFractures(merge_count)
-  kMergeAll,      // FracturedUpi::MergeAll
-  kCheckpoint,    // database-wide WAL checkpoint (table == nullptr)
-};
-
-const char* TaskKindName(TaskKind kind);
-
+/// `op` on `table` (FracturedUpi::Run), or the database-wide WAL checkpoint
+/// when `table` is nullptr.
 struct MaintenanceTask {
-  TaskKind kind = TaskKind::kFlush;
+  core::MaintenanceOp op = core::MaintenanceOp::kFlush;
   core::FracturedUpi* table = nullptr;
   /// kMergePartial only: how many of the oldest delta fractures to merge.
   size_t merge_count = 0;

@@ -27,16 +27,7 @@ Status ApplyMaintenance(engine::Database* db, const WalRecord& rec) {
     return Status::NotFound("wal: maintenance target missing for '" +
                             rec.table + "'");
   }
-  switch (rec.op) {
-    case MaintenanceOp::kFlush:
-      return target->FlushBuffer();
-    case MaintenanceOp::kMergeAll:
-      return target->MergeAll();
-    case MaintenanceOp::kMergePartial:
-      return target->MergeOldestFractures(
-          static_cast<size_t>(rec.merge_count));
-  }
-  return Status::Corruption("wal: unknown maintenance op");
+  return target->Run(rec.op, static_cast<size_t>(rec.merge_count));
 }
 
 Status ApplyRecord(engine::Database* db, const WalRecord& rec,

@@ -181,7 +181,7 @@ std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
       for (const std::string& s : p.range_splits) PutLP(&out, s);
       out.push_back(p.fractured ? 1 : 0);
       out.push_back(p.enable_pruning ? 1 : 0);
-      out.push_back(p.topk_global_bound ? 1 : 0);
+      out.push_back(1);  // retired top-k global-bound flag, always on
       break;
     }
   }
@@ -299,8 +299,7 @@ Result<WalRecord> DecodeRecord(std::string_view payload) {
           po.fractured = b != 0;
           UPI_RETURN_NOT_OK(GetU8(&p, limit, &b));
           po.enable_pruning = b != 0;
-          UPI_RETURN_NOT_OK(GetU8(&p, limit, &b));
-          po.topk_global_bound = b != 0;
+          UPI_RETURN_NOT_OK(GetU8(&p, limit, &b));  // retired flag, ignored
           break;
         }
       }

@@ -42,6 +42,7 @@
 #include "catalog/schema.h"
 #include "catalog/tuple.h"
 #include "common/status.h"
+#include "core/fractured_upi.h"
 #include "core/upi.h"
 #include "engine/partition.h"
 
@@ -65,11 +66,8 @@ enum class RecordType : uint8_t {
   kMaintenance = 4,
 };
 
-enum class MaintenanceOp : uint8_t {
-  kFlush = 0,
-  kMergeAll = 1,
-  kMergePartial = 2,
-};
+/// The maintenance record's op byte is core::MaintenanceOp's value.
+using MaintenanceOp = core::MaintenanceOp;
 
 /// The table design a create record re-creates, pinned to stable wire
 /// values. Outside this codec, engine::Database::CreateTable holds the one

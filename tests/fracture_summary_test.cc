@@ -95,9 +95,19 @@ TEST(FractureSummaryTest, CanSkipCombinesMaxProbAndPresence) {
   EXPECT_FALSE(s->CanSkip(0, "v", 0.1));
 }
 
+/// Per-fracture tuple counts read through summaries(), in fan-out order.
+std::vector<uint64_t> SummaryTupleCounts(const FracturedUpi& table) {
+  std::vector<uint64_t> counts;
+  for (const auto& s : table.summaries()) {
+    EXPECT_NE(s, nullptr);
+    counts.push_back(s == nullptr ? 0 : s->tuple_count());
+  }
+  return counts;
+}
+
 TEST(FractureSummaryTest, SummariesSurviveFlushAndMergeInstalls) {
-  // The fracture list and the summary list must stay in lockstep across
-  // flush, partial merge, and full merge.
+  // Every fracture keeps its own summary across flush, partial merge, and
+  // full merge installs: main first, then the deltas oldest first.
   datagen::DblpConfig cfg;
   cfg.num_authors = 300;
   cfg.num_institutions = 40;
@@ -111,42 +121,36 @@ TEST(FractureSummaryTest, SummariesSurviveFlushAndMergeInstalls) {
   FracturedUpi table(&env, "t", datagen::DblpGenerator::AuthorSchema(), opt,
                      {datagen::AuthorCols::kCountry});
   ASSERT_TRUE(table.BuildMain(tuples).ok());
-  ASSERT_NE(table.main_summary(), nullptr);
-  EXPECT_EQ(table.main_summary()->tuple_count(), tuples.size());
+  const uint64_t n = tuples.size();
+  EXPECT_EQ(SummaryTupleCounts(table), std::vector<uint64_t>({n}));
 
   for (int batch = 0; batch < 3; ++batch) {
-    for (int i = 0; i < 30; ++i) {
+    for (int i = 0; i < 30 + 10 * batch; ++i) {
       ASSERT_TRUE(
           table.Insert(gen.MakeAuthor(100000 + batch * 1000 + i)).ok());
     }
     ASSERT_TRUE(table.FlushBuffer().ok());
   }
   ASSERT_EQ(table.fractures().size(), 3u);
-  ASSERT_EQ(table.fracture_summaries().size(), 3u);
-  for (const auto& s : table.fracture_summaries()) {
-    ASSERT_NE(s, nullptr);
-    EXPECT_EQ(s->tuple_count(), 30u);
-  }
+  EXPECT_EQ(SummaryTupleCounts(table),
+            std::vector<uint64_t>({n, 30u, 40u, 50u}));
 
   ASSERT_TRUE(table.MergeOldestFractures(2).ok());
   ASSERT_EQ(table.fractures().size(), 2u);
-  ASSERT_EQ(table.fracture_summaries().size(), 2u);
-  EXPECT_EQ(table.fracture_summaries()[0]->tuple_count(), 60u);
+  EXPECT_EQ(SummaryTupleCounts(table), std::vector<uint64_t>({n, 70u, 50u}));
 
   ASSERT_TRUE(table.MergeAll().ok());
   ASSERT_EQ(table.fractures().size(), 0u);
-  ASSERT_EQ(table.fracture_summaries().size(), 0u);
-  ASSERT_NE(table.main_summary(), nullptr);
-  EXPECT_EQ(table.main_summary()->tuple_count(), tuples.size() + 90u);
+  EXPECT_EQ(SummaryTupleCounts(table), std::vector<uint64_t>({n + 120u}));
   // The merged summary still fences: a key far outside the value space.
-  EXPECT_FALSE(table.main_summary()->MayContainKey(
+  EXPECT_FALSE(table.summaries().front()->MayContainKey(
       datagen::AuthorCols::kInstitution, "~~nowhere~~"));
 }
 
 TEST(FractureSummaryTest, ConcurrentQueriesDuringMaintenanceSmoke) {
   // Race coverage (TSan job): readers prune off summary snapshots while a
-  // maintenance thread flushes and merges — the summary lists swap under
-  // the exclusive lock together with the fracture lists.
+  // maintenance thread flushes and merges — each summary swaps in with its
+  // fracture under the exclusive lock.
   datagen::DblpConfig cfg;
   cfg.num_authors = 400;
   cfg.num_institutions = 30;
@@ -185,7 +189,7 @@ TEST(FractureSummaryTest, ConcurrentQueriesDuringMaintenanceSmoke) {
   ASSERT_TRUE(table.MergeAll().ok());
   stop.store(true);
   for (auto& r : readers) r.join();
-  EXPECT_EQ(table.fracture_summaries().size(), table.fractures().size());
+  EXPECT_EQ(table.summaries().size(), table.num_fractures());
 }
 
 }  // namespace

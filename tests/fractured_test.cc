@@ -455,7 +455,7 @@ TEST(FracturedUpiTest, AdaptiveTuningRetunesPerFracture) {
   }
   ASSERT_TRUE(fx.table->FlushBuffer().ok());
   ASSERT_EQ(fx.table->fractures().size(), 1u);
-  double frac_cutoff = fx.table->fractures()[0]->options().cutoff;
+  double frac_cutoff = fx.table->fractures()[0].upi->options().cutoff;
   EXPECT_GT(frac_cutoff, main_cutoff);
   EXPECT_NEAR(fx.table->main()->options().cutoff, main_cutoff, 1e-12)
       << "existing fractures keep their own parameters";
@@ -488,8 +488,7 @@ uint64_t ColdFilesTouched(const FracturedUpi& t, const std::string& shape) {
       ++files;
     }
   };
-  if (t.main() != nullptr) count(*t.main());
-  for (const auto& f : t.fractures()) count(*f);
+  t.ForEachFractureShared(count);
   return files;
 }
 

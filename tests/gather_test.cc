@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <string>
 #include <vector>
@@ -138,8 +139,7 @@ struct TopKFixture {
     }
   }
 
-  static Table* Build(Database* db, bool global_bound,
-                      const TopKFixture& fx) {
+  static Table* Build(Database* db, const TopKFixture& fx) {
     core::UpiOptions opt;
     opt.cluster_column = 1;
     opt.cutoff = 0.1;
@@ -147,7 +147,6 @@ struct TopKFixture {
     PartitionOptions popts;
     popts.num_shards = kShards;
     popts.fractured = false;  // plain UPI shards stream their top-k
-    popts.topk_global_bound = global_bound;
     return db
         ->CreatePartitionedTable("t", Schema({{"Name", ValueType::kString},
                                               {"Inst", ValueType::kDiscrete}}),
@@ -161,19 +160,32 @@ TEST(GatherTest, TopKGlobalBoundReadsStrictlyFewerPagesThanDrainAll) {
   DatabaseOptions dopt;
   dopt.gather_workers = 0;  // serial: deterministic shard order + page counts
 
-  auto run = [&](bool global_bound, std::vector<core::PtqMatch>* rows) {
+  // Simulated I/O of `read` on a fresh, cold copy of the table.
+  auto measure = [&](const std::function<void(const PartitionedTable&)>& read) {
     Database db(dopt);
-    Table* t = TopKFixture::Build(&db, global_bound, fx);
+    const PartitionedTable& t = *TopKFixture::Build(&db, fx)->partitioned();
     db.ColdCache();
     sim::DiskStats before = db.env()->disk()->stats();
-    EXPECT_TRUE(
-        t->partitioned()->OpenTopK(fx.hot, TopKFixture::kK)->Drain(rows).ok());
+    read(t);
     return db.env()->disk()->stats() - before;
   };
 
   std::vector<core::PtqMatch> bounded_rows, drained_rows;
-  sim::DiskStats bounded = run(true, &bounded_rows);
-  sim::DiskStats drained = run(false, &drained_rows);
+  sim::DiskStats bounded = measure([&](const PartitionedTable& t) {
+    EXPECT_TRUE(t.OpenTopK(fx.hot, TopKFixture::kK)->Drain(&bounded_rows).ok());
+  });
+  // The drain-all baseline: every shard streams its full k rows in scatter
+  // order, the reads an unbounded serial scatter makes.
+  sim::DiskStats drained = measure([&](const PartitionedTable& t) {
+    for (size_t i = 0; i < t.num_shards(); ++i) {
+      EXPECT_TRUE(t.shard_path(i)
+                      ->OpenTopK(fx.hot, TopKFixture::kK)
+                      ->Drain(&drained_rows)
+                      .ok());
+    }
+    core::SortByConfidenceDesc(&drained_rows);
+    drained_rows.resize(std::min(drained_rows.size(), TopKFixture::kK));
+  });
 
   // Identical results under either policy...
   ASSERT_EQ(bounded_rows.size(), TopKFixture::kK);

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <map>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -18,6 +19,7 @@ namespace {
 using catalog::Tuple;
 using catalog::TupleId;
 using core::FracturedUpi;
+using core::MaintenanceOp;
 using core::PtqMatch;
 using core::UpiOptions;
 
@@ -74,23 +76,23 @@ MergePolicyOptions NoMergePolicy() {
 
 TEST(TaskQueueTest, FifoAndTryPop) {
   TaskQueue q;
-  EXPECT_TRUE(q.Push({TaskKind::kFlush, nullptr, 0}));
-  EXPECT_TRUE(q.Push({TaskKind::kMergePartial, nullptr, 3}));
+  EXPECT_TRUE(q.Push({MaintenanceOp::kFlush, nullptr, 0}));
+  EXPECT_TRUE(q.Push({MaintenanceOp::kMergePartial, nullptr, 3}));
   EXPECT_EQ(q.size(), 2u);
   MaintenanceTask t;
   ASSERT_TRUE(q.TryPop(&t));
-  EXPECT_EQ(t.kind, TaskKind::kFlush);
+  EXPECT_EQ(t.op, MaintenanceOp::kFlush);
   ASSERT_TRUE(q.TryPop(&t));
-  EXPECT_EQ(t.kind, TaskKind::kMergePartial);
+  EXPECT_EQ(t.op, MaintenanceOp::kMergePartial);
   EXPECT_EQ(t.merge_count, 3u);
   EXPECT_FALSE(q.TryPop(&t));
 }
 
 TEST(TaskQueueTest, CloseDrainsQueuedTasksThenStops) {
   TaskQueue q;
-  EXPECT_TRUE(q.Push({TaskKind::kFlush, nullptr, 0}));
+  EXPECT_TRUE(q.Push({MaintenanceOp::kFlush, nullptr, 0}));
   q.Close();
-  EXPECT_FALSE(q.Push({TaskKind::kMergeAll, nullptr, 0}))
+  EXPECT_FALSE(q.Push({MaintenanceOp::kMergeAll, nullptr, 0}))
       << "pushes after Close are rejected";
   MaintenanceTask t;
   EXPECT_TRUE(q.Pop(&t)) << "queued task still handed out";
@@ -104,7 +106,7 @@ TEST(TaskQueueTest, PopBlocksUntilPush) {
     MaintenanceTask t;
     if (q.Pop(&t)) got = true;
   });
-  EXPECT_TRUE(q.Push({TaskKind::kFlush, nullptr, 0}));
+  EXPECT_TRUE(q.Push({MaintenanceOp::kFlush, nullptr, 0}));
   consumer.join();
   EXPECT_TRUE(got);
 }
@@ -121,21 +123,21 @@ TEST(MergePolicyTest, FlushWatermarks) {
   opt.flush_max_buffered_deletes = 3;
   MergePolicy policy(opt, fx.env.profile());
 
-  EXPECT_EQ(policy.DecideFlush(*fx.table).action, ActionKind::kNone);
+  EXPECT_EQ(policy.DecideFlush(*fx.table).action, std::nullopt);
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(fx.table->Insert(fx.MakeAuthor()).ok());
   }
-  EXPECT_EQ(policy.DecideFlush(*fx.table).action, ActionKind::kNone);
+  EXPECT_EQ(policy.DecideFlush(*fx.table).action, std::nullopt);
   ASSERT_TRUE(fx.table->Insert(fx.MakeAuthor()).ok());
-  EXPECT_EQ(policy.DecideFlush(*fx.table).action, ActionKind::kFlush);
+  EXPECT_EQ(policy.DecideFlush(*fx.table).action, MaintenanceOp::kFlush);
 
   ASSERT_TRUE(fx.table->FlushBuffer().ok());
-  EXPECT_EQ(policy.DecideFlush(*fx.table).action, ActionKind::kNone);
+  EXPECT_EQ(policy.DecideFlush(*fx.table).action, std::nullopt);
   for (TupleId id = 1; id <= 3; ++id) {
     ASSERT_TRUE(fx.table->Delete(id).ok());
   }
   Decision d = policy.DecideFlush(*fx.table);
-  EXPECT_EQ(d.action, ActionKind::kFlush);
+  EXPECT_EQ(d.action, MaintenanceOp::kFlush);
   EXPECT_STREQ(d.reason, "buffered-delete watermark");
 }
 
@@ -145,7 +147,7 @@ TEST(MergePolicyTest, ByteWatermark) {
   opt.flush_max_buffered_tuples = 1u << 30;
   opt.flush_max_buffered_bytes = 512;  // a handful of tuples
   MergePolicy policy(opt, fx.env.profile());
-  while (policy.DecideFlush(*fx.table).action == ActionKind::kNone) {
+  while (policy.DecideFlush(*fx.table).action == std::nullopt) {
     ASSERT_TRUE(fx.table->Insert(fx.MakeAuthor()).ok());
     ASSERT_LT(fx.table->buffered_inserts(), 100u) << "watermark never hit";
   }
@@ -162,7 +164,7 @@ TEST(MergePolicyTest, MergeTriggersFollowTheCostModel) {
   opt.full_merge_deterioration = 100.0;  // off for this test
   MergePolicy policy(opt, fx.env.profile());
 
-  EXPECT_EQ(policy.DecideMerge(*fx.table).action, ActionKind::kNone)
+  EXPECT_EQ(policy.DecideMerge(*fx.table).action, std::nullopt)
       << "nothing to merge on a clean table";
 
   for (int batch = 0; batch < 2; ++batch) {
@@ -172,7 +174,7 @@ TEST(MergePolicyTest, MergeTriggersFollowTheCostModel) {
     ASSERT_TRUE(fx.table->FlushBuffer().ok());
   }
   Decision d = policy.DecideMerge(*fx.table);
-  EXPECT_EQ(d.action, ActionKind::kMergePartial);
+  EXPECT_EQ(d.action, MaintenanceOp::kMergePartial);
   EXPECT_EQ(d.merge_count, 2u);
   EXPECT_GT(d.overhead_ms, 0.5 * d.predicted_query_ms);
 
@@ -180,13 +182,13 @@ TEST(MergePolicyTest, MergeTriggersFollowTheCostModel) {
   opt.full_merge_deterioration = 2.0;
   MergePolicy strict(opt, fx.env.profile());
   Decision full = strict.DecideMerge(*fx.table);
-  EXPECT_EQ(full.action, ActionKind::kMergeAll);
+  EXPECT_EQ(full.action, MaintenanceOp::kMergeAll);
   EXPECT_GT(full.predicted_query_ms, 2.0 * full.merged_query_ms);
 
   MergePolicyOptions off = opt;
   off.merges_enabled = false;
   EXPECT_EQ(MergePolicy(off, fx.env.profile()).DecideMerge(*fx.table).action,
-            ActionKind::kNone);
+            std::nullopt);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 // summaries guarantee (a fully-skipped delta costs zero pages).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -15,6 +16,8 @@
 #include "datagen/dblp.h"
 #include "engine/database.h"
 #include "exec/operators.h"
+#include "maintenance/merge_policy.h"
+#include "obs/trace.h"
 #include "sim/sim_disk.h"
 #include "storage/db_env.h"
 
@@ -377,6 +380,154 @@ TEST(PruningEngineTest, ExplainReportsPrunedFractures) {
   std::string explain = plan.Explain();
   EXPECT_NE(explain.find("probing 1 of 4"), std::string::npos) << explain;
   EXPECT_NE(explain.find("3 pruned"), std::string::npos) << explain;
+}
+
+/// A Database-owned fractured table: a main fracture over slots 0..99 and
+/// six deltas that interleave slots 200..799 (delta d holds the slots
+/// 200 + d + 6j). A delta slot's value lies inside every delta's zone map,
+/// so only the Bloom fences rule the deltas that lack it out.
+struct InterleavedFx {
+  static constexpr uint64_t kDeltas = 6;
+  engine::Database db;
+  engine::Table* table = nullptr;
+  FracturedUpi* frac = nullptr;
+
+  InterleavedFx() {
+    Rng rng(61);
+    UpiOptions opt;
+    opt.cluster_column = kInst;
+    opt.cutoff = 0.1;
+    std::vector<Tuple> main_tuples;
+    TupleId id = 1;
+    for (uint64_t s = 0; s < 100; ++s) {
+      main_tuples.push_back(MakeSlotTuple(id++, s, false, &rng));
+    }
+    table = db.CreateFracturedTable("t", datagen::DblpGenerator::AuthorSchema(),
+                                    opt, {kCountry}, main_tuples)
+                .ValueOrDie();
+    frac = table->fractured();
+    for (uint64_t d = 0; d < kDeltas; ++d) {
+      for (uint64_t s = 200 + d; s < 800; s += kDeltas) {
+        EXPECT_TRUE(table->Insert(MakeSlotTuple(id++, s, false, &rng)).ok());
+      }
+      EXPECT_TRUE(frac->FlushBuffer().ok());
+    }
+  }
+
+  uint64_t Counter(const char* name) {
+    return db.env()->metrics()->counter(name)->value();
+  }
+  uint64_t BloomRejects() { return Counter("upi_pruning_bloom_rejects_total"); }
+};
+
+/// Runs each executed fan-out shape once on `value` (its region for the
+/// secondary probe) and hands `check` the shape's name.
+void ForEachExecutedShape(FracturedUpi* frac, const std::string& value,
+                          const std::string& region,
+                          const std::function<void(const char*)>& before,
+                          const std::function<void(const char*)>& check) {
+  const double qt = 0.1;
+  std::vector<PtqMatch> rows;
+  before("ptq");
+  ASSERT_TRUE(frac->QueryPtq(value, qt, &rows).ok());
+  check("ptq");
+  before("secondary");
+  ASSERT_TRUE(frac->QueryBySecondary(kCountry, region, qt,
+                                     SecondaryAccessMode::kTailored, &rows)
+                  .ok());
+  check("secondary");
+  before("top-k");
+  ASSERT_TRUE(frac->QueryTopK(value, 3, &rows).ok());
+  check("top-k");
+  before("scan-filter");
+  ASSERT_TRUE(
+      frac->ScanTuplesMatching(kInst, value, qt, [](const Tuple&) {}).ok());
+  check("scan-filter");
+}
+
+TEST(PruningCounterTest, BloomRejectsCountExecutedFanOutsOnly) {
+  InterleavedFx fx;
+  // Slot 302 is delta 0's; delta 5 holds it as slot 301's second
+  // alternative. The main fracture is out of the zone, deltas 1-4 are not.
+  const std::string value = "part000302";
+  const PruneSet set = fx.frac->ForQuery(-1, value, 0.1);
+  ASSERT_EQ(set.pruned, 5u);
+
+  // Estimates, planning and the merge policy decide without counting.
+  const uint64_t rejects = fx.BloomRejects();
+  const uint64_t pruned = fx.frac->fractures_pruned_total();
+  const uint64_t probed = fx.frac->fractures_probed_total();
+  for (int i = 0; i < 10; ++i) {
+    (void)fx.frac->EstimatePrune(-1, value, 0.1);
+    (void)fx.frac->ForQuery(-1, value, 0.1);
+    (void)fx.table->planner().PlanQuery(engine::Query::Ptq(value, 0.1));
+    maintenance::MergePolicyOptions popt;
+    popt.reference_value = value;
+    (void)maintenance::MergePolicy(popt, fx.db.profile()).DecideMerge(*fx.frac);
+  }
+  EXPECT_EQ(fx.BloomRejects(), rejects);
+  EXPECT_EQ(fx.frac->fractures_pruned_total(), pruned);
+  EXPECT_EQ(fx.frac->fractures_probed_total(), probed);
+
+  // An executed fan-out counts at most one reject per fracture it pruned.
+  uint64_t rejects0 = 0, pruned0 = 0;
+  ForEachExecutedShape(
+      fx.frac, value, "region0015",
+      [&](const char*) {
+        rejects0 = fx.BloomRejects();
+        pruned0 = fx.frac->fractures_pruned_total();
+      },
+      [&](const char* shape) {
+        EXPECT_LE(fx.BloomRejects() - rejects0,
+                  fx.frac->fractures_pruned_total() - pruned0)
+            << shape;
+      });
+#ifndef UPI_OBS_DISABLED
+  // Top-k prunes through the same decision, so its Bloom skips count too.
+  rejects0 = fx.BloomRejects();
+  std::vector<PtqMatch> rows;
+  ASSERT_TRUE(fx.frac->QueryTopK(value, 3, &rows).ok());
+  EXPECT_GT(fx.BloomRejects(), rejects0);
+#endif
+}
+
+TEST(PruningFanoutTest, EveryExecutedShapeDecidesEachFractureOnce) {
+  InterleavedFx fx;
+  const std::string value = "part000302";
+  const uint64_t nfrac = fx.frac->num_fractures();
+  ASSERT_EQ(nfrac, 1 + InterleavedFx::kDeltas);
+  uint64_t decided0 = 0;
+  auto decided = [&] {
+    return fx.frac->fractures_probed_total() +
+           fx.frac->fractures_pruned_total();
+  };
+  ForEachExecutedShape(
+      fx.frac, value, "region0015", [&](const char*) { decided0 = decided(); },
+      [&](const char* shape) {
+        EXPECT_EQ(decided() - decided0, nfrac) << shape;
+      });
+
+#ifndef UPI_OBS_DISABLED
+  // The PTQ opens exactly the fractures ForQuery says it would.
+  obs::QueryTrace trace;
+  {
+    obs::TraceScope scope(&trace);
+    std::vector<PtqMatch> rows;
+    ASSERT_TRUE(fx.frac->QueryPtq(value, 0.1, &rows).ok());
+  }
+  std::vector<std::string> probed;
+  for (const obs::TraceOp& op : trace.ops) {
+    if (!op.pruned && op.label != "t.buffer") probed.push_back(op.label);
+  }
+  const PruneSet set = fx.frac->ForQuery(-1, value, 0.1);
+  std::vector<std::string> want;
+  size_t i = 0;
+  fx.frac->ForEachFractureShared([&](const Upi& u) {
+    if (set.probe[i++]) want.push_back(u.name());
+  });
+  EXPECT_EQ(probed, want);
+  EXPECT_EQ(want.size(), set.probed);
+#endif
 }
 
 }  // namespace

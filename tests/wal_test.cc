@@ -350,6 +350,53 @@ TEST(KillAndRecoverTest, FracturedTableBitIdentical) {
   RunKillAndRecover(ops, "authors", gen);
 }
 
+TEST(KillAndRecoverTest, MergeCallThatOnlyFlushesRecoversItsLayout) {
+  // A merge call flushes the buffer first. When that leaves too few
+  // fractures to merge, the flush alone must still reach the log: replay
+  // reproduces the fracture layout, not just the rows.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 120;
+  cfg.num_institutions = 15;
+  cfg.seed = 29;
+  datagen::DblpGenerator gen(cfg);
+  std::vector<Tuple> base = gen.GenerateAuthors();
+
+  for (bool merge_all : {false, true}) {
+    SCOPED_TRACE(merge_all ? "MergeAll" : "MergeOldestFractures");
+    TempDir dir;
+    engine::Database db(TestOptions(dir.path));
+    // MergeOldestFractures(4): a main fracture plus 20 buffered inserts,
+    // which flush into the only delta. MergeAll: an empty table whose
+    // buffer holds only deletes, which flush into no fracture at all.
+    auto created = db.CreateFracturedTable(
+        "authors", datagen::DblpGenerator::AuthorSchema(), AuthorUpiOptions(),
+        {AuthorCols::kCountry}, merge_all ? std::vector<Tuple>{} : base);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    engine::Table* table = created.value();
+    if (merge_all) {
+      ASSERT_TRUE(table->Delete(base[0]).ok());
+      ASSERT_TRUE(table->Delete(base[1]).ok());
+      ASSERT_TRUE(table->fractured()->MergeAll().ok());
+    } else {
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(table->Insert(gen.MakeAuthor(2'000'000 + i)).ok());
+      }
+      ASSERT_TRUE(table->fractured()->MergeOldestFractures(4).ok());
+    }
+
+    TempDir crash_dir;
+    CrashCopy(dir.Log(), crash_dir.Log(), db.wal()->durable_bytes());
+    engine::Database recovered(TestOptions(crash_dir.path));
+    ASSERT_NE(recovered.GetTable("authors"), nullptr);
+    const core::FracturedUpi* got = recovered.GetTable("authors")->fractured();
+    const core::FracturedUpi* want = table->fractured();
+    EXPECT_EQ(got->num_fractures(), want->num_fractures());
+    EXPECT_EQ(got->buffered_inserts(), want->buffered_inserts());
+    EXPECT_EQ(got->buffered_deletes(), want->buffered_deletes());
+    ExpectSameResults(recovered.GetTable("authors"), table, gen);
+  }
+}
+
 TEST(KillAndRecoverTest, PartitionedTableBitIdentical) {
   datagen::DblpConfig cfg;
   cfg.num_authors = 180;
