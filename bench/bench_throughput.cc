@@ -73,7 +73,8 @@
 // at the end of each sweep — the fan-out every stream-table probe would pay
 // without pruning. --no-pruning disables the fracture summaries on that
 // table (see UpiOptions::enable_pruning), demonstrating the pruning win
-// under concurrent ingest; rows are identical either way.
+// under concurrent ingest; in the --partitions sweep the same switch also
+// disables the per-shard summaries. Rows are identical either way.
 //
 // Exits non-zero when the max-thread configuration fails to reach a 3x
 // ops/sec speedup over one client (the sharded pool's acceptance bar).
@@ -234,7 +235,6 @@ int RunPartitionSweep(const std::vector<size_t>& partitions, bool smoke,
       engine::PartitionOptions popts;
       popts.scheme = engine::PartitionOptions::Scheme::kRange;
       popts.num_shards = nparts;
-      popts.enable_pruning = pruning;
       // Splits at routing-key quantiles (deduplicated: they must ascend
       // strictly), so shards hold equal tuple counts, not equal key ranges.
       for (size_t i = 1; i < nparts; ++i) {
@@ -302,7 +302,7 @@ int RunPartitionSweep(const std::vector<size_t>& partitions, bool smoke,
           if (kind < 80) {  // PTQ on the routed attribute: prunes to ~1 shard
             fut = session.Submit(prep_ptq,
                                  segments[rng.Uniform(segments.size())], qt);
-          } else {  // top-k under the global k-th-score bound
+          } else {  // top-k: each admissible shard's k best, merged
             fut = session.Submit(prep_topk,
                                  segments[rng.Uniform(segments.size())]);
           }

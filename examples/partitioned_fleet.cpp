@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
           .ValueOrDie();
   std::printf("%s\n", analyzed.c_str());
 
-  // --- Top-k across shards under the shared global bound --------------------
+  // --- Top-k across shards: each admissible shard's best 5, merged ----------
   out.clear();
   bench::CheckOk(fleet->Run(engine::Query::TopK(segment, 5), &out).status());
   std::printf("top-5 for %s:\n", segment.c_str());

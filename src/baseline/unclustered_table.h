@@ -71,6 +71,7 @@ class UnclusteredTable {
   uint64_t stats_epoch() const {
     return stats_epoch_.load(std::memory_order_relaxed);
   }
+  const std::string& name() const { return name_; }
   const catalog::Schema& schema() const { return schema_; }
   Result<storage::Rid> RidOf(catalog::TupleId id) const;
 

@@ -42,10 +42,14 @@ namespace upi::core {
 /// Planner-facing expectation of a pruned fan-out: how many fractures a
 /// query (column, value, qt) is expected to actually open, and how many heap
 /// bytes those probed fractures hold (the pruned scan's transfer volume).
+/// A partitioned table also reports how many of its shards the probe admits;
+/// a single-index path is one shard probing itself.
 struct PruneEstimate {
   double probed_fractures = 0.0;
   uint32_t total_fractures = 0;
   uint64_t probed_bytes = 0;
+  double probed_shards = 1.0;
+  uint32_t total_shards = 1;
 
   uint32_t pruned() const {
     double p = static_cast<double>(total_fractures) - probed_fractures;

@@ -54,10 +54,11 @@ struct UpiOptions {
   bool charge_open_per_query = false;
   /// Fractured tables only: consult per-fracture FractureSummary metadata
   /// (zone maps, Bloom fences, max-probability cutoffs) to skip fractures a
-  /// query cannot match, instead of paying the full Nfrac fan-out tax.
+  /// query cannot match, instead of paying the full Nfrac fan-out tax. A
+  /// partitioned table's shard summaries obey it too (engine/partition.h).
   /// Summaries are always *built* (they are cheap and immutable); this knob
   /// only gates consulting them, so flipping it never changes result rows —
-  /// only how many fractures are opened. Plain UPIs ignore it.
+  /// only how many shards and fractures are opened. Plain UPIs ignore it.
   bool enable_pruning = true;
 };
 

@@ -99,7 +99,6 @@ PathStats UpiAccessPath::Stats() const {
   s.distinct_primary_values =
       static_cast<double>(upi_->prob_histogram().distinct_values());
   s.charges_open_per_query = upi_->options().charge_open_per_query;
-  s.supports_scan = true;
   s.supports_direct_topk = true;
   s.clustered = true;
   return s;
@@ -220,7 +219,6 @@ PathStats FracturedAccessPath::Stats() const {
   // At run time a fracture pays it only while its file handle is closed
   // (first touch after its build or a DbEnv::ColdCache()).
   s.charges_open_per_query = true;
-  s.supports_scan = true;  // fan-out sweep incl. the RAM buffer
   // Summary-pruned fan-out with a running k-th-score bound (see
   // FracturedUpi::QueryTopK); each probed fracture streams k rows at most.
   s.supports_direct_topk = true;
@@ -383,7 +381,6 @@ PathStats UnclusteredAccessPath::Stats() const {
           ? static_cast<double>(it->second.distinct_values())
           : 0.0;
   s.charges_open_per_query = table_->charge_open_per_query;
-  s.supports_scan = true;
   s.supports_direct_topk = pii != nullptr;
   s.clustered = false;
   return s;

@@ -52,7 +52,6 @@ struct PathStats {
   /// even though a fracture whose handle is open pays nothing at run time);
   /// plain UPIs only with charge_open_per_query.
   bool charges_open_per_query = false;
-  bool supports_scan = false;
   bool supports_direct_topk = false;
   /// True when the primary probe reads one clustered region (UPI); false when
   /// it random-fetches through an inverted list (PII baseline).
@@ -144,11 +143,12 @@ class AccessPath {
   }
 
   /// Expected fan-out of a probe on (column, value, qt) after pruning: how
-  /// many fractures the query will actually open, and their heap bytes.
-  /// column < 0 means the primary attribute. The default — probe every
-  /// fracture, full table bytes — is what paths without pruning metadata do;
-  /// the Fractured UPI consults its per-fracture summaries, replacing the
-  /// planner's Nfrac with the expected-probed count.
+  /// many shards and fractures the query will actually open, and their heap
+  /// bytes. column < 0 means the primary attribute. The default — one shard,
+  /// every fracture, full table bytes — is what paths without pruning
+  /// metadata do; the Fractured UPI consults its per-fracture summaries,
+  /// replacing the planner's Nfrac with the expected-probed count, and the
+  /// partitioned table adds its per-shard summaries on top.
   virtual core::PruneEstimate EstimatePrune(int column, std::string_view value,
                                             double qt) const;
 
@@ -157,21 +157,6 @@ class AccessPath {
   virtual double SecondaryAvgPointers(int column) const {
     (void)column;
     return 1.0;
-  }
-
-  /// Horizontal-shard fan-out of a probe on (column, value, qt): how many
-  /// shards it must touch after zone-map admissibility, out of how many.
-  /// Single-index paths are one shard probing itself; the partitioned path
-  /// consults its per-shard summaries. column < 0 means the primary
-  /// attribute.
-  struct ShardFanout {
-    double probed = 1.0;
-    uint32_t total = 1;
-  };
-  virtual ShardFanout EstimateShards(int column, std::string_view value,
-                                     double qt) const {
-    (void)column, (void)value, (void)qt;
-    return {};
   }
 
   /// Histogram-suggested threshold of the k-th best answer (Section 9's
@@ -317,7 +302,7 @@ class UnclusteredAccessPath : public AccessPath {
   /// Populates the per-column histograms from the table's tuples (RAM only).
   void BuildStatistics(const std::vector<catalog::Tuple>& tuples);
 
-  const std::string& name() const override { return name_; }
+  const std::string& name() const override { return table_->name(); }
   const catalog::Schema& schema() const override { return table_->schema(); }
   PathStats Stats() const override;
   Status Insert(const catalog::Tuple& tuple) override;
@@ -353,7 +338,6 @@ class UnclusteredAccessPath : public AccessPath {
   std::unique_ptr<baseline::UnclusteredTable> owned_;
   baseline::UnclusteredTable* table_;
   int primary_column_;
-  std::string name_ = "unclustered";
   std::map<int, histogram::ProbHistogram> histograms_;
 };
 

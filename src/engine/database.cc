@@ -196,10 +196,8 @@ core::FracturedUpi* Table::fractured() const {
 Database::Database(DatabaseOptions options)
     : options_(options),
       profile_(options.device),
-      env_(options.pool_bytes, profile_, options.pool_shards),
-      slow_log_(options.slow_query_log_capacity),
+      env_(options.pool_bytes, profile_),
       manager_(&env_, options.maintenance) {
-  env_.metrics()->set_enabled(options.enable_metrics);
   instruments_.disk = env_.disk();
   instruments_.slow_log = &slow_log_;
   instruments_.slow_query_ms = options.slow_query_ms;
@@ -227,7 +225,6 @@ Database::Database(DatabaseOptions options)
     wal::WalWriterOptions wopts;
     wopts.path = wal_path_;
     wopts.mode = options_.wal_mode;
-    wopts.group_window_us = options_.wal_group_window_us;
     auto writer = wal::WalWriter::Open(&env_, std::move(wopts),
                                        log.missing ? 0 : log.valid_bytes,
                                        recovery_stats_.records + 1);
@@ -338,9 +335,8 @@ Result<Table*> Database::CreateTable(
     ManageFractured(fractured, name, /*shard=*/-1);
   } else if (PartitionedTable* partitioned = table->partitioned()) {
     for (size_t i = 0; i < partitioned->num_shards(); ++i) {
-      if (core::FracturedUpi* shard = partitioned->shard_fractured(i)) {
-        ManageFractured(shard, name, static_cast<int>(i));
-      }
+      ManageFractured(partitioned->shard_fractured(i), name,
+                      static_cast<int>(i));
     }
   }
   LogCreate(table, tuples);

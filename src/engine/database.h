@@ -7,8 +7,8 @@
 // with Run(), streamed through OpenCursor(), or planned-once via Prepare()
 // whose plan cache the table's stats epoch invalidates. Every execution
 // returns its explainable Plan. Maintenance is never scheduled by hand:
-// every Fractured UPI under a table (the table itself, or each fractured
-// partition shard) is auto-registered with the environment's
+// every Fractured UPI under a table (the table itself, or each partition
+// shard) is auto-registered with the environment's
 // MaintenanceManager, and every Insert/Delete notifies it so the Section 6.2
 // watermarks drive flushes and merges.
 #pragma once
@@ -137,8 +137,6 @@ class Table {
 struct DatabaseOptions {
   /// Buffer-pool bytes (see DbEnv for the default's rationale).
   uint64_t pool_bytes = 32ull << 20;
-  /// Buffer-pool latch shards (see BufferPool; 1 = single classic pool).
-  size_t pool_shards = storage::BufferPool::kDefaultShards;
   /// Device profile the database runs on (sim/device_profile.h): disk,
   /// planners, and merge policy all price against it. The default is the
   /// paper's spinning disk (Table 6).
@@ -146,14 +144,9 @@ struct DatabaseOptions {
   /// Maintenance setup; num_workers == 0 keeps maintenance synchronous
   /// (drain with RunMaintenance()), > 0 runs it on background threads.
   maintenance::MaintenanceManagerOptions maintenance{};
-  /// Runtime metrics switch (MetricsRegistry::set_enabled). Snapshots still
-  /// work when off — native counters just stop moving.
-  bool enable_metrics = true;
   /// Simulated-ms threshold above which executions are recorded in the
   /// slow-query log; 0 disables the log entirely.
   double slow_query_ms = 0.0;
-  /// Entries the slow-query log retains (oldest drop first).
-  size_t slow_query_log_capacity = 128;
   /// Scatter-gather worker threads shared by every partitioned table (see
   /// engine/partition.h). kGatherWorkersAuto sizes from the hardware; 0 runs
   /// shard probes serially on the querying thread. The pool is spawned
@@ -174,10 +167,6 @@ struct DatabaseOptions {
   /// log grows this many bytes past the last one. 0 = only explicit
   /// Checkpoint() calls truncate the log.
   uint64_t wal_checkpoint_bytes = 0;
-  /// kGroup lone-leader batching window (WalWriterOptions::group_window_us).
-  /// When the device runs realtime-scaled sleeps, set this toward half the
-  /// scaled rotation cost: waiting half a rotation to share a full one.
-  uint32_t wal_group_window_us = 200;
 };
 
 class Database {
@@ -190,7 +179,7 @@ class Database {
 
   /// Creates the table `spec` describes, bulk-building it from `tuples`, and
   /// journals the creation. Every Fractured UPI under it (the table itself,
-  /// or each fractured shard) is registered with the maintenance manager and
+  /// or each partition shard) is registered with the maintenance manager and
   /// journals its flushes and merges. WAL recovery replays a create record
   /// through this call; the Create*Table helpers below build the spec.
   Result<Table*> CreateTable(const std::string& name, wal::TableSpec spec,
@@ -211,11 +200,11 @@ class Database {
                                       const std::vector<catalog::Tuple>& tuples);
 
   /// Creates a horizontally partitioned table (see engine/partition.h): N
-  /// independent UPI / Fractured-UPI shards behind one logical name, writes
-  /// routed by `popts`'s scheme on the clustered attribute, reads scatter-
-  /// gathered across the shards the per-shard summaries admit. Fractured
-  /// shards register with the maintenance manager individually, so their
-  /// flushes and merges interleave instead of serializing behind one lock.
+  /// independent Fractured-UPI shards behind one logical name, writes
+  /// routed by `popts`'s scheme on the clustered attribute, reads gathered
+  /// across the shards the per-shard summaries admit. Shards register with
+  /// the maintenance manager individually, so their flushes and merges
+  /// interleave instead of serializing behind one lock.
   Result<Table*> CreatePartitionedTable(const std::string& name,
                                         catalog::Schema schema,
                                         core::UpiOptions options,

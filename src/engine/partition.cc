@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <utility>
 
-#include "exec/gather.h"
-#include "exec/ptq.h"
 #include "obs/trace.h"
 
 namespace upi::engine {
@@ -161,13 +160,6 @@ bool ShardSummary::MayMatch(int column, std::string_view value,
   return true;
 }
 
-std::optional<ShardSummary::ColumnZone> ShardSummary::zone(int column) const {
-  std::shared_lock lock(mu_);
-  auto it = columns_.find(column);
-  if (it == columns_.end()) return std::nullopt;
-  return it->second;
-}
-
 uint64_t ShardSummary::tuples() const {
   std::shared_lock lock(mu_);
   return tuples_;
@@ -279,7 +271,6 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
   table->name_ = std::move(name);
   table->schema_ = schema;
   table->options_ = options;
-  table->popts_ = popts;
   table->partitioner_ = std::move(partitioner);
   table->summary_columns_.push_back(options.cluster_column);
   for (int col : secondary_columns) {
@@ -302,33 +293,18 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
 
   for (size_t i = 0; i < n; ++i) {
     std::string shard_name = table->name_ + ".s" + std::to_string(i);
+    auto fractured = std::make_unique<core::FracturedUpi>(
+        env, shard_name, schema, options, secondary_columns);
+    if (!parts[i].empty()) UPI_RETURN_NOT_OK(fractured->BuildMain(parts[i]));
     auto shard = std::make_unique<Shard>();
-    if (popts.fractured) {
-      auto fractured = std::make_unique<core::FracturedUpi>(
-          env, shard_name, schema, options, secondary_columns);
-      if (!parts[i].empty()) {
-        UPI_RETURN_NOT_OK(fractured->BuildMain(parts[i]));
-      }
-      shard->path =
-          std::make_unique<FracturedAccessPath>(std::move(fractured), manager);
-    } else {
-      UPI_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::Upi> upi,
-          core::Upi::Build(env, shard_name, schema, options, secondary_columns,
-                           parts[i]));
-      shard->path = std::make_unique<UpiAccessPath>(std::move(upi));
-    }
+    shard->path =
+        std::make_unique<FracturedAccessPath>(std::move(fractured), manager);
     for (const catalog::Tuple& t : parts[i]) {
       shard->summary.AddTuple(t, table->summary_columns_);
     }
     table->shards_.push_back(std::move(shard));
   }
   return table;
-}
-
-core::FracturedUpi* PartitionedTable::shard_fractured(size_t i) const {
-  auto* path = dynamic_cast<FracturedAccessPath*>(shards_[i]->path.get());
-  return path != nullptr ? path->fractured() : nullptr;
 }
 
 Result<std::string_view> PartitionedTable::RoutingKeyOf(
@@ -354,13 +330,6 @@ Result<size_t> PartitionedTable::RouteOf(const catalog::Tuple& tuple) const {
 
 Status PartitionedTable::Insert(const catalog::Tuple& tuple) {
   UPI_ASSIGN_OR_RETURN(size_t idx, RouteOf(tuple));
-  if (idx >= shards_.size()) {
-    // Never write to a shard the table doesn't own — a mismatched route must
-    // fail loudly, not scribble somewhere recoverable-looking.
-    return Status::Internal("route to shard " + std::to_string(idx) +
-                            " but table has " +
-                            std::to_string(shards_.size()));
-  }
   Shard& shard = *shards_[idx];
   UPI_RETURN_NOT_OK(shard.path->Insert(tuple));
   shard.summary.AddTuple(tuple, summary_columns_);
@@ -370,11 +339,6 @@ Status PartitionedTable::Insert(const catalog::Tuple& tuple) {
 
 Status PartitionedTable::Delete(const catalog::Tuple& tuple) {
   UPI_ASSIGN_OR_RETURN(size_t idx, RouteOf(tuple));
-  if (idx >= shards_.size()) {
-    return Status::Internal("route to shard " + std::to_string(idx) +
-                            " but table has " +
-                            std::to_string(shards_.size()));
-  }
   // Summaries never shrink on delete — conservative, like fracture
   // summaries: a stale fence costs one extra probe, never a lost row.
   return shards_[idx]->path->Delete(tuple);
@@ -382,32 +346,43 @@ Status PartitionedTable::Delete(const catalog::Tuple& tuple) {
 
 bool PartitionedTable::Admissible(size_t i, int column, std::string_view value,
                                   double qt) const {
-  if (!popts_.enable_pruning) return true;
+  if (!options_.enable_pruning) return true;
   return shards_[i]->summary.MayMatch(column, value, qt);
 }
 
-Status PartitionedTable::Scatter(
+void PartitionedTable::CountFanout(size_t probed) const {
+  const size_t pruned = shards_.size() - probed;
+  shards_probed_total_.fetch_add(probed, std::memory_order_relaxed);
+  shards_pruned_total_.fetch_add(pruned, std::memory_order_relaxed);
+  if (m_shards_probed_ != nullptr) m_shards_probed_->Add(probed);
+  if (m_shards_pruned_ != nullptr) m_shards_pruned_->Add(pruned);
+}
+
+std::unique_ptr<ResultCursor> PartitionedTable::Gather(
     int column, std::string_view value, double qt, const char* op,
-    const std::function<Status(const Shard&, std::vector<core::PtqMatch>*)>&
-        probe,
-    std::vector<ShardRun>* runs) const {
+    const std::function<std::unique_ptr<ResultCursor>(const AccessPath&)>&
+        open) const {
+  // One shard's slot in the gather.
+  struct ShardRun {
+    bool pruned = false;
+    std::vector<core::PtqMatch> rows;
+    sim::DiskStats io;
+    Status status;
+  };
   const int col = ResolveColumn(column);
   const size_t n = shards_.size();
-  runs->clear();
-  runs->resize(n);
+  std::vector<ShardRun> runs(n);
   sim::SimDisk* disk = env_->disk();
 
   std::vector<std::function<void()>> tasks;
-  size_t probed = 0;
   for (size_t i = 0; i < n; ++i) {
-    ShardRun& run = (*runs)[i];
+    ShardRun& run = runs[i];
     if (!Admissible(i, col, value, qt)) {
       run.pruned = true;
       continue;
     }
-    ++probed;
-    const Shard* shard = shards_[i].get();
-    tasks.push_back([disk, shard, &run, &probe] {
+    const AccessPath* shard = shards_[i]->path.get();
+    tasks.push_back([disk, shard, &run, &open] {
       // Suppress any inner trace (per-fracture ops) so the per-shard record
       // below is the one operator EXPLAIN ANALYZE reconciles; measure the
       // probe's I/O on this thread's stripe and withdraw it — the gather
@@ -420,11 +395,12 @@ Status PartitionedTable::Scatter(
       // their service time; on the spinning disk this registers nothing.
       sim::ConcurrentIoScope io_scope(disk);
       sim::ThreadStatsWindow window(disk);
-      run.status = probe(*shard, &run.rows);
+      run.status = open(*shard)->Drain(&run.rows);
       run.io = window.Delta();
       disk->WithdrawThreadStats(run.io);
     });
   }
+  const size_t probed = tasks.size();
   if (pool_ != nullptr) {
     pool_->RunAll(std::move(tasks));
   } else {
@@ -432,9 +408,10 @@ Status PartitionedTable::Scatter(
   }
 
   Status st = Status::OK();
+  std::vector<core::PtqMatch> rows;
   obs::QueryTrace* trace = obs::CurrentTrace();
   for (size_t i = 0; i < n; ++i) {
-    ShardRun& run = (*runs)[i];
+    ShardRun& run = runs[i];
     if (!run.pruned) {
       disk->DepositThreadStats(run.io);
       if (st.ok() && !run.status.ok()) st = run.status;
@@ -450,44 +427,16 @@ Status PartitionedTable::Scatter(
       top.sim_ms = run.io.SimMs(disk->params());
       trace->ops.push_back(std::move(top));
     }
+    rows.insert(rows.end(), std::make_move_iterator(run.rows.begin()),
+                std::make_move_iterator(run.rows.end()));
   }
-  shards_probed_total_.fetch_add(probed, std::memory_order_relaxed);
-  shards_pruned_total_.fetch_add(n - probed, std::memory_order_relaxed);
-  if (m_shards_probed_ != nullptr) m_shards_probed_->Add(probed);
-  if (m_shards_pruned_ != nullptr) m_shards_pruned_->Add(n - probed);
-  return st;
-}
-
-std::unique_ptr<ResultCursor> PartitionedTable::GatherMerged(
-    int column, std::string_view value, double qt, const char* op,
-    const std::function<std::unique_ptr<ResultCursor>(const AccessPath&)>&
-        open) const {
-  // A shard failure rides in the cursor's status — its I/O is already
-  // charged.
-  std::vector<ShardRun> runs;
-  Status st = Scatter(
-      column, value, qt, op,
-      [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        return open(*s.path)->Drain(rows);
-      },
-      &runs);
-  std::vector<std::vector<core::PtqMatch>> sorted_runs;
-  sorted_runs.reserve(runs.size());
-  for (ShardRun& run : runs) {
-    if (run.rows.empty()) continue;
-    // Streams return heap rows in confidence order but the cutoff-pointer
-    // tail (and a fractured shard's RAM buffer) in storage order; the merge
-    // needs fully sorted runs.
-    exec::SortByConfidenceDesc(&run.rows);
-    sorted_runs.push_back(std::move(run.rows));
-  }
-  return std::make_unique<exec::MergedRunsCursor>(std::move(sorted_runs),
-                                                  std::move(st));
+  CountFanout(probed);
+  return std::make_unique<MaterializedCursor>(std::move(rows), std::move(st));
 }
 
 std::unique_ptr<ResultCursor> PartitionedTable::OpenPtq(std::string_view value,
                                                         double qt) const {
-  return GatherMerged(-1, value, qt, "ptq", [&](const AccessPath& shard) {
+  return Gather(-1, value, qt, "ptq", [&](const AccessPath& shard) {
     return shard.OpenPtq(value, qt);
   });
 }
@@ -495,10 +444,9 @@ std::unique_ptr<ResultCursor> PartitionedTable::OpenPtq(std::string_view value,
 std::unique_ptr<ResultCursor> PartitionedTable::OpenSecondary(
     int column, std::string_view value, double qt,
     core::SecondaryAccessMode mode) const {
-  return GatherMerged(column, value, qt, "secondary",
-                      [&](const AccessPath& shard) {
-                        return shard.OpenSecondary(column, value, qt, mode);
-                      });
+  return Gather(column, value, qt, "secondary", [&](const AccessPath& shard) {
+    return shard.OpenSecondary(column, value, qt, mode);
+  });
 }
 
 std::unique_ptr<ResultCursor> PartitionedTable::OpenTopK(std::string_view value,
@@ -506,36 +454,12 @@ std::unique_ptr<ResultCursor> PartitionedTable::OpenTopK(std::string_view value,
   if (k == 0) {
     return std::make_unique<MaterializedCursor>(std::vector<core::PtqMatch>{});
   }
-  exec::GlobalTopKBound bound(k);
-  std::vector<ShardRun> runs;
-  Status st = Scatter(
-      -1, value, /*qt=*/0.0, "topk",
-      [&](const Shard& s, std::vector<core::PtqMatch>* rows) {
-        std::unique_ptr<ResultCursor> shard = s.path->OpenTopK(value, k);
-        core::PtqMatch m;
-        while (shard->TakeNext(&m)) {
-          // A streaming shard descends in confidence: once the global bound
-          // is saturated and a row falls strictly below the k-th score,
-          // nothing later in it can contribute — stop without paying for the
-          // pages behind it (deferred cutoff-pointer fetches included). An
-          // eager shard's rows are already paid for; all of them still
-          // tighten the bound for the shards racing it.
-          if (!bound.Offer(m.confidence) && !shard->eager()) {
-            break;
-          }
-          rows->push_back(std::move(m));
-        }
-        return shard->status();
-      },
-      &runs);
-  std::vector<core::PtqMatch> merged;
-  for (ShardRun& run : runs) {
-    merged.insert(merged.end(), std::make_move_iterator(run.rows.begin()),
-                  std::make_move_iterator(run.rows.end()));
-  }
-  exec::SortByConfidenceDesc(&merged);
-  if (merged.size() > k) merged.resize(k);
-  return std::make_unique<MaterializedCursor>(std::move(merged), std::move(st));
+  std::unique_ptr<ResultCursor> cursor =
+      Gather(-1, value, /*qt=*/0.0, "topk", [&](const AccessPath& shard) {
+        return shard.OpenTopK(value, k);
+      });
+  cursor->SetLimit(k);
+  return cursor;
 }
 
 Status PartitionedTable::ScanTuples(
@@ -558,13 +482,7 @@ Status PartitionedTable::ScanTuplesMatching(
     ++probed;
     UPI_RETURN_NOT_OK(shards_[i]->path->ScanTuplesMatching(column, value, qt, fn));
   }
-  shards_probed_total_.fetch_add(probed, std::memory_order_relaxed);
-  shards_pruned_total_.fetch_add(shards_.size() - probed,
-                                 std::memory_order_relaxed);
-  if (m_shards_probed_ != nullptr) m_shards_probed_->Add(probed);
-  if (m_shards_pruned_ != nullptr) {
-    m_shards_pruned_->Add(shards_.size() - probed);
-  }
+  CountFanout(probed);
   return Status::OK();
 }
 
@@ -591,7 +509,6 @@ PathStats PartitionedTable::Stats() const {
   if (s.table.num_fractures == 0) s.table.num_fractures = 1;
   s.seek_span_bytes = seek_span;
   s.avg_entry_bytes = AvgEntryBytes(s.table.table_bytes, s.heap_entries);
-  s.supports_scan = true;
   s.supports_direct_topk = true;
   s.clustered = true;
   // The caller participates in its own gather, hence workers + 1.
@@ -644,11 +561,14 @@ core::PruneEstimate PartitionedTable::EstimatePrune(int column,
                                                     double qt) const {
   const int col = ResolveColumn(column);
   core::PruneEstimate pe;
+  pe.probed_shards = 0.0;
+  pe.total_shards = static_cast<uint32_t>(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     core::PruneEstimate inner =
         shards_[i]->path->EstimatePrune(column, value, qt);
     pe.total_fractures += inner.total_fractures;
     if (Admissible(i, col, value, qt)) {
+      pe.probed_shards += 1.0;
       pe.probed_fractures += inner.probed_fractures;
       pe.probed_bytes += inner.probed_bytes;
     }
@@ -676,18 +596,6 @@ double PartitionedTable::EstimateTopKThreshold(std::string_view value,
     best = std::max(best, p.EstimateTopKThreshold(value, k));
   });
   return best;
-}
-
-AccessPath::ShardFanout PartitionedTable::EstimateShards(
-    int column, std::string_view value, double qt) const {
-  const int col = ResolveColumn(column);
-  AccessPath::ShardFanout sf;
-  sf.total = static_cast<uint32_t>(shards_.size());
-  sf.probed = 0.0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (Admissible(i, col, value, qt)) sf.probed += 1.0;
-  }
-  return sf;
 }
 
 bool PartitionedTable::HasSecondary(int column) const {

@@ -1,33 +1,34 @@
-// Horizontally partitioned tables: scatter-gather over independent UPIs.
+// Horizontally partitioned tables: one gather over N Fractured UPIs.
 //
-// A PartitionedTable splits one logical table into N shards — each an
-// AccessPath owning a full `Upi` or `FracturedUpi` with its own heap, cutoff
-// index, secondary indexes, and (for fractured shards) its own
-// MaintenanceManager registration — by hash or key-range on the clustered
-// attribute's *highest-probability* alternative. Writes route to the owning
-// shard's path, so the single-index ceiling (one latch, one maintenance
-// domain, one flush blocking every reader) turns into N independent domains
-// that flush and merge in parallel.
+// A PartitionedTable splits one logical table into N shards — each a
+// FracturedAccessPath owning a `FracturedUpi` with its own heap, cutoff
+// index, secondary indexes and MaintenanceManager registration — by hash or
+// key-range on the clustered attribute's *highest-probability* alternative.
+// Writes route to the owning shard's path, so the single-index ceiling (one
+// latch, one maintenance domain, one flush blocking every reader) turns into
+// N independent domains that flush and merge in parallel.
 //
-// Reads generalize PR 5's fracture pruning to shard granularity: the router
-// keeps an incremental per-shard summary (zone map + Bloom fence + max
-// combined probability, one slot per indexed column) fed by every bulk build
-// and insert, and a probe consults only these summaries to pick the
-// *admissible* shards. Because a tuple's lower-probability alternatives can
-// land on a shard other than the one that owns its routing key, admissibility
-// comes from the summaries — which see every alternative — never from the
-// routing function. Deletes don't shrink summaries (conservative, like
-// fracture summaries: a stale fence only costs an extra probe, never a lost
-// row).
+// Reads generalize fracture pruning to shard granularity: the router keeps
+// an incremental per-shard summary (zone map + Bloom fence + max combined
+// probability, one slot per indexed column) fed by every bulk build and
+// insert, and a probe consults only these summaries to pick the
+// *admissible* shards. UpiOptions::enable_pruning is the one switch: off, a
+// probe admits every shard and every fracture. Because a tuple's
+// lower-probability alternatives can land on a shard other than the one
+// that owns its routing key, admissibility comes from the summaries — which
+// see every alternative — never from the routing function. Deletes don't
+// shrink summaries (conservative, like fracture summaries: a stale fence
+// only costs an extra probe, never a lost row).
 //
-// Admitted shards execute concurrently on a small shared GatherPool; each
-// probe measures its simulated I/O on the worker's SimDisk stripe and the
-// gather re-attributes it to the calling thread (SimDisk::Withdraw/Deposit),
-// so Session latencies, the slow-query log, and EXPLAIN ANALYZE totals stay
-// exact. Merging: PTQ/secondary runs are confidence-sorted and k-way-merged
-// into one stream (exec/gather.h); top-k shares a global k-th-score bound so
-// lagging shards stop as soon as their descending streams fall below it —
-// results are identical with the bound on or off.
+// Every read is one gather: the admitted shards' cursors run concurrently on
+// a small shared GatherPool and are drained where they ran; each probe
+// measures its simulated I/O on the worker's SimDisk stripe and the gather
+// re-attributes it to the calling thread (SimDisk::Withdraw/Deposit), so
+// Session latencies, the slow-query log, and EXPLAIN ANALYZE totals stay
+// exact. The union is served through a MaterializedCursor in the engine's
+// result order (confidence descending, ties by TupleId); shards hold
+// disjoint TupleIds, so that order is total. Top-k is the same gather capped
+// at k rows.
 #pragma once
 
 #include <deque>
@@ -35,7 +36,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -58,11 +58,6 @@ struct PartitionOptions {
   /// Shard i covers [splits[i-1], splits[i]) — a key equal to a split
   /// boundary belongs to the *next* shard.
   std::vector<std::string> range_splits;
-  /// Shard design: FracturedUpi (writable, maintenance-managed) or plain Upi.
-  bool fractured = true;
-  /// Consult per-shard summaries to skip inadmissible shards. Off = every
-  /// query probes all shards (results identical; see ShardSummary).
-  bool enable_pruning = true;
 };
 
 /// The routing function: key -> owning shard. Deterministic and stateless,
@@ -121,18 +116,17 @@ class ShardSummary {
   /// prunes.
   bool MayMatch(int column, std::string_view value, double qt) const;
 
+  uint64_t tuples() const;
+
+ private:
+  static constexpr size_t kBloomWords = 1u << 12;  // 2^18 bits, 32 KiB
+
   struct ColumnZone {
     std::string min_key;
     std::string max_key;
     double max_prob = 0.0;
     uint64_t alternatives = 0;
   };
-  /// Snapshot of one column's fences (tests/diagnostics).
-  std::optional<ColumnZone> zone(int column) const;
-  uint64_t tuples() const;
-
- private:
-  static constexpr size_t kBloomWords = 1u << 12;  // 2^18 bits, 32 KiB
 
   mutable sync::SharedMutex mu_{sync::LockRank::kShardSummary};
   std::map<int, ColumnZone> columns_;
@@ -178,16 +172,16 @@ class GatherPool {
   std::vector<std::thread> workers_;
 };
 
-/// The logical table: N shards plus the router, summaries, and gather logic.
-/// It is its own AccessPath, so the planner, executor, prepared queries and
-/// EXPLAIN ANALYZE work unchanged against the logical name. Every read is
-/// eager: the scatter runs at open (shard probes drained where they ran,
-/// on the gather pool) and the cursor serves the merged rows.
+/// The logical table: N Fractured-UPI shards plus the router, summaries, and
+/// the gather. It is its own AccessPath, so the planner, executor, prepared
+/// queries and EXPLAIN ANALYZE work unchanged against the logical name.
+/// Every read is eager: the gather runs at open (shard probes drained where
+/// they ran, on the gather pool) and the cursor serves the union.
 class PartitionedTable : public AccessPath {
  public:
-  /// Bulk-builds N shards named `name.s<i>` from `tuples` (routed by the
-  /// clustered attribute's highest-probability alternative). Writes to a
-  /// fractured shard notify `manager` (may be null: no background
+  /// Bulk-builds N Fractured-UPI shards named `name.s<i>` from `tuples`
+  /// (routed by the clustered attribute's highest-probability alternative).
+  /// Writes to a shard notify `manager` (may be null: no background
   /// maintenance); the table's owner registers the shards with it (see
   /// shard_fractured). `pool` may be null: shard probes run serially on the
   /// calling thread.
@@ -212,14 +206,13 @@ class PartitionedTable : public AccessPath {
     return partitioner_.CheckCompatible(router);
   }
 
-  // --- Reads (scatter-gather) ----------------------------------------------
+  // --- Reads (one gather) ---------------------------------------------------
 
-  /// The admissible shards' PTQ runs (gathered concurrently), confidence-
-  /// sorted and k-way-merged into one stream.
+  /// The union of the admissible shards' PTQ rows, in result order.
   std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
                                         double qt) const override;
-  /// Each admissible shard streams at most k rows under the shared global
-  /// k-th-score bound; the merged best k are served.
+  /// Each admissible shard's top k (summary-pruned at qt = 0); the union's
+  /// best k are served.
   std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
                                          size_t k) const override;
   std::unique_ptr<ResultCursor> OpenSecondary(
@@ -239,13 +232,13 @@ class PartitionedTable : public AccessPath {
                                      double qt) const override;
   double EstimateSecondaryMatches(int column, std::string_view value,
                                   double qt) const override;
+  /// Sums the admissible shards' fracture estimates and counts the shards
+  /// (probed_shards / total_shards).
   core::PruneEstimate EstimatePrune(int column, std::string_view value,
                                     double qt) const override;
   double SecondaryAvgPointers(int column) const override;
   double EstimateTopKThreshold(std::string_view value,
                                size_t k) const override;
-  ShardFanout EstimateShards(int column, std::string_view value,
-                             double qt) const override;
   bool HasSecondary(int column) const override;
   int primary_column() const override { return options_.cluster_column; }
 
@@ -255,11 +248,11 @@ class PartitionedTable : public AccessPath {
   const catalog::Schema& schema() const override { return schema_; }
   const core::UpiOptions& options() const { return options_; }
   const Partitioner& partitioner() const { return partitioner_; }
-  const PartitionOptions& partition_options() const { return popts_; }
   size_t num_shards() const { return shards_.size(); }
-  AccessPath* shard_path(size_t i) const { return shards_[i]->path.get(); }
-  /// Shard i's Fractured UPI; nullptr for a plain-UPI shard.
-  core::FracturedUpi* shard_fractured(size_t i) const;
+  /// Shard i's Fractured UPI.
+  core::FracturedUpi* shard_fractured(size_t i) const {
+    return shards_[i]->path->fractured();
+  }
   const ShardSummary& shard_summary(size_t i) const {
     return shards_[i]->summary;
   }
@@ -273,16 +266,8 @@ class PartitionedTable : public AccessPath {
 
  private:
   struct Shard {
-    std::unique_ptr<AccessPath> path;  // owns the shard's UPI
+    std::unique_ptr<FracturedAccessPath> path;  // owns the shard's UPI
     ShardSummary summary;
-  };
-
-  /// One shard's slot in a scatter.
-  struct ShardRun {
-    bool pruned = false;
-    std::vector<core::PtqMatch> rows;
-    sim::DiskStats io;
-    Status status;
   };
 
   PartitionedTable() = default;
@@ -294,22 +279,19 @@ class PartitionedTable : public AccessPath {
   /// alternative.
   Result<std::string_view> RoutingKeyOf(const catalog::Tuple& tuple) const;
   Result<size_t> RouteOf(const catalog::Tuple& tuple) const;
-  /// Summary admissibility of shard `i` for a probe (resolved column).
+  /// Summary admissibility of shard `i` for a probe (resolved column); every
+  /// shard is admissible when pruning is off.
   bool Admissible(size_t i, int column, std::string_view value,
                   double qt) const;
-  /// Runs `probe` on every admissible shard (concurrently when a pool is
-  /// attached), re-attributes each run's simulated I/O to the calling
-  /// thread, appends per-shard TraceOps to any active query trace, and bumps
-  /// the fan-out metrics. `op` labels the trace ops. Returns the first
-  /// shard error.
-  Status Scatter(
-      int column, std::string_view value, double qt, const char* op,
-      const std::function<Status(const Shard&, std::vector<core::PtqMatch>*)>&
-          probe,
-      std::vector<ShardRun>* runs) const;
-  /// Scatters `open` over the admissible shards, drains each shard's cursor
-  /// where it ran, and merges the confidence-sorted runs into one stream.
-  std::unique_ptr<ResultCursor> GatherMerged(
+  /// Bumps the fan-out counters for one probe that admitted `probed` shards.
+  void CountFanout(size_t probed) const;
+  /// Opens `open` on every admissible shard (concurrently when a pool is
+  /// attached) and drains each cursor where it ran, re-attributes each
+  /// probe's simulated I/O to the calling thread, and appends per-shard
+  /// TraceOps labelled `op` to any active query trace. The union is served
+  /// in result order; the first shard error rides in the cursor's status
+  /// (its I/O is already charged).
+  std::unique_ptr<ResultCursor> Gather(
       int column, std::string_view value, double qt, const char* op,
       const std::function<std::unique_ptr<ResultCursor>(const AccessPath&)>&
           open) const;
@@ -321,7 +303,6 @@ class PartitionedTable : public AccessPath {
   catalog::Schema schema_;
   core::UpiOptions options_;
   std::vector<int> summary_columns_;  // cluster column + secondary columns
-  PartitionOptions popts_;
   Partitioner partitioner_;
   std::vector<std::unique_ptr<Shard>> shards_;
 

@@ -189,17 +189,15 @@ Plan QueryPlanner::Choose(std::vector<PlanCandidate> candidates) const {
 Plan QueryPlanner::PlanPtq(std::string_view value, double qt) const {
   PathStats s = path_->Stats();
   core::PruneEstimate pe = path_->EstimatePrune(-1, value, qt);
-  AccessPath::ShardFanout sf = path_->EstimateShards(-1, value, qt);
   std::vector<PlanCandidate> cands;
 
   PlanCandidate probe{PlanKind::kPrimaryProbe};
-  probe.predicted_ms =
-      PrimaryProbeMs(s, pe, value, qt, &probe.note) / GatherSpeedup(s, sf.probed);
+  probe.predicted_ms = PrimaryProbeMs(s, pe, value, qt, &probe.note) /
+                       GatherSpeedup(s, pe.probed_shards);
   cands.push_back(std::move(probe));
 
   PlanCandidate scan{PlanKind::kHeapScan};
   scan.predicted_ms = PrunedScanMs(s, pe);
-  scan.feasible = s.supports_scan;
   cands.push_back(std::move(scan));
 
   Plan plan = Choose(std::move(cands));
@@ -207,8 +205,8 @@ Plan QueryPlanner::PlanPtq(std::string_view value, double qt) const {
   plan.qt = qt;
   plan.fractures_probed = pe.probed_fractures;
   plan.fractures_total = pe.total_fractures;
-  plan.shards_probed = sf.probed;
-  plan.shards_total = sf.total;
+  plan.shards_probed = pe.probed_shards;
+  plan.shards_total = pe.total_shards;
   return plan;
 }
 
@@ -218,8 +216,7 @@ Plan QueryPlanner::PlanSecondary(int column, std::string_view value,
   bool has_secondary = path_->HasSecondary(column);
   double n = path_->EstimateSecondaryMatches(column, value, qt);
   core::PruneEstimate pe = path_->EstimatePrune(column, value, qt);
-  AccessPath::ShardFanout sf = path_->EstimateShards(column, value, qt);
-  double gather = GatherSpeedup(s, sf.probed);
+  double gather = GatherSpeedup(s, pe.probed_shards);
   double nfrac = pe.probed_fractures > 0 ? pe.probed_fractures : 1.0;
   double lookups = 2.0 * nfrac * LookupMs(s);
   char buf[96];
@@ -253,7 +250,6 @@ Plan QueryPlanner::PlanSecondary(int column, std::string_view value,
   PlanCandidate scan{PlanKind::kHeapScan};
   // The scan-filter fallback prunes on the same (column, value, qt).
   scan.predicted_ms = PrunedScanMs(s, pe);
-  scan.feasible = s.supports_scan;
   cands.push_back(std::move(scan));
 
   Plan plan = Choose(std::move(cands));
@@ -262,8 +258,8 @@ Plan QueryPlanner::PlanSecondary(int column, std::string_view value,
   plan.qt = qt;
   plan.fractures_probed = pe.probed_fractures;
   plan.fractures_total = pe.total_fractures;
-  plan.shards_probed = sf.probed;
-  plan.shards_total = sf.total;
+  plan.shards_probed = pe.probed_shards;
+  plan.shards_total = pe.total_shards;
   return plan;
 }
 
@@ -283,18 +279,16 @@ Plan QueryPlanner::PlanQuery(const Query& q) const {
       // Declaratively forced sweep: a one-candidate plan (still explainable).
       PathStats s = path_->Stats();
       core::PruneEstimate pe = path_->EstimatePrune(q.column, q.value, q.qt);
-      AccessPath::ShardFanout sf = path_->EstimateShards(q.column, q.value, q.qt);
       PlanCandidate scan{PlanKind::kHeapScan};
       scan.predicted_ms = PrunedScanMs(s, pe);
-      scan.feasible = s.supports_scan;
       plan = Choose({std::move(scan)});
       plan.column = q.column;
       plan.value = q.value;
       plan.qt = q.qt;
       plan.fractures_probed = pe.probed_fractures;
       plan.fractures_total = pe.total_fractures;
-      plan.shards_probed = sf.probed;
-      plan.shards_total = sf.total;
+      plan.shards_probed = pe.probed_shards;
+      plan.shards_total = pe.total_shards;
       break;
     }
   }
@@ -308,8 +302,7 @@ Plan QueryPlanner::PlanTopK(std::string_view value, size_t k) const {
   // Presence pruning only (qt = 0): the runtime bound-based skip comes on
   // top, so this is the conservative fan-out a direct top-k pays at most.
   core::PruneEstimate pe = path_->EstimatePrune(-1, value, 0.0);
-  AccessPath::ShardFanout sf = path_->EstimateShards(-1, value, 0.0);
-  double gather = GatherSpeedup(s, sf.probed);
+  double gather = GatherSpeedup(s, pe.probed_shards);
   std::vector<PlanCandidate> cands;
   char buf[96];
 
@@ -365,8 +358,8 @@ Plan QueryPlanner::PlanTopK(std::string_view value, size_t k) const {
   plan.k = k;
   plan.fractures_probed = pe.probed_fractures;
   plan.fractures_total = pe.total_fractures;
-  plan.shards_probed = sf.probed;
-  plan.shards_total = sf.total;
+  plan.shards_probed = pe.probed_shards;
+  plan.shards_total = pe.total_shards;
   // Each strategy starts where its cost model assumed it starts: the
   // estimated-threshold strategy at the histogram's k-th probability, the
   // decreasing-threshold strategy at its fixed 0.5.

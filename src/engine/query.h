@@ -125,8 +125,8 @@ struct RowView {
 /// Implementations either stream straight off the storage structures
 /// (clustered PTQ and top-k, the Fractured PTQ fan-out, PII probes), paying
 /// for each row as it is pulled, or are eager: every row was computed, and
-/// its I/O charged, at open (MaterializedCursor, the partitioned gather). The
-/// base class enforces the row limit and the residual predicate so every
+/// its I/O charged, at open (MaterializedCursor, which also serves the
+/// partitioned gather). The base class enforces the row limit and the residual predicate so every
 /// producer stays simple.
 ///
 /// Streaming cursors read live index pages: drain them before writing to

@@ -30,13 +30,11 @@ class DbEnv {
   /// their working set resident as on the paper's machine. The disk
   /// impersonates `profile` (sim/device_profile.h; default: the paper's
   /// spinning disk); planner and merge policy built on this environment price
-  /// against the same profile via profile(). `pool_shards` controls
-  /// buffer-pool latch sharding (1 = a single classic pool).
+  /// against the same profile via profile().
   explicit DbEnv(
       uint64_t pool_bytes = 32ull << 20,
-      sim::DeviceProfile profile = sim::DeviceProfile::SpinningDisk(),
-      size_t pool_shards = BufferPool::kDefaultShards)
-      : disk_(profile), pool_(pool_bytes, pool_shards) {
+      sim::DeviceProfile profile = sim::DeviceProfile::SpinningDisk())
+      : disk_(profile), pool_(pool_bytes) {
     // Export the counters disk and pool already maintain for themselves as
     // snapshot-time hooks — zero hot-path cost, no double accounting. The
     // hook captures `this`; registry and subjects share this DbEnv's

@@ -54,7 +54,6 @@
 //   100  | SimDisk head position        | inner side of the PageFile edge
 //   105  | SimDisk per-thread stripe    | leaf: stats recording
 //   110  | prepared-plan cache          | leaf: planning happens outside it
-//   115  | gather GlobalTopKBound       | leaf: one Offer per row
 //   120  | MetricsRegistry maps         | leaf: never held while recording
 //   125  | SlowQueryLog ring            | leaf: entries assembled outside
 //
@@ -90,7 +89,7 @@ enum class LockRank : uint16_t {
   kWalGate = 15,             // wal/wal_writer.h: checkpoint vs logged writes
   kMaintenanceManager = 20,  // maintenance/manager.h: tables_/in_flight_/stats_
   kTaskQueue = 30,           // maintenance/task_queue.h: pending task deque
-  kGatherPool = 40,          // exec/gather.h (GatherPool): probe queue
+  kGatherPool = 40,          // engine/partition.h (GatherPool): probe queue
   kGatherBatch = 45,         // engine/partition.cc: per-RunAll batch countdown
   kShardSummary = 50,        // engine/partition.h: per-shard zone/Bloom fences
   kWalSync = 53,             // wal/wal_writer.h: serialized durable appends
@@ -102,7 +101,6 @@ enum class LockRank : uint16_t {
   kSimDiskHead = 100,        // sim/sim_disk.h: head position + allocator
   kSimDiskStripe = 105,      // sim/sim_disk.h: one thread's stat stripe
   kPlanCache = 110,          // engine/query.cc: prepared-plan cache map
-  kTopKBound = 115,          // exec/gather.h (GlobalTopKBound): k-th score
   kMetricsRegistry = 120,    // obs/metrics.h: name->metric maps + hooks
   kSlowQueryLog = 125,       // obs/slow_query_log.h: entry ring
 };
@@ -126,7 +124,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kSimDiskHead:        return "SimDiskHead";
     case LockRank::kSimDiskStripe:      return "SimDiskStripe";
     case LockRank::kPlanCache:          return "PlanCache";
-    case LockRank::kTopKBound:          return "TopKBound";
     case LockRank::kMetricsRegistry:    return "MetricsRegistry";
     case LockRank::kSlowQueryLog:       return "SlowQueryLog";
   }

@@ -179,9 +179,9 @@ std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
       PutVarint32(&out, static_cast<uint32_t>(p.num_shards));
       PutVarint32(&out, static_cast<uint32_t>(p.range_splits.size()));
       for (const std::string& s : p.range_splits) PutLP(&out, s);
-      out.push_back(p.fractured ? 1 : 0);
-      out.push_back(p.enable_pruning ? 1 : 0);
-      out.push_back(1);  // retired top-k global-bound flag, always on
+      // Retired flags, always on: fractured shards, shard pruning, top-k
+      // global bound.
+      out.append(3, 1);
       break;
     }
   }
@@ -295,11 +295,10 @@ Result<WalRecord> DecodeRecord(std::string_view payload) {
             UPI_RETURN_NOT_OK(GetLP(&p, limit, &s));
             po.range_splits.push_back(std::move(s));
           }
-          UPI_RETURN_NOT_OK(GetU8(&p, limit, &b));
-          po.fractured = b != 0;
-          UPI_RETURN_NOT_OK(GetU8(&p, limit, &b));
-          po.enable_pruning = b != 0;
-          UPI_RETURN_NOT_OK(GetU8(&p, limit, &b));  // retired flag, ignored
+          // Retired flags (fractured shards, shard pruning, top-k global
+          // bound), ignored: every partitioned table has Fractured-UPI
+          // shards, and UpiOptions::enable_pruning gates shard pruning.
+          for (int i = 0; i < 3; ++i) UPI_RETURN_NOT_OK(GetU8(&p, limit, &b));
           break;
         }
       }

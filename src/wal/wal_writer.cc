@@ -10,6 +10,21 @@
 
 namespace upi::wal {
 
+namespace {
+
+/// Simulated log device extent size (storage/log_file.h).
+constexpr uint64_t kExtentBytes = 4ull << 20;
+
+/// kGroup only: a leader that would sync a batch of ONE record first waits
+/// this long (wall time) for concurrent committers to append and join the
+/// batch. Without the window, closed-loop clients that wake together after a
+/// sync elect the first re-arrival as a lone leader every round, capping the
+/// mean group size near 3 regardless of client count; with it, the whole
+/// cohort shares one rotation.
+constexpr std::chrono::microseconds kGroupWindow{200};
+
+}  // namespace
+
 WalWriter::WalWriter(WalWriterOptions options, Lsn next_lsn)
     : options_(std::move(options)),
       mode_(options_.mode),
@@ -49,8 +64,7 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(storage::DbEnv* env,
 
   UPI_ASSIGN_OR_RETURN(
       writer->log_device_,
-      env->TryCreateLogFile(path, writer->options_.extent_bytes,
-                            writer->durable_bytes()));
+      env->TryCreateLogFile(path, kExtentBytes, writer->durable_bytes()));
   writer->log_device_->ChargeOpen();
 
   obs::MetricsRegistry* metrics = env->metrics();
@@ -134,14 +148,13 @@ void WalWriter::Commit(Lsn lsn) {
   {
     std::unique_lock<sync::Mutex> tail(tail_mu_);
     if (durable_lsn_ >= lsn) return;  // the previous leader covered us
-    if (options_.group_window_us > 0 && next_lsn_ - 1 - durable_lsn_ <= 1) {
+    if (next_lsn_ - 1 - durable_lsn_ <= 1) {
       // Lone leader: hold the batch open one window so committers racing
       // toward Append() share this rotation instead of queueing for their
       // own. Only the tail latch is dropped — holding sync_mu_ keeps the
       // sync order — and the wait is bounded, never re-armed.
       tail.unlock();
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.group_window_us));
+      std::this_thread::sleep_for(kGroupWindow);
       tail.lock();
     }
     batch.swap(pending_);

@@ -66,15 +66,6 @@ enum class WalMode {
 struct WalWriterOptions {
   std::string path;  // host file backing the log
   WalMode mode = WalMode::kGroup;
-  /// Simulated log device extent size (storage/log_file.h).
-  uint64_t extent_bytes = 4ull << 20;
-  /// kGroup only: a leader that would sync a batch of ONE record first
-  /// waits this long (wall time) for concurrent committers to append and
-  /// join the batch. Without the window, closed-loop clients that wake
-  /// together after a sync elect the first re-arrival as a lone leader
-  /// every round, capping the mean group size near 3 regardless of client
-  /// count; with it, the whole cohort shares one rotation. 0 disables.
-  uint32_t group_window_us = 200;
 };
 
 class WalWriter {

@@ -220,9 +220,9 @@ TEST(PartitionTest, RangePtqProbesExactlyOneShard) {
   PartitionedTable* pt = t->partitioned();
   const std::string value = "p5f";  // exists, owned by shard 2
 
-  AccessPath::ShardFanout sf = pt->EstimateShards(-1, value, 0.3);
-  EXPECT_EQ(sf.total, 4u);
-  EXPECT_EQ(sf.probed, 1.0);
+  core::PruneEstimate pe = pt->EstimatePrune(-1, value, 0.3);
+  EXPECT_EQ(pe.total_shards, 4u);
+  EXPECT_EQ(pe.probed_shards, 1.0);
 
   uint64_t probed_before = pt->shards_probed_total();
   uint64_t pruned_before = pt->shards_pruned_total();
@@ -237,10 +237,10 @@ TEST(PartitionTest, RangePtqProbesExactlyOneShard) {
             std::string::npos);
 
   // With pruning disabled the same probe fans out to every shard.
-  PartitionOptions no_prune = RangePopts();
+  core::UpiOptions no_prune = Options();
   no_prune.enable_pruning = false;
-  Table* t2 = db.CreatePartitionedTable("t2", TwoColSchema(), Options(), {},
-                                        no_prune, RangeTuples())
+  Table* t2 = db.CreatePartitionedTable("t2", TwoColSchema(), no_prune, {},
+                                        RangePopts(), RangeTuples())
                   .ValueOrDie();
   PartitionedTable* pt2 = t2->partitioned();
   probed_before = pt2->shards_probed_total();
@@ -287,12 +287,10 @@ TEST(PartitionTest, ProbedShardFractureOpensOncePerColdEpoch) {
                                        RangePopts(), RangeTuples())
                  .ValueOrDie();
   // Neither shard nor fracture pruning: every shard's fracture is probed.
-  PartitionOptions no_prune = RangePopts();
-  no_prune.enable_pruning = false;
   core::UpiOptions probe_all = Options();
   probe_all.enable_pruning = false;
   Table* all = db.CreatePartitionedTable("all", TwoColSchema(), probe_all, {},
-                                         no_prune, RangeTuples())
+                                         RangePopts(), RangeTuples())
                    .ValueOrDie();
   auto opens = [&](Table* table) {
     sim::StatsWindow window(db.env()->disk());
@@ -358,11 +356,12 @@ TEST(PartitionTest, PooledAndSerialGatherAgree) {
 
   PartitionOptions popts;
   popts.num_shards = 4;
-  popts.enable_pruning = false;  // force a full fan-out through the pool
-  Table* ts = serial_db.CreatePartitionedTable("t", TwoColSchema(), Options(),
+  core::UpiOptions probe_all = Options();
+  probe_all.enable_pruning = false;  // force a full fan-out through the pool
+  Table* ts = serial_db.CreatePartitionedTable("t", TwoColSchema(), probe_all,
                                                {}, popts, tuples)
                   .ValueOrDie();
-  Table* tp = pooled_db.CreatePartitionedTable("t", TwoColSchema(), Options(),
+  Table* tp = pooled_db.CreatePartitionedTable("t", TwoColSchema(), probe_all,
                                                {}, popts, tuples)
                   .ValueOrDie();
   for (const char* v : {"a3d", "h7h", "p5f", "v9j", "missing"}) {

@@ -641,6 +641,62 @@ TEST(QueryTest, UnclusteredCursorLimitSkipsHeapFetches) {
   EXPECT_LT(limited_reads, full_reads);
 }
 
+TEST(QueryTest, UnclusteredTableReportsItsName) {
+  // The plan, EXPLAIN and the slow-query log name the table the caller
+  // created, whatever its design.
+  QueryFx fx(400);
+  DatabaseOptions opts;
+  opts.slow_query_ms = 0.001;  // any cold probe crosses it
+  Database db(opts);
+  Table* heap = db.CreateUnclusteredTable(
+                      "heap", datagen::DblpGenerator::AuthorSchema(),
+                      AuthorCols::kInstitution, {AuthorCols::kInstitution},
+                      fx.authors)
+                    .ValueOrDie();
+  EXPECT_EQ(heap->path()->name(), "heap");
+  db.ColdCache();
+  std::vector<core::PtqMatch> rows;
+  Plan plan =
+      heap->Run(Query::Ptq(fx.gen->PopularInstitution(), 0.3), &rows)
+          .ValueOrDie();
+  EXPECT_EQ(plan.table, "heap");
+  EXPECT_NE(plan.Explain().find("on 'heap'"), std::string::npos);
+  std::vector<obs::SlowQueryEntry> entries = db.slow_query_log()->entries();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].table, "heap");
+  EXPECT_NE(entries[0].ToString().find("on 'heap'"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// MaterializedCursor: the eager cursor behind fan-out unions and the
+// partitioned gather
+// ---------------------------------------------------------------------------
+
+core::PtqMatch Row(catalog::TupleId id, double confidence) {
+  core::PtqMatch m;
+  m.id = id;
+  m.confidence = confidence;
+  return m;
+}
+
+TEST(QueryTest, MaterializedCursorServesResultOrder) {
+  // Concatenated per-shard runs: unsorted, with a confidence tie that the
+  // TupleId breaks.
+  MaterializedCursor cursor(
+      {Row(5, 0.1), Row(4, 0.5), Row(1, 0.9), Row(3, 0.5), Row(2, 0.8)});
+  std::vector<core::PtqMatch> out;
+  ASSERT_TRUE(cursor.Drain(&out).ok());
+  EXPECT_EQ(Ids(out), (std::vector<catalog::TupleId>{1, 2, 3, 4, 5}));
+}
+
+TEST(QueryTest, MaterializedCursorCarriesFailure) {
+  MaterializedCursor cursor({Row(1, 0.9)}, Status::IOError("shard 2 died"));
+  core::PtqMatch m;
+  EXPECT_FALSE(cursor.TakeNext(&m));
+  EXPECT_EQ(cursor.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(cursor.rows_returned(), 0u);
+}
+
 TEST(QueryTest, PredicateFiltersRows) {
   QueryFx fx;
   std::string inst = fx.gen->PopularInstitution();

@@ -89,12 +89,11 @@ TEST(WalFormatTest, RecordRoundTrip) {
   spec.schema = datagen::DblpGenerator::AuthorSchema();
   spec.options.cluster_column = AuthorCols::kInstitution;
   spec.options.cutoff = 0.25;
+  spec.options.enable_pruning = false;
   spec.secondary_columns = {AuthorCols::kCountry};
   spec.partition.scheme = engine::PartitionOptions::Scheme::kRange;
   spec.partition.num_shards = 3;
   spec.partition.range_splits = {"inst-b", "inst-q"};
-  spec.partition.fractured = true;
-  spec.partition.enable_pruning = false;
 
   auto create = wal::DecodeRecord(wal::EncodeCreateTable("pubs", spec, tuples));
   ASSERT_TRUE(create.ok()) << create.status().ToString();
@@ -102,6 +101,7 @@ TEST(WalFormatTest, RecordRoundTrip) {
   EXPECT_EQ(create.value().table, "pubs");
   EXPECT_EQ(create.value().spec.kind, wal::TableKind::kPartitioned);
   EXPECT_EQ(create.value().spec.options.cutoff, 0.25);
+  EXPECT_FALSE(create.value().spec.options.enable_pruning);
   EXPECT_EQ(create.value().spec.secondary_columns,
             std::vector<int>{AuthorCols::kCountry});
   EXPECT_EQ(create.value().spec.partition.scheme,
@@ -109,7 +109,6 @@ TEST(WalFormatTest, RecordRoundTrip) {
   EXPECT_EQ(create.value().spec.partition.num_shards, 3u);
   EXPECT_EQ(create.value().spec.partition.range_splits,
             (std::vector<std::string>{"inst-b", "inst-q"}));
-  EXPECT_FALSE(create.value().spec.partition.enable_pruning);
   ASSERT_EQ(create.value().tuples.size(), tuples.size());
   for (size_t i = 0; i < tuples.size(); ++i) {
     EXPECT_TRUE(create.value().tuples[i] == tuples[i]) << "tuple " << i;
@@ -412,7 +411,6 @@ TEST(KillAndRecoverTest, PartitionedTableBitIdentical) {
   engine::PartitionOptions popts;
   popts.scheme = engine::PartitionOptions::Scheme::kHash;
   popts.num_shards = 3;
-  popts.fractured = true;
 
   std::vector<Op> ops;
   ops.push_back([&](engine::Database& db) {
@@ -476,7 +474,6 @@ Status CreateSweepTable(engine::Database& db, const std::string& kind,
   }
   engine::PartitionOptions popts;
   popts.num_shards = 3;
-  popts.fractured = kind == "partitioned-fractured";
   return db
       .CreatePartitionedTable("authors", schema, AuthorUpiOptions(),
                               {AuthorCols::kCountry}, popts, rows)
@@ -508,9 +505,8 @@ TEST(KillAndRecoverTest, EveryTableKindRecoversExactly) {
     ASSERT_TRUE(t->Delete(extras[14]).ok());
   };
 
-  for (const std::string kind : {"upi", "fractured", "unclustered",
-                                 "partitioned-plain",
-                                 "partitioned-fractured"}) {
+  for (const std::string kind :
+       {"upi", "fractured", "unclustered", "partitioned"}) {
     for (bool checkpoint : {false, true}) {
       SCOPED_TRACE(kind + (checkpoint ? " with checkpoint" : ""));
       TempDir dir;
@@ -537,6 +533,71 @@ TEST(KillAndRecoverTest, EveryTableKindRecoversExactly) {
       writes_after(twin.GetTable("authors"));
       ExpectSameResults(recovered.GetTable("authors"),
                         twin.GetTable("authors"), gen);
+    }
+  }
+}
+
+TEST(KillAndRecoverTest, RetiredPartitionBytesReplayAsFracturedShards) {
+  // A partitioned create record carries three retired bytes (fractured
+  // shards, shard pruning, top-k global bound). An old log may hold 0 in
+  // them — a plain-UPI or pruning-off table. Replay ignores them: the table
+  // comes back with a Fractured UPI per shard and answers every PTQ like a
+  // freshly created one.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 150;
+  cfg.num_institutions = 20;
+  cfg.seed = 23;
+  datagen::DblpGenerator gen(cfg);
+  std::vector<Tuple> base = gen.GenerateAuthors();
+
+  wal::TableSpec spec;
+  spec.kind = wal::TableKind::kPartitioned;
+  spec.schema = datagen::DblpGenerator::AuthorSchema();
+  spec.options = AuthorUpiOptions();
+  spec.secondary_columns = {AuthorCols::kCountry};
+  spec.partition.num_shards = 3;
+  std::string record = wal::EncodeCreateTable("authors", spec, base);
+  // The retired bytes sit just before the secondary-column list (varint
+  // count + one int32) and the tuple count; the bulk-free record ends there.
+  std::string bare = wal::EncodeCreateTable("authors", spec, {});
+  const size_t retired = bare.size() - 1 - (1 + 4) - 3;
+  ASSERT_EQ(record.compare(0, retired + 3, bare, 0, retired + 3), 0);
+  ASSERT_EQ(record.substr(retired, 3), std::string(3, '\x01'));
+  record.replace(retired, 3, std::string(3, '\0'));
+
+  auto rec = wal::DecodeRecord(record);
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  engine::Database replayed_db(TestOptions(""));
+  engine::Table* replayed =
+      replayed_db
+          .CreateTable(rec.value().table, rec.value().spec, rec.value().tuples)
+          .ValueOrDie();
+  engine::PartitionedTable* part = replayed->partitioned();
+  ASSERT_NE(part, nullptr);
+  ASSERT_EQ(part->num_shards(), 3u);
+  for (size_t s = 0; s < part->num_shards(); ++s) {
+    ASSERT_NE(part->shard_fractured(s), nullptr) << "shard " << s;
+    EXPECT_EQ(part->shard_fractured(s)->num_fractures(), 1u) << "shard " << s;
+  }
+
+  engine::Database fresh_db(TestOptions(""));
+  engine::Table* fresh =
+      fresh_db
+          .CreatePartitionedTable("authors", spec.schema, spec.options,
+                                  spec.secondary_columns, spec.partition, base)
+          .ValueOrDie();
+  ExpectSameResults(replayed, fresh, gen);
+  for (size_t i = 0; i < cfg.num_institutions; ++i) {
+    for (double qt : {0.05, 0.3, 0.7}) {
+      std::vector<core::PtqMatch> got, want;
+      engine::Query q = engine::Query::Ptq(gen.InstitutionName(i), qt);
+      ASSERT_TRUE(replayed->Run(q, &got).ok());
+      ASSERT_TRUE(fresh->Run(q, &want).ok());
+      ASSERT_EQ(got.size(), want.size()) << q.value << " qt=" << qt;
+      for (size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(got[r].id, want[r].id);
+        EXPECT_EQ(got[r].confidence, want[r].confidence);
+      }
     }
   }
 }

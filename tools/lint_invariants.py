@@ -23,6 +23,12 @@ enforce:
                 make_shared). Placement of `= delete` and deleted operators
                 are fine.
 
+  dead-rank     every sync::LockRank enumerator in src/sync/lock_rank.h
+                must be named as LockRank::kX by some lock outside
+                src/sync/. A rank no lock carries is a row in the documented
+                hierarchy that no code path can exercise, and it lets a
+                deleted lock's ordering claims outlive the lock.
+
 Zero third-party dependencies; line-based on purpose (simple enough to
 audit, and the few multi-line cases are handled by the continuation rule).
 Exit status 0 = clean, 1 = findings (printed one per line as
@@ -46,6 +52,9 @@ ASSERT = re.compile(r"(?<![_\w])assert\s*\(")
 NEW_EXPR = re.compile(r"(?<![_\w.:])new\b(?!\s*\()")  # `new T`, not placement-new idioms we don't use
 DELETE_EXPR = re.compile(r"(?<![_\w.:])delete\b(\s*\[\s*\])?\s")
 SMART = re.compile(r"unique_ptr|shared_ptr|make_unique|make_shared")
+LOCK_RANK_HEADER = SRC / "sync" / "lock_rank.h"
+RANK_ENUMERATOR = re.compile(r"^\s*(k\w+)\s*=\s*\d+\s*,")
+RANK_USE = re.compile(r"\bLockRank::(k\w+)\b")
 
 
 def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
@@ -85,15 +94,48 @@ def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
     return "".join(out), in_block
 
 
+def code_lines(path: Path):
+    """Yields (line number, line with comments and literals blanked)."""
+    in_block = False
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        code, in_block = strip_comments_and_strings(raw, in_block)
+        yield lineno, code
+
+
+def lint_dead_ranks(files: list[Path]) -> list[str]:
+    """Every LockRank enumerator is named by a lock outside src/sync/."""
+    declared = {}  # enumerator -> line in lock_rank.h
+    in_enum = False
+    for lineno, code in code_lines(LOCK_RANK_HEADER):
+        if "enum class LockRank" in code:
+            in_enum = True
+        elif in_enum and "}" in code:
+            break
+        elif in_enum:
+            m = RANK_ENUMERATOR.match(code)
+            if m:
+                declared[m.group(1)] = lineno
+    used = set()
+    for path in files:
+        if path.relative_to(REPO).parts[:2] == ("src", "sync"):
+            continue
+        for _, code in code_lines(path):
+            used.update(RANK_USE.findall(code))
+    rel = LOCK_RANK_HEADER.relative_to(REPO)
+    return [
+        f"{rel}:{lineno}: [dead-rank] LockRank::{name} is named by no lock "
+        "outside src/sync/; delete the rank or give it its lock"
+        for name, lineno in declared.items()
+        if name not in used
+    ]
+
+
 def lint_file(path: Path) -> list[str]:
     findings = []
     rel = path.relative_to(REPO)
     in_sync = rel.parts[:2] == ("src", "sync")
-    in_block = False
     prev_code = ""
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        code, in_block = strip_comments_and_strings(raw, in_block)
-
+    for lineno, code in code_lines(path):
         def report(rule: str, msg: str) -> None:
             findings.append(f"{rel}:{lineno}: [{rule}] {msg}")
 
@@ -134,6 +176,7 @@ def main() -> int:
     findings = []
     for f in files:
         findings.extend(lint_file(f))
+    findings.extend(lint_dead_ranks(files))
     for line in findings:
         print(line)
     if findings:
