@@ -6,11 +6,13 @@
 namespace upi::btree {
 
 BTree::BTree(storage::Pager pager) : pager_(pager), root_(kInvalidPage), height_(1) {
-  storage::PageRef ref = pager_.New(&root_);
   Node n;
   n.is_leaf = true;
-  n.Serialize(ref.data());
-  ref.MarkDirty();
+  std::string root;
+  n.Serialize(&root);
+  // Created with its bytes: a concurrent flush of another table may copy the
+  // new page as soon as it is visible.
+  pager_.New(&root_, root);
 }
 
 BTree BTree::FromBuilt(storage::Pager pager, PageId root, uint32_t height,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <queue>
 
 #include "common/coding.h"
@@ -141,6 +142,16 @@ Status FracturedUpi::Delete(TupleId id) {
   }
   buffer_deletes_.insert(id);
   return Status::OK();
+}
+
+bool FracturedUpi::MayHoldTupleId(TupleId id) const {
+  std::shared_lock lock(mu_);
+  if (buffer_.contains(id)) return true;
+  if (Deleted(id)) return false;
+  for (const Fracture& f : fractures_) {
+    if (f.summary->MayContainTupleId(id)) return true;
+  }
+  return false;
 }
 
 void FracturedUpi::PersistDeleteSet(const std::string& name,
@@ -589,7 +600,7 @@ Result<std::unique_ptr<Upi>> FracturedUpi::MergeUpis(
   const double c_merged = merged_options.cutoff;
 
   // The empty structures this constructor makes are replaced below by the
-  // bulk-merged ones.
+  // bulk-merged ones; their placeholder files go when `merged` is released.
   auto merged = std::make_unique<Upi>(env_, merged_name, schema_, merged_options);
   merged->fracture_ = true;
 
@@ -811,12 +822,16 @@ Status FracturedUpi::Merge(MaintenanceOp op, size_t count) {
                        MergeUpis(sources, merged_name, deleted_snapshot,
                                  &filtered, &result.summary));
 
-  // Phase 3 (exclusive): atomic install. Fractures flushed *during* the
-  // build (possible only via a direct caller; the manager serializes
-  // maintenance) were appended past the range and survive the swap.
+  // Phase 3 (exclusive): atomic install. The merged range moves out of the
+  // list into `retired`. Fractures flushed *during* the build (possible only
+  // via a direct caller; the manager serializes maintenance) were appended
+  // past the range and survive the swap.
+  std::vector<Fracture> retired;
   {
     std::unique_lock lock(mu_);
     auto range = fractures_.begin() + first;
+    retired.assign(std::make_move_iterator(range),
+                   std::make_move_iterator(range + sources.size()));
     *range = std::move(result);
     fractures_.erase(range + 1, range + sources.size());
     has_main_ = has_main_ || full;
@@ -837,6 +852,10 @@ Status FracturedUpi::Merge(MaintenanceOp op, size_t count) {
     }
   }
   env_->pool()->FlushAll();
+  // Release the retired fractures outside the lock. Every reader holds the
+  // shared lock for its whole life, so none can still reach them, and their
+  // pages were written back when they were built.
+  for (Fracture& f : retired) Upi::Release(std::move(f.upi));
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   // A partial merge is logged with the *requested* count: replay re-clamps
   // against the same fracture list, so the recovered layout matches.

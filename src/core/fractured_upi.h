@@ -43,7 +43,14 @@
 // Queries and Insert/Delete may run from any number of threads. Merges do
 // their expensive build phase *without* the lock — concurrent queries keep
 // fanning out over the old fracture list — and take the exclusive lock only
-// to swap the new list in atomically. At most ONE maintenance operation
+// to swap the new list in atomically. The swap moves the merged fractures
+// out of the list; after the lock is released they are retired and
+// Upi::Release drops their files, pool frames and RAM pages. That is safe
+// because every read (each FracturedPtqCursor included) holds the shared
+// lock for its whole life, so no reader can still reach a retired fracture,
+// and a retired fracture has no dirty page (it was written back when it was
+// built). Raw Upi pointers taken through main() or fractures() die with the
+// next merge. At most ONE maintenance operation
 // (BuildMain / FlushBuffer / MergeAll / MergeOldestFractures / Run) may be in
 // flight at a time; MaintenanceManager serializes them per table. Flushes
 // hold the exclusive lock end-to-end (they are sequential appends, cheap next
@@ -157,6 +164,12 @@ class FracturedUpi {
   /// Buffers a deletion (no I/O). Removes the tuple directly if it is still
   /// in the insert buffer.
   Status Delete(catalog::TupleId id);
+
+  /// Whether live tuple `id` may be in this table (no I/O): exact on the
+  /// insert buffer and the delete sets, then each fracture's TupleId Bloom
+  /// fence (FractureSummary::MayContainTupleId). Never false for a live id;
+  /// a Bloom false positive can make it true for an absent one.
+  bool MayHoldTupleId(catalog::TupleId id) const;
 
   /// Writes buffered inserts/deletes out as a new fracture (sequential I/O).
   /// No-op if both buffers are empty. Uses the *current* options(), which the

@@ -61,6 +61,7 @@ class SecondaryIndex {
                  std::vector<SecondaryEntry>* out) const;
 
   void ChargeOpen() { file_->ChargeOpen(); }
+  storage::PageFile* file() const { return file_; }
 
   int max_pointers() const { return max_pointers_; }
   /// Average heap pointers stored per entry (after the limit), >= 1. Tracked

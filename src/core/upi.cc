@@ -32,6 +32,22 @@ Upi::Upi(storage::DbEnv* env, std::string name, catalog::Schema schema,
   heap_ = std::make_unique<btree::BTree>(env_->MakePager(heap_file_));
   cutoff_ = std::make_unique<CutoffIndex>(env_, name_ + ".cutoff",
                                           options_.page_size);
+  placeholders_ = {heap_file_, cutoff_->file()};
+}
+
+void Upi::Release(std::unique_ptr<Upi> upi) {
+  storage::DbEnv* env = upi->env_;
+  std::vector<storage::PageFile*> files = {upi->heap_file_,
+                                           upi->cutoff_->file()};
+  for (const auto& [col, sec] : upi->secondaries_) files.push_back(sec->file());
+  // Build and a merge replace the placeholders; an unbuilt UPI still uses them.
+  for (storage::PageFile* file : upi->placeholders_) {
+    if (std::find(files.begin(), files.end(), file) == files.end()) {
+      files.push_back(file);
+    }
+  }
+  upi.reset();  // its trees hold pagers onto the files
+  for (storage::PageFile* file : files) env->DropFile(file);
 }
 
 Status Upi::AddSecondaryColumn(int column) {
@@ -185,8 +201,8 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   auto upi = std::make_unique<Upi>(env, std::move(name), std::move(schema),
                                    options);
   // Re-create heap & cutoff via streaming builders instead of the empty
-  // structures the constructor made. (The empty files stay allocated; they
-  // are a few pages and harmless.)
+  // structures the constructor made. The empty placeholder files (one page
+  // each) stay in the environment until the UPI is released.
   struct HeapEntry {
     std::string key;
     const Tuple* tuple;

@@ -10,6 +10,7 @@
 // (Section 3.2, Algorithm 3).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
@@ -137,6 +138,14 @@ class Upi {
                                             std::vector<int> secondary_columns,
                                             const std::vector<catalog::Tuple>& tuples);
 
+  /// Destroys a retired UPI and drops every file it created with
+  /// DbEnv::DropFile: its heap, cutoff and secondary files plus the
+  /// constructor's placeholders. Their pool frames and RAM pages go. The
+  /// caller guarantees no reader can still reach `upi`, and that its pages
+  /// were written back when it was built: a dirty frame aborts rather than
+  /// dropping unwritten data.
+  static void Release(std::unique_ptr<Upi> upi);
+
   /// Declares a secondary index on a discrete column of an empty UPI.
   Status AddSecondaryColumn(int column);
 
@@ -233,6 +242,10 @@ class Upi {
   UpiOptions options_;
 
   storage::PageFile* heap_file_ = nullptr;
+  /// The heap and cutoff files the constructor made. Build and a merge
+  /// replace both structures but leave these files in the environment;
+  /// Release drops them with the live ones.
+  std::array<storage::PageFile*, 2> placeholders_{};
   std::unique_ptr<btree::BTree> heap_;
   std::unique_ptr<CutoffIndex> cutoff_;
   std::map<int, std::unique_ptr<SecondaryIndex>> secondaries_;

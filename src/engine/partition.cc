@@ -338,10 +338,23 @@ Status PartitionedTable::Insert(const catalog::Tuple& tuple) {
 }
 
 Status PartitionedTable::Delete(const catalog::Tuple& tuple) {
-  UPI_ASSIGN_OR_RETURN(size_t idx, RouteOf(tuple));
-  // Summaries never shrink on delete — conservative, like fracture
-  // summaries: a stale fence costs one extra probe, never a lost row.
-  return shards_[idx]->path->Delete(tuple);
+  // By id: the tuple's value may not be the one it was stored under, so
+  // every shard that may hold the id gets the delete. A Bloom false positive
+  // also buffers a phantom delete in a shard that lacks the id; see
+  // partition.h for its effect. Summaries never shrink on delete —
+  // conservative, like fracture summaries: a stale fence costs one extra
+  // probe, never a lost row.
+  bool sent = false;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    if (!shard->path->fractured()->MayHoldTupleId(tuple.id())) continue;
+    UPI_RETURN_NOT_OK(shard->path->Delete(tuple));
+    sent = true;
+  }
+  if (!sent) {
+    return Status::NotFound("tuple " + std::to_string(tuple.id()) +
+                            " is in no shard of '" + name_ + "'");
+  }
+  return Status::OK();
 }
 
 bool PartitionedTable::Admissible(size_t i, int column, std::string_view value,

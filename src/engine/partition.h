@@ -4,9 +4,15 @@
 // FracturedAccessPath owning a `FracturedUpi` with its own heap, cutoff
 // index, secondary indexes and MaintenanceManager registration — by hash or
 // key-range on the clustered attribute's *highest-probability* alternative.
-// Writes route to the owning shard's path, so the single-index ceiling (one
+// Inserts route to the owning shard's path, so the single-index ceiling (one
 // latch, one maintenance domain, one flush blocking every reader) turns into
-// N independent domains that flush and merge in parallel.
+// N independent domains that flush and merge in parallel. Deletes remove by
+// TupleId, whatever value the passed tuple carries: every shard that may
+// hold the id (FracturedUpi::MayHoldTupleId) gets the delete. A fracture
+// Bloom false positive (about 1% per fracture) also sends it to a shard
+// that lacks the id. That phantom never hides a row (TupleIds are never
+// reused), but it lowers that shard's num_live_tuples() by one, and it
+// costs a delete-set entry, until the shard's next full merge drops it.
 //
 // Reads generalize fracture pruning to shard granularity: the router keeps
 // an incremental per-shard summary (zone map + Bloom fence + max combined

@@ -60,41 +60,45 @@ void BufferPool::RebalanceLocked(Shard& s) {
   }
 }
 
+void BufferPool::UnlinkLocked(Shard& s, Frame& f) {
+  if (f.hot) s.hot_bytes -= f.page_bytes;
+  (f.hot ? s.hot : s.cold).erase(f.lru_it);
+  s.bytes -= f.page_bytes;
+  cached_bytes_.fetch_sub(f.page_bytes, std::memory_order_relaxed);
+}
+
 std::vector<BufferPool::Victim> BufferPool::DetachVictimsLocked(Shard& s) {
   std::vector<Victim> victims;
   while (cached_bytes_.load(std::memory_order_relaxed) > capacity_) {
     // Scan the cold segment from its LRU end, then the hot segment, for an
     // unpinned victim.
     std::list<Key>* lists[] = {&s.cold, &s.hot};
-    Frame* victim = nullptr;
-    Key victim_key{};
+    auto victim = s.frames.end();
     for (std::list<Key>* list : lists) {
       for (auto rit = list->rbegin(); rit != list->rend(); ++rit) {
         auto fit = s.frames.find(*rit);
         UPI_CHECK(fit != s.frames.end(), "LRU entry without a frame");
         if (fit->second.pins == 0 && fit->second.flush_pins == 0) {
-          victim_key = *rit;
-          victim = &fit->second;
+          victim = fit;
           break;
         }
       }
-      if (victim != nullptr) break;
+      if (victim != s.frames.end()) break;
     }
-    if (victim == nullptr) break;  // everything pinned: temporary overflow
-    if (victim->hot) s.hot_bytes -= victim->page_bytes;
-    (victim->hot ? s.hot : s.cold).erase(victim->lru_it);
-    s.bytes -= victim->page_bytes;
-    cached_bytes_.fetch_sub(victim->page_bytes, std::memory_order_relaxed);
+    // Everything pinned: a temporary overflow.
+    if (victim == s.frames.end()) break;
+    Frame& f = victim->second;
+    UnlinkLocked(s, f);
     ++s.evictions;
-    if (victim->dirty) {
+    if (f.dirty) {
       // Keep the frame mapped (kWriting) until the write-back lands, so a
       // concurrent re-fetch can't read stale bytes from the file.
-      victim->state = Frame::State::kWriting;
+      f.state = Frame::State::kWriting;
       ++s.transients;
       ++s.writebacks;
-      victims.push_back(Victim{victim_key, std::move(victim->data)});
+      victims.push_back(Victim{victim->first, std::move(f.data)});
     } else {
-      s.frames.erase(victim_key);
+      s.frames.erase(victim);
     }
   }
   return victims;
@@ -113,7 +117,8 @@ void BufferPool::FinishVictimsLocked(Shard& s,
   if (!victims.empty()) s.cv.notify_all();
 }
 
-std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create) {
+std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
+                               std::string_view bytes) {
   const Key k{file, id};
   Shard& s = ShardFor(k);
   const uint32_t page_bytes = file->page_size();
@@ -135,8 +140,8 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create) {
     if (create) {
       // A recycled PageId (freed via one Pager, reallocated via another on
       // the same file) can still have a resident frame; a fresh page must
-      // come back empty and reach the device.
-      f.data.clear();
+      // come back with only its new bytes and reach the device.
+      f.data.assign(bytes);
       f.dirty = true;
     }
     return &f.data;
@@ -166,7 +171,11 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create) {
     FinishVictimsLocked(s, victims);
     lock.unlock();
   }
-  if (!create) file->Read(id, &f.data);
+  if (create) {
+    f.data.assign(bytes);  // still kLoading: no other thread reads it yet
+  } else {
+    file->Read(id, &f.data);
+  }
   lock.lock();
 
   f.state = Frame::State::kResident;
@@ -201,9 +210,10 @@ void BufferPool::MarkDirty(PageFile* file, PageId id) {
   it->second.dirty = true;
 }
 
-std::vector<BufferPool::Key> BufferPool::CollectDirty(
+std::vector<BufferPool::DirtyFile> BufferPool::CollectDirty(
     const PageFile* only_file) {
-  std::vector<Key> dirty;
+  std::vector<DirtyFile> files;
+  std::unordered_map<uint64_t, size_t> index;  // file ordinal -> files slot
   for (size_t i = 0; i < shards_count_; ++i) {
     Shard& s = shards_[i];
     std::lock_guard<sync::Mutex> lock(s.mu);
@@ -214,13 +224,26 @@ std::vector<BufferPool::Key> BufferPool::CollectDirty(
     // Never waiting on transients keeps flushes live under sustained miss
     // traffic on other pages of the shard.
     for (auto& [k, f] : s.frames) {
-      if (f.state == Frame::State::kResident && f.dirty &&
-          (only_file == nullptr || k.file == only_file)) {
-        dirty.push_back(k);
+      if (f.state != Frame::State::kResident || !f.dirty ||
+          (only_file != nullptr && k.file != only_file)) {
+        continue;
       }
+      auto [slot, added] = index.try_emplace(k.file_id, files.size());
+      // The mapped frame keeps its file alive here: read the name now.
+      if (added) files.push_back(DirtyFile{k.file->name(), k.file_id, {}});
+      files[slot->second].keys.push_back(k);
     }
   }
-  return dirty;
+  std::sort(files.begin(), files.end(),
+            [](const DirtyFile& a, const DirtyFile& b) {
+              if (a.name != b.name) return a.name < b.name;
+              return a.file_id < b.file_id;
+            });
+  for (DirtyFile& file : files) {
+    std::sort(file.keys.begin(), file.keys.end(),
+              [](const Key& a, const Key& b) { return a.id < b.id; });
+  }
+  return files;
 }
 
 void BufferPool::WriteBackOne(const Key& k) {
@@ -231,7 +254,9 @@ void BufferPool::WriteBackOne(const Key& k) {
     auto it = s.frames.find(k);
     if (it == s.frames.end() || it->second.state != Frame::State::kResident ||
         !it->second.dirty) {
-      return;  // evicted (and thus written) or discarded since collection
+      // Evicted (and thus written), discarded, or its file dropped since
+      // collection: the lookup never touched the PageFile.
+      return;
     }
     // Flush-pin + snapshot, then write outside the latch (in realtime mode a
     // write sleeps; holding the shard latch across it would stall every
@@ -241,7 +266,7 @@ void BufferPool::WriteBackOne(const Key& k) {
     it->second.dirty = false;
     snapshot = it->second.data;
   }
-  k.file->Write(k.id, snapshot);
+  k.file->Write(k.id, snapshot);  // the flush pin holds off DiscardFile
   {
     std::lock_guard<sync::Mutex> lock(s.mu);
     auto it = s.frames.find(k);
@@ -253,21 +278,15 @@ void BufferPool::WriteBackOne(const Key& k) {
   }
 }
 
-void BufferPool::FlushAll() {
-  std::vector<Key> dirty = CollectDirty(nullptr);
-  std::sort(dirty.begin(), dirty.end(), [](const Key& a, const Key& b) {
-    if (a.file != b.file) return a.file->name() < b.file->name();
-    return a.id < b.id;
-  });
-  for (const Key& k : dirty) WriteBackOne(k);
+void BufferPool::Flush(const PageFile* only_file) {
+  for (const DirtyFile& file : CollectDirty(only_file)) {
+    for (const Key& k : file.keys) WriteBackOne(k);
+  }
 }
 
-void BufferPool::FlushFile(PageFile* file) {
-  std::vector<Key> dirty = CollectDirty(file);
-  std::sort(dirty.begin(), dirty.end(),
-            [](const Key& a, const Key& b) { return a.id < b.id; });
-  for (const Key& k : dirty) WriteBackOne(k);
-}
+void BufferPool::FlushAll() { Flush(nullptr); }
+
+void BufferPool::FlushFile(PageFile* file) { Flush(file); }
 
 void BufferPool::DropAll() {
   FlushAll();
@@ -307,12 +326,37 @@ void BufferPool::Discard(PageFile* file, PageId id) {
       continue;
     }
     UPI_CHECK(f.pins == 0, "Discard of a pinned page");
-    if (f.hot) s.hot_bytes -= f.page_bytes;
-    (f.hot ? s.hot : s.cold).erase(f.lru_it);
-    s.bytes -= f.page_bytes;
-    cached_bytes_.fetch_sub(f.page_bytes, std::memory_order_relaxed);
+    UnlinkLocked(s, f);
     s.frames.erase(it);
     return;
+  }
+}
+
+void BufferPool::DiscardFile(PageFile* file) {
+  for (size_t i = 0; i < shards_count_; ++i) {
+    Shard& s = shards_[i];
+    std::unique_lock<sync::Mutex> lock(s.mu);
+    // In flight to or from the device: wait it out, as Discard does.
+    s.cv.wait(lock, [&s, file] {
+      for (const auto& [k, f] : s.frames) {
+        if (k.file == file &&
+            (f.state != Frame::State::kResident || f.flush_pins > 0)) {
+          return false;
+        }
+      }
+      return true;
+    });
+    for (auto it = s.frames.begin(); it != s.frames.end();) {
+      Frame& f = it->second;
+      if (it->first.file != file) {
+        ++it;
+        continue;
+      }
+      UPI_CHECK(f.pins == 0, "DiscardFile of a file with a pinned page");
+      UPI_CHECK(!f.dirty, "DiscardFile of a file with a dirty page");
+      UnlinkLocked(s, f);
+      it = s.frames.erase(it);
+    }
   }
 }
 

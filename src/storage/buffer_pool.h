@@ -51,6 +51,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -75,9 +76,13 @@ class BufferPool {
   ~BufferPool() { FlushAll(); }
 
   /// Returns the cached contents of (file, id), pinned. If `create` is true
-  /// the page is assumed freshly allocated: no disk read is charged, and any
-  /// stale frame cached under a recycled PageId is reset to empty + dirty.
-  std::string* Fetch(PageFile* file, PageId id, bool create = false);
+  /// the page is assumed freshly allocated: no disk read is charged, and the
+  /// frame (even a stale one cached under a recycled PageId) holds `bytes`,
+  /// dirty. The bytes are in place before any other thread can see the
+  /// frame, so another table's flush never copies a page its creator is
+  /// still filling.
+  std::string* Fetch(PageFile* file, PageId id, bool create = false,
+                     std::string_view bytes = {});
 
   void Unpin(PageFile* file, PageId id);
   void MarkDirty(PageFile* file, PageId id);
@@ -94,6 +99,13 @@ class BufferPool {
 
   /// Drops the frame for a page being freed, discarding dirty data.
   void Discard(PageFile* file, PageId id);
+
+  /// Drops every frame of `file`, which must have been written back: in-flight
+  /// loads and write-backs are waited out as Discard does, and a pinned or
+  /// dirty frame aborts. Afterwards no frame names the file, so it may be
+  /// destroyed; a key another thread's flush collected for it before then
+  /// just misses (keys hash the file's ordinal, never the PageFile).
+  void DiscardFile(PageFile* file);
 
   /// One shard's (or the whole pool's) served/eviction traffic. `writebacks`
   /// counts pages written to the device from the pool: dirty eviction
@@ -122,16 +134,25 @@ class BufferPool {
   }
 
  private:
+  // Carries the file's creation ordinal beside its address, so hashing and
+  // comparing a key never dereference the PageFile: a flush's collected key
+  // may outlive a file DbEnv::DropFile destroyed, and must then just miss,
+  // even if a new file now sits at the same address. `file` is dereferenced
+  // only while a frame of it is mapped (DiscardFile waits those out).
   struct Key {
     PageFile* file;
+    uint64_t file_id;
     PageId id;
-    bool operator==(const Key& o) const { return file == o.file && id == o.id; }
+    Key(PageFile* f, PageId page) : file(f), file_id(f->id()), id(page) {}
+    bool operator==(const Key& o) const {
+      return file == o.file && file_id == o.file_id && id == o.id;
+    }
   };
   // Hashes the file's creation ordinal, not its address: shard placement
   // (and so which page a miss evicts) must not follow ASLR.
   struct KeyHash {
     size_t operator()(const Key& k) const {
-      return std::hash<uint64_t>()(k.file->id()) * 1000003u ^ k.id;
+      return std::hash<uint64_t>()(k.file_id) * 1000003u ^ k.id;
     }
   };
 
@@ -185,6 +206,9 @@ class BufferPool {
   /// Demotes hot-tail frames to the cold head until the hot segment is back
   /// under its 5/8 cap. Caller holds s.mu.
   void RebalanceLocked(Shard& s);
+  /// Takes a resident frame out of its LRU segment and out of the shard's
+  /// and the pool's byte counts; the frame stays mapped. Caller holds s.mu.
+  void UnlinkLocked(Shard& s, Frame& f);
   /// Evicts unpinned resident frames of `s` (cold tail first, then hot tail)
   /// until the global total fits capacity or the shard has no victim left.
   /// Clean victims are erased in place; dirty ones are detached as kWriting
@@ -192,14 +216,26 @@ class BufferPool {
   std::vector<Victim> DetachVictimsLocked(Shard& s);
   /// Erases detached victims after their write-back and wakes waiters.
   void FinishVictimsLocked(Shard& s, const std::vector<Victim>& victims);
-  /// Snapshots the keys of dirty *resident* frames (optionally of one file).
-  /// Loading frames are skipped (their creator holds the pin mid-write) and
-  /// kWriting victims are already being written — so flushes never block on
-  /// other pages' in-flight I/O.
-  std::vector<Key> CollectDirty(const PageFile* only_file);
-  /// Writes back one page if it is still mapped, resident, and dirty; the
-  /// frame is pinned and snapshotted so the device write happens outside the
-  /// shard latch.
+  /// One file's dirty pages in a flush snapshot. The name is copied under
+  /// the shard latch: by the time the flush reaches these keys the file may
+  /// have been dropped.
+  struct DirtyFile {
+    std::string name;
+    uint64_t file_id;
+    std::vector<Key> keys;
+  };
+  /// Snapshots the keys of dirty *resident* frames (optionally of one file),
+  /// in (file name, page id) order so a batch flush of a freshly built file
+  /// is physically sequential. Loading frames are skipped (their creator
+  /// holds the pin mid-write) and kWriting victims are already being written
+  /// — so flushes never block on other pages' in-flight I/O.
+  std::vector<DirtyFile> CollectDirty(const PageFile* only_file);
+  /// Writes back every page CollectDirty(only_file) finds.
+  void Flush(const PageFile* only_file);
+  /// Writes back one page if it is still mapped, resident, and dirty (a key
+  /// whose file was dropped since collection finds nothing); the frame is
+  /// pinned and snapshotted so the device write happens outside the shard
+  /// latch.
   void WriteBackOne(const Key& k);
 
   const uint64_t capacity_;

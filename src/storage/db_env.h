@@ -1,8 +1,10 @@
 // A "database environment": one simulated disk plus one buffer pool shared by
 // all files of a database, mirroring a BerkeleyDB environment. Owns the page
-// files it creates.
+// files it creates until DropFile releases one (its pool frames and RAM pages
+// go; its device addresses are never reused) or the environment is destroyed.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
@@ -11,6 +13,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/check.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "sim/sim_disk.h"
@@ -86,6 +89,28 @@ class DbEnv {
     return log_files_.back().get();
   }
 
+  /// Releases a written-back file this environment created: discards every
+  /// pool frame of it (BufferPool::DiscardFile: in-flight I/O is waited out,
+  /// a pinned or dirty frame aborts), then destroys the PageFile and its RAM
+  /// pages and frees its name. The caller guarantees no other thread can
+  /// still reach the file.
+  void DropFile(PageFile* file) {
+    pool_.DiscardFile(file);
+    std::unique_ptr<PageFile> dropped;
+    {
+      std::lock_guard<sync::Mutex> lock(files_mu_);
+      auto it = std::find_if(files_.begin(), files_.end(),
+                             [file](const std::unique_ptr<PageFile>& f) {
+                               return f.get() == file;
+                             });
+      UPI_CHECK(it != files_.end(), "DropFile of a file this env does not own");
+      file_names_.erase(file->name());
+      dropped = std::move(*it);
+      files_.erase(it);
+    }
+    // `dropped` frees the RAM pages outside the file-table lock.
+  }
+
   Pager MakePager(PageFile* file) { return Pager(&pool_, file); }
 
   /// The cold-cache protocol from Section 7.1 ("performed with a cold
@@ -155,6 +180,8 @@ class DbEnv {
     }
     snap->gauges.push_back({"upi_bufferpool_cached_bytes", "",
                             static_cast<double>(pool_.cached_bytes())});
+    snap->gauges.push_back({"upi_storage_file_bytes", "",
+                            static_cast<double>(TotalFileBytes())});
   }
 
   // Declared first so every other member (whose instrumentation holds

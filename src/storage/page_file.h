@@ -6,6 +6,10 @@
 // allocations — which is how B+Tree churn produces physical fragmentation,
 // the effect behind the paper's Section 4.1 maintenance problem.
 //
+// Lifetime: the DbEnv that created a file owns it. DbEnv::DropFile releases
+// it (its pool frames first, then the RAM pages); its device addresses stay
+// allocated on the SimDisk, never handed to another file.
+//
 // Thread-safe: allocation metadata, the free list, and the RAM backing store
 // are guarded by an internal mutex, honoring the concurrency contract the
 // buffer pool documents (background builders allocate/write while foreground

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "storage/buffer_pool.h"
@@ -62,10 +63,11 @@ class Pager {
     return PageRef(pool_, file_, id, pool_->Fetch(file_, id, /*create=*/false));
   }
 
-  /// Allocates and pins a fresh page (no read charged).
-  PageRef New(PageId* id) {
+  /// Allocates and pins a fresh page holding `bytes` (no read charged).
+  PageRef New(PageId* id, std::string_view bytes = {}) {
     *id = file_->Allocate();
-    return PageRef(pool_, file_, *id, pool_->Fetch(file_, *id, /*create=*/true));
+    return PageRef(pool_, file_, *id,
+                   pool_->Fetch(file_, *id, /*create=*/true, bytes));
   }
 
   /// Frees a page; its cached frame is discarded without writeback.

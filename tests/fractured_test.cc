@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <functional>
 #include <map>
 #include <set>
@@ -384,6 +385,114 @@ TEST(FracturedUpiTest, PartialMergeNoOpWithFewDeltas) {
   ASSERT_TRUE(fx.table->FlushBuffer().ok());
   ASSERT_TRUE(fx.table->MergeOldestFractures(5).ok());  // only 1 delta
   EXPECT_EQ(fx.table->num_fractures(), 2u);
+}
+
+TEST(FracturedUpiTest, MergesReleaseRetiredFractureFiles) {
+  // Every byte the environment holds belongs to a live fracture — its
+  // size_bytes() plus the one-page heap and cutoff placeholders its Upi
+  // constructor made — or to a delete-set file. Merged-away fractures leave
+  // nothing behind, in the file table or in the pool.
+  Fx fx;
+  const uint64_t page = fx.table->options().page_size;
+  uint64_t delete_set_bytes = 0;
+  auto expect_only_live_files = [&](const char* when) {
+    SCOPED_TRACE(when);
+    const uint64_t placeholders = fx.table->num_fractures() * 2 * page;
+    EXPECT_EQ(fx.env.TotalFileBytes(),
+              fx.table->size_bytes() + placeholders + delete_set_bytes);
+    EXPECT_LE(fx.env.pool()->cached_bytes(), fx.env.TotalFileBytes());
+  };
+  expect_only_live_files("after the bulk build");
+
+  fx.AddDeltas(4, 900000);
+  ASSERT_TRUE(fx.table->Delete(900001).ok());
+  ASSERT_TRUE(fx.table->FlushBuffer().ok());  // a one-page delete set only
+  delete_set_bytes += page;
+  ASSERT_EQ(fx.table->num_fractures(), 5u);
+  expect_only_live_files("after the flushes");
+
+  const uint64_t retired = fx.env.TotalFileBytes();
+  ASSERT_TRUE(fx.table->MergeOldestFractures(3).ok());
+  ASSERT_EQ(fx.table->num_fractures(), 3u);
+  expect_only_live_files("after a partial merge");
+  EXPECT_LT(fx.env.TotalFileBytes(), retired);
+
+  ASSERT_TRUE(fx.table->MergeAll().ok());
+  ASSERT_EQ(fx.table->num_fractures(), 1u);
+  expect_only_live_files("after a full merge");
+
+  // The merged main still serves every live row.
+  const uint64_t live = fx.tuples.size() + 4 * 30 - 1;
+  EXPECT_EQ(fx.table->num_live_tuples(), live);
+  uint64_t scanned = 0;
+  ASSERT_TRUE(fx.table->ScanTuples([&](const Tuple&) { ++scanned; }).ok());
+  EXPECT_EQ(scanned, live);
+}
+
+TEST(FracturedUpiTest, MergesReleaseFilesWhileAnotherThreadFlushesThePool) {
+  // Two tables on one environment flush and merge on two threads while a
+  // third flushes the whole pool in a loop. That flush's collected keys can
+  // outlive the fractures the merges release: under ASan or TSan, a key that
+  // reached a destroyed PageFile, or a release racing a write-back, fails
+  // here. Afterwards only live fractures hold bytes, and every row is served.
+  storage::DbEnv env;
+  UpiOptions opt;
+  opt.cluster_column = datagen::AuthorCols::kInstitution;
+  opt.cutoff = 0.1;
+  constexpr int kRounds = 12;
+  constexpr TupleId kPerRound = 20;
+  auto generator = [](uint64_t seed) {
+    datagen::DblpConfig cfg;
+    cfg.num_authors = 200;
+    cfg.num_institutions = 30;
+    cfg.seed = seed;
+    return std::make_unique<datagen::DblpGenerator>(cfg);
+  };
+  std::vector<std::unique_ptr<FracturedUpi>> tables;
+  for (const char* name : {"left", "right"}) {
+    tables.push_back(std::make_unique<FracturedUpi>(
+        &env, name, datagen::DblpGenerator::AuthorSchema(), opt,
+        std::vector<int>{datagen::AuthorCols::kCountry}));
+    const std::vector<Tuple> authors =
+        generator(tables.size())->GenerateAuthors();
+    ASSERT_TRUE(tables.back()->BuildMain(authors).ok());
+  }
+
+  std::atomic<bool> done{false};
+  std::thread flusher([&] {
+    while (!done.load(std::memory_order_relaxed)) env.pool()->FlushAll();
+  });
+  auto churn = [&](FracturedUpi* table, uint64_t seed) {
+    auto gen = generator(seed);
+    for (int round = 0; round < kRounds; ++round) {
+      const TupleId first = 500000 + round * kPerRound;
+      for (TupleId id = first; id < first + kPerRound; ++id) {
+        EXPECT_TRUE(table->Insert(gen->MakeAuthor(id)).ok());
+      }
+      EXPECT_TRUE(table->FlushBuffer().ok());
+      EXPECT_TRUE((round % 3 == 2 ? table->MergeAll()
+                                  : table->MergeOldestFractures(2))
+                      .ok());
+    }
+  };
+  std::thread left(churn, tables[0].get(), 7);
+  std::thread right(churn, tables[1].get(), 8);
+  left.join();
+  right.join();
+  done = true;
+  flusher.join();
+
+  uint64_t live_bytes = 0;
+  for (const auto& table : tables) {
+    live_bytes += table->size_bytes() +
+                  table->num_fractures() * 2 * table->options().page_size;
+    const uint64_t live = 200 + kRounds * kPerRound;
+    EXPECT_EQ(table->num_live_tuples(), live);
+    uint64_t scanned = 0;
+    ASSERT_TRUE(table->ScanTuples([&](const Tuple&) { ++scanned; }).ok());
+    EXPECT_EQ(scanned, live);
+  }
+  EXPECT_EQ(env.TotalFileBytes(), live_bytes);
 }
 
 TEST(FracturedUpiTest, ScanTuplesDedupsAndSubtractsDeleteSetsAcrossFractures) {

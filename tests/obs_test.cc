@@ -199,6 +199,9 @@ TEST(ObsEngineTest, DatabaseExportsEngineMetricFamilies) {
   EXPECT_GT(snap.SumOf("upi_disk_reads_total"), 0.0);
   EXPECT_GT(snap.SumOf("upi_bufferpool_misses_total"), 0.0);
   EXPECT_NE(snap.Find("upi_bufferpool_cached_bytes"), nullptr);
+  const Sample* file_bytes = snap.Find("upi_storage_file_bytes");
+  ASSERT_NE(file_bytes, nullptr);
+  EXPECT_GT(file_bytes->value, 0.0);
   // The query histogram saw the execution.
   bool found = false;
   for (const HistogramSample& h : snap.histograms) {

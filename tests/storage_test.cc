@@ -555,5 +555,110 @@ TEST(DbEnvTest, DuplicateFileNameIsRejected) {
   EXPECT_DEATH(env.CreateFile("t.heap", 4096), "already exists");
 }
 
+/// Creates `pages` pages of `file` through the pool, each holding its name
+/// and index, left dirty.
+void FillDirty(DbEnv& env, PageFile* file, int pages) {
+  Pager pager = env.MakePager(file);
+  for (int i = 0; i < pages; ++i) {
+    PageId id;
+    PageRef ref = pager.New(&id);
+    *ref.data() = file->name() + std::to_string(i);
+    ref.MarkDirty();
+  }
+}
+
+TEST(DbEnvTest, DropFileReleasesItsFramesAndBytes) {
+  DbEnv env(1 << 20);
+  PageFile* keep = env.CreateFile("keep", 4096);
+  PageFile* gone = env.CreateFile("gone", 4096);
+  FillDirty(env, keep, 4);
+  FillDirty(env, gone, 4);
+  env.pool()->FlushAll();
+  ASSERT_EQ(env.pool()->cached_bytes(), 8u * 4096);
+  ASSERT_EQ(env.TotalFileBytes(), 8u * 4096);
+  const BufferPool::PoolCounters before = env.pool()->counters();
+  const uint64_t disk_writes = env.disk()->stats().writes;
+
+  // Written back already: nothing is written on the way out.
+  env.DropFile(gone);
+  EXPECT_EQ(env.pool()->cached_bytes(), 4u * 4096);
+  EXPECT_EQ(env.TotalFileBytes(), 4u * 4096);
+  EXPECT_EQ(env.pool()->counters().writebacks, before.writebacks);
+  EXPECT_EQ(env.pool()->counters().evictions, before.evictions);
+  EXPECT_EQ(env.disk()->stats().writes, disk_writes);
+  const obs::MetricsSnapshot snap = env.metrics()->Snapshot();
+  const obs::Sample* file_bytes = snap.Find("upi_storage_file_bytes");
+  ASSERT_NE(file_bytes, nullptr);
+  EXPECT_EQ(file_bytes->value, 4.0 * 4096);
+
+  // The surviving file still hits in the pool.
+  {
+    PageRef ref = env.MakePager(keep).Get(0);
+    EXPECT_EQ(*ref.data(), "keep0");
+  }
+  EXPECT_EQ(env.pool()->hits(), before.hits + 1);
+
+  // The name is free again, and the new file's first fetch misses: no frame
+  // of the dropped file can answer for it, even at a recycled address.
+  PageFile* again = env.CreateFile("gone", 4096);
+  PageId id = again->Allocate();
+  again->Write(id, "fresh");
+  const uint64_t misses = env.pool()->misses();
+  {
+    PageRef ref = env.MakePager(again).Get(id);
+    EXPECT_EQ(*ref.data(), "fresh");
+  }
+  EXPECT_EQ(env.pool()->misses(), misses + 1);
+}
+
+TEST(DbEnvTest, FlushSkipsTheKeysOfAFileDroppedMidFlush) {
+  // A FlushAll snapshots its dirty keys, then writes them back one by one.
+  // Another thread may drop a file whose keys it holds (a merge releasing a
+  // fracture) before it reaches them. Those keys must then miss without
+  // touching the destroyed PageFile (ASan catches a read of it), and must
+  // not write back the dirty page of a new file at the same address.
+  constexpr int kBallast = 1000;
+  DbEnv env(64 << 20);
+  PageFile* ballast = env.CreateFile("a.ballast", 4096);  // flushed first
+  PageFile* doomed = env.CreateFile("b.doomed", 4096);
+  FillDirty(env, ballast, kBallast);
+  FillDirty(env, doomed, 2);
+  // Each write now sleeps, so the flush below is still in the ballast while
+  // this thread drops `doomed` and creates its successor.
+  env.disk()->SetRealtimeScale(1000.0);
+  const uint64_t writes = env.disk()->stats().writes;
+  std::thread flusher([&env] { env.pool()->FlushAll(); });
+  // Its first write means its keys are collected, `doomed`'s among them.
+  while (env.disk()->stats().writes == writes) std::this_thread::yield();
+  env.pool()->FlushFile(doomed);
+  env.DropFile(doomed);
+  PageFile* successor = env.CreateFile("b.successor", 4096);
+  FillDirty(env, successor, 1);
+  flusher.join();
+  env.disk()->SetRealtimeScale(0.0);
+
+  // The ballast and `doomed` were written once each; the successor's page
+  // was never collected, so it is still dirty.
+  EXPECT_EQ(env.disk()->stats().writes, writes + kBallast + 2);
+  env.pool()->FlushAll();
+  EXPECT_EQ(env.disk()->stats().writes, writes + kBallast + 3);
+  EXPECT_EQ(env.TotalFileBytes(), (kBallast + 1) * 4096u);
+}
+
+TEST(DbEnvDeathTest, DropFileWithADirtyPageAborts) {
+  DbEnv env(1 << 20);
+  PageFile* file = env.CreateFile("t", 4096);
+  FillDirty(env, file, 3);
+  EXPECT_DEATH(env.DropFile(file), "dirty");
+}
+
+TEST(DbEnvDeathTest, DropFileWithAPinnedPageAborts) {
+  DbEnv env(1 << 20);
+  PageFile* file = env.CreateFile("t", 4096);
+  FillDirty(env, file, 1);
+  env.pool()->Fetch(file, 0);  // stays pinned
+  EXPECT_DEATH(env.DropFile(file), "pinned");
+}
+
 }  // namespace
 }  // namespace upi::storage

@@ -448,6 +448,86 @@ TEST(KillAndRecoverTest, PartitionedTableBitIdentical) {
   RunKillAndRecover(ops, "authors", gen);
 }
 
+/// Bytes of the files a Fractured UPI's live fractures hold: size_bytes()
+/// plus the one-page heap and cutoff placeholders each fracture's Upi
+/// constructor made (a table that never flushed a delete has no delete-set
+/// file).
+uint64_t LiveFractureBytes(const core::FracturedUpi& t) {
+  return t.size_bytes() + t.num_fractures() * 2 * t.options().page_size;
+}
+
+/// LiveFractureBytes over a database's "fractured" table and every shard of
+/// its "partitioned" table.
+uint64_t LiveFileBytes(engine::Database& db) {
+  uint64_t bytes = LiveFractureBytes(*db.GetTable("fractured")->fractured());
+  const engine::PartitionedTable* part =
+      db.GetTable("partitioned")->partitioned();
+  for (size_t s = 0; s < part->num_shards(); ++s) {
+    bytes += LiveFractureBytes(*part->shard_fractured(s));
+  }
+  return bytes;
+}
+
+TEST(KillAndRecoverTest, ReplayedMergesReleaseTheSameFiles) {
+  // Replay runs the same merges, so it releases the same retired fractures:
+  // after a reopen both tables hold exactly the file bytes they held before
+  // the crash, and those are only the live fractures' files.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 180;
+  cfg.num_institutions = 20;
+  cfg.seed = 43;
+  datagen::DblpGenerator gen(cfg);
+  std::vector<Tuple> base = gen.GenerateAuthors();
+  std::vector<Tuple> extras;
+  for (int i = 0; i < 30; ++i) extras.push_back(gen.MakeAuthor(3'000'000 + i));
+
+  TempDir dir;
+  engine::Database db(TestOptions(dir.path));
+  engine::PartitionOptions popts;
+  popts.scheme = engine::PartitionOptions::Scheme::kHash;
+  popts.num_shards = 3;
+  catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  ASSERT_TRUE(db.CreateFracturedTable("fractured", schema, AuthorUpiOptions(),
+                                      {AuthorCols::kCountry}, base)
+                  .ok());
+  ASSERT_TRUE(db.CreatePartitionedTable("partitioned", schema,
+                                        AuthorUpiOptions(),
+                                        {AuthorCols::kCountry}, popts, base)
+                  .ok());
+  core::FracturedUpi* frac = db.GetTable("fractured")->fractured();
+  engine::PartitionedTable* part = db.GetTable("partitioned")->partitioned();
+  for (int round = 0; round < 3; ++round) {
+    for (int i = round * 10; i < round * 10 + 10; ++i) {
+      ASSERT_TRUE(db.GetTable("fractured")->Insert(extras[i]).ok());
+      ASSERT_TRUE(db.GetTable("partitioned")->Insert(extras[i]).ok());
+    }
+    ASSERT_TRUE(frac->FlushBuffer().ok());
+    for (size_t s = 0; s < part->num_shards(); ++s) {
+      ASSERT_TRUE(part->shard_fractured(s)->FlushBuffer().ok());
+    }
+  }
+  ASSERT_TRUE(frac->MergeOldestFractures(2).ok());
+  for (size_t s = 0; s < part->num_shards(); ++s) {
+    ASSERT_TRUE(part->shard_fractured(s)->MergeOldestFractures(2).ok());
+  }
+  ASSERT_TRUE(frac->MergeAll().ok());
+  ASSERT_TRUE(part->shard_fractured(1)->MergeAll().ok());
+
+  const uint64_t before = db.env()->TotalFileBytes();
+  EXPECT_EQ(before, LiveFileBytes(db));
+
+  TempDir crash_dir;
+  CrashCopy(dir.Log(), crash_dir.Log(), db.wal()->durable_bytes());
+  engine::Database recovered(TestOptions(crash_dir.path));
+  EXPECT_EQ(recovered.recovery_stats().failed, 0u);
+  EXPECT_EQ(recovered.env()->TotalFileBytes(), before);
+  EXPECT_EQ(recovered.env()->TotalFileBytes(), LiveFileBytes(recovered));
+  for (const char* name : {"fractured", "partitioned"}) {
+    SCOPED_TRACE(name);
+    ExpectSameResults(recovered.GetTable(name), db.GetTable(name), gen);
+  }
+}
+
 /// Creates the recovery sweep's "authors" table in the design `kind` names.
 Status CreateSweepTable(engine::Database& db, const std::string& kind,
                         const std::vector<Tuple>& rows) {
