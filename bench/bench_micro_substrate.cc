@@ -138,10 +138,12 @@ void BM_UpiInsert(benchmark::State& state) {
   storage::DbEnv env(256ull << 20);
   core::UpiOptions opt;
   opt.cluster_column = datagen::AuthorCols::kInstitution;
-  core::Upi upi(&env, "a", datagen::DblpGenerator::AuthorSchema(), opt);
+  auto upi = core::Upi::Build(&env, "a", datagen::DblpGenerator::AuthorSchema(),
+                              opt, {}, {})
+                 .ValueOrDie();
   catalog::TupleId id = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(upi.Insert(gen.MakeAuthor(id++)));
+    benchmark::DoNotOptimize(upi->Insert(gen.MakeAuthor(id++)));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -2,13 +2,8 @@
 
 namespace upi::core {
 
-CutoffIndex::CutoffIndex(storage::DbEnv* env, const std::string& name,
-                         uint32_t page_size)
-    : file_(env->CreateFile(name, page_size)),
-      tree_(std::make_unique<btree::BTree>(env->MakePager(file_))) {}
-
-CutoffIndex::CutoffIndex(storage::PageFile* file, btree::BTree tree)
-    : file_(file), tree_(std::make_unique<btree::BTree>(std::move(tree))) {}
+CutoffIndex::CutoffIndex(btree::BTree tree)
+    : tree_(std::make_unique<btree::BTree>(std::move(tree))) {}
 
 Status CutoffIndex::Add(std::string_view attr, double prob, catalog::TupleId id,
                         const std::string& first_key) {
@@ -36,8 +31,7 @@ Status CutoffIndex::CollectPointers(std::string_view attr, double qt,
 
 CutoffIndex::Builder::Builder(storage::DbEnv* env, const std::string& name,
                               uint32_t page_size)
-    : file_(env->CreateFile(name, page_size)),
-      builder_(env->MakePager(file_)) {}
+    : builder_(env->MakePager(env->CreateFile(name, page_size))) {}
 
 Status CutoffIndex::Builder::Add(std::string_view attr, double prob,
                                  catalog::TupleId id,
@@ -47,7 +41,7 @@ Status CutoffIndex::Builder::Add(std::string_view attr, double prob,
 
 Result<std::unique_ptr<CutoffIndex>> CutoffIndex::Builder::Finish() {
   UPI_ASSIGN_OR_RETURN(btree::BTree tree, builder_.Finish());
-  return std::unique_ptr<CutoffIndex>(new CutoffIndex(file_, std::move(tree)));
+  return std::unique_ptr<CutoffIndex>(new CutoffIndex(std::move(tree)));
 }
 
 }  // namespace upi::core

@@ -22,9 +22,6 @@ namespace upi::core {
 
 class CutoffIndex {
  public:
-  /// Creates an empty cutoff index backed by a fresh page file.
-  CutoffIndex(storage::DbEnv* env, const std::string& name, uint32_t page_size);
-
   /// Adds a pointer entry: alternative (attr, prob) of tuple `id`, pointing
   /// at the heap entry `first_key` (the tuple's first alternative).
   Status Add(std::string_view attr, double prob, catalog::TupleId id,
@@ -44,15 +41,15 @@ class CutoffIndex {
                          std::vector<PointerEntry>* out) const;
 
   /// The index's file (a query opens it before consulting the index).
-  storage::PageFile* file() const { return file_; }
+  storage::PageFile* file() const { return tree_->pager()->file(); }
 
   btree::BTree* tree() { return tree_.get(); }
   const btree::BTree* tree() const { return tree_.get(); }
   uint64_t num_entries() const { return tree_->num_entries(); }
   uint64_t size_bytes() const { return tree_->size_bytes(); }
 
-  /// Streaming bulk construction (used by fracture flush and merge, which
-  /// write whole cutoff indexes sequentially).
+  /// Streaming bulk construction, the one way a cutoff index is made (UPI
+  /// builds and merges write whole cutoff indexes sequentially).
   class Builder {
    public:
     Builder(storage::DbEnv* env, const std::string& name, uint32_t page_size);
@@ -62,14 +59,12 @@ class CutoffIndex {
     Result<std::unique_ptr<CutoffIndex>> Finish();
 
    private:
-    storage::PageFile* file_;
     btree::BTreeBuilder builder_;
   };
 
  private:
-  CutoffIndex(storage::PageFile* file, btree::BTree tree);
+  explicit CutoffIndex(btree::BTree tree);
 
-  storage::PageFile* file_;
   std::unique_ptr<btree::BTree> tree_;
 };
 

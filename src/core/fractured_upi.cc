@@ -14,35 +14,6 @@ using catalog::TupleId;
 using catalog::Value;
 using catalog::ValueType;
 
-namespace {
-
-/// K-way merge of B+Trees whose keys are globally unique: emits every (key,
-/// value) pair in ascending key order. The parallel sort-merge of Section 4.3.
-Status MergeTrees(const std::vector<const btree::BTree*>& trees,
-                  const std::function<Status(std::string_view, std::string_view)>& emit) {
-  std::vector<btree::Cursor> curs;
-  curs.reserve(trees.size());
-  for (const btree::BTree* t : trees) {
-    curs.push_back(t->SeekToFirst());
-    // Stream each source in sequential bursts (Section 4.3: merging costs
-    // about one sequential read + write of the data).
-    curs.back().SetReadahead(128);
-  }
-  while (true) {
-    int best = -1;
-    for (size_t i = 0; i < curs.size(); ++i) {
-      if (!curs[i].Valid()) continue;
-      if (best < 0 || curs[i].key() < curs[best].key()) best = static_cast<int>(i);
-    }
-    if (best < 0) break;
-    UPI_RETURN_NOT_OK(emit(curs[best].key(), curs[best].value()));
-    curs[best].Next();
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 FracturedUpi::FracturedUpi(storage::DbEnv* env, std::string name,
                            catalog::Schema schema, UpiOptions options,
                            std::vector<int> secondary_columns)
@@ -57,26 +28,6 @@ FracturedUpi::FracturedUpi(storage::DbEnv* env, std::string name,
           env->metrics()->counter("upi_pruning_fractures_pruned_total")),
       m_bloom_rejects_(
           env->metrics()->counter("upi_pruning_bloom_rejects_total")) {}
-
-std::shared_ptr<const FractureSummary> FracturedUpi::SummarizeTuples(
-    const std::vector<Tuple>& tuples) const {
-  FractureSummary::Builder builder;
-  auto add_column = [&](const Tuple& t, int col) {
-    const Value& v = t.Get(col);
-    if (v.type() != ValueType::kDiscrete) return;
-    for (const auto& alt : v.discrete().alternatives()) {
-      builder.AddKey(col, alt.value, t.existence() * alt.prob);
-    }
-  };
-  for (const Tuple& t : tuples) {
-    builder.AddTupleId(t.id());
-    // Every clustered alternative is reachable (heap entries directly,
-    // cutoff entries through their pointers), so all of them fence.
-    add_column(t, options_.cluster_column);
-    for (int col : secondary_columns_) add_column(t, col);
-  }
-  return builder.Build();
-}
 
 FractureSummary::SkipReason FracturedUpi::WhySkip(const Fracture& f,
                                                   int column,
@@ -105,12 +56,12 @@ bool FracturedUpi::Prune(const Fracture& f, int column, std::string_view value,
 Status FracturedUpi::BuildMain(const std::vector<Tuple>& tuples) {
   std::unique_lock lock(mu_);
   if (has_main_) return Status::Internal("main fracture already built");
+  FractureSummary::Builder summary;
   UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> main,
                        Upi::Build(env_, name_ + ".main", schema_, options_,
-                                  secondary_columns_, tuples));
-  main->fracture_ = true;
+                                  secondary_columns_, tuples, &summary));
   fractures_.insert(fractures_.begin(),
-                    Fracture{std::move(main), SummarizeTuples(tuples)});
+                    Fracture{std::move(main), summary.Build()});
   has_main_ = true;
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -118,6 +69,9 @@ Status FracturedUpi::BuildMain(const std::vector<Tuple>& tuples) {
 
 Status FracturedUpi::Insert(const Tuple& tuple) {
   std::unique_lock lock(mu_);
+  // Checked now, not at the flush: a buffered tuple no fracture can hold
+  // would fail every later flush.
+  UPI_RETURN_NOT_OK(CheckClusteredValue(tuple, options_.cluster_column));
   if (Deleted(tuple.id())) {
     return Status::InvalidArgument("TupleId reuse after deletion is not allowed");
   }
@@ -155,8 +109,7 @@ bool FracturedUpi::MayHoldTupleId(TupleId id) const {
 }
 
 void FracturedUpi::PersistDeleteSet(const std::string& name,
-                                    const std::vector<TupleId>& ids) {
-  if (ids.empty()) return;
+                                    std::vector<TupleId> ids) {
   storage::PageFile* file = env_->CreateFile(name, options_.page_size);
   const size_t per_page = options_.page_size / 8;
   std::string page;
@@ -168,6 +121,7 @@ void FracturedUpi::PersistDeleteSet(const std::string& name,
     storage::PageId pid = file->Allocate();
     file->Write(pid, page);  // sequential batch write
   }
+  delete_sets_.push_back(DeleteSet{file, std::move(ids)});
 }
 
 void FracturedUpi::EnableAdaptiveTuning(std::vector<WorkloadQuery> workload,
@@ -234,21 +188,20 @@ Result<bool> FracturedUpi::FlushBufferLocked() {
     for (auto& [id, bt] : buffer_) tuples.push_back(bt.tuple);
     // Each fracture is an independent UPI built with the *current* tuning
     // parameters (Section 4.2: per-fracture parameters).
+    FractureSummary::Builder summary;
     UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> frac,
                          Upi::Build(env_, frac_name, schema_, options_,
-                                    secondary_columns_, tuples));
-    frac->fracture_ = true;
-    fractures_.push_back(Fracture{std::move(frac), SummarizeTuples(tuples)});
+                                    secondary_columns_, tuples, &summary));
+    fractures_.push_back(Fracture{std::move(frac), summary.Build()});
   }
   if (!buffer_deletes_.empty()) {
     std::vector<TupleId> ids(buffer_deletes_.begin(), buffer_deletes_.end());
-    PersistDeleteSet(frac_name + ".delset", ids);
+    PersistDeleteSet(frac_name + ".delset", std::move(ids));
     deleted_.insert(buffer_deletes_.begin(), buffer_deletes_.end());
   }
   buffer_.clear();
   buffer_bytes_ = 0;
   buffer_deletes_.clear();
-  env_->pool()->FlushAll();
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -578,206 +531,6 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
 // Merge (Section 4.3)
 // ---------------------------------------------------------------------------
 
-Result<std::unique_ptr<Upi>> FracturedUpi::MergeUpis(
-    const std::vector<const Upi*>& sources, const std::string& merged_name,
-    const std::set<catalog::TupleId>& deleted,
-    std::set<catalog::TupleId>* filtered_ids,
-    std::shared_ptr<const FractureSummary>* summary_out) {
-  // The merged fracture's pruning summary accumulates from the same streams
-  // the merge already walks — no extra I/O.
-  FractureSummary::Builder summary;
-  // The merged UPI is repartitioned under a single cutoff threshold. Sources
-  // may have been built with different per-fracture thresholds (Section 4.2),
-  // so the merged C is the maximum of the current setting and every source's:
-  // then repartitioning only ever *demotes* heap entries into the cutoff
-  // index (the tuple bytes are in the stream), never promotes cutoff entries
-  // into the heap (which would need extra random reads). Lowering C requires
-  // a rebuild from base data, not a merge.
-  UpiOptions merged_options = options_;
-  for (const Upi* s : sources) {
-    merged_options.cutoff = std::max(merged_options.cutoff, s->options().cutoff);
-  }
-  const double c_merged = merged_options.cutoff;
-
-  // The empty structures this constructor makes are replaced below by the
-  // bulk-merged ones; their placeholder files go when `merged` is released.
-  auto merged = std::make_unique<Upi>(env_, merged_name, schema_, merged_options);
-  merged->fracture_ = true;
-
-  auto not_deleted = [&](std::string_view key, bool* keep) -> Status {
-    *keep = false;
-    UpiKey k;
-    UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
-    *keep = !deleted.contains(k.id);
-    if (!*keep) filtered_ids->insert(k.id);
-    return Status::OK();
-  };
-
-  // Heap: k-way merge of all source heaps into a fresh bulk-loaded tree.
-  // Entries whose combined probability falls below the merged cutoff (and
-  // that are not their tuple's first alternative) are demoted to the cutoff
-  // index. Heap keys alone cannot tell whether an entry is its tuple's
-  // *first* alternative, but the streamed tuple bytes can.
-  histogram::ProbHistogram merged_hist;
-  struct HistEntry {
-    std::string attr;
-    double prob;
-    catalog::TupleId id;
-  };
-  struct Demoted {
-    std::string attr;
-    double prob;
-    catalog::TupleId id;
-    std::string first_key;  // heap key of the tuple's first alternative
-  };
-  std::vector<HistEntry> heap_hist;
-  std::vector<Demoted> demotions;  // produced in ascending key order
-  {
-    std::vector<const btree::BTree*> trees;
-    for (const Upi* s : sources) trees.push_back(s->heap_tree());
-    storage::PageFile* file =
-        env_->CreateFile(merged_name + ".heap.built", options_.page_size);
-    btree::BTreeBuilder builder(env_->MakePager(file));
-    UPI_RETURN_NOT_OK(MergeTrees(
-        trees, [&](std::string_view key, std::string_view value) -> Status {
-          bool keep = false;
-          UPI_RETURN_NOT_OK(not_deleted(key, &keep));
-          if (!keep) return Status::OK();
-          UpiKey k;
-          UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
-          if (k.prob < c_merged) {
-            // Possibly demote: only a tuple's first alternative stays in the
-            // heap below the cutoff (Algorithm 1).
-            UPI_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(value));
-            const auto& dist =
-                t.Get(options_.cluster_column).discrete();
-            const prob::Alternative& first = dist.First();
-            if (first.value != k.attr) {
-              demotions.push_back(Demoted{
-                  std::move(k.attr), k.prob, k.id,
-                  EncodeUpiKey(first.value, t.existence() * first.prob, k.id)});
-              return Status::OK();
-            }
-          }
-          summary.AddKey(options_.cluster_column, k.attr, k.prob);
-          heap_hist.push_back(HistEntry{std::move(k.attr), k.prob, k.id});
-          return builder.Add(key, value);
-        }));
-    UPI_ASSIGN_OR_RETURN(btree::BTree tree, builder.Finish());
-    merged->heap_file_ = file;
-    merged->heap_ = std::make_unique<btree::BTree>(std::move(tree));
-  }
-  uint64_t distinct_tuples = 0;
-  {
-    std::unordered_map<catalog::TupleId, size_t> best;
-    for (size_t i = 0; i < heap_hist.size(); ++i) {
-      auto [it, inserted] = best.try_emplace(heap_hist[i].id, i);
-      if (!inserted) {
-        const HistEntry& cur = heap_hist[i];
-        const HistEntry& b = heap_hist[it->second];
-        if (cur.prob > b.prob ||
-            (cur.prob == b.prob && cur.attr < b.attr)) {
-          it->second = i;
-        }
-      }
-    }
-    distinct_tuples = best.size();
-    for (const auto& [id, idx] : best) summary.AddTupleId(id);
-    for (size_t i = 0; i < heap_hist.size(); ++i) {
-      bool is_first = best[heap_hist[i].id] == i;
-      merged_hist.Add(heap_hist[i].attr, heap_hist[i].prob, is_first);
-    }
-  }
-
-  // Which (id, attr) alternatives were demoted — secondary pointer lists
-  // referencing them must drop them (they are no longer heap-resident).
-  std::unordered_map<catalog::TupleId, std::vector<std::string>> demoted_attrs;
-  for (const Demoted& d : demotions) demoted_attrs[d.id].push_back(d.attr);
-
-  // Cutoff index: (k+1)-way merge of the source cutoff trees plus the
-  // demotion stream (already in ascending key order). First-alternative
-  // pointers are merge-invariant.
-  {
-    std::vector<const btree::BTree*> trees;
-    for (const Upi* s : sources) trees.push_back(s->cutoff_index()->tree());
-    CutoffIndex::Builder builder(env_, merged_name + ".cutoff.built",
-                                 options_.page_size);
-    size_t next_demotion = 0;
-    auto flush_demotions_below = [&](std::string_view key) -> Status {
-      while (next_demotion < demotions.size()) {
-        const Demoted& d = demotions[next_demotion];
-        std::string dkey = EncodeUpiKey(d.attr, d.prob, d.id);
-        if (!key.empty() && dkey >= key) break;
-        merged_hist.Add(d.attr, d.prob, /*is_first=*/false);
-        summary.AddKey(options_.cluster_column, d.attr, d.prob);
-        UPI_RETURN_NOT_OK(builder.Add(d.attr, d.prob, d.id, d.first_key));
-        ++next_demotion;
-      }
-      return Status::OK();
-    };
-    UPI_RETURN_NOT_OK(MergeTrees(
-        trees, [&](std::string_view key, std::string_view value) -> Status {
-          bool keep = false;
-          UPI_RETURN_NOT_OK(not_deleted(key, &keep));
-          if (!keep) return Status::OK();
-          UPI_RETURN_NOT_OK(flush_demotions_below(key));
-          UpiKey k;
-          UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
-          merged_hist.Add(k.attr, k.prob, /*is_first=*/false);
-          summary.AddKey(options_.cluster_column, k.attr, k.prob);
-          return builder.Add(k.attr, k.prob, k.id, std::string(value));
-        }));
-    UPI_RETURN_NOT_OK(flush_demotions_below(std::string_view()));
-    UPI_ASSIGN_OR_RETURN(merged->cutoff_, builder.Finish());
-  }
-
-  // Secondary indexes: pointer lists name clustered-attribute alternatives,
-  // which merging does not move — except demoted ones, which are filtered.
-  // The per-column histogram is rebuilt alongside (the planner's secondary
-  // estimates must survive merges).
-  for (int col : secondary_columns_) {
-    std::vector<const btree::BTree*> trees;
-    for (const Upi* s : sources) trees.push_back(s->secondary(col)->tree());
-    SecondaryIndex::Builder builder(
-        env_, merged_name + ".sec." + schema_.column(col).name + ".built",
-        options_.page_size, options_.max_secondary_pointers);
-    histogram::ProbHistogram& sec_hist = merged->sec_histograms_[col];
-    UPI_RETURN_NOT_OK(MergeTrees(
-        trees, [&](std::string_view key, std::string_view value) -> Status {
-          bool keep = false;
-          UPI_RETURN_NOT_OK(not_deleted(key, &keep));
-          if (!keep) return Status::OK();
-          UpiKey k;
-          UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
-          sec_hist.Add(k.attr, k.prob, /*is_first=*/false);
-          summary.AddKey(col, k.attr, k.prob);
-          std::vector<SecondaryPointer> pointers;
-          bool has_cutoff;
-          UPI_RETURN_NOT_OK(
-              SecondaryIndex::DecodePointers(value, &pointers, &has_cutoff));
-          auto dit = demoted_attrs.find(k.id);
-          if (dit != demoted_attrs.end()) {
-            auto& gone = dit->second;
-            auto is_demoted = [&](const SecondaryPointer& p) {
-              return std::find(gone.begin(), gone.end(), p.attr) != gone.end();
-            };
-            size_t before = pointers.size();
-            pointers.erase(
-                std::remove_if(pointers.begin(), pointers.end(), is_demoted),
-                pointers.end());
-            if (pointers.size() != before) has_cutoff = true;
-          }
-          return builder.Add(k.attr, k.prob, k.id, pointers, has_cutoff);
-        }));
-    UPI_ASSIGN_OR_RETURN(merged->secondaries_[col], builder.Finish());
-  }
-
-  merged->histogram_ = std::move(merged_hist);
-  merged->num_tuples_ = distinct_tuples;
-  *summary_out = summary.Build();
-  return merged;
-}
-
 Status FracturedUpi::MergeAll() { return Merge(MaintenanceOp::kMergeAll, 0); }
 
 Status FracturedUpi::MergeOldestFractures(size_t count) {
@@ -817,16 +570,19 @@ Status FracturedUpi::Merge(MaintenanceOp op, size_t count) {
   // Phase 2 (no lock): the expensive sort-merge. Concurrent queries keep
   // fanning out over the unchanged source fractures.
   std::set<catalog::TupleId> filtered;
+  FractureSummary::Builder summary;
   Fracture result;
   UPI_ASSIGN_OR_RETURN(result.upi,
-                       MergeUpis(sources, merged_name, deleted_snapshot,
-                                 &filtered, &result.summary));
+                       Upi::Merge(sources, merged_name, options_,
+                                  deleted_snapshot, &filtered, &summary));
+  result.summary = summary.Build();
 
   // Phase 3 (exclusive): atomic install. The merged range moves out of the
   // list into `retired`. Fractures flushed *during* the build (possible only
   // via a direct caller; the manager serializes maintenance) were appended
   // past the range and survive the swap.
   std::vector<Fracture> retired;
+  std::vector<storage::PageFile*> retired_delete_sets;
   {
     std::unique_lock lock(mu_);
     auto range = fractures_.begin() + first;
@@ -850,12 +606,24 @@ Status FracturedUpi::Merge(MaintenanceOp op, size_t count) {
         }
       }
     }
+    // A delete set none of whose ids is still in deleted_ lists nothing a
+    // fracture holds.
+    auto spent = std::stable_partition(
+        delete_sets_.begin(), delete_sets_.end(), [&](const DeleteSet& d) {
+          return std::any_of(d.ids.begin(), d.ids.end(),
+                             [&](TupleId id) { return deleted_.contains(id); });
+        });
+    for (auto it = spent; it != delete_sets_.end(); ++it) {
+      retired_delete_sets.push_back(it->file);
+    }
+    delete_sets_.erase(spent, delete_sets_.end());
   }
-  env_->pool()->FlushAll();
-  // Release the retired fractures outside the lock. Every reader holds the
-  // shared lock for its whole life, so none can still reach them, and their
-  // pages were written back when they were built.
+  // Release the retired files outside the lock. Every reader holds the
+  // shared lock for its whole life, so none can still reach a retired
+  // fracture, and no reader ever opens a delete set. Neither has a dirty
+  // frame: both were written straight to the device and never changed.
   for (Fracture& f : retired) Upi::Release(std::move(f.upi));
+  for (storage::PageFile* file : retired_delete_sets) env_->DropFile(file);
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   // A partial merge is logged with the *requested* count: replay re-clamps
   // against the same fracture list, so the recovered layout matches.

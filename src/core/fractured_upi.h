@@ -45,11 +45,13 @@
 // fanning out over the old fracture list — and take the exclusive lock only
 // to swap the new list in atomically. The swap moves the merged fractures
 // out of the list; after the lock is released they are retired and
-// Upi::Release drops their files, pool frames and RAM pages. That is safe
-// because every read (each FracturedPtqCursor included) holds the shared
-// lock for its whole life, so no reader can still reach a retired fracture,
-// and a retired fracture has no dirty page (it was written back when it was
-// built). Raw Upi pointers taken through main() or fractures() die with the
+// Upi::Release drops their files, pool frames and RAM pages, together with
+// every delete-set file whose ids the merge retired. That is safe because
+// every read (each FracturedPtqCursor included) holds the shared lock for its
+// whole life, so no reader can still reach a retired fracture, and a retired
+// fracture is never dirty: it was written straight to the device and never
+// changed, so neither a flush nor a merge writes anything back through the
+// pool. Raw Upi pointers taken through main() or fractures() die with the
 // next merge. At most ONE maintenance operation
 // (BuildMain / FlushBuffer / MergeAll / MergeOldestFractures / Run) may be in
 // flight at a time; MaintenanceManager serializes them per table. Flushes
@@ -158,7 +160,8 @@ class FracturedUpi {
   /// Bulk-builds the main fracture from `tuples`.
   Status BuildMain(const std::vector<catalog::Tuple>& tuples);
 
-  /// Buffers the tuple in RAM (no I/O).
+  /// Buffers the tuple in RAM (no I/O). Rejects a tuple no fracture could
+  /// hold (CheckClusteredValue) up front, as Upi::Insert does.
   Status Insert(const catalog::Tuple& tuple);
 
   /// Buffers a deletion (no I/O). Removes the tuple directly if it is still
@@ -388,27 +391,13 @@ class FracturedUpi {
   int ResolveColumn(int column) const {
     return column < 0 ? options_.cluster_column : column;
   }
-  /// Builds the summary of a fracture about to be flushed/bulk-built: every
-  /// clustered-column alternative (heap *and* cutoff — both are reachable by
-  /// queries), every secondary-column alternative, every TupleId.
-  std::shared_ptr<const FractureSummary> SummarizeTuples(
-      const std::vector<catalog::Tuple>& tuples) const;
-  /// Sort-merges `sources` into a fresh Upi, filtering ids in `deleted` (a
-  /// snapshot taken under the lock, so the build can run lock-free). Dropped
-  /// ids are added to `filtered_ids`; the merged fracture's summary is built
-  /// from the merge streams and returned through `summary_out`.
-  Result<std::unique_ptr<Upi>> MergeUpis(const std::vector<const Upi*>& sources,
-                                         const std::string& merged_name,
-                                         const std::set<catalog::TupleId>& deleted,
-                                         std::set<catalog::TupleId>* filtered_ids,
-                                         std::shared_ptr<const FractureSummary>*
-                                             summary_out);
   /// The RAM buffer's matches of (column, value, qt); column is concrete.
   void QueryBuffer(int column, std::string_view value, double qt,
                    std::vector<PtqMatch>* out) const;
-  /// Writes `ids` sequentially to a fresh delete-set file (cost accounting).
+  /// Writes `ids` sequentially to a fresh delete-set file (cost accounting)
+  /// and records it in delete_sets_. Caller holds the exclusive lock.
   void PersistDeleteSet(const std::string& name,
-                        const std::vector<catalog::TupleId>& ids);
+                        std::vector<catalog::TupleId> ids);
 
   storage::DbEnv* env_;
   std::string name_;
@@ -445,6 +434,13 @@ class FracturedUpi {
   std::set<catalog::TupleId> buffer_deletes_;  // deletions not yet flushed
   // Union of all flushed delete sets (each fracture also persists its own).
   std::set<catalog::TupleId> deleted_;
+  /// Each flushed delete set's file and the ids it lists. A merge releases
+  /// the file once it has retired every one of those ids from deleted_.
+  struct DeleteSet {
+    storage::PageFile* file = nullptr;
+    std::vector<catalog::TupleId> ids;
+  };
+  std::vector<DeleteSet> delete_sets_;
   std::atomic<uint64_t> stats_epoch_{0};
   mutable std::atomic<uint64_t> fractures_pruned_total_{0};
   mutable std::atomic<uint64_t> fractures_probed_total_{0};

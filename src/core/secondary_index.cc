@@ -2,16 +2,8 @@
 
 namespace upi::core {
 
-SecondaryIndex::SecondaryIndex(storage::DbEnv* env, const std::string& name,
-                               uint32_t page_size, int max_pointers)
-    : file_(env->CreateFile(name, page_size)),
-      tree_(std::make_unique<btree::BTree>(env->MakePager(file_))),
-      max_pointers_(max_pointers) {}
-
-SecondaryIndex::SecondaryIndex(storage::PageFile* file, btree::BTree tree,
-                               int max_pointers)
-    : file_(file),
-      tree_(std::make_unique<btree::BTree>(std::move(tree))),
+SecondaryIndex::SecondaryIndex(btree::BTree tree, int max_pointers)
+    : tree_(std::make_unique<btree::BTree>(std::move(tree))),
       max_pointers_(max_pointers) {}
 
 void SecondaryIndex::EncodePointers(const std::vector<SecondaryPointer>& pointers,
@@ -108,8 +100,7 @@ Status SecondaryIndex::Collect(std::string_view sec_value, double qt,
 
 SecondaryIndex::Builder::Builder(storage::DbEnv* env, const std::string& name,
                                  uint32_t page_size, int max_pointers)
-    : file_(env->CreateFile(name, page_size)),
-      builder_(env->MakePager(file_)),
+    : builder_(env->MakePager(env->CreateFile(name, page_size))),
       max_pointers_(max_pointers) {}
 
 Status SecondaryIndex::Builder::Add(std::string_view sec_value, double confidence,
@@ -128,7 +119,7 @@ Status SecondaryIndex::Builder::Add(std::string_view sec_value, double confidenc
 Result<std::unique_ptr<SecondaryIndex>> SecondaryIndex::Builder::Finish() {
   UPI_ASSIGN_OR_RETURN(btree::BTree tree, builder_.Finish());
   auto index = std::unique_ptr<SecondaryIndex>(
-      new SecondaryIndex(file_, std::move(tree), max_pointers_));
+      new SecondaryIndex(std::move(tree), max_pointers_));
   index->put_entries_ = put_entries_;
   index->put_pointers_ = put_pointers_;
   return index;

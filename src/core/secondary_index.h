@@ -44,9 +44,6 @@ struct SecondaryEntry {
 
 class SecondaryIndex {
  public:
-  SecondaryIndex(storage::DbEnv* env, const std::string& name,
-                 uint32_t page_size, int max_pointers);
-
   /// Inserts/replaces the entry for (sec_value, confidence, id). `pointers`
   /// must be the tuple's heap-resident alternatives in descending
   /// probability; the limit is applied here.
@@ -60,8 +57,8 @@ class SecondaryIndex {
   Status Collect(std::string_view sec_value, double qt,
                  std::vector<SecondaryEntry>* out) const;
 
-  void ChargeOpen() { file_->ChargeOpen(); }
-  storage::PageFile* file() const { return file_; }
+  void ChargeOpen() { file()->ChargeOpen(); }
+  storage::PageFile* file() const { return tree_->pager()->file(); }
 
   int max_pointers() const { return max_pointers_; }
   /// Average heap pointers stored per entry (after the limit), >= 1. Tracked
@@ -85,7 +82,7 @@ class SecondaryIndex {
                                std::vector<SecondaryPointer>* pointers,
                                bool* has_cutoff);
 
-  /// Streaming bulk construction.
+  /// Streaming bulk construction, the one way a secondary index is made.
   class Builder {
    public:
     Builder(storage::DbEnv* env, const std::string& name, uint32_t page_size,
@@ -96,7 +93,6 @@ class SecondaryIndex {
     Result<std::unique_ptr<SecondaryIndex>> Finish();
 
    private:
-    storage::PageFile* file_;
     btree::BTreeBuilder builder_;
     int max_pointers_;
     uint64_t put_entries_ = 0;
@@ -104,7 +100,7 @@ class SecondaryIndex {
   };
 
  private:
-  SecondaryIndex(storage::PageFile* file, btree::BTree tree, int max_pointers);
+  SecondaryIndex(btree::BTree tree, int max_pointers);
 
   static std::string ApplyLimitAndEncode(
       const std::vector<SecondaryPointer>& pointers, bool has_cutoff,
@@ -115,7 +111,6 @@ class SecondaryIndex {
                : static_cast<uint64_t>(num_pointers);
   }
 
-  storage::PageFile* file_;
   std::unique_ptr<btree::BTree> tree_;
   int max_pointers_;
   uint64_t put_entries_ = 0;

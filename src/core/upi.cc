@@ -1,8 +1,7 @@
 #include "core/upi.h"
 
 #include <algorithm>
-#include <cassert>
-#include <set>
+#include <unordered_map>
 
 namespace upi::core {
 
@@ -10,6 +9,51 @@ using catalog::Tuple;
 using catalog::TupleId;
 using catalog::Value;
 using catalog::ValueType;
+
+namespace {
+
+std::string SecondaryFileName(const std::string& upi_name,
+                              const catalog::Schema& schema, int column) {
+  return upi_name + ".sec." + schema.column(column).name;
+}
+
+/// K-way merge of B+Trees whose keys are globally unique: emits every (key,
+/// value) pair in ascending key order. The parallel sort-merge of Section 4.3.
+Status MergeTrees(const std::vector<const btree::BTree*>& trees,
+                  const std::function<Status(std::string_view, std::string_view)>& emit) {
+  std::vector<btree::Cursor> curs;
+  curs.reserve(trees.size());
+  for (const btree::BTree* t : trees) {
+    curs.push_back(t->SeekToFirst());
+    // Stream each source in sequential bursts (Section 4.3: merging costs
+    // about one sequential read + write of the data).
+    curs.back().SetReadahead(128);
+  }
+  while (true) {
+    int best = -1;
+    for (size_t i = 0; i < curs.size(); ++i) {
+      if (!curs[i].Valid()) continue;
+      if (best < 0 || curs[i].key() < curs[best].key()) best = static_cast<int>(i);
+    }
+    if (best < 0) break;
+    UPI_RETURN_NOT_OK(emit(curs[best].key(), curs[best].value()));
+    curs[best].Next();
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status CheckClusteredValue(const Tuple& tuple, int cluster_column) {
+  if (cluster_column < 0 ||
+      static_cast<size_t>(cluster_column) >= tuple.values().size() ||
+      tuple.Get(cluster_column).type() != ValueType::kDiscrete ||
+      tuple.Get(cluster_column).discrete().empty()) {
+    return Status::InvalidArgument("tuple " + std::to_string(tuple.id()) +
+                                   " lacks clustered alternatives");
+  }
+  return Status::OK();
+}
 
 void SortByConfidenceDesc(std::vector<PtqMatch>* matches) {
   auto before = [](const PtqMatch& a, const PtqMatch& b) {
@@ -23,48 +67,31 @@ void SortByConfidenceDesc(std::vector<PtqMatch>* matches) {
 }
 
 Upi::Upi(storage::DbEnv* env, std::string name, catalog::Schema schema,
-         UpiOptions options)
+         UpiOptions options, btree::BTree heap,
+         std::unique_ptr<CutoffIndex> cutoff,
+         std::map<int, std::unique_ptr<SecondaryIndex>> secondaries,
+         histogram::ProbHistogram histogram,
+         std::map<int, histogram::ProbHistogram> sec_histograms,
+         uint64_t num_tuples, bool fracture)
     : env_(env),
       name_(std::move(name)),
       schema_(std::move(schema)),
-      options_(options) {
-  heap_file_ = env_->CreateFile(name_ + ".heap", options_.page_size);
-  heap_ = std::make_unique<btree::BTree>(env_->MakePager(heap_file_));
-  cutoff_ = std::make_unique<CutoffIndex>(env_, name_ + ".cutoff",
-                                          options_.page_size);
-  placeholders_ = {heap_file_, cutoff_->file()};
-}
+      options_(options),
+      heap_(std::make_unique<btree::BTree>(std::move(heap))),
+      cutoff_(std::move(cutoff)),
+      secondaries_(std::move(secondaries)),
+      histogram_(std::move(histogram)),
+      sec_histograms_(std::move(sec_histograms)),
+      num_tuples_(num_tuples),
+      fracture_(fracture) {}
 
 void Upi::Release(std::unique_ptr<Upi> upi) {
   storage::DbEnv* env = upi->env_;
-  std::vector<storage::PageFile*> files = {upi->heap_file_,
+  std::vector<storage::PageFile*> files = {upi->heap_file(),
                                            upi->cutoff_->file()};
   for (const auto& [col, sec] : upi->secondaries_) files.push_back(sec->file());
-  // Build and a merge replace the placeholders; an unbuilt UPI still uses them.
-  for (storage::PageFile* file : upi->placeholders_) {
-    if (std::find(files.begin(), files.end(), file) == files.end()) {
-      files.push_back(file);
-    }
-  }
   upi.reset();  // its trees hold pagers onto the files
   for (storage::PageFile* file : files) env->DropFile(file);
-}
-
-Status Upi::AddSecondaryColumn(int column) {
-  if (column < 0 || static_cast<size_t>(column) >= schema_.num_columns()) {
-    return Status::InvalidArgument("secondary column out of range");
-  }
-  if (schema_.column(column).type != ValueType::kDiscrete) {
-    return Status::InvalidArgument("secondary index requires a discrete column");
-  }
-  if (secondaries_.contains(column)) {
-    return Status::AlreadyExists("secondary index already declared");
-  }
-  secondaries_[column] = std::make_unique<SecondaryIndex>(
-      env_, name_ + ".sec." + schema_.column(column).name, options_.page_size,
-      options_.max_secondary_pointers);
-  sec_histograms_.emplace(column, histogram::ProbHistogram{});
-  return Status::OK();
 }
 
 SecondaryIndex* Upi::secondary(int column) const {
@@ -95,14 +122,15 @@ uint64_t Upi::size_bytes() const {
   return total;
 }
 
-Upi::AltPartition Upi::PartitionAlternatives(const Tuple& tuple) const {
+Upi::AltPartition Upi::PartitionAlternatives(const Tuple& tuple,
+                                             const UpiOptions& options) {
   AltPartition part;
-  const auto& dist = tuple.Get(options_.cluster_column).discrete();
+  const auto& dist = tuple.Get(options.cluster_column).discrete();
   bool first = true;
   for (const auto& alt : dist.alternatives()) {
     double combined = tuple.existence() * alt.prob;
     // Algorithm 1: first alternative OR probability >= C goes to the heap.
-    if (first || combined >= options_.cutoff) {
+    if (first || combined >= options.cutoff) {
       part.heap_alts.push_back(SecondaryPointer{alt.value, combined});
     } else {
       part.cutoff_alts.push_back(SecondaryPointer{alt.value, combined});
@@ -117,14 +145,8 @@ Upi::AltPartition Upi::PartitionAlternatives(const Tuple& tuple) const {
 // ---------------------------------------------------------------------------
 
 Status Upi::Insert(const Tuple& tuple) {
-  const Value& cv = tuple.Get(options_.cluster_column);
-  if (cv.type() != ValueType::kDiscrete) {
-    return Status::InvalidArgument("clustered column must be discrete");
-  }
-  if (cv.discrete().empty()) {
-    return Status::InvalidArgument("clustered attribute has no alternatives");
-  }
-  AltPartition part = PartitionAlternatives(tuple);
+  UPI_RETURN_NOT_OK(CheckClusteredValue(tuple, options_.cluster_column));
+  AltPartition part = PartitionAlternatives(tuple, options_);
   std::string tuple_bytes;
   tuple.Serialize(&tuple_bytes);
   std::string first_key =
@@ -147,7 +169,8 @@ Status Upi::Insert(const Tuple& tuple) {
 }
 
 Status Upi::Delete(const Tuple& tuple) {
-  AltPartition part = PartitionAlternatives(tuple);
+  UPI_RETURN_NOT_OK(CheckClusteredValue(tuple, options_.cluster_column));
+  AltPartition part = PartitionAlternatives(tuple, options_);
   for (size_t i = 0; i < part.heap_alts.size(); ++i) {
     const auto& alt = part.heap_alts[i];
     UPI_RETURN_NOT_OK(heap_->Delete(EncodeUpiKey(alt.attr, alt.prob, tuple.id())));
@@ -191,18 +214,35 @@ Status Upi::RemoveSecondaryEntries(const Tuple& tuple) {
 }
 
 // ---------------------------------------------------------------------------
-// Bulk build
+// Bulk build and merge
 // ---------------------------------------------------------------------------
+
+Status Upi::CheckSecondaryColumns(const catalog::Schema& schema,
+                                  const std::vector<int>& columns) {
+  for (int col : columns) {
+    if (col < 0 || static_cast<size_t>(col) >= schema.num_columns()) {
+      return Status::InvalidArgument("secondary column out of range");
+    }
+    if (schema.column(col).type != ValueType::kDiscrete) {
+      return Status::InvalidArgument("secondary index requires a discrete column");
+    }
+    if (std::count(columns.begin(), columns.end(), col) > 1) {
+      return Status::InvalidArgument("duplicate secondary column");
+    }
+  }
+  return Status::OK();
+}
 
 Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
                                         catalog::Schema schema, UpiOptions options,
                                         std::vector<int> secondary_columns,
-                                        const std::vector<Tuple>& tuples) {
-  auto upi = std::make_unique<Upi>(env, std::move(name), std::move(schema),
-                                   options);
-  // Re-create heap & cutoff via streaming builders instead of the empty
-  // structures the constructor made. The empty placeholder files (one page
-  // each) stay in the environment until the UPI is released.
+                                        const std::vector<Tuple>& tuples,
+                                        FractureSummary::Builder* fracture) {
+  // Every input is checked before the first file is created (the tuples in
+  // the partitioning pass below): a rejected build must leave no file behind,
+  // or a retry under the same name would collide.
+  UPI_RETURN_NOT_OK(CheckSecondaryColumns(schema, secondary_columns));
+
   struct HeapEntry {
     std::string key;
     const Tuple* tuple;
@@ -220,66 +260,63 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   // (every secondary entry records its tuple's heap pointers).
   std::vector<AltPartition> parts;
   if (!secondary_columns.empty()) parts.reserve(tuples.size());
+  histogram::ProbHistogram histogram;
+  auto add_clustered = [&](const SecondaryPointer& alt, bool is_first) {
+    histogram.Add(alt.attr, alt.prob, is_first);
+    // Every clustered alternative is reachable (heap entries directly,
+    // cutoff entries through their pointers), so all of them fence.
+    if (fracture != nullptr) {
+      fracture->AddKey(options.cluster_column, alt.attr, alt.prob);
+    }
+  };
 
   for (const Tuple& t : tuples) {
-    const Value& cv = t.Get(options.cluster_column);
-    if (cv.type() != ValueType::kDiscrete || cv.discrete().empty()) {
-      return Status::InvalidArgument("tuple " + std::to_string(t.id()) +
-                                     " lacks clustered alternatives");
-    }
-    AltPartition part = upi->PartitionAlternatives(t);
+    UPI_RETURN_NOT_OK(CheckClusteredValue(t, options.cluster_column));
+    AltPartition part = PartitionAlternatives(t, options);
     std::string first_key =
         EncodeUpiKey(part.heap_alts[0].attr, part.heap_alts[0].prob, t.id());
     for (size_t i = 0; i < part.heap_alts.size(); ++i) {
       const auto& alt = part.heap_alts[i];
       heap_entries.push_back({EncodeUpiKey(alt.attr, alt.prob, t.id()), &t});
-      upi->histogram_.Add(alt.attr, alt.prob, /*is_first=*/i == 0);
+      add_clustered(alt, /*is_first=*/i == 0);
     }
     for (const auto& alt : part.cutoff_alts) {
       cutoff_entries.push_back({EncodeUpiKey(alt.attr, alt.prob, t.id()),
                                 first_key, alt.attr, alt.prob, t.id()});
-      upi->histogram_.Add(alt.attr, alt.prob, /*is_first=*/false);
+      add_clustered(alt, /*is_first=*/false);
     }
+    if (fracture != nullptr) fracture->AddTupleId(t.id());
     if (!secondary_columns.empty()) parts.push_back(std::move(part));
   }
 
   std::sort(heap_entries.begin(), heap_entries.end(),
             [](const HeapEntry& a, const HeapEntry& b) { return a.key < b.key; });
-  {
-    storage::PageFile* file =
-        env->CreateFile(upi->name_ + ".heap.built", options.page_size);
-    btree::BTreeBuilder builder(env->MakePager(file));
-    std::string tuple_bytes;
-    for (const HeapEntry& e : heap_entries) {
-      tuple_bytes.clear();
-      e.tuple->Serialize(&tuple_bytes);
-      UPI_RETURN_NOT_OK(builder.Add(e.key, tuple_bytes));
-    }
-    UPI_ASSIGN_OR_RETURN(btree::BTree tree, builder.Finish());
-    upi->heap_file_ = file;
-    upi->heap_ = std::make_unique<btree::BTree>(std::move(tree));
+  btree::BTreeBuilder heap_builder(
+      env->MakePager(env->CreateFile(name + ".heap", options.page_size)));
+  std::string tuple_bytes;
+  for (const HeapEntry& e : heap_entries) {
+    tuple_bytes.clear();
+    e.tuple->Serialize(&tuple_bytes);
+    UPI_RETURN_NOT_OK(heap_builder.Add(e.key, tuple_bytes));
   }
+  UPI_ASSIGN_OR_RETURN(btree::BTree heap, heap_builder.Finish());
 
   std::sort(cutoff_entries.begin(), cutoff_entries.end(),
             [](const CutoffEntry& a, const CutoffEntry& b) { return a.key < b.key; });
-  {
-    CutoffIndex::Builder builder(env, upi->name_ + ".cutoff.built",
-                                 options.page_size);
-    for (const CutoffEntry& e : cutoff_entries) {
-      UPI_RETURN_NOT_OK(builder.Add(e.attr, e.prob, e.id, e.first_key));
-    }
-    UPI_ASSIGN_OR_RETURN(upi->cutoff_, builder.Finish());
+  CutoffIndex::Builder cutoff_builder(env, name + ".cutoff", options.page_size);
+  for (const CutoffEntry& e : cutoff_entries) {
+    UPI_RETURN_NOT_OK(cutoff_builder.Add(e.attr, e.prob, e.id, e.first_key));
   }
+  UPI_ASSIGN_OR_RETURN(std::unique_ptr<CutoffIndex> cutoff,
+                       cutoff_builder.Finish());
   // Release the heap and cutoff staging before the secondary phase, so the
   // cached partitions never raise peak memory.
   heap_entries = std::vector<HeapEntry>();
   cutoff_entries = std::vector<CutoffEntry>();
 
+  std::map<int, std::unique_ptr<SecondaryIndex>> secondaries;
+  std::map<int, histogram::ProbHistogram> sec_histograms;
   for (int col : secondary_columns) {
-    if (col < 0 || static_cast<size_t>(col) >= upi->schema_.num_columns() ||
-        upi->schema_.column(col).type != ValueType::kDiscrete) {
-      return Status::InvalidArgument("bad secondary column");
-    }
     struct SecEntry {
       std::string key;
       size_t tuple;  // index into `tuples` and `parts`
@@ -287,7 +324,7 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
       std::string value;
     };
     std::vector<SecEntry> entries;
-    histogram::ProbHistogram& sec_hist = upi->sec_histograms_[col];
+    histogram::ProbHistogram& sec_hist = sec_histograms[col];
     for (size_t i = 0; i < tuples.size(); ++i) {
       const Tuple& t = tuples[i];
       const Value& sv = t.Get(col);
@@ -297,24 +334,216 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
         entries.push_back(
             {EncodeUpiKey(alt.value, conf, t.id()), i, conf, alt.value});
         sec_hist.Add(alt.value, conf, /*is_first=*/false);
+        if (fracture != nullptr) fracture->AddKey(col, alt.value, conf);
       }
     }
     std::sort(entries.begin(), entries.end(),
               [](const SecEntry& a, const SecEntry& b) { return a.key < b.key; });
-    SecondaryIndex::Builder builder(
-        env, upi->name_ + ".sec." + upi->schema_.column(col).name + ".built",
-        options.page_size, options.max_secondary_pointers);
+    SecondaryIndex::Builder builder(env, SecondaryFileName(name, schema, col),
+                                    options.page_size,
+                                    options.max_secondary_pointers);
     for (const SecEntry& e : entries) {
       const AltPartition& part = parts[e.tuple];
       UPI_RETURN_NOT_OK(builder.Add(e.value, e.conf, tuples[e.tuple].id(),
                                     part.heap_alts, !part.cutoff_alts.empty()));
     }
-    UPI_ASSIGN_OR_RETURN(upi->secondaries_[col], builder.Finish());
+    UPI_ASSIGN_OR_RETURN(secondaries[col], builder.Finish());
   }
 
-  upi->num_tuples_ = tuples.size();
-  env->pool()->FlushAll();
-  return upi;
+  return std::unique_ptr<Upi>(
+      new Upi(env, std::move(name), std::move(schema), options,
+              std::move(heap), std::move(cutoff), std::move(secondaries),
+              std::move(histogram), std::move(sec_histograms), tuples.size(),
+              /*fracture=*/fracture != nullptr));
+}
+
+Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
+                                        std::string name, UpiOptions options,
+                                        const std::set<TupleId>& deleted,
+                                        std::set<TupleId>* filtered_ids,
+                                        FractureSummary::Builder* summary) {
+  if (sources.empty()) return Status::InvalidArgument("merge of no fractures");
+  // Fractures of one table share its environment, schema and secondaries.
+  storage::DbEnv* env = sources.front()->env_;
+  const catalog::Schema& schema = sources.front()->schema_;
+  // The merged UPI is repartitioned under a single cutoff threshold. Sources
+  // may have been built with different per-fracture thresholds (Section 4.2),
+  // so the merged C is the maximum of the current setting and every source's:
+  // then repartitioning only ever *demotes* heap entries into the cutoff
+  // index (the tuple bytes are in the stream), never promotes cutoff entries
+  // into the heap (which would need extra random reads). Lowering C requires
+  // a rebuild from base data, not a merge.
+  for (const Upi* s : sources) {
+    options.cutoff = std::max(options.cutoff, s->options_.cutoff);
+  }
+  const double c_merged = options.cutoff;
+
+  auto not_deleted = [&](std::string_view key, bool* keep) -> Status {
+    *keep = false;
+    UpiKey k;
+    UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
+    *keep = !deleted.contains(k.id);
+    if (!*keep) filtered_ids->insert(k.id);
+    return Status::OK();
+  };
+
+  // Heap: k-way merge of all source heaps into a fresh bulk-loaded tree.
+  // Entries whose combined probability falls below the merged cutoff (and
+  // that are not their tuple's first alternative) are demoted to the cutoff
+  // index. Heap keys alone cannot tell whether an entry is its tuple's
+  // *first* alternative, but the streamed tuple bytes can.
+  histogram::ProbHistogram merged_hist;
+  struct HistEntry {
+    std::string attr;
+    double prob;
+    TupleId id;
+  };
+  struct Demoted {
+    std::string attr;
+    double prob;
+    TupleId id;
+    std::string first_key;  // heap key of the tuple's first alternative
+  };
+  std::vector<HistEntry> heap_hist;
+  std::vector<Demoted> demotions;  // produced in ascending key order
+  std::vector<const btree::BTree*> trees;
+  for (const Upi* s : sources) trees.push_back(s->heap_.get());
+  btree::BTreeBuilder heap_builder(
+      env->MakePager(env->CreateFile(name + ".heap", options.page_size)));
+  UPI_RETURN_NOT_OK(MergeTrees(
+      trees, [&](std::string_view key, std::string_view value) -> Status {
+        bool keep = false;
+        UPI_RETURN_NOT_OK(not_deleted(key, &keep));
+        if (!keep) return Status::OK();
+        UpiKey k;
+        UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
+        if (k.prob < c_merged) {
+          // Possibly demote: only a tuple's first alternative stays in the
+          // heap below the cutoff (Algorithm 1).
+          UPI_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(value));
+          const auto& dist = t.Get(options.cluster_column).discrete();
+          const prob::Alternative& first = dist.First();
+          if (first.value != k.attr) {
+            demotions.push_back(Demoted{
+                std::move(k.attr), k.prob, k.id,
+                EncodeUpiKey(first.value, t.existence() * first.prob, k.id)});
+            return Status::OK();
+          }
+        }
+        summary->AddKey(options.cluster_column, k.attr, k.prob);
+        heap_hist.push_back(HistEntry{std::move(k.attr), k.prob, k.id});
+        return heap_builder.Add(key, value);
+      }));
+  UPI_ASSIGN_OR_RETURN(btree::BTree heap, heap_builder.Finish());
+  uint64_t distinct_tuples = 0;
+  {
+    std::unordered_map<TupleId, size_t> best;
+    for (size_t i = 0; i < heap_hist.size(); ++i) {
+      auto [it, inserted] = best.try_emplace(heap_hist[i].id, i);
+      if (!inserted) {
+        const HistEntry& cur = heap_hist[i];
+        const HistEntry& b = heap_hist[it->second];
+        if (cur.prob > b.prob ||
+            (cur.prob == b.prob && cur.attr < b.attr)) {
+          it->second = i;
+        }
+      }
+    }
+    distinct_tuples = best.size();
+    for (const auto& [id, idx] : best) summary->AddTupleId(id);
+    for (size_t i = 0; i < heap_hist.size(); ++i) {
+      bool is_first = best[heap_hist[i].id] == i;
+      merged_hist.Add(heap_hist[i].attr, heap_hist[i].prob, is_first);
+    }
+  }
+
+  // Which (id, attr) alternatives were demoted — secondary pointer lists
+  // referencing them must drop them (they are no longer heap-resident).
+  std::unordered_map<TupleId, std::vector<std::string>> demoted_attrs;
+  for (const Demoted& d : demotions) demoted_attrs[d.id].push_back(d.attr);
+
+  // Cutoff index: (k+1)-way merge of the source cutoff trees plus the
+  // demotion stream (already in ascending key order). First-alternative
+  // pointers are merge-invariant.
+  trees.clear();
+  for (const Upi* s : sources) trees.push_back(s->cutoff_->tree());
+  CutoffIndex::Builder cutoff_builder(env, name + ".cutoff", options.page_size);
+  size_t next_demotion = 0;
+  auto flush_demotions_below = [&](std::string_view key) -> Status {
+    while (next_demotion < demotions.size()) {
+      const Demoted& d = demotions[next_demotion];
+      std::string dkey = EncodeUpiKey(d.attr, d.prob, d.id);
+      if (!key.empty() && dkey >= key) break;
+      merged_hist.Add(d.attr, d.prob, /*is_first=*/false);
+      summary->AddKey(options.cluster_column, d.attr, d.prob);
+      UPI_RETURN_NOT_OK(cutoff_builder.Add(d.attr, d.prob, d.id, d.first_key));
+      ++next_demotion;
+    }
+    return Status::OK();
+  };
+  UPI_RETURN_NOT_OK(MergeTrees(
+      trees, [&](std::string_view key, std::string_view value) -> Status {
+        bool keep = false;
+        UPI_RETURN_NOT_OK(not_deleted(key, &keep));
+        if (!keep) return Status::OK();
+        UPI_RETURN_NOT_OK(flush_demotions_below(key));
+        UpiKey k;
+        UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
+        merged_hist.Add(k.attr, k.prob, /*is_first=*/false);
+        summary->AddKey(options.cluster_column, k.attr, k.prob);
+        return cutoff_builder.Add(k.attr, k.prob, k.id, std::string(value));
+      }));
+  UPI_RETURN_NOT_OK(flush_demotions_below(std::string_view()));
+  UPI_ASSIGN_OR_RETURN(std::unique_ptr<CutoffIndex> cutoff,
+                       cutoff_builder.Finish());
+
+  // Secondary indexes: pointer lists name clustered-attribute alternatives,
+  // which merging does not move — except demoted ones, which are filtered.
+  // The per-column histogram is rebuilt alongside (the planner's secondary
+  // estimates must survive merges).
+  std::map<int, std::unique_ptr<SecondaryIndex>> secondaries;
+  std::map<int, histogram::ProbHistogram> sec_histograms;
+  for (const auto& [col, unused] : sources.front()->secondaries_) {
+    trees.clear();
+    for (const Upi* s : sources) trees.push_back(s->secondary(col)->tree());
+    SecondaryIndex::Builder builder(env, SecondaryFileName(name, schema, col),
+                                    options.page_size,
+                                    options.max_secondary_pointers);
+    histogram::ProbHistogram& sec_hist = sec_histograms[col];
+    UPI_RETURN_NOT_OK(MergeTrees(
+        trees, [&](std::string_view key, std::string_view value) -> Status {
+          bool keep = false;
+          UPI_RETURN_NOT_OK(not_deleted(key, &keep));
+          if (!keep) return Status::OK();
+          UpiKey k;
+          UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
+          sec_hist.Add(k.attr, k.prob, /*is_first=*/false);
+          summary->AddKey(col, k.attr, k.prob);
+          std::vector<SecondaryPointer> pointers;
+          bool has_cutoff;
+          UPI_RETURN_NOT_OK(
+              SecondaryIndex::DecodePointers(value, &pointers, &has_cutoff));
+          auto dit = demoted_attrs.find(k.id);
+          if (dit != demoted_attrs.end()) {
+            auto& gone = dit->second;
+            auto is_demoted = [&](const SecondaryPointer& p) {
+              return std::find(gone.begin(), gone.end(), p.attr) != gone.end();
+            };
+            size_t before = pointers.size();
+            pointers.erase(
+                std::remove_if(pointers.begin(), pointers.end(), is_demoted),
+                pointers.end());
+            if (pointers.size() != before) has_cutoff = true;
+          }
+          return builder.Add(k.attr, k.prob, k.id, pointers, has_cutoff);
+        }));
+    UPI_ASSIGN_OR_RETURN(secondaries[col], builder.Finish());
+  }
+
+  return std::unique_ptr<Upi>(
+      new Upi(env, std::move(name), schema, options, std::move(heap),
+              std::move(cutoff), std::move(secondaries), std::move(merged_hist),
+              std::move(sec_histograms), distinct_tuples, /*fracture=*/true));
 }
 
 // ---------------------------------------------------------------------------
@@ -402,7 +631,7 @@ Status Upi::QueryBySecondary(int column, std::string_view value, double qt,
   // Bitmap-scan style ordered fetch from the heap.
   std::sort(chosen.begin(), chosen.end(),
             [](const Chosen& a, const Chosen& b) { return a.heap_key < b.heap_key; });
-  OpenFile(heap_file_);
+  OpenFile(heap_file());
   for (const auto& ch : chosen) {
     PtqMatch m;
     m.id = ch.entry->key.id;
@@ -415,7 +644,7 @@ Status Upi::QueryBySecondary(int column, std::string_view value, double qt,
 
 void Upi::ScanHeap(
     const std::function<void(std::string_view, std::string_view)>& fn) const {
-  OpenFile(heap_file_);
+  OpenFile(heap_file());
   for (btree::Cursor c = heap_->SeekToFirst(); c.Valid(); c.Next()) {
     fn(c.key(), c.value());
   }
@@ -450,7 +679,7 @@ UpiPtqCursor::UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
       topk_mode_(topk_mode) {
   // Same opening sequence as QueryPtq/QueryTopK: open the heap file, then
   // one index descent to the start of the value's clustered region.
-  upi_->OpenFile(upi_->heap_file_);
+  upi_->OpenFile(upi_->heap_file());
   heap_ = upi_->heap_->Seek(prefix_);
 }
 

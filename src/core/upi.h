@@ -10,11 +10,11 @@
 // (Section 3.2, Algorithm 3).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +23,7 @@
 #include "catalog/schema.h"
 #include "catalog/tuple.h"
 #include "core/cutoff_index.h"
+#include "core/fracture_summary.h"
 #include "core/secondary_index.h"
 #include "histogram/prob_histogram.h"
 #include "histogram/selectivity.h"
@@ -69,6 +70,12 @@ struct PtqMatch {
   double confidence = 0.0;
   catalog::Tuple tuple;
 };
+
+/// The one check on a tuple's clustered column, run by every path that hands
+/// a tuple to a UPI (Upi::Insert, Delete and Build, FracturedUpi::Insert):
+/// the column must exist and hold a discrete distribution with at least one
+/// alternative, the one Algorithm 1 always keeps in the heap.
+Status CheckClusteredValue(const catalog::Tuple& tuple, int cluster_column);
 
 /// Sorts matches into the order every read path delivers: descending
 /// confidence, ties by TupleId.
@@ -124,30 +131,46 @@ class UpiPtqCursor {
 
 class Upi {
  public:
-  /// Creates an empty UPI.
-  Upi(storage::DbEnv* env, std::string name, catalog::Schema schema,
-      UpiOptions options);
+  /// The one way a UPI comes into being: bulk-builds its heap, cutoff index,
+  /// secondary indexes on `secondary_columns` and histograms from `tuples`,
+  /// physically sequential like a freshly clustered table (a UPI that Insert
+  /// will maintain starts from zero tuples). Every input is checked before
+  /// the first file is created, so a rejected build leaves no file behind.
+  /// Pages go straight to the device: the new UPI has no dirty pool frame.
+  /// Pass `fracture` to build one fracture of a FracturedUpi: the build
+  /// feeds its pruning summary, and reads keep the fracture's file handles
+  /// open across queries (see OpenFile).
+  static Result<std::unique_ptr<Upi>> Build(
+      storage::DbEnv* env, std::string name, catalog::Schema schema,
+      UpiOptions options, std::vector<int> secondary_columns,
+      const std::vector<catalog::Tuple>& tuples,
+      FractureSummary::Builder* fracture = nullptr);
 
-  /// Bulk-builds a UPI (and its cutoff index) from `tuples`; physically
-  /// sequential like a freshly clustered table. Secondary indexes declared
-  /// via AddSecondaryColumn *before* the call are bulk-built too.
-  static Result<std::unique_ptr<Upi>> Build(storage::DbEnv* env,
-                                            std::string name,
-                                            catalog::Schema schema,
-                                            UpiOptions options,
-                                            std::vector<int> secondary_columns,
-                                            const std::vector<catalog::Tuple>& tuples);
+  /// Checks secondary-index columns against `schema`: each must exist, be
+  /// discrete, and appear once. Build runs it before creating any file.
+  static Status CheckSecondaryColumns(const catalog::Schema& schema,
+                                      const std::vector<int>& columns);
 
-  /// Destroys a retired UPI and drops every file it created with
-  /// DbEnv::DropFile: its heap, cutoff and secondary files plus the
-  /// constructor's placeholders. Their pool frames and RAM pages go. The
-  /// caller guarantees no reader can still reach `upi`, and that its pages
-  /// were written back when it was built: a dirty frame aborts rather than
-  /// dropping unwritten data.
+  /// Sort-merges fractures of one table into one new fracture named `name`
+  /// (Section 4.3): a k-way merge of every source heap, cutoff index and
+  /// secondary index into freshly bulk-built ones, leaving out each tuple
+  /// whose id is in `deleted` (the ids it left out are added to
+  /// `filtered_ids`). `options` are the table's current ones; the merged
+  /// cutoff is the highest of theirs and every source's, so the merge only
+  /// demotes heap entries into the cutoff index. Feeds `summary` from the
+  /// merge streams. Like Build, it writes no page through the pool.
+  static Result<std::unique_ptr<Upi>> Merge(
+      const std::vector<const Upi*>& sources, std::string name,
+      UpiOptions options, const std::set<catalog::TupleId>& deleted,
+      std::set<catalog::TupleId>* filtered_ids,
+      FractureSummary::Builder* summary);
+
+  /// Destroys a retired UPI and drops its heap, cutoff and secondary files
+  /// with DbEnv::DropFile: their pool frames and RAM pages go. The caller
+  /// guarantees no reader can still reach `upi` and that it was never
+  /// modified after it was built, so it has no dirty frame (a dirty frame
+  /// aborts rather than dropping unwritten data).
   static void Release(std::unique_ptr<Upi> upi);
-
-  /// Declares a secondary index on a discrete column of an empty UPI.
-  Status AddSecondaryColumn(int column);
 
   /// Algorithm 1. Maintains heap, cutoff index, secondaries and histogram.
   Status Insert(const catalog::Tuple& tuple);
@@ -215,21 +238,31 @@ class Upi {
   /// fn(encoded_key, serialized_tuple). Opens the heap file like a query.
   void ScanHeap(const std::function<void(std::string_view, std::string_view)>& fn) const;
 
-  /// Splits a tuple's clustered-column alternatives per Algorithm 1.
+  /// Splits a tuple's clustered-column alternatives per Algorithm 1 under
+  /// `options`' cluster column and cutoff.
   struct AltPartition {
     std::vector<SecondaryPointer> heap_alts;    // duplicated in the heap
     std::vector<SecondaryPointer> cutoff_alts;  // pointers in cutoff index
   };
-  AltPartition PartitionAlternatives(const catalog::Tuple& tuple) const;
+  static AltPartition PartitionAlternatives(const catalog::Tuple& tuple,
+                                            const UpiOptions& options);
 
  private:
-  friend class FracturedUpi;
   friend class UpiPtqCursor;
+
+  /// Takes finished structures (Build and Merge); creates no file.
+  Upi(storage::DbEnv* env, std::string name, catalog::Schema schema,
+      UpiOptions options, btree::BTree heap, std::unique_ptr<CutoffIndex> cutoff,
+      std::map<int, std::unique_ptr<SecondaryIndex>> secondaries,
+      histogram::ProbHistogram histogram,
+      std::map<int, histogram::ProbHistogram> sec_histograms,
+      uint64_t num_tuples, bool fracture);
 
   Status InsertSecondaryEntries(const catalog::Tuple& tuple,
                                 const AltPartition& part);
   Status RemoveSecondaryEntries(const catalog::Tuple& tuple);
   Status FetchHeapTuple(const std::string& heap_key, catalog::Tuple* out) const;
+  storage::PageFile* heap_file() const { return heap_->pager()->file(); }
   /// The one Costinit rule for a read touching `file` (this UPI's heap or
   /// cutoff file): with charge_open_per_query every touch pays (a query
   /// touches each file once); otherwise a fracture pays only if the file's
@@ -241,11 +274,6 @@ class Upi {
   catalog::Schema schema_;
   UpiOptions options_;
 
-  storage::PageFile* heap_file_ = nullptr;
-  /// The heap and cutoff files the constructor made. Build and a merge
-  /// replace both structures but leave these files in the environment;
-  /// Release drops them with the live ones.
-  std::array<storage::PageFile*, 2> placeholders_{};
   std::unique_ptr<btree::BTree> heap_;
   std::unique_ptr<CutoffIndex> cutoff_;
   std::map<int, std::unique_ptr<SecondaryIndex>> secondaries_;
@@ -255,9 +283,9 @@ class Upi {
   std::map<int, histogram::ProbHistogram> sec_histograms_;
   uint64_t num_tuples_ = 0;
   std::atomic<uint64_t> stats_epoch_{0};
-  /// Set by FracturedUpi on each fracture it builds: reads keep this UPI's
-  /// file handles open across queries (see OpenFile).
-  bool fracture_ = false;
+  /// A fracture of a FracturedUpi: reads keep this UPI's file handles open
+  /// across queries (see OpenFile).
+  const bool fracture_;
 };
 
 }  // namespace upi::core

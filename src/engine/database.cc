@@ -281,6 +281,10 @@ Result<Table*> Database::CreateTable(
   if (tables_.contains(name)) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
+  // Checked before any build: a fractured table without tuples would fail
+  // only at its first flush, and then at every flush after it.
+  UPI_RETURN_NOT_OK(
+      core::Upi::CheckSecondaryColumns(spec.schema, spec.secondary_columns));
   std::unique_ptr<AccessPath> path;
   switch (spec.kind) {
     case wal::TableKind::kUpi: {

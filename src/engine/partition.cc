@@ -309,12 +309,9 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
 
 Result<std::string_view> PartitionedTable::RoutingKeyOf(
     const catalog::Tuple& tuple) const {
-  const catalog::Value& v = tuple.Get(options_.cluster_column);
-  if (v.type() != catalog::ValueType::kDiscrete || v.discrete().empty()) {
-    return Status::InvalidArgument("tuple " + std::to_string(tuple.id()) +
-                                   " lacks clustered alternatives");
-  }
-  return std::string_view(v.discrete().First().value);
+  UPI_RETURN_NOT_OK(core::CheckClusteredValue(tuple, options_.cluster_column));
+  return std::string_view(
+      tuple.Get(options_.cluster_column).discrete().First().value);
 }
 
 Result<size_t> PartitionedTable::RouteOf(const catalog::Tuple& tuple) const {

@@ -360,6 +360,49 @@ TEST(DatabaseTest, RejectsDuplicateTableNames) {
   EXPECT_NE(std::find(names.begin(), names.end(), "pubs"), names.end());
 }
 
+TEST(DatabaseTest, RejectedCreateLeavesNoFileBehind) {
+  // A create its build rejects leaves the environment as it found it, so a
+  // retry under the same name succeeds instead of colliding with leftovers.
+  // Bad secondary columns are rejected even without tuples: a fractured
+  // table would otherwise fail every flush.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 50;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> authors = gen.GenerateAuthors();
+  const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  PartitionOptions popts;
+  popts.scheme = PartitionOptions::Scheme::kHash;
+  popts.num_shards = 2;
+  Database db;
+  for (const char* kind : {"upi", "fractured", "partitioned"}) {
+    SCOPED_TRACE(kind);
+    const std::string name = std::string("t_") + kind;
+    auto create = [&](std::vector<int> secondary,
+                      const std::vector<Tuple>& rows) {
+      if (kind == std::string("upi")) {
+        return db.CreateUpiTable(name, schema, opt, secondary, rows);
+      }
+      if (kind == std::string("fractured")) {
+        return db.CreateFracturedTable(name, schema, opt, secondary, rows);
+      }
+      return db.CreatePartitionedTable(name, schema, opt, secondary, popts,
+                                       rows);
+    };
+    for (const std::vector<int>& bad :
+         {std::vector<int>{99},
+          std::vector<int>{AuthorCols::kCountry, AuthorCols::kCountry}}) {
+      const uint64_t bytes = db.env()->TotalFileBytes();
+      EXPECT_FALSE(create(bad, authors).ok());
+      EXPECT_FALSE(create(bad, {}).ok());
+      EXPECT_EQ(db.env()->TotalFileBytes(), bytes);
+      EXPECT_EQ(db.GetTable(name), nullptr);
+    }
+    ASSERT_TRUE(create({AuthorCols::kCountry}, authors).ok());
+  }
+}
+
 TEST(DatabaseTest, FracturedTableGetsAutomaticMaintenance) {
   DatabaseOptions dbopt;
   dbopt.maintenance.policy.flush_max_buffered_tuples = 64;
@@ -498,7 +541,7 @@ TEST(DatabaseTest, DestroyWithQueuedSyncMaintenanceDoesNotHang) {
 // ---------------------------------------------------------------------------
 
 TEST(AccessPathTest, SecondaryEstimatesSurviveMerges) {
-  // Regression: MergeUpis used to rebuild the secondary index but drop the
+  // Regression: the merge used to rebuild the secondary index but drop the
   // per-column histogram, zeroing planner estimates after any maintenance
   // merge.
   DblpFx fx;

@@ -292,7 +292,6 @@ TEST(FracturedUpiTest, FlushIsSequentialInsertIsCheap) {
   // Non-fractured UPI: insert the same tuples in place.
   storage::DbEnv env2(4 << 20);  // small pool forces eviction writes
   UpiOptions opt = fx.table->options();
-  Upi plain(&env2, "plain", datagen::DblpGenerator::AuthorSchema(), opt);
   auto base = fx.tuples;
   {
     auto built = Upi::Build(&env2, "plain_base",
@@ -388,45 +387,103 @@ TEST(FracturedUpiTest, PartialMergeNoOpWithFewDeltas) {
 }
 
 TEST(FracturedUpiTest, MergesReleaseRetiredFractureFiles) {
-  // Every byte the environment holds belongs to a live fracture — its
-  // size_bytes() plus the one-page heap and cutoff placeholders its Upi
-  // constructor made — or to a delete-set file. Merged-away fractures leave
-  // nothing behind, in the file table or in the pool.
+  // Every byte the environment holds belongs to a live fracture's
+  // size_bytes() or to a delete-set file listing an id some fracture still
+  // holds. Merged-away fractures and spent delete sets leave nothing behind,
+  // in the file table or in the pool.
   Fx fx;
   const uint64_t page = fx.table->options().page_size;
   uint64_t delete_set_bytes = 0;
   auto expect_only_live_files = [&](const char* when) {
     SCOPED_TRACE(when);
-    const uint64_t placeholders = fx.table->num_fractures() * 2 * page;
     EXPECT_EQ(fx.env.TotalFileBytes(),
-              fx.table->size_bytes() + placeholders + delete_set_bytes);
+              fx.table->size_bytes() + delete_set_bytes);
     EXPECT_LE(fx.env.pool()->cached_bytes(), fx.env.TotalFileBytes());
   };
   expect_only_live_files("after the bulk build");
 
   fx.AddDeltas(4, 900000);
   ASSERT_TRUE(fx.table->Delete(900001).ok());
+  ASSERT_TRUE(fx.table->Delete(fx.tuples[0].id()).ok());
   ASSERT_TRUE(fx.table->FlushBuffer().ok());  // a one-page delete set only
   delete_set_bytes += page;
   ASSERT_EQ(fx.table->num_fractures(), 5u);
   expect_only_live_files("after the flushes");
 
+  // The partial merge retires 900001 but not the main fracture's tuple, so
+  // the delete set that lists both stays.
   const uint64_t retired = fx.env.TotalFileBytes();
   ASSERT_TRUE(fx.table->MergeOldestFractures(3).ok());
   ASSERT_EQ(fx.table->num_fractures(), 3u);
   expect_only_live_files("after a partial merge");
   EXPECT_LT(fx.env.TotalFileBytes(), retired);
 
+  // The full merge retires every delete, and with it the delete set.
   ASSERT_TRUE(fx.table->MergeAll().ok());
   ASSERT_EQ(fx.table->num_fractures(), 1u);
+  delete_set_bytes = 0;
   expect_only_live_files("after a full merge");
+  EXPECT_EQ(fx.env.TotalFileBytes(), fx.table->size_bytes());
 
   // The merged main still serves every live row.
-  const uint64_t live = fx.tuples.size() + 4 * 30 - 1;
+  const uint64_t live = fx.tuples.size() + 4 * 30 - 2;
   EXPECT_EQ(fx.table->num_live_tuples(), live);
   uint64_t scanned = 0;
   ASSERT_TRUE(fx.table->ScanTuples([&](const Tuple&) { ++scanned; }).ok());
   EXPECT_EQ(scanned, live);
+}
+
+TEST(FracturedUpiTest, MaintenanceWritesNothingBackThroughThePool) {
+  // Fractures and delete sets are written straight to the device, so a
+  // Fractured UPI's bulk build, flush and merges write no page back through
+  // the shared pool, and another table's dirty page stays dirty.
+  storage::DbEnv env;
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 300;
+  cfg.num_institutions = 30;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> authors = gen.GenerateAuthors();
+  UpiOptions opt;
+  opt.cluster_column = datagen::AuthorCols::kInstitution;
+  auto other = Upi::Build(&env, "other", datagen::DblpGenerator::AuthorSchema(),
+                          opt, {}, {})
+                   .ValueOrDie();
+  ASSERT_TRUE(other->Insert(gen.MakeAuthor(800000)).ok());
+  FracturedUpi table(&env, "table", datagen::DblpGenerator::AuthorSchema(), opt,
+                     {datagen::AuthorCols::kCountry});
+  const uint64_t writebacks = env.pool()->counters().writebacks;
+
+  ASSERT_TRUE(table.BuildMain(authors).ok());
+  for (TupleId id = 900000; id < 900090; ++id) {
+    ASSERT_TRUE(table.Insert(gen.MakeAuthor(id)).ok());
+    if (id % 30 == 29) {
+      ASSERT_TRUE(table.FlushBuffer().ok());
+    }
+  }
+  ASSERT_TRUE(table.Delete(authors[0].id()).ok());
+  ASSERT_TRUE(table.Delete(900000).ok());
+  ASSERT_TRUE(table.MergeOldestFractures(2).ok());
+  ASSERT_TRUE(table.MergeAll().ok());
+  ASSERT_EQ(table.num_fractures(), 1u);
+  EXPECT_EQ(env.pool()->counters().writebacks, writebacks);
+
+  env.pool()->FlushFile(other->heap_tree()->pager()->file());
+  EXPECT_EQ(env.pool()->counters().writebacks, writebacks + 1);
+}
+
+TEST(FracturedUpiTest, InsertRejectsATupleNoFractureCanHold) {
+  // A buffered tuple without clustered alternatives would fail every later
+  // flush and merge; Insert turns it away as Upi::Insert does.
+  Fx fx;
+  std::vector<catalog::Value> values = fx.gen->MakeAuthor(700000).values();
+  values[datagen::AuthorCols::kInstitution] = catalog::Value::String("MIT");
+  EXPECT_FALSE(fx.table->Insert(Tuple(700000, 1.0, values)).ok());
+  EXPECT_EQ(fx.table->buffered_inserts(), 0u);
+
+  ASSERT_TRUE(fx.table->Insert(fx.gen->MakeAuthor(700001)).ok());
+  ASSERT_TRUE(fx.table->FlushBuffer().ok());
+  ASSERT_TRUE(fx.table->MergeAll().ok());
+  EXPECT_EQ(fx.table->num_live_tuples(), fx.tuples.size() + 1);
 }
 
 TEST(FracturedUpiTest, MergesReleaseFilesWhileAnotherThreadFlushesThePool) {
@@ -484,8 +541,7 @@ TEST(FracturedUpiTest, MergesReleaseFilesWhileAnotherThreadFlushesThePool) {
 
   uint64_t live_bytes = 0;
   for (const auto& table : tables) {
-    live_bytes += table->size_bytes() +
-                  table->num_fractures() * 2 * table->options().page_size;
+    live_bytes += table->size_bytes();
     const uint64_t live = 200 + kRounds * kPerRound;
     EXPECT_EQ(table->num_live_tuples(), live);
     uint64_t scanned = 0;

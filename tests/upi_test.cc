@@ -185,15 +185,17 @@ TEST(UpiTest, InsertMatchesBulkBuild) {
   auto built = Upi::Build(&env1, "a", PaperSchema(), PaperOptions(), {},
                           PaperTuples())
                    .ValueOrDie();
-  Upi incremental(&env2, "b", PaperSchema(), PaperOptions());
-  for (const Tuple& t : PaperTuples()) ASSERT_TRUE(incremental.Insert(t).ok());
-  EXPECT_EQ(built->heap_entries(), incremental.heap_entries());
+  auto incremental =
+      Upi::Build(&env2, "b", PaperSchema(), PaperOptions(), {}, {})
+          .ValueOrDie();
+  for (const Tuple& t : PaperTuples()) ASSERT_TRUE(incremental->Insert(t).ok());
+  EXPECT_EQ(built->heap_entries(), incremental->heap_entries());
   EXPECT_EQ(built->cutoff_index()->num_entries(),
-            incremental.cutoff_index()->num_entries());
+            incremental->cutoff_index()->num_entries());
   for (const char* v : {"MIT", "Brown", "UCB", "U.Tokyo"}) {
     std::vector<PtqMatch> r1, r2;
     ASSERT_TRUE(built->QueryPtq(v, 0.01, &r1).ok());
-    ASSERT_TRUE(incremental.QueryPtq(v, 0.01, &r2).ok());
+    ASSERT_TRUE(incremental->QueryPtq(v, 0.01, &r2).ok());
     ASSERT_EQ(r1.size(), r2.size()) << v;
     for (size_t i = 0; i < r1.size(); ++i) {
       EXPECT_EQ(r1[i].id, r2[i].id);
@@ -204,14 +206,15 @@ TEST(UpiTest, InsertMatchesBulkBuild) {
 
 TEST(UpiTest, DeleteRemovesAllTraces) {
   storage::DbEnv env;
-  Upi upi(&env, "a", PaperSchema(), PaperOptions());
+  auto upi =
+      Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {}, {}).ValueOrDie();
   auto tuples = PaperTuples();
-  for (const Tuple& t : tuples) ASSERT_TRUE(upi.Insert(t).ok());
-  ASSERT_TRUE(upi.Delete(tuples[1]).ok());  // Bob
-  EXPECT_EQ(upi.num_tuples(), 2u);
-  EXPECT_EQ(upi.cutoff_index()->num_entries(), 0u);  // UCB pointer gone
+  for (const Tuple& t : tuples) ASSERT_TRUE(upi->Insert(t).ok());
+  ASSERT_TRUE(upi->Delete(tuples[1]).ok());  // Bob
+  EXPECT_EQ(upi->num_tuples(), 2u);
+  EXPECT_EQ(upi->cutoff_index()->num_entries(), 0u);  // UCB pointer gone
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi.QueryPtq("MIT", 0.01, &out).ok());
+  ASSERT_TRUE(upi->QueryPtq("MIT", 0.01, &out).ok());
   ASSERT_EQ(out.size(), 1u);  // only Alice remains
   EXPECT_EQ(out[0].id, 1u);
 }
@@ -401,12 +404,14 @@ TEST(SecondaryIndexTest, PointerCodecRoundTrip) {
 
 TEST(SecondaryIndexTest, PointerLimitTruncatesAndFlags) {
   storage::DbEnv env;
-  SecondaryIndex sec(&env, "s", 8192, /*max_pointers=*/2);
+  auto sec = SecondaryIndex::Builder(&env, "s", 8192, /*max_pointers=*/2)
+                 .Finish()
+                 .ValueOrDie();
   std::vector<SecondaryPointer> ptrs = {
       {"A", 0.5}, {"B", 0.3}, {"C", 0.1}, {"D", 0.05}};
-  ASSERT_TRUE(sec.Put("US", 0.9, 1, ptrs, false).ok());
+  ASSERT_TRUE(sec->Put("US", 0.9, 1, ptrs, false).ok());
   std::vector<SecondaryEntry> entries;
-  ASSERT_TRUE(sec.Collect("US", 0.0, &entries).ok());
+  ASSERT_TRUE(sec->Collect("US", 0.0, &entries).ok());
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].pointers.size(), 2u);
   EXPECT_EQ(entries[0].pointers[0].attr, "A");
@@ -446,8 +451,9 @@ TEST(UpiTest, DeleteThenPtqAndSecondaryQueries) {
   // vanish from the heap scan, the cutoff index, AND both secondary access
   // modes in the same breath.
   storage::DbEnv env;
-  Upi upi(&env, "a", PaperSchema(), PaperOptions());
-  ASSERT_TRUE(upi.AddSecondaryColumn(2).ok());
+  auto built =
+      Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {2}, {}).ValueOrDie();
+  Upi& upi = *built;
   auto tuples = PaperTuples();
   for (const Tuple& t : tuples) ASSERT_TRUE(upi.Insert(t).ok());
 
@@ -528,36 +534,57 @@ TEST(UpiTest, TopKFallsBackToCutoffWhenHeapHasFewerThanK) {
   }
 }
 
-TEST(UpiTest, AddSecondaryColumnValidation) {
+TEST(UpiTest, BuildValidatesInputBeforeCreatingFiles) {
+  // Bad secondary columns and a tuple without clustered alternatives are
+  // rejected before any file exists, so the same name builds afterwards.
   storage::DbEnv env;
-  Upi upi(&env, "a", PaperSchema(), PaperOptions());
-  EXPECT_FALSE(upi.AddSecondaryColumn(-1).ok());
-  EXPECT_FALSE(upi.AddSecondaryColumn(99).ok());
-  EXPECT_FALSE(upi.AddSecondaryColumn(0).ok());  // Name is a plain string
-  EXPECT_TRUE(upi.AddSecondaryColumn(2).ok());
-  EXPECT_TRUE(upi.AddSecondaryColumn(2).IsAlreadyExists());
-  EXPECT_EQ(upi.secondary(1), nullptr);
-  EXPECT_NE(upi.secondary(2), nullptr);
+  const std::vector<std::vector<int>> bad_columns = {
+      {-1}, {99}, {0} /* Name is a plain string */, {2, 2}};
+  for (const std::vector<int>& cols : bad_columns) {
+    EXPECT_EQ(Upi::Build(&env, "a", PaperSchema(), PaperOptions(), cols,
+                         PaperTuples())
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  std::vector<Tuple> tuples = PaperTuples();
+  tuples.push_back(Tuple(4, 1.0,
+                         {Value::String("Dan"), Value::String("MIT"),
+                          Value::Discrete(Dist({{"US", 1.0}}))}));
+  EXPECT_EQ(Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {2}, tuples)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(env.TotalFileBytes(), 0u);
+
+  auto upi = Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {2},
+                        PaperTuples())
+                 .ValueOrDie();
+  EXPECT_EQ(upi->secondary(1), nullptr);
+  EXPECT_NE(upi->secondary(2), nullptr);
+  EXPECT_EQ(env.TotalFileBytes(), upi->size_bytes());
 }
 
 TEST(UpiTest, InsertRejectsBadClusterColumn) {
   storage::DbEnv env;
   UpiOptions opt = PaperOptions();
   opt.cluster_column = 0;  // Name: not discrete
-  Upi upi(&env, "a", PaperSchema(), opt);
-  EXPECT_FALSE(upi.Insert(PaperTuples()[0]).ok());
+  auto upi = Upi::Build(&env, "a", PaperSchema(), opt, {}, {}).ValueOrDie();
+  EXPECT_FALSE(upi->Insert(PaperTuples()[0]).ok());
+  EXPECT_FALSE(upi->Delete(PaperTuples()[0]).ok());
 }
 
 TEST(UpiTest, EstimatePtqTracksTruthAfterInserts) {
   storage::DbEnv env;
-  Upi upi(&env, "a", PaperSchema(), PaperOptions());
-  for (const Tuple& t : PaperTuples()) ASSERT_TRUE(upi.Insert(t).ok());
-  auto est = upi.EstimatePtq("MIT", 0.1);
+  auto upi =
+      Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {}, {}).ValueOrDie();
+  for (const Tuple& t : PaperTuples()) ASSERT_TRUE(upi->Insert(t).ok());
+  auto est = upi->EstimatePtq("MIT", 0.1);
   EXPECT_NEAR(est.heap_entries, 2.0, 0.75);  // Bob 0.95, Alice 0.18
   EXPECT_GT(est.selectivity, 0.0);
   // Deleting Bob shifts the estimate down.
-  ASSERT_TRUE(upi.Delete(PaperTuples()[1]).ok());
-  auto est2 = upi.EstimatePtq("MIT", 0.1);
+  ASSERT_TRUE(upi->Delete(PaperTuples()[1]).ok());
+  auto est2 = upi->EstimatePtq("MIT", 0.1);
   EXPECT_LT(est2.heap_entries, est.heap_entries);
 }
 

@@ -448,22 +448,15 @@ TEST(KillAndRecoverTest, PartitionedTableBitIdentical) {
   RunKillAndRecover(ops, "authors", gen);
 }
 
-/// Bytes of the files a Fractured UPI's live fractures hold: size_bytes()
-/// plus the one-page heap and cutoff placeholders each fracture's Upi
-/// constructor made (a table that never flushed a delete has no delete-set
-/// file).
-uint64_t LiveFractureBytes(const core::FracturedUpi& t) {
-  return t.size_bytes() + t.num_fractures() * 2 * t.options().page_size;
-}
-
-/// LiveFractureBytes over a database's "fractured" table and every shard of
-/// its "partitioned" table.
+/// Bytes of the files the live fractures of a database's "fractured" table
+/// and of every shard of its "partitioned" table hold: their size_bytes() (a
+/// table that never flushed a delete has no delete-set file).
 uint64_t LiveFileBytes(engine::Database& db) {
-  uint64_t bytes = LiveFractureBytes(*db.GetTable("fractured")->fractured());
+  uint64_t bytes = db.GetTable("fractured")->fractured()->size_bytes();
   const engine::PartitionedTable* part =
       db.GetTable("partitioned")->partitioned();
   for (size_t s = 0; s < part->num_shards(); ++s) {
-    bytes += LiveFractureBytes(*part->shard_fractured(s));
+    bytes += part->shard_fractured(s)->size_bytes();
   }
   return bytes;
 }
