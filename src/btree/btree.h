@@ -89,6 +89,45 @@ class Cursor {
   uint32_t prefetch_remaining_ = 0;
 };
 
+/// \brief Forward point lookups for keys that arrive in ascending order: the
+/// bitmap-scan style fetch of a sorted pointer list.
+///
+/// Contract (Cursor's, for point lookups):
+///  * It holds one byte copy of its current leaf, never a pin, and must not
+///    be used across tree modifications.
+///  * Keys must not descend from one Get to the next (UPI_CHECK); a repeated
+///    key is answered again.
+///  * A key below the copied leaf's upper fence (the separator that bounds
+///    the leaf on its root-to-leaf path) is answered from the copy, walking
+///    forward from the previous key's position. A key beyond the copied leaf
+///    starts a fresh descent. So each leaf change costs one descent of
+///    height() pool fetches, where BTree::Get pays one descent per key.
+class SortedLookup {
+ public:
+  explicit SortedLookup(const BTree* tree) : tree_(tree) {}
+
+  /// Finds exactly `key`: OK with *value viewing the leaf copy (valid until
+  /// the next Get), or NotFound.
+  Status Get(std::string_view key, std::string_view* value);
+
+ private:
+  /// Descends from the root to the leaf covering `key` and copies it.
+  Status Descend(std::string_view key);
+
+  const BTree* tree_;
+  std::string leaf_;  // byte copy of the current leaf page
+  bool loaded_ = false;
+  // Exclusive upper bound of the keys the copied leaf covers; none on the
+  // rightmost root-to-leaf path.
+  std::string upper_;
+  bool bounded_ = false;
+  uint32_t count_ = 0;  // entries on the copied leaf
+  uint32_t idx_ = 0;    // first entry not below the previous key
+  size_t offset_ = 0;   // its byte offset in leaf_
+  std::string last_key_;
+  bool started_ = false;
+};
+
 class BTree {
  public:
   /// Creates a fresh empty tree (allocates the root leaf).
@@ -101,7 +140,8 @@ class BTree {
   Status Delete(std::string_view key);
 
   /// Point lookup of an exact key: height() pool fetches, each page read
-  /// through a NodeView (no per-entry decoding).
+  /// through a NodeView (no per-entry decoding). Many keys in ascending
+  /// order go through a SortedLookup instead.
   Result<std::string> Get(std::string_view key) const;
 
   /// Cursor on the first entry with entry.key >= key: height() + 1 pool
@@ -130,6 +170,7 @@ class BTree {
 
  private:
   friend class Cursor;
+  friend class SortedLookup;
 
   struct SplitResult {
     bool split = false;

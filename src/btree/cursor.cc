@@ -1,5 +1,7 @@
 #include "btree/btree.h"
 
+#include "common/check.h"
+
 namespace upi::btree {
 
 Cursor::Cursor(const BTree* tree, PageId leaf_id, std::string_view key)
@@ -63,6 +65,55 @@ void Cursor::Next() {
   if (!valid_) return;
   ++idx_;
   SkipForwardToValid();
+}
+
+
+Status SortedLookup::Descend(std::string_view key) {
+  loaded_ = false;
+  bounded_ = false;
+  storage::PageRef ref;
+  NodeView view;
+  UPI_RETURN_NOT_OK(tree_->PinNode(tree_->root_, &ref, &view));
+  while (!view.is_leaf()) {
+    std::string_view upper;
+    PageId child = view.ChildFor(key, &upper);
+    // A real separator sorts above `key`, so it is never empty. Deeper
+    // levels bound the leaf more tightly, so the last one found wins.
+    if (!upper.empty()) {
+      upper_.assign(upper);
+      bounded_ = true;
+    }
+    UPI_RETURN_NOT_OK(tree_->PinNode(child, &ref, &view));
+  }
+  leaf_.assign(*ref.data());
+  count_ = view.count();
+  idx_ = 0;
+  offset_ = kNodeHeaderSize;
+  loaded_ = true;
+  return Status::OK();
+}
+
+Status SortedLookup::Get(std::string_view key, std::string_view* value) {
+  UPI_CHECK(!started_ || key >= last_key_,
+            "SortedLookup keys must arrive in ascending order");
+  started_ = true;
+  last_key_.assign(key);
+  if (!loaded_ || (bounded_ && key >= upper_)) {
+    UPI_RETURN_NOT_OK(Descend(key));
+  }
+  // The copy was validated when it was pinned, so every entry decodes.
+  EntryView e;
+  for (; idx_ < count_; ++idx_) {
+    size_t next = DecodeEntry(leaf_, offset_, /*is_leaf=*/true, &e);
+    int c = e.key.compare(key);
+    if (c == 0) {
+      *value = e.value;
+      return Status::OK();
+    }
+    if (c > 0) break;
+    offset_ = next;
+  }
+  return Status::NotFound("key not in btree");
 }
 
 }  // namespace upi::btree

@@ -178,13 +178,16 @@ Status NodeView::PeekRightSibling(std::string_view page, PageId* out) {
   return Status::OK();
 }
 
-PageId NodeView::ChildFor(std::string_view key) const {
+PageId NodeView::ChildFor(std::string_view key, std::string_view* upper) const {
   // Entry 0's key is empty and covers everything below the first separator;
   // otherwise the last separator <= key wins (keys ascend).
   PageId child = kInvalidPage;
   bool first = true;
   Walk([&](const EntryView& e, size_t) {
-    if (!first && e.key > key) return false;
+    if (!first && e.key > key) {
+      if (upper != nullptr) *upper = e.key;
+      return false;
+    }
     child = e.child;
     first = false;
     return true;

@@ -121,7 +121,9 @@ class NodeView {
   }
 
   /// Internal nodes: the child subtree covering `key` (Node::ChildIndex).
-  PageId ChildFor(std::string_view key) const;
+  /// When `upper` is given and the child is not the node's last, *upper
+  /// gets the separator after it: the child covers only keys below it.
+  PageId ChildFor(std::string_view key, std::string_view* upper = nullptr) const;
   PageId FirstChild() const;
 
   /// Leaf nodes: index of the first entry with key >= `key`. When that is

@@ -550,8 +550,15 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
 // Queries
 // ---------------------------------------------------------------------------
 
-Status Upi::FetchHeapTuple(const std::string& heap_key, Tuple* out) const {
-  UPI_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(heap_key));
+Status Upi::FetchHeapTuple(std::string_view heap_key,
+                           btree::SortedLookup* sorted, Tuple* out) const {
+  if (sorted == nullptr) {
+    UPI_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(heap_key));
+    UPI_ASSIGN_OR_RETURN(*out, Tuple::Deserialize(bytes));
+    return Status::OK();
+  }
+  std::string_view bytes;
+  UPI_RETURN_NOT_OK(sorted->Get(heap_key, &bytes));
   UPI_ASSIGN_OR_RETURN(*out, Tuple::Deserialize(bytes));
   return Status::OK();
 }
@@ -628,15 +635,17 @@ Status Upi::QueryBySecondary(int column, std::string_view value, double qt,
     }
   }
 
-  // Bitmap-scan style ordered fetch from the heap.
+  // Bitmap-scan style ordered fetch from the heap: one forward lookup
+  // descends once per heap leaf, not once per pointer.
   std::sort(chosen.begin(), chosen.end(),
             [](const Chosen& a, const Chosen& b) { return a.heap_key < b.heap_key; });
   OpenFile(heap_file());
+  btree::SortedLookup sorted(heap_.get());
   for (const auto& ch : chosen) {
     PtqMatch m;
     m.id = ch.entry->key.id;
     m.confidence = ch.entry->key.prob;
-    UPI_RETURN_NOT_OK(FetchHeapTuple(ch.heap_key, &m.tuple));
+    UPI_RETURN_NOT_OK(FetchHeapTuple(ch.heap_key, &sorted, &m.tuple));
     out->push_back(std::move(m));
   }
   return Status::OK();
@@ -676,7 +685,8 @@ UpiPtqCursor::UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
       value_(value),
       prefix_(UpiKeyPrefix(value)),
       qt_(qt),
-      topk_mode_(topk_mode) {
+      topk_mode_(topk_mode),
+      sorted_fetch_(upi->heap_.get()) {
   // Same opening sequence as QueryPtq/QueryTopK: open the heap file, then
   // one index descent to the start of the value's clustered region.
   upi_->OpenFile(upi_->heap_file());
@@ -767,7 +777,8 @@ bool UpiPtqCursor::NextCutoff(PtqMatch* out) {
   const CutoffIndex::PointerEntry& p = pointers_[ptr_idx_++];
   out->id = p.entry.id;
   out->confidence = p.entry.prob;
-  Status st = upi_->FetchHeapTuple(p.heap_key, &out->tuple);
+  Status st = upi_->FetchHeapTuple(
+      p.heap_key, topk_mode_ ? nullptr : &sorted_fetch_, &out->tuple);
   if (!st.ok()) {
     status_ = st;
     phase_ = Phase::kDone;

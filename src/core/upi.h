@@ -125,6 +125,9 @@ class UpiPtqCursor {
   Phase phase_ = Phase::kHeap;
   btree::Cursor heap_;
   std::vector<CutoffIndex::PointerEntry> pointers_;
+  // The PTQ cutoff phase fetches its sorted pointers through one forward
+  // lookup, one per Next; top-k's collected order keeps per-key lookups.
+  btree::SortedLookup sorted_fetch_;
   size_t ptr_idx_ = 0;
   Status status_;
 };
@@ -261,7 +264,10 @@ class Upi {
   Status InsertSecondaryEntries(const catalog::Tuple& tuple,
                                 const AltPartition& part);
   Status RemoveSecondaryEntries(const catalog::Tuple& tuple);
-  Status FetchHeapTuple(const std::string& heap_key, catalog::Tuple* out) const;
+  /// Fetches the tuple stored under `heap_key`: through `sorted` when the
+  /// caller's keys arrive in heap order, else with a descent of its own.
+  Status FetchHeapTuple(std::string_view heap_key, btree::SortedLookup* sorted,
+                        catalog::Tuple* out) const;
   storage::PageFile* heap_file() const { return heap_->pager()->file(); }
   /// The one Costinit rule for a read touching `file` (this UPI's heap or
   /// cutoff file): with charge_open_per_query every touch pays (a query

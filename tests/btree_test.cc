@@ -489,5 +489,132 @@ TEST(BTreeCursorTest, SurvivesMoveAndCopy) {
   EXPECT_FALSE(copy.Valid());
 }
 
+// --- SortedLookup ---
+
+// Long keys keep internal fanout low, so small trees reach height 3.
+std::string WideKey(int i) { return Key(i) + std::string(100, 'w'); }
+
+// Random ascending key lists, answered by one SortedLookup each, must match
+// BTree::Get key by key: stored keys, absent keys between and beyond them
+// (below the first key and past the last), repeated keys, and the first and
+// last leaf's keys in every list.
+void ExpectSortedLookupMatchesGet(const BTree& t, int key_space, Rng* rng) {
+  for (int round = 0; round < 12; ++round) {
+    const double density = round % 3 == 0 ? 0.9 : 0.05 * (round % 3);
+    std::vector<std::string> keys = {"", WideKey(0), WideKey(key_space - 1),
+                                     WideKey(key_space)};
+    for (int i = 0; i < key_space; ++i) {
+      if (rng->Bernoulli(density)) keys.push_back(WideKey(i));
+      if (rng->Bernoulli(density / 4)) keys.push_back(WideKey(i) + "~");
+    }
+    std::sort(keys.begin(), keys.end());
+    SortedLookup lookup(&t);
+    for (const std::string& key : keys) {
+      std::string_view value;
+      Status st = lookup.Get(key, &value);
+      Result<std::string> want = t.Get(key);
+      ASSERT_EQ(st.ok(), want.ok()) << "key " << key;
+      if (want.ok()) {
+        EXPECT_EQ(value, want.value()) << "key " << key;
+      } else {
+        EXPECT_TRUE(st.IsNotFound()) << st.ToString();
+      }
+    }
+  }
+}
+
+class SortedLookupPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SortedLookupPropertyTest, MatchesGetOnBulkBuiltTrees) {
+  Rng rng(GetParam());
+  Fixture fx;
+  BTreeBuilder b(fx.pager);
+  const int kSpace = 4000;
+  for (int i = 0; i < kSpace; ++i) {
+    if (rng.Bernoulli(0.7)) {
+      ASSERT_TRUE(b.Add(WideKey(i), std::string(rng.Uniform(120), 'v')).ok());
+    }
+  }
+  BTree t = b.Finish().ValueOrDie();
+  ASSERT_GE(t.height(), 3u);
+  ExpectSortedLookupMatchesGet(t, kSpace, &rng);
+}
+
+TEST_P(SortedLookupPropertyTest, MatchesGetAfterChurn) {
+  // Random Puts and Deletes split and merge nodes and recycle freed pages,
+  // so separators no longer equal any stored key.
+  Rng rng(GetParam());
+  Fixture fx;
+  BTree t(fx.pager);
+  const int kSpace = 3000;
+  for (int op = 0; op < 12000; ++op) {
+    std::string key = WideKey(static_cast<int>(rng.Uniform(kSpace)));
+    if (rng.NextDouble() < 0.6) {
+      ASSERT_TRUE(t.Put(key, std::string(rng.Uniform(200), 'p')).ok());
+    } else {
+      (void)t.Delete(key);
+    }
+  }
+  ASSERT_TRUE(t.ValidateInvariants().ok());
+  ASSERT_GE(t.height(), 3u);
+  ExpectSortedLookupMatchesGet(t, kSpace, &rng);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SortedLookupPropertyTest,
+                         ::testing::Values(1, 2, 3, 5, 8));
+
+TEST(SortedLookupTest, FetchesEachLeafOnce) {
+  // One descent per leaf change: every key of the tree, with an absent key
+  // after each, costs height() fetches per leaf, where Get pays them per key.
+  Fixture fx;
+  BTreeBuilder b(fx.pager);
+  const int kN = 20000;
+  for (int i = 0; i < kN; ++i) ASSERT_TRUE(b.Add(Key(i), std::string(100, 'v')).ok());
+  BTree t = b.Finish().ValueOrDie();
+  const uint64_t h = t.height();
+  ASSERT_GE(h, 3u);
+  auto fetches = [&] {
+    storage::BufferPool::PoolCounters c = fx.pool.counters();
+    return c.hits + c.misses;
+  };
+  fx.pool.DropAll();
+  const uint64_t before = fetches();
+  SortedLookup lookup(&t);
+  std::string_view value;
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_TRUE(lookup.Get(Key(i), &value).ok()) << i;
+    ASSERT_EQ(value, std::string(100, 'v'));
+    ASSERT_TRUE(lookup.Get(Key(i) + "~", &value).IsNotFound()) << i;
+  }
+  ASSERT_TRUE(lookup.Get(Key(kN), &value).IsNotFound());  // past the end
+  EXPECT_EQ(fetches() - before, h * t.num_leaf_pages());
+}
+
+TEST(SortedLookupTest, SurvivesMove) {
+  // The leaf copy of a one-entry tree is short enough to be stored inline in
+  // the string; the lookup keeps offsets, not views, so a move is safe.
+  Fixture fx;
+  BTree t(fx.pager);
+  ASSERT_TRUE(t.Put("a", "1").ok());
+  ASSERT_TRUE(t.Put("b", "2").ok());
+  SortedLookup lookup(&t);
+  std::string_view value;
+  ASSERT_TRUE(lookup.Get("a", &value).ok());
+  SortedLookup moved = std::move(lookup);
+  ASSERT_TRUE(moved.Get("b", &value).ok());
+  EXPECT_EQ(value, "2");
+}
+
+TEST(SortedLookupDeathTest, KeysMustAscend) {
+  Fixture fx;
+  BTree t(fx.pager);
+  ASSERT_TRUE(t.Put("b", "").ok());
+  SortedLookup lookup(&t);
+  std::string_view value;
+  ASSERT_TRUE(lookup.Get("b", &value).ok());
+  ASSERT_TRUE(lookup.Get("b", &value).ok());  // a repeat is fine
+  EXPECT_DEATH((void)lookup.Get("a", &value), "ascending order");
+}
+
 }  // namespace
 }  // namespace upi::btree
