@@ -25,9 +25,10 @@ Status BTree::ReadNode(PageId id, Node* out) const {
   return Node::Deserialize(*ref.data(), out);
 }
 
-Status BTree::PinNode(PageId id, storage::PageRef* ref, NodeView* view) const {
+Status BTree::PinNode(PageId id, storage::PageRef* ref, NodeView* view,
+                      PageId after, bool* read_device) const {
   ref->Release();
-  *ref = pager_.Get(id);
+  *ref = pager_.Get(id, after, read_device);
   return NodeView::Parse(*ref->data(), view);
 }
 

@@ -102,6 +102,11 @@ class Cursor {
 ///    forward from the previous key's position. A key beyond the copied leaf
 ///    starts a fresh descent. So each leaf change costs one descent of
 ///    height() pool fetches, where BTree::Get pays one descent per key.
+///  * It remembers the page of the tree it last read from the device, and
+///    hands it to the fetch of each new leaf (Pager::Get's `after`): a leaf
+///    a short forward gap past that page is read together with the gap in
+///    one access (PageFile::Read). A leaf found in the pool clears it, so
+///    the cursor never reads forward from a position it did not read to.
 class SortedLookup {
  public:
   explicit SortedLookup(const BTree* tree) : tree_(tree) {}
@@ -126,6 +131,7 @@ class SortedLookup {
   size_t offset_ = 0;   // its byte offset in leaf_
   std::string last_key_;
   bool started_ = false;
+  PageId prev_read_ = kInvalidPage;  // last page this cursor read from disk
 };
 
 class BTree {
@@ -192,8 +198,11 @@ class BTree {
   /// Pins page `id` into *ref and parses it into *view (the read paths).
   /// The previous pin in *ref is released first, so a descent holds one pin
   /// at a time, exactly as one ReadNode per level did: the pool's eviction
-  /// choices, and so every I/O counter, stay the same.
-  Status PinNode(PageId id, storage::PageRef* ref, NodeView* view) const;
+  /// choices, and so every I/O counter, stay the same. `after` and
+  /// `read_device` pass through to Pager::Get.
+  Status PinNode(PageId id, storage::PageRef* ref, NodeView* view,
+                 PageId after = kInvalidPage,
+                 bool* read_device = nullptr) const;
   /// Descends from the root to the leaf covering `key`: one pool fetch per
   /// level, the leaf left pinned in *ref and parsed into *leaf.
   Status FindLeaf(std::string_view key, storage::PageRef* ref,

@@ -73,17 +73,29 @@ Status SortedLookup::Descend(std::string_view key) {
   bounded_ = false;
   storage::PageRef ref;
   NodeView view;
-  UPI_RETURN_NOT_OK(tree_->PinNode(tree_->root_, &ref, &view));
-  while (!view.is_leaf()) {
+  PageId id = tree_->root_;
+  for (uint32_t depth = 1;; ++depth) {
+    // Only the leaf may read forward from the previous device read; an
+    // upper level the descent reads moves the head, so it becomes the
+    // previous read.
+    const bool leaf_level = depth >= tree_->height_;
+    bool read = false;
+    UPI_RETURN_NOT_OK(tree_->PinNode(
+        id, &ref, &view, leaf_level ? prev_read_ : kInvalidPage, &read));
+    if (read) {
+      prev_read_ = id;
+    } else if (leaf_level) {
+      prev_read_ = kInvalidPage;
+    }
+    if (view.is_leaf()) break;
     std::string_view upper;
-    PageId child = view.ChildFor(key, &upper);
+    id = view.ChildFor(key, &upper);
     // A real separator sorts above `key`, so it is never empty. Deeper
     // levels bound the leaf more tightly, so the last one found wins.
     if (!upper.empty()) {
       upper_.assign(upper);
       bounded_ = true;
     }
-    UPI_RETURN_NOT_OK(tree_->PinNode(child, &ref, &view));
   }
   leaf_.assign(*ref.data());
   count_ = view.count();

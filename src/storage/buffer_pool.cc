@@ -118,7 +118,9 @@ void BufferPool::FinishVictimsLocked(Shard& s,
 }
 
 std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
-                               std::string_view bytes) {
+                               std::string_view bytes, PageId after,
+                               bool* read_device) {
+  if (read_device != nullptr) *read_device = false;
   const Key k{file, id};
   Shard& s = ShardFor(k);
   const uint32_t page_bytes = file->page_size();
@@ -174,7 +176,8 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
   if (create) {
     f.data.assign(bytes);  // still kLoading: no other thread reads it yet
   } else {
-    file->Read(id, &f.data);
+    file->Read(id, &f.data, after);
+    if (read_device != nullptr) *read_device = true;
   }
   lock.lock();
 

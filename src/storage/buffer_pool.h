@@ -80,9 +80,12 @@ class BufferPool {
   /// frame (even a stale one cached under a recycled PageId) holds `bytes`,
   /// dirty. The bytes are in place before any other thread can see the
   /// frame, so another table's flush never copies a page its creator is
-  /// still filling.
+  /// still filling. Otherwise a miss reads the page with
+  /// PageFile::Read(id, ..., after). `*read_device`, when given, tells
+  /// whether this call read the device (a miss that was not a create).
   std::string* Fetch(PageFile* file, PageId id, bool create = false,
-                     std::string_view bytes = {});
+                     std::string_view bytes = {}, PageId after = kInvalidPage,
+                     bool* read_device = nullptr);
 
   void Unpin(PageFile* file, PageId id);
   void MarkDirty(PageFile* file, PageId id);

@@ -39,15 +39,27 @@ void PageFile::Free(PageId id) {
   free_list_.push_back(id);
 }
 
-void PageFile::Read(PageId id, std::string* out) {
+bool ReadsThroughGap(const sim::SimDisk& disk, uint64_t gap) {
+  const sim::CostParams& p = disk.params();
+  return p.ReadMs(gap) < p.SeekMs(gap, disk.SeekSpan());
+}
+
+void PageFile::Read(PageId id, std::string* out, PageId after) {
   uint64_t addr;
+  uint64_t after_end = UINT64_MAX;
   {
     std::lock_guard<sync::Mutex> lock(mu_);
     CheckLiveLocked(id, "Read of an unallocated or freed page");
     addr = pages_[id].addr;
     *out = data_[id];
+    // A page's address outlives its Free, so any page ever allocated will do.
+    if (after < pages_.size()) after_end = pages_[after].addr + page_size_;
   }
-  disk_->Read(addr, page_size_);
+  uint64_t start = addr;
+  if (after_end < addr && ReadsThroughGap(*disk_, addr - after_end)) {
+    start = after_end;
+  }
+  disk_->Read(start, addr + page_size_ - start);
 }
 
 void PageFile::Write(PageId id, std::string_view data) {

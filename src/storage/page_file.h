@@ -37,6 +37,13 @@ namespace upi::storage {
 using PageId = uint32_t;
 inline constexpr PageId kInvalidPage = UINT32_MAX;
 
+/// The forward-read rule: true when transferring a forward gap of `gap`
+/// bytes costs less on `disk`'s device than seeking over it (ReadMs(gap) <
+/// SeekMs(gap)). With 8 KiB pages that is up to 6 pages on the spinning
+/// disk, and never on the SSD profile, whose seeks cost less than one page
+/// transfer.
+bool ReadsThroughGap(const sim::SimDisk& disk, uint64_t gap);
+
 class PageFile {
  public:
   PageFile(sim::SimDisk* disk, std::string name, uint32_t page_size);
@@ -56,9 +63,14 @@ class PageFile {
   /// on a write to a freed page rather than corrupt a recycled one.
   void Free(PageId id);
 
-  /// Reads a full page (charges one page transfer; sequential iff the disk
-  /// head is already at this page's address).
-  void Read(PageId id, std::string* out);
+  /// Reads a full page: one device access, sequential iff the disk head is
+  /// already where it starts. Without `after` it transfers the page alone.
+  /// `after` names the page of this file the caller read from the device
+  /// last. When `id` lies a short forward gap past the end of that page
+  /// (ReadsThroughGap), the access starts at the end of `after` and
+  /// transfers the gap and the page in one read instead of seeking over the
+  /// gap. Only the page is returned; the gap bytes are charged, not cached.
+  void Read(PageId id, std::string* out, PageId after = kInvalidPage);
 
   /// Writes a full page. `data` may be shorter than page_size; the device
   /// transfer is always a whole page.

@@ -58,9 +58,16 @@ class Pager {
  public:
   Pager(BufferPool* pool, PageFile* file) : pool_(pool), file_(file) {}
 
-  /// Pins an existing page.
-  PageRef Get(PageId id) {
-    return PageRef(pool_, file_, id, pool_->Fetch(file_, id, /*create=*/false));
+  /// Pins an existing page. On a pool miss the page is read from the
+  /// device; `after`, when given, is the page of this file the caller read
+  /// from the device last, and lets that read start at its end instead of
+  /// seeking over a short forward gap (PageFile::Read). `*read_device`,
+  /// when given, tells whether this call read the device.
+  PageRef Get(PageId id, PageId after = kInvalidPage,
+              bool* read_device = nullptr) {
+    return PageRef(pool_, file_, id,
+                   pool_->Fetch(file_, id, /*create=*/false, {}, after,
+                                read_device));
   }
 
   /// Allocates and pins a fresh page holding `bytes` (no read charged).

@@ -7,6 +7,7 @@
 
 #include "btree/btree.h"
 #include "btree/bulk_load.h"
+#include "common/check.h"
 #include "common/coding.h"
 #include "common/random.h"
 
@@ -614,6 +615,103 @@ TEST(SortedLookupDeathTest, KeysMustAscend) {
   ASSERT_TRUE(lookup.Get("b", &value).ok());
   ASSERT_TRUE(lookup.Get("b", &value).ok());  // a repeat is fine
   EXPECT_DEATH((void)lookup.Get("a", &value), "ascending order");
+}
+
+// A bulk-built tree of 8 KiB pages whose leaves hold exactly seven
+// 1,000-byte entries each: leaf i holds keys 7i..7i+6, leaves sit at
+// consecutive device addresses, and the root comes after the last leaf.
+struct GapFixture {
+  static constexpr uint32_t kPage = 8192;
+  static constexpr int kPerLeaf = 7;
+  static constexpr int kLeaves = 40;
+  sim::SimDisk disk;
+  storage::PageFile file{&disk, "gaps", kPage};
+  storage::BufferPool pool{64 << 20};
+  storage::Pager pager{&pool, &file};
+  BTree tree = Build(pager);
+
+  static BTree Build(storage::Pager pager) {
+    BTreeBuilder b(pager);
+    for (int i = 0; i < kPerLeaf * kLeaves; ++i) {
+      UPI_CHECK(b.Add(Key(i), std::string(1000, 'v')).ok(), "gap tree");
+    }
+    return b.Finish().ValueOrDie();
+  }
+  /// Cold pool, head position unknown.
+  void Cold() {
+    pool.DropAll();
+    disk.ResetHead();
+  }
+  /// Looks up the first key of leaf `leaf` and returns the device traffic.
+  sim::DiskStats GetLeaf(SortedLookup* lookup, int leaf) {
+    const sim::DiskStats before = disk.stats();
+    std::string_view value;
+    UPI_CHECK(lookup->Get(Key(leaf * kPerLeaf), &value).ok(), "gap lookup");
+    UPI_CHECK(value == std::string(1000, 'v'), "gap value");
+    return disk.stats() - before;
+  }
+};
+
+TEST(SortedLookupTest, ShortForwardGapIsReadThroughOnTheSpinningDisk) {
+  GapFixture fx;
+  ASSERT_EQ(fx.tree.height(), 2u);
+  ASSERT_EQ(fx.tree.num_leaf_pages(), static_cast<uint64_t>(GapFixture::kLeaves));
+  // Up to 6 pages of 8 KiB read faster than the shortest seek.
+  EXPECT_TRUE(storage::ReadsThroughGap(fx.disk, 6 * GapFixture::kPage));
+  EXPECT_FALSE(storage::ReadsThroughGap(fx.disk, 7 * GapFixture::kPage));
+  // On flash even one page costs more to read than to skip.
+  EXPECT_FALSE(storage::ReadsThroughGap(sim::SimDisk(sim::DeviceProfile::Ssd()),
+                                        GapFixture::kPage));
+
+  fx.Cold();
+  SortedLookup lookup(&fx.tree);
+  (void)fx.GetLeaf(&lookup, 0);  // root and leaf 0, each with a seek
+
+  // Leaves 1-3 lie between leaf 0 and leaf 4: one read from the end of
+  // leaf 0 transfers them with leaf 4, and the head is already there.
+  sim::DiskStats d = fx.GetLeaf(&lookup, 4);
+  EXPECT_EQ(d.reads, 1u);
+  EXPECT_EQ(d.seeks, 0u);
+  EXPECT_EQ(d.bytes_read, 4u * GapFixture::kPage);
+
+  // Seven pages (leaves 5-11) cost more to read than to seek over.
+  d = fx.GetLeaf(&lookup, 12);
+  EXPECT_EQ(d.reads, 1u);
+  EXPECT_EQ(d.seeks, 1u);
+  EXPECT_EQ(d.bytes_read, uint64_t{GapFixture::kPage});
+
+  // Per-key Get never reads forward: each leaf is its own seek.
+  fx.Cold();
+  (void)fx.tree.Get(Key(0));
+  const sim::DiskStats before = fx.disk.stats();
+  (void)fx.tree.Get(Key(4 * GapFixture::kPerLeaf));
+  d = fx.disk.stats() - before;
+  EXPECT_EQ(d.reads, 1u);
+  EXPECT_EQ(d.seeks, 1u);
+  EXPECT_EQ(d.bytes_read, uint64_t{GapFixture::kPage});
+}
+
+TEST(SortedLookupTest, NoReadThroughAfterAPoolHit) {
+  // Leaf 2 is in the pool. The lookup reads leaf 0, finds leaf 2 in the
+  // pool, and then must seek to leaf 4 rather than read forward from leaf 0
+  // or leaf 2.
+  GapFixture fx;
+  fx.Cold();
+  (void)fx.tree.Get(Key(2 * GapFixture::kPerLeaf));
+  SortedLookup lookup(&fx.tree);
+  sim::DiskStats d = fx.GetLeaf(&lookup, 0);
+  EXPECT_EQ(d.reads, 1u);
+  d = fx.GetLeaf(&lookup, 2);
+  EXPECT_EQ(d.reads, 0u);
+  d = fx.GetLeaf(&lookup, 4);
+  EXPECT_EQ(d.reads, 1u);
+  EXPECT_EQ(d.seeks, 1u);
+  EXPECT_EQ(d.bytes_read, uint64_t{GapFixture::kPage});
+  // The run starts again from leaf 4.
+  d = fx.GetLeaf(&lookup, 6);
+  EXPECT_EQ(d.reads, 1u);
+  EXPECT_EQ(d.seeks, 0u);
+  EXPECT_EQ(d.bytes_read, 2u * GapFixture::kPage);
 }
 
 }  // namespace

@@ -146,7 +146,8 @@ struct DesignsFx {
 enum class Variant { kPlain, kWhere, kLimit };
 
 /// What one (design, plan kind, variant) cost at the seed of this sweep:
-/// simulated page reads and seeks of the materialized run and of the drained
+/// simulated device reads (a forward read through a short gap counts as one,
+/// see storage::PageFile::Read) and seeks of the materialized run and of the drained
 /// cursor (they differ only under LIMIT, where a streaming cursor stops
 /// early), and the EXPLAIN ANALYZE operators as "label:rows" pairs (pruned
 /// operators marked).
@@ -160,17 +161,17 @@ struct SweepCost {
 
 // clang-format off
 const SweepCost kSweepCosts[] = {
-    {"upi", PlanKind::kPrimaryProbe, Variant::kPlain, 120, 46, 120, 46,
+    {"upi", PlanKind::kPrimaryProbe, Variant::kPlain, 120, 8, 120, 8,
      "primary-probe:793"},
-    {"upi", PlanKind::kPrimaryProbe, Variant::kWhere, 120, 46, 120, 46,
+    {"upi", PlanKind::kPrimaryProbe, Variant::kWhere, 120, 8, 120, 8,
      "primary-probe:260"},
-    {"upi", PlanKind::kPrimaryProbe, Variant::kLimit, 120, 46, 2, 2,
+    {"upi", PlanKind::kPrimaryProbe, Variant::kLimit, 120, 8, 2, 2,
      "primary-probe:5"},
-    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 9, 7, 9, 7,
+    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 9, 6, 9, 6,
      "secondary-first-pointer:37"},
-    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 9, 7, 9, 7,
+    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 9, 6, 9, 6,
      "secondary-first-pointer:15"},
-    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 9, 7, 9, 7,
+    {"upi", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 9, 6, 9, 6,
      "secondary-first-pointer:5"},
     {"upi", PlanKind::kSecondaryTailored, Variant::kPlain, 7, 5, 7, 5,
      "secondary-tailored:37"},
@@ -196,17 +197,17 @@ const SweepCost kSweepCosts[] = {
      "topk-decreasing-threshold:10"},
     {"upi", PlanKind::kTopKDecreasingThreshold, Variant::kLimit, 7, 2, 7, 2,
      "topk-decreasing-threshold:5"},
-    {"frac", PlanKind::kPrimaryProbe, Variant::kPlain, 96, 35, 96, 35,
+    {"frac", PlanKind::kPrimaryProbe, Variant::kPlain, 96, 6, 96, 6,
      "frac.buffer:196,frac.frac0:596"},
-    {"frac", PlanKind::kPrimaryProbe, Variant::kWhere, 96, 35, 96, 35,
+    {"frac", PlanKind::kPrimaryProbe, Variant::kWhere, 96, 6, 96, 6,
      "frac.buffer:196,frac.frac0:596"},
-    {"frac", PlanKind::kPrimaryProbe, Variant::kLimit, 96, 35, 0, 0,
+    {"frac", PlanKind::kPrimaryProbe, Variant::kLimit, 96, 6, 0, 0,
      "frac.buffer:196,frac.frac0:596"},
-    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 8, 7, 8, 7,
+    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 8, 6, 8, 6,
      "secondary-first-pointer:37"},
-    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 8, 7, 8, 7,
+    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 8, 6, 8, 6,
      "secondary-first-pointer:15"},
-    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 8, 7, 8, 7,
+    {"frac", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 8, 6, 8, 6,
      "secondary-first-pointer:5"},
     {"frac", PlanKind::kSecondaryTailored, Variant::kPlain, 6, 5, 6, 5,
      "secondary-tailored:37"},
@@ -268,17 +269,17 @@ const SweepCost kSweepCosts[] = {
      "topk-decreasing-threshold:10"},
     {"heap", PlanKind::kTopKDecreasingThreshold, Variant::kLimit, 71, 15, 71, 15,
      "topk-decreasing-threshold:5"},
-    {"part", PlanKind::kPrimaryProbe, Variant::kPlain, 119, 37, 119, 37,
+    {"part", PlanKind::kPrimaryProbe, Variant::kPlain, 119, 20, 119, 20,
      "ptq shard[0]:353,ptq shard[1]:150,ptq shard[2]:153,ptq shard[3]:137"},
-    {"part", PlanKind::kPrimaryProbe, Variant::kWhere, 119, 37, 119, 37,
+    {"part", PlanKind::kPrimaryProbe, Variant::kWhere, 119, 20, 119, 20,
      "ptq shard[0]:353,ptq shard[1]:150,ptq shard[2]:153,ptq shard[3]:137"},
-    {"part", PlanKind::kPrimaryProbe, Variant::kLimit, 119, 37, 119, 37,
+    {"part", PlanKind::kPrimaryProbe, Variant::kLimit, 119, 20, 119, 20,
      "ptq shard[0]:353,ptq shard[1]:150,ptq shard[2]:153,ptq shard[3]:137"},
-    {"part", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 16, 14, 16, 14,
+    {"part", PlanKind::kSecondaryFirstPointer, Variant::kPlain, 16, 13, 16, 13,
      "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
-    {"part", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 16, 14, 16, 14,
+    {"part", PlanKind::kSecondaryFirstPointer, Variant::kWhere, 16, 13, 16, 13,
      "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
-    {"part", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 16, 14, 16, 14,
+    {"part", PlanKind::kSecondaryFirstPointer, Variant::kLimit, 16, 13, 16, 13,
      "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},
     {"part", PlanKind::kSecondaryTailored, Variant::kPlain, 15, 13, 15, 13,
      "secondary shard[0]:0,secondary shard[1]:0,secondary shard[2]:31,secondary shard[3]:6"},

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "catalog/tuple.h"
+#include "common/check.h"
 #include "core/upi.h"
 #include "core/upi_key.h"
 #include "datagen/dblp.h"
@@ -314,6 +315,77 @@ TEST(UpiTest, TailoredAccessPrefersSharedRegions) {
   double first_ms = w2.ElapsedMs();
   EXPECT_EQ(out1.size(), out2.size());
   EXPECT_LE(tailored_ms, first_ms + 1e-9);
+}
+
+// The device traffic of a cold first-pointer Query 3 on `profile`, or with
+// `get_loop`, of the same index walk followed by one BTree::Get per heap key
+// in heap order. Each run builds its own table, so both start from the same
+// device totals and their deltas compare bit for bit.
+sim::DiskStats ColdSortedFetch(sim::DeviceProfile profile, bool get_loop) {
+  storage::DbEnv env(64ull << 20, profile);
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 3000;
+  cfg.num_publications = 12000;
+  datagen::DblpGenerator gen(cfg);
+  UpiOptions opt;
+  opt.cluster_column = datagen::PublicationCols::kInstitution;
+  const int col = datagen::PublicationCols::kCountry;
+  auto upi = Upi::Build(&env, "p", datagen::DblpGenerator::PublicationSchema(),
+                        opt, {col},
+                        gen.GeneratePublications(gen.GenerateAuthors()))
+                 .ValueOrDie();
+  const std::string country = gen.MidCountry();
+  const double qt = 0.1;
+  env.ColdCache();
+  sim::StatsWindow window(env.disk());
+  if (!get_loop) {
+    std::vector<PtqMatch> rows;
+    UPI_CHECK(upi->QueryBySecondary(col, country, qt,
+                                    SecondaryAccessMode::kFirstPointer, &rows)
+                      .ok() &&
+                  rows.size() > 100,
+              "a secondary sweep worth measuring");
+    return window.Delta();
+  }
+  std::vector<SecondaryEntry> entries;
+  UPI_CHECK(upi->secondary(col)->Collect(country, qt, &entries).ok(),
+            "secondary collect");
+  std::vector<std::string> keys;
+  for (const SecondaryEntry& e : entries) {
+    keys.push_back(
+        EncodeUpiKey(e.pointers[0].attr, e.pointers[0].prob, e.key.id));
+  }
+  std::sort(keys.begin(), keys.end());
+  for (const std::string& k : keys) {
+    UPI_CHECK(upi->heap_tree()->Get(k).ok(), "heap get");
+  }
+  return window.Delta();
+}
+
+TEST(UpiTest, SortedSecondaryFetchEqualsGetLoopOnTheSsd) {
+  // The sorted fetch reads the same pages in the same order as one Get per
+  // heap key. On the SSD profile a seek costs less than a page transfer, so
+  // no gap is read through, and the device traffic is identical.
+  const sim::DeviceProfile ssd = sim::DeviceProfile::Ssd();
+  const sim::DiskStats sorted = ColdSortedFetch(ssd, /*get_loop=*/false);
+  const sim::DiskStats loop = ColdSortedFetch(ssd, /*get_loop=*/true);
+  EXPECT_EQ(sorted.reads, loop.reads);
+  EXPECT_EQ(sorted.seeks, loop.seeks);
+  EXPECT_EQ(sorted.seek_ms, loop.seek_ms);
+  EXPECT_EQ(sorted.bytes_read, loop.bytes_read);
+  EXPECT_EQ(sorted.file_opens, loop.file_opens);
+  EXPECT_EQ(sorted.writes, loop.writes);
+  EXPECT_EQ(sorted.SimMs(ssd.cost), loop.SimMs(ssd.cost));
+
+  // On the spinning disk the same sweep reads short forward gaps through:
+  // the same device reads, fewer seeks, more bytes, less time.
+  const sim::DeviceProfile hdd = sim::DeviceProfile::SpinningDisk();
+  const sim::DiskStats hdd_sorted = ColdSortedFetch(hdd, /*get_loop=*/false);
+  const sim::DiskStats hdd_loop = ColdSortedFetch(hdd, /*get_loop=*/true);
+  EXPECT_EQ(hdd_sorted.reads, hdd_loop.reads);
+  EXPECT_LT(hdd_sorted.seeks, hdd_loop.seeks);
+  EXPECT_GT(hdd_sorted.bytes_read, hdd_loop.bytes_read);
+  EXPECT_LT(hdd_sorted.SimMs(hdd.cost), hdd_loop.SimMs(hdd.cost));
 }
 
 // --- Property test: UPI answers == possible-world brute force. -------------
