@@ -41,7 +41,9 @@ Result<std::unique_ptr<SecondaryUtree>> SecondaryUtree::Build(
                                 return Status::OK();
                               }));
   ut->rtree_ = std::make_unique<rtree::RTree>(std::move(built));
-  env->pool()->FlushAll();
+  // Only the R-tree went through the pool: other tables' pages stay as they
+  // are.
+  env->pool()->FlushFile(file);
   return ut;
 }
 

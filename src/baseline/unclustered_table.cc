@@ -132,7 +132,9 @@ Result<std::unique_ptr<UnclusteredTable>> UnclusteredTable::Build(
     }
     UPI_ASSIGN_OR_RETURN(table->piis_[col], builder.Finish());
   }
-  env->pool()->FlushAll();
+  // The heap went through the pool; the PII indexes were bulk-built straight
+  // to the device. Flushing only the heap leaves other tables' pages alone.
+  env->pool()->FlushFile(table->heap_->pager()->file());
   return table;
 }
 

@@ -29,9 +29,7 @@ Status CutoffIndex::CollectPointers(std::string_view attr, double qt,
   return Status::OK();
 }
 
-CutoffIndex::Builder::Builder(storage::DbEnv* env, const std::string& name,
-                              uint32_t page_size)
-    : builder_(env->MakePager(env->CreateFile(name, page_size))) {}
+CutoffIndex::Builder::Builder(storage::Pager pager) : builder_(pager) {}
 
 Status CutoffIndex::Builder::Add(std::string_view attr, double prob,
                                  catalog::TupleId id,

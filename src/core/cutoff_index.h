@@ -52,7 +52,8 @@ class CutoffIndex {
   /// builds and merges write whole cutoff indexes sequentially).
   class Builder {
    public:
-    Builder(storage::DbEnv* env, const std::string& name, uint32_t page_size);
+    /// Builds into `pager`'s file, which the caller created empty.
+    explicit Builder(storage::Pager pager);
     /// Keys must arrive in ascending UPI-key order.
     Status Add(std::string_view attr, double prob, catalog::TupleId id,
                const std::string& first_key);

@@ -98,10 +98,8 @@ Status SecondaryIndex::Collect(std::string_view sec_value, double qt,
   return Status::OK();
 }
 
-SecondaryIndex::Builder::Builder(storage::DbEnv* env, const std::string& name,
-                                 uint32_t page_size, int max_pointers)
-    : builder_(env->MakePager(env->CreateFile(name, page_size))),
-      max_pointers_(max_pointers) {}
+SecondaryIndex::Builder::Builder(storage::Pager pager, int max_pointers)
+    : builder_(pager), max_pointers_(max_pointers) {}
 
 Status SecondaryIndex::Builder::Add(std::string_view sec_value, double confidence,
                                     catalog::TupleId id,

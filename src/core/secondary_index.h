@@ -85,8 +85,8 @@ class SecondaryIndex {
   /// Streaming bulk construction, the one way a secondary index is made.
   class Builder {
    public:
-    Builder(storage::DbEnv* env, const std::string& name, uint32_t page_size,
-            int max_pointers);
+    /// Builds into `pager`'s file, which the caller created empty.
+    Builder(storage::Pager pager, int max_pointers);
     Status Add(std::string_view sec_value, double confidence,
                catalog::TupleId id, const std::vector<SecondaryPointer>& pointers,
                bool has_cutoff);

@@ -17,6 +17,31 @@ std::string SecondaryFileName(const std::string& upi_name,
   return upi_name + ".sec." + schema.column(column).name;
 }
 
+/// The files a Build or Merge creates. They are dropped again when it
+/// returns an error, so a failed build leaves no file behind and a retry
+/// under the same name succeeds. Builders write straight to the device, so
+/// these files have no pool frame and DbEnv::DropFile is safe.
+class NewFiles {
+ public:
+  explicit NewFiles(storage::DbEnv* env) : env_(env) {}
+  NewFiles(const NewFiles&) = delete;
+  NewFiles& operator=(const NewFiles&) = delete;
+  ~NewFiles() {
+    for (storage::PageFile* file : files_) env_->DropFile(file);
+  }
+
+  storage::Pager Create(const std::string& name, uint32_t page_size) {
+    files_.push_back(env_->CreateFile(name, page_size));
+    return env_->MakePager(files_.back());
+  }
+  /// The UPI is finished: its files stay.
+  void Keep() { files_.clear(); }
+
+ private:
+  storage::DbEnv* env_;
+  std::vector<storage::PageFile*> files_;
+};
+
 /// K-way merge of B+Trees whose keys are globally unique: emits every (key,
 /// value) pair in ascending key order. The parallel sort-merge of Section 4.3.
 Status MergeTrees(const std::vector<const btree::BTree*>& trees,
@@ -238,9 +263,10 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
                                         std::vector<int> secondary_columns,
                                         const std::vector<Tuple>& tuples,
                                         FractureSummary::Builder* fracture) {
-  // Every input is checked before the first file is created (the tuples in
-  // the partitioning pass below): a rejected build must leave no file behind,
-  // or a retry under the same name would collide.
+  // The columns, and the tuples in the partitioning pass below, are checked
+  // before the first file is created; a failure after that drops the files
+  // (NewFiles). A rejected build must leave no file behind, or a retry under
+  // the same name would collide.
   UPI_RETURN_NOT_OK(CheckSecondaryColumns(schema, secondary_columns));
 
   struct HeapEntry {
@@ -270,14 +296,24 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
     }
   };
 
+  std::string tuple_bytes;
   for (const Tuple& t : tuples) {
     UPI_RETURN_NOT_OK(CheckClusteredValue(t, options.cluster_column));
     AltPartition part = PartitionAlternatives(t, options);
+    tuple_bytes.clear();
+    t.Serialize(&tuple_bytes);
     std::string first_key =
         EncodeUpiKey(part.heap_alts[0].attr, part.heap_alts[0].prob, t.id());
     for (size_t i = 0; i < part.heap_alts.size(); ++i) {
       const auto& alt = part.heap_alts[i];
-      heap_entries.push_back({EncodeUpiKey(alt.attr, alt.prob, t.id()), &t});
+      std::string key = EncodeUpiKey(alt.attr, alt.prob, t.id());
+      if (btree::kNodeHeaderSize +
+              btree::Node::LeafEntrySize(key, tuple_bytes) >
+          options.page_size) {
+        return Status::InvalidArgument("tuple " + std::to_string(t.id()) +
+                                       " does not fit a heap page");
+      }
+      heap_entries.push_back({std::move(key), &t});
       add_clustered(alt, /*is_first=*/i == 0);
     }
     for (const auto& alt : part.cutoff_alts) {
@@ -291,9 +327,19 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
 
   std::sort(heap_entries.begin(), heap_entries.end(),
             [](const HeapEntry& a, const HeapEntry& b) { return a.key < b.key; });
+  auto repeat = std::adjacent_find(
+      heap_entries.begin(), heap_entries.end(),
+      [](const HeapEntry& a, const HeapEntry& b) { return a.key == b.key; });
+  if (repeat != heap_entries.end()) {
+    return Status::InvalidArgument("tuple " +
+                                   std::to_string(repeat->tuple->id()) +
+                                   " repeats another tuple's heap key");
+  }
+
+  // From here on a failure drops every file this build created.
+  NewFiles files(env);
   btree::BTreeBuilder heap_builder(
-      env->MakePager(env->CreateFile(name + ".heap", options.page_size)));
-  std::string tuple_bytes;
+      files.Create(name + ".heap", options.page_size));
   for (const HeapEntry& e : heap_entries) {
     tuple_bytes.clear();
     e.tuple->Serialize(&tuple_bytes);
@@ -303,7 +349,8 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
 
   std::sort(cutoff_entries.begin(), cutoff_entries.end(),
             [](const CutoffEntry& a, const CutoffEntry& b) { return a.key < b.key; });
-  CutoffIndex::Builder cutoff_builder(env, name + ".cutoff", options.page_size);
+  CutoffIndex::Builder cutoff_builder(
+      files.Create(name + ".cutoff", options.page_size));
   for (const CutoffEntry& e : cutoff_entries) {
     UPI_RETURN_NOT_OK(cutoff_builder.Add(e.attr, e.prob, e.id, e.first_key));
   }
@@ -339,9 +386,9 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
     }
     std::sort(entries.begin(), entries.end(),
               [](const SecEntry& a, const SecEntry& b) { return a.key < b.key; });
-    SecondaryIndex::Builder builder(env, SecondaryFileName(name, schema, col),
-                                    options.page_size,
-                                    options.max_secondary_pointers);
+    SecondaryIndex::Builder builder(
+        files.Create(SecondaryFileName(name, schema, col), options.page_size),
+        options.max_secondary_pointers);
     for (const SecEntry& e : entries) {
       const AltPartition& part = parts[e.tuple];
       UPI_RETURN_NOT_OK(builder.Add(e.value, e.conf, tuples[e.tuple].id(),
@@ -350,6 +397,7 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
     UPI_ASSIGN_OR_RETURN(secondaries[col], builder.Finish());
   }
 
+  files.Keep();
   return std::unique_ptr<Upi>(
       new Upi(env, std::move(name), std::move(schema), options,
               std::move(heap), std::move(cutoff), std::move(secondaries),
@@ -408,8 +456,10 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   std::vector<Demoted> demotions;  // produced in ascending key order
   std::vector<const btree::BTree*> trees;
   for (const Upi* s : sources) trees.push_back(s->heap_.get());
+  // A failure drops every file this merge created.
+  NewFiles files(env);
   btree::BTreeBuilder heap_builder(
-      env->MakePager(env->CreateFile(name + ".heap", options.page_size)));
+      files.Create(name + ".heap", options.page_size));
   UPI_RETURN_NOT_OK(MergeTrees(
       trees, [&](std::string_view key, std::string_view value) -> Status {
         bool keep = false;
@@ -467,7 +517,8 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   // pointers are merge-invariant.
   trees.clear();
   for (const Upi* s : sources) trees.push_back(s->cutoff_->tree());
-  CutoffIndex::Builder cutoff_builder(env, name + ".cutoff", options.page_size);
+  CutoffIndex::Builder cutoff_builder(
+      files.Create(name + ".cutoff", options.page_size));
   size_t next_demotion = 0;
   auto flush_demotions_below = [&](std::string_view key) -> Status {
     while (next_demotion < demotions.size()) {
@@ -506,9 +557,9 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   for (const auto& [col, unused] : sources.front()->secondaries_) {
     trees.clear();
     for (const Upi* s : sources) trees.push_back(s->secondary(col)->tree());
-    SecondaryIndex::Builder builder(env, SecondaryFileName(name, schema, col),
-                                    options.page_size,
-                                    options.max_secondary_pointers);
+    SecondaryIndex::Builder builder(
+        files.Create(SecondaryFileName(name, schema, col), options.page_size),
+        options.max_secondary_pointers);
     histogram::ProbHistogram& sec_hist = sec_histograms[col];
     UPI_RETURN_NOT_OK(MergeTrees(
         trees, [&](std::string_view key, std::string_view value) -> Status {
@@ -540,6 +591,7 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
     UPI_ASSIGN_OR_RETURN(secondaries[col], builder.Finish());
   }
 
+  files.Keep();
   return std::unique_ptr<Upi>(
       new Upi(env, std::move(name), schema, options, std::move(heap),
               std::move(cutoff), std::move(secondaries), std::move(merged_hist),

@@ -137,8 +137,11 @@ class Upi {
   /// The one way a UPI comes into being: bulk-builds its heap, cutoff index,
   /// secondary indexes on `secondary_columns` and histograms from `tuples`,
   /// physically sequential like a freshly clustered table (a UPI that Insert
-  /// will maintain starts from zero tuples). Every input is checked before
-  /// the first file is created, so a rejected build leaves no file behind.
+  /// will maintain starts from zero tuples). The input is checked before the
+  /// first file is created: the secondary columns, each tuple's clustered
+  /// column, a heap entry too large for a page, and a heap key two tuples
+  /// share. Any later failure drops the files the build created, so a
+  /// failed build leaves no file behind.
   /// Pages go straight to the device: the new UPI has no dirty pool frame.
   /// Pass `fracture` to build one fracture of a FracturedUpi: the build
   /// feeds its pruning summary, and reads keep the fracture's file handles
@@ -161,7 +164,8 @@ class Upi {
   /// `filtered_ids`). `options` are the table's current ones; the merged
   /// cutoff is the highest of theirs and every source's, so the merge only
   /// demotes heap entries into the cutoff index. Feeds `summary` from the
-  /// merge streams. Like Build, it writes no page through the pool.
+  /// merge streams. Like Build, it writes no page through the pool, and a
+  /// failed merge drops the files it created.
   static Result<std::unique_ptr<Upi>> Merge(
       const std::vector<const Upi*>& sources, std::string name,
       UpiOptions options, const std::set<catalog::TupleId>& deleted,

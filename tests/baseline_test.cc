@@ -4,8 +4,10 @@
 #include <set>
 
 #include "baseline/pii.h"
+#include "baseline/secondary_utree.h"
 #include "baseline/unclustered_table.h"
 #include "core/upi.h"
+#include "datagen/cartel.h"
 #include "datagen/dblp.h"
 #include "storage/db_env.h"
 
@@ -159,6 +161,40 @@ TEST(UpiVsPiiIoTest, UpiUsesFarLessIoForNonSelectiveQuery) {
   ASSERT_GT(out_pii.size(), 50u) << "query should not be trivially selective";
   ASSERT_EQ(out_pii.size(), out_upi.size());
   EXPECT_LT(upi_ms * 3, pii_ms) << "UPI=" << upi_ms << " PII=" << pii_ms;
+}
+
+TEST(BaselineBuildTest, FlushesOnlyItsOwnFiles) {
+  // The unclustered heap and the U-tree go through the pool, and each build
+  // flushes only its own file, so another table's dirty page on the same
+  // DbEnv stays dirty across both builds.
+  storage::DbEnv env;
+  datagen::DblpConfig dblp;
+  dblp.num_authors = 10;
+  datagen::DblpGenerator authors(dblp);
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  auto other = core::Upi::Build(&env, "other",
+                                datagen::DblpGenerator::AuthorSchema(), opt,
+                                {}, {})
+                   .ValueOrDie();
+  ASSERT_TRUE(other->Insert(authors.MakeAuthor(800000)).ok());
+
+  datagen::CartelConfig cartel;
+  cartel.num_observations = 500;
+  datagen::CartelGenerator cars(cartel);
+  const std::vector<Tuple> observations = cars.GenerateObservations();
+  auto table = UnclusteredTable::Build(
+                   &env, "cars_heap",
+                   datagen::CartelGenerator::CarObservationSchema(),
+                   {datagen::CarObsCols::kSegment}, observations)
+                   .ValueOrDie();
+  auto utree = SecondaryUtree::Build(&env, "cars_ut", *table,
+                                     datagen::CarObsCols::kLocation,
+                                     observations)
+                   .ValueOrDie();
+  const uint64_t writebacks = env.pool()->counters().writebacks;
+  env.pool()->FlushFile(other->heap_tree()->pager()->file());
+  EXPECT_EQ(env.pool()->counters().writebacks, writebacks + 1);
 }
 
 }  // namespace

@@ -476,7 +476,8 @@ TEST(SecondaryIndexTest, PointerCodecRoundTrip) {
 
 TEST(SecondaryIndexTest, PointerLimitTruncatesAndFlags) {
   storage::DbEnv env;
-  auto sec = SecondaryIndex::Builder(&env, "s", 8192, /*max_pointers=*/2)
+  auto sec = SecondaryIndex::Builder(env.MakePager(env.CreateFile("s", 8192)),
+                                     /*max_pointers=*/2)
                  .Finish()
                  .ValueOrDie();
   std::vector<SecondaryPointer> ptrs = {
@@ -635,6 +636,52 @@ TEST(UpiTest, BuildValidatesInputBeforeCreatingFiles) {
   EXPECT_EQ(upi->secondary(1), nullptr);
   EXPECT_NE(upi->secondary(2), nullptr);
   EXPECT_EQ(env.TotalFileBytes(), upi->size_bytes());
+}
+
+TEST(UpiTest, FailedBuildOrMergeLeavesNoFileBehind) {
+  // A tuple too large for a heap page, and two tuples with one id and one
+  // first alternative (one heap key), are rejected before any file exists.
+  // Two UPIs holding the same tuples repeat every heap key, so their merge
+  // fails mid-stream and drops the files it created. Each retry under the
+  // same name succeeds.
+  storage::DbEnv env;
+  const std::vector<Tuple> too_large = {
+      Tuple(1, 1.0,
+            {Value::String(std::string(10000, 'x')),
+             Value::Discrete(Dist({{"MIT", 1.0}})),
+             Value::Discrete(Dist({{"US", 1.0}}))})};
+  std::vector<Tuple> twins = PaperTuples();
+  twins.push_back(twins[1]);
+  for (const std::vector<Tuple>& bad : {too_large, twins}) {
+    EXPECT_EQ(Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {2}, bad)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(env.TotalFileBytes(), 0u);
+  }
+  auto a = Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {2},
+                      PaperTuples())
+               .ValueOrDie();
+  auto b = Upi::Build(&env, "b", PaperSchema(), PaperOptions(), {2},
+                      PaperTuples())
+               .ValueOrDie();
+  const uint64_t bytes = env.TotalFileBytes();
+  std::set<TupleId> filtered;
+  FractureSummary::Builder summary;
+  EXPECT_EQ(Upi::Merge({a.get(), b.get()}, "m", PaperOptions(), {}, &filtered,
+                       &summary)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(env.TotalFileBytes(), bytes);
+  FractureSummary::Builder retry_summary;
+  auto merged = Upi::Merge({a.get()}, "m", PaperOptions(), {}, &filtered,
+                           &retry_summary)
+                    .ValueOrDie();
+  EXPECT_EQ(env.TotalFileBytes(), bytes + merged->size_bytes());
+  std::vector<PtqMatch> rows;
+  ASSERT_TRUE(merged->QueryPtq("MIT", 0.1, &rows).ok());
+  EXPECT_EQ(rows.size(), 2u);
 }
 
 TEST(UpiTest, InsertRejectsBadClusterColumn) {
