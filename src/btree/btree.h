@@ -122,15 +122,13 @@ class SortedLookup {
   const BTree* tree_;
   std::string leaf_;  // byte copy of the current leaf page
   bool loaded_ = false;
-  // Exclusive upper bound of the keys the copied leaf covers; none on the
-  // rightmost root-to-leaf path.
+  // Exclusive upper bound of the keys the copied leaf covers; empty on the
+  // rightmost root-to-leaf path (a real separator is never empty).
   std::string upper_;
-  bool bounded_ = false;
   uint32_t count_ = 0;  // entries on the copied leaf
   uint32_t idx_ = 0;    // first entry not below the previous key
   size_t offset_ = 0;   // its byte offset in leaf_
-  std::string last_key_;
-  bool started_ = false;
+  std::string last_key_;  // empty sorts first, so any first key ascends
   PageId prev_read_ = kInvalidPage;  // last page this cursor read from disk
 };
 

@@ -67,10 +67,9 @@ void Cursor::Next() {
   SkipForwardToValid();
 }
 
-
 Status SortedLookup::Descend(std::string_view key) {
   loaded_ = false;
-  bounded_ = false;
+  upper_.clear();
   storage::PageRef ref;
   NodeView view;
   PageId id = tree_->root_;
@@ -90,12 +89,8 @@ Status SortedLookup::Descend(std::string_view key) {
     if (view.is_leaf()) break;
     std::string_view upper;
     id = view.ChildFor(key, &upper);
-    // A real separator sorts above `key`, so it is never empty. Deeper
-    // levels bound the leaf more tightly, so the last one found wins.
-    if (!upper.empty()) {
-      upper_.assign(upper);
-      bounded_ = true;
-    }
+    // Deeper levels bound the leaf more tightly, so the last one found wins.
+    if (!upper.empty()) upper_.assign(upper);
   }
   leaf_.assign(*ref.data());
   count_ = view.count();
@@ -106,11 +101,10 @@ Status SortedLookup::Descend(std::string_view key) {
 }
 
 Status SortedLookup::Get(std::string_view key, std::string_view* value) {
-  UPI_CHECK(!started_ || key >= last_key_,
+  UPI_CHECK(key >= last_key_,
             "SortedLookup keys must arrive in ascending order");
-  started_ = true;
   last_key_.assign(key);
-  if (!loaded_ || (bounded_ && key >= upper_)) {
+  if (!loaded_ || (!upper_.empty() && key >= upper_)) {
     UPI_RETURN_NOT_OK(Descend(key));
   }
   // The copy was validated when it was pinned, so every entry decodes.
