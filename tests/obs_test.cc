@@ -254,6 +254,37 @@ TEST(ObsEngineTest, ExplainAnalyzeClusteredPtq) {
   EXPECT_NE(a.text.find("est rows="), std::string::npos);
 }
 
+TEST(ObsEngineTest, ExplainAnalyzeCountsAForwardReadAsOneRead) {
+  // A cold cutoff-pointer sweep (QT < C) fetches heap pages in key order and
+  // reads short forward gaps through, so some reads transfer more than one
+  // page. The per-operator reads, seeks and bytes still sum exactly to the
+  // device delta, each such read counted once.
+  DbFx fx;
+  const engine::Query q = engine::Query::Ptq(
+      datagen::FindValueWithApproxCount(fx.authors, AuthorCols::kInstitution,
+                                        40),
+      0.05);
+  fx.db.ColdCache();
+  sim::ThreadStatsWindow outer(fx.db.env()->disk());
+  auto r = fx.authors_table->AnalyzeQuery(q);
+  const sim::DiskStats d = outer.Delta();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const obs::QueryTrace& trace = r.value().trace;
+  EXPECT_EQ(trace.total.reads, d.reads);
+  EXPECT_EQ(trace.total.seeks, d.seeks);
+  EXPECT_EQ(trace.total.bytes_read, d.bytes_read);
+  uint64_t seeks = 0, bytes = 0;
+  for (const obs::TraceOp& op : trace.ops) {
+    seeks += op.io.seeks;
+    bytes += op.io.bytes_read;
+  }
+  EXPECT_EQ(trace.OpReads(), d.reads);
+  EXPECT_EQ(seeks, d.seeks);
+  EXPECT_EQ(bytes, d.bytes_read);
+  EXPECT_GT(d.bytes_read, d.reads * 8192)
+      << "no read went through a gap\n" << r.value().text;
+}
+
 TEST(ObsEngineTest, ExplainAnalyzeReconcilesOnSsdProfile) {
   // The SSD profile's extra charges (GC surcharge, overlap savings) flow
   // through the same DiskStats every actuals pipeline reads, so per-op
