@@ -604,13 +604,14 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
 
 Status Upi::FetchHeapTuple(std::string_view heap_key,
                            btree::SortedLookup* sorted, Tuple* out) const {
-  if (sorted == nullptr) {
-    UPI_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(heap_key));
-    UPI_ASSIGN_OR_RETURN(*out, Tuple::Deserialize(bytes));
-    return Status::OK();
-  }
+  std::string copy;
   std::string_view bytes;
-  UPI_RETURN_NOT_OK(sorted->Get(heap_key, &bytes));
+  if (sorted != nullptr) {
+    UPI_RETURN_NOT_OK(sorted->Get(heap_key, &bytes));
+  } else {
+    UPI_ASSIGN_OR_RETURN(copy, heap_->Get(heap_key));
+    bytes = copy;
+  }
   UPI_ASSIGN_OR_RETURN(*out, Tuple::Deserialize(bytes));
   return Status::OK();
 }
