@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -126,6 +128,77 @@ void BM_BTreeBulkLoad100k(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100000);
 }
 BENCHMARK(BM_BTreeBulkLoad100k)->Unit(benchmark::kMillisecond);
+
+// The analytic-shaped table (Query 2 and 3's Publication table, clustered on
+// Institution, with its Country secondary index) that both the UPI bulk
+// build and merge benchmarks stage.
+std::vector<catalog::Tuple> AnalyticPublications() {
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 10000;
+  cfg.num_publications = 20000;
+  datagen::DblpGenerator gen(cfg);
+  return gen.GeneratePublications(gen.GenerateAuthors());
+}
+
+core::UpiOptions AnalyticOptions() {
+  core::UpiOptions opt;
+  opt.cluster_column = datagen::PublicationCols::kInstitution;
+  return opt;
+}
+
+// Upi::Build of the whole table: heap, cutoff index and secondary index,
+// each staged, sorted and bulk-loaded. Each iteration releases its files.
+void BM_UpiBuild(benchmark::State& state) {
+  const std::vector<catalog::Tuple> pubs = AnalyticPublications();
+  storage::DbEnv env(512ull << 20);
+  for (auto _ : state) {
+    auto upi = core::Upi::Build(&env, "p",
+                                datagen::DblpGenerator::PublicationSchema(),
+                                AnalyticOptions(),
+                                {datagen::PublicationCols::kCountry}, pubs)
+                   .ValueOrDie();
+    benchmark::DoNotOptimize(upi.get());
+    core::Upi::Release(std::move(upi));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(pubs.size()));
+}
+BENCHMARK(BM_UpiBuild)->Unit(benchmark::kMillisecond);
+
+// Upi::Merge of two fractures (the table's halves) with a delete set of every
+// tenth id: a k-way merge of the heaps, cutoff and secondary indexes.
+void BM_UpiMerge(benchmark::State& state) {
+  const std::vector<catalog::Tuple> pubs = AnalyticPublications();
+  const size_t half = pubs.size() / 2;
+  storage::DbEnv env(512ull << 20);
+  std::vector<std::unique_ptr<core::Upi>> fractures;
+  std::set<catalog::TupleId> deleted;
+  for (size_t f = 0; f < 2; ++f) {
+    std::vector<catalog::Tuple> part(pubs.begin() + f * half,
+                                     f == 0 ? pubs.begin() + half : pubs.end());
+    for (size_t i = 0; i < part.size(); i += 10) deleted.insert(part[i].id());
+    core::FractureSummary::Builder summary;
+    fractures.push_back(
+        core::Upi::Build(&env, "f" + std::to_string(f),
+                         datagen::DblpGenerator::PublicationSchema(),
+                         AnalyticOptions(),
+                         {datagen::PublicationCols::kCountry}, part, &summary)
+            .ValueOrDie());
+  }
+  for (auto _ : state) {
+    std::set<catalog::TupleId> filtered;
+    core::FractureSummary::Builder summary;
+    auto merged = core::Upi::Merge({fractures[0].get(), fractures[1].get()},
+                                   "m", AnalyticOptions(), deleted, &filtered,
+                                   &summary)
+                      .ValueOrDie();
+    benchmark::DoNotOptimize(merged.get());
+    core::Upi::Release(std::move(merged));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(pubs.size()));
+}
+BENCHMARK(BM_UpiMerge)->Unit(benchmark::kMillisecond);
 
 void BM_BTreeScan(benchmark::State& state) {
   storage::DbEnv env(256ull << 20);

@@ -87,6 +87,10 @@ Result<std::unique_ptr<UnclusteredTable>> UnclusteredTable::Build(
     storage::DbEnv* env, std::string name, catalog::Schema schema,
     std::vector<int> pii_columns, const std::vector<Tuple>& tuples,
     uint32_t page_size) {
+  // Checked before the constructor creates the heap file, so a rejected
+  // build leaves no file behind and a retry under the same name succeeds.
+  UPI_RETURN_NOT_OK(core::Upi::CheckSecondaryColumns(schema, pii_columns));
+  UPI_RETURN_NOT_OK(core::CheckDistinctIds(tuples));
   auto table = std::make_unique<UnclusteredTable>(env, std::move(name),
                                                   std::move(schema), page_size);
   // Sequential append of the heap.
@@ -99,10 +103,6 @@ Result<std::unique_ptr<UnclusteredTable>> UnclusteredTable::Build(
   }
   // Bulk-load each PII index in key order.
   for (int col : pii_columns) {
-    if (col < 0 || static_cast<size_t>(col) >= table->schema_.num_columns() ||
-        table->schema_.column(col).type != ValueType::kDiscrete) {
-      return Status::InvalidArgument("bad PII column");
-    }
     struct E {
       std::string key;
       std::string value;

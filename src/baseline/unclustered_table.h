@@ -27,7 +27,9 @@ class UnclusteredTable {
                    uint32_t page_size = 8192);
 
   /// Bulk-builds: appends all tuples sequentially and bulk-loads a PII index
-  /// on each column in `pii_columns`.
+  /// on each column in `pii_columns`. The PII columns (each in range,
+  /// discrete and listed once) and the ids are checked before the first file
+  /// is created.
   static Result<std::unique_ptr<UnclusteredTable>> Build(
       storage::DbEnv* env, std::string name, catalog::Schema schema,
       std::vector<int> pii_columns, const std::vector<catalog::Tuple>& tuples,

@@ -71,15 +71,37 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
     storage::DbEnv* env, std::string name, catalog::Schema schema,
     ContinuousUpiOptions options, std::vector<int> secondary_columns,
     const std::vector<Tuple>& tuples) {
+  // Every input is checked before the first file exists (the constructor
+  // creates two), so a rejected build leaves no file behind and a retry
+  // under the same name succeeds.
+  UPI_RETURN_NOT_OK(Upi::CheckSecondaryColumns(schema, secondary_columns));
+  UPI_RETURN_NOT_OK(CheckDistinctIds(tuples));
+  const int loc = options.location_column;
+  std::string bytes;
+  for (const Tuple& t : tuples) {
+    if (loc < 0 || static_cast<size_t>(loc) >= t.values().size() ||
+        t.Get(loc).type() != ValueType::kGaussian2D) {
+      return Status::InvalidArgument("location column must be Gaussian2D");
+    }
+    bytes.clear();
+    t.Serialize(&bytes);
+    if (btree::kNodeHeaderSize +
+            btree::Node::LeafEntrySize(EncodeLeafHeapKey(0, t.id()), bytes) >
+        options.heap_page_size) {
+      return Status::InvalidArgument("tuple " + std::to_string(t.id()) +
+                                     " does not fit a heap page");
+    }
+  }
+
   auto upi = std::make_unique<ContinuousUpi>(env, std::move(name),
                                              std::move(schema), options);
+  // Every file of this UPI, the constructor's two included: the build ends
+  // by flushing them.
+  std::vector<storage::PageFile*> files = {upi->rtree_file_, upi->heap_file_};
   std::unordered_map<TupleId, const Tuple*> by_id;
   std::vector<ObjectEntry> entries;
   entries.reserve(tuples.size());
   for (const Tuple& t : tuples) {
-    if (t.Get(options.location_column).type() != ValueType::kGaussian2D) {
-      return Status::InvalidArgument("location column must be Gaussian2D");
-    }
     entries.push_back(upi->MakeEntry(t));
     by_id[t.id()] = &t;
   }
@@ -90,6 +112,7 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
   {
     storage::PageFile* file = env->CreateFile(
         upi->name_ + ".rtree.built", options.rtree_page_size);
+    files.push_back(file);
     UPI_ASSIGN_OR_RETURN(
         rtree::RTree built,
         rtree::RTree::BulkBuild(
@@ -111,8 +134,8 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
   {
     storage::PageFile* file =
         env->CreateFile(upi->name_ + ".heap.built", options.heap_page_size);
+    files.push_back(file);
     btree::BTreeBuilder builder(env->MakePager(file));
-    std::string bytes;
     for (const auto& [key, id] : placements) {
       bytes.clear();
       by_id[id]->Serialize(&bytes);
@@ -126,10 +149,6 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
 
   // Secondary indexes: (value, confidence desc, id) -> heap key.
   for (int col : secondary_columns) {
-    if (col < 0 || static_cast<size_t>(col) >= upi->schema_.num_columns() ||
-        upi->schema_.column(col).type != ValueType::kDiscrete) {
-      return Status::InvalidArgument("bad secondary column");
-    }
     std::vector<std::pair<std::string, TupleId>> sec_entries;
     for (const Tuple& t : tuples) {
       for (const auto& alt : t.Get(col).discrete().alternatives()) {
@@ -142,6 +161,7 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
     sec.file = env->CreateFile(
         upi->name_ + ".sec." + upi->schema_.column(col).name + ".built",
         options.secondary_page_size);
+    files.push_back(sec.file);
     btree::BTreeBuilder builder(env->MakePager(sec.file));
     for (const auto& [key, id] : sec_entries) {
       UPI_RETURN_NOT_OK(builder.Add(key, heap_key_of[id]));
@@ -150,7 +170,15 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
     sec.tree = std::make_unique<btree::BTree>(std::move(tree));
     upi->secondaries_[col] = std::move(sec);
   }
-  env->pool()->FlushAll();
+  // The constructor's placeholder roots and the R-Tree went through the
+  // pool. Only this UPI's files are flushed, so other tables' pages stay in
+  // the pool, and in the order a pool-wide flush wrote them (file name, then
+  // page), so the device sees the same writes.
+  std::sort(files.begin(), files.end(),
+            [](const storage::PageFile* a, const storage::PageFile* b) {
+              return a->name() < b->name();
+            });
+  for (storage::PageFile* file : files) env->pool()->FlushFile(file);
   return upi;
 }
 

@@ -31,10 +31,9 @@ Status CutoffIndex::CollectPointers(std::string_view attr, double qt,
 
 CutoffIndex::Builder::Builder(storage::Pager pager) : builder_(pager) {}
 
-Status CutoffIndex::Builder::Add(std::string_view attr, double prob,
-                                 catalog::TupleId id,
-                                 const std::string& first_key) {
-  return builder_.Add(EncodeUpiKey(attr, prob, id), first_key);
+Status CutoffIndex::Builder::Add(std::string_view key,
+                                 std::string_view first_key) {
+  return builder_.Add(key, first_key);
 }
 
 Result<std::unique_ptr<CutoffIndex>> CutoffIndex::Builder::Finish() {

@@ -54,9 +54,10 @@ class CutoffIndex {
    public:
     /// Builds into `pager`'s file, which the caller created empty.
     explicit Builder(storage::Pager pager);
-    /// Keys must arrive in ascending UPI-key order.
-    Status Add(std::string_view attr, double prob, catalog::TupleId id,
-               const std::string& first_key);
+    /// Adds the pointer entry under encoded UPI key `key` (attr, prob, id),
+    /// pointing at the heap entry `first_key`. Keys must arrive in ascending
+    /// order.
+    Status Add(std::string_view key, std::string_view first_key);
     Result<std::unique_ptr<CutoffIndex>> Finish();
 
    private:

@@ -6,7 +6,7 @@ SecondaryIndex::SecondaryIndex(btree::BTree tree, int max_pointers)
     : tree_(std::make_unique<btree::BTree>(std::move(tree))),
       max_pointers_(max_pointers) {}
 
-void SecondaryIndex::EncodePointers(const std::vector<SecondaryPointer>& pointers,
+void SecondaryIndex::EncodePointers(std::span<const SecondaryPointer> pointers,
                                     bool has_cutoff, std::string* out) {
   out->push_back(has_cutoff ? '\x01' : '\x00');
   PutVarint32(out, static_cast<uint32_t>(pointers.size()));
@@ -47,21 +47,21 @@ Status SecondaryIndex::DecodePointers(std::string_view buf,
   return Status::OK();
 }
 
-std::string SecondaryIndex::ApplyLimitAndEncode(
-    const std::vector<SecondaryPointer>& pointers, bool has_cutoff,
-    int max_pointers) {
-  std::string buf;
-  if (max_pointers >= 0 &&
-      pointers.size() > static_cast<size_t>(max_pointers)) {
-    std::vector<SecondaryPointer> limited(pointers.begin(),
-                                          pointers.begin() + max_pointers);
-    // Truncated alternatives are reachable only via the heap's first entry,
-    // so flag the entry like a cutoff so readers know the list is partial.
-    EncodePointers(limited, true, &buf);
-  } else {
-    EncodePointers(pointers, has_cutoff, &buf);
+void SecondaryIndex::EncodeLimitedPointers(
+    std::span<const SecondaryPointer> pointers, bool has_cutoff,
+    int max_pointers, std::string* out) {
+  const size_t listed = LimitedCount(pointers.size(), max_pointers);
+  EncodePointers(pointers.first(listed), has_cutoff || listed < pointers.size(),
+                 out);
+}
+
+Result<uint32_t> SecondaryIndex::PointerCount(std::string_view buf) {
+  uint32_t n = 0;
+  if (buf.empty() ||
+      GetVarint32(buf.data() + 1, buf.data() + buf.size(), &n) == 0) {
+    return Status::Corruption("bad secondary pointer count");
   }
-  return buf;
+  return n;
 }
 
 Status SecondaryIndex::Put(std::string_view sec_value, double confidence,
@@ -73,7 +73,8 @@ Status SecondaryIndex::Put(std::string_view sec_value, double confidence,
         "secondary entry needs at least one pointer (the first alternative "
         "is always heap-resident)");
   }
-  std::string buf = ApplyLimitAndEncode(pointers, has_cutoff, max_pointers_);
+  std::string buf;
+  EncodeLimitedPointers(pointers, has_cutoff, max_pointers_, &buf);
   ++put_entries_;
   put_pointers_ += LimitedCount(pointers.size(), max_pointers_);
   return tree_->Put(EncodeUpiKey(sec_value, confidence, id), buf).status();
@@ -101,17 +102,15 @@ Status SecondaryIndex::Collect(std::string_view sec_value, double qt,
 SecondaryIndex::Builder::Builder(storage::Pager pager, int max_pointers)
     : builder_(pager), max_pointers_(max_pointers) {}
 
-Status SecondaryIndex::Builder::Add(std::string_view sec_value, double confidence,
-                                    catalog::TupleId id,
-                                    const std::vector<SecondaryPointer>& pointers,
-                                    bool has_cutoff) {
-  if (pointers.empty()) {
+Status SecondaryIndex::Builder::Add(std::string_view key,
+                                    std::string_view pointers) {
+  UPI_ASSIGN_OR_RETURN(uint32_t count, PointerCount(pointers));
+  if (count == 0) {
     return Status::InvalidArgument("secondary entry needs at least one pointer");
   }
-  std::string buf = ApplyLimitAndEncode(pointers, has_cutoff, max_pointers_);
   ++put_entries_;
-  put_pointers_ += LimitedCount(pointers.size(), max_pointers_);
-  return builder_.Add(EncodeUpiKey(sec_value, confidence, id), buf);
+  put_pointers_ += count;
+  return builder_.Add(key, pointers);
 }
 
 Result<std::unique_ptr<SecondaryIndex>> SecondaryIndex::Builder::Finish() {

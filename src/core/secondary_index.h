@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -75,21 +76,33 @@ class SecondaryIndex {
   uint64_t size_bytes() const { return tree_->size_bytes(); }
   btree::BTree* tree() { return tree_.get(); }
 
-  /// Pointer-list codec (exposed for tests).
-  static void EncodePointers(const std::vector<SecondaryPointer>& pointers,
+  /// Pointer-list codec: a flag byte (has_cutoff), the pointer count, then
+  /// each pointer's attribute and probability. Appends to `out`.
+  static void EncodePointers(std::span<const SecondaryPointer> pointers,
                              bool has_cutoff, std::string* out);
   static Status DecodePointers(std::string_view buf,
                                std::vector<SecondaryPointer>* pointers,
                                bool* has_cutoff);
+  /// Appends `pointers` as an entry stores them under `max_pointers` (< 0:
+  /// unlimited): a list longer than the limit keeps its first `max_pointers`
+  /// pointers and is flagged like a cutoff, since the rest are reachable
+  /// only through the heap's first entry.
+  static void EncodeLimitedPointers(std::span<const SecondaryPointer> pointers,
+                                    bool has_cutoff, int max_pointers,
+                                    std::string* out);
+  /// The pointer count of an encoded list, read without decoding it.
+  static Result<uint32_t> PointerCount(std::string_view buf);
 
   /// Streaming bulk construction, the one way a secondary index is made.
   class Builder {
    public:
     /// Builds into `pager`'s file, which the caller created empty.
     Builder(storage::Pager pager, int max_pointers);
-    Status Add(std::string_view sec_value, double confidence,
-               catalog::TupleId id, const std::vector<SecondaryPointer>& pointers,
-               bool has_cutoff);
+    /// Adds the entry under encoded UPI key `key` (secondary value,
+    /// confidence, id); `pointers` is its pointer list as
+    /// EncodeLimitedPointers wrote it under this index's limit. Keys must
+    /// arrive in ascending order.
+    Status Add(std::string_view key, std::string_view pointers);
     Result<std::unique_ptr<SecondaryIndex>> Finish();
 
    private:
@@ -102,9 +115,6 @@ class SecondaryIndex {
  private:
   SecondaryIndex(btree::BTree tree, int max_pointers);
 
-  static std::string ApplyLimitAndEncode(
-      const std::vector<SecondaryPointer>& pointers, bool has_cutoff,
-      int max_pointers);
   static uint64_t LimitedCount(size_t num_pointers, int max_pointers) {
     return max_pointers >= 0 && num_pointers > static_cast<size_t>(max_pointers)
                ? static_cast<uint64_t>(max_pointers)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace upi::core {
 
@@ -42,6 +43,81 @@ class NewFiles {
   std::vector<storage::PageFile*> files_;
 };
 
+/// The staging buffer of a bulk build or merge: encoded keys and pointer
+/// lists appended back to back, each named by a fixed-size Ref. Staging an
+/// entry allocates nothing of its own, and sorting entries moves only Refs.
+class StagingArena {
+ public:
+  /// `size` bytes at `offset`, staged for input tuple `tuple`.
+  struct Ref {
+    uint64_t offset;
+    uint32_t size;
+    uint32_t tuple;
+  };
+
+  /// Stages what `write(std::string*)` appends.
+  template <typename Write>
+  Ref Add(const Write& write, size_t tuple = 0) {
+    const size_t offset = bytes_.size();
+    write(&bytes_);
+    return Ref{offset, static_cast<uint32_t>(bytes_.size() - offset),
+               static_cast<uint32_t>(tuple)};
+  }
+  /// Stages the encoded UPI key (attr, prob, id).
+  Ref AddKey(std::string_view attr, double prob, TupleId id,
+             size_t tuple = 0) {
+    return Add(
+        [&](std::string* out) { AppendUpiKey(out, attr, prob, id); }, tuple);
+  }
+
+  std::string_view View(const Ref& r) const {
+    return std::string_view(bytes_.data() + r.offset, r.size);
+  }
+  /// Sorts `refs` by their bytes: ascending key order for staged keys.
+  void Sort(std::vector<Ref>* refs) const {
+    std::sort(refs->begin(), refs->end(),
+              [this](const Ref& a, const Ref& b) { return View(a) < View(b); });
+  }
+  /// Forgets every staged byte; the buffer keeps its capacity for reuse.
+  void Clear() { bytes_.clear(); }
+
+ private:
+  std::string bytes_;
+};
+
+void PrefetchBytes(const void* data, size_t size) {
+  const char* p = static_cast<const char*>(data);
+  for (size_t off = 0; off < size; off += 64) __builtin_prefetch(p + off);
+}
+
+/// The heap build serializes each tuple once per heap entry, in key order,
+/// which visits the tuples in random order, so the loop is bound by cache
+/// misses. Called before entry `i` of `order` is serialized, this warms the
+/// caches one level of pointers per step: the Tuple of entry i + 24, the
+/// value array of entry i + 16 (its Tuple fetched by now), and the
+/// out-of-line bytes of the values of entry i + 8.
+void PrefetchTuplesAhead(const std::vector<Tuple>& tuples,
+                         const std::vector<StagingArena::Ref>& order,
+                         size_t i) {
+  auto ahead = [&](size_t n) -> const Tuple* {
+    return i + n < order.size() ? &tuples[order[i + n].tuple] : nullptr;
+  };
+  if (const Tuple* t = ahead(24)) __builtin_prefetch(t);
+  if (const Tuple* t = ahead(16)) {
+    PrefetchBytes(t->values().data(), t->values().size() * sizeof(Value));
+  }
+  if (const Tuple* t = ahead(8)) {
+    for (const Value& v : t->values()) {
+      if (v.type() == ValueType::kString) {
+        PrefetchBytes(v.str().data(), v.str().size());
+      } else if (v.type() == ValueType::kDiscrete) {
+        const auto& alts = v.discrete().alternatives();
+        PrefetchBytes(alts.data(), alts.size() * sizeof(alts[0]));
+      }
+    }
+  }
+}
+
 /// K-way merge of B+Trees whose keys are globally unique: emits every (key,
 /// value) pair in ascending key order. The parallel sort-merge of Section 4.3.
 Status MergeTrees(const std::vector<const btree::BTree*>& trees,
@@ -76,6 +152,19 @@ Status CheckClusteredValue(const Tuple& tuple, int cluster_column) {
       tuple.Get(cluster_column).discrete().empty()) {
     return Status::InvalidArgument("tuple " + std::to_string(tuple.id()) +
                                    " lacks clustered alternatives");
+  }
+  return Status::OK();
+}
+
+Status CheckDistinctIds(const std::vector<Tuple>& tuples) {
+  std::vector<TupleId> ids;
+  ids.reserve(tuples.size());
+  for (const Tuple& t : tuples) ids.push_back(t.id());
+  std::sort(ids.begin(), ids.end());
+  auto repeat = std::adjacent_find(ids.begin(), ids.end());
+  if (repeat != ids.end()) {
+    return Status::InvalidArgument("tuple id " + std::to_string(*repeat) +
+                                   " appears more than once");
   }
   return Status::OK();
 }
@@ -263,29 +352,26 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
                                         std::vector<int> secondary_columns,
                                         const std::vector<Tuple>& tuples,
                                         FractureSummary::Builder* fracture) {
-  // The columns, and the tuples in the partitioning pass below, are checked
-  // before the first file is created; a failure after that drops the files
-  // (NewFiles). A rejected build must leave no file behind, or a retry under
-  // the same name would collide.
+  // The columns, the ids, and the tuples in the partitioning pass below are
+  // checked before the first file is created; a failure after that drops the
+  // files (NewFiles). A rejected build must leave no file behind, or a retry
+  // under the same name would collide. Distinct ids also make every heap key
+  // distinct: a heap key carries its tuple's id.
   UPI_RETURN_NOT_OK(CheckSecondaryColumns(schema, secondary_columns));
+  UPI_RETURN_NOT_OK(CheckDistinctIds(tuples));
 
-  struct HeapEntry {
-    std::string key;
-    const Tuple* tuple;
-  };
-  struct CutoffEntry {
-    std::string key;  // encoded (attr, prob, id)
-    std::string first_key;
-    std::string attr;
-    double prob;
-    TupleId id;
-  };
-  std::vector<HeapEntry> heap_entries;
-  std::vector<CutoffEntry> cutoff_entries;
-  // Each tuple is partitioned once; the secondary phase reuses the result
-  // (every secondary entry records its tuple's heap pointers).
-  std::vector<AltPartition> parts;
-  if (!secondary_columns.empty()) parts.reserve(tuples.size());
+  // Every heap and cutoff key is encoded once into `keys`; the heap and the
+  // cutoff index are fed from sorted Refs. A cutoff entry points at its
+  // tuple's first heap key. Each tuple's secondary pointer list is the same
+  // for all its secondary entries, so it is encoded once, into
+  // `pointer_lists`.
+  StagingArena keys;
+  std::vector<StagingArena::Ref> heap_keys;
+  std::vector<StagingArena::Ref> cutoff_keys;
+  std::vector<StagingArena::Ref> first_keys(tuples.size());
+  StagingArena pointer_lists;
+  std::vector<StagingArena::Ref> pointers_of;
+  if (!secondary_columns.empty()) pointers_of.reserve(tuples.size());
   histogram::ProbHistogram histogram;
   auto add_clustered = [&](const SecondaryPointer& alt, bool is_first) {
     histogram.Add(alt.attr, alt.prob, is_first);
@@ -297,80 +383,73 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   };
 
   std::string tuple_bytes;
-  for (const Tuple& t : tuples) {
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const Tuple& t = tuples[i];
     UPI_RETURN_NOT_OK(CheckClusteredValue(t, options.cluster_column));
     AltPartition part = PartitionAlternatives(t, options);
     tuple_bytes.clear();
     t.Serialize(&tuple_bytes);
-    std::string first_key =
-        EncodeUpiKey(part.heap_alts[0].attr, part.heap_alts[0].prob, t.id());
-    for (size_t i = 0; i < part.heap_alts.size(); ++i) {
-      const auto& alt = part.heap_alts[i];
-      std::string key = EncodeUpiKey(alt.attr, alt.prob, t.id());
+    for (size_t a = 0; a < part.heap_alts.size(); ++a) {
+      const auto& alt = part.heap_alts[a];
+      StagingArena::Ref key = keys.AddKey(alt.attr, alt.prob, t.id(), i);
       if (btree::kNodeHeaderSize +
-              btree::Node::LeafEntrySize(key, tuple_bytes) >
+              btree::Node::LeafEntrySize(keys.View(key), tuple_bytes) >
           options.page_size) {
         return Status::InvalidArgument("tuple " + std::to_string(t.id()) +
                                        " does not fit a heap page");
       }
-      heap_entries.push_back({std::move(key), &t});
-      add_clustered(alt, /*is_first=*/i == 0);
+      if (a == 0) first_keys[i] = key;
+      heap_keys.push_back(key);
+      add_clustered(alt, /*is_first=*/a == 0);
     }
     for (const auto& alt : part.cutoff_alts) {
-      cutoff_entries.push_back({EncodeUpiKey(alt.attr, alt.prob, t.id()),
-                                first_key, alt.attr, alt.prob, t.id()});
+      cutoff_keys.push_back(keys.AddKey(alt.attr, alt.prob, t.id(), i));
       add_clustered(alt, /*is_first=*/false);
     }
     if (fracture != nullptr) fracture->AddTupleId(t.id());
-    if (!secondary_columns.empty()) parts.push_back(std::move(part));
-  }
-
-  std::sort(heap_entries.begin(), heap_entries.end(),
-            [](const HeapEntry& a, const HeapEntry& b) { return a.key < b.key; });
-  auto repeat = std::adjacent_find(
-      heap_entries.begin(), heap_entries.end(),
-      [](const HeapEntry& a, const HeapEntry& b) { return a.key == b.key; });
-  if (repeat != heap_entries.end()) {
-    return Status::InvalidArgument("tuple " +
-                                   std::to_string(repeat->tuple->id()) +
-                                   " repeats another tuple's heap key");
+    if (!secondary_columns.empty()) {
+      pointers_of.push_back(pointer_lists.Add(
+          [&](std::string* out) {
+            SecondaryIndex::EncodeLimitedPointers(
+                part.heap_alts, !part.cutoff_alts.empty(),
+                options.max_secondary_pointers, out);
+          },
+          i));
+    }
   }
 
   // From here on a failure drops every file this build created.
   NewFiles files(env);
+  keys.Sort(&heap_keys);
   btree::BTreeBuilder heap_builder(
       files.Create(name + ".heap", options.page_size));
-  for (const HeapEntry& e : heap_entries) {
+  for (size_t i = 0; i < heap_keys.size(); ++i) {
+    PrefetchTuplesAhead(tuples, heap_keys, i);
     tuple_bytes.clear();
-    e.tuple->Serialize(&tuple_bytes);
-    UPI_RETURN_NOT_OK(heap_builder.Add(e.key, tuple_bytes));
+    tuples[heap_keys[i].tuple].Serialize(&tuple_bytes);
+    UPI_RETURN_NOT_OK(heap_builder.Add(keys.View(heap_keys[i]), tuple_bytes));
   }
   UPI_ASSIGN_OR_RETURN(btree::BTree heap, heap_builder.Finish());
 
-  std::sort(cutoff_entries.begin(), cutoff_entries.end(),
-            [](const CutoffEntry& a, const CutoffEntry& b) { return a.key < b.key; });
+  keys.Sort(&cutoff_keys);
   CutoffIndex::Builder cutoff_builder(
       files.Create(name + ".cutoff", options.page_size));
-  for (const CutoffEntry& e : cutoff_entries) {
-    UPI_RETURN_NOT_OK(cutoff_builder.Add(e.attr, e.prob, e.id, e.first_key));
+  for (const StagingArena::Ref& e : cutoff_keys) {
+    UPI_RETURN_NOT_OK(
+        cutoff_builder.Add(keys.View(e), keys.View(first_keys[e.tuple])));
   }
   UPI_ASSIGN_OR_RETURN(std::unique_ptr<CutoffIndex> cutoff,
                        cutoff_builder.Finish());
-  // Release the heap and cutoff staging before the secondary phase, so the
-  // cached partitions never raise peak memory.
-  heap_entries = std::vector<HeapEntry>();
-  cutoff_entries = std::vector<CutoffEntry>();
+  // The secondary phase stages its keys in the same buffer.
+  keys.Clear();
+  heap_keys = std::vector<StagingArena::Ref>();
+  cutoff_keys = std::vector<StagingArena::Ref>();
+  first_keys = std::vector<StagingArena::Ref>();
 
   std::map<int, std::unique_ptr<SecondaryIndex>> secondaries;
   std::map<int, histogram::ProbHistogram> sec_histograms;
   for (int col : secondary_columns) {
-    struct SecEntry {
-      std::string key;
-      size_t tuple;  // index into `tuples` and `parts`
-      double conf;
-      std::string value;
-    };
-    std::vector<SecEntry> entries;
+    std::vector<StagingArena::Ref> entries;
     histogram::ProbHistogram& sec_hist = sec_histograms[col];
     for (size_t i = 0; i < tuples.size(); ++i) {
       const Tuple& t = tuples[i];
@@ -378,23 +457,21 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
       if (sv.type() != ValueType::kDiscrete) continue;
       for (const auto& alt : sv.discrete().alternatives()) {
         double conf = t.existence() * alt.prob;
-        entries.push_back(
-            {EncodeUpiKey(alt.value, conf, t.id()), i, conf, alt.value});
+        entries.push_back(keys.AddKey(alt.value, conf, t.id(), i));
         sec_hist.Add(alt.value, conf, /*is_first=*/false);
         if (fracture != nullptr) fracture->AddKey(col, alt.value, conf);
       }
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const SecEntry& a, const SecEntry& b) { return a.key < b.key; });
+    keys.Sort(&entries);
     SecondaryIndex::Builder builder(
         files.Create(SecondaryFileName(name, schema, col), options.page_size),
         options.max_secondary_pointers);
-    for (const SecEntry& e : entries) {
-      const AltPartition& part = parts[e.tuple];
-      UPI_RETURN_NOT_OK(builder.Add(e.value, e.conf, tuples[e.tuple].id(),
-                                    part.heap_alts, !part.cutoff_alts.empty()));
+    for (const StagingArena::Ref& e : entries) {
+      UPI_RETURN_NOT_OK(
+          builder.Add(keys.View(e), pointer_lists.View(pointers_of[e.tuple])));
     }
     UPI_ASSIGN_OR_RETURN(secondaries[col], builder.Finish());
+    keys.Clear();
   }
 
   files.Keep();
@@ -426,12 +503,17 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   }
   const double c_merged = options.cutoff;
 
-  auto not_deleted = [&](std::string_view key, bool* keep) -> Status {
+  // Each stream decodes every key once; the attribute is a view into the
+  // key (into `scratch` only when it holds a NUL byte). Every entry probes
+  // the delete set, so it is probed as a hash set.
+  std::string scratch;
+  const std::unordered_set<TupleId> deleted_ids(deleted.begin(), deleted.end());
+  auto decode_live = [&](std::string_view key, UpiKeyView* k,
+                         bool* keep) -> Status {
     *keep = false;
-    UpiKey k;
-    UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
-    *keep = !deleted.contains(k.id);
-    if (!*keep) filtered_ids->insert(k.id);
+    UPI_RETURN_NOT_OK(DecodeUpiKeyView(key, &scratch, k));
+    *keep = !deleted_ids.contains(k->id);
+    if (!*keep) filtered_ids->insert(k->id);
     return Status::OK();
   };
 
@@ -440,20 +522,26 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   // that are not their tuple's first alternative) are demoted to the cutoff
   // index. Heap keys alone cannot tell whether an entry is its tuple's
   // *first* alternative, but the streamed tuple bytes can.
+  // The stream is in key order, so each attribute value arrives as one run:
+  // `heap_attrs` holds it once, in ascending order, and the entries below
+  // name it by index (index order is value order).
   histogram::ProbHistogram merged_hist;
+  std::vector<std::string> heap_attrs;
   struct HistEntry {
-    std::string attr;
+    uint32_t attr;  // index into heap_attrs
     double prob;
     TupleId id;
   };
   struct Demoted {
-    std::string attr;
+    uint32_t attr;  // index into heap_attrs
     double prob;
     TupleId id;
-    std::string first_key;  // heap key of the tuple's first alternative
+    StagingArena::Ref key;        // its heap key, now its cutoff key
+    StagingArena::Ref first_key;  // heap key of the tuple's first alternative
   };
   std::vector<HistEntry> heap_hist;
   std::vector<Demoted> demotions;  // produced in ascending key order
+  StagingArena demoted_keys;
   std::vector<const btree::BTree*> trees;
   for (const Upi* s : sources) trees.push_back(s->heap_.get());
   // A failure drops every file this merge created.
@@ -462,11 +550,14 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
       files.Create(name + ".heap", options.page_size));
   UPI_RETURN_NOT_OK(MergeTrees(
       trees, [&](std::string_view key, std::string_view value) -> Status {
+        UpiKeyView k;
         bool keep = false;
-        UPI_RETURN_NOT_OK(not_deleted(key, &keep));
+        UPI_RETURN_NOT_OK(decode_live(key, &k, &keep));
         if (!keep) return Status::OK();
-        UpiKey k;
-        UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
+        if (heap_attrs.empty() || heap_attrs.back() != k.attr) {
+          heap_attrs.emplace_back(k.attr);
+        }
+        const auto attr = static_cast<uint32_t>(heap_attrs.size() - 1);
         if (k.prob < c_merged) {
           // Possibly demote: only a tuple's first alternative stays in the
           // heap below the cutoff (Algorithm 1).
@@ -475,13 +566,15 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
           const prob::Alternative& first = dist.First();
           if (first.value != k.attr) {
             demotions.push_back(Demoted{
-                std::move(k.attr), k.prob, k.id,
-                EncodeUpiKey(first.value, t.existence() * first.prob, k.id)});
+                attr, k.prob, k.id,
+                demoted_keys.Add([&](std::string* out) { out->append(key); }),
+                demoted_keys.AddKey(first.value, t.existence() * first.prob,
+                                    k.id)});
             return Status::OK();
           }
         }
         summary->AddKey(options.cluster_column, k.attr, k.prob);
-        heap_hist.push_back(HistEntry{std::move(k.attr), k.prob, k.id});
+        heap_hist.push_back(HistEntry{attr, k.prob, k.id});
         return heap_builder.Add(key, value);
       }));
   UPI_ASSIGN_OR_RETURN(btree::BTree heap, heap_builder.Finish());
@@ -503,18 +596,19 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
     for (const auto& [id, idx] : best) summary->AddTupleId(id);
     for (size_t i = 0; i < heap_hist.size(); ++i) {
       bool is_first = best[heap_hist[i].id] == i;
-      merged_hist.Add(heap_hist[i].attr, heap_hist[i].prob, is_first);
+      merged_hist.Add(heap_attrs[heap_hist[i].attr], heap_hist[i].prob,
+                      is_first);
     }
   }
 
   // Which (id, attr) alternatives were demoted — secondary pointer lists
   // referencing them must drop them (they are no longer heap-resident).
-  std::unordered_map<TupleId, std::vector<std::string>> demoted_attrs;
+  std::unordered_map<TupleId, std::vector<uint32_t>> demoted_attrs;
   for (const Demoted& d : demotions) demoted_attrs[d.id].push_back(d.attr);
 
   // Cutoff index: (k+1)-way merge of the source cutoff trees plus the
   // demotion stream (already in ascending key order). First-alternative
-  // pointers are merge-invariant.
+  // pointers are merge-invariant, so source entries pass through unchanged.
   trees.clear();
   for (const Upi* s : sources) trees.push_back(s->cutoff_->tree());
   CutoffIndex::Builder cutoff_builder(
@@ -523,26 +617,26 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   auto flush_demotions_below = [&](std::string_view key) -> Status {
     while (next_demotion < demotions.size()) {
       const Demoted& d = demotions[next_demotion];
-      std::string dkey = EncodeUpiKey(d.attr, d.prob, d.id);
+      const std::string_view dkey = demoted_keys.View(d.key);
       if (!key.empty() && dkey >= key) break;
-      merged_hist.Add(d.attr, d.prob, /*is_first=*/false);
-      summary->AddKey(options.cluster_column, d.attr, d.prob);
-      UPI_RETURN_NOT_OK(cutoff_builder.Add(d.attr, d.prob, d.id, d.first_key));
+      merged_hist.Add(heap_attrs[d.attr], d.prob, /*is_first=*/false);
+      summary->AddKey(options.cluster_column, heap_attrs[d.attr], d.prob);
+      UPI_RETURN_NOT_OK(
+          cutoff_builder.Add(dkey, demoted_keys.View(d.first_key)));
       ++next_demotion;
     }
     return Status::OK();
   };
   UPI_RETURN_NOT_OK(MergeTrees(
       trees, [&](std::string_view key, std::string_view value) -> Status {
+        UpiKeyView k;
         bool keep = false;
-        UPI_RETURN_NOT_OK(not_deleted(key, &keep));
+        UPI_RETURN_NOT_OK(decode_live(key, &k, &keep));
         if (!keep) return Status::OK();
         UPI_RETURN_NOT_OK(flush_demotions_below(key));
-        UpiKey k;
-        UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
         merged_hist.Add(k.attr, k.prob, /*is_first=*/false);
         summary->AddKey(options.cluster_column, k.attr, k.prob);
-        return cutoff_builder.Add(k.attr, k.prob, k.id, std::string(value));
+        return cutoff_builder.Add(key, value);
       }));
   UPI_RETURN_NOT_OK(flush_demotions_below(std::string_view()));
   UPI_ASSIGN_OR_RETURN(std::unique_ptr<CutoffIndex> cutoff,
@@ -550,35 +644,47 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
 
   // Secondary indexes: pointer lists name clustered-attribute alternatives,
   // which merging does not move — except demoted ones, which are filtered.
-  // The per-column histogram is rebuilt alongside (the planner's secondary
-  // estimates must survive merges).
+  // An entry passes through unchanged unless it names a demoted alternative
+  // or holds more pointers than the merged limit; re-encoding any other
+  // entry would write the same bytes. The per-column histogram is rebuilt
+  // alongside (the planner's secondary estimates must survive merges).
+  const int max_pointers = options.max_secondary_pointers;
   std::map<int, std::unique_ptr<SecondaryIndex>> secondaries;
   std::map<int, histogram::ProbHistogram> sec_histograms;
+  std::vector<SecondaryPointer> pointers;
+  std::string pointer_bytes;
   for (const auto& [col, unused] : sources.front()->secondaries_) {
     trees.clear();
     for (const Upi* s : sources) trees.push_back(s->secondary(col)->tree());
     SecondaryIndex::Builder builder(
         files.Create(SecondaryFileName(name, schema, col), options.page_size),
-        options.max_secondary_pointers);
+        max_pointers);
     histogram::ProbHistogram& sec_hist = sec_histograms[col];
     UPI_RETURN_NOT_OK(MergeTrees(
         trees, [&](std::string_view key, std::string_view value) -> Status {
+          UpiKeyView k;
           bool keep = false;
-          UPI_RETURN_NOT_OK(not_deleted(key, &keep));
+          UPI_RETURN_NOT_OK(decode_live(key, &k, &keep));
           if (!keep) return Status::OK();
-          UpiKey k;
-          UPI_RETURN_NOT_OK(DecodeUpiKey(key, &k));
           sec_hist.Add(k.attr, k.prob, /*is_first=*/false);
           summary->AddKey(col, k.attr, k.prob);
-          std::vector<SecondaryPointer> pointers;
+          auto dit = demoted_attrs.find(k.id);
+          if (dit == demoted_attrs.end()) {
+            UPI_ASSIGN_OR_RETURN(uint32_t count,
+                                 SecondaryIndex::PointerCount(value));
+            if (max_pointers < 0 ||
+                count <= static_cast<uint32_t>(max_pointers)) {
+              return builder.Add(key, value);
+            }
+          }
           bool has_cutoff;
           UPI_RETURN_NOT_OK(
               SecondaryIndex::DecodePointers(value, &pointers, &has_cutoff));
-          auto dit = demoted_attrs.find(k.id);
           if (dit != demoted_attrs.end()) {
-            auto& gone = dit->second;
             auto is_demoted = [&](const SecondaryPointer& p) {
-              return std::find(gone.begin(), gone.end(), p.attr) != gone.end();
+              return std::any_of(
+                  dit->second.begin(), dit->second.end(),
+                  [&](uint32_t attr) { return heap_attrs[attr] == p.attr; });
             };
             size_t before = pointers.size();
             pointers.erase(
@@ -586,7 +692,10 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
                 pointers.end());
             if (pointers.size() != before) has_cutoff = true;
           }
-          return builder.Add(k.attr, k.prob, k.id, pointers, has_cutoff);
+          pointer_bytes.clear();
+          SecondaryIndex::EncodeLimitedPointers(pointers, has_cutoff,
+                                                max_pointers, &pointer_bytes);
+          return builder.Add(key, pointer_bytes);
         }));
     UPI_ASSIGN_OR_RETURN(secondaries[col], builder.Finish());
   }

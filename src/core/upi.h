@@ -77,6 +77,11 @@ struct PtqMatch {
 /// alternative, the one Algorithm 1 always keeps in the heap.
 Status CheckClusteredValue(const catalog::Tuple& tuple, int cluster_column);
 
+/// The one check that a bulk input names each TupleId once, run by every
+/// bulk build (Upi, ContinuousUpi, UnclusteredTable, and a partitioned
+/// table before it routes its input) before it creates a file.
+Status CheckDistinctIds(const std::vector<catalog::Tuple>& tuples);
+
 /// Sorts matches into the order every read path delivers: descending
 /// confidence, ties by TupleId.
 void SortByConfidenceDesc(std::vector<PtqMatch>* matches);
@@ -138,10 +143,10 @@ class Upi {
   /// secondary indexes on `secondary_columns` and histograms from `tuples`,
   /// physically sequential like a freshly clustered table (a UPI that Insert
   /// will maintain starts from zero tuples). The input is checked before the
-  /// first file is created: the secondary columns, each tuple's clustered
-  /// column, a heap entry too large for a page, and a heap key two tuples
-  /// share. Any later failure drops the files the build created, so a
-  /// failed build leaves no file behind.
+  /// first file is created: the secondary columns, a TupleId two tuples
+  /// share, each tuple's clustered column, and a heap entry too large for a
+  /// page. Any later failure drops the files the build created, so a failed
+  /// build leaves no file behind.
   /// Pages go straight to the device: the new UPI has no dirty pool frame.
   /// Pass `fracture` to build one fracture of a FracturedUpi: the build
   /// feeds its pruning summary, and reads keep the fracture's file handles
@@ -153,7 +158,9 @@ class Upi {
       FractureSummary::Builder* fracture = nullptr);
 
   /// Checks secondary-index columns against `schema`: each must exist, be
-  /// discrete, and appear once. Build runs it before creating any file.
+  /// discrete, and appear once. Every bulk build runs it before creating any
+  /// file: Build, ContinuousUpi::Build, and UnclusteredTable::Build on its
+  /// PII columns.
   static Status CheckSecondaryColumns(const catalog::Schema& schema,
                                       const std::vector<int>& columns);
 

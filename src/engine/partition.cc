@@ -264,6 +264,9 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
     core::UpiOptions options, std::vector<int> secondary_columns,
     PartitionOptions popts, const std::vector<catalog::Tuple>& tuples) {
   UPI_ASSIGN_OR_RETURN(Partitioner partitioner, Partitioner::Make(popts));
+  // Each shard's build sees only its part of the input: a repeated id is
+  // caught here, before any shard creates a file.
+  UPI_RETURN_NOT_OK(core::CheckDistinctIds(tuples));
 
   auto table = std::unique_ptr<PartitionedTable>(new PartitionedTable());
   table->env_ = env;

@@ -187,6 +187,7 @@ class PartitionedTable : public AccessPath {
  public:
   /// Bulk-builds N Fractured-UPI shards named `name.s<i>` from `tuples`
   /// (routed by the clustered attribute's highest-probability alternative).
+  /// A TupleId repeated in `tuples` is rejected before any shard is built.
   /// Writes to a shard notify `manager` (may be null: no background
   /// maintenance); the table's owner registers the shards with it (see
   /// shard_fractured). `pool` may be null: shard probes run serially on the

@@ -7,6 +7,7 @@
 #include "baseline/unclustered_table.h"
 #include "core/continuous_upi.h"
 #include "datagen/cartel.h"
+#include "datagen/dblp.h"
 #include "storage/db_env.h"
 
 namespace upi::core {
@@ -193,6 +194,90 @@ TEST(ContinuousUpiTest, InsertThenQuery) {
   bool found = false;
   for (const auto& m : sec_out) found |= m.id == extra[0].id();
   EXPECT_TRUE(found);
+}
+
+TEST(ContinuousUpiTest, RejectedBuildLeavesNoFileBehind) {
+  // Every input is checked before the first file exists: a secondary column
+  // out of range or not discrete (the location column), a repeated id, a
+  // location that is not Gaussian, and a tuple too large for a heap page.
+  // A retry under the same name then succeeds.
+  datagen::CartelConfig cfg;
+  cfg.num_observations = 200;
+  datagen::CartelGenerator gen(cfg);
+  const std::vector<Tuple> tuples = gen.GenerateObservations();
+  const catalog::Schema schema =
+      datagen::CartelGenerator::CarObservationSchema();
+  ContinuousUpiOptions opt;
+  opt.location_column = CarObsCols::kLocation;
+  const TupleId next_id = tuples.back().id() + 1;
+  auto with = [&](Tuple extra) {
+    std::vector<Tuple> rows = tuples;
+    rows.push_back(std::move(extra));
+    return rows;
+  };
+  auto values = [&](catalog::Value location, std::string payload) {
+    return std::vector<catalog::Value>{
+        std::move(location), tuples[0].Get(CarObsCols::kSegment),
+        tuples[0].Get(CarObsCols::kSpeed),
+        catalog::Value::String(std::move(payload))};
+  };
+  const catalog::Value location = tuples[0].Get(CarObsCols::kLocation);
+  const std::vector<std::pair<std::vector<int>, std::vector<Tuple>>> rejected =
+      {{{CarObsCols::kLocation}, tuples},
+       {{99}, tuples},
+       {{CarObsCols::kSegment},
+        with(Tuple(tuples[0].id(), 1.0, values(location, "twin")))},
+       {{CarObsCols::kSegment},
+        with(Tuple(next_id, 1.0, values(catalog::Value::Double(1.0), "")))},
+       {{CarObsCols::kSegment},
+        with(Tuple(next_id, 1.0,
+                   values(location, std::string(opt.heap_page_size, 'x'))))}};
+  storage::DbEnv env;
+  for (const auto& [columns, rows] : rejected) {
+    EXPECT_EQ(ContinuousUpi::Build(&env, "cars", schema, opt, columns, rows)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(env.TotalFileBytes(), 0u);
+  }
+  auto upi = ContinuousUpi::Build(&env, "cars", schema, opt,
+                                  {CarObsCols::kSegment}, tuples)
+                 .ValueOrDie();
+  EXPECT_EQ(upi->num_tuples(), tuples.size());
+}
+
+TEST(ContinuousUpiTest, BuildFlushesOnlyItsOwnFiles) {
+  // The build's placeholder roots and R-Tree pages go through the pool, and
+  // it flushes only its own files: another table's dirty page on the same
+  // DbEnv stays dirty, and no page of the continuous UPI is left dirty.
+  storage::DbEnv env;
+  datagen::DblpConfig dblp;
+  dblp.num_authors = 10;
+  datagen::DblpGenerator authors(dblp);
+  UpiOptions upi_opt;
+  upi_opt.cluster_column = datagen::AuthorCols::kInstitution;
+  auto other = Upi::Build(&env, "other",
+                          datagen::DblpGenerator::AuthorSchema(), upi_opt, {},
+                          {})
+                   .ValueOrDie();
+  ASSERT_TRUE(other->Insert(authors.MakeAuthor(800000)).ok());
+
+  datagen::CartelConfig cfg;
+  cfg.num_observations = 500;
+  datagen::CartelGenerator cars(cfg);
+  ContinuousUpiOptions opt;
+  opt.location_column = CarObsCols::kLocation;
+  auto upi = ContinuousUpi::Build(
+                 &env, "cars", datagen::CartelGenerator::CarObservationSchema(),
+                 opt, {CarObsCols::kSegment}, cars.GenerateObservations())
+                 .ValueOrDie();
+  const uint64_t writebacks = env.pool()->counters().writebacks;
+  env.pool()->FlushFile(other->heap_tree()->pager()->file());
+  EXPECT_EQ(env.pool()->counters().writebacks, writebacks + 1);
+  env.pool()->FlushFile(other->cutoff_index()->file());
+  const uint64_t other_flushed = env.pool()->counters().writebacks;
+  env.pool()->FlushAll();
+  EXPECT_EQ(env.pool()->counters().writebacks, other_flushed);
 }
 
 TEST(SecondaryUtreeTest, RangeQueryMatchesContinuousUpi) {

@@ -403,6 +403,87 @@ TEST(DatabaseTest, RejectedCreateLeavesNoFileBehind) {
   }
 }
 
+// Two tuples with one id, whose first alternatives differ, would both be
+// stored, and a PTQ would return the id twice. Every kind rejects the input
+// before it creates a file; a partitioned table checks before routing, as
+// each shard sees only its own part. A retry under the same name succeeds.
+void ExpectRepeatedTupleIdRejected(const std::string& kind) {
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 50;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> authors = gen.GenerateAuthors();
+  auto first_institution = [](const Tuple& t) {
+    return t.Get(AuthorCols::kInstitution).discrete().First().value;
+  };
+  auto other = std::find_if(
+      authors.begin(), authors.end(), [&](const Tuple& t) {
+        return first_institution(t) != first_institution(authors[0]);
+      });
+  ASSERT_NE(other, authors.end());
+  std::vector<Tuple> repeated = authors;
+  repeated.push_back(
+      Tuple(authors[0].id(), other->existence(), other->values()));
+  const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  PartitionOptions popts;
+  popts.scheme = PartitionOptions::Scheme::kHash;
+  popts.num_shards = 2;
+  Database db;
+  auto create = [&](const std::vector<Tuple>& rows) {
+    if (kind == "upi") return db.CreateUpiTable("t", schema, opt, {}, rows);
+    if (kind == "fractured") {
+      return db.CreateFracturedTable("t", schema, opt, {}, rows);
+    }
+    if (kind == "partitioned") {
+      return db.CreatePartitionedTable("t", schema, opt, {}, popts, rows);
+    }
+    return db.CreateUnclusteredTable("t", schema, AuthorCols::kInstitution,
+                                     {AuthorCols::kInstitution}, rows);
+  };
+  EXPECT_EQ(create(repeated).status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.env()->TotalFileBytes(), 0u);
+  EXPECT_EQ(db.GetTable("t"), nullptr);
+  if (db.GetTable("t") != nullptr) return;  // accepted: nothing to retry
+  Table* table = create(authors).ValueOrDie();
+  EXPECT_EQ(table->path()->Stats().num_tuples, authors.size());
+}
+
+TEST(DatabaseTest, UpiCreateRejectsARepeatedTupleId) {
+  ExpectRepeatedTupleIdRejected("upi");
+}
+
+TEST(DatabaseTest, FracturedCreateRejectsARepeatedTupleId) {
+  ExpectRepeatedTupleIdRejected("fractured");
+}
+
+TEST(DatabaseTest, PartitionedCreateRejectsARepeatedTupleId) {
+  ExpectRepeatedTupleIdRejected("partitioned");
+}
+
+TEST(DatabaseTest, UnclusteredCreateRejectsARepeatedTupleIdOrABadPiiColumn) {
+  ExpectRepeatedTupleIdRejected("unclustered");
+  // A bad PII column is rejected before the heap file is created.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 20;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> authors = gen.GenerateAuthors();
+  const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  Database db;
+  for (const std::vector<int>& bad :
+       {std::vector<int>{99}, std::vector<int>{AuthorCols::kName}}) {
+    EXPECT_EQ(db.CreateUnclusteredTable("t", schema, AuthorCols::kInstitution,
+                                        bad, authors)
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(db.env()->TotalFileBytes(), 0u);
+  }
+  EXPECT_TRUE(db.CreateUnclusteredTable("t", schema, AuthorCols::kInstitution,
+                                        {AuthorCols::kInstitution}, authors)
+                  .ok());
+}
+
 TEST(DatabaseTest, FracturedTableGetsAutomaticMaintenance) {
   DatabaseOptions dbopt;
   dbopt.maintenance.policy.flush_max_buffered_tuples = 64;

@@ -6,6 +6,7 @@
 
 #include "catalog/tuple.h"
 #include "common/check.h"
+#include "common/random.h"
 #include "core/upi.h"
 #include "core/upi_key.h"
 #include "datagen/dblp.h"
@@ -71,6 +72,31 @@ TEST(UpiKeyTest, RoundTripAndOrder) {
   EXPECT_EQ(decoded.attr, "MIT");
   EXPECT_NEAR(decoded.prob, 0.95, 1e-8);
   EXPECT_EQ(decoded.id, 2u);
+}
+
+TEST(UpiKeyTest, ViewDecodesInPlaceUnlessTheAttributeHoldsANul) {
+  std::string scratch;
+  UpiKeyView view;
+  const std::string plain = EncodeUpiKey("MIT", 0.95, 2);
+  ASSERT_TRUE(DecodeUpiKeyView(plain, &scratch, &view).ok());
+  EXPECT_EQ(view.attr, "MIT");
+  EXPECT_EQ(view.attr.data(), plain.data());  // a view into the key
+  EXPECT_EQ(view.id, 2u);
+  EXPECT_NEAR(view.prob, 0.95, 1e-8);
+
+  const std::string nul_attr("M\0T", 3);
+  const std::string escaped = EncodeUpiKey(nul_attr, 0.5, 7);
+  ASSERT_TRUE(DecodeUpiKeyView(escaped, &scratch, &view).ok());
+  EXPECT_EQ(view.attr, nul_attr);
+  EXPECT_EQ(view.attr.data(), scratch.data());
+  EXPECT_EQ(view.id, 7u);
+  UpiKey decoded;
+  ASSERT_TRUE(DecodeUpiKey(escaped, &decoded).ok());
+  EXPECT_EQ(decoded.attr, nul_attr);
+  EXPECT_EQ(decoded.id, 7u);
+
+  EXPECT_FALSE(DecodeUpiKeyView(plain.substr(0, 5), &scratch, &view).ok());
+  EXPECT_FALSE(DecodeUpiKeyView(escaped.substr(0, 3), &scratch, &view).ok());
 }
 
 TEST(UpiKeyTest, PrefixCoversValueOnly) {
@@ -684,6 +710,33 @@ TEST(UpiTest, FailedBuildOrMergeLeavesNoFileBehind) {
   EXPECT_EQ(rows.size(), 2u);
 }
 
+TEST(UpiTest, BuildRejectsARepeatedTupleId) {
+  // Two tuples with id 1 whose first alternatives (and countries) differ
+  // have distinct heap and secondary keys, so only the id check catches
+  // them; stored, a PTQ would return id 1 twice. The check runs before the
+  // first file, so a retry succeeds.
+  storage::DbEnv env;
+  const std::vector<Tuple> repeated = {
+      Tuple(1, 1.0,
+            {Value::String("a"), Value::Discrete(Dist({{"MIT", 0.7}})),
+             Value::Discrete(Dist({{"US", 1.0}}))}),
+      Tuple(1, 1.0,
+            {Value::String("b"),
+             Value::Discrete(Dist({{"Brown", 0.6}, {"MIT", 0.4}})),
+             Value::Discrete(Dist({{"Japan", 1.0}}))})};
+  EXPECT_EQ(Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {2}, repeated)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(env.TotalFileBytes(), 0u);
+  auto upi = Upi::Build(&env, "a", PaperSchema(), PaperOptions(), {2},
+                        {repeated[0]})
+                 .ValueOrDie();
+  std::vector<PtqMatch> rows;
+  ASSERT_TRUE(upi->QueryPtq("MIT", 0.3, &rows).ok());
+  EXPECT_EQ(rows.size(), 1u);
+}
+
 TEST(UpiTest, InsertRejectsBadClusterColumn) {
   storage::DbEnv env;
   UpiOptions opt = PaperOptions();
@@ -715,6 +768,151 @@ TEST(UpiTest, SizeBytesCoversAllFiles) {
   EXPECT_GE(upi->size_bytes(), upi->heap_tree()->size_bytes() +
                                    upi->cutoff_index()->size_bytes() +
                                    upi->secondary(2)->size_bytes());
+}
+
+// The entries a bulk-built UPI must hold, computed from its tuples with the
+// building blocks alone: Algorithm 1's split, the key encoding, the tuple
+// serialization and the pointer-list encoding under the limit. Each map
+// iterates in key order.
+struct ComputedEntries {
+  std::map<std::string, std::string> heap, cutoff, secondary;
+};
+
+ComputedEntries ComputeEntries(const std::vector<Tuple>& tuples,
+                               const UpiOptions& opt, int secondary_column) {
+  ComputedEntries out;
+  for (const Tuple& t : tuples) {
+    const Upi::AltPartition part = Upi::PartitionAlternatives(t, opt);
+    std::string bytes;
+    t.Serialize(&bytes);
+    const std::string first_key = EncodeUpiKey(
+        part.heap_alts[0].attr, part.heap_alts[0].prob, t.id());
+    for (const SecondaryPointer& alt : part.heap_alts) {
+      out.heap[EncodeUpiKey(alt.attr, alt.prob, t.id())] = bytes;
+    }
+    for (const SecondaryPointer& alt : part.cutoff_alts) {
+      out.cutoff[EncodeUpiKey(alt.attr, alt.prob, t.id())] = first_key;
+    }
+    // The limit keeps the first pointers and flags the list as partial.
+    std::vector<SecondaryPointer> listed = part.heap_alts;
+    bool has_cutoff = !part.cutoff_alts.empty();
+    const int limit = opt.max_secondary_pointers;
+    if (limit >= 0 && listed.size() > static_cast<size_t>(limit)) {
+      listed.resize(static_cast<size_t>(limit));
+      has_cutoff = true;
+    }
+    std::string pointers;
+    SecondaryIndex::EncodePointers(listed, has_cutoff, &pointers);
+    for (const Alternative& alt :
+         t.Get(secondary_column).discrete().alternatives()) {
+      out.secondary[EncodeUpiKey(alt.value, t.existence() * alt.prob,
+                                 t.id())] = pointers;
+    }
+  }
+  return out;
+}
+
+std::vector<std::pair<std::string, std::string>> TreeEntries(
+    const btree::BTree& tree) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (btree::Cursor c = tree.SeekToFirst(); c.Valid(); c.Next()) {
+    out.emplace_back(std::string(c.key()), std::string(c.value()));
+  }
+  return out;
+}
+
+std::vector<std::pair<std::string, std::string>> InOrder(
+    const std::map<std::string, std::string>& entries) {
+  return {entries.begin(), entries.end()};
+}
+
+void ExpectSameEntries(const Upi& a, const Upi& b, int secondary_column) {
+  EXPECT_TRUE(TreeEntries(*a.heap_tree()) == TreeEntries(*b.heap_tree()));
+  EXPECT_TRUE(TreeEntries(*a.cutoff_index()->tree()) ==
+              TreeEntries(*b.cutoff_index()->tree()));
+  EXPECT_TRUE(TreeEntries(*a.secondary(secondary_column)->tree()) ==
+              TreeEntries(*b.secondary(secondary_column)->tree()));
+}
+
+TEST(UpiBulkPropertyTest, BuildAndMergeHoldExactlyTheComputedEntries) {
+  // Generated publication sets with a Country secondary index, over pointer
+  // limits and cutoffs. Build writes exactly the entries computed from the
+  // tuples, in key order. A merge of two or three fractures with a delete
+  // set, at a cutoff at or above theirs (and a pointer limit at or below
+  // theirs), writes exactly what Build writes over the live tuples at that
+  // cutoff and limit, with the same tuple and heap leaf counts.
+  const int kSec = datagen::PublicationCols::kCountry;
+  const Schema schema = datagen::DblpGenerator::PublicationSchema();
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    datagen::DblpConfig cfg = datagen::DblpConfig{}.Scaled(0.004);
+    cfg.seed = seed;
+    datagen::DblpGenerator gen(cfg);
+    const std::vector<Tuple> pubs =
+        gen.GeneratePublications(gen.GenerateAuthors());
+    Rng rng(seed);
+    UpiOptions opt;
+    opt.cluster_column = datagen::PublicationCols::kInstitution;
+    opt.max_secondary_pointers = std::vector<int>{-1, 1, 2, 10}[seed % 4];
+    opt.cutoff = 0.05 + 0.25 * rng.NextDouble();
+
+    storage::DbEnv env;
+    auto built =
+        Upi::Build(&env, "built", schema, opt, {kSec}, pubs).ValueOrDie();
+    const ComputedEntries want = ComputeEntries(pubs, opt, kSec);
+    EXPECT_TRUE(TreeEntries(*built->heap_tree()) == InOrder(want.heap));
+    EXPECT_TRUE(TreeEntries(*built->cutoff_index()->tree()) ==
+                InOrder(want.cutoff));
+    EXPECT_TRUE(TreeEntries(*built->secondary(kSec)->tree()) ==
+                InOrder(want.secondary));
+    EXPECT_EQ(built->num_tuples(), pubs.size());
+
+    // Fractures at cutoffs at or below the merge's, and a delete set.
+    const size_t num_fractures = 2 + seed % 2;
+    const double merged_cutoff =
+        seed % 3 == 0 ? opt.cutoff : std::min(0.35, opt.cutoff + 0.1);
+    std::vector<std::vector<Tuple>> parts(num_fractures);
+    std::set<TupleId> deleted;
+    std::vector<Tuple> live;
+    for (const Tuple& t : pubs) {
+      parts[rng.Uniform(num_fractures)].push_back(t);
+      if (rng.Uniform(10) == 0) {
+        deleted.insert(t.id());
+      } else {
+        live.push_back(t);
+      }
+    }
+    std::vector<std::unique_ptr<Upi>> fractures;
+    std::vector<const Upi*> sources;
+    for (size_t f = 0; f < num_fractures; ++f) {
+      UpiOptions fopt = opt;
+      if (f > 0) fopt.cutoff = rng.UniformDouble(0.05, opt.cutoff);
+      FractureSummary::Builder summary;
+      fractures.push_back(Upi::Build(&env, "f" + std::to_string(f), schema,
+                                     fopt, {kSec}, parts[f], &summary)
+                              .ValueOrDie());
+      sources.push_back(fractures.back().get());
+    }
+    UpiOptions mopt = opt;
+    mopt.cutoff = merged_cutoff;
+    // A merge may also lower the pointer limit, as a rebuild would.
+    if (seed > 4) mopt.max_secondary_pointers = 1;
+    std::set<TupleId> filtered;
+    FractureSummary::Builder summary;
+    auto merged = Upi::Merge(sources, "merged", mopt, deleted, &filtered,
+                             &summary)
+                      .ValueOrDie();
+    storage::DbEnv ref_env;
+    auto rebuilt =
+        Upi::Build(&ref_env, "rebuilt", schema, mopt, {kSec}, live)
+            .ValueOrDie();
+    ExpectSameEntries(*merged, *rebuilt, kSec);
+    EXPECT_EQ(merged->options().cutoff, merged_cutoff);
+    EXPECT_EQ(merged->num_tuples(), rebuilt->num_tuples());
+    EXPECT_EQ(merged->heap_tree()->num_leaf_pages(),
+              rebuilt->heap_tree()->num_leaf_pages());
+    EXPECT_EQ(filtered, deleted);
+  }
 }
 
 }  // namespace
