@@ -73,23 +73,49 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
     const std::vector<Tuple>& tuples) {
   // Every input is checked before the first file exists (the constructor
   // creates two), so a rejected build leaves no file behind and a retry
-  // under the same name succeeds.
+  // under the same name succeeds. The secondary entries are staged here:
+  // each is checked against a secondary page, its value sized by a heap key
+  // of the same length as the one the R-Tree placement gives its tuple.
   UPI_RETURN_NOT_OK(Upi::CheckSecondaryColumns(schema, secondary_columns));
   UPI_RETURN_NOT_OK(CheckDistinctIds(tuples));
   const int loc = options.location_column;
+  // Per secondary column: (value, confidence desc, id) keys and their ids.
+  std::vector<std::vector<std::pair<std::string, TupleId>>> sec_entries(
+      secondary_columns.size());
   std::string bytes;
   for (const Tuple& t : tuples) {
     if (loc < 0 || static_cast<size_t>(loc) >= t.values().size() ||
         t.Get(loc).type() != ValueType::kGaussian2D) {
       return Status::InvalidArgument("location column must be Gaussian2D");
     }
+    const std::string heap_key = EncodeLeafHeapKey(0, t.id());
     bytes.clear();
     t.Serialize(&bytes);
-    if (btree::kNodeHeaderSize +
-            btree::Node::LeafEntrySize(EncodeLeafHeapKey(0, t.id()), bytes) >
+    if (btree::kNodeHeaderSize + btree::Node::LeafEntrySize(heap_key, bytes) >
         options.heap_page_size) {
       return Status::InvalidArgument("tuple " + std::to_string(t.id()) +
                                      " does not fit a heap page");
+    }
+    for (size_t c = 0; c < secondary_columns.size(); ++c) {
+      const auto col = static_cast<size_t>(secondary_columns[c]);
+      if (col >= t.values().size() ||
+          t.Get(col).type() != ValueType::kDiscrete) {
+        return Status::InvalidArgument(
+            "tuple " + std::to_string(t.id()) +
+            " has no discrete value in a secondary column");
+      }
+      for (const auto& alt : t.Get(col).discrete().alternatives()) {
+        std::string key =
+            EncodeUpiKey(alt.value, t.existence() * alt.prob, t.id());
+        if (btree::kNodeHeaderSize +
+                btree::Node::LeafEntrySize(key, heap_key) >
+            options.secondary_page_size) {
+          return Status::InvalidArgument(
+              "a secondary entry of tuple " + std::to_string(t.id()) +
+              " does not fit a secondary page");
+        }
+        sec_entries[c].emplace_back(std::move(key), t.id());
+      }
     }
   }
 
@@ -148,24 +174,19 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
   }
 
   // Secondary indexes: (value, confidence desc, id) -> heap key.
-  for (int col : secondary_columns) {
-    std::vector<std::pair<std::string, TupleId>> sec_entries;
-    for (const Tuple& t : tuples) {
-      for (const auto& alt : t.Get(col).discrete().alternatives()) {
-        sec_entries.push_back(
-            {EncodeUpiKey(alt.value, t.existence() * alt.prob, t.id()), t.id()});
-      }
-    }
-    std::sort(sec_entries.begin(), sec_entries.end());
+  for (size_t c = 0; c < secondary_columns.size(); ++c) {
+    const int col = secondary_columns[c];
+    std::sort(sec_entries[c].begin(), sec_entries[c].end());
     ContinuousSecondary sec;
     sec.file = env->CreateFile(
         upi->name_ + ".sec." + upi->schema_.column(col).name + ".built",
         options.secondary_page_size);
     files.push_back(sec.file);
     btree::BTreeBuilder builder(env->MakePager(sec.file));
-    for (const auto& [key, id] : sec_entries) {
+    for (const auto& [key, id] : sec_entries[c]) {
       UPI_RETURN_NOT_OK(builder.Add(key, heap_key_of[id]));
     }
+    sec_entries[c] = {};
     UPI_ASSIGN_OR_RETURN(btree::BTree tree, builder.Finish());
     sec.tree = std::make_unique<btree::BTree>(std::move(tree));
     upi->secondaries_[col] = std::move(sec);

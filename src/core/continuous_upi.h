@@ -51,8 +51,10 @@ class ContinuousUpi {
   /// sequential). Secondary indexes on the discrete columns in
   /// `secondary_columns` are bulk-built alongside. Every input is checked
   /// before the first file is created: the secondary columns, a TupleId two
-  /// tuples share, each tuple's location value, and a heap entry too large
-  /// for a heap page. The build ends by flushing only this UPI's files.
+  /// tuples share, each tuple's location value and secondary values (each
+  /// discrete), a heap entry too large for a heap page, and a secondary
+  /// entry too large for a secondary page. The build ends by flushing only
+  /// this UPI's files.
   static Result<std::unique_ptr<ContinuousUpi>> Build(
       storage::DbEnv* env, std::string name, catalog::Schema schema,
       ContinuousUpiOptions options, std::vector<int> secondary_columns,

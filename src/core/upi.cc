@@ -85,39 +85,6 @@ class StagingArena {
   std::string bytes_;
 };
 
-void PrefetchBytes(const void* data, size_t size) {
-  const char* p = static_cast<const char*>(data);
-  for (size_t off = 0; off < size; off += 64) __builtin_prefetch(p + off);
-}
-
-/// The heap build serializes each tuple once per heap entry, in key order,
-/// which visits the tuples in random order, so the loop is bound by cache
-/// misses. Called before entry `i` of `order` is serialized, this warms the
-/// caches one level of pointers per step: the Tuple of entry i + 24, the
-/// value array of entry i + 16 (its Tuple fetched by now), and the
-/// out-of-line bytes of the values of entry i + 8.
-void PrefetchTuplesAhead(const std::vector<Tuple>& tuples,
-                         const std::vector<StagingArena::Ref>& order,
-                         size_t i) {
-  auto ahead = [&](size_t n) -> const Tuple* {
-    return i + n < order.size() ? &tuples[order[i + n].tuple] : nullptr;
-  };
-  if (const Tuple* t = ahead(24)) __builtin_prefetch(t);
-  if (const Tuple* t = ahead(16)) {
-    PrefetchBytes(t->values().data(), t->values().size() * sizeof(Value));
-  }
-  if (const Tuple* t = ahead(8)) {
-    for (const Value& v : t->values()) {
-      if (v.type() == ValueType::kString) {
-        PrefetchBytes(v.str().data(), v.str().size());
-      } else if (v.type() == ValueType::kDiscrete) {
-        const auto& alts = v.discrete().alternatives();
-        PrefetchBytes(alts.data(), alts.size() * sizeof(alts[0]));
-      }
-    }
-  }
-}
-
 /// K-way merge of B+Trees whose keys are globally unique: emits every (key,
 /// value) pair in ascending key order. The parallel sort-merge of Section 4.3.
 Status MergeTrees(const std::vector<const btree::BTree*>& trees,
@@ -423,11 +390,10 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   keys.Sort(&heap_keys);
   btree::BTreeBuilder heap_builder(
       files.Create(name + ".heap", options.page_size));
-  for (size_t i = 0; i < heap_keys.size(); ++i) {
-    PrefetchTuplesAhead(tuples, heap_keys, i);
+  for (const StagingArena::Ref& e : heap_keys) {
     tuple_bytes.clear();
-    tuples[heap_keys[i].tuple].Serialize(&tuple_bytes);
-    UPI_RETURN_NOT_OK(heap_builder.Add(keys.View(heap_keys[i]), tuple_bytes));
+    tuples[e.tuple].Serialize(&tuple_bytes);
+    UPI_RETURN_NOT_OK(heap_builder.Add(keys.View(e), tuple_bytes));
   }
   UPI_ASSIGN_OR_RETURN(btree::BTree heap, heap_builder.Finish());
 

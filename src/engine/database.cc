@@ -438,6 +438,15 @@ Status Database::Checkpoint() {
     std::vector<catalog::Tuple> tuples;
     UPI_RETURN_NOT_OK(table->path()->ScanTuples(
         [&tuples](const catalog::Tuple& t) { tuples.push_back(t); }));
+    // The insert paths accept a TupleId that is still live, and the
+    // unclustered and partitioned scans report both tuples. A create record
+    // that repeats an id does not replay (CreateTable rejects it), so the
+    // table would be lost: refuse, and keep the current log, which replays.
+    Status distinct = core::CheckDistinctIds(tuples);
+    if (!distinct.ok()) {
+      return Status::InvalidArgument("checkpoint: table '" + name +
+                                     "': " + distinct.message());
+    }
     payloads.push_back(wal::EncodeCreateTable(name, table->spec_, tuples));
   }
   return wal_->Rotate(payloads);

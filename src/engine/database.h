@@ -264,6 +264,9 @@ class Database {
   /// the WAL gate held exclusive (an atomic cut: no mutation is applied but
   /// unlogged, or logged but unapplied, across the snapshot). Runs on the
   /// caller's thread; not synchronized against concurrent Create*Table DDL.
+  /// A table whose snapshot repeats a TupleId fails the checkpoint with
+  /// InvalidArgument and leaves the log as it was: its create record would
+  /// not replay.
   Status Checkpoint();
 
   /// Enqueues a background checkpoint with the maintenance manager when the

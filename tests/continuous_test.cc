@@ -199,8 +199,10 @@ TEST(ContinuousUpiTest, InsertThenQuery) {
 TEST(ContinuousUpiTest, RejectedBuildLeavesNoFileBehind) {
   // Every input is checked before the first file exists: a secondary column
   // out of range or not discrete (the location column), a repeated id, a
-  // location that is not Gaussian, and a tuple too large for a heap page.
-  // A retry under the same name then succeeds.
+  // location that is not Gaussian, a tuple too large for a heap page, a
+  // secondary value that is not discrete, and a secondary entry that fits no
+  // secondary page although its tuple fits a heap page. A retry under the
+  // same name then succeeds.
   datagen::CartelConfig cfg;
   cfg.num_observations = 200;
   datagen::CartelGenerator gen(cfg);
@@ -215,23 +217,36 @@ TEST(ContinuousUpiTest, RejectedBuildLeavesNoFileBehind) {
     rows.push_back(std::move(extra));
     return rows;
   };
-  auto values = [&](catalog::Value location, std::string payload) {
+  auto values = [&](catalog::Value location, std::string payload,
+                    catalog::Value segment) {
     return std::vector<catalog::Value>{
-        std::move(location), tuples[0].Get(CarObsCols::kSegment),
+        std::move(location), std::move(segment),
         tuples[0].Get(CarObsCols::kSpeed),
         catalog::Value::String(std::move(payload))};
   };
   const catalog::Value location = tuples[0].Get(CarObsCols::kLocation);
+  const catalog::Value segment = tuples[0].Get(CarObsCols::kSegment);
+  const std::string long_segment(opt.secondary_page_size, 's');
+  ASSERT_LT(2 * long_segment.size(), opt.heap_page_size);
+  const catalog::Value long_segment_value = catalog::Value::Discrete(
+      prob::DiscreteDistribution::Make({{long_segment, 0.5}}).value());
   const std::vector<std::pair<std::vector<int>, std::vector<Tuple>>> rejected =
       {{{CarObsCols::kLocation}, tuples},
        {{99}, tuples},
        {{CarObsCols::kSegment},
-        with(Tuple(tuples[0].id(), 1.0, values(location, "twin")))},
-       {{CarObsCols::kSegment},
-        with(Tuple(next_id, 1.0, values(catalog::Value::Double(1.0), "")))},
+        with(Tuple(tuples[0].id(), 1.0, values(location, "twin", segment)))},
        {{CarObsCols::kSegment},
         with(Tuple(next_id, 1.0,
-                   values(location, std::string(opt.heap_page_size, 'x'))))}};
+                   values(catalog::Value::Double(1.0), "", segment)))},
+       {{CarObsCols::kSegment},
+        with(Tuple(next_id, 1.0,
+                   values(location, std::string(opt.heap_page_size, 'x'),
+                          segment)))},
+       {{CarObsCols::kSegment},
+        with(Tuple(next_id, 1.0,
+                   values(location, "", catalog::Value::String("seg"))))},
+       {{CarObsCols::kSegment},
+        with(Tuple(next_id, 1.0, values(location, "", long_segment_value)))}};
   storage::DbEnv env;
   for (const auto& [columns, rows] : rejected) {
     EXPECT_EQ(ContinuousUpi::Build(&env, "cars", schema, opt, columns, rows)

@@ -11,6 +11,7 @@
 // the WAL off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -951,6 +952,69 @@ TEST(CheckpointTest, WatermarkSchedulesBackgroundCheckpoint) {
   EXPECT_EQ(db.maintenance()->stats().checkpoints, 2u);
   EXPECT_LT(db.wal()->bytes_since_checkpoint(), opts.wal_checkpoint_bytes);
   EXPECT_GE(db.MetricsSnapshot().SumOf("upi_wal_checkpoints_total"), 2.0);
+}
+
+TEST(CheckpointTest, RefusesASnapshotThatRepeatsATupleId) {
+  // The insert paths accept a TupleId that is still live. An unclustered
+  // table keeps both records, and a partitioned table routes the two tuples
+  // to different shards when their first alternatives differ, so a snapshot
+  // of either repeats the id. A create record that repeats an id does not
+  // replay, so the checkpoint fails and leaves the log as it was, and
+  // recovery restores both tables with every row.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 60;
+  cfg.num_institutions = 10;
+  cfg.seed = 43;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> base = gen.GenerateAuthors();
+  auto first_institution = [](const Tuple& t) {
+    return t.Get(AuthorCols::kInstitution).discrete().First().value;
+  };
+  auto other = std::find_if(base.begin(), base.end(), [&](const Tuple& t) {
+    return first_institution(t) != first_institution(base[0]);
+  });
+  ASSERT_NE(other, base.end());
+  const Tuple twin(base[0].id(), other->existence(), other->values());
+  engine::PartitionOptions popts;
+  popts.scheme = engine::PartitionOptions::Scheme::kRange;
+  popts.num_shards = 2;
+  // The two first institutions fall on either side of the split.
+  popts.range_splits = {
+      std::max(first_institution(base[0]), first_institution(twin))};
+  const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  auto rows = [](engine::Table* table) {
+    size_t n = 0;
+    EXPECT_TRUE(table->path()->ScanTuples([&n](const Tuple&) { ++n; }).ok());
+    return n;
+  };
+
+  TempDir dir;
+  {
+    engine::Database db(TestOptions(dir.path));
+    ASSERT_TRUE(db.CreateUnclusteredTable("heap", schema,
+                                          AuthorCols::kInstitution,
+                                          {AuthorCols::kCountry}, base)
+                    .ok());
+    ASSERT_TRUE(db.CreatePartitionedTable("shards", schema, AuthorUpiOptions(),
+                                          {AuthorCols::kCountry}, popts, base)
+                    .ok());
+    for (const char* name : {"heap", "shards"}) {
+      ASSERT_TRUE(db.GetTable(name)->Insert(twin).ok());
+      ASSERT_EQ(rows(db.GetTable(name)), base.size() + 1) << name;
+    }
+    const std::string log = ReadAll(dir.Log());
+    EXPECT_EQ(db.Checkpoint().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ReadAll(dir.Log()), log);
+  }
+
+  engine::Database recovered(TestOptions(dir.path));
+  EXPECT_EQ(recovered.recovery_stats().creates, 2u);
+  EXPECT_EQ(recovered.recovery_stats().inserts, 2u);
+  EXPECT_EQ(recovered.recovery_stats().failed, 0u);
+  for (const char* name : {"heap", "shards"}) {
+    ASSERT_NE(recovered.GetTable(name), nullptr) << name;
+    EXPECT_EQ(rows(recovered.GetTable(name)), base.size() + 1) << name;
+  }
 }
 
 TEST(DatabaseWalTest, WalOffByDefault) {
