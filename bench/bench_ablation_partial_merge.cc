@@ -16,9 +16,14 @@ using namespace upi::bench;
 
 namespace {
 
-void BuildWithDeltas(core::FracturedUpi* fractured, const DblpData& d,
-                     int deltas) {
-  CheckOk(fractured->BuildMain(d.authors));
+std::unique_ptr<core::FracturedUpi> BuildWithDeltas(storage::DbEnv* env,
+                                                    const DblpData& d,
+                                                    int deltas) {
+  std::unique_ptr<core::FracturedUpi> fractured =
+      core::FracturedUpi::Build(env, "author",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(0.1), {}, d.authors)
+          .ValueOrDie();
   datagen::DblpGenerator gen(d.cfg);  // same seed: identical deltas every run
   (void)gen.GenerateAuthors();        // advance past the base tuples
   catalog::TupleId next_id = d.cfg.num_authors + 1;
@@ -28,6 +33,7 @@ void BuildWithDeltas(core::FracturedUpi* fractured, const DblpData& d,
     }
     CheckOk(fractured->FlushBuffer());
   }
+  return fractured;
 }
 
 }  // namespace
@@ -43,19 +49,17 @@ int main(int argc, char** argv) {
 
   for (const char* strategy : {"none", "partial4", "full", "policy"}) {
     storage::DbEnv env(32ull << 20, DeviceFromFlags());
-    core::FracturedUpi fractured(&env, "author",
-                                 datagen::DblpGenerator::AuthorSchema(),
-                                 AuthorUpiOptions(0.1), {});
-    BuildWithDeltas(&fractured, d, 8);
+    std::unique_ptr<core::FracturedUpi> fractured =
+        BuildWithDeltas(&env, d, 8);
     QueryCost merge_cost{};
     if (std::string(strategy) == "partial4") {
       merge_cost = RunMaintenance(&env, [&]() -> size_t {
-        CheckOk(fractured.MergeOldestFractures(4));
+        CheckOk(fractured->MergeOldestFractures(4));
         return 1;
       });
     } else if (std::string(strategy) == "full") {
       merge_cost = RunMaintenance(&env, [&]() -> size_t {
-        CheckOk(fractured.MergeAll());
+        CheckOk(fractured->MergeAll());
         return 1;
       });
     } else if (std::string(strategy) == "policy") {
@@ -64,22 +68,22 @@ int main(int argc, char** argv) {
       mopt.policy.reference_value = d.popular_institution;
       mopt.policy.reference_qt = qt;
       maintenance::MaintenanceManager mgr(&env, mopt);
-      mgr.Register(&fractured);
+      mgr.Register(fractured.get());
       merge_cost = RunMaintenance(&env, [&]() -> size_t {
         // An (empty) forced flush kicks the policy re-check; follow-up
         // merges chain until the model is satisfied.
-        mgr.ScheduleFlush(&fractured);
+        mgr.ScheduleFlush(fractured.get());
         return mgr.RunPending();
       });
       CheckOk(mgr.last_error());
     }
     QueryCost q = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured.QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured->QueryPtq(d.popular_institution, qt, &out));
       return out.size();
     });
     std::printf("%-14s %12.1f %9zu %12.3f\n", strategy,
-                merge_cost.sim_ms / 1000.0, fractured.num_fractures(),
+                merge_cost.sim_ms / 1000.0, fractured->num_fractures(),
                 q.sim_ms / 1000.0);
   }
   return 0;

@@ -93,11 +93,10 @@ void RunPlanChoice(Gate* gate, JsonWriter* json, bool smoke) {
   storage::DbEnv env(256ull << 20);
   core::UpiOptions opt;
   opt.cluster_column = datagen::AuthorCols::kInstitution;
-  auto upi = core::Upi::Build(&env, "authors",
-                              datagen::DblpGenerator::AuthorSchema(), opt,
-                              {datagen::AuthorCols::kCountry}, authors)
-                 .ValueOrDie();
-  engine::UpiAccessPath path(upi.get());
+  engine::UpiAccessPath path(
+      core::Upi::Build(&env, "authors", datagen::DblpGenerator::AuthorSchema(),
+                       opt, {datagen::AuthorCols::kCountry}, authors)
+          .ValueOrDie());
 
   PrintTitle("A. Plan choice: one secondary probe, two devices");
   std::printf("# authors=%zu institutions=%zu value=%s qt=%.2f\n",
@@ -145,10 +144,11 @@ MergeScheduleRow RunMergeSchedule(const DblpData& d,
                                   const sim::DeviceProfile& profile,
                                   int rounds, int queries_per_round) {
   storage::DbEnv env(32ull << 20, profile);
-  core::FracturedUpi fractured(&env, "author",
-                               datagen::DblpGenerator::AuthorSchema(),
-                               AuthorUpiOptions(0.1), {});
-  CheckOk(fractured.BuildMain(d.authors));
+  std::unique_ptr<core::FracturedUpi> fractured =
+      core::FracturedUpi::Build(&env, "author",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(0.1), {}, d.authors)
+          .ValueOrDie();
 
   maintenance::MergePolicyOptions policy;
   policy.flush_max_buffered_tuples = d.authors.size() / 25;
@@ -158,7 +158,7 @@ MergeScheduleRow RunMergeSchedule(const DblpData& d,
   mopt.num_workers = 0;  // synchronous: simulated time stays deterministic
   mopt.policy = policy;
   maintenance::MaintenanceManager mgr(&env, mopt);
-  mgr.Register(&fractured);
+  mgr.Register(fractured.get());
 
   datagen::DblpGenerator gen(d.cfg);  // same seed: identical insert stream
   (void)gen.GenerateAuthors();
@@ -169,15 +169,15 @@ MergeScheduleRow RunMergeSchedule(const DblpData& d,
   sim::StatsWindow total(env.disk());
   for (int round = 0; round < rounds; ++round) {
     for (size_t i = 0; i < batch; ++i) {
-      CheckOk(fractured.Insert(gen.MakeAuthor(next_id++)));
-      mgr.NotifyWrite(&fractured);
+      CheckOk(fractured->Insert(gen.MakeAuthor(next_id++)));
+      mgr.NotifyWrite(fractured.get());
       mgr.RunPending();
-      r.max_nfrac = std::max(r.max_nfrac, fractured.num_fractures());
+      r.max_nfrac = std::max(r.max_nfrac, fractured->num_fractures());
     }
     for (int q = 0; q < queries_per_round; ++q) {
       QueryCost cost = RunCold(&env, [&]() -> size_t {
         std::vector<core::PtqMatch> out;
-        CheckOk(fractured.QueryPtq(d.popular_institution, 0.1, &out));
+        CheckOk(fractured->QueryPtq(d.popular_institution, 0.1, &out));
         return out.size();
       });
       r.rows += cost.rows;
@@ -190,7 +190,7 @@ MergeScheduleRow RunMergeSchedule(const DblpData& d,
   r.partials = stats.partial_merges;
   r.fulls = stats.full_merges;
   r.merge_sim_ms = stats.merge_sim_ms;
-  r.final_nfrac = fractured.num_fractures();
+  r.final_nfrac = fractured->num_fractures();
   return r;
 }
 
@@ -262,10 +262,11 @@ struct ThroughputRow {
 ThroughputRow RunThroughput(const DblpData& d,
                             const sim::DeviceProfile& profile) {
   storage::DbEnv env(32ull << 20, profile);
-  core::FracturedUpi fractured(&env, "author",
-                               datagen::DblpGenerator::AuthorSchema(),
-                               AuthorUpiOptions(0.1), {});
-  CheckOk(fractured.BuildMain(d.authors));
+  std::unique_ptr<core::FracturedUpi> fractured =
+      core::FracturedUpi::Build(&env, "author",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(0.1), {}, d.authors)
+          .ValueOrDie();
 
   maintenance::MergePolicyOptions policy;
   policy.flush_max_buffered_tuples = d.authors.size() / 25;
@@ -274,7 +275,7 @@ ThroughputRow RunThroughput(const DblpData& d,
   mopt.num_workers = 0;
   mopt.policy = policy;
   maintenance::MaintenanceManager mgr(&env, mopt);
-  mgr.Register(&fractured);
+  mgr.Register(fractured.get());
 
   datagen::DblpGenerator gen(d.cfg);
   (void)gen.GenerateAuthors();
@@ -285,11 +286,11 @@ ThroughputRow RunThroughput(const DblpData& d,
   {
     sim::StatsWindow window(env.disk());
     for (size_t i = 0; i < ingest; ++i) {
-      CheckOk(fractured.Insert(gen.MakeAuthor(next_id++)));
-      mgr.NotifyWrite(&fractured);
+      CheckOk(fractured->Insert(gen.MakeAuthor(next_id++)));
+      mgr.NotifyWrite(fractured.get());
       mgr.RunPending();
     }
-    CheckOk(fractured.FlushBuffer());
+    CheckOk(fractured->FlushBuffer());
     env.pool()->FlushAll();
     r.ingest_sim_ms = window.ElapsedMs();
   }
@@ -301,7 +302,7 @@ ThroughputRow RunThroughput(const DblpData& d,
         q % 2 == 0 ? d.popular_institution : d.selective_institution;
     QueryCost cost = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured.QueryPtq(value, 0.1, &out));
+      CheckOk(fractured->QueryPtq(value, 0.1, &out));
       return out.size();
     });
     r.query_sim_ms += cost.sim_ms;

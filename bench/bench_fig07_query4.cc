@@ -24,12 +24,10 @@ int main(int argc, char** argv) {
                                                d.observations)
                    .ValueOrDie();
   storage::DbEnv upi_env(32ull << 20, DeviceFromFlags());
-  core::ContinuousUpiOptions opt;
-  opt.location_column = datagen::CarObsCols::kLocation;
   auto upi = core::ContinuousUpi::Build(
                  &upi_env, "cars",
-                 datagen::CartelGenerator::CarObservationSchema(), opt, {},
-                 d.observations)
+                 datagen::CartelGenerator::CarObservationSchema(),
+                 datagen::CarObsCols::kLocation, {}, d.observations)
                  .ValueOrDie();
 
   const int kCenters = 3;  // average over query centers, like repeated runs

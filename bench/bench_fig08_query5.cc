@@ -21,11 +21,10 @@ int main(int argc, char** argv) {
                    {datagen::CarObsCols::kSegment}, d.observations)
                    .ValueOrDie();
   storage::DbEnv upi_env(32ull << 20, DeviceFromFlags());
-  core::ContinuousUpiOptions opt;
-  opt.location_column = datagen::CarObsCols::kLocation;
   auto upi = core::ContinuousUpi::Build(
                  &upi_env, "cars",
-                 datagen::CartelGenerator::CarObservationSchema(), opt,
+                 datagen::CartelGenerator::CarObservationSchema(),
+                 datagen::CarObsCols::kLocation,
                  {datagen::CarObsCols::kSegment}, d.observations)
                  .ValueOrDie();
 

@@ -29,10 +29,11 @@ int main(int argc, char** argv) {
                               datagen::DblpGenerator::AuthorSchema(),
                               AuthorUpiOptions(cutoff), {}, d.authors)
                  .ValueOrDie();
-  core::FracturedUpi fractured(&frac_env, "author",
-                               datagen::DblpGenerator::AuthorSchema(),
-                               AuthorUpiOptions(cutoff), {});
-  CheckOk(fractured.BuildMain(d.authors));
+  std::unique_ptr<core::FracturedUpi> fractured =
+      core::FracturedUpi::Build(&frac_env, "author",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(cutoff), {}, d.authors)
+          .ValueOrDie();
 
   std::unordered_map<catalog::TupleId, catalog::Tuple> live;
   for (const auto& t : d.authors) live.emplace(t.id(), t);
@@ -53,7 +54,7 @@ int main(int argc, char** argv) {
     });
     QueryCost f = RunCold(&frac_env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured.QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured->QueryPtq(d.popular_institution, qt, &out));
       return out.size();
     });
     std::printf("%-7d %15.3f %10.3f %14.3f %7zu\n", batch, h.sim_ms / 1000.0,
@@ -85,16 +86,16 @@ int main(int argc, char** argv) {
     for (const auto& v : victims) {
       CheckOk(table->Delete(v.id()));
       CheckOk(upi->Delete(v));
-      CheckOk(fractured.Delete(v.id()));
+      CheckOk(fractured->Delete(v.id()));
     }
     for (size_t i = 0; i < insert_per_batch; ++i) {
       catalog::Tuple t = d.gen->MakeAuthor(next_id++);
       CheckOk(table->Insert(t));
       CheckOk(upi->Insert(t));
-      CheckOk(fractured.Insert(t));
+      CheckOk(fractured->Insert(t));
       live.emplace(t.id(), t);
     }
-    CheckOk(fractured.FlushBuffer());  // one fracture per batch
+    CheckOk(fractured->FlushBuffer());  // one fracture per batch
     heap_env.pool()->FlushAll();
     upi_env.pool()->FlushAll();
     measure(batch);

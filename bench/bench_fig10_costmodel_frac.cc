@@ -15,10 +15,11 @@ int main(int argc, char** argv) {
   const int merge_every = static_cast<int>(flags::GetInt64("merge_every", 10));
 
   storage::DbEnv env(32ull << 20, DeviceFromFlags());
-  core::FracturedUpi fractured(&env, "author",
-                               datagen::DblpGenerator::AuthorSchema(),
-                               AuthorUpiOptions(cutoff), {});
-  CheckOk(fractured.BuildMain(d.authors));
+  std::unique_ptr<core::FracturedUpi> fractured =
+      core::FracturedUpi::Build(&env, "author",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(cutoff), {}, d.authors)
+          .ValueOrDie();
   catalog::TupleId next_id = d.cfg.num_authors + 1;
   // Batches are 10% of the *original* table so 30 batches are tractable.
   const size_t insert_per_batch = d.authors.size() / 10;
@@ -34,25 +35,25 @@ int main(int argc, char** argv) {
   auto measure = [&](int batch, const char* event) {
     QueryCost real = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured.QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured->QueryPtq(d.popular_institution, qt, &out));
       return out.size();
     });
-    core::CostModel model(env.profile(), core::TableStats::Of(fractured));
+    core::CostModel model(env.profile(), core::TableStats::Of(*fractured));
     double est_ms = model.FracturedQueryMs(
-        fractured.EstimateSelectivity(d.popular_institution, qt));
+        fractured->EstimateSelectivity(d.popular_institution, qt));
     std::printf("%-7d %9.3f %12.3f %7zu %7s\n", batch, real.sim_ms / 1000.0,
-                est_ms / 1000.0, fractured.num_fractures(), event);
+                est_ms / 1000.0, fractured->num_fractures(), event);
   };
 
   measure(0, "");
   for (int batch = 1; batch <= batches; ++batch) {
     for (size_t i = 0; i < insert_per_batch; ++i) {
-      CheckOk(fractured.Insert(d.gen->MakeAuthor(next_id++)));
+      CheckOk(fractured->Insert(d.gen->MakeAuthor(next_id++)));
     }
-    CheckOk(fractured.FlushBuffer());
+    CheckOk(fractured->FlushBuffer());
     const char* event = "";
     if (batch % merge_every == 0) {
-      CheckOk(fractured.MergeAll());
+      CheckOk(fractured->MergeAll());
       event = "merge";
     }
     measure(batch, event);

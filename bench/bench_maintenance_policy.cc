@@ -40,16 +40,17 @@ struct RunResult {
 RunResult RunWorkload(const DblpData& d, maintenance::MergePolicyOptions policy,
                       int rounds, int queries_per_round) {
   storage::DbEnv env(32ull << 20, DeviceFromFlags());
-  core::FracturedUpi fractured(&env, "author",
-                               datagen::DblpGenerator::AuthorSchema(),
-                               AuthorUpiOptions(0.1), {});
-  CheckOk(fractured.BuildMain(d.authors));
+  std::unique_ptr<core::FracturedUpi> fractured =
+      core::FracturedUpi::Build(&env, "author",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(0.1), {}, d.authors)
+          .ValueOrDie();
 
   maintenance::MaintenanceManagerOptions mopt;
   mopt.num_workers = 0;  // synchronous: simulated time stays deterministic
   mopt.policy = policy;
   maintenance::MaintenanceManager mgr(&env, mopt);
-  mgr.Register(&fractured);
+  mgr.Register(fractured.get());
 
   datagen::DblpGenerator gen(d.cfg);  // same seed: identical insert stream
   (void)gen.GenerateAuthors();
@@ -61,8 +62,8 @@ RunResult RunWorkload(const DblpData& d, maintenance::MergePolicyOptions policy,
   sim::StatsWindow total(env.disk());
   for (int round = 0; round < rounds; ++round) {
     for (size_t i = 0; i < batch; ++i) {
-      CheckOk(fractured.Insert(gen.MakeAuthor(next_id++)));
-      mgr.NotifyWrite(&fractured);
+      CheckOk(fractured->Insert(gen.MakeAuthor(next_id++)));
+      mgr.NotifyWrite(fractured.get());
       mgr.RunPending();
     }
     for (int q = 0; q < queries_per_round; ++q) {
@@ -70,7 +71,7 @@ RunResult RunWorkload(const DblpData& d, maintenance::MergePolicyOptions policy,
           q % 2 == 0 ? d.popular_institution : d.selective_institution;
       QueryCost cost = RunCold(&env, [&]() -> size_t {
         std::vector<core::PtqMatch> out;
-        CheckOk(fractured.QueryPtq(value, qt, &out));
+        CheckOk(fractured->QueryPtq(value, qt, &out));
         return out.size();
       });
       r.query_ms += cost.sim_ms;
@@ -85,7 +86,7 @@ RunResult RunWorkload(const DblpData& d, maintenance::MergePolicyOptions policy,
   r.flushes = stats.flushes;
   r.partials = stats.partial_merges;
   r.fulls = stats.full_merges;
-  r.final_nfrac = fractured.num_fractures();
+  r.final_nfrac = fractured->num_fractures();
   return r;
 }
 

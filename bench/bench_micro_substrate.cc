@@ -30,7 +30,7 @@ std::string Key(int i) {
 
 void BM_BTreePut(benchmark::State& state) {
   storage::DbEnv env(256ull << 20);
-  storage::PageFile* file = env.CreateFile("t", 8192);
+  storage::PageFile* file = env.CreateFile("t", 8192).ValueOrDie();
   btree::BTree tree(env.MakePager(file));
   Rng rng(1);
   int i = 0;
@@ -44,7 +44,7 @@ BENCHMARK(BM_BTreePut);
 
 void BM_BTreeGet(benchmark::State& state) {
   storage::DbEnv env(256ull << 20);
-  storage::PageFile* file = env.CreateFile("t", 8192);
+  storage::PageFile* file = env.CreateFile("t", 8192).ValueOrDie();
   btree::BTreeBuilder builder(env.MakePager(file));
   const int kN = 100000;
   for (int i = 0; i < kN; ++i) {
@@ -64,7 +64,7 @@ BENCHMARK(BM_BTreeGet);
 // (arg 1, one descent per leaf change).
 void BM_BTreeGetSorted(benchmark::State& state) {
   storage::DbEnv env(256ull << 20);
-  storage::PageFile* file = env.CreateFile("t", 8192);
+  storage::PageFile* file = env.CreateFile("t", 8192).ValueOrDie();
   btree::BTreeBuilder builder(env.MakePager(file));
   const int kN = 100000;
   for (int i = 0; i < kN; ++i) {
@@ -99,7 +99,7 @@ BENCHMARK(BM_BTreeGetSorted)->Arg(0)->Arg(1);
 
 void BM_BTreeSeek(benchmark::State& state) {
   storage::DbEnv env(256ull << 20);
-  storage::PageFile* file = env.CreateFile("t", 8192);
+  storage::PageFile* file = env.CreateFile("t", 8192).ValueOrDie();
   btree::BTreeBuilder builder(env.MakePager(file));
   const int kN = 100000;
   for (int i = 0; i < kN; ++i) {
@@ -118,7 +118,7 @@ BENCHMARK(BM_BTreeSeek);
 void BM_BTreeBulkLoad100k(benchmark::State& state) {
   for (auto _ : state) {
     storage::DbEnv env(256ull << 20);
-    storage::PageFile* file = env.CreateFile("t", 8192);
+    storage::PageFile* file = env.CreateFile("t", 8192).ValueOrDie();
     btree::BTreeBuilder builder(env.MakePager(file));
     for (int i = 0; i < 100000; ++i) {
       (void)builder.Add(Key(i), "value");
@@ -202,7 +202,7 @@ BENCHMARK(BM_UpiMerge)->Unit(benchmark::kMillisecond);
 
 void BM_BTreeScan(benchmark::State& state) {
   storage::DbEnv env(256ull << 20);
-  storage::PageFile* file = env.CreateFile("t", 8192);
+  storage::PageFile* file = env.CreateFile("t", 8192).ValueOrDie();
   btree::BTreeBuilder builder(env.MakePager(file));
   const int kN = 100000;
   for (int i = 0; i < kN; ++i) (void)builder.Add(Key(i), "value");

@@ -121,27 +121,27 @@ int main(int argc, char** argv) {
     core::UpiOptions opt;
     opt.cluster_column = kInst;
     opt.cutoff = 0.1;
-    core::FracturedUpi table(&env, "sensors",
-                             datagen::DblpGenerator::AuthorSchema(), opt,
-                             {kCountry});
     // Main fracture: slots [0, per_frac) at full probability; each delta d
     // covers [d * per_frac, (d+1) * per_frac) with *low-existence* tuples,
     // so every delta's max combined probability stays below 0.30.
     catalog::TupleId next_id = 1;
-    {
-      std::vector<catalog::Tuple> tuples;
-      for (size_t i = 0; i < per_frac; ++i) {
-        tuples.push_back(MakeTuple(next_id++, i, i / 50, false, &rng));
-      }
-      CheckOk(table.BuildMain(tuples));
+    std::vector<catalog::Tuple> tuples;
+    for (size_t i = 0; i < per_frac; ++i) {
+      tuples.push_back(MakeTuple(next_id++, i, i / 50, false, &rng));
     }
+    std::unique_ptr<core::FracturedUpi> table =
+        core::FracturedUpi::Build(&env, "sensors",
+                                  datagen::DblpGenerator::AuthorSchema(), opt,
+                                  {kCountry}, tuples)
+            .ValueOrDie();
+    tuples = {};
     for (size_t d = 1; d < nfrac; ++d) {
       for (size_t i = 0; i < per_frac; ++i) {
         uint64_t slot = d * per_frac + i;
-        CheckOk(table.Insert(
+        CheckOk(table->Insert(
             MakeTuple(next_id++, slot, slot / 50, /*lo_prob=*/true, &rng)));
       }
-      CheckOk(table.FlushBuffer());
+      CheckOk(table->FlushBuffer());
     }
     env.pool()->FlushAll();
 
@@ -163,19 +163,19 @@ int main(int argc, char** argv) {
     std::vector<Spec> specs = {
         {"point-ptq",
          [&](std::vector<core::PtqMatch>* out) {
-           return table.QueryPtq(point_value, 0.1, out);
+           return table->QueryPtq(point_value, 0.1, out);
          }},
         {"sec-exact",
          [&](std::vector<core::PtqMatch>* out) {
-           return table.QueryBySecondary(kCountry, sec_value, 0.2,
-                                         core::SecondaryAccessMode::kTailored,
-                                         out);
+           return table->QueryBySecondary(kCountry, sec_value, 0.2,
+                                          core::SecondaryAccessMode::kTailored,
+                                          out);
          }},
         {"high-qt-ptq",
          [&](std::vector<core::PtqMatch>* out) {
            // Threshold above every delta's max existence (0.30): only the
            // main fracture can hold a qualifying row.
-           return table.QueryPtq(main_value, 0.5, out);
+           return table->QueryPtq(main_value, 0.5, out);
          }},
     };
 
@@ -183,14 +183,14 @@ int main(int argc, char** argv) {
     for (const Spec& spec : specs) {
       std::string rows_on, rows_off;
       for (bool pruning : {true, false}) {
-        table.mutable_options()->enable_pruning = pruning;
-        uint64_t probed0 = table.fractures_probed_total();
+        table->mutable_options()->enable_pruning = pruning;
+        uint64_t probed0 = table->fractures_probed_total();
         std::vector<core::PtqMatch> rows;
         QueryIo io = Measure(&env, [&] {
           CheckOk(spec.run(&rows));
           return rows.size();
         });
-        uint64_t probed = table.fractures_probed_total() - probed0;
+        uint64_t probed = table->fractures_probed_total() - probed0;
         (pruning ? rows_on : rows_off) = RowKey(rows);
         if (pruning) on_io[spec.name] = io;
         std::printf("%-8zu %-12s %-9s %10.2f %8llu %8llu %7zu %6llu/%zu\n",
@@ -226,10 +226,10 @@ int main(int argc, char** argv) {
         }
       }
     }
-    table.mutable_options()->enable_pruning = true;
+    table->mutable_options()->enable_pruning = true;
 
     // The cutoff-summary skip, pinned: the high-qt PTQ probes only main.
-    core::PruneSet set = table.ForQuery(-1, main_value, 0.5);
+    core::PruneSet set = table->ForQuery(-1, main_value, 0.5);
     if (nfrac > 1 && (set.probed != 1 || !set.probe[0])) {
       std::printf("FAIL: high-qt PTQ probed %zu fractures (want main only)\n",
                   set.probed);

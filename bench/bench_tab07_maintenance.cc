@@ -30,10 +30,11 @@ int main(int argc, char** argv) {
                               datagen::DblpGenerator::AuthorSchema(),
                               AuthorUpiOptions(cutoff), {}, d.authors)
                  .ValueOrDie();
-  core::FracturedUpi fractured(&frac_env, "author",
-                               datagen::DblpGenerator::AuthorSchema(),
-                               AuthorUpiOptions(cutoff), {});
-  CheckOk(fractured.BuildMain(d.authors));
+  std::unique_ptr<core::FracturedUpi> fractured =
+      core::FracturedUpi::Build(&frac_env, "author",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(cutoff), {}, d.authors)
+          .ValueOrDie();
 
   // Shared workload.
   Rng rng(d.cfg.seed + 7);
@@ -87,25 +88,25 @@ int main(int argc, char** argv) {
     mopt.policy.flush_max_buffered_tuples = inserts.size() / 4 + 1;
     mopt.policy.merges_enabled = false;
     maintenance::MaintenanceManager mgr(&frac_env, mopt);
-    mgr.Register(&fractured);
+    mgr.Register(fractured.get());
 
     QueryCost ins = RunMaintenance(&frac_env, [&]() -> size_t {
       for (const auto& t : inserts) {
-        CheckOk(fractured.Insert(t));
-        mgr.NotifyWrite(&fractured);
+        CheckOk(fractured->Insert(t));
+        mgr.NotifyWrite(fractured.get());
         mgr.RunPending();
       }
-      mgr.ScheduleFlush(&fractured);  // drain the tail
+      mgr.ScheduleFlush(fractured.get());  // drain the tail
       mgr.RunPending();
       return inserts.size();
     });
     QueryCost del = RunMaintenance(&frac_env, [&]() -> size_t {
       for (const auto& t : victims) {
-        CheckOk(fractured.Delete(t.id()));
-        mgr.NotifyWrite(&fractured);
+        CheckOk(fractured->Delete(t.id()));
+        mgr.NotifyWrite(fractured.get());
         mgr.RunPending();
       }
-      mgr.ScheduleFlush(&fractured);
+      mgr.ScheduleFlush(fractured.get());
       mgr.RunPending();
       return victims.size();
     });
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
     std::printf("# maintenance manager: %llu flushes, %.1fs simulated flush "
                 "time, %zu fractures\n",
                 static_cast<unsigned long long>(mgr.stats().flushes),
-                mgr.stats().flush_sim_ms / 1000.0, fractured.num_fractures());
+                mgr.stats().flush_sim_ms / 1000.0, fractured->num_fractures());
   }
   return 0;
 }

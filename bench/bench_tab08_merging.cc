@@ -12,10 +12,11 @@ int main(int argc, char** argv) {
   DblpData d = MakeDblp(false);
 
   storage::DbEnv env(32ull << 20, DeviceFromFlags());
-  core::FracturedUpi fractured(&env, "author",
-                               datagen::DblpGenerator::AuthorSchema(),
-                               AuthorUpiOptions(0.1), {});
-  CheckOk(fractured.BuildMain(d.authors));
+  std::unique_ptr<core::FracturedUpi> fractured =
+      core::FracturedUpi::Build(&env, "author",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(0.1), {}, d.authors)
+          .ValueOrDie();
   catalog::TupleId next_id = d.cfg.num_authors + 1;
   std::unordered_map<catalog::TupleId, catalog::Tuple> live;
   for (const auto& t : d.authors) live.emplace(t.id(), t);
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
       size_t done = 0;
       for (auto it = live.begin(); it != live.end() && done < deletes;) {
         if (rng.Bernoulli(0.02)) {
-          CheckOk(fractured.Delete(it->first));
+          CheckOk(fractured->Delete(it->first));
           it = live.erase(it);
           ++done;
         } else {
@@ -40,21 +41,22 @@ int main(int argc, char** argv) {
       }
       for (size_t i = 0; i < d.authors.size() / 10; ++i) {
         catalog::Tuple t = d.gen->MakeAuthor(next_id++);
-        CheckOk(fractured.Insert(t));
+        CheckOk(fractured->Insert(t));
         live.emplace(t.id(), t);
       }
-      CheckOk(fractured.FlushBuffer());
+      CheckOk(fractured->FlushBuffer());
     }
-    size_t nfrac = fractured.num_fractures();
-    core::CostModel model(env.profile(), core::TableStats::Of(fractured));
+    size_t nfrac = fractured->num_fractures();
+    core::CostModel model(env.profile(), core::TableStats::Of(*fractured));
     double model_s = model.MergeMs() / 1000.0;
     QueryCost merge = RunMaintenance(&env, [&]() -> size_t {
-      CheckOk(fractured.MergeAll());
+      CheckOk(fractured->MergeAll());
       return 1;
     });
     std::printf("%-3d %12.1f %14.1f %14.1f %9zu\n", round,
                 merge.sim_ms / 1000.0,
-                static_cast<double>(fractured.size_bytes()) / (1024.0 * 1024.0),
+                static_cast<double>(fractured->size_bytes()) /
+                    (1024.0 * 1024.0),
                 model_s, nfrac);
   }
   return 0;

@@ -36,11 +36,10 @@ int main(int argc, char** argv) {
               obs.size(), cfg.area_size, cfg.area_size);
 
   storage::DbEnv env;
-  core::ContinuousUpiOptions opt;
-  opt.location_column = datagen::CarObsCols::kLocation;
   auto upi = core::ContinuousUpi::Build(
                  &env, "cars", datagen::CartelGenerator::CarObservationSchema(),
-                 opt, {datagen::CarObsCols::kSegment}, obs)
+                 datagen::CarObsCols::kLocation,
+                 {datagen::CarObsCols::kSegment}, obs)
                  .ValueOrDie();
 
   // Baseline for comparison: secondary U-Tree over an unclustered heap.

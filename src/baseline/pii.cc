@@ -2,13 +2,8 @@
 
 namespace upi::baseline {
 
-PiiIndex::PiiIndex(storage::DbEnv* env, const std::string& name,
-                   uint32_t page_size)
-    : file_(env->CreateFile(name, page_size)),
-      tree_(std::make_unique<btree::BTree>(env->MakePager(file_))) {}
-
-PiiIndex::PiiIndex(storage::PageFile* file, btree::BTree tree)
-    : file_(file), tree_(std::make_unique<btree::BTree>(std::move(tree))) {}
+PiiIndex::PiiIndex(btree::BTree tree)
+    : tree_(std::make_unique<btree::BTree>(std::move(tree))) {}
 
 std::string PiiIndex::EncodeRid(storage::Rid rid) {
   std::string buf;
@@ -51,18 +46,19 @@ Status PiiIndex::Collect(std::string_view value, double qt,
   return Status::OK();
 }
 
-PiiIndex::Builder::Builder(storage::DbEnv* env, const std::string& name,
-                           uint32_t page_size)
-    : file_(env->CreateFile(name, page_size)), builder_(env->MakePager(file_)) {}
+bool PiiIndex::Fits(std::string_view key, uint32_t page_size) {
+  return btree::kNodeHeaderSize +
+             btree::Node::LeafEntrySize(key, EncodeRid(storage::Rid{})) <=
+         page_size;
+}
 
-Status PiiIndex::Builder::Add(std::string_view value, double confidence,
-                              catalog::TupleId id, storage::Rid rid) {
-  return builder_.Add(core::EncodeUpiKey(value, confidence, id), EncodeRid(rid));
+Status PiiIndex::Builder::Add(std::string_view key, storage::Rid rid) {
+  return builder_.Add(key, EncodeRid(rid));
 }
 
 Result<std::unique_ptr<PiiIndex>> PiiIndex::Builder::Finish() {
   UPI_ASSIGN_OR_RETURN(btree::BTree tree, builder_.Finish());
-  return std::unique_ptr<PiiIndex>(new PiiIndex(file_, std::move(tree)));
+  return std::unique_ptr<PiiIndex>(new PiiIndex(std::move(tree)));
 }
 
 }  // namespace upi::baseline

@@ -22,8 +22,6 @@ namespace upi::baseline {
 
 class PiiIndex {
  public:
-  PiiIndex(storage::DbEnv* env, const std::string& name, uint32_t page_size);
-
   Status Put(std::string_view value, double confidence, catalog::TupleId id,
              storage::Rid rid);
   Status Remove(std::string_view value, double confidence, catalog::TupleId id);
@@ -39,30 +37,32 @@ class PiiIndex {
   Status Collect(std::string_view value, double qt, std::vector<Entry>* out,
                  size_t limit = SIZE_MAX) const;
 
-  void ChargeOpen() { file_->ChargeOpen(); }
   uint64_t num_entries() const { return tree_->num_entries(); }
   uint64_t size_bytes() const { return tree_->size_bytes(); }
   btree::BTree* tree() { return tree_.get(); }
 
+  /// Whether the entry under `key` (a core::EncodeUpiKey) fits a page of
+  /// `page_size` bytes.
+  static bool Fits(std::string_view key, uint32_t page_size);
+
+  /// Bulk-builds an index into a new, empty file.
   class Builder {
    public:
-    Builder(storage::DbEnv* env, const std::string& name, uint32_t page_size);
-    Status Add(std::string_view value, double confidence, catalog::TupleId id,
-               storage::Rid rid);
+    explicit Builder(storage::Pager pager) : builder_(pager) {}
+    /// Keys (core::EncodeUpiKey) must arrive in strictly ascending order.
+    Status Add(std::string_view key, storage::Rid rid);
     Result<std::unique_ptr<PiiIndex>> Finish();
 
    private:
-    storage::PageFile* file_;
     btree::BTreeBuilder builder_;
   };
 
  private:
-  PiiIndex(storage::PageFile* file, btree::BTree tree);
+  explicit PiiIndex(btree::BTree tree);
 
   static std::string EncodeRid(storage::Rid rid);
   static storage::Rid DecodeRid(std::string_view buf);
 
-  storage::PageFile* file_;
   std::unique_ptr<btree::BTree> tree_;
 };
 

@@ -10,12 +10,14 @@ using rtree::ObjectEntry;
 
 Result<std::unique_ptr<SecondaryUtree>> SecondaryUtree::Build(
     storage::DbEnv* env, std::string name, const UnclusteredTable& table,
-    int location_column, const std::vector<Tuple>& tuples, uint32_t page_size) {
+    int location_column, const std::vector<Tuple>& tuples) {
   std::unique_ptr<SecondaryUtree> ut(new SecondaryUtree());
   std::vector<ObjectEntry> entries;
   entries.reserve(tuples.size());
   for (const Tuple& t : tuples) {
-    if (t.Get(location_column).type() != ValueType::kGaussian2D) {
+    if (location_column < 0 ||
+        static_cast<size_t>(location_column) >= t.values().size() ||
+        t.Get(location_column).type() != ValueType::kGaussian2D) {
       return Status::InvalidArgument("location column must be Gaussian2D");
     }
     const auto& g = t.Get(location_column).gaussian();
@@ -31,12 +33,14 @@ Result<std::unique_ptr<SecondaryUtree>> SecondaryUtree::Build(
     e.bound = g.bound_radius();
     entries.push_back(e);
   }
-  storage::PageFile* file = env->CreateFile(name + ".utree", page_size);
+  storage::NewFiles files(env);
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* file,
+                       files.Create(name + ".utree", kPageSize));
   UPI_ASSIGN_OR_RETURN(
       rtree::RTree built,
       rtree::RTree::BulkBuild(env->MakePager(file),
-                              rtree::RTreeOptions{page_size, 0.9}, &ut->locator_,
-                              std::move(entries),
+                              rtree::RTreeOptions{kPageSize, 0.9},
+                              &ut->locator_, std::move(entries),
                               [](uint64_t, const ObjectEntry&) -> Status {
                                 return Status::OK();
                               }));
@@ -44,13 +48,13 @@ Result<std::unique_ptr<SecondaryUtree>> SecondaryUtree::Build(
   // Only the R-tree went through the pool: other tables' pages stay as they
   // are.
   env->pool()->FlushFile(file);
+  files.Keep();
   return ut;
 }
 
 Status SecondaryUtree::QueryRange(const UnclusteredTable& table,
                                   prob::Point center, double radius, double qt,
                                   std::vector<core::PtqMatch>* out) const {
-  if (charge_open_per_query) rtree_->ChargeOpen();
   struct Hit {
     storage::Rid rid;
     catalog::TupleId id;

@@ -22,12 +22,15 @@ namespace upi::baseline {
 
 class SecondaryUtree {
  public:
+  /// U-Tree node size: the continuous UPI's R-Tree page (Figure 2).
+  static constexpr uint32_t kPageSize = 4096;
+
   /// Bulk-builds the U-Tree over `table`'s tuples (which must already be
   /// loaded so RIDs exist). `location_column` is the Gaussian2D column.
+  /// Every tuple is checked before the file is created.
   static Result<std::unique_ptr<SecondaryUtree>> Build(
       storage::DbEnv* env, std::string name, const UnclusteredTable& table,
-      int location_column, const std::vector<catalog::Tuple>& tuples,
-      uint32_t page_size = 4096);
+      int location_column, const std::vector<catalog::Tuple>& tuples);
 
   /// Probabilistic range query: prune with the index's probability bounds,
   /// then fetch qualifying tuples from the unclustered heap by RID.
@@ -37,7 +40,6 @@ class SecondaryUtree {
 
   rtree::RTree* rtree() const { return rtree_.get(); }
   uint64_t size_bytes() const { return rtree_->size_bytes(); }
-  bool charge_open_per_query = false;
 
  private:
   SecondaryUtree() = default;

@@ -9,26 +9,11 @@ using catalog::TupleId;
 using catalog::Value;
 using catalog::ValueType;
 
-UnclusteredTable::UnclusteredTable(storage::DbEnv* env, std::string name,
-                                   catalog::Schema schema, uint32_t page_size)
-    : env_(env),
-      name_(std::move(name)),
+UnclusteredTable::UnclusteredTable(std::string name, catalog::Schema schema,
+                                   storage::Pager heap)
+    : name_(std::move(name)),
       schema_(std::move(schema)),
-      page_size_(page_size) {
-  heap_pagefile_ = env_->CreateFile(name_ + ".heap", page_size_);
-  heap_ = std::make_unique<storage::HeapFile>(env_->MakePager(heap_pagefile_));
-}
-
-Status UnclusteredTable::AddPiiColumn(int column) {
-  if (column < 0 || static_cast<size_t>(column) >= schema_.num_columns() ||
-      schema_.column(column).type != ValueType::kDiscrete) {
-    return Status::InvalidArgument("PII requires a discrete column");
-  }
-  if (piis_.contains(column)) return Status::AlreadyExists("PII exists");
-  piis_[column] = std::make_unique<PiiIndex>(
-      env_, name_ + ".pii." + schema_.column(column).name, page_size_);
-  return Status::OK();
-}
+      heap_(std::make_unique<storage::HeapFile>(heap)) {}
 
 PiiIndex* UnclusteredTable::pii(int column) const {
   auto it = piis_.find(column);
@@ -36,7 +21,7 @@ PiiIndex* UnclusteredTable::pii(int column) const {
 }
 
 uint64_t UnclusteredTable::size_bytes() const {
-  uint64_t total = heap_pagefile_->size_bytes();
+  uint64_t total = heap_->pager()->file()->size_bytes();
   for (const auto& [col, p] : piis_) total += p->size_bytes();
   return total;
 }
@@ -85,56 +70,75 @@ Status UnclusteredTable::Delete(TupleId id) {
 
 Result<std::unique_ptr<UnclusteredTable>> UnclusteredTable::Build(
     storage::DbEnv* env, std::string name, catalog::Schema schema,
-    std::vector<int> pii_columns, const std::vector<Tuple>& tuples,
-    uint32_t page_size) {
-  // Checked before the constructor creates the heap file, so a rejected
-  // build leaves no file behind and a retry under the same name succeeds.
+    std::vector<int> pii_columns, const std::vector<Tuple>& tuples) {
+  // The whole input is checked, and every file created, before the heap's
+  // first pool write; a create that fails drops the files made before it.
+  // The PII entries are staged here: (key, input tuple index) per column.
   UPI_RETURN_NOT_OK(core::Upi::CheckSecondaryColumns(schema, pii_columns));
   UPI_RETURN_NOT_OK(core::CheckDistinctIds(tuples));
-  auto table = std::make_unique<UnclusteredTable>(env, std::move(name),
-                                                  std::move(schema), page_size);
-  // Sequential append of the heap.
+  std::vector<std::vector<std::pair<std::string, size_t>>> pii_entries(
+      pii_columns.size());
   std::string bytes;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const Tuple& t = tuples[i];
+    bytes.clear();
+    t.Serialize(&bytes);
+    if (bytes.size() > storage::HeapFile::MaxRecordSize(kPageSize)) {
+      return Status::InvalidArgument("tuple " + std::to_string(t.id()) +
+                                     " does not fit a heap page");
+    }
+    for (size_t c = 0; c < pii_columns.size(); ++c) {
+      const Value& v = t.Get(pii_columns[c]);
+      if (v.type() != ValueType::kDiscrete) continue;
+      for (const auto& alt : v.discrete().alternatives()) {
+        std::string key =
+            core::EncodeUpiKey(alt.value, t.existence() * alt.prob, t.id());
+        if (!PiiIndex::Fits(key, kPageSize)) {
+          return Status::InvalidArgument("a PII entry of tuple " +
+                                         std::to_string(t.id()) +
+                                         " does not fit a PII page");
+        }
+        pii_entries[c].emplace_back(std::move(key), i);
+      }
+    }
+  }
+
+  storage::NewFiles files(env);
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* heap_file,
+                       files.Create(name + ".heap", kPageSize));
+  std::vector<storage::PageFile*> pii_files;
+  for (int col : pii_columns) {
+    UPI_ASSIGN_OR_RETURN(
+        storage::PageFile* file,
+        files.Create(name + ".pii." + schema.column(col).name, kPageSize));
+    pii_files.push_back(file);
+  }
+  auto table = std::unique_ptr<UnclusteredTable>(new UnclusteredTable(
+      std::move(name), std::move(schema), env->MakePager(heap_file)));
+  // Sequential append of the heap.
+  std::vector<storage::Rid> rids;
+  rids.reserve(tuples.size());
   for (const Tuple& t : tuples) {
     bytes.clear();
     t.Serialize(&bytes);
     UPI_ASSIGN_OR_RETURN(storage::Rid rid, table->heap_->Insert(bytes));
     table->id_to_rid_[t.id()] = rid;
+    rids.push_back(rid);
   }
   // Bulk-load each PII index in key order.
-  for (int col : pii_columns) {
-    struct E {
-      std::string key;
-      std::string value;
-      double conf;
-      TupleId id;
-      storage::Rid rid;
-    };
-    std::vector<E> entries;
-    for (const Tuple& t : tuples) {
-      const Value& v = t.Get(col);
-      if (v.type() != ValueType::kDiscrete) continue;
-      storage::Rid rid = table->id_to_rid_[t.id()];
-      for (const auto& alt : v.discrete().alternatives()) {
-        double conf = t.existence() * alt.prob;
-        entries.push_back(
-            {core::EncodeUpiKey(alt.value, conf, t.id()), alt.value, conf,
-             t.id(), rid});
-      }
+  for (size_t c = 0; c < pii_columns.size(); ++c) {
+    std::sort(pii_entries[c].begin(), pii_entries[c].end());
+    PiiIndex::Builder builder(env->MakePager(pii_files[c]));
+    for (const auto& [key, i] : pii_entries[c]) {
+      UPI_RETURN_NOT_OK(builder.Add(key, rids[i]));
     }
-    std::sort(entries.begin(), entries.end(),
-              [](const E& a, const E& b) { return a.key < b.key; });
-    PiiIndex::Builder builder(
-        env, table->name_ + ".pii." + table->schema_.column(col).name,
-        page_size);
-    for (const E& e : entries) {
-      UPI_RETURN_NOT_OK(builder.Add(e.value, e.conf, e.id, e.rid));
-    }
-    UPI_ASSIGN_OR_RETURN(table->piis_[col], builder.Finish());
+    pii_entries[c] = {};
+    UPI_ASSIGN_OR_RETURN(table->piis_[pii_columns[c]], builder.Finish());
   }
   // The heap went through the pool; the PII indexes were bulk-built straight
   // to the device. Flushing only the heap leaves other tables' pages alone.
-  env->pool()->FlushFile(table->heap_->pager()->file());
+  env->pool()->FlushFile(heap_file);
+  files.Keep();
   return table;
 }
 
@@ -143,14 +147,12 @@ Status UnclusteredTable::CollectPiiMatches(
     std::vector<PiiIndex::Entry>* out) const {
   PiiIndex* p = pii(column);
   if (p == nullptr) return Status::InvalidArgument("no PII index on column");
-  if (charge_open_per_query) p->ChargeOpen();
   UPI_RETURN_NOT_OK(p->Collect(value, qt, out));
   // Bitmap-scan protocol: sort pointers in heap order before fetching.
   std::sort(out->begin(), out->end(),
             [](const PiiIndex::Entry& a, const PiiIndex::Entry& b) {
               return a.rid < b.rid;
             });
-  if (charge_open_per_query) heap_pagefile_->ChargeOpen();
   return Status::OK();
 }
 
@@ -180,10 +182,8 @@ Status UnclusteredTable::QueryTopK(int column, std::string_view value, size_t k,
                                    std::vector<core::PtqMatch>* out) const {
   PiiIndex* p = pii(column);
   if (p == nullptr) return Status::InvalidArgument("no PII index on column");
-  if (charge_open_per_query) p->ChargeOpen();
   std::vector<PiiIndex::Entry> entries;
   UPI_RETURN_NOT_OK(p->Collect(value, 0.0, &entries, k));
-  if (charge_open_per_query) heap_pagefile_->ChargeOpen();
   std::string bytes;
   for (const auto& e : entries) {
     UPI_RETURN_NOT_OK(heap_->Read(e.rid, &bytes));

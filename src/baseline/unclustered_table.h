@@ -23,20 +23,18 @@ namespace upi::baseline {
 
 class UnclusteredTable {
  public:
-  UnclusteredTable(storage::DbEnv* env, std::string name, catalog::Schema schema,
-                   uint32_t page_size = 8192);
+  /// Heap and PII page size (the paper's BDB setup used 8 KB pages).
+  static constexpr uint32_t kPageSize = 8192;
 
-  /// Bulk-builds: appends all tuples sequentially and bulk-loads a PII index
-  /// on each column in `pii_columns`. The PII columns (each in range,
-  /// discrete and listed once) and the ids are checked before the first file
-  /// is created.
+  /// The one way a table comes into being: appends all tuples sequentially
+  /// and bulk-loads a PII index on each column in `pii_columns`. The whole
+  /// input is checked before the first file is created: the PII columns
+  /// (each in range, discrete and listed once), the ids, each record against
+  /// a heap page and each PII entry against a PII page. So a rejected build
+  /// leaves no file behind.
   static Result<std::unique_ptr<UnclusteredTable>> Build(
       storage::DbEnv* env, std::string name, catalog::Schema schema,
-      std::vector<int> pii_columns, const std::vector<catalog::Tuple>& tuples,
-      uint32_t page_size = 8192);
-
-  /// Declares a PII index on a discrete column (empty table only).
-  Status AddPiiColumn(int column);
+      std::vector<int> pii_columns, const std::vector<catalog::Tuple>& tuples);
 
   /// Appends the tuple and updates every PII index.
   Status Insert(const catalog::Tuple& tuple);
@@ -50,10 +48,10 @@ class UnclusteredTable {
   Status QueryPii(int column, std::string_view value, double qt,
                   std::vector<core::PtqMatch>* out) const;
 
-  /// The collection half of QueryPii: the matching PII entries in RID order,
-  /// with the same open charges. Streaming cursors fetch each tuple lazily
-  /// via FetchMatch, so an early-exiting consumer skips the per-tuple random
-  /// heap seeks — the dominant cost of this baseline.
+  /// The collection half of QueryPii: the matching PII entries in RID order.
+  /// Streaming cursors fetch each tuple lazily via FetchMatch, so an
+  /// early-exiting consumer skips the per-tuple random heap seeks — the
+  /// dominant cost of this baseline.
   Status CollectPiiMatches(int column, std::string_view value, double qt,
                            std::vector<PiiIndex::Entry>* out) const;
 
@@ -77,16 +75,12 @@ class UnclusteredTable {
   const catalog::Schema& schema() const { return schema_; }
   Result<storage::Rid> RidOf(catalog::TupleId id) const;
 
-  /// Charge-open behaviour matches Upi (off by default; see UpiOptions).
-  bool charge_open_per_query = false;
-
  private:
-  storage::DbEnv* env_;
+  UnclusteredTable(std::string name, catalog::Schema schema,
+                   storage::Pager heap);
+
   std::string name_;
   catalog::Schema schema_;
-  uint32_t page_size_;
-
-  storage::PageFile* heap_pagefile_;
   std::unique_ptr<storage::HeapFile> heap_;
   std::map<int, std::unique_ptr<PiiIndex>> piis_;
   // RID lookup by TupleId. Kept in memory: a real system resolves this via

@@ -7,45 +7,14 @@ namespace upi::core {
 
 using catalog::Tuple;
 using catalog::TupleId;
-using catalog::Value;
 using catalog::ValueType;
 using prob::Point;
 using rtree::EncodeLeafHeapKey;
 using rtree::ObjectEntry;
 
-ContinuousUpi::ContinuousUpi(storage::DbEnv* env, std::string name,
-                             catalog::Schema schema, ContinuousUpiOptions options)
-    : env_(env),
-      name_(std::move(name)),
-      schema_(std::move(schema)),
-      options_(options) {
-  rtree_file_ = env_->CreateFile(name_ + ".rtree", options_.rtree_page_size);
-  rtree_ = std::make_unique<rtree::RTree>(
-      env_->MakePager(rtree_file_),
-      rtree::RTreeOptions{options_.rtree_page_size, 0.9}, &locator_);
-  heap_file_ = env_->CreateFile(name_ + ".heap", options_.heap_page_size);
-  heap_ = std::make_unique<btree::BTree>(env_->MakePager(heap_file_));
-}
-
-Status ContinuousUpi::AddSecondaryColumn(int column) {
-  if (column < 0 || static_cast<size_t>(column) >= schema_.num_columns() ||
-      schema_.column(column).type != ValueType::kDiscrete) {
-    return Status::InvalidArgument("secondary index requires a discrete column");
-  }
-  if (secondaries_.contains(column)) {
-    return Status::AlreadyExists("secondary index already declared");
-  }
-  ContinuousSecondary sec;
-  sec.file = env_->CreateFile(name_ + ".sec." + schema_.column(column).name,
-                              options_.secondary_page_size);
-  sec.tree = std::make_unique<btree::BTree>(env_->MakePager(sec.file));
-  secondaries_[column] = std::move(sec);
-  return Status::OK();
-}
-
 rtree::ObjectEntry ContinuousUpi::MakeEntry(const Tuple& tuple) const {
   const prob::ConstrainedGaussian2D& g =
-      tuple.Get(options_.location_column).gaussian();
+      tuple.Get(location_column_).gaussian();
   ObjectEntry e;
   double x0, y0, x1, y1;
   g.Mbr(&x0, &y0, &x1, &y1);
@@ -59,8 +28,53 @@ rtree::ObjectEntry ContinuousUpi::MakeEntry(const Tuple& tuple) const {
 
 uint64_t ContinuousUpi::size_bytes() const {
   uint64_t total = rtree_->size_bytes() + heap_->size_bytes();
-  for (const auto& [col, sec] : secondaries_) total += sec.tree->size_bytes();
+  for (const auto& sec : secondaries_) total += sec->size_bytes();
   return total;
+}
+
+Status ContinuousUpi::CheckTuple(
+    const Tuple& tuple, int location_column,
+    const std::vector<int>& secondary_columns, std::string* bytes,
+    std::vector<std::vector<std::string>>* secondary_keys) {
+  if (location_column < 0 ||
+      static_cast<size_t>(location_column) >= tuple.values().size() ||
+      tuple.Get(location_column).type() != ValueType::kGaussian2D) {
+    return Status::InvalidArgument("location column must be Gaussian2D");
+  }
+  // A heap key has the same length wherever the R-Tree places the tuple; it
+  // is the value of every secondary entry.
+  const std::string heap_key = EncodeLeafHeapKey(0, tuple.id());
+  bytes->clear();
+  tuple.Serialize(bytes);
+  if (btree::kNodeHeaderSize + btree::Node::LeafEntrySize(heap_key, *bytes) >
+      kHeapPageSize) {
+    return Status::InvalidArgument("tuple " + std::to_string(tuple.id()) +
+                                   " does not fit a heap page");
+  }
+  secondary_keys->resize(secondary_columns.size());
+  for (size_t c = 0; c < secondary_columns.size(); ++c) {
+    std::vector<std::string>& keys = (*secondary_keys)[c];
+    keys.clear();
+    const auto col = static_cast<size_t>(secondary_columns[c]);
+    if (col >= tuple.values().size() ||
+        tuple.Get(col).type() != ValueType::kDiscrete) {
+      return Status::InvalidArgument(
+          "tuple " + std::to_string(tuple.id()) +
+          " has no discrete value in a secondary column");
+    }
+    for (const auto& alt : tuple.Get(col).discrete().alternatives()) {
+      keys.push_back(
+          EncodeUpiKey(alt.value, tuple.existence() * alt.prob, tuple.id()));
+      if (btree::kNodeHeaderSize +
+              btree::Node::LeafEntrySize(keys.back(), heap_key) >
+          kSecondaryPageSize) {
+        return Status::InvalidArgument(
+            "a secondary entry of tuple " + std::to_string(tuple.id()) +
+            " does not fit a secondary page");
+      }
+    }
+  }
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
@@ -68,62 +82,46 @@ uint64_t ContinuousUpi::size_bytes() const {
 // ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
-    storage::DbEnv* env, std::string name, catalog::Schema schema,
-    ContinuousUpiOptions options, std::vector<int> secondary_columns,
+    storage::DbEnv* env, const std::string& name, const catalog::Schema& schema,
+    int location_column, std::vector<int> secondary_columns,
     const std::vector<Tuple>& tuples) {
-  // Every input is checked before the first file exists (the constructor
-  // creates two), so a rejected build leaves no file behind and a retry
-  // under the same name succeeds. The secondary entries are staged here:
-  // each is checked against a secondary page, its value sized by a heap key
-  // of the same length as the one the R-Tree placement gives its tuple.
+  // Every input is checked before the first file exists, so a rejected
+  // build leaves no file behind and a retry under the same name succeeds.
+  // The secondary entries are staged here: (key, id) per secondary column.
   UPI_RETURN_NOT_OK(Upi::CheckSecondaryColumns(schema, secondary_columns));
   UPI_RETURN_NOT_OK(CheckDistinctIds(tuples));
-  const int loc = options.location_column;
-  // Per secondary column: (value, confidence desc, id) keys and their ids.
   std::vector<std::vector<std::pair<std::string, TupleId>>> sec_entries(
       secondary_columns.size());
   std::string bytes;
+  std::vector<std::vector<std::string>> keys;
   for (const Tuple& t : tuples) {
-    if (loc < 0 || static_cast<size_t>(loc) >= t.values().size() ||
-        t.Get(loc).type() != ValueType::kGaussian2D) {
-      return Status::InvalidArgument("location column must be Gaussian2D");
-    }
-    const std::string heap_key = EncodeLeafHeapKey(0, t.id());
-    bytes.clear();
-    t.Serialize(&bytes);
-    if (btree::kNodeHeaderSize + btree::Node::LeafEntrySize(heap_key, bytes) >
-        options.heap_page_size) {
-      return Status::InvalidArgument("tuple " + std::to_string(t.id()) +
-                                     " does not fit a heap page");
-    }
-    for (size_t c = 0; c < secondary_columns.size(); ++c) {
-      const auto col = static_cast<size_t>(secondary_columns[c]);
-      if (col >= t.values().size() ||
-          t.Get(col).type() != ValueType::kDiscrete) {
-        return Status::InvalidArgument(
-            "tuple " + std::to_string(t.id()) +
-            " has no discrete value in a secondary column");
-      }
-      for (const auto& alt : t.Get(col).discrete().alternatives()) {
-        std::string key =
-            EncodeUpiKey(alt.value, t.existence() * alt.prob, t.id());
-        if (btree::kNodeHeaderSize +
-                btree::Node::LeafEntrySize(key, heap_key) >
-            options.secondary_page_size) {
-          return Status::InvalidArgument(
-              "a secondary entry of tuple " + std::to_string(t.id()) +
-              " does not fit a secondary page");
-        }
+    UPI_RETURN_NOT_OK(
+        CheckTuple(t, location_column, secondary_columns, &bytes, &keys));
+    for (size_t c = 0; c < keys.size(); ++c) {
+      for (std::string& key : keys[c]) {
         sec_entries[c].emplace_back(std::move(key), t.id());
       }
     }
   }
 
-  auto upi = std::make_unique<ContinuousUpi>(env, std::move(name),
-                                             std::move(schema), options);
-  // Every file of this UPI, the constructor's two included: the build ends
-  // by flushing them.
-  std::vector<storage::PageFile*> files = {upi->rtree_file_, upi->heap_file_};
+  // Every file is created before the R-Tree's first pool write; a failure
+  // from here on drops them.
+  storage::NewFiles files(env);
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* rtree_file,
+                       files.Create(name + ".rtree", kRTreePageSize));
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* heap_file,
+                       files.Create(name + ".heap", kHeapPageSize));
+  std::vector<storage::PageFile*> sec_files;
+  for (int col : secondary_columns) {
+    UPI_ASSIGN_OR_RETURN(
+        storage::PageFile* file,
+        files.Create(name + ".sec." + schema.column(col).name,
+                     kSecondaryPageSize));
+    sec_files.push_back(file);
+  }
+
+  std::unique_ptr<ContinuousUpi> upi(
+      new ContinuousUpi(location_column, std::move(secondary_columns)));
   std::unordered_map<TupleId, const Tuple*> by_id;
   std::vector<ObjectEntry> entries;
   entries.reserve(tuples.size());
@@ -135,33 +133,24 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
   // STR-build the R-Tree; record every placement's heap key.
   std::vector<std::pair<std::string, TupleId>> placements;
   placements.reserve(tuples.size());
-  {
-    storage::PageFile* file = env->CreateFile(
-        upi->name_ + ".rtree.built", options.rtree_page_size);
-    files.push_back(file);
-    UPI_ASSIGN_OR_RETURN(
-        rtree::RTree built,
-        rtree::RTree::BulkBuild(
-            env->MakePager(file),
-            rtree::RTreeOptions{options.rtree_page_size, 0.9}, &upi->locator_,
-            std::move(entries),
-            [&](uint64_t label, const ObjectEntry& e) -> Status {
-              placements.push_back({EncodeLeafHeapKey(label, e.id), e.id});
-              return Status::OK();
-            }));
-    upi->rtree_file_ = file;
-    upi->rtree_ = std::make_unique<rtree::RTree>(std::move(built));
-  }
+  UPI_ASSIGN_OR_RETURN(
+      rtree::RTree rtree,
+      rtree::RTree::BulkBuild(
+          env->MakePager(rtree_file),
+          rtree::RTreeOptions{kRTreePageSize, 0.9}, &upi->locator_,
+          std::move(entries),
+          [&](uint64_t label, const ObjectEntry& e) -> Status {
+            placements.push_back({EncodeLeafHeapKey(label, e.id), e.id});
+            return Status::OK();
+          }));
+  upi->rtree_ = std::make_unique<rtree::RTree>(std::move(rtree));
 
   // Heap in label order: physically sequential 64 KB pages.
   std::sort(placements.begin(), placements.end());
   std::unordered_map<TupleId, std::string> heap_key_of;
   heap_key_of.reserve(placements.size());
   {
-    storage::PageFile* file =
-        env->CreateFile(upi->name_ + ".heap.built", options.heap_page_size);
-    files.push_back(file);
-    btree::BTreeBuilder builder(env->MakePager(file));
+    btree::BTreeBuilder builder(env->MakePager(heap_file));
     for (const auto& [key, id] : placements) {
       bytes.clear();
       by_id[id]->Serialize(&bytes);
@@ -169,37 +158,25 @@ Result<std::unique_ptr<ContinuousUpi>> ContinuousUpi::Build(
       heap_key_of[id] = key;
     }
     UPI_ASSIGN_OR_RETURN(btree::BTree tree, builder.Finish());
-    upi->heap_file_ = file;
     upi->heap_ = std::make_unique<btree::BTree>(std::move(tree));
   }
 
   // Secondary indexes: (value, confidence desc, id) -> heap key.
-  for (size_t c = 0; c < secondary_columns.size(); ++c) {
-    const int col = secondary_columns[c];
+  for (size_t c = 0; c < sec_entries.size(); ++c) {
     std::sort(sec_entries[c].begin(), sec_entries[c].end());
-    ContinuousSecondary sec;
-    sec.file = env->CreateFile(
-        upi->name_ + ".sec." + upi->schema_.column(col).name + ".built",
-        options.secondary_page_size);
-    files.push_back(sec.file);
-    btree::BTreeBuilder builder(env->MakePager(sec.file));
+    btree::BTreeBuilder builder(env->MakePager(sec_files[c]));
     for (const auto& [key, id] : sec_entries[c]) {
       UPI_RETURN_NOT_OK(builder.Add(key, heap_key_of[id]));
     }
     sec_entries[c] = {};
     UPI_ASSIGN_OR_RETURN(btree::BTree tree, builder.Finish());
-    sec.tree = std::make_unique<btree::BTree>(std::move(tree));
-    upi->secondaries_[col] = std::move(sec);
+    upi->secondaries_.push_back(
+        std::make_unique<btree::BTree>(std::move(tree)));
   }
-  // The constructor's placeholder roots and the R-Tree went through the
-  // pool. Only this UPI's files are flushed, so other tables' pages stay in
-  // the pool, and in the order a pool-wide flush wrote them (file name, then
-  // page), so the device sees the same writes.
-  std::sort(files.begin(), files.end(),
-            [](const storage::PageFile* a, const storage::PageFile* b) {
-              return a->name() < b->name();
-            });
-  for (storage::PageFile* file : files) env->pool()->FlushFile(file);
+  // Only the R-Tree went through the pool. Flushing only it leaves other
+  // tables' pages in the pool.
+  env->pool()->FlushFile(rtree_file);
+  files.Keep();
   return upi;
 }
 
@@ -216,10 +193,11 @@ Status ContinuousUpi::MoveHeapTuple(TupleId id, uint64_t from_label,
   UPI_RETURN_NOT_OK(heap_->Put(new_key, bytes).status());
   if (!secondaries_.empty()) {
     UPI_ASSIGN_OR_RETURN(Tuple tuple, Tuple::Deserialize(bytes));
-    for (auto& [col, sec] : secondaries_) {
-      for (const auto& alt : tuple.Get(col).discrete().alternatives()) {
+    for (size_t c = 0; c < secondaries_.size(); ++c) {
+      for (const auto& alt :
+           tuple.Get(secondary_columns_[c]).discrete().alternatives()) {
         UPI_RETURN_NOT_OK(
-            sec.tree
+            secondaries_[c]
                 ->Put(EncodeUpiKey(alt.value, tuple.existence() * alt.prob, id),
                       new_key)
                 .status());
@@ -230,9 +208,10 @@ Status ContinuousUpi::MoveHeapTuple(TupleId id, uint64_t from_label,
 }
 
 Status ContinuousUpi::Insert(const Tuple& tuple) {
-  if (tuple.Get(options_.location_column).type() != ValueType::kGaussian2D) {
-    return Status::InvalidArgument("location column must be Gaussian2D");
-  }
+  std::string bytes;
+  std::vector<std::vector<std::string>> sec_keys;
+  UPI_RETURN_NOT_OK(CheckTuple(tuple, location_column_, secondary_columns_,
+                               &bytes, &sec_keys));
   uint64_t label = 0;
   UPI_RETURN_NOT_OK(rtree_->Insert(
       MakeEntry(tuple), &label,
@@ -240,17 +219,10 @@ Status ContinuousUpi::Insert(const Tuple& tuple) {
         return MoveHeapTuple(id, from, to);
       }));
   std::string key = EncodeLeafHeapKey(label, tuple.id());
-  std::string bytes;
-  tuple.Serialize(&bytes);
   UPI_RETURN_NOT_OK(heap_->Put(key, bytes).status());
-  for (auto& [col, sec] : secondaries_) {
-    for (const auto& alt : tuple.Get(col).discrete().alternatives()) {
-      UPI_RETURN_NOT_OK(
-          sec.tree
-              ->Put(EncodeUpiKey(alt.value, tuple.existence() * alt.prob,
-                                 tuple.id()),
-                    key)
-              .status());
+  for (size_t c = 0; c < secondaries_.size(); ++c) {
+    for (const std::string& sec_key : sec_keys[c]) {
+      UPI_RETURN_NOT_OK(secondaries_[c]->Put(sec_key, key).status());
     }
   }
   return Status::OK();
@@ -269,10 +241,6 @@ Status ContinuousUpi::FetchByHeapKey(const std::string& heap_key,
 
 Status ContinuousUpi::QueryRange(Point center, double radius, double qt,
                                  std::vector<PtqMatch>* out) const {
-  if (options_.charge_open_per_query) {
-    rtree_->ChargeOpen();
-    heap_file_->ChargeOpen();
-  }
   // U-Tree pruning during descent: discard candidates whose appearance-
   // probability upper bound is below qt; integrate only the undecided.
   struct Hit {
@@ -305,14 +273,12 @@ Status ContinuousUpi::QueryRange(Point center, double radius, double qt,
 Status ContinuousUpi::QueryBySecondary(int column, std::string_view value,
                                        double qt,
                                        std::vector<PtqMatch>* out) const {
-  auto it = secondaries_.find(column);
-  if (it == secondaries_.end()) {
+  auto it =
+      std::find(secondary_columns_.begin(), secondary_columns_.end(), column);
+  if (it == secondary_columns_.end()) {
     return Status::InvalidArgument("no secondary index on column");
   }
-  if (options_.charge_open_per_query) {
-    it->second.file->ChargeOpen();
-    heap_file_->ChargeOpen();
-  }
+  const btree::BTree& sec = *secondaries_[it - secondary_columns_.begin()];
   struct Hit {
     std::string heap_key;
     TupleId id;
@@ -320,7 +286,7 @@ Status ContinuousUpi::QueryBySecondary(int column, std::string_view value,
   };
   std::vector<Hit> hits;
   std::string prefix = UpiKeyPrefix(value);
-  for (btree::Cursor c = it->second.tree->Seek(prefix); c.Valid(); c.Next()) {
+  for (btree::Cursor c = sec.Seek(prefix); c.Valid(); c.Next()) {
     if (c.key().substr(0, prefix.size()) != prefix) break;
     UpiKey k;
     UPI_RETURN_NOT_OK(DecodeUpiKey(c.key(), &k));

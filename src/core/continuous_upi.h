@@ -18,7 +18,6 @@
 // tuples — in label order, hence (nearly) sequentially.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,39 +33,37 @@
 
 namespace upi::core {
 
-struct ContinuousUpiOptions {
-  int location_column = 0;           // GAUSSIAN2D^p column clustered on
-  uint32_t rtree_page_size = 4096;   // Figure 2: small R-Tree pages
-  uint32_t heap_page_size = 65536;   // Figure 2: large heap pages
-  uint32_t secondary_page_size = 8192;
-  bool charge_open_per_query = false;
-};
-
 class ContinuousUpi {
  public:
-  ContinuousUpi(storage::DbEnv* env, std::string name, catalog::Schema schema,
-                ContinuousUpiOptions options);
+  /// Figure 2's page sizes: small R-Tree nodes and large heap pages. The
+  /// secondary indexes use the UPI's 8 KB pages.
+  static constexpr uint32_t kRTreePageSize = 4096;
+  static constexpr uint32_t kHeapPageSize = 65536;
+  static constexpr uint32_t kSecondaryPageSize = 8192;
 
-  /// STR bulk build; the heap is written in leaf-label order (physically
-  /// sequential). Secondary indexes on the discrete columns in
-  /// `secondary_columns` are bulk-built alongside. Every input is checked
-  /// before the first file is created: the secondary columns, a TupleId two
-  /// tuples share, each tuple's location value and secondary values (each
-  /// discrete), a heap entry too large for a heap page, and a secondary
-  /// entry too large for a secondary page. The build ends by flushing only
-  /// this UPI's files.
+  /// The one way a continuous UPI comes into being: an STR bulk build of the
+  /// R-Tree over the GAUSSIAN2D^p column `location_column`, with the heap
+  /// written in leaf-label order (physically sequential). Secondary indexes
+  /// on the discrete columns in `secondary_columns` are bulk-built
+  /// alongside. The whole input is checked, and every file created, before
+  /// the R-Tree's first pool write: the secondary columns, a TupleId two
+  /// tuples share, and each tuple (its location value, its secondary values,
+  /// its heap entry against a heap page and its secondary entries against a
+  /// secondary page). So a rejected build leaves no file behind. The build
+  /// ends by flushing the R-Tree, the one file it writes through the pool.
   static Result<std::unique_ptr<ContinuousUpi>> Build(
-      storage::DbEnv* env, std::string name, catalog::Schema schema,
-      ContinuousUpiOptions options, std::vector<int> secondary_columns,
+      storage::DbEnv* env, const std::string& name,
+      const catalog::Schema& schema, int location_column,
+      std::vector<int> secondary_columns,
       const std::vector<catalog::Tuple>& tuples);
 
-  Status AddSecondaryColumn(int column);
-
   /// Inserts one observation; R-Tree leaf splits relocate heap tuples and
-  /// repoint secondary entries (the Section 5 synchronization). Deletion —
-  /// and with it R-Tree node *merging* — is not implemented: the paper's
-  /// continuous experiments (Figures 7–8) are query- and insert-only, and its
-  /// future-work R+Tree discussion leaves the delete path open.
+  /// repoint secondary entries (the Section 5 synchronization). The tuple is
+  /// checked as a Build input is, before the first write, so a rejected
+  /// tuple changes nothing. Deletion — and with it R-Tree node *merging* —
+  /// is not implemented: the paper's continuous experiments (Figures 7–8)
+  /// are query- and insert-only, and its future-work R+Tree discussion leaves
+  /// the delete path open.
   Status Insert(const catalog::Tuple& tuple);
 
   /// Query 4: SELECT * WHERE Distance(location, center) <= radius,
@@ -83,30 +80,35 @@ class ContinuousUpi {
   btree::BTree* heap_tree() const { return heap_.get(); }
   uint64_t num_tuples() const { return heap_->num_entries(); }
   uint64_t size_bytes() const;
-  const ContinuousUpiOptions& options() const { return options_; }
+  int location_column() const { return location_column_; }
 
  private:
-  struct ContinuousSecondary {
-    storage::PageFile* file;
-    std::unique_ptr<btree::BTree> tree;  // (value, conf desc, id) -> heap key
-  };
+  /// Creates no file: Build gives the UPI its trees.
+  ContinuousUpi(int location_column, std::vector<int> secondary_columns)
+      : location_column_(location_column),
+        secondary_columns_(std::move(secondary_columns)) {}
+
+  /// The one check on a tuple, run by Build and Insert before their first
+  /// write. It also encodes what they write: the serialized tuple into
+  /// `bytes` and, per column in `secondary_columns`, the keys of its
+  /// secondary entries into `secondary_keys`.
+  static Status CheckTuple(
+      const catalog::Tuple& tuple, int location_column,
+      const std::vector<int>& secondary_columns, std::string* bytes,
+      std::vector<std::vector<std::string>>* secondary_keys);
 
   Status MoveHeapTuple(catalog::TupleId id, uint64_t from_label,
                        uint64_t to_label);
   Status FetchByHeapKey(const std::string& heap_key, catalog::Tuple* out) const;
   rtree::ObjectEntry MakeEntry(const catalog::Tuple& tuple) const;
 
-  storage::DbEnv* env_;
-  std::string name_;
-  catalog::Schema schema_;
-  ContinuousUpiOptions options_;
-
+  const int location_column_;
+  const std::vector<int> secondary_columns_;
   rtree::NodeLocator locator_;
   std::unique_ptr<rtree::RTree> rtree_;
-  storage::PageFile* rtree_file_ = nullptr;
-  storage::PageFile* heap_file_ = nullptr;
   std::unique_ptr<btree::BTree> heap_;
-  std::map<int, ContinuousSecondary> secondaries_;
+  /// One per secondary_columns_ entry: (value, conf desc, id) -> heap key.
+  std::vector<std::unique_ptr<btree::BTree>> secondaries_;
 };
 
 }  // namespace upi::core

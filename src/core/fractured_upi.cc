@@ -53,18 +53,31 @@ bool FracturedUpi::Prune(const Fracture& f, int column, std::string_view value,
   return skip;
 }
 
-Status FracturedUpi::BuildMain(const std::vector<Tuple>& tuples) {
-  std::unique_lock lock(mu_);
-  if (has_main_) return Status::Internal("main fracture already built");
+Result<std::unique_ptr<FracturedUpi>> FracturedUpi::Build(
+    storage::DbEnv* env, std::string name, catalog::Schema schema,
+    UpiOptions options, std::vector<int> secondary_columns,
+    const std::vector<Tuple>& tuples) {
+  // Checked even without tuples: the first flush would fail otherwise, and
+  // every flush after it.
+  UPI_RETURN_NOT_OK(Upi::CheckSecondaryColumns(schema, secondary_columns));
+  std::unique_ptr<FracturedUpi> table(
+      new FracturedUpi(env, std::move(name), std::move(schema), options,
+                       std::move(secondary_columns)));
+  if (tuples.empty()) return table;
   FractureSummary::Builder summary;
-  UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> main,
-                       Upi::Build(env_, name_ + ".main", schema_, options_,
-                                  secondary_columns_, tuples, &summary));
-  fractures_.insert(fractures_.begin(),
-                    Fracture{std::move(main), summary.Build()});
-  has_main_ = true;
-  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  UPI_ASSIGN_OR_RETURN(
+      std::unique_ptr<Upi> main,
+      Upi::Build(env, table->name_ + ".main", table->schema_, options,
+                 table->secondary_columns_, tuples, &summary));
+  table->fractures_.push_back(Fracture{std::move(main), summary.Build()});
+  table->has_main_ = true;
+  return table;
+}
+
+void FracturedUpi::Release(std::unique_ptr<FracturedUpi> table) {
+  storage::DbEnv* env = table->env_;
+  for (Fracture& f : table->fractures_) Upi::Release(std::move(f.upi));
+  for (const DeleteSet& d : table->delete_sets_) env->DropFile(d.file);
 }
 
 Status FracturedUpi::Insert(const Tuple& tuple) {
@@ -108,9 +121,11 @@ bool FracturedUpi::MayHoldTupleId(TupleId id) const {
   return false;
 }
 
-void FracturedUpi::PersistDeleteSet(const std::string& name,
-                                    std::vector<TupleId> ids) {
-  storage::PageFile* file = env_->CreateFile(name, options_.page_size);
+Status FracturedUpi::PersistDeleteSet(const std::string& name,
+                                      std::vector<TupleId> ids) {
+  storage::NewFiles files(env_);
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* file,
+                       files.Create(name, options_.page_size));
   const size_t per_page = options_.page_size / 8;
   std::string page;
   for (size_t i = 0; i < ids.size(); i += per_page) {
@@ -121,7 +136,9 @@ void FracturedUpi::PersistDeleteSet(const std::string& name,
     storage::PageId pid = file->Allocate();
     file->Write(pid, page);  // sequential batch write
   }
+  files.Keep();
   delete_sets_.push_back(DeleteSet{file, std::move(ids)});
+  return Status::OK();
 }
 
 void FracturedUpi::EnableAdaptiveTuning(std::vector<WorkloadQuery> workload,
@@ -182,6 +199,7 @@ Result<bool> FracturedUpi::FlushBufferLocked() {
   if (buffer_.empty() && buffer_deletes_.empty()) return false;
   RetuneFromBuffer();
   std::string frac_name = name_ + ".frac" + std::to_string(fracture_seq_++);
+  Fracture frac;
   if (!buffer_.empty()) {
     std::vector<Tuple> tuples;
     tuples.reserve(buffer_.size());
@@ -189,16 +207,23 @@ Result<bool> FracturedUpi::FlushBufferLocked() {
     // Each fracture is an independent UPI built with the *current* tuning
     // parameters (Section 4.2: per-fracture parameters).
     FractureSummary::Builder summary;
-    UPI_ASSIGN_OR_RETURN(std::unique_ptr<Upi> frac,
+    UPI_ASSIGN_OR_RETURN(frac.upi,
                          Upi::Build(env_, frac_name, schema_, options_,
                                     secondary_columns_, tuples, &summary));
-    fractures_.push_back(Fracture{std::move(frac), summary.Build()});
+    frac.summary = summary.Build();
   }
   if (!buffer_deletes_.empty()) {
+    // Written before the fracture is installed: a failed create leaves the
+    // table as it was.
     std::vector<TupleId> ids(buffer_deletes_.begin(), buffer_deletes_.end());
-    PersistDeleteSet(frac_name + ".delset", std::move(ids));
+    Status persisted = PersistDeleteSet(frac_name + ".delset", std::move(ids));
+    if (!persisted.ok()) {
+      if (frac.upi != nullptr) Upi::Release(std::move(frac.upi));
+      return persisted;
+    }
     deleted_.insert(buffer_deletes_.begin(), buffer_deletes_.end());
   }
+  if (frac.upi != nullptr) fractures_.push_back(std::move(frac));
   buffer_.clear();
   buffer_bytes_ = 0;
   buffer_deletes_.clear();

@@ -52,11 +52,11 @@
 // fracture is never dirty: it was written straight to the device and never
 // changed, so neither a flush nor a merge writes anything back through the
 // pool. Raw Upi pointers taken through main() or fractures() die with the
-// next merge. At most ONE maintenance operation
-// (BuildMain / FlushBuffer / MergeAll / MergeOldestFractures / Run) may be in
-// flight at a time; MaintenanceManager serializes them per table. Flushes
-// hold the exclusive lock end-to-end (they are sequential appends, cheap next
-// to merges), which keeps the buffered tuples visible to every query.
+// next merge. At most ONE maintenance operation (FlushBuffer / MergeAll /
+// MergeOldestFractures / Run) may be in flight at a time; MaintenanceManager
+// serializes them per table. Flushes hold the exclusive lock end-to-end (they
+// are sequential appends, cheap next to merges), which keeps the buffered
+// tuples visible to every query.
 #pragma once
 
 #include <atomic>
@@ -152,13 +152,21 @@ class FracturedPtqCursor {
 
 class FracturedUpi {
  public:
-  /// `secondary_columns` apply to every fracture. TupleIds must be unique
-  /// across the table's lifetime (never reused after deletion).
-  FracturedUpi(storage::DbEnv* env, std::string name, catalog::Schema schema,
-               UpiOptions options, std::vector<int> secondary_columns);
+  /// The one way a Fractured UPI comes into being: checks the secondary
+  /// columns, which apply to every fracture, and bulk-builds the main
+  /// fracture from `tuples` when there are any (Upi::Build, which checks the
+  /// rest of the input before its first file). A rejected build leaves no
+  /// file behind. TupleIds must be unique across the table's lifetime
+  /// (never reused after deletion).
+  static Result<std::unique_ptr<FracturedUpi>> Build(
+      storage::DbEnv* env, std::string name, catalog::Schema schema,
+      UpiOptions options, std::vector<int> secondary_columns,
+      const std::vector<catalog::Tuple>& tuples);
 
-  /// Bulk-builds the main fracture from `tuples`.
-  Status BuildMain(const std::vector<catalog::Tuple>& tuples);
+  /// Destroys a table and drops every fracture's files and every delete-set
+  /// file (Upi::Release). The caller guarantees that no reader or
+  /// maintenance task can still reach `table`.
+  static void Release(std::unique_ptr<FracturedUpi> table);
 
   /// Buffers the tuple in RAM (no I/O). Rejects a tuple no fracture could
   /// hold (CheckClusteredValue) up front, as Upi::Insert does.
@@ -176,7 +184,8 @@ class FracturedUpi {
 
   /// Writes buffered inserts/deletes out as a new fracture (sequential I/O).
   /// No-op if both buffers are empty. Uses the *current* options(), which the
-  /// advisor may have retuned since the last flush.
+  /// advisor may have retuned since the last flush. A flush that fails
+  /// leaves the fracture list, the delete sets and the buffers as they were.
   Status FlushBuffer();
 
   /// Merges the whole fracture list into a fresh main UPI (Section 4.3): a
@@ -358,6 +367,10 @@ class FracturedUpi {
  private:
   friend class FracturedPtqCursor;
 
+  /// Creates no file: Build adds the main fracture.
+  FracturedUpi(storage::DbEnv* env, std::string name, catalog::Schema schema,
+               UpiOptions options, std::vector<int> secondary_columns);
+
   /// Fires maintenance_hook_ if set. Caller must NOT hold mu_.
   void FireMaintenanceHook(MaintenanceOp op, size_t merge_count) {
     if (maintenance_hook_) maintenance_hook_(op, merge_count);
@@ -396,8 +409,8 @@ class FracturedUpi {
                    std::vector<PtqMatch>* out) const;
   /// Writes `ids` sequentially to a fresh delete-set file (cost accounting)
   /// and records it in delete_sets_. Caller holds the exclusive lock.
-  void PersistDeleteSet(const std::string& name,
-                        std::vector<catalog::TupleId> ids);
+  Status PersistDeleteSet(const std::string& name,
+                          std::vector<catalog::TupleId> ids);
 
   storage::DbEnv* env_;
   std::string name_;

@@ -18,31 +18,6 @@ std::string SecondaryFileName(const std::string& upi_name,
   return upi_name + ".sec." + schema.column(column).name;
 }
 
-/// The files a Build or Merge creates. They are dropped again when it
-/// returns an error, so a failed build leaves no file behind and a retry
-/// under the same name succeeds. Builders write straight to the device, so
-/// these files have no pool frame and DbEnv::DropFile is safe.
-class NewFiles {
- public:
-  explicit NewFiles(storage::DbEnv* env) : env_(env) {}
-  NewFiles(const NewFiles&) = delete;
-  NewFiles& operator=(const NewFiles&) = delete;
-  ~NewFiles() {
-    for (storage::PageFile* file : files_) env_->DropFile(file);
-  }
-
-  storage::Pager Create(const std::string& name, uint32_t page_size) {
-    files_.push_back(env_->CreateFile(name, page_size));
-    return env_->MakePager(files_.back());
-  }
-  /// The UPI is finished: its files stay.
-  void Keep() { files_.clear(); }
-
- private:
-  storage::DbEnv* env_;
-  std::vector<storage::PageFile*> files_;
-};
-
 /// The staging buffer of a bulk build or merge: encoded keys and pointer
 /// lists appended back to back, each named by a fixed-size Ref. Staging an
 /// entry allocates nothing of its own, and sorting entries moves only Refs.
@@ -321,9 +296,9 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
                                         FractureSummary::Builder* fracture) {
   // The columns, the ids, and the tuples in the partitioning pass below are
   // checked before the first file is created; a failure after that drops the
-  // files (NewFiles). A rejected build must leave no file behind, or a retry
-  // under the same name would collide. Distinct ids also make every heap key
-  // distinct: a heap key carries its tuple's id.
+  // files (storage::NewFiles). A rejected build must leave no file behind, or
+  // a retry under the same name would collide. Distinct ids also make every
+  // heap key distinct: a heap key carries its tuple's id.
   UPI_RETURN_NOT_OK(CheckSecondaryColumns(schema, secondary_columns));
   UPI_RETURN_NOT_OK(CheckDistinctIds(tuples));
 
@@ -386,10 +361,11 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   }
 
   // From here on a failure drops every file this build created.
-  NewFiles files(env);
+  storage::NewFiles files(env);
   keys.Sort(&heap_keys);
-  btree::BTreeBuilder heap_builder(
-      files.Create(name + ".heap", options.page_size));
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* heap_file,
+                       files.Create(name + ".heap", options.page_size));
+  btree::BTreeBuilder heap_builder(env->MakePager(heap_file));
   for (const StagingArena::Ref& e : heap_keys) {
     tuple_bytes.clear();
     tuples[e.tuple].Serialize(&tuple_bytes);
@@ -398,8 +374,9 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   UPI_ASSIGN_OR_RETURN(btree::BTree heap, heap_builder.Finish());
 
   keys.Sort(&cutoff_keys);
-  CutoffIndex::Builder cutoff_builder(
-      files.Create(name + ".cutoff", options.page_size));
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* cutoff_file,
+                       files.Create(name + ".cutoff", options.page_size));
+  CutoffIndex::Builder cutoff_builder(env->MakePager(cutoff_file));
   for (const StagingArena::Ref& e : cutoff_keys) {
     UPI_RETURN_NOT_OK(
         cutoff_builder.Add(keys.View(e), keys.View(first_keys[e.tuple])));
@@ -429,9 +406,11 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
       }
     }
     keys.Sort(&entries);
-    SecondaryIndex::Builder builder(
-        files.Create(SecondaryFileName(name, schema, col), options.page_size),
-        options.max_secondary_pointers);
+    UPI_ASSIGN_OR_RETURN(
+        storage::PageFile* sec_file,
+        files.Create(SecondaryFileName(name, schema, col), options.page_size));
+    SecondaryIndex::Builder builder(env->MakePager(sec_file),
+                                    options.max_secondary_pointers);
     for (const StagingArena::Ref& e : entries) {
       UPI_RETURN_NOT_OK(
           builder.Add(keys.View(e), pointer_lists.View(pointers_of[e.tuple])));
@@ -511,9 +490,10 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   std::vector<const btree::BTree*> trees;
   for (const Upi* s : sources) trees.push_back(s->heap_.get());
   // A failure drops every file this merge created.
-  NewFiles files(env);
-  btree::BTreeBuilder heap_builder(
-      files.Create(name + ".heap", options.page_size));
+  storage::NewFiles files(env);
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* heap_file,
+                       files.Create(name + ".heap", options.page_size));
+  btree::BTreeBuilder heap_builder(env->MakePager(heap_file));
   UPI_RETURN_NOT_OK(MergeTrees(
       trees, [&](std::string_view key, std::string_view value) -> Status {
         UpiKeyView k;
@@ -577,8 +557,9 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   // pointers are merge-invariant, so source entries pass through unchanged.
   trees.clear();
   for (const Upi* s : sources) trees.push_back(s->cutoff_->tree());
-  CutoffIndex::Builder cutoff_builder(
-      files.Create(name + ".cutoff", options.page_size));
+  UPI_ASSIGN_OR_RETURN(storage::PageFile* cutoff_file,
+                       files.Create(name + ".cutoff", options.page_size));
+  CutoffIndex::Builder cutoff_builder(env->MakePager(cutoff_file));
   size_t next_demotion = 0;
   auto flush_demotions_below = [&](std::string_view key) -> Status {
     while (next_demotion < demotions.size()) {
@@ -622,9 +603,10 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   for (const auto& [col, unused] : sources.front()->secondaries_) {
     trees.clear();
     for (const Upi* s : sources) trees.push_back(s->secondary(col)->tree());
-    SecondaryIndex::Builder builder(
-        files.Create(SecondaryFileName(name, schema, col), options.page_size),
-        max_pointers);
+    UPI_ASSIGN_OR_RETURN(
+        storage::PageFile* sec_file,
+        files.Create(SecondaryFileName(name, schema, col), options.page_size));
+    SecondaryIndex::Builder builder(env->MakePager(sec_file), max_pointers);
     histogram::ProbHistogram& sec_hist = sec_histograms[col];
     UPI_RETURN_NOT_OK(MergeTrees(
         trees, [&](std::string_view key, std::string_view value) -> Status {

@@ -159,8 +159,8 @@ class Upi {
 
   /// Checks secondary-index columns against `schema`: each must exist, be
   /// discrete, and appear once. Every bulk build runs it before creating any
-  /// file: Build, ContinuousUpi::Build, and UnclusteredTable::Build on its
-  /// PII columns.
+  /// file: Build, FracturedUpi::Build (also without tuples),
+  /// ContinuousUpi::Build, and UnclusteredTable::Build on its PII columns.
   static Status CheckSecondaryColumns(const catalog::Schema& schema,
                                       const std::vector<int>& columns);
 

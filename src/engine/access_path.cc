@@ -13,11 +13,6 @@ double AvgEntryBytes(uint64_t table_bytes, uint64_t entries) {
                             static_cast<double>(entries);
 }
 
-Status ReadOnlyView(const std::string& name) {
-  return Status::NotSupported("access path over '" + name +
-                              "' is a read-only view");
-}
-
 /// ResultCursor over a core streaming cursor: core::UpiPtqCursor (Algorithm
 /// 2) or core::FracturedPtqCursor (the pruned fan-out executed lazily, which
 /// holds the table's shared lock for the cursor's lifetime).
@@ -105,11 +100,11 @@ PathStats UpiAccessPath::Stats() const {
 }
 
 Status UpiAccessPath::Insert(const catalog::Tuple& tuple) {
-  return owned_ ? owned_->Insert(tuple) : ReadOnlyView(name());
+  return upi_->Insert(tuple);
 }
 
 Status UpiAccessPath::Delete(const catalog::Tuple& tuple) {
-  return owned_ ? owned_->Delete(tuple) : ReadOnlyView(name());
+  return upi_->Delete(tuple);
 }
 
 std::unique_ptr<ResultCursor> UpiAccessPath::OpenPtq(std::string_view value,
@@ -227,16 +222,14 @@ PathStats FracturedAccessPath::Stats() const {
 }
 
 Status FracturedAccessPath::Insert(const catalog::Tuple& tuple) {
-  if (!owned_) return ReadOnlyView(name());
-  UPI_RETURN_NOT_OK(owned_->Insert(tuple));
-  if (manager_ != nullptr) manager_->NotifyWrite(owned_.get());
+  UPI_RETURN_NOT_OK(table_->Insert(tuple));
+  if (manager_ != nullptr) manager_->NotifyWrite(table_.get());
   return Status::OK();
 }
 
 Status FracturedAccessPath::Delete(const catalog::Tuple& tuple) {
-  if (!owned_) return ReadOnlyView(name());
-  UPI_RETURN_NOT_OK(owned_->Delete(tuple.id()));
-  if (manager_ != nullptr) manager_->NotifyWrite(owned_.get());
+  UPI_RETURN_NOT_OK(table_->Delete(tuple.id()));
+  if (manager_ != nullptr) manager_->NotifyWrite(table_.get());
   return Status::OK();
 }
 
@@ -342,9 +335,10 @@ double FracturedAccessPath::EstimateTopKThreshold(std::string_view value,
 // UnclusteredAccessPath
 // ---------------------------------------------------------------------------
 
-void UnclusteredAccessPath::BuildStatistics(
-    const std::vector<catalog::Tuple>& tuples) {
-  histograms_.clear();
+UnclusteredAccessPath::UnclusteredAccessPath(
+    std::unique_ptr<baseline::UnclusteredTable> table, int primary_column,
+    const std::vector<catalog::Tuple>& tuples)
+    : table_(std::move(table)), primary_column_(primary_column) {
   const catalog::Schema& sch = table_->schema();
   for (size_t col = 0; col < sch.num_columns(); ++col) {
     int c = static_cast<int>(col);
@@ -380,25 +374,24 @@ PathStats UnclusteredAccessPath::Stats() const {
       it != histograms_.end()
           ? static_cast<double>(it->second.distinct_values())
           : 0.0;
-  s.charges_open_per_query = table_->charge_open_per_query;
   s.supports_direct_topk = pii != nullptr;
   s.clustered = false;
   return s;
 }
 
 Status UnclusteredAccessPath::Insert(const catalog::Tuple& tuple) {
-  return owned_ ? owned_->Insert(tuple) : ReadOnlyView(name());
+  return table_->Insert(tuple);
 }
 
 Status UnclusteredAccessPath::Delete(const catalog::Tuple& tuple) {
-  return owned_ ? owned_->Delete(tuple.id()) : ReadOnlyView(name());
+  return table_->Delete(tuple.id());
 }
 
 std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenPtq(
     std::string_view value, double qt) const {
   std::vector<baseline::PiiIndex::Entry> entries;
   Status st = table_->CollectPiiMatches(primary_column_, value, qt, &entries);
-  return std::make_unique<PiiStreamCursor>(table_, std::move(entries),
+  return std::make_unique<PiiStreamCursor>(table_.get(), std::move(entries),
                                            std::move(st));
 }
 
@@ -420,10 +413,6 @@ std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenSecondary(
 
 Status UnclusteredAccessPath::ScanTuples(
     const std::function<void(const catalog::Tuple&)>& fn) const {
-  // Same open protocol as QueryPii (and as ScanMs prices it).
-  if (table_->charge_open_per_query) {
-    table_->heap()->pager()->file()->ChargeOpen();
-  }
   Status st = Status::OK();
   table_->heap()->Scan([&](storage::Rid, std::string_view record) {
     if (!st.ok()) return false;

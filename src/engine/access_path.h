@@ -11,10 +11,9 @@
 // pulled; eager ones (fan-out unions, secondary probes) computed every row at
 // open. The path is also the table's write path: Insert/Delete are the
 // in-memory mutation (engine::Table journals to the WAL first). An adapter
-// built from a unique_ptr owns its design and is the table; one built from a
-// raw pointer is a cheap read-only view of a design owned elsewhere (its
-// writes return NotSupported). The estimation hooks are RAM-only so the
-// planner never spends simulated disk time to make a decision.
+// owns its design and is complete when constructed. The estimation hooks are
+// RAM-only so the planner never spends simulated disk time to make a
+// decision.
 #pragma once
 
 #include <functional>
@@ -71,7 +70,7 @@ class AccessPath {
   virtual const catalog::Schema& schema() const = 0;
   virtual PathStats Stats() const = 0;
 
-  // --- Writes (the in-memory mutation; NotSupported on a read-only view) ----
+  // --- Writes (the in-memory mutation) -------------------------------------
 
   virtual Status Insert(const catalog::Tuple& tuple) = 0;
   /// Removes the tuple with `tuple`'s id.
@@ -172,9 +171,7 @@ class AccessPath {
 class UpiAccessPath : public AccessPath {
  public:
   explicit UpiAccessPath(std::unique_ptr<core::Upi> upi)
-      : owned_(std::move(upi)), upi_(owned_.get()) {}
-  /// A read-only view.
-  explicit UpiAccessPath(const core::Upi* upi) : upi_(upi) {}
+      : upi_(std::move(upi)) {}
 
   const std::string& name() const override { return upi_->name(); }
   const catalog::Schema& schema() const override { return upi_->schema(); }
@@ -207,12 +204,10 @@ class UpiAccessPath : public AccessPath {
   double SecondaryAvgPointers(int column) const override;
   double EstimateTopKThreshold(std::string_view value, size_t k) const override;
 
-  /// The owned UPI; nullptr for a view.
-  core::Upi* upi() const { return owned_.get(); }
+  core::Upi* upi() const { return upi_.get(); }
 
  private:
-  std::unique_ptr<core::Upi> owned_;
-  const core::Upi* upi_;
+  std::unique_ptr<core::Upi> upi_;
 };
 
 /// Adapter over a Fractured UPI (Section 4). Queries fan out across
@@ -227,10 +222,7 @@ class FracturedAccessPath : public AccessPath {
   /// the table's owner registers the table with.
   FracturedAccessPath(std::unique_ptr<core::FracturedUpi> table,
                       maintenance::MaintenanceManager* manager)
-      : owned_(std::move(table)), table_(owned_.get()), manager_(manager) {}
-  /// A read-only view.
-  explicit FracturedAccessPath(const core::FracturedUpi* table)
-      : table_(table) {}
+      : table_(std::move(table)), manager_(manager) {}
 
   const std::string& name() const override;
   const catalog::Schema& schema() const override { return table_->schema(); }
@@ -273,34 +265,24 @@ class FracturedAccessPath : public AccessPath {
   double SecondaryAvgPointers(int column) const override;
   double EstimateTopKThreshold(std::string_view value, size_t k) const override;
 
-  /// The owned Fractured UPI; nullptr for a view.
-  core::FracturedUpi* fractured() const { return owned_.get(); }
+  core::FracturedUpi* fractured() const { return table_.get(); }
 
  private:
-  std::unique_ptr<core::FracturedUpi> owned_;
-  const core::FracturedUpi* table_;
+  std::unique_ptr<core::FracturedUpi> table_;
   maintenance::MaintenanceManager* manager_ = nullptr;
 };
 
 /// Adapter over the unclustered baseline: PTQ / top-k route through the PII
 /// index on `primary_column`; OpenSecondary probes the PII index on the
 /// requested column (no pointer tailoring exists — `mode` is ignored).
-/// Estimation uses in-RAM probability histograms built by BuildStatistics
-/// (the facade calls it at table creation; a real system would persist them
-/// in the catalog).
+/// Estimation uses in-RAM probability histograms of the primary and PII
+/// columns, built at construction from the tuples the table was built from
+/// (a real system would persist them in the catalog).
 class UnclusteredAccessPath : public AccessPath {
  public:
   UnclusteredAccessPath(std::unique_ptr<baseline::UnclusteredTable> table,
-                        int primary_column)
-      : owned_(std::move(table)),
-        table_(owned_.get()),
-        primary_column_(primary_column) {}
-  /// A read-only view.
-  UnclusteredAccessPath(baseline::UnclusteredTable* table, int primary_column)
-      : table_(table), primary_column_(primary_column) {}
-
-  /// Populates the per-column histograms from the table's tuples (RAM only).
-  void BuildStatistics(const std::vector<catalog::Tuple>& tuples);
+                        int primary_column,
+                        const std::vector<catalog::Tuple>& tuples);
 
   const std::string& name() const override { return table_->name(); }
   const catalog::Schema& schema() const override { return table_->schema(); }
@@ -335,8 +317,7 @@ class UnclusteredAccessPath : public AccessPath {
  private:
   double CountMatches(int column, std::string_view value, double qt) const;
 
-  std::unique_ptr<baseline::UnclusteredTable> owned_;
-  baseline::UnclusteredTable* table_;
+  std::unique_ptr<baseline::UnclusteredTable> table_;
   int primary_column_;
   std::map<int, histogram::ProbHistogram> histograms_;
 };

@@ -281,10 +281,9 @@ Result<Table*> Database::CreateTable(
   if (tables_.contains(name)) {
     return Status::AlreadyExists("table '" + name + "' already exists");
   }
-  // Checked before any build: a fractured table without tuples would fail
-  // only at its first flush, and then at every flush after it.
-  UPI_RETURN_NOT_OK(
-      core::Upi::CheckSecondaryColumns(spec.schema, spec.secondary_columns));
+  // Each design's Build checks its whole input and creates its files through
+  // storage::NewFiles: a rejected create, or one whose file name collides
+  // with another table's file, leaves no file behind.
   std::unique_ptr<AccessPath> path;
   switch (spec.kind) {
     case wal::TableKind::kUpi: {
@@ -296,9 +295,10 @@ Result<Table*> Database::CreateTable(
       break;
     }
     case wal::TableKind::kFractured: {
-      auto fractured = std::make_unique<core::FracturedUpi>(
-          &env_, name, spec.schema, spec.options, spec.secondary_columns);
-      if (!tuples.empty()) UPI_RETURN_NOT_OK(fractured->BuildMain(tuples));
+      UPI_ASSIGN_OR_RETURN(
+          std::unique_ptr<core::FracturedUpi> fractured,
+          core::FracturedUpi::Build(&env_, name, spec.schema, spec.options,
+                                    spec.secondary_columns, tuples));
       path = std::make_unique<FracturedAccessPath>(std::move(fractured),
                                                    &manager_);
       break;
@@ -308,10 +308,8 @@ Result<Table*> Database::CreateTable(
           std::unique_ptr<baseline::UnclusteredTable> heap,
           baseline::UnclusteredTable::Build(&env_, name, spec.schema,
                                             spec.pii_columns, tuples));
-      auto unclustered = std::make_unique<UnclusteredAccessPath>(
-          std::move(heap), spec.primary_column);
-      unclustered->BuildStatistics(tuples);
-      path = std::move(unclustered);
+      path = std::make_unique<UnclusteredAccessPath>(
+          std::move(heap), spec.primary_column, tuples);
       break;
     }
     case wal::TableKind::kPartitioned: {

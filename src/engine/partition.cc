@@ -294,14 +294,23 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
     parts[shard].push_back(t);
   }
 
+  // A shard that fails to build releases the shards built before it, so a
+  // rejected create leaves no file behind.
+  std::vector<std::unique_ptr<core::FracturedUpi>> built;
   for (size_t i = 0; i < n; ++i) {
-    std::string shard_name = table->name_ + ".s" + std::to_string(i);
-    auto fractured = std::make_unique<core::FracturedUpi>(
-        env, shard_name, schema, options, secondary_columns);
-    if (!parts[i].empty()) UPI_RETURN_NOT_OK(fractured->BuildMain(parts[i]));
+    auto fractured = core::FracturedUpi::Build(
+        env, table->name_ + ".s" + std::to_string(i), schema, options,
+        secondary_columns, parts[i]);
+    if (!fractured.ok()) {
+      for (auto& shard : built) core::FracturedUpi::Release(std::move(shard));
+      return fractured.status();
+    }
+    built.push_back(std::move(fractured).value());
+  }
+  for (size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->path =
-        std::make_unique<FracturedAccessPath>(std::move(fractured), manager);
+        std::make_unique<FracturedAccessPath>(std::move(built[i]), manager);
     for (const catalog::Tuple& t : parts[i]) {
       shard->summary.AddTuple(t, table->summary_columns_);
     }

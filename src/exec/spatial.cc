@@ -17,9 +17,9 @@ Status KnnByExpandingRange(const core::ContinuousUpi& upi, prob::Point center,
       std::sort(matches.begin(), matches.end(),
                 [&](const core::PtqMatch& a, const core::PtqMatch& b) {
                   const auto& ga =
-                      a.tuple.Get(upi.options().location_column).gaussian();
+                      a.tuple.Get(upi.location_column()).gaussian();
                   const auto& gb =
-                      b.tuple.Get(upi.options().location_column).gaussian();
+                      b.tuple.Get(upi.location_column()).gaussian();
                   return prob::DistanceBetween(ga.mean(), center) <
                          prob::DistanceBetween(gb.mean(), center);
                 });

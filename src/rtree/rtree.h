@@ -80,7 +80,6 @@ class RTree {
   uint64_t num_entries() const { return num_entries_; }
   uint32_t height() const { return height_; }
   uint64_t size_bytes() const { return pager_.file()->size_bytes(); }
-  void ChargeOpen() { pager_.file()->ChargeOpen(); }
 
   /// Structural check: MBR containment, entry counts, leaf depth (tests).
   Status ValidateInvariants() const;

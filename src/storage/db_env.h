@@ -5,8 +5,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -48,21 +46,11 @@ class DbEnv {
 
   /// Creates a new page file on this environment's disk. Thread-safe:
   /// background maintenance workers create fracture files while other
-  /// threads query. File names are unique per environment; a duplicate name
-  /// aborts (it would silently shadow live data otherwise) — callers that
-  /// want to recover use TryCreateFile.
-  PageFile* CreateFile(const std::string& name, uint32_t page_size) {
-    auto file = TryCreateFile(name, page_size);
-    if (!file.ok()) {
-      std::fprintf(stderr, "DbEnv::CreateFile: %s\n",
-                   file.status().ToString().c_str());
-      std::abort();
-    }
-    return std::move(file).value();
-  }
-
-  /// Status-returning variant of CreateFile.
-  Result<PageFile*> TryCreateFile(const std::string& name, uint32_t page_size) {
+  /// threads query. File names are unique per environment: a name in use
+  /// returns AlreadyExists (it would shadow live data otherwise). Files of
+  /// a table are created through NewFiles, which drops them again if the
+  /// build that created them fails.
+  Result<PageFile*> CreateFile(const std::string& name, uint32_t page_size) {
     std::lock_guard<sync::Mutex> lock(files_mu_);
     if (!file_names_.insert(name).second) {
       return Status::AlreadyExists("file '" + name +
@@ -195,6 +183,40 @@ class DbEnv {
   std::vector<std::unique_ptr<LogFile>> log_files_;
   std::unordered_set<std::string> file_names_;
   BufferPool pool_;
+};
+
+/// The files one build creates, and the one way a table's files come into
+/// being: every bulk build, merge and flush creates its files through one.
+/// Unless the build calls Keep, the destructor drops them again, so a failed
+/// build leaves no file behind and a retry under the same name succeeds.
+/// A build that writes through the pool checks its whole input and creates
+/// all of its files before its first pool write. Should it still fail after
+/// one, the file's dirty frames are written back before the drop, as
+/// DbEnv::DropFile requires.
+class NewFiles {
+ public:
+  explicit NewFiles(DbEnv* env) : env_(env) {}
+  NewFiles(const NewFiles&) = delete;
+  NewFiles& operator=(const NewFiles&) = delete;
+  ~NewFiles() {
+    for (PageFile* file : files_) {
+      env_->pool()->FlushFile(file);
+      env_->DropFile(file);
+    }
+  }
+
+  /// DbEnv::CreateFile, remembered for the drop.
+  Result<PageFile*> Create(const std::string& name, uint32_t page_size) {
+    Result<PageFile*> file = env_->CreateFile(name, page_size);
+    if (file.ok()) files_.push_back(file.value());
+    return file;
+  }
+  /// The build is finished: its files stay.
+  void Keep() { files_.clear(); }
+
+ private:
+  DbEnv* env_;
+  std::vector<PageFile*> files_;
 };
 
 }  // namespace upi::storage

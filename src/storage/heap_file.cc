@@ -46,13 +46,13 @@ std::string Rid::ToString() const {
   return "(" + std::to_string(page) + "," + std::to_string(slot) + ")";
 }
 
-uint32_t HeapFile::max_record_size() const {
-  return pager_.page_size() - kHeaderSize - kSlotSize;
+uint32_t HeapFile::MaxRecordSize(uint32_t page_size) {
+  return page_size - kHeaderSize - kSlotSize;
 }
 
 Result<Rid> HeapFile::Insert(std::string_view record) {
   const uint32_t page_size = pager_.page_size();
-  if (record.size() > max_record_size()) {
+  if (record.size() > MaxRecordSize(page_size)) {
     return Status::InvalidArgument("record larger than heap page");
   }
   auto fits = [&](const std::string& page) {

@@ -49,8 +49,8 @@ class HeapFile {
   uint64_t num_pages() const { return pager_.file()->num_active_pages(); }
   Pager* pager() { return &pager_; }
 
-  /// Largest record storable in one page.
-  uint32_t max_record_size() const;
+  /// Largest record storable in one page of `page_size` bytes.
+  static uint32_t MaxRecordSize(uint32_t page_size);
 
  private:
   mutable Pager pager_;

@@ -35,41 +35,48 @@ struct Fx {
                                     datagen::DblpGenerator::AuthorSchema(),
                                     {AuthorCols::kInstitution}, tuples)
                 .ValueOrDie();
-    table->charge_open_per_query = false;
   }
 };
 
+/// An empty PII index on a new file, maintained by Put and Remove.
+std::unique_ptr<PiiIndex> EmptyPii(storage::DbEnv* env) {
+  return PiiIndex::Builder(
+             env->MakePager(env->CreateFile("pii", 8192).ValueOrDie()))
+      .Finish()
+      .ValueOrDie();
+}
+
 TEST(PiiIndexTest, CollectOrderedByConfidence) {
   storage::DbEnv env;
-  PiiIndex pii(&env, "pii", 8192);
-  ASSERT_TRUE(pii.Put("MIT", 0.95, 2, {0, 0}).ok());
-  ASSERT_TRUE(pii.Put("MIT", 0.18, 1, {0, 1}).ok());
-  ASSERT_TRUE(pii.Put("UCB", 0.05, 2, {0, 0}).ok());
+  std::unique_ptr<PiiIndex> pii = EmptyPii(&env);
+  ASSERT_TRUE(pii->Put("MIT", 0.95, 2, {0, 0}).ok());
+  ASSERT_TRUE(pii->Put("MIT", 0.18, 1, {0, 1}).ok());
+  ASSERT_TRUE(pii->Put("UCB", 0.05, 2, {0, 0}).ok());
   std::vector<PiiIndex::Entry> out;
-  ASSERT_TRUE(pii.Collect("MIT", 0.0, &out).ok());
+  ASSERT_TRUE(pii->Collect("MIT", 0.0, &out).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].key.id, 2u);
   EXPECT_NEAR(out[0].key.prob, 0.95, 1e-8);
   EXPECT_EQ(out[1].key.id, 1u);
   // Threshold stops early.
   out.clear();
-  ASSERT_TRUE(pii.Collect("MIT", 0.5, &out).ok());
+  ASSERT_TRUE(pii->Collect("MIT", 0.5, &out).ok());
   EXPECT_EQ(out.size(), 1u);
   // Limit supports top-k.
   out.clear();
-  ASSERT_TRUE(pii.Collect("MIT", 0.0, &out, 1).ok());
+  ASSERT_TRUE(pii->Collect("MIT", 0.0, &out, 1).ok());
   EXPECT_EQ(out.size(), 1u);
 }
 
 TEST(PiiIndexTest, RemoveDeletesEntry) {
   storage::DbEnv env;
-  PiiIndex pii(&env, "pii", 8192);
-  ASSERT_TRUE(pii.Put("X", 0.5, 1, {3, 4}).ok());
-  ASSERT_TRUE(pii.Remove("X", 0.5, 1).ok());
+  std::unique_ptr<PiiIndex> pii = EmptyPii(&env);
+  ASSERT_TRUE(pii->Put("X", 0.5, 1, {3, 4}).ok());
+  ASSERT_TRUE(pii->Remove("X", 0.5, 1).ok());
   std::vector<PiiIndex::Entry> out;
-  ASSERT_TRUE(pii.Collect("X", 0.0, &out).ok());
+  ASSERT_TRUE(pii->Collect("X", 0.0, &out).ok());
   EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(pii.Remove("X", 0.5, 1).IsNotFound());
+  EXPECT_TRUE(pii->Remove("X", 0.5, 1).IsNotFound());
 }
 
 TEST(UnclusteredTableTest, QueryMatchesOracle) {

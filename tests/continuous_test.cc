@@ -32,12 +32,9 @@ struct Fx {
     cfg.seed = seed;
     gen = std::make_unique<datagen::CartelGenerator>(cfg);
     tuples = gen->GenerateObservations();
-    ContinuousUpiOptions opt;
-    opt.location_column = CarObsCols::kLocation;
-    opt.charge_open_per_query = false;
     auto built = ContinuousUpi::Build(
-        &env, "cars", datagen::CartelGenerator::CarObservationSchema(), opt,
-        {CarObsCols::kSegment}, tuples);
+        &env, "cars", datagen::CartelGenerator::CarObservationSchema(),
+        CarObsCols::kLocation, {CarObsCols::kSegment}, tuples);
     EXPECT_TRUE(built.ok()) << built.status().ToString();
     upi = std::move(built).ValueOrDie();
   }
@@ -209,8 +206,6 @@ TEST(ContinuousUpiTest, RejectedBuildLeavesNoFileBehind) {
   const std::vector<Tuple> tuples = gen.GenerateObservations();
   const catalog::Schema schema =
       datagen::CartelGenerator::CarObservationSchema();
-  ContinuousUpiOptions opt;
-  opt.location_column = CarObsCols::kLocation;
   const TupleId next_id = tuples.back().id() + 1;
   auto with = [&](Tuple extra) {
     std::vector<Tuple> rows = tuples;
@@ -226,8 +221,8 @@ TEST(ContinuousUpiTest, RejectedBuildLeavesNoFileBehind) {
   };
   const catalog::Value location = tuples[0].Get(CarObsCols::kLocation);
   const catalog::Value segment = tuples[0].Get(CarObsCols::kSegment);
-  const std::string long_segment(opt.secondary_page_size, 's');
-  ASSERT_LT(2 * long_segment.size(), opt.heap_page_size);
+  const std::string long_segment(ContinuousUpi::kSecondaryPageSize, 's');
+  ASSERT_LT(2 * long_segment.size(), ContinuousUpi::kHeapPageSize);
   const catalog::Value long_segment_value = catalog::Value::Discrete(
       prob::DiscreteDistribution::Make({{long_segment, 0.5}}).value());
   const std::vector<std::pair<std::vector<int>, std::vector<Tuple>>> rejected =
@@ -240,7 +235,8 @@ TEST(ContinuousUpiTest, RejectedBuildLeavesNoFileBehind) {
                    values(catalog::Value::Double(1.0), "", segment)))},
        {{CarObsCols::kSegment},
         with(Tuple(next_id, 1.0,
-                   values(location, std::string(opt.heap_page_size, 'x'),
+                   values(location,
+                          std::string(ContinuousUpi::kHeapPageSize, 'x'),
                           segment)))},
        {{CarObsCols::kSegment},
         with(Tuple(next_id, 1.0,
@@ -249,22 +245,61 @@ TEST(ContinuousUpiTest, RejectedBuildLeavesNoFileBehind) {
         with(Tuple(next_id, 1.0, values(location, "", long_segment_value)))}};
   storage::DbEnv env;
   for (const auto& [columns, rows] : rejected) {
-    EXPECT_EQ(ContinuousUpi::Build(&env, "cars", schema, opt, columns, rows)
+    EXPECT_EQ(ContinuousUpi::Build(&env, "cars", schema,
+                                   CarObsCols::kLocation, columns, rows)
                   .status()
                   .code(),
               StatusCode::kInvalidArgument);
     EXPECT_EQ(env.TotalFileBytes(), 0u);
   }
-  auto upi = ContinuousUpi::Build(&env, "cars", schema, opt,
+  auto upi = ContinuousUpi::Build(&env, "cars", schema, CarObsCols::kLocation,
                                   {CarObsCols::kSegment}, tuples)
                  .ValueOrDie();
   EXPECT_EQ(upi->num_tuples(), tuples.size());
+  // A file name in use is a Status, and the build leaves no file of its own.
+  const uint64_t bytes = env.TotalFileBytes();
+  EXPECT_EQ(ContinuousUpi::Build(&env, "cars", schema, CarObsCols::kLocation,
+                                 {CarObsCols::kSegment}, tuples)
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(env.TotalFileBytes(), bytes);
+}
+
+TEST(ContinuousUpiTest, RejectedInsertWritesNothing) {
+  // An insert is checked as a build input is, before its first write: a
+  // secondary value that is not discrete, a location that is not Gaussian,
+  // a tuple too short for its location column, and a tuple too large for a
+  // heap page leave the R-Tree and the heap as they were.
+  Fx fx(200);
+  const Tuple& base = fx.tuples[0];
+  const TupleId id = fx.tuples.back().id() + 1;
+  auto with = [&](int column, catalog::Value value) {
+    std::vector<catalog::Value> values = base.values();
+    values[column] = std::move(value);
+    return Tuple(id, 1.0, std::move(values));
+  };
+  const std::vector<Tuple> rejected = {
+      with(CarObsCols::kSegment, catalog::Value::String("seg")),
+      with(CarObsCols::kLocation, catalog::Value::Double(1.0)),
+      Tuple(id, 1.0, {}),
+      with(CarObsCols::kPayload,
+           catalog::Value::String(
+               std::string(ContinuousUpi::kHeapPageSize, 'x')))};
+  for (const Tuple& t : rejected) {
+    EXPECT_EQ(fx.upi->Insert(t).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(fx.upi->num_tuples(), 200u);
+    EXPECT_EQ(fx.upi->rtree()->num_entries(), 200u);
+  }
+  ASSERT_TRUE(fx.upi->Insert(fx.gen->MakeObservation(id)).ok());
+  EXPECT_EQ(fx.upi->num_tuples(), 201u);
+  EXPECT_EQ(fx.upi->rtree()->num_entries(), 201u);
 }
 
 TEST(ContinuousUpiTest, BuildFlushesOnlyItsOwnFiles) {
-  // The build's placeholder roots and R-Tree pages go through the pool, and
-  // it flushes only its own files: another table's dirty page on the same
-  // DbEnv stays dirty, and no page of the continuous UPI is left dirty.
+  // The build's R-Tree pages go through the pool, and it flushes only that
+  // file: another table's dirty page on the same DbEnv stays dirty, and no
+  // page of the continuous UPI is left dirty.
   storage::DbEnv env;
   datagen::DblpConfig dblp;
   dblp.num_authors = 10;
@@ -280,11 +315,10 @@ TEST(ContinuousUpiTest, BuildFlushesOnlyItsOwnFiles) {
   datagen::CartelConfig cfg;
   cfg.num_observations = 500;
   datagen::CartelGenerator cars(cfg);
-  ContinuousUpiOptions opt;
-  opt.location_column = CarObsCols::kLocation;
   auto upi = ContinuousUpi::Build(
                  &env, "cars", datagen::CartelGenerator::CarObservationSchema(),
-                 opt, {CarObsCols::kSegment}, cars.GenerateObservations())
+                 CarObsCols::kLocation, {CarObsCols::kSegment},
+                 cars.GenerateObservations())
                  .ValueOrDie();
   const uint64_t writebacks = env.pool()->counters().writebacks;
   env.pool()->FlushFile(other->heap_tree()->pager()->file());
@@ -303,11 +337,9 @@ TEST(SecondaryUtreeTest, RangeQueryMatchesContinuousUpi) {
                    datagen::CartelGenerator::CarObservationSchema(),
                    {CarObsCols::kSegment}, fx.tuples)
                    .ValueOrDie();
-  table->charge_open_per_query = false;
   auto utree = baseline::SecondaryUtree::Build(&fx.env, "cars_ut", *table,
                                                CarObsCols::kLocation, fx.tuples)
                    .ValueOrDie();
-  utree->charge_open_per_query = false;
   Rng rng(17);
   for (int trial = 0; trial < 5; ++trial) {
     Point c = fx.gen->RandomQueryCenter(&rng);
@@ -333,11 +365,9 @@ TEST(ContinuousUpiTest, ClusteredFetchCheaperThanUtree) {
                    datagen::CartelGenerator::CarObservationSchema(), {},
                    fx.tuples)
                    .ValueOrDie();
-  table->charge_open_per_query = false;
   auto utree = baseline::SecondaryUtree::Build(&fx.env, "cars_ut2", *table,
                                                CarObsCols::kLocation, fx.tuples)
                    .ValueOrDie();
-  utree->charge_open_per_query = false;
 
   Rng rng(23);
   Point c = fx.gen->RandomQueryCenter(&rng);

@@ -185,17 +185,16 @@ class DeviceProfilePlanFlipTest : public ::testing::Test {
     authors_ = gen.GenerateAuthors();
     UpiOptions opt;
     opt.cluster_column = datagen::AuthorCols::kInstitution;
-    upi_ = Upi::Build(&env_, "authors", datagen::DblpGenerator::AuthorSchema(),
-                      opt, {datagen::AuthorCols::kCountry}, authors_)
-               .ValueOrDie();
-    path_ = std::make_unique<engine::UpiAccessPath>(upi_.get());
+    path_ = std::make_unique<engine::UpiAccessPath>(
+        Upi::Build(&env_, "authors", datagen::DblpGenerator::AuthorSchema(),
+                   opt, {datagen::AuthorCols::kCountry}, authors_)
+            .ValueOrDie());
     value_ = datagen::FindValueWithApproxCount(
         authors_, datagen::AuthorCols::kCountry, 900);
   }
 
   storage::DbEnv env_;
   std::vector<catalog::Tuple> authors_;
-  std::unique_ptr<Upi> upi_;
   std::unique_ptr<engine::UpiAccessPath> path_;
   std::string value_;
 };

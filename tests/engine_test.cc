@@ -361,12 +361,91 @@ TEST(DatabaseTest, RejectsDuplicateTableNames) {
 }
 
 TEST(DatabaseTest, RejectedCreateLeavesNoFileBehind) {
-  // A create its build rejects leaves the environment as it found it, so a
-  // retry under the same name succeeds instead of colliding with leftovers.
-  // Bad secondary columns are rejected even without tuples: a fractured
-  // table would otherwise fail every flush.
+  // A create its build rejects leaves the environment's files as they were,
+  // for every table kind, so a retry under the same name succeeds instead of
+  // colliding with leftovers. Bad secondary (or PII) columns are rejected
+  // even without tuples: a fractured table would otherwise fail every
+  // flush. The tuple too large for a heap page routes to a partitioned
+  // table's last shard, so that create fails after building shard 0.
   datagen::DblpConfig cfg;
   cfg.num_authors = 50;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> authors = gen.GenerateAuthors();
+  const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  auto routing_key = [](const Tuple& t) {
+    return t.Get(AuthorCols::kInstitution).discrete().First().value;
+  };
+  std::vector<std::string> keys;
+  catalog::TupleId next_id = 0;
+  for (const Tuple& t : authors) {
+    keys.push_back(routing_key(t));
+    next_id = std::max(next_id, t.id() + 1);
+  }
+  std::sort(keys.begin(), keys.end());
+  PartitionOptions hash;
+  hash.scheme = PartitionOptions::Scheme::kHash;
+  hash.num_shards = 2;
+  PartitionOptions range;
+  range.scheme = PartitionOptions::Scheme::kRange;
+  range.num_shards = 2;
+  range.range_splits = {keys[keys.size() / 2]};
+  Database db;
+  for (const std::string kind :
+       {"upi", "fractured", "hash", "range", "unclustered"}) {
+    SCOPED_TRACE(kind);
+    auto create = [&](std::vector<int> columns,
+                      const std::vector<Tuple>& rows) {
+      if (kind == "upi") {
+        return db.CreateUpiTable(kind, schema, opt, columns, rows);
+      }
+      if (kind == "fractured") {
+        return db.CreateFracturedTable(kind, schema, opt, columns, rows);
+      }
+      if (kind == "unclustered") {
+        return db.CreateUnclusteredTable(kind, schema, AuthorCols::kInstitution,
+                                         columns, rows);
+      }
+      return db.CreatePartitionedTable(kind, schema, opt, columns,
+                                       kind == "hash" ? hash : range, rows);
+    };
+    const Partitioner router =
+        Partitioner::Make(kind == "range" ? range : hash).ValueOrDie();
+    auto last = std::find_if(authors.begin(), authors.end(), [&](auto& t) {
+      return router.ShardOf(routing_key(t)) == 1;
+    });
+    ASSERT_NE(last, authors.end());
+    std::vector<Value> values = last->values();
+    values[AuthorCols::kName] = Value::String(std::string(9000, 'n'));
+    std::vector<Tuple> too_large = authors;
+    too_large.push_back(Tuple(next_id, 1.0, std::move(values)));
+
+    const std::vector<int> good = {AuthorCols::kCountry};
+    const std::vector<int> twice = {AuthorCols::kCountry,
+                                    AuthorCols::kCountry};
+    const std::vector<std::pair<std::vector<int>, std::vector<Tuple>>>
+        rejected = {{{99}, authors},  {{99}, {}},
+                    {twice, authors}, {twice, {}},
+                    {good, too_large}};
+    for (const auto& [columns, rows] : rejected) {
+      const uint64_t bytes = db.env()->TotalFileBytes();
+      EXPECT_EQ(create(columns, rows).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(db.env()->TotalFileBytes(), bytes);
+      EXPECT_EQ(db.GetTable(kind), nullptr);
+    }
+    Table* table = create(good, authors).ValueOrDie();
+    EXPECT_EQ(table->path()->Stats().num_tuples, authors.size());
+  }
+}
+
+TEST(DatabaseTest, AFileNameCollisionIsAStatus) {
+  // Shard 0 of the partitioned table "p" holds the file p.s0.main.heap, the
+  // main heap a fractured table named "p.s0" would create. That create
+  // returns AlreadyExists, leaves no file of its own, and "p" still answers.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 60;
   datagen::DblpGenerator gen(cfg);
   const std::vector<Tuple> authors = gen.GenerateAuthors();
   const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
@@ -376,30 +455,27 @@ TEST(DatabaseTest, RejectedCreateLeavesNoFileBehind) {
   popts.scheme = PartitionOptions::Scheme::kHash;
   popts.num_shards = 2;
   Database db;
-  for (const char* kind : {"upi", "fractured", "partitioned"}) {
-    SCOPED_TRACE(kind);
-    const std::string name = std::string("t_") + kind;
-    auto create = [&](std::vector<int> secondary,
-                      const std::vector<Tuple>& rows) {
-      if (kind == std::string("upi")) {
-        return db.CreateUpiTable(name, schema, opt, secondary, rows);
-      }
-      if (kind == std::string("fractured")) {
-        return db.CreateFracturedTable(name, schema, opt, secondary, rows);
-      }
-      return db.CreatePartitionedTable(name, schema, opt, secondary, popts,
-                                       rows);
-    };
-    for (const std::vector<int>& bad :
-         {std::vector<int>{99},
-          std::vector<int>{AuthorCols::kCountry, AuthorCols::kCountry}}) {
-      const uint64_t bytes = db.env()->TotalFileBytes();
-      EXPECT_FALSE(create(bad, authors).ok());
-      EXPECT_FALSE(create(bad, {}).ok());
-      EXPECT_EQ(db.env()->TotalFileBytes(), bytes);
-      EXPECT_EQ(db.GetTable(name), nullptr);
-    }
-    ASSERT_TRUE(create({AuthorCols::kCountry}, authors).ok());
+  Table* p = db.CreatePartitionedTable("p", schema, opt, {}, popts, authors)
+                 .ValueOrDie();
+  ASSERT_NE(p->partitioned()->shard_fractured(0)->main(), nullptr);
+  const Query ptq = Query::Ptq(gen.PopularInstitution(), 0.2);
+  std::vector<core::PtqMatch> before;
+  ASSERT_TRUE(p->Run(ptq, &before).status().ok());
+  ASSERT_FALSE(before.empty());
+
+  const uint64_t bytes = db.env()->TotalFileBytes();
+  EXPECT_EQ(db.CreateFracturedTable("p.s0", schema, opt, {}, authors)
+                .status()
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db.env()->TotalFileBytes(), bytes);
+  EXPECT_EQ(db.GetTable("p.s0"), nullptr);
+  std::vector<core::PtqMatch> after;
+  ASSERT_TRUE(p->Run(ptq, &after).status().ok());
+  ASSERT_EQ(after.size(), before.size());
+  for (size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].id, before[i].id);
+    EXPECT_EQ(after[i].confidence, before[i].confidence);
   }
 }
 

@@ -99,7 +99,7 @@ TEST(PtqUtilTest, SortFilterSummarize) {
 
 TEST(TopKTest, StrategiesAgree) {
   DblpFx fx;
-  engine::UpiAccessPath path(fx.author_upi.get());
+  engine::UpiAccessPath path(std::move(fx.author_upi));
   std::string v = fx.gen->PopularInstitution();
   const size_t k = 10;
 
@@ -134,10 +134,10 @@ TEST(TopKTest, UnclusteredBaselineAgrees) {
                    datagen::DblpGenerator::AuthorSchema(),
                    {AuthorCols::kInstitution}, fx.authors)
                    .ValueOrDie();
-  table->charge_open_per_query = false;
   std::string v = fx.gen->PopularInstitution();
-  engine::UpiAccessPath upi_path(fx.author_upi.get());
-  engine::UnclusteredAccessPath heap_path(table.get(), AuthorCols::kInstitution);
+  engine::UpiAccessPath upi_path(std::move(fx.author_upi));
+  engine::UnclusteredAccessPath heap_path(std::move(table),
+                                          AuthorCols::kInstitution, fx.authors);
   std::vector<core::PtqMatch> via_upi, via_heap;
   ASSERT_TRUE(TopKDirect(upi_path, v, 7, &via_upi).ok());
   ASSERT_TRUE(TopKDirect(heap_path, v, 7, &via_heap).ok());
@@ -156,11 +156,9 @@ TEST(SpatialTest, KnnExpandsUntilKFound) {
   datagen::CartelGenerator gen(cfg);
   auto obs = gen.GenerateObservations();
   storage::DbEnv env;
-  core::ContinuousUpiOptions opt;
-  opt.charge_open_per_query = false;
   auto upi = core::ContinuousUpi::Build(
                  &env, "cars", datagen::CartelGenerator::CarObservationSchema(),
-                 opt, {}, obs)
+                 datagen::CarObsCols::kLocation, {}, obs)
                  .ValueOrDie();
   Rng rng(5);
   prob::Point c = gen.RandomQueryCenter(&rng);
@@ -182,7 +180,7 @@ TEST(SpatialTest, KnnExpandsUntilKFound) {
 
 TEST(TopKTest, KLargerThanMatchesReturnsAll) {
   DblpFx fx;
-  engine::UpiAccessPath path(fx.author_upi.get());
+  engine::UpiAccessPath path(std::move(fx.author_upi));
   std::string v = fx.gen->InstitutionName(40);  // unpopular
   std::vector<core::PtqMatch> out;
   ASSERT_TRUE(TopKDirect(path, v, 100000, &out).ok());
@@ -196,7 +194,7 @@ TEST(TopKTest, KLargerThanMatchesReturnsAll) {
 
 TEST(TopKTest, DecreasingThresholdUsesFewRoundsForPopularValue) {
   DblpFx fx;
-  engine::UpiAccessPath path(fx.author_upi.get());
+  engine::UpiAccessPath path(std::move(fx.author_upi));
   std::vector<core::PtqMatch> out;
   int rounds = 0;
   ASSERT_TRUE(TopKByDecreasingThreshold(path, fx.gen->PopularInstitution(), 3,
@@ -208,7 +206,7 @@ TEST(TopKTest, DecreasingThresholdUsesFewRoundsForPopularValue) {
 
 TEST(RunBatchTest, GroupsSameValueProbesAndMatchesIndividualResults) {
   DblpFx fx;
-  engine::UpiAccessPath path(fx.author_upi.get());
+  engine::UpiAccessPath path(std::move(fx.author_upi));
   std::string v = fx.gen->PopularInstitution();
   std::vector<ProbeSpec> probes = {
       {-1, v, 0.6}, {-1, v, 0.3}, {-1, fx.gen->InstitutionName(12), 0.4},

@@ -118,9 +118,11 @@ TEST(FractureSummaryTest, SummariesSurviveFlushAndMergeInstalls) {
   UpiOptions opt;
   opt.cluster_column = datagen::AuthorCols::kInstitution;
   opt.cutoff = 0.1;
-  FracturedUpi table(&env, "t", datagen::DblpGenerator::AuthorSchema(), opt,
-                     {datagen::AuthorCols::kCountry});
-  ASSERT_TRUE(table.BuildMain(tuples).ok());
+  std::unique_ptr<FracturedUpi> owned =
+      FracturedUpi::Build(&env, "t", datagen::DblpGenerator::AuthorSchema(),
+                          opt, {datagen::AuthorCols::kCountry}, tuples)
+          .ValueOrDie();
+  FracturedUpi& table = *owned;
   const uint64_t n = tuples.size();
   EXPECT_EQ(SummaryTupleCounts(table), std::vector<uint64_t>({n}));
 
@@ -161,9 +163,11 @@ TEST(FractureSummaryTest, ConcurrentQueriesDuringMaintenanceSmoke) {
   UpiOptions opt;
   opt.cluster_column = datagen::AuthorCols::kInstitution;
   opt.cutoff = 0.1;
-  FracturedUpi table(&env, "c", datagen::DblpGenerator::AuthorSchema(), opt,
-                     {datagen::AuthorCols::kCountry});
-  ASSERT_TRUE(table.BuildMain(tuples).ok());
+  std::unique_ptr<FracturedUpi> owned =
+      FracturedUpi::Build(&env, "c", datagen::DblpGenerator::AuthorSchema(),
+                          opt, {datagen::AuthorCols::kCountry}, tuples)
+          .ValueOrDie();
+  FracturedUpi& table = *owned;
   std::string v = gen.PopularInstitution();
 
   std::atomic<bool> stop{false};

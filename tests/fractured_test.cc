@@ -37,10 +37,10 @@ struct Fx {
     opt.cluster_column = datagen::AuthorCols::kInstitution;
     opt.cutoff = 0.1;
     opt.charge_open_per_query = charge_open_per_query;
-    table = std::make_unique<FracturedUpi>(
-        &env, "authors", datagen::DblpGenerator::AuthorSchema(), opt,
-        std::vector<int>{datagen::AuthorCols::kCountry});
-    EXPECT_TRUE(table->BuildMain(tuples).ok());
+    table = FracturedUpi::Build(&env, "authors",
+                                datagen::DblpGenerator::AuthorSchema(), opt,
+                                {datagen::AuthorCols::kCountry}, tuples)
+                .ValueOrDie();
   }
 
   std::map<TupleId, double> Oracle(const std::string& value, double qt,
@@ -449,11 +449,12 @@ TEST(FracturedUpiTest, MaintenanceWritesNothingBackThroughThePool) {
                           opt, {}, {})
                    .ValueOrDie();
   ASSERT_TRUE(other->Insert(gen.MakeAuthor(800000)).ok());
-  FracturedUpi table(&env, "table", datagen::DblpGenerator::AuthorSchema(), opt,
-                     {datagen::AuthorCols::kCountry});
   const uint64_t writebacks = env.pool()->counters().writebacks;
-
-  ASSERT_TRUE(table.BuildMain(authors).ok());
+  std::unique_ptr<FracturedUpi> owned =
+      FracturedUpi::Build(&env, "table", datagen::DblpGenerator::AuthorSchema(),
+                          opt, {datagen::AuthorCols::kCountry}, authors)
+          .ValueOrDie();
+  FracturedUpi& table = *owned;
   for (TupleId id = 900000; id < 900090; ++id) {
     ASSERT_TRUE(table.Insert(gen.MakeAuthor(id)).ok());
     if (id % 30 == 29) {
@@ -469,6 +470,28 @@ TEST(FracturedUpiTest, MaintenanceWritesNothingBackThroughThePool) {
 
   env.pool()->FlushFile(other->heap_tree()->pager()->file());
   EXPECT_EQ(env.pool()->counters().writebacks, writebacks + 1);
+}
+
+TEST(FracturedUpiTest, FlushThatCannotCreateItsDeleteSetChangesNothing) {
+  // The flush builds the new fracture, then creates its delete-set file,
+  // and installs both only then: a file name already in use fails the
+  // flush with AlreadyExists, drops the fracture it built and leaves the
+  // list, the buffers and the environment's files as they were. The next
+  // flush takes the next fracture name and succeeds.
+  Fx fx;
+  ASSERT_TRUE(fx.env.CreateFile("authors.frac0.delset", 8192).ok());
+  ASSERT_TRUE(fx.table->Insert(fx.gen->MakeAuthor(700000)).ok());
+  ASSERT_TRUE(fx.table->Delete(fx.tuples[0].id()).ok());
+  const uint64_t bytes = fx.env.TotalFileBytes();
+  EXPECT_TRUE(fx.table->FlushBuffer().IsAlreadyExists());
+  EXPECT_EQ(fx.table->num_fractures(), 1u);
+  EXPECT_EQ(fx.table->buffered_inserts(), 1u);
+  EXPECT_EQ(fx.table->buffered_deletes(), 1u);
+  EXPECT_EQ(fx.env.TotalFileBytes(), bytes);
+
+  ASSERT_TRUE(fx.table->FlushBuffer().ok());
+  EXPECT_EQ(fx.table->num_fractures(), 2u);
+  EXPECT_EQ(fx.table->num_live_tuples(), fx.tuples.size());
 }
 
 TEST(FracturedUpiTest, InsertRejectsATupleNoFractureCanHold) {
@@ -507,12 +530,12 @@ TEST(FracturedUpiTest, MergesReleaseFilesWhileAnotherThreadFlushesThePool) {
   };
   std::vector<std::unique_ptr<FracturedUpi>> tables;
   for (const char* name : {"left", "right"}) {
-    tables.push_back(std::make_unique<FracturedUpi>(
-        &env, name, datagen::DblpGenerator::AuthorSchema(), opt,
-        std::vector<int>{datagen::AuthorCols::kCountry}));
     const std::vector<Tuple> authors =
-        generator(tables.size())->GenerateAuthors();
-    ASSERT_TRUE(tables.back()->BuildMain(authors).ok());
+        generator(tables.size() + 1)->GenerateAuthors();
+    tables.push_back(
+        FracturedUpi::Build(&env, name, datagen::DblpGenerator::AuthorSchema(),
+                            opt, {datagen::AuthorCols::kCountry}, authors)
+            .ValueOrDie());
   }
 
   std::atomic<bool> done{false};
@@ -772,7 +795,7 @@ TEST(FracturedHandleCacheTest, ThresholdTopKOpensEachFractureOnceAcrossRounds) {
   Fx fx;
   fx.AddDeltas(2, 550000);
   fx.table->mutable_options()->enable_pruning = false;
-  engine::FracturedAccessPath path(fx.table.get());
+  engine::FracturedAccessPath path(std::move(fx.table), /*manager=*/nullptr);
   std::vector<PtqMatch> out;
   int rounds = 0;
   fx.env.ColdCache();
@@ -782,7 +805,7 @@ TEST(FracturedHandleCacheTest, ThresholdTopKOpensEachFractureOnceAcrossRounds) {
                     .ok());
   });
   ASSERT_GE(rounds, 3);  // 0.9, 0.225, then below C = 0.1
-  EXPECT_EQ(opens, ColdFilesTouched(*fx.table, "ptq"));
+  EXPECT_EQ(opens, ColdFilesTouched(*path.fractured(), "ptq"));
 }
 
 TEST(FracturedHandleCacheTest, ChargeOpenPerQueryPaysOncePerFilePerQuery) {

@@ -46,10 +46,12 @@ TEST(IntegrationTest, DiscreteLifecycle) {
   opt.cluster_column = AuthorCols::kInstitution;
   opt.cutoff = 0.15;
 
-  core::FracturedUpi table(&env, "authors",
-                           datagen::DblpGenerator::AuthorSchema(), opt,
-                           {AuthorCols::kCountry});
-  ASSERT_TRUE(table.BuildMain(authors).ok());
+  std::unique_ptr<core::FracturedUpi> owned =
+      core::FracturedUpi::Build(&env, "authors",
+                                datagen::DblpGenerator::AuthorSchema(), opt,
+                                {AuthorCols::kCountry}, authors)
+          .ValueOrDie();
+  core::FracturedUpi& table = *owned;
 
   // Publication UPI for the aggregate queries.
   core::UpiOptions popt = opt;
@@ -147,10 +149,10 @@ TEST(IntegrationTest, DiscreteLifecycle) {
             authors.size() + extra.size() - deleted.size());
 
   // Top-k strategies agree after the whole lifecycle.
-  engine::UpiAccessPath main_path(table.main());
+  engine::FracturedAccessPath path(std::move(owned), /*manager=*/nullptr);
   std::vector<core::PtqMatch> direct, est_k;
-  ASSERT_TRUE(exec::TopKDirect(main_path, inst, 5, &direct).ok());
-  ASSERT_TRUE(exec::TopKByEstimatedThreshold(main_path, inst, 5, &est_k).ok());
+  ASSERT_TRUE(exec::TopKDirect(path, inst, 5, &direct).ok());
+  ASSERT_TRUE(exec::TopKByEstimatedThreshold(path, inst, 5, &est_k).ok());
   ASSERT_EQ(direct.size(), 5u);
   ASSERT_EQ(est_k.size(), 5u);
   for (size_t i = 0; i < 5; ++i) {
@@ -168,11 +170,9 @@ TEST(IntegrationTest, ContinuousLifecycle) {
   auto obs = gen.GenerateObservations();
 
   storage::DbEnv env;
-  core::ContinuousUpiOptions opt;
-  opt.location_column = CarObsCols::kLocation;
   auto upi = core::ContinuousUpi::Build(
                  &env, "cars", datagen::CartelGenerator::CarObservationSchema(),
-                 opt, {CarObsCols::kSegment}, obs)
+                 CarObsCols::kLocation, {CarObsCols::kSegment}, obs)
                  .ValueOrDie();
 
   // Baseline consistency on range queries.

@@ -40,10 +40,10 @@ struct Fx {
     UpiOptions opt;
     opt.cluster_column = datagen::AuthorCols::kInstitution;
     opt.cutoff = 0.1;
-    table = std::make_unique<FracturedUpi>(
-        &env, "authors", datagen::DblpGenerator::AuthorSchema(), opt,
-        std::vector<int>{});
-    EXPECT_TRUE(table->BuildMain(tuples).ok());
+    table = FracturedUpi::Build(&env, "authors",
+                                datagen::DblpGenerator::AuthorSchema(), opt,
+                                {}, tuples)
+                .ValueOrDie();
     next_id = n + 1;
   }
 

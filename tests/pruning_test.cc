@@ -77,16 +77,16 @@ struct WorkloadFx {
     UpiOptions opt;
     opt.cluster_column = kInst;
     opt.cutoff = 0.1;
-    table = std::make_unique<FracturedUpi>(
-        &env, "w", datagen::DblpGenerator::AuthorSchema(), opt,
-        std::vector<int>{kCountry});
     TupleId id = 1;
     std::vector<Tuple> main_tuples;
     for (uint64_t s = 0; s < 120; ++s) {
       main_tuples.push_back(MakeSlotTuple(id++, s, false, &rng));
       slots.push_back(s);
     }
-    EXPECT_TRUE(table->BuildMain(main_tuples).ok());
+    table = FracturedUpi::Build(&env, "w",
+                                datagen::DblpGenerator::AuthorSchema(), opt,
+                                {kCountry}, main_tuples)
+                .ValueOrDie();
     // Three deltas over later (partially overlapping) slot ranges; the last
     // one entirely low-probability.
     for (int d = 0; d < 3; ++d) {
@@ -182,14 +182,16 @@ TEST(PruningPinnedTest, HighThresholdPtqProbesOnlyMainAndPaysMainOnlyPages) {
   opt.cutoff = 0.1;
 
   storage::DbEnv env(256ull << 20);
-  FracturedUpi table(&env, "t", datagen::DblpGenerator::AuthorSchema(), opt,
-                     {kCountry});
   std::vector<Tuple> main_tuples;
   TupleId id = 1;
   for (uint64_t s = 0; s < 100; ++s) {
     main_tuples.push_back(MakeSlotTuple(id++, s, false, &rng));
   }
-  ASSERT_TRUE(table.BuildMain(main_tuples).ok());
+  std::unique_ptr<FracturedUpi> owned =
+      FracturedUpi::Build(&env, "t", datagen::DblpGenerator::AuthorSchema(),
+                          opt, {kCountry}, main_tuples)
+          .ValueOrDie();
+  FracturedUpi& table = *owned;
   for (int d = 0; d < 4; ++d) {
     for (uint64_t i = 0; i < 50; ++i) {
       ASSERT_TRUE(
@@ -203,14 +205,16 @@ TEST(PruningPinnedTest, HighThresholdPtqProbesOnlyMainAndPaysMainOnlyPages) {
   // The reference: an identical main-only table in its own env.
   Rng rng2(99);
   storage::DbEnv env2(256ull << 20);
-  FracturedUpi main_only(&env2, "t", datagen::DblpGenerator::AuthorSchema(),
-                         opt, {kCountry});
   std::vector<Tuple> main_tuples2;
   TupleId id2 = 1;
   for (uint64_t s = 0; s < 100; ++s) {
     main_tuples2.push_back(MakeSlotTuple(id2++, s, false, &rng2));
   }
-  ASSERT_TRUE(main_only.BuildMain(main_tuples2).ok());
+  std::unique_ptr<FracturedUpi> main_owned =
+      FracturedUpi::Build(&env2, "t", datagen::DblpGenerator::AuthorSchema(),
+                          opt, {kCountry}, main_tuples2)
+          .ValueOrDie();
+  FracturedUpi& main_only = *main_owned;
   env2.pool()->FlushAll();
 
   std::string value = "part000050";
@@ -266,8 +270,6 @@ TEST(PruningPinnedTest, LazyCursorOpensNothingBeyondTheLimit) {
   UpiOptions opt;
   opt.cluster_column = kInst;
   opt.cutoff = 0.1;
-  FracturedUpi table(&env, "t", datagen::DblpGenerator::AuthorSchema(), opt,
-                     {});
   std::vector<Tuple> main_tuples;
   TupleId id = 1;
   // Value "part000000" present in main AND in every delta (overlapping
@@ -275,7 +277,11 @@ TEST(PruningPinnedTest, LazyCursorOpensNothingBeyondTheLimit) {
   for (uint64_t s = 0; s < 40; ++s) {
     main_tuples.push_back(MakeSlotTuple(id++, s, false, &rng));
   }
-  ASSERT_TRUE(table.BuildMain(main_tuples).ok());
+  std::unique_ptr<FracturedUpi> owned =
+      FracturedUpi::Build(&env, "t", datagen::DblpGenerator::AuthorSchema(),
+                          opt, {}, main_tuples)
+          .ValueOrDie();
+  FracturedUpi& table = *owned;
   for (int d = 0; d < 3; ++d) {
     for (uint64_t i = 0; i < 20; ++i) {
       ASSERT_TRUE(table.Insert(MakeSlotTuple(id++, i, false, &rng)).ok());

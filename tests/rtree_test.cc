@@ -104,7 +104,7 @@ struct Fx {
   storage::PageFile* file;
   NodeLocator locator;
 
-  Fx() { file = env.CreateFile("rtree", 4096); }
+  Fx() { file = env.CreateFile("rtree", 4096).ValueOrDie(); }
 
   ObjectEntry MakeEntry(catalog::TupleId id, Point mean, double sigma = 5.0,
                         double bound = 15.0) {

@@ -388,8 +388,8 @@ TEST(BufferPoolTest, ShardPlacementIsStableAcrossEnvironments) {
   std::vector<PageFile*> files_a, files_b;
   for (int i = 0; i < 4; ++i) {
     std::string name = "f" + std::to_string(i);
-    files_a.push_back(a.CreateFile(name, 4096));
-    files_b.push_back(b.CreateFile(name, 4096));
+    files_a.push_back(a.CreateFile(name, 4096).ValueOrDie());
+    files_b.push_back(b.CreateFile(name, 4096).ValueOrDie());
   }
   for (size_t f = 0; f < files_a.size(); ++f) {
     for (PageId id = 0; id < 64; ++id) {
@@ -544,15 +544,13 @@ TEST(DbEnvTest, DuplicateFileNameIsRejected) {
   // Regression: CreateFile used to silently create a second file under an
   // existing name, shadowing live data.
   DbEnv env;
-  ASSERT_NE(env.CreateFile("t.heap", 4096), nullptr);
-  auto dup = env.TryCreateFile("t.heap", 4096);
+  ASSERT_TRUE(env.CreateFile("t.heap", 4096).ok());
+  auto dup = env.CreateFile("t.heap", 4096);
   ASSERT_FALSE(dup.ok());
   EXPECT_TRUE(dup.status().IsAlreadyExists());
   EXPECT_NE(dup.status().message().find("t.heap"), std::string::npos);
   // Distinct names still work.
-  EXPECT_NE(env.CreateFile("t.cutoff", 4096), nullptr);
-  // The abort-on-duplicate contract of the pointer-returning variant.
-  EXPECT_DEATH(env.CreateFile("t.heap", 4096), "already exists");
+  EXPECT_TRUE(env.CreateFile("t.cutoff", 4096).ok());
 }
 
 /// Creates `pages` pages of `file` through the pool, each holding its name
@@ -567,10 +565,35 @@ void FillDirty(DbEnv& env, PageFile* file, int pages) {
   }
 }
 
+TEST(DbEnvTest, NewFilesDropsWhatAFailedBuildCreated) {
+  // A build that does not call Keep leaves no file behind, also one it wrote
+  // through the pool; a kept build's files stay. A name in use is a Status,
+  // and the guard drops only the files it created.
+  DbEnv env(1 << 20);
+  ASSERT_TRUE(env.CreateFile("other", 4096).ok());
+  {
+    NewFiles files(&env);
+    PageFile* direct = files.Create("t.direct", 4096).ValueOrDie();
+    direct->Write(direct->Allocate(), "direct");
+    FillDirty(env, files.Create("t.pooled", 4096).ValueOrDie(), 2);
+    EXPECT_TRUE(files.Create("other", 4096).status().IsAlreadyExists());
+    EXPECT_EQ(env.TotalFileBytes(), 3u * 4096);
+  }
+  EXPECT_EQ(env.TotalFileBytes(), 0u);
+  EXPECT_EQ(env.pool()->cached_bytes(), 0u);
+  {
+    NewFiles files(&env);
+    ASSERT_TRUE(files.Create("t.direct", 4096).ok());
+    files.Keep();
+  }
+  EXPECT_TRUE(env.CreateFile("t.direct", 4096).status().IsAlreadyExists());
+  EXPECT_TRUE(env.CreateFile("other", 4096).status().IsAlreadyExists());
+}
+
 TEST(DbEnvTest, DropFileReleasesItsFramesAndBytes) {
   DbEnv env(1 << 20);
-  PageFile* keep = env.CreateFile("keep", 4096);
-  PageFile* gone = env.CreateFile("gone", 4096);
+  PageFile* keep = env.CreateFile("keep", 4096).ValueOrDie();
+  PageFile* gone = env.CreateFile("gone", 4096).ValueOrDie();
   FillDirty(env, keep, 4);
   FillDirty(env, gone, 4);
   env.pool()->FlushAll();
@@ -600,7 +623,7 @@ TEST(DbEnvTest, DropFileReleasesItsFramesAndBytes) {
 
   // The name is free again, and the new file's first fetch misses: no frame
   // of the dropped file can answer for it, even at a recycled address.
-  PageFile* again = env.CreateFile("gone", 4096);
+  PageFile* again = env.CreateFile("gone", 4096).ValueOrDie();
   PageId id = again->Allocate();
   again->Write(id, "fresh");
   const uint64_t misses = env.pool()->misses();
@@ -619,8 +642,9 @@ TEST(DbEnvTest, FlushSkipsTheKeysOfAFileDroppedMidFlush) {
   // not write back the dirty page of a new file at the same address.
   constexpr int kBallast = 1000;
   DbEnv env(64 << 20);
-  PageFile* ballast = env.CreateFile("a.ballast", 4096);  // flushed first
-  PageFile* doomed = env.CreateFile("b.doomed", 4096);
+  // Flushed first: the flush writes back in file-name order.
+  PageFile* ballast = env.CreateFile("a.ballast", 4096).ValueOrDie();
+  PageFile* doomed = env.CreateFile("b.doomed", 4096).ValueOrDie();
   FillDirty(env, ballast, kBallast);
   FillDirty(env, doomed, 2);
   // Each write now sleeps, so the flush below is still in the ballast while
@@ -632,7 +656,7 @@ TEST(DbEnvTest, FlushSkipsTheKeysOfAFileDroppedMidFlush) {
   while (env.disk()->stats().writes == writes) std::this_thread::yield();
   env.pool()->FlushFile(doomed);
   env.DropFile(doomed);
-  PageFile* successor = env.CreateFile("b.successor", 4096);
+  PageFile* successor = env.CreateFile("b.successor", 4096).ValueOrDie();
   FillDirty(env, successor, 1);
   flusher.join();
   env.disk()->SetRealtimeScale(0.0);
@@ -647,14 +671,14 @@ TEST(DbEnvTest, FlushSkipsTheKeysOfAFileDroppedMidFlush) {
 
 TEST(DbEnvDeathTest, DropFileWithADirtyPageAborts) {
   DbEnv env(1 << 20);
-  PageFile* file = env.CreateFile("t", 4096);
+  PageFile* file = env.CreateFile("t", 4096).ValueOrDie();
   FillDirty(env, file, 3);
   EXPECT_DEATH(env.DropFile(file), "dirty");
 }
 
 TEST(DbEnvDeathTest, DropFileWithAPinnedPageAborts) {
   DbEnv env(1 << 20);
-  PageFile* file = env.CreateFile("t", 4096);
+  PageFile* file = env.CreateFile("t", 4096).ValueOrDie();
   FillDirty(env, file, 1);
   env.pool()->Fetch(file, 0);  // stays pinned
   EXPECT_DEATH(env.DropFile(file), "pinned");

@@ -502,8 +502,9 @@ TEST(SecondaryIndexTest, PointerCodecRoundTrip) {
 
 TEST(SecondaryIndexTest, PointerLimitTruncatesAndFlags) {
   storage::DbEnv env;
-  auto sec = SecondaryIndex::Builder(env.MakePager(env.CreateFile("s", 8192)),
-                                     /*max_pointers=*/2)
+  auto sec = SecondaryIndex::Builder(
+                 env.MakePager(env.CreateFile("s", 8192).ValueOrDie()),
+                 /*max_pointers=*/2)
                  .Finish()
                  .ValueOrDie();
   std::vector<SecondaryPointer> ptrs = {

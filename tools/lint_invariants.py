@@ -29,6 +29,12 @@ enforce:
                 hierarchy that no code path can exercise, and it lets a
                 deleted lock's ordering claims outlive the lock.
 
+  create-file   a CreateFile( call in src/ outside src/storage/ is banned.
+                Files are created in one place, storage::NewFiles, which
+                drops the files of a build that fails; a file created
+                anywhere else outlives a failed build, and a retry under the
+                same name then collides with it.
+
 Zero third-party dependencies; line-based on purpose (simple enough to
 audit, and the few multi-line cases are handled by the continuation rule).
 Exit status 0 = clean, 1 = findings (printed one per line as
@@ -55,6 +61,7 @@ SMART = re.compile(r"unique_ptr|shared_ptr|make_unique|make_shared")
 LOCK_RANK_HEADER = SRC / "sync" / "lock_rank.h"
 RANK_ENUMERATOR = re.compile(r"^\s*(k\w+)\s*=\s*\d+\s*,")
 RANK_USE = re.compile(r"\bLockRank::(k\w+)\b")
+CREATE_FILE = re.compile(r"\bCreateFile\s*\(")
 
 
 def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
@@ -67,6 +74,7 @@ def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
             if end < 0:
                 return "".join(out), True
             i = end + 2
+            in_block = False
             continue
         c = line[i]
         if c == "/" and i + 1 < n and line[i + 1] == "/":
@@ -134,6 +142,7 @@ def lint_file(path: Path) -> list[str]:
     findings = []
     rel = path.relative_to(REPO)
     in_sync = rel.parts[:2] == ("src", "sync")
+    in_storage = rel.parts[:2] == ("src", "storage")
     prev_code = ""
     for lineno, code in code_lines(path):
         def report(rule: str, msg: str) -> None:
@@ -161,6 +170,12 @@ def lint_file(path: Path) -> list[str]:
                 report("naked-new", "naked new; own it with a smart pointer")
         if DELETE_EXPR.search(code) and "= delete" not in code:
             report("naked-new", "naked delete; owning type should manage this")
+        if not in_storage and CREATE_FILE.search(code):
+            report(
+                "create-file",
+                "file created outside src/storage/; create it through "
+                "storage::NewFiles (storage/db_env.h)",
+            )
         if code.strip():
             prev_code = code
     return findings
