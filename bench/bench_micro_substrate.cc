@@ -3,8 +3,10 @@
 // in DESIGN.md (bulk load vs random insert, tailored vs plain pointer
 // selection, histogram estimation).
 #include <benchmark/benchmark.h>
+#include <stdlib.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <string>
@@ -15,9 +17,11 @@
 #include "common/random.h"
 #include "core/upi.h"
 #include "datagen/dblp.h"
+#include "engine/database.h"
 #include "histogram/prob_histogram.h"
 #include "prob/gaussian2d.h"
 #include "storage/db_env.h"
+#include "wal/wal_format.h"
 
 namespace upi {
 namespace {
@@ -315,6 +319,65 @@ void BM_UpiQueryBySecondary(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_UpiQueryBySecondary)->Unit(benchmark::kMillisecond);
+
+// The WAL's frame checksum over a 16 MiB buffer, the size class of a bulk
+// create record: paid once when the record is logged and again at recovery.
+void BM_WalCrc32(benchmark::State& state) {
+  Rng rng(3);
+  std::string buf(16u << 20, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.Uniform(256));
+  for (auto _ : state) benchmark::DoNotOptimize(wal::Crc32(buf));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buf.size()));
+}
+BENCHMARK(BM_WalCrc32)->Unit(benchmark::kMillisecond);
+
+// Opening a database whose log holds a 20k-tuple partitioned create and 5k
+// inserts: the streamed log scan, CRC checks, decoding and replay.
+void BM_WalRecover(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  std::string dir = (fs::temp_directory_path() / "upi_bench_wal_XXXXXX");
+  if (::mkdtemp(dir.data()) == nullptr) {
+    state.SkipWithError("cannot create a scratch directory");
+    return;
+  }
+  engine::DatabaseOptions opts;
+  opts.maintenance.num_workers = 0;
+  opts.gather_workers = 0;
+  opts.wal_dir = dir;
+  opts.wal_mode = wal::WalMode::kCommit;
+  {
+    datagen::DblpConfig cfg;
+    cfg.num_authors = 20000;
+    datagen::DblpGenerator gen(cfg);
+    core::UpiOptions opt;
+    opt.cluster_column = datagen::AuthorCols::kInstitution;
+    engine::PartitionOptions popts;
+    popts.num_shards = 4;
+    engine::Database db(opts);
+    engine::Table* table =
+        db.CreatePartitionedTable("authors",
+                                  datagen::DblpGenerator::AuthorSchema(), opt,
+                                  {datagen::AuthorCols::kCountry}, popts,
+                                  gen.GenerateAuthors())
+            .ValueOrDie();
+    for (int i = 0; i < 5000; ++i) {
+      if (!table->Insert(gen.MakeAuthor(20000 + i)).ok()) {
+        state.SkipWithError("insert failed");
+        break;
+      }
+    }
+  }
+  uint64_t records = 0;
+  for (auto _ : state) {
+    engine::Database db(opts);
+    records += db.recovery_stats().records;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(records));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+BENCHMARK(BM_WalRecover)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace upi

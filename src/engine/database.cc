@@ -205,32 +205,30 @@ Database::Database(DatabaseOptions options)
 
   if (!options_.wal_dir.empty()) {
     wal_path_ = options_.wal_dir + "/wal.log";
-    auto read = wal::ReadLogFile(wal_path_);
+    // Replay with the writer unarmed (wal_ is still null, so the ops are not
+    // re-journaled) and watermark notifications paused (the logged
+    // maintenance records reproduce the original flush/merge sequence).
+    manager_.SetNotifyPaused(true);
+    sim::ThreadStatsWindow window(env_.disk());
+    auto recovered = wal::Recover(this, wal_path_);
     // A log that exists but is not a WAL is operator error, not crash
     // damage — refuse to silently overwrite it.
-    UPI_CHECK(read.ok(), read.status().ToString().c_str());
-    wal::LogContents log = std::move(read).value();
-    if (!log.payloads.empty()) {
-      // Replay with the writer unarmed (wal_ is still null, so the ops are
-      // not re-journaled) and watermark notifications paused (the logged
-      // maintenance records reproduce the original flush/merge sequence).
-      manager_.SetNotifyPaused(true);
-      sim::ThreadStatsWindow window(env_.disk());
-      auto replayed = wal::Replay(this, log);
-      UPI_CHECK(replayed.ok(), replayed.status().ToString().c_str());
-      recovery_stats_ = std::move(replayed).value();
-      recovery_stats_.sim_ms = window.Delta().SimMs(profile_.cost);
-      manager_.SetNotifyPaused(false);
-    }
+    UPI_CHECK(recovered.ok(), recovered.status().ToString().c_str());
+    recovery_stats_ = std::move(recovered).value();
+    recovery_stats_.sim_ms = window.Delta().SimMs(profile_.cost);
+    manager_.SetNotifyPaused(false);
     wal::WalWriterOptions wopts;
     wopts.path = wal_path_;
     wopts.mode = options_.wal_mode;
-    auto writer = wal::WalWriter::Open(&env_, std::move(wopts),
-                                       log.missing ? 0 : log.valid_bytes,
-                                       recovery_stats_.records + 1);
+    // valid_bytes is 0 only when there was no log: an existing one holds at
+    // least its header.
+    auto writer =
+        wal::WalWriter::Open(&env_, std::move(wopts),
+                             recovery_stats_.valid_bytes,
+                             recovery_stats_.records + 1);
     UPI_CHECK(writer.ok(), writer.status().ToString().c_str());
     wal_ = std::move(writer).value();
-    if (!log.missing && log.valid_bytes > 0) {
+    if (recovery_stats_.valid_bytes > 0) {
       // Recovery scanned the whole surviving log once, sequentially.
       wal_->ChargeReplayRead();
     }
@@ -430,24 +428,28 @@ Status Database::Checkpoint() {
   // started; Sync() drains the pending group tail before the snapshot scan.
   std::unique_lock<sync::SharedMutex> gate(wal_->gate());
   wal_->Sync();
-  std::vector<std::string> payloads;
-  payloads.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) {
-    std::vector<catalog::Tuple> tuples;
-    UPI_RETURN_NOT_OK(table->path()->ScanTuples(
-        [&tuples](const catalog::Tuple& t) { tuples.push_back(t); }));
-    // The insert paths accept a TupleId that is still live, and the
-    // unclustered and partitioned scans report both tuples. A create record
-    // that repeats an id does not replay (CreateTable rejects it), so the
-    // table would be lost: refuse, and keep the current log, which replays.
-    Status distinct = core::CheckDistinctIds(tuples);
-    if (!distinct.ok()) {
-      return Status::InvalidArgument("checkpoint: table '" + name +
-                                     "': " + distinct.message());
+  // Each table's snapshot record is written before the next table is
+  // scanned, so the checkpoint holds one table's rows at a time.
+  return wal_->Rotate([this](const wal::WalWriter::SnapshotSink& sink) {
+    for (const auto& [name, table] : tables_) {
+      std::vector<catalog::Tuple> tuples;
+      UPI_RETURN_NOT_OK(table->path()->ScanTuples(
+          [&tuples](const catalog::Tuple& t) { tuples.push_back(t); }));
+      // The insert paths accept a TupleId that is still live, and the
+      // unclustered and partitioned scans report both tuples. A create
+      // record that repeats an id does not replay (CreateTable rejects it),
+      // so the table would be lost: refuse, and keep the current log, which
+      // replays.
+      Status distinct = core::CheckDistinctIds(tuples);
+      if (!distinct.ok()) {
+        return Status::InvalidArgument("checkpoint: table '" + name +
+                                       "': " + distinct.message());
+      }
+      UPI_RETURN_NOT_OK(
+          sink(wal::EncodeCreateTable(name, table->spec_, tuples)));
     }
-    payloads.push_back(wal::EncodeCreateTable(name, table->spec_, tuples));
-  }
-  return wal_->Rotate(payloads);
+    return Status::OK();
+  });
 }
 
 void Database::MaybeScheduleCheckpoint() {

@@ -256,17 +256,19 @@ class Database {
   /// re-journaled).
   wal::WalWriter* wal() const { return wal_.get(); }
 
-  /// What constructor-time recovery replayed (all zeros when the log was
-  /// absent or empty).
+  /// What constructor-time recovery replayed (no records when the log was
+  /// absent or empty; valid_bytes is 0 only when it was absent).
   const wal::RecoveryStats& recovery_stats() const { return recovery_stats_; }
 
   /// Snapshots every table into a fresh log and truncates the old one, under
   /// the WAL gate held exclusive (an atomic cut: no mutation is applied but
   /// unlogged, or logged but unapplied, across the snapshot). Runs on the
   /// caller's thread; not synchronized against concurrent Create*Table DDL.
-  /// A table whose snapshot repeats a TupleId fails the checkpoint with
-  /// InvalidArgument and leaves the log as it was: its create record would
-  /// not replay.
+  /// Each table's record is written to the new log before the next table is
+  /// scanned. A table whose snapshot repeats a TupleId fails the checkpoint
+  /// with InvalidArgument, and a failed host write, flush or rename with
+  /// IOError; either leaves the log as it was (a repeated id's create
+  /// record would not replay).
   Status Checkpoint();
 
   /// Enqueues a background checkpoint with the maintenance manager when the

@@ -286,35 +286,44 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
       metrics->counter("upi_partition_shards_pruned_total");
   table->m_rows_routed_ = metrics->counter("upi_partition_rows_routed_total");
 
-  // Route the bulk data.
+  // Route every tuple before any shard builds, then copy, build and
+  // summarize one shard's tuples at a time, so the create holds one shard's
+  // copy of the input, not all of them.
   const size_t n = table->partitioner_.num_shards();
-  std::vector<std::vector<catalog::Tuple>> parts(n);
-  for (const catalog::Tuple& t : tuples) {
-    UPI_ASSIGN_OR_RETURN(size_t shard, table->RouteOf(t));
-    parts[shard].push_back(t);
+  std::vector<uint32_t> shard_of(tuples.size());
+  std::vector<size_t> counts(n, 0);
+  for (size_t j = 0; j < tuples.size(); ++j) {
+    UPI_ASSIGN_OR_RETURN(size_t shard, table->RouteOf(tuples[j]));
+    shard_of[j] = static_cast<uint32_t>(shard);
+    ++counts[shard];
   }
 
   // A shard that fails to build releases the shards built before it, so a
   // rejected create leaves no file behind.
   std::vector<std::unique_ptr<core::FracturedUpi>> built;
   for (size_t i = 0; i < n; ++i) {
+    std::vector<catalog::Tuple> part;
+    part.reserve(counts[i]);
+    for (size_t j = 0; j < tuples.size(); ++j) {
+      if (shard_of[j] == i) part.push_back(tuples[j]);
+    }
     auto fractured = core::FracturedUpi::Build(
         env, table->name_ + ".s" + std::to_string(i), schema, options,
-        secondary_columns, parts[i]);
+        secondary_columns, part);
     if (!fractured.ok()) {
       for (auto& shard : built) core::FracturedUpi::Release(std::move(shard));
       return fractured.status();
     }
     built.push_back(std::move(fractured).value());
-  }
-  for (size_t i = 0; i < n; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->path =
-        std::make_unique<FracturedAccessPath>(std::move(built[i]), manager);
-    for (const catalog::Tuple& t : parts[i]) {
+    for (const catalog::Tuple& t : part) {
       shard->summary.AddTuple(t, table->summary_columns_);
     }
     table->shards_.push_back(std::move(shard));
+  }
+  for (size_t i = 0; i < n; ++i) {
+    table->shards_[i]->path =
+        std::make_unique<FracturedAccessPath>(std::move(built[i]), manager);
   }
   return table;
 }

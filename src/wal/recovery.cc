@@ -63,11 +63,9 @@ Status ApplyRecord(engine::Database* db, const WalRecord& rec,
 
 }  // namespace
 
-Result<RecoveryStats> Replay(engine::Database* db, const LogContents& log) {
+Result<RecoveryStats> Recover(engine::Database* db, const std::string& path) {
   RecoveryStats stats;
-  stats.valid_bytes = log.valid_bytes;
-  stats.dropped_bytes = log.dropped_bytes;
-  for (const std::string& payload : log.payloads) {
+  auto replay = [db, &stats](std::string_view payload) -> Status {
     UPI_ASSIGN_OR_RETURN(WalRecord rec, DecodeRecord(payload));
     ++stats.records;
     Status s = ApplyRecord(db, rec, &stats);
@@ -79,7 +77,11 @@ Result<RecoveryStats> Replay(engine::Database* db, const LogContents& log) {
                    static_cast<unsigned long long>(stats.records),
                    s.ToString().c_str());
     }
-  }
+    return Status::OK();
+  };
+  UPI_ASSIGN_OR_RETURN(LogScan scan, ScanLogFile(path, replay));
+  stats.valid_bytes = scan.valid_bytes;
+  stats.dropped_bytes = scan.dropped_bytes;
   return stats;
 }
 

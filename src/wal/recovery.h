@@ -1,4 +1,8 @@
-// Crash recovery: logical-redo replay of a scanned WAL into a Database.
+// Crash recovery: logical-redo replay of the WAL into a Database.
+//
+// The log is scanned and replayed in one pass: each intact record is decoded
+// and applied as it is read, so recovery holds one read buffer and the
+// largest record, never the whole log.
 //
 // Called by Database's constructor (before the WalWriter is armed, so
 // replayed operations are not re-logged) with maintenance watermark
@@ -14,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "common/status.h"
 #include "wal/wal_format.h"
@@ -36,9 +41,11 @@ struct RecoveryStats {
   double sim_ms = 0.0;       // simulated device time replay charged
 };
 
-/// Replays every record of `log` into `db` in order. Returns the stats;
-/// fails only on malformed-but-CRC-valid records (software bug, not crash
-/// damage — a torn tail never reaches here).
-Result<RecoveryStats> Replay(engine::Database* db, const LogContents& log);
+/// Scans the log at `path` (ScanLogFile) and replays every intact record
+/// into `db` in order. A missing log replays nothing (valid_bytes 0). Fails
+/// when the file is not a WAL or cannot be read, and on a
+/// malformed-but-CRC-valid record (software bug, not crash damage — a torn
+/// tail never reaches the decoder).
+Result<RecoveryStats> Recover(engine::Database* db, const std::string& path);
 
 }  // namespace upi::wal

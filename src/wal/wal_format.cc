@@ -1,8 +1,13 @@
 #include "wal/wal_format.h"
 
+#include <sys/stat.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
+#include "common/check.h"
 #include "common/coding.h"
 
 namespace upi::wal {
@@ -13,32 +18,51 @@ namespace upi::wal {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+/// entries[0] is the classic bytewise table; entries[k][i] is the CRC of
+/// byte i followed by k zero bytes, so one step folds eight input bytes
+/// through eight independent lookups.
+struct Crc32Tables {
+  uint32_t entries[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const uint32_t prev = entries[k - 1][i];
+        entries[k][i] = (prev >> 8) ^ entries[0][prev & 0xFFu];
+      }
     }
   }
 };
 
-const Crc32Table& Table() {
-  static const Crc32Table table;
-  return table;
+const Crc32Tables& Tables() {
+  static const Crc32Tables tables;
+  return tables;
 }
 
 }  // namespace
 
 uint32_t Crc32(const char* data, size_t n) {
-  const Crc32Table& t = Table();
+  const auto& t = Tables().entries;
+  const auto* p = reinterpret_cast<const unsigned char*>(data);
   uint32_t c = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    c = t.entries[(c ^ static_cast<uint8_t>(data[i])) & 0xFFu] ^ (c >> 8);
+  // The two words load in host order: little-endian, like the frame fields.
+  for (; n >= 8; p += 8, n -= 8) {
+    uint32_t lo = 0;
+    uint32_t hi = 0;
+    std::memcpy(&lo, p, 4);
+    std::memcpy(&hi, p + 4, 4);
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
@@ -53,7 +77,8 @@ void PutLP(std::string* dst, std::string_view s) {
   dst->append(s.data(), s.size());
 }
 
-Status GetLP(const char** p, const char* limit, std::string* out) {
+/// Reads a length-prefixed byte string in place; `out` views the record.
+Status GetLP(const char** p, const char* limit, std::string_view* out) {
   uint32_t len = 0;
   size_t n = GetVarint32(*p, limit, &len);
   if (n == 0) return Status::Corruption("wal: bad length prefix");
@@ -61,8 +86,15 @@ Status GetLP(const char** p, const char* limit, std::string* out) {
   if (static_cast<size_t>(limit - *p) < len) {
     return Status::Corruption("wal: length prefix past record end");
   }
-  out->assign(*p, len);
+  *out = std::string_view(*p, len);
   *p += len;
+  return Status::OK();
+}
+
+Status GetLP(const char** p, const char* limit, std::string* out) {
+  std::string_view view;
+  UPI_RETURN_NOT_OK(GetLP(p, limit, &view));
+  out->assign(view);
   return Status::OK();
 }
 
@@ -124,17 +156,26 @@ Status GetColumnList(const char** p, const char* limit,
   return Status::OK();
 }
 
-void PutTuple(std::string* dst, const catalog::Tuple& t) {
-  std::string bytes;
-  t.Serialize(&bytes);
-  PutLP(dst, bytes);
+/// `scratch` holds the serialized tuple; reusing it across tuples saves an
+/// allocation per tuple.
+void PutTuple(std::string* dst, const catalog::Tuple& t, std::string* scratch) {
+  scratch->clear();
+  t.Serialize(scratch);
+  PutLP(dst, *scratch);
 }
 
 Status GetTuple(const char** p, const char* limit, catalog::Tuple* out) {
-  std::string bytes;
+  std::string_view bytes;
   UPI_RETURN_NOT_OK(GetLP(p, limit, &bytes));
   UPI_ASSIGN_OR_RETURN(*out, catalog::Tuple::Deserialize(bytes));
   return Status::OK();
+}
+
+/// An unsealed frame: the empty header slot, then the record type.
+std::string NewFrame(RecordType type) {
+  std::string frame(kFrameOverhead, '\0');
+  frame.push_back(static_cast<char>(type));
+  return frame;
 }
 
 }  // namespace
@@ -145,8 +186,7 @@ Status GetTuple(const char** p, const char* limit, catalog::Tuple* out) {
 
 std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
                               const std::vector<catalog::Tuple>& tuples) {
-  std::string out;
-  out.push_back(static_cast<char>(RecordType::kCreateTable));
+  std::string out = NewFrame(RecordType::kCreateTable);
   out.push_back(static_cast<char>(spec.kind));
   PutLP(&out, name);
   // Schema.
@@ -187,7 +227,8 @@ std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
   }
   PutColumnList(&out, spec.secondary_columns);
   PutVarint32(&out, static_cast<uint32_t>(tuples.size()));
-  for (const catalog::Tuple& t : tuples) PutTuple(&out, t);
+  std::string scratch;
+  for (const catalog::Tuple& t : tuples) PutTuple(&out, t, &scratch);
   return out;
 }
 
@@ -195,10 +236,10 @@ namespace {
 
 std::string EncodeTupleOp(RecordType type, const std::string& table,
                           const catalog::Tuple& t) {
-  std::string out;
-  out.push_back(static_cast<char>(type));
+  std::string out = NewFrame(type);
   PutLP(&out, table);
-  PutTuple(&out, t);
+  std::string scratch;
+  PutTuple(&out, t, &scratch);
   return out;
 }
 
@@ -214,8 +255,7 @@ std::string EncodeDelete(const std::string& table, const catalog::Tuple& t) {
 
 std::string EncodeMaintenance(const std::string& table, int32_t shard,
                               MaintenanceOp op, uint64_t merge_count) {
-  std::string out;
-  out.push_back(static_cast<char>(RecordType::kMaintenance));
+  std::string out = NewFrame(RecordType::kMaintenance);
   PutLP(&out, table);
   PutInt32(&out, shard);
   out.push_back(static_cast<char>(op));
@@ -345,49 +385,83 @@ Result<WalRecord> DecodeRecord(std::string_view payload) {
 // Framing and file scan
 // ---------------------------------------------------------------------------
 
-void AppendFrame(std::string* dst, std::string_view payload) {
-  PutFixed32(dst, static_cast<uint32_t>(payload.size()));
-  PutFixed32(dst, Crc32(payload));
-  dst->append(payload.data(), payload.size());
+void SealFrame(std::string* frame) {
+  UPI_CHECK(frame->size() >= kFrameOverhead, "wal: frame without header slot");
+  const uint32_t len = static_cast<uint32_t>(frame->size() - kFrameOverhead);
+  const uint32_t crc = Crc32(frame->data() + kFrameOverhead, len);
+  std::memcpy(frame->data(), &len, 4);
+  std::memcpy(frame->data() + 4, &crc, 4);
 }
 
 std::string LogHeader() { return std::string(kLogMagic, kHeaderBytes); }
 
-Result<LogContents> ReadLogFile(const std::string& path) {
-  LogContents out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    out.missing = true;
-    return out;
-  }
-  std::string data;
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) data.append(buf, n);
-  std::fclose(f);
+namespace {
 
-  if (data.size() < kHeaderBytes ||
-      std::memcmp(data.data(), kLogMagic, kHeaderBytes) != 0) {
+/// The scan's fixed read buffer.
+constexpr size_t kScanBufferBytes = 1 << 16;
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+}  // namespace
+
+Result<LogScan> ScanLogFile(
+    const std::string& path,
+    const std::function<Status(std::string_view payload)>& visit) {
+  LogScan scan;
+  // Declared before the stream, which reads through it until it is closed.
+  std::vector<char> buffer(kScanBufferBytes);
+  std::unique_ptr<std::FILE, FileCloser> file(std::fopen(path.c_str(), "rb"));
+  if (file == nullptr) {
+    if (errno != ENOENT) {
+      return Status::IOError("wal: cannot open '" + path + "'");
+    }
+    scan.missing = true;
+    return scan;
+  }
+  std::FILE* f = file.get();
+  // stdio fills `buffer` for the small reads; a read longer than the buffer
+  // goes straight into its destination.
+  std::setvbuf(f, buffer.data(), _IOFBF, buffer.size());
+  struct stat st {};
+  if (::fstat(::fileno(f), &st) != 0) {
+    return Status::IOError("wal: cannot stat '" + path + "'");
+  }
+  // Every length is checked against the bytes the file holds before it is
+  // read, so a garbage length field never becomes an allocation.
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  auto read = [f, &path](char* dst, size_t n) {
+    return std::fread(dst, 1, n, f) == n
+               ? Status::OK()
+               : Status::IOError("wal: cannot read '" + path + "'");
+  };
+  char header[kHeaderBytes] = {};
+  if (size >= kHeaderBytes) UPI_RETURN_NOT_OK(read(header, kHeaderBytes));
+  if (size < kHeaderBytes ||
+      std::memcmp(header, kLogMagic, kHeaderBytes) != 0) {
     return Status::Corruption("wal: '" + path + "' is not a WAL file");
   }
-  size_t pos = kHeaderBytes;
+  uint64_t pos = kHeaderBytes;
+  std::string payload;
   // Each iteration consumes one intact frame; anything that fails to parse
   // — short header, insane length, short payload, CRC mismatch — is the
   // torn tail, and the scan stops at the last good frame boundary.
-  while (data.size() - pos >= kFrameOverhead) {
-    uint32_t len = GetFixed32(data.data() + pos);
-    uint32_t crc = GetFixed32(data.data() + pos + 4);
-    if (len > kMaxPayloadBytes || data.size() - pos - kFrameOverhead < len) {
-      break;
-    }
-    std::string_view payload(data.data() + pos + kFrameOverhead, len);
+  while (size - pos >= kFrameOverhead) {
+    char frame_header[kFrameOverhead] = {};
+    UPI_RETURN_NOT_OK(read(frame_header, kFrameOverhead));
+    const uint32_t len = GetFixed32(frame_header);
+    const uint32_t crc = GetFixed32(frame_header + 4);
+    if (len > kMaxPayloadBytes || size - pos - kFrameOverhead < len) break;
+    payload.resize(len);
+    UPI_RETURN_NOT_OK(read(payload.data(), len));
     if (Crc32(payload) != crc) break;
-    out.payloads.emplace_back(payload);
+    UPI_RETURN_NOT_OK(visit(payload));
     pos += kFrameOverhead + len;
   }
-  out.valid_bytes = pos;
-  out.dropped_bytes = data.size() - pos;
-  return out;
+  scan.valid_bytes = pos;
+  scan.dropped_bytes = size - pos;
+  return scan;
 }
 
 }  // namespace upi::wal

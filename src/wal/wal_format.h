@@ -28,13 +28,19 @@
 //     3  | Delete        | name:lp tuple:lp
 //     4  | Maintenance   | name:lp shard:i32 op:u8 merge_count:varint
 //
-// Torn-tail contract: ReadLogFile() accepts any valid prefix of frames and
+// Torn-tail contract: ScanLogFile() accepts any valid prefix of frames and
 // reports the byte length of that prefix plus how many trailing bytes it
 // dropped — a crash mid-append leaves a short or CRC-failing final frame,
 // which recovery truncates away rather than rejecting the log.
+//
+// Every bulk path holds one copy of its data: an encoder writes its payload
+// after an empty header slot and WalWriter seals the frame in place
+// (SealFrame), a checkpoint writes each table's frame before it scans the
+// next, and ScanLogFile reads frame by frame through one fixed buffer.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,7 +54,8 @@
 
 namespace upi::wal {
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `n` bytes.
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `n` bytes,
+/// eight bytes per step (slicing-by-8).
 uint32_t Crc32(const char* data, size_t n);
 inline uint32_t Crc32(std::string_view s) { return Crc32(s.data(), s.size()); }
 
@@ -107,7 +114,11 @@ struct WalRecord {
   uint64_t merge_count = 0;
 };
 
-// --- Payload encoders (framing is separate; see AppendFrame). --------------
+// --- Frame encoders. --------------------------------------------------------
+//
+// Each returns an unsealed frame: a kFrameOverhead-byte slot for the length
+// and CRC, then the payload. SealFrame fills the slot in place, so a record
+// is framed where it was encoded, never copied into a second buffer.
 
 std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
                               const std::vector<catalog::Tuple>& tuples);
@@ -116,26 +127,36 @@ std::string EncodeDelete(const std::string& table, const catalog::Tuple& t);
 std::string EncodeMaintenance(const std::string& table, int32_t shard,
                               MaintenanceOp op, uint64_t merge_count);
 
-Result<WalRecord> DecodeRecord(std::string_view payload);
+/// Writes the length and CRC of `frame`'s payload into its header slot.
+void SealFrame(std::string* frame);
 
-/// Appends `[len][crc][payload]` to `dst`.
-void AppendFrame(std::string* dst, std::string_view payload);
+/// The payload of an encoded frame, sealed or not.
+inline std::string_view FramePayload(std::string_view frame) {
+  return frame.substr(kFrameOverhead);
+}
+
+Result<WalRecord> DecodeRecord(std::string_view payload);
 
 /// The 8-byte file header.
 std::string LogHeader();
 
-/// A scanned log: every intact payload, the byte length of the valid prefix
-/// (header included), and the torn/garbage tail bytes dropped after it.
-struct LogContents {
-  std::vector<std::string> payloads;
+/// What a scan found: the byte length of the valid prefix (header
+/// included), and the torn/garbage tail bytes dropped after it.
+struct LogScan {
   uint64_t valid_bytes = 0;
   uint64_t dropped_bytes = 0;
   bool missing = false;  // no file at that path: a fresh log
 };
 
-/// Reads and validates `path`, tolerating a torn tail (see the header
-/// comment). Fails only when the file exists but its header is not a WAL
-/// header — silently "recovering" from a wrong file would discard it.
-Result<LogContents> ReadLogFile(const std::string& path);
+/// Reads `path` front to back, one frame at a time, through a fixed read
+/// buffer and one payload buffer reused across frames, and hands each intact
+/// payload to `visit` in log order; the view is valid only during the call.
+/// Stops at the torn tail (see the header comment). Fails when the file
+/// exists but its header is not a WAL header — silently "recovering" from a
+/// wrong file would discard it — when a read fails, or with the first error
+/// `visit` returns.
+Result<LogScan> ScanLogFile(
+    const std::string& path,
+    const std::function<Status(std::string_view payload)>& visit);
 
 }  // namespace upi::wal

@@ -44,8 +44,11 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Open(storage::DbEnv* env,
       return Status::IOError("wal: cannot create '" + path + "'");
     }
     std::string header = LogHeader();
-    std::fwrite(header.data(), 1, header.size(), f);
-    std::fflush(f);
+    if (std::fwrite(header.data(), 1, header.size(), f) != header.size() ||
+        std::fflush(f) != 0) {
+      std::fclose(f);
+      return Status::IOError("wal: cannot write the header of '" + path + "'");
+    }
     writer->file_ = f;
     writer->durable_bytes_.store(header.size(), std::memory_order_release);
   } else {
@@ -94,10 +97,8 @@ void WalWriter::WriteDurable(const std::string& frames,
   m_group_size_->Record(static_cast<double>(batch_records));
 }
 
-Lsn WalWriter::Append(std::string_view payload) {
-  std::string frame;
-  frame.reserve(payload.size() + kFrameOverhead);
-  AppendFrame(&frame, payload);
+Lsn WalWriter::Append(std::string frame) {
+  SealFrame(&frame);
   m_appends_->Add();
   m_bytes_->Add(frame.size());
   bytes_since_checkpoint_.fetch_add(frame.size(), std::memory_order_relaxed);
@@ -105,7 +106,11 @@ Lsn WalWriter::Append(std::string_view payload) {
   if (mode_ == WalMode::kGroup) {
     std::lock_guard<sync::Mutex> tail(tail_mu_);
     Lsn lsn = next_lsn_++;
-    pending_ += frame;
+    if (pending_.empty()) {
+      pending_ = std::move(frame);
+    } else {
+      pending_ += frame;
+    }
     return lsn;
   }
 
@@ -200,32 +205,56 @@ void WalWriter::Sync() {
   durable_cv_.notify_all();
 }
 
-Status WalWriter::Rotate(const std::vector<std::string>& payloads) {
+Status WalWriter::Rotate(
+    const std::function<Status(const SnapshotSink& sink)>& write) {
   // Caller holds the gate exclusive (no appenders) and has Sync()ed (no
   // pending frames, no in-flight leader).
-  std::string data = LogHeader();
-  for (const std::string& p : payloads) AppendFrame(&data, p);
-
   const std::string tmp = options_.path + ".tmp";
   std::FILE* tf = std::fopen(tmp.c_str(), "wb");
   if (tf == nullptr) return Status::IOError("wal: cannot create '" + tmp + "'");
-  std::fwrite(data.data(), 1, data.size(), tf);
-  std::fflush(tf);
-  std::fclose(tf);
-  if (std::rename(tmp.c_str(), options_.path.c_str()) != 0) {
-    return Status::IOError("wal: cannot rename '" + tmp + "'");
+  uint64_t bytes = 0;
+  auto put = [&](std::string_view data) {
+    if (std::fwrite(data.data(), 1, data.size(), tf) != data.size()) {
+      return Status::IOError("wal: cannot write '" + tmp + "'");
+    }
+    bytes += data.size();
+    return Status::OK();
+  };
+  Status s = put(LogHeader());
+  if (s.ok()) {
+    s = write([&put](std::string frame) {
+      SealFrame(&frame);
+      return put(frame);
+    });
   }
-  std::fclose(file_);
-  file_ = std::fopen(options_.path.c_str(), "ab");
-  if (file_ == nullptr) {
+  if (s.ok() && std::fflush(tf) != 0) {
+    s = Status::IOError("wal: cannot flush '" + tmp + "'");
+  }
+  if (std::fclose(tf) != 0 && s.ok()) {
+    s = Status::IOError("wal: cannot close '" + tmp + "'");
+  }
+  if (s.ok() && std::rename(tmp.c_str(), options_.path.c_str()) != 0) {
+    s = Status::IOError("wal: cannot rename '" + tmp + "'");
+  }
+  if (!s.ok()) {
+    // The live log was never touched: it still replays.
+    std::remove(tmp.c_str());
+    return s;
+  }
+  std::FILE* f = std::fopen(options_.path.c_str(), "ab");
+  if (f == nullptr) {
     return Status::IOError("wal: cannot reopen '" + options_.path + "'");
   }
+  // Every record in the old file was flushed by its sync, and the rename
+  // has replaced it.
+  std::fclose(file_);
+  file_ = f;
 
-  durable_bytes_.store(data.size(), std::memory_order_release);
+  durable_bytes_.store(bytes, std::memory_order_release);
   bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
   // The snapshot is one long sequential append on the log device, plus the
   // barrier that makes the rename durable.
-  log_device_->Append(data.size());
+  log_device_->Append(bytes);
   log_device_->CommitBarrier();
   m_checkpoints_->Add();
   return Status::OK();

@@ -41,11 +41,11 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -71,11 +71,11 @@ struct WalWriterOptions {
 class WalWriter {
  public:
   /// Opens (or creates) the log at options.path for appending.
-  /// `valid_bytes` is ReadLogFile()'s validated prefix length — a longer
+  /// `valid_bytes` is ScanLogFile()'s validated prefix length — a longer
   /// host file (torn tail) is truncated to it; 0 means create fresh with a
-  /// new header. `next_lsn` continues the sequence after the replayed
-  /// records. Registers the simulated log device and the upi_wal_* metric
-  /// families with `env`.
+  /// new header (a failed header write is an IOError). `next_lsn` continues
+  /// the sequence after the replayed records. Registers the simulated log
+  /// device and the upi_wal_* metric families with `env`.
   static Result<std::unique_ptr<WalWriter>> Open(storage::DbEnv* env,
                                                  WalWriterOptions options,
                                                  uint64_t valid_bytes,
@@ -92,10 +92,12 @@ class WalWriter {
   /// exclusive.
   sync::SharedMutex& gate() { return gate_; }
 
-  /// Frames `payload` into the log and returns its LSN. Caller must hold
-  /// gate() shared. kCommit: durable on return. kGroup: durable only after
-  /// Commit(lsn) (or a later Sync()).
-  Lsn Append(std::string_view payload);
+  /// Seals `frame` (an encoder's output, see wal_format.h) in place, logs
+  /// it and returns its LSN. kCommit writes the frame as it is; kGroup moves
+  /// it into an empty pending tail and appends it only behind other pending
+  /// records. Caller must hold gate() shared. kCommit: durable on return.
+  /// kGroup: durable only after Commit(lsn) (or a later Sync()).
+  Lsn Append(std::string frame);
 
   /// Blocks until `lsn` is durable. Caller must NOT hold gate() — group
   /// followers park on the condvar here. No-op in kCommit mode.
@@ -105,13 +107,20 @@ class WalWriter {
   /// exclusive (leads its own sync; never parks).
   void Sync();
 
-  /// Atomically replaces the log's contents with `payloads` (the
-  /// checkpoint's snapshot records): writes path.tmp, fsync-equivalent
-  /// flush, rename over the live log, reopen for append. Caller must hold
-  /// gate() exclusive and have called Sync() first. Resets the
+  /// Takes one snapshot record (an encoder's unsealed frame), seals it and
+  /// writes it to the snapshot file.
+  using SnapshotSink = std::function<Status(std::string frame)>;
+
+  /// Atomically replaces the log's contents with the records `write` hands
+  /// its sink (the checkpoint's snapshot): each is written to path.tmp as it
+  /// arrives, so the snapshot is never held whole; then the file is flushed,
+  /// renamed over the live log and reopened for append. Caller must hold
+  /// gate() exclusive and have called Sync() first. An error from `write`,
+  /// or a failed host write, flush, close or rename (IOError), removes the
+  /// temp file, keeps the live log and is returned. On success resets the
   /// bytes-since-checkpoint watermark and charges the snapshot as one
-  /// sequential log write.
-  Status Rotate(const std::vector<std::string>& payloads);
+  /// sequential log write plus one barrier.
+  Status Rotate(const std::function<Status(const SnapshotSink& sink)>& write);
 
   /// Charges the simulated log device one sequential scan of the durable
   /// bytes — the read recovery just performed on the host file. Call with no

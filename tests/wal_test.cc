@@ -17,10 +17,12 @@
 #include <fstream>
 #include <functional>
 #include <map>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/coding.h"
 #include "datagen/dblp.h"
 #include "engine/database.h"
 #include "engine/session.h"
@@ -70,12 +72,77 @@ void CrashCopy(const std::string& src, const std::string& dst,
   WriteAll(dst, std::string_view(all).substr(0, bytes));
 }
 
+/// A sealed maintenance frame on `table`, as the writer puts it in the log.
+std::string Frame(const std::string& table, wal::MaintenanceOp op) {
+  std::string frame = wal::EncodeMaintenance(table, -1, op, 0);
+  wal::SealFrame(&frame);
+  return frame;
+}
+
+/// A scan of a log file plus every intact payload it handed out.
+struct ScannedLog {
+  wal::LogScan scan;
+  std::vector<std::string> payloads;
+};
+
+Result<ScannedLog> ScanAll(const std::string& path) {
+  ScannedLog out;
+  UPI_ASSIGN_OR_RETURN(out.scan,
+                       wal::ScanLogFile(path, [&out](std::string_view p) {
+                         out.payloads.emplace_back(p);
+                         return Status::OK();
+                       }));
+  return out;
+}
+
+/// Every row of `table`, ordered by id.
+std::vector<Tuple> RowsById(engine::Table* table) {
+  std::vector<Tuple> rows;
+  EXPECT_TRUE(
+      table->path()->ScanTuples([&rows](const Tuple& t) { rows.push_back(t); })
+          .ok());
+  std::sort(rows.begin(), rows.end(),
+            [](const Tuple& a, const Tuple& b) { return a.id() < b.id(); });
+  return rows;
+}
+
 // --- Format layer. ----------------------------------------------------------
 
 TEST(WalFormatTest, Crc32KnownVector) {
   // CRC-32/IEEE of "123456789" is the classic check value.
   EXPECT_EQ(wal::Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(wal::Crc32("", 0), 0u);
+}
+
+/// The reference: one table lookup per byte.
+uint32_t BytewiseCrc32(const char* data, size_t n) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    c = table[(c ^ static_cast<uint8_t>(data[i])) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(WalFormatTest, Crc32EqualsTheBytewiseLoop) {
+  std::mt19937_64 rng(24);
+  std::string buf(1 << 20, '\0');
+  for (char& c : buf) c = static_cast<char>(rng());
+  // Every length up to 300 from every alignment: the eight-byte steps run
+  // from each offset, and the bytewise tail with each remainder.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(wal::Crc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  EXPECT_EQ(wal::Crc32(buf), BytewiseCrc32(buf.data(), buf.size()));
 }
 
 TEST(WalFormatTest, RecordRoundTrip) {
@@ -96,7 +163,8 @@ TEST(WalFormatTest, RecordRoundTrip) {
   spec.partition.num_shards = 3;
   spec.partition.range_splits = {"inst-b", "inst-q"};
 
-  auto create = wal::DecodeRecord(wal::EncodeCreateTable("pubs", spec, tuples));
+  auto create = wal::DecodeRecord(
+      wal::FramePayload(wal::EncodeCreateTable("pubs", spec, tuples)));
   ASSERT_TRUE(create.ok()) << create.status().ToString();
   EXPECT_EQ(create.value().type, wal::RecordType::kCreateTable);
   EXPECT_EQ(create.value().table, "pubs");
@@ -115,19 +183,21 @@ TEST(WalFormatTest, RecordRoundTrip) {
     EXPECT_TRUE(create.value().tuples[i] == tuples[i]) << "tuple " << i;
   }
 
-  auto ins = wal::DecodeRecord(wal::EncodeInsert("authors", tuples[2]));
+  auto ins = wal::DecodeRecord(
+      wal::FramePayload(wal::EncodeInsert("authors", tuples[2])));
   ASSERT_TRUE(ins.ok());
   EXPECT_EQ(ins.value().type, wal::RecordType::kInsert);
   EXPECT_EQ(ins.value().table, "authors");
   EXPECT_TRUE(ins.value().tuple == tuples[2]);
 
-  auto del = wal::DecodeRecord(wal::EncodeDelete("authors", tuples[4]));
+  auto del = wal::DecodeRecord(
+      wal::FramePayload(wal::EncodeDelete("authors", tuples[4])));
   ASSERT_TRUE(del.ok());
   EXPECT_EQ(del.value().type, wal::RecordType::kDelete);
   EXPECT_TRUE(del.value().tuple == tuples[4]);
 
-  auto maint = wal::DecodeRecord(wal::EncodeMaintenance(
-      "pubs", 2, wal::MaintenanceOp::kMergePartial, 7));
+  auto maint = wal::DecodeRecord(wal::FramePayload(wal::EncodeMaintenance(
+      "pubs", 2, wal::MaintenanceOp::kMergePartial, 7)));
   ASSERT_TRUE(maint.ok());
   EXPECT_EQ(maint.value().type, wal::RecordType::kMaintenance);
   EXPECT_EQ(maint.value().table, "pubs");
@@ -140,64 +210,96 @@ TEST(WalFormatTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(wal::DecodeRecord("").ok());
   EXPECT_FALSE(wal::DecodeRecord(std::string("\x09garbage", 8)).ok());
   // Valid record with trailing junk must be rejected, not silently accepted.
-  std::string payload =
+  std::string frame =
       wal::EncodeMaintenance("t", -1, wal::MaintenanceOp::kFlush, 0);
-  payload.push_back('!');
-  EXPECT_FALSE(wal::DecodeRecord(payload).ok());
+  frame.push_back('!');
+  EXPECT_FALSE(wal::DecodeRecord(wal::FramePayload(frame)).ok());
 }
 
-TEST(WalFormatTest, ReadLogFileTolleratesTornTail) {
+TEST(WalFormatTest, EncodersLeaveTheHeaderSlotForSealFrame) {
+  std::string frame =
+      wal::EncodeMaintenance("t", 3, wal::MaintenanceOp::kMergeAll, 0);
+  EXPECT_EQ(frame.substr(0, wal::kFrameOverhead),
+            std::string(wal::kFrameOverhead, '\0'));
+  const std::string payload(wal::FramePayload(frame));
+  wal::SealFrame(&frame);
+  EXPECT_EQ(GetFixed32(frame.data()), payload.size());
+  EXPECT_EQ(GetFixed32(frame.data() + 4), wal::Crc32(payload));
+  EXPECT_EQ(wal::FramePayload(frame), payload);
+}
+
+TEST(WalFormatTest, ScanToleratesTornTail) {
   TempDir dir;
   std::string file = wal::LogHeader();
-  wal::AppendFrame(&file, wal::EncodeMaintenance(
-                              "a", -1, wal::MaintenanceOp::kFlush, 0));
-  wal::AppendFrame(&file, wal::EncodeMaintenance(
-                              "b", -1, wal::MaintenanceOp::kMergeAll, 0));
+  file += Frame("a", wal::MaintenanceOp::kFlush);
+  file += Frame("b", wal::MaintenanceOp::kMergeAll);
   uint64_t intact = file.size();
   // A torn append: frame header promising more bytes than exist.
   file += std::string("\x40\x00\x00\x00\xef\xbe\xad\xde..", 10);
   WriteAll(dir.Log(), file);
 
-  auto read = wal::ReadLogFile(dir.Log());
+  auto read = ScanAll(dir.Log());
   ASSERT_TRUE(read.ok()) << read.status().ToString();
   EXPECT_EQ(read.value().payloads.size(), 2u);
-  EXPECT_EQ(read.value().valid_bytes, intact);
-  EXPECT_EQ(read.value().dropped_bytes, 10u);
-  EXPECT_FALSE(read.value().missing);
+  EXPECT_EQ(read.value().scan.valid_bytes, intact);
+  EXPECT_EQ(read.value().scan.dropped_bytes, 10u);
+  EXPECT_FALSE(read.value().scan.missing);
 }
 
-TEST(WalFormatTest, ReadLogFileStopsAtCrcMismatch) {
+TEST(WalFormatTest, ScanStopsAtCrcMismatch) {
   TempDir dir;
   std::string file = wal::LogHeader();
-  wal::AppendFrame(&file, wal::EncodeMaintenance(
-                              "a", -1, wal::MaintenanceOp::kFlush, 0));
+  file += Frame("a", wal::MaintenanceOp::kFlush);
   uint64_t intact = file.size();
   size_t corrupt_at = file.size() + wal::kFrameOverhead + 2;
-  wal::AppendFrame(&file, wal::EncodeMaintenance(
-                              "b", -1, wal::MaintenanceOp::kMergeAll, 0));
-  wal::AppendFrame(&file, wal::EncodeMaintenance(
-                              "c", -1, wal::MaintenanceOp::kFlush, 0));
+  file += Frame("b", wal::MaintenanceOp::kMergeAll);
+  file += Frame("c", wal::MaintenanceOp::kFlush);
   file[corrupt_at] ^= 0x5a;  // flip a payload byte inside frame 2
   WriteAll(dir.Log(), file);
 
-  auto read = wal::ReadLogFile(dir.Log());
+  auto read = ScanAll(dir.Log());
   ASSERT_TRUE(read.ok());
   // Frame 2 fails its CRC; it and everything after it are dropped.
   EXPECT_EQ(read.value().payloads.size(), 1u);
-  EXPECT_EQ(read.value().valid_bytes, intact);
-  EXPECT_EQ(read.value().dropped_bytes, file.size() - intact);
+  EXPECT_EQ(read.value().scan.valid_bytes, intact);
+  EXPECT_EQ(read.value().scan.dropped_bytes, file.size() - intact);
 }
 
-TEST(WalFormatTest, ReadLogFileMissingAndBadHeader) {
+TEST(WalFormatTest, ScanMissingAndBadHeader) {
   TempDir dir;
-  auto missing = wal::ReadLogFile(dir.Log());
+  auto missing = ScanAll(dir.Log());
   ASSERT_TRUE(missing.ok());
-  EXPECT_TRUE(missing.value().missing);
-  EXPECT_EQ(missing.value().valid_bytes, 0u);
+  EXPECT_TRUE(missing.value().scan.missing);
+  EXPECT_EQ(missing.value().scan.valid_bytes, 0u);
 
   WriteAll(dir.Log(), "definitely not a WAL file");
-  auto bad = wal::ReadLogFile(dir.Log());
+  auto bad = ScanAll(dir.Log());
   EXPECT_FALSE(bad.ok());  // wrong magic is fatal, never "recovered" from
+}
+
+TEST(WalFormatTest, ScanStopsAtAnOversizedLengthAndAtAVisitError) {
+  TempDir dir;
+  std::string file = wal::LogHeader();
+  file += Frame("a", wal::MaintenanceOp::kFlush);
+  file += Frame("b", wal::MaintenanceOp::kFlush);
+  const uint64_t two = file.size();
+  // A length past kMaxPayloadBytes is garbage, not a request for memory.
+  file += std::string("\xff\xff\xff\x7f\x00\x00\x00\x00", 8);
+  WriteAll(dir.Log(), file);
+
+  auto read = ScanAll(dir.Log());
+  ASSERT_TRUE(read.ok());
+  EXPECT_EQ(read.value().payloads.size(), 2u);
+  EXPECT_EQ(read.value().scan.valid_bytes, two);
+  EXPECT_EQ(read.value().scan.dropped_bytes, 8u);
+
+  // The visitor's error ends the scan after the frame that raised it.
+  size_t seen = 0;
+  auto stopped = wal::ScanLogFile(dir.Log(), [&seen](std::string_view) {
+    return ++seen == 1 ? Status::Corruption("stop") : Status::OK();
+  });
+  EXPECT_EQ(stopped.status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(seen, 1u);
 }
 
 // --- Kill-and-recover harness. ----------------------------------------------
@@ -639,7 +741,7 @@ TEST(KillAndRecoverTest, RetiredPartitionBytesReplayAsFracturedShards) {
   ASSERT_EQ(record.substr(retired, 3), std::string(3, '\x01'));
   record.replace(retired, 3, std::string(3, '\0'));
 
-  auto rec = wal::DecodeRecord(record);
+  auto rec = wal::DecodeRecord(wal::FramePayload(record));
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   engine::Database replayed_db(TestOptions(""));
   engine::Table* replayed =
@@ -733,10 +835,75 @@ TEST(KillAndRecoverTest, TornTailRecoversValidPrefix) {
   // The writer truncated the torn tail away; the next append must produce a
   // log whose valid prefix simply continues.
   ASSERT_TRUE(recovered.GetTable("authors")->Insert(extras[7]).ok());
-  auto reread = wal::ReadLogFile(crash_dir.Log());
+  auto reread = ScanAll(crash_dir.Log());
   ASSERT_TRUE(reread.ok());
   EXPECT_EQ(reread.value().payloads.size(), keep + 1);
-  EXPECT_EQ(reread.value().dropped_bytes, 0u);
+  EXPECT_EQ(reread.value().scan.dropped_bytes, 0u);
+}
+
+TEST(KillAndRecoverTest, CreateRecordLargerThanTheReadBufferRecovers) {
+  // The scan reads through a 64 KiB buffer: a record longer than that is read
+  // straight into the payload buffer, and the small records after it through
+  // the buffer again. Recovery must rebuild every row and every shard's
+  // fracture layout bit-identically.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 2000;
+  cfg.num_institutions = 40;
+  cfg.seed = 59;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> base = gen.GenerateAuthors();
+  std::vector<Tuple> extras;
+  for (int i = 0; i < 12; ++i) extras.push_back(gen.MakeAuthor(8'000'000 + i));
+  engine::PartitionOptions popts;
+  popts.num_shards = 3;
+  const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  auto apply = [&](engine::Database& db) {
+    ASSERT_TRUE(db.CreatePartitionedTable("authors", schema, AuthorUpiOptions(),
+                                          {AuthorCols::kCountry}, popts, base)
+                    .ok());
+    engine::Table* table = db.GetTable("authors");
+    for (size_t i = 0; i < extras.size(); ++i) {
+      ASSERT_TRUE(table->Insert(extras[i]).ok());
+      if (i == 5) {
+        core::FracturedUpi* shard = table->partitioned()->shard_fractured(0);
+        ASSERT_TRUE(shard->FlushBuffer().ok());
+      }
+    }
+  };
+
+  TempDir dir;
+  {
+    engine::Database db(TestOptions(dir.path));
+    apply(db);
+  }
+  auto scanned = ScanAll(dir.Log());
+  ASSERT_TRUE(scanned.ok());
+  ASSERT_FALSE(scanned.value().payloads.empty());
+  ASSERT_GT(scanned.value().payloads[0].size(), size_t{1} << 16);
+
+  engine::Database recovered(TestOptions(dir.path));
+  EXPECT_EQ(recovered.recovery_stats().records,
+            scanned.value().payloads.size());
+  EXPECT_EQ(recovered.recovery_stats().failed, 0u);
+  EXPECT_EQ(recovered.recovery_stats().dropped_bytes, 0u);
+  engine::Database twin(TestOptions(""));
+  apply(twin);
+  engine::Table* got = recovered.GetTable("authors");
+  engine::Table* want = twin.GetTable("authors");
+  ASSERT_NE(got, nullptr);
+  const std::vector<Tuple> got_rows = RowsById(got);
+  const std::vector<Tuple> want_rows = RowsById(want);
+  ASSERT_EQ(got_rows.size(), base.size() + extras.size());
+  ASSERT_EQ(got_rows.size(), want_rows.size());
+  for (size_t i = 0; i < want_rows.size(); ++i) {
+    EXPECT_TRUE(got_rows[i] == want_rows[i]) << "row " << i;
+  }
+  for (size_t i = 0; i < popts.num_shards; ++i) {
+    EXPECT_EQ(got->partitioned()->shard_fractured(i)->num_fractures(),
+              want->partitioned()->shard_fractured(i)->num_fractures())
+        << "shard " << i;
+  }
+  ExpectSameResults(got, want, gen);
 }
 
 // --- Group commit. ----------------------------------------------------------
@@ -772,7 +939,7 @@ TEST(GroupCommitTest, LeaderAbsorbsFollowerRecords) {
   EXPECT_EQ(env.metrics()->Snapshot().SumOf("upi_wal_syncs_total"), 1.0);
 
   w.reset();
-  auto read = wal::ReadLogFile(dir.Log());
+  auto read = ScanAll(dir.Log());
   ASSERT_TRUE(read.ok());
   EXPECT_EQ(read.value().payloads.size(), 10u);
 }
@@ -1014,6 +1181,108 @@ TEST(CheckpointTest, RefusesASnapshotThatRepeatsATupleId) {
   for (const char* name : {"heap", "shards"}) {
     ASSERT_NE(recovered.GetTable(name), nullptr) << name;
     EXPECT_EQ(rows(recovered.GetTable(name)), base.size() + 1) << name;
+  }
+}
+
+TEST(CheckpointTest, AFailedSnapshotWriteKeepsTheLiveLog) {
+  // wal.log.tmp is a symlink to /dev/full, so writing the snapshot fails
+  // with ENOSPC. Renaming that file over the live log would lose every row:
+  // the checkpoint must report the failure, remove the temp file and leave
+  // the log as it was.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 80;
+  cfg.num_institutions = 10;
+  cfg.seed = 61;
+  datagen::DblpGenerator gen(cfg);
+  TempDir dir;
+  const std::string tmp = dir.Log() + ".tmp";
+  std::vector<Tuple> want;
+  {
+    engine::Database db(TestOptions(dir.path));
+    engine::Table* table =
+        db.CreateFracturedTable("authors",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(), {AuthorCols::kCountry},
+                                gen.GenerateAuthors())
+            .ValueOrDie();
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(table->Insert(gen.MakeAuthor(9'000'000 + i)).ok());
+    }
+    const std::string log = ReadAll(dir.Log());
+    fs::create_symlink("/dev/full", tmp);
+    const Status s = db.Checkpoint();
+    // Checked before anything reads the log: had the rename gone ahead, the
+    // log would be the symlink, and reading /dev/full never ends.
+    ASSERT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+    EXPECT_FALSE(fs::exists(fs::symlink_status(tmp)));
+    EXPECT_EQ(ReadAll(dir.Log()), log);
+    // The writer still appends to the live log.
+    ASSERT_TRUE(table->Insert(gen.MakeAuthor(9'000'005)).ok());
+    want = RowsById(table);
+  }
+
+  engine::Database recovered(TestOptions(dir.path));
+  EXPECT_EQ(recovered.recovery_stats().records, 7u);
+  EXPECT_EQ(recovered.recovery_stats().failed, 0u);
+  ASSERT_NE(recovered.GetTable("authors"), nullptr);
+  const std::vector<Tuple> got = RowsById(recovered.GetTable("authors"));
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i]) << "row " << i;
+  }
+}
+
+TEST(CheckpointTest, ATableRefusedMidSnapshotLeavesNoTempFile) {
+  // Tables snapshot in name order, so "a" is already in wal.log.tmp when "b"
+  // (an unclustered table holding one TupleId twice) refuses. The temp file
+  // goes, the live log stays byte for byte, and it replays all three tables.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 60;
+  cfg.num_institutions = 10;
+  cfg.seed = 67;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> base = gen.GenerateAuthors();
+  const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  TempDir dir;
+  std::map<std::string, std::vector<Tuple>> want;
+  {
+    engine::Database db(TestOptions(dir.path));
+    ASSERT_TRUE(db.CreateFracturedTable("a", schema, AuthorUpiOptions(),
+                                        {AuthorCols::kCountry}, base)
+                    .ok());
+    ASSERT_TRUE(db.CreateUnclusteredTable("b", schema,
+                                          AuthorCols::kInstitution,
+                                          {AuthorCols::kCountry}, base)
+                    .ok());
+    ASSERT_TRUE(db.CreateUpiTable("c", schema, AuthorUpiOptions(),
+                                  {AuthorCols::kCountry}, base)
+                    .ok());
+    ASSERT_TRUE(db.GetTable("a")->Insert(gen.MakeAuthor(9'100'000)).ok());
+    // Tuple 1's values under tuple 0's id.
+    ASSERT_TRUE(db.GetTable("b")
+                    ->Insert(Tuple(base[0].id(), base[1].existence(),
+                                   base[1].values()))
+                    .ok());
+    ASSERT_TRUE(db.GetTable("c")->Delete(base[1]).ok());
+    for (const char* name : {"a", "b", "c"}) {
+      want[name] = RowsById(db.GetTable(name));
+    }
+    const std::string log = ReadAll(dir.Log());
+    EXPECT_EQ(db.Checkpoint().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(fs::exists(dir.Log() + ".tmp"));
+    EXPECT_EQ(ReadAll(dir.Log()), log);
+  }
+
+  engine::Database recovered(TestOptions(dir.path));
+  EXPECT_EQ(recovered.recovery_stats().creates, 3u);
+  EXPECT_EQ(recovered.recovery_stats().failed, 0u);
+  for (const auto& [name, rows] : want) {
+    ASSERT_NE(recovered.GetTable(name), nullptr) << name;
+    const std::vector<Tuple> got = RowsById(recovered.GetTable(name));
+    ASSERT_EQ(got.size(), rows.size()) << name;
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_TRUE(got[i] == rows[i]) << name << " row " << i;
+    }
   }
 }
 
