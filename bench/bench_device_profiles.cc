@@ -41,11 +41,10 @@
 // The full run applies the same gates.
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <filesystem>
-#include <thread>
 
 #include "bench_util.h"
+#include "closed_loop.h"
 #include "engine/access_path.h"
 #include "engine/database.h"
 #include "engine/planner.h"
@@ -352,49 +351,42 @@ void RunThroughputSection(Gate* gate, JsonWriter* json) {
 // Section D: --wal durability comparison (informational, wall-clock)
 // --------------------------------------------------------------------------
 
-catalog::Tuple CloneWithId(const catalog::Tuple& src, catalog::TupleId id) {
-  std::vector<catalog::Value> values(src.values());
-  return catalog::Tuple(id, src.existence(), std::move(values));
-}
-
+// One durable mode's closed-loop ingest on one device, in a fresh database
+// and log directory; returns its ops/sec.
 double RunWalIngest(const DblpData& d, const sim::DeviceProfile& profile,
-                    wal::WalMode mode, const char* wal_dir, size_t nclients,
+                    wal::WalMode mode, size_t nclients,
                     size_t ops_per_client) {
   engine::DatabaseOptions opts;
   opts.device = profile;
   opts.pool_bytes = 256ull << 20;
   opts.maintenance.num_workers = 1;
-  opts.wal_dir = wal_dir;
+  opts.wal_dir = MakeTempDir("upi_bench_devwal_");
   opts.wal_mode = mode;
-  engine::Database db(opts);
-  engine::Table* stream =
-      db.CreateFracturedTable("author_stream",
-                              datagen::DblpGenerator::AuthorSchema(),
-                              AuthorUpiOptions(0.1), {}, d.authors)
-          .ValueOrDie();
-  db.env()->disk()->SetRealtimeScale(flags::GetDouble("sleep_us_per_ms",
-                                                      1000.0));
-
-  std::atomic<catalog::TupleId> next_id{1u << 30};
-  auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> clients;
-  for (size_t t = 0; t < nclients; ++t) {
-    clients.emplace_back([&, t] {
-      engine::Session session(&db);
-      for (size_t op = 0; op < ops_per_client; ++op) {
-        const catalog::Tuple& src =
-            d.authors[(t * ops_per_client + op) % d.authors.size()];
-        auto fut = session.SubmitInsert(
-            *stream, CloneWithId(src, next_id.fetch_add(1)));
-        CheckOk(fut.get().status());
-      }
-    });
+  double ops_per_s = 0.0;
+  {
+    engine::Database db(opts);
+    engine::Table* stream =
+        db.CreateFracturedTable("author_stream",
+                                datagen::DblpGenerator::AuthorSchema(),
+                                AuthorUpiOptions(0.1), {}, d.authors)
+            .ValueOrDie();
+    db.env()->disk()->SetRealtimeScale(
+        flags::GetDouble("sleep_us_per_ms", 1000.0));
+    std::atomic<catalog::TupleId> next_id{1u << 30};
+    ops_per_s =
+        RunClosedLoop(&db, nclients, ops_per_client,
+                      [&](engine::Session& session, size_t t, size_t op) {
+                        const catalog::Tuple& src =
+                            d.authors[(t * ops_per_client + op) %
+                                      d.authors.size()];
+                        return session.SubmitInsert(
+                            *stream, CloneWithId(src, next_id.fetch_add(1)));
+                      })
+            .ops_per_sec();
+    db.env()->disk()->SetRealtimeScale(0.0);
   }
-  for (std::thread& c : clients) c.join();
-  auto t1 = std::chrono::steady_clock::now();
-  db.env()->disk()->SetRealtimeScale(0.0);
-  double wall_s = std::chrono::duration<double>(t1 - t0).count();
-  return static_cast<double>(nclients * ops_per_client) / wall_s;
+  std::filesystem::remove_all(opts.wal_dir);
+  return ops_per_s;
 }
 
 void RunWalSection(JsonWriter* json) {
@@ -414,20 +406,11 @@ void RunWalSection(JsonWriter* json) {
   sim::DeviceProfile profiles[2] = {sim::DeviceProfile::SpinningDisk(),
                                     sim::DeviceProfile::Ssd()};
   double gains[2] = {0.0, 0.0};
-  auto run_mode = [&](const sim::DeviceProfile& profile, wal::WalMode mode) {
-    char dir_tmpl[] = "/tmp/upi_bench_devwal_XXXXXX";
-    const char* wal_dir = ::mkdtemp(dir_tmpl);
-    if (wal_dir == nullptr) {
-      std::fprintf(stderr, "mkdtemp failed\n");
-      std::exit(1);
-    }
-    double ops_per_s = RunWalIngest(d, profile, mode, wal_dir, nclients, ops);
-    std::filesystem::remove_all(wal_dir);
-    return ops_per_s;
-  };
   for (int i = 0; i < 2; ++i) {
-    double commit_ops = run_mode(profiles[i], wal::WalMode::kCommit);
-    double group_ops = run_mode(profiles[i], wal::WalMode::kGroup);
+    double commit_ops =
+        RunWalIngest(d, profiles[i], wal::WalMode::kCommit, nclients, ops);
+    double group_ops =
+        RunWalIngest(d, profiles[i], wal::WalMode::kGroup, nclients, ops);
     gains[i] = commit_ops > 0 ? group_ops / commit_ops : 0.0;
     std::printf("%-6s %14.0f %14.0f %11.2fx\n", ProfileName(profiles[i]),
                 commit_ops, group_ops, gains[i]);

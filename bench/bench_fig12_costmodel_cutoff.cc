@@ -2,7 +2,8 @@
 // Figure 3 settings (same C sweep, same QTs, same two query values), using
 // Cost_cut with the sigmoid pointer-saturation term (Section 6.3).
 // Run next to bench_fig03_cutoff_runtime with identical flags; the two
-// tables should track each other (EXPERIMENTS.md records the comparison).
+// tables should track each other (bench/golden/fig03_cutoff_runtime.txt and
+// bench/golden/fig12_costmodel_cutoff.txt hold both at --scale=0.1).
 #include "bench_util.h"
 
 using namespace upi;

@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrates: wall-clock CPU
-// costs of the building blocks, plus ablations for design choices called out
-// in DESIGN.md (bulk load vs random insert, tailored vs plain pointer
-// selection, histogram estimation).
+// costs of the building blocks, plus ablations for design choices (bulk load
+// vs random insert, tailored vs plain pointer selection, histogram
+// estimation).
 #include <benchmark/benchmark.h>
 #include <stdlib.h>
 

@@ -29,7 +29,7 @@
 //                      [--json=BENCH_throughput.json] [--no-pruning]
 //                      [--metrics] [--smoke]
 //                      [--partitions=1,2,4,8] [--clients=8]
-//                      [--wal=off,commit,group] [--wal_dir=/tmp]
+//                      [--wal=off,commit,group]
 //
 // --wal switches to the durability sweep: a FIXED number of clients
 // (--clients, default 8) run a pure closed-loop ingest workload
@@ -78,60 +78,50 @@
 //
 // Exits non-zero when the max-thread configuration fails to reach a 3x
 // ops/sec speedup over one client (the sharded pool's acceptance bar).
+//
+// Every sweep, and the metrics-overhead loop, runs its clients on the one
+// closed-loop driver of closed_loop.h; a sweep owns only its database and
+// tables, its op mix, its background ingest, its row and its gate.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <thread>
 
 #include "bench_util.h"
+#include "closed_loop.h"
 #include "engine/database.h"
 #include "engine/session.h"
-#include "sim/cost_params.h"
 
 using namespace upi;
 using namespace upi::bench;
 
 namespace {
 
-struct OpLatency {
-  double wall_us = 0.0;
-  double sim_ms = 0.0;
-};
-
-struct SweepRow {
-  size_t threads = 0;
-  double wall_s = 0.0;
+// A sweep row as its gate reads it: the swept count and the row's ops/sec.
+struct Row {
+  size_t n = 0;
   double ops_per_sec = 0.0;
-  size_t ops = 0;
-  size_t nfrac = 0;  // stream table's fracture count at sweep end
-  OpLatency p50, p99;
 };
 
-double Percentile(std::vector<double>* v, double p) {
-  if (v->empty()) return 0.0;
-  size_t idx = static_cast<size_t>(p * static_cast<double>(v->size() - 1));
-  std::nth_element(v->begin(), v->begin() + idx, v->end());
-  return (*v)[idx];
-}
-
-catalog::Tuple CloneWithId(const catalog::Tuple& src, catalog::TupleId id) {
-  std::vector<catalog::Value> values(src.values());
-  return catalog::Tuple(id, src.existence(), std::move(values));
-}
-
-std::vector<size_t> ParseSizeList(const std::string& spec) {
-  std::vector<size_t> out;
+std::vector<std::string> SplitCommas(const std::string& spec) {
+  std::vector<std::string> out;
   size_t pos = 0;
   while (pos < spec.size()) {
     size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
-    out.push_back(
-        static_cast<size_t>(std::stoul(spec.substr(pos, comma - pos))));
+    out.push_back(spec.substr(pos, comma - pos));
     pos = comma + 1;
   }
   return out;
+}
+
+// One RNG per closed-loop client, seeded from --seed and the client index:
+// a client draws the same op stream in every row and every run.
+std::vector<Rng> ClientRngs(uint64_t seed, size_t clients) {
+  std::vector<Rng> rngs;
+  for (size_t t = 0; t < clients; ++t) rngs.emplace_back(seed * 7919 + t);
+  return rngs;
 }
 
 // The --partitions sweep: same closed-loop clients, but the variable is the
@@ -146,7 +136,7 @@ std::vector<size_t> ParseSizeList(const std::string& spec) {
 // summaries prune segment PTQs to ~1 of P. DBLP institutions would not work
 // here: an author's alternative institutions scatter uniformly, every shard's
 // Bloom fence saturates, and the fan-out pays P * Costinit per query.
-int RunPartitionSweep(const std::vector<size_t>& partitions, bool smoke,
+int RunPartitionSweep(const std::vector<std::string>& partitions, bool smoke,
                       bool dump_metrics) {
   const size_t nclients =
       static_cast<size_t>(flags::GetInt64("clients", 8));
@@ -158,7 +148,7 @@ int RunPartitionSweep(const std::vector<size_t>& partitions, bool smoke,
   const uint64_t seed = static_cast<uint64_t>(flags::GetInt64("seed", 42));
   const bool pruning = !flags::GetBool("no-pruning", false);
 
-  CartelData d = MakeCartel();
+  CartelData d = MakeCartel(/*default_scale=*/0.3);
   core::UpiOptions obs_opts;
   obs_opts.cluster_column = datagen::CarObsCols::kSegment;
   obs_opts.cutoff = 0.1;
@@ -198,20 +188,13 @@ int RunPartitionSweep(const std::vector<size_t>& partitions, bool smoke,
               "maint", "p50_wall_us", "p99_wall_us", "p50_sim_ms",
               "p99_sim_ms");
 
-  struct PartRow {
-    size_t partitions = 0;
-    double ops_per_sec = 0.0;
-    size_t nfrac = 0;
-    uint64_t probed = 0, pruned = 0;
-    uint64_t ingested = 0, maint_tasks = 0;
-    OpLatency p50, p99;
-  };
   JsonWriter json("partitioning");
-  std::vector<PartRow> rows;
+  std::vector<Row> rows;
   std::atomic<catalog::TupleId> next_id{1u << 30};
   uint64_t ingested_before = 0;
 
-  for (size_t nparts : partitions) {
+  for (const std::string& spec : partitions) {
+    const size_t nparts = std::stoul(spec);
     engine::DatabaseOptions opts;
     opts.device = DeviceFromFlags();
     opts.pool_bytes = pool_mb << 20;
@@ -286,96 +269,63 @@ int RunPartitionSweep(const std::vector<size_t>& partitions, bool smoke,
     }
     db.env()->disk()->SetRealtimeScale(sleep_us_per_ms);
 
-    std::vector<std::vector<OpLatency>> lat(nclients);
-    auto sweep_t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> clients;
-    for (size_t t = 0; t < nclients; ++t) {
-      clients.emplace_back([&, t] {
-        Rng rng(seed * 7919 + t);
-        engine::Session session(&db);
-        lat[t].reserve(ops_per_client);
-        for (size_t op = 0; op < ops_per_client; ++op) {
+    std::vector<Rng> rngs = ClientRngs(seed, nclients);
+    ClosedLoopRun run = RunClosedLoop(
+        &db, nclients, ops_per_client,
+        [&](engine::Session& session, size_t t, size_t) {
+          Rng& rng = rngs[t];
           double qt = kQts[rng.Uniform(3)];
-          auto t0 = std::chrono::steady_clock::now();
           uint64_t kind = rng.Uniform(100);
-          std::future<Result<engine::QueryResult>> fut;
           if (kind < 80) {  // PTQ on the routed attribute: prunes to ~1 shard
-            fut = session.Submit(prep_ptq,
-                                 segments[rng.Uniform(segments.size())], qt);
-          } else {  // top-k: each admissible shard's k best, merged
-            fut = session.Submit(prep_topk,
-                                 segments[rng.Uniform(segments.size())]);
+            return session.Submit(prep_ptq,
+                                  segments[rng.Uniform(segments.size())], qt);
           }
-          Result<engine::QueryResult> res = fut.get();
-          CheckOk(res.status());
-          auto t1 = std::chrono::steady_clock::now();
-          OpLatency l;
-          l.wall_us =
-              std::chrono::duration<double, std::micro>(t1 - t0).count();
-          l.sim_ms = res.value().sim_ms;
-          lat[t].push_back(l);
-        }
-      });
-    }
-    for (std::thread& c : clients) c.join();
-    auto sweep_t1 = std::chrono::steady_clock::now();
+          // top-k: each admissible shard's k best, merged
+          return session.Submit(prep_topk,
+                                segments[rng.Uniform(segments.size())]);
+        });
     stop_ingest.store(true);
     for (std::thread& w : ingest) w.join();
 
-    PartRow row;
-    row.partitions = nparts;
-    row.ingested =
+    const uint64_t ingested =
         next_id.load(std::memory_order_relaxed) - (1u << 30) - ingested_before;
-    ingested_before += row.ingested;
-    row.maint_tasks = db.maintenance()->stats().tasks();
-    double wall_s =
-        std::chrono::duration<double>(sweep_t1 - sweep_t0).count();
-    row.ops_per_sec =
-        static_cast<double>(nclients * ops_per_client) / wall_s;
-    if (stream->partitioned() != nullptr) {
-      engine::PartitionedTable* part = stream->partitioned();
+    ingested_before += ingested;
+    const uint64_t maint_tasks = db.maintenance()->stats().tasks();
+    size_t nfrac = 0;
+    uint64_t probed = 0, pruned = 0;
+    if (engine::PartitionedTable* part = stream->partitioned()) {
       for (size_t s = 0; s < part->num_shards(); ++s) {
-        row.nfrac += part->shard_fractured(s)->num_fractures();
+        nfrac += part->shard_fractured(s)->num_fractures();
       }
-      row.probed = part->shards_probed_total();
-      row.pruned = part->shards_pruned_total();
+      probed = part->shards_probed_total();
+      pruned = part->shards_pruned_total();
     } else {
-      row.nfrac = stream->fractured()->num_fractures();
+      nfrac = stream->fractured()->num_fractures();
     }
-    std::vector<double> wall, sim;
-    for (auto& v : lat) {
-      for (const OpLatency& l : v) {
-        wall.push_back(l.wall_us);
-        sim.push_back(l.sim_ms);
-      }
-    }
-    row.p50.wall_us = Percentile(&wall, 0.50);
-    row.p99.wall_us = Percentile(&wall, 0.99);
-    row.p50.sim_ms = Percentile(&sim, 0.50);
-    row.p99.sim_ms = Percentile(&sim, 0.99);
-    rows.push_back(row);
+    rows.push_back({nparts, run.ops_per_sec()});
+    const Tail wall = P50P99(&run.wall_us);
+    const Tail sim = P50P99(&run.sim_ms);
 
-    double speedup = row.ops_per_sec / rows.front().ops_per_sec;
     std::printf(
         "%-6zu %10.0f %8.2fx %6zu %8llu %8llu %8llu %6llu %12.0f %12.0f "
         "%12.1f %12.1f\n",
-        nparts, row.ops_per_sec, speedup, row.nfrac,
-        static_cast<unsigned long long>(row.probed),
-        static_cast<unsigned long long>(row.pruned),
-        static_cast<unsigned long long>(row.ingested),
-        static_cast<unsigned long long>(row.maint_tasks), row.p50.wall_us,
-        row.p99.wall_us, row.p50.sim_ms, row.p99.sim_ms);
+        nparts, run.ops_per_sec(), run.ops_per_sec() / rows.front().ops_per_sec,
+        nfrac, static_cast<unsigned long long>(probed),
+        static_cast<unsigned long long>(pruned),
+        static_cast<unsigned long long>(ingested),
+        static_cast<unsigned long long>(maint_tasks), wall.p50, wall.p99,
+        sim.p50, sim.p99);
     char config[96];
     std::snprintf(config, sizeof(config),
                   "partitions=%zu clients=%zu nfrac=%zu pruning=%s", nparts,
-                  nclients, row.nfrac, pruning ? "on" : "off");
+                  nclients, nfrac, pruning ? "on" : "off");
     QueryCost cost;
-    cost.sim_ms = row.p99.sim_ms;
-    cost.wall_ms = wall_s * 1000.0;
-    cost.rows = static_cast<size_t>(row.ops_per_sec);
+    cost.sim_ms = sim.p99;
+    cost.wall_ms = run.wall_s * 1000.0;
+    cost.rows = static_cast<size_t>(run.ops_per_sec());
     json.AddRow(config, cost);
 
-    if (dump_metrics && nparts == partitions.back()) {
+    if (dump_metrics && &spec == &partitions.back()) {
       std::printf("\n");
       std::printf("%s", db.MetricsSnapshot().ToPrometheus().c_str());
     }
@@ -383,10 +333,10 @@ int RunPartitionSweep(const std::vector<size_t>& partitions, bool smoke,
 
   // The acceptance gate: partitioning must buy throughput over the
   // single-table ceiling at the same client count.
-  const PartRow* baseline = nullptr;
-  const PartRow* best_part = nullptr;
-  for (const PartRow& r : rows) {
-    if (r.partitions <= 1) {
+  const Row* baseline = nullptr;
+  const Row* best_part = nullptr;
+  for (const Row& r : rows) {
+    if (r.n <= 1) {
       baseline = &r;
     } else if (best_part == nullptr ||
                r.ops_per_sec > best_part->ops_per_sec) {
@@ -394,8 +344,7 @@ int RunPartitionSweep(const std::vector<size_t>& partitions, bool smoke,
     }
   }
   if (baseline != nullptr && best_part != nullptr) {
-    std::printf("P=1 -> P=%zu: %.2fx ops/sec at %zu clients\n",
-                best_part->partitions,
+    std::printf("P=1 -> P=%zu: %.2fx ops/sec at %zu clients\n", best_part->n,
                 best_part->ops_per_sec / baseline->ops_per_sec, nclients);
     if (best_part->ops_per_sec <= baseline->ops_per_sec) {
       std::printf("FAIL: partitioned ops/sec must beat the single-table "
@@ -427,7 +376,7 @@ int RunWalSweep(const std::vector<std::string>& modes, bool smoke,
       static_cast<uint64_t>(flags::GetInt64("pool_mb", 256));
   const double sleep_us_per_ms = flags::GetDouble("sleep_us_per_ms", 1000.0);
 
-  DblpData d = MakeDblp(/*with_publications=*/false);
+  DblpData d = MakeDblp(/*with_publications=*/false, /*default_scale=*/0.3);
   std::vector<catalog::Tuple> base(d.authors.begin(),
                                    d.authors.begin() + d.authors.size() / 2);
 
@@ -440,45 +389,28 @@ int RunWalSweep(const std::vector<std::string>& modes, bool smoke,
               "ops/s", "vs_commit", "syncs", "appends", "grp_mean",
               "p50_wall_us", "p99_wall_us", "rec_recs", "rec_simms");
 
-  struct WalRow {
-    std::string mode;
-    double ops_per_sec = 0.0;
-    double syncs = 0.0, appends = 0.0;
-    OpLatency p50, p99;
-    uint64_t recovered_records = 0;
-    double recovery_sim_ms = 0.0;
-  };
   JsonWriter json("durability");
-  std::vector<WalRow> rows;
+  double commit_ops = 0.0, group_ops = 0.0;  // what the gate compares
   std::atomic<catalog::TupleId> next_id{1u << 30};
 
   for (const std::string& mode : modes) {
-    // Each mode gets a fresh database AND a fresh log directory; the
-    // reopen below replays this row's log and nothing else.
-    char dir_tmpl[] = "/tmp/upi_bench_wal_XXXXXX";
-    const char* wal_dir = ::mkdtemp(dir_tmpl);
-    if (wal_dir == nullptr) {
-      std::fprintf(stderr, "mkdtemp failed\n");
-      return 1;
-    }
-
     engine::DatabaseOptions opts;
     opts.device = DeviceFromFlags();
     opts.pool_bytes = pool_mb << 20;
     opts.maintenance.num_workers = 1;
-    if (mode == "commit") {
-      opts.wal_dir = wal_dir;
-      opts.wal_mode = wal::WalMode::kCommit;
-    } else if (mode == "group") {
-      opts.wal_dir = wal_dir;
-      opts.wal_mode = wal::WalMode::kGroup;
+    if (mode == "commit" || mode == "group") {
+      // Each durable mode gets a fresh log directory; the reopen below
+      // replays this row's log and nothing else.
+      opts.wal_dir = MakeTempDir("upi_bench_wal_");
+      opts.wal_mode =
+          mode == "commit" ? wal::WalMode::kCommit : wal::WalMode::kGroup;
     } else if (mode != "off") {
       std::fprintf(stderr, "unknown --wal mode '%s'\n", mode.c_str());
       return 1;
     }
 
-    WalRow row;
-    row.mode = mode;
+    ClosedLoopRun run;
+    double syncs = 0.0, appends = 0.0;
     {
       engine::Database db(opts);
       engine::Table* stream =
@@ -487,101 +419,65 @@ int RunWalSweep(const std::vector<std::string>& modes, bool smoke,
                                   AuthorUpiOptions(0.1), {}, base)
               .ValueOrDie();
       db.env()->disk()->SetRealtimeScale(sleep_us_per_ms);
-
-      std::vector<std::vector<OpLatency>> lat(nclients);
-      auto t0 = std::chrono::steady_clock::now();
-      std::vector<std::thread> clients;
-      for (size_t t = 0; t < nclients; ++t) {
-        clients.emplace_back([&, t] {
-          engine::Session session(&db);
-          lat[t].reserve(ops_per_client);
-          for (size_t op = 0; op < ops_per_client; ++op) {
+      run = RunClosedLoop(
+          &db, nclients, ops_per_client,
+          [&](engine::Session& session, size_t t, size_t op) {
             const catalog::Tuple& src =
                 d.authors[(t * ops_per_client + op) % d.authors.size()];
-            auto op_t0 = std::chrono::steady_clock::now();
-            auto fut = session.SubmitInsert(
+            return session.SubmitInsert(
                 *stream, CloneWithId(src, next_id.fetch_add(1)));
-            Result<engine::QueryResult> res = fut.get();
-            CheckOk(res.status());
-            auto op_t1 = std::chrono::steady_clock::now();
-            OpLatency l;
-            l.wall_us = std::chrono::duration<double, std::micro>(op_t1 -
-                                                                  op_t0)
-                            .count();
-            l.sim_ms = res.value().sim_ms;
-            lat[t].push_back(l);
-          }
-        });
-      }
-      for (std::thread& c : clients) c.join();
-      auto t1 = std::chrono::steady_clock::now();
+          });
       db.env()->disk()->SetRealtimeScale(0.0);
 
-      double wall_s = std::chrono::duration<double>(t1 - t0).count();
-      row.ops_per_sec =
-          static_cast<double>(nclients * ops_per_client) / wall_s;
       auto snap = db.MetricsSnapshot();
-      row.syncs = snap.SumOf("upi_wal_syncs_total");
-      row.appends = snap.SumOf("upi_wal_appends_total");
-      std::vector<double> wall;
-      for (auto& v : lat) {
-        for (const OpLatency& l : v) wall.push_back(l.wall_us);
-      }
-      row.p50.wall_us = Percentile(&wall, 0.50);
-      row.p99.wall_us = Percentile(&wall, 0.99);
-
-      if (dump_metrics && mode == modes.back()) {
+      syncs = snap.SumOf("upi_wal_syncs_total");
+      appends = snap.SumOf("upi_wal_appends_total");
+      if (dump_metrics && &mode == &modes.back()) {
         std::printf("\n");
         std::printf("%s", db.MetricsSnapshot().ToPrometheus().c_str());
       }
     }
 
-    if (mode != "off") {
+    uint64_t recovered_records = 0;
+    double recovery_sim_ms = 0.0;
+    if (!opts.wal_dir.empty()) {
       // Crash-less recovery demonstration: reopen from the log the sweep
       // just wrote and report what replay cost.
       engine::DatabaseOptions reopen = opts;
       reopen.maintenance.num_workers = 0;
-      engine::Database recovered(reopen);
-      row.recovered_records = recovered.recovery_stats().records;
-      row.recovery_sim_ms = recovered.recovery_stats().sim_ms;
+      {
+        engine::Database recovered(reopen);
+        recovered_records = recovered.recovery_stats().records;
+        recovery_sim_ms = recovered.recovery_stats().sim_ms;
+      }
+      std::filesystem::remove_all(opts.wal_dir);
     }
-    std::filesystem::remove_all(wal_dir);
 
-    rows.push_back(row);
-    double vs_commit = 0.0;
-    for (const WalRow& r : rows) {
-      if (r.mode == "commit") vs_commit = row.ops_per_sec / r.ops_per_sec;
-    }
-    double grp_mean =
-        row.syncs > 0.0 ? row.appends / row.syncs : 0.0;
+    if (mode == "commit") commit_ops = run.ops_per_sec();
+    if (mode == "group") group_ops = run.ops_per_sec();
+    const Tail wall = P50P99(&run.wall_us);
     std::printf("%-8s %10.0f %8.2fx %8.0f %8.0f %10.1f %12.0f %12.0f "
                 "%10llu %10.1f\n",
-                row.mode.c_str(), row.ops_per_sec, vs_commit, row.syncs,
-                row.appends, grp_mean, row.p50.wall_us, row.p99.wall_us,
-                static_cast<unsigned long long>(row.recovered_records),
-                row.recovery_sim_ms);
+                mode.c_str(), run.ops_per_sec(),
+                commit_ops > 0.0 ? run.ops_per_sec() / commit_ops : 0.0, syncs,
+                appends, syncs > 0.0 ? appends / syncs : 0.0, wall.p50,
+                wall.p99, static_cast<unsigned long long>(recovered_records),
+                recovery_sim_ms);
     char config[96];
     std::snprintf(config, sizeof(config),
-                  "wal=%s clients=%zu syncs=%.0f appends=%.0f", row.mode.c_str(),
-                  nclients, row.syncs, row.appends);
+                  "wal=%s clients=%zu syncs=%.0f appends=%.0f", mode.c_str(),
+                  nclients, syncs, appends);
     QueryCost cost;
-    cost.sim_ms = row.recovery_sim_ms;
-    cost.wall_ms = 1e3 * static_cast<double>(nclients * ops_per_client) /
-                   row.ops_per_sec;
-    cost.rows = static_cast<size_t>(row.ops_per_sec);
+    cost.sim_ms = recovery_sim_ms;
+    cost.wall_ms = run.wall_s * 1000.0;
+    cost.rows = static_cast<size_t>(run.ops_per_sec());
     json.AddRow(config, cost);
   }
 
   // The acceptance gate: group commit must absorb enough syncs to reach 3x
   // the per-commit-sync ingest rate.
-  const WalRow* commit = nullptr;
-  const WalRow* group = nullptr;
-  for (const WalRow& r : rows) {
-    if (r.mode == "commit") commit = &r;
-    if (r.mode == "group") group = &r;
-  }
-  if (commit != nullptr && group != nullptr) {
-    double speedup = group->ops_per_sec / commit->ops_per_sec;
+  if (commit_ops > 0.0 && group_ops > 0.0) {
+    double speedup = group_ops / commit_ops;
     std::printf("commit -> group: %.2fx ingest ops/sec at %zu clients\n",
                 speedup, nclients);
     if (speedup < 3.0) {
@@ -600,37 +496,13 @@ int main(int argc, char** argv) {
   const bool smoke = flags::GetBool("smoke", false);
   const bool dump_metrics = flags::GetBool("metrics", false);
 
-  {
-    std::string wal_spec = flags::GetString("wal", "");
-    if (!wal_spec.empty()) {
-      if (flags::GetDouble("scale", -1.0) < 0.0) {
-        std::string arg = "--scale=0.3";
-        char* extra[] = {argv[0], arg.data()};
-        flags::Parse(2, extra);
-      }
-      std::vector<std::string> modes;
-      size_t pos = 0;
-      while (pos < wal_spec.size()) {
-        size_t comma = wal_spec.find(',', pos);
-        if (comma == std::string::npos) comma = wal_spec.size();
-        modes.push_back(wal_spec.substr(pos, comma - pos));
-        pos = comma + 1;
-      }
-      return RunWalSweep(modes, smoke, dump_metrics);
-    }
+  const std::string wal_spec = flags::GetString("wal", "");
+  if (!wal_spec.empty()) {
+    return RunWalSweep(SplitCommas(wal_spec), smoke, dump_metrics);
   }
-
-  {
-    std::string part_spec = flags::GetString("partitions", "");
-    if (!part_spec.empty()) {
-      // Default scale 0.3, same as the thread sweep below.
-      if (flags::GetDouble("scale", -1.0) < 0.0) {
-        std::string arg = "--scale=0.3";
-        char* extra[] = {argv[0], arg.data()};
-        flags::Parse(2, extra);
-      }
-      return RunPartitionSweep(ParseSizeList(part_spec), smoke, dump_metrics);
-    }
+  const std::string part_spec = flags::GetString("partitions", "");
+  if (!part_spec.empty()) {
+    return RunPartitionSweep(SplitCommas(part_spec), smoke, dump_metrics);
   }
 
   const size_t ops_per_client =
@@ -640,18 +512,8 @@ int main(int argc, char** argv) {
   const double sleep_us_per_ms = flags::GetDouble("sleep_us_per_ms", 40.0);
   const uint64_t seed = static_cast<uint64_t>(flags::GetInt64("seed", 42));
 
-  std::vector<size_t> thread_counts =
-      ParseSizeList(flags::GetString("threads", smoke ? "1,2" : "1,2,4,8"));
-
   // Default scale 0.3 keeps the whole database resident in the default pool.
-  if (flags::GetDouble("scale", -1.0) < 0.0) {
-    // MakeDblp reads --scale; bench_util has no override hook, so re-parse
-    // with the default appended.
-    std::string arg = "--scale=0.3";
-    char* extra[] = {argv[0], arg.data()};
-    flags::Parse(2, extra);
-  }
-  DblpData d = MakeDblp(/*with_publications=*/false);
+  DblpData d = MakeDblp(/*with_publications=*/false, /*default_scale=*/0.3);
 
   engine::DatabaseOptions opts;
   opts.device = DeviceFromFlags();
@@ -734,10 +596,12 @@ int main(int argc, char** argv) {
               "p99_sim_ms");
 
   JsonWriter json("throughput");
-  std::vector<SweepRow> rows;
+  std::vector<Row> rows;
   std::atomic<catalog::TupleId> next_id{1u << 30};
 
-  for (size_t nthreads : thread_counts) {
+  for (const std::string& spec :
+       SplitCommas(flags::GetString("threads", smoke ? "1,2" : "1,2,4,8"))) {
+    const size_t nthreads = std::stoul(spec);
     std::atomic<bool> stop_ingest{false};
     std::thread ingest([&] {
       size_t i = 0;
@@ -748,82 +612,46 @@ int main(int argc, char** argv) {
       }
     });
 
-    std::vector<std::vector<OpLatency>> lat(nthreads);
-    auto sweep_t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> clients;
-    for (size_t t = 0; t < nthreads; ++t) {
-      clients.emplace_back([&, t] {
-        Rng rng(seed * 7919 + t);
-        // The real per-client surface: one Session, closed-loop submits.
-        engine::Session session(&db);
-        lat[t].reserve(ops_per_client);
-        for (size_t op = 0; op < ops_per_client; ++op) {
+    std::vector<Rng> rngs = ClientRngs(seed, nthreads);
+    ClosedLoopRun run = RunClosedLoop(
+        &db, nthreads, ops_per_client,
+        [&](engine::Session& session, size_t t, size_t) {
+          Rng& rng = rngs[t];
           double qt = kQts[rng.Uniform(3)];
-          auto t0 = std::chrono::steady_clock::now();
           uint64_t kind = rng.Uniform(100);
-          std::future<Result<engine::QueryResult>> fut;
           if (kind < 55) {  // Query 1: PTQ on the clustered attribute
-            fut = session.Submit(prep_ptq,
-                                 institutions[rng.Uniform(institutions.size())],
-                                 qt);
-          } else if (kind < 80) {  // Query 3: secondary lookup
-            fut = session.Submit(prep_sec, country, qt);
-          } else if (kind < 90) {  // top-k
-            fut = session.Submit(
-                prep_topk, institutions[rng.Uniform(institutions.size())]);
-          } else {  // PTQ against the fractured table under ingest
-            fut = session.Submit(prep_stream,
-                                 institutions[rng.Uniform(institutions.size())],
-                                 qt);
+            return session.Submit(
+                prep_ptq, institutions[rng.Uniform(institutions.size())], qt);
           }
-          Result<engine::QueryResult> res = fut.get();
-          CheckOk(res.status());
-          auto t1 = std::chrono::steady_clock::now();
-          OpLatency l;
-          l.wall_us =
-              std::chrono::duration<double, std::micro>(t1 - t0).count();
-          l.sim_ms = res.value().sim_ms;
-          lat[t].push_back(l);
-        }
-      });
-    }
-    for (std::thread& c : clients) c.join();
-    auto sweep_t1 = std::chrono::steady_clock::now();
+          if (kind < 80) {  // Query 3: secondary lookup
+            return session.Submit(prep_sec, country, qt);
+          }
+          if (kind < 90) {  // top-k
+            return session.Submit(
+                prep_topk, institutions[rng.Uniform(institutions.size())]);
+          }
+          // PTQ against the fractured table under ingest
+          return session.Submit(
+              prep_stream, institutions[rng.Uniform(institutions.size())], qt);
+        });
     stop_ingest.store(true);
     ingest.join();
 
-    SweepRow row;
-    row.threads = nthreads;
-    row.ops = nthreads * ops_per_client;
-    row.nfrac = stream->fractured()->num_fractures();
-    row.wall_s = std::chrono::duration<double>(sweep_t1 - sweep_t0).count();
-    row.ops_per_sec = static_cast<double>(row.ops) / row.wall_s;
-    std::vector<double> wall, sim;
-    for (auto& v : lat) {
-      for (const OpLatency& l : v) {
-        wall.push_back(l.wall_us);
-        sim.push_back(l.sim_ms);
-      }
-    }
-    row.p50.wall_us = Percentile(&wall, 0.50);
-    row.p99.wall_us = Percentile(&wall, 0.99);
-    row.p50.sim_ms = Percentile(&sim, 0.50);
-    row.p99.sim_ms = Percentile(&sim, 0.99);
-    rows.push_back(row);
-
-    double speedup = row.ops_per_sec / rows.front().ops_per_sec;
+    const size_t nfrac = stream->fractured()->num_fractures();
+    rows.push_back({nthreads, run.ops_per_sec()});
+    const Tail wall = P50P99(&run.wall_us);
+    const Tail sim = P50P99(&run.sim_ms);
     std::printf("%-8zu %10.0f %8.2fx %6zu %12.0f %12.0f %12.1f %12.1f\n",
-                nthreads, row.ops_per_sec, speedup, row.nfrac,
-                row.p50.wall_us, row.p99.wall_us, row.p50.sim_ms,
-                row.p99.sim_ms);
+                nthreads, run.ops_per_sec(),
+                run.ops_per_sec() / rows.front().ops_per_sec, nfrac, wall.p50,
+                wall.p99, sim.p50, sim.p99);
     char config[64];
     std::snprintf(config, sizeof(config), "threads=%zu nfrac=%zu pruning=%s",
-                  nthreads, row.nfrac,
-                  stream_opts.enable_pruning ? "on" : "off");
+                  nthreads, nfrac, stream_opts.enable_pruning ? "on" : "off");
     QueryCost cost;
-    cost.sim_ms = row.p99.sim_ms;
-    cost.wall_ms = row.wall_s * 1000.0;
-    cost.rows = static_cast<size_t>(row.ops_per_sec);
+    cost.sim_ms = sim.p99;
+    cost.wall_ms = run.wall_s * 1000.0;
+    cost.rows = static_cast<size_t>(run.ops_per_sec());
     json.AddRow(config, cost);
   }
 
@@ -841,15 +669,13 @@ int main(int argc, char** argv) {
                                               prep_topk.hits() +
                                               prep_stream.hits()));
 
-  double speedup =
-      rows.back().ops_per_sec / rows.front().ops_per_sec;
+  double speedup = rows.back().ops_per_sec / rows.front().ops_per_sec;
   if (rows.size() > 1) {
-    std::printf("%zu -> %zu clients: %.2fx ops/sec\n", rows.front().threads,
-                rows.back().threads, speedup);
+    std::printf("%zu -> %zu clients: %.2fx ops/sec\n", rows.front().n,
+                rows.back().n, speedup);
     // The acceptance gate is defined against a single-client baseline; a
     // sweep starting elsewhere (e.g. --threads=4,8) is informational only.
-    if (rows.front().threads == 1 && rows.back().threads >= 8 &&
-        speedup < 3.0) {
+    if (rows.front().n == 1 && rows.back().n >= 8 && speedup < 3.0) {
       std::printf("FAIL: expected >= 3x\n");
       return 1;
     }
@@ -862,17 +688,14 @@ int main(int argc, char** argv) {
     db.env()->disk()->SetRealtimeScale(0.0);
     auto run_ops = [&](size_t n) {
       Rng rng(seed + 17);
-      engine::Session session(&db);
-      auto t0 = std::chrono::steady_clock::now();
-      for (size_t op = 0; op < n; ++op) {
-        auto fut = session.Submit(
-            prep_ptq, institutions[rng.Uniform(institutions.size())],
-            kQts[rng.Uniform(3)]);
-        CheckOk(fut.get().status());
-      }
-      auto t1 = std::chrono::steady_clock::now();
-      return static_cast<double>(n) /
-             std::chrono::duration<double>(t1 - t0).count();
+      return RunClosedLoop(&db, 1, n,
+                           [&](engine::Session& session, size_t, size_t) {
+                             return session.Submit(
+                                 prep_ptq,
+                                 institutions[rng.Uniform(institutions.size())],
+                                 kQts[rng.Uniform(3)]);
+                           })
+          .ops_per_sec();
     };
     const size_t overhead_ops = smoke ? 300 : 3000;
     run_ops(overhead_ops / 4);  // warm both code paths

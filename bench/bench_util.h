@@ -2,10 +2,12 @@
 // Cartel-like datasets, the cold-query protocol, and table printing.
 //
 // "Runtime" in every bench is the *simulated* disk time (the quantity the
-// paper measured on its 10k-RPM drive; see DESIGN.md for the substitution
-// rationale); wall-clock CPU time is printed alongside. All benches accept:
+// paper measured on its 10k-RPM drive, simulated so that it is deterministic
+// and independent of the host); wall-clock CPU time is printed alongside.
+// All benches accept:
 //   --scale=<f>   dataset scale (1.0 = 100k authors / 200k pubs / 200k obs;
-//                 ~7 approximates the paper's sizes)
+//                 ~7 approximates the paper's sizes; a bench may pass
+//                 MakeDblp / MakeCartel another default)
 //   --seed=<n>    generator seed
 //   --json=<path> machine-readable per-row capture (benches that call
 //                 JsonWriter::AddRow), for tracking the perf trajectory
@@ -15,11 +17,15 @@
 //                 the flag existed; see sim/device_profile.h)
 #pragma once
 
+#include <stdlib.h>
+
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "baseline/secondary_utree.h"
@@ -97,6 +103,20 @@ inline void PrintTitle(const std::string& title) {
   std::printf("# %s\n", title.c_str());
 }
 
+/// A fresh directory `<temp dir>/<prefix>XXXXXX` (std::filesystem's temp
+/// directory, so TMPDIR is honoured). Exits when it cannot be made.
+inline std::string MakeTempDir(const std::string& prefix) {
+  std::error_code ec;
+  std::string path =
+      (std::filesystem::temp_directory_path(ec) / (prefix + "XXXXXX")).string();
+  if (ec || ::mkdtemp(path.data()) == nullptr) {
+    std::fprintf(stderr, "bench: cannot make %sXXXXXX in the temp directory\n",
+                 prefix.c_str());
+    std::exit(1);
+  }
+  return path;
+}
+
 /// Per-row JSON capture behind the --json=<path> flag. Each AddRow records
 /// one measured configuration; the destructor writes the array:
 ///   [{"bench": ..., "config": ..., "sim_ms": ..., "wall_ms": ..., "rows": ...}, ...]
@@ -156,9 +176,10 @@ struct DblpData {
   std::string mid_country;                   // the "Japan"
 };
 
-inline DblpData MakeDblp(bool with_publications) {
+/// `default_scale` applies when --scale is absent.
+inline DblpData MakeDblp(bool with_publications, double default_scale = 1.0) {
   DblpData d;
-  double scale = flags::GetDouble("scale", 1.0);
+  double scale = flags::GetDouble("scale", default_scale);
   d.cfg = datagen::DblpConfig{}.Scaled(scale);
   d.cfg.seed = static_cast<uint64_t>(flags::GetInt64("seed", 42));
   d.gen = std::make_unique<datagen::DblpGenerator>(d.cfg);
@@ -172,6 +193,14 @@ inline DblpData MakeDblp(bool with_publications) {
       static_cast<uint64_t>(300 * scale) + 30);
   d.mid_country = d.gen->MidCountry();
   return d;
+}
+
+/// `src`'s values and existence under another TupleId: the ingest streams
+/// replay the generated tuples under fresh ids.
+inline catalog::Tuple CloneWithId(const catalog::Tuple& src,
+                                  catalog::TupleId id) {
+  std::vector<catalog::Value> values(src.values());
+  return catalog::Tuple(id, src.existence(), std::move(values));
 }
 
 inline core::UpiOptions AuthorUpiOptions(double cutoff) {
@@ -198,9 +227,10 @@ struct CartelData {
   std::vector<catalog::Tuple> observations;
 };
 
-inline CartelData MakeCartel() {
+/// `default_scale` applies when --scale is absent.
+inline CartelData MakeCartel(double default_scale = 1.0) {
   CartelData d;
-  double scale = flags::GetDouble("scale", 1.0);
+  double scale = flags::GetDouble("scale", default_scale);
   d.cfg = datagen::CartelConfig{}.Scaled(scale);
   d.cfg.seed = static_cast<uint64_t>(flags::GetInt64("seed", 42));
   d.gen = std::make_unique<datagen::CartelGenerator>(d.cfg);

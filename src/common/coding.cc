@@ -26,22 +26,10 @@ uint64_t GetFixed64BE(const char* p) {
   return (uint64_t{GetFixed32BE(p)} << 32) | GetFixed32BE(p + 4);
 }
 
-void PutFixed16(std::string* dst, uint16_t v) {
-  char buf[2];
-  std::memcpy(buf, &v, 2);
-  dst->append(buf, 2);
-}
-
 void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
   std::memcpy(buf, &v, 4);
   dst->append(buf, 4);
-}
-
-uint16_t GetFixed16(const char* p) {
-  uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
 }
 
 uint32_t GetFixed32(const char* p) {

@@ -25,9 +25,7 @@ uint32_t GetFixed32BE(const char* p);
 uint64_t GetFixed64BE(const char* p);
 
 // Little-endian fixed ints for page-internal structures (no ordering needs).
-void PutFixed16(std::string* dst, uint16_t v);
 void PutFixed32(std::string* dst, uint32_t v);
-uint16_t GetFixed16(const char* p);
 uint32_t GetFixed32(const char* p);
 
 // Varint32 for lengths inside pages / tuples.

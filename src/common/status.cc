@@ -11,7 +11,6 @@ const char* StatusCodeName(StatusCode code) {
     case StatusCode::kNotFound: return "NotFound";
     case StatusCode::kAlreadyExists: return "AlreadyExists";
     case StatusCode::kInvalidArgument: return "InvalidArgument";
-    case StatusCode::kOutOfRange: return "OutOfRange";
     case StatusCode::kIOError: return "IOError";
     case StatusCode::kCorruption: return "Corruption";
     case StatusCode::kNotSupported: return "NotSupported";

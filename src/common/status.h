@@ -16,7 +16,6 @@ enum class StatusCode : uint8_t {
   kNotFound,
   kAlreadyExists,
   kInvalidArgument,
-  kOutOfRange,
   kIOError,
   kCorruption,
   kNotSupported,
@@ -41,9 +40,6 @@ class Status {
   }
   static Status InvalidArgument(std::string msg) {
     return Status(StatusCode::kInvalidArgument, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   static Status IOError(std::string msg) {
     return Status(StatusCode::kIOError, std::move(msg));

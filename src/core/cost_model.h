@@ -7,9 +7,10 @@
 // The ceiling is Costscan, exactly as the paper observes: a saturated sorted
 // pointer sweep degenerates to (nearly) a full table scan, and measurements
 // on the simulated disk confirm it (short seeks over small gaps plus heavy
-// leaf sharing make the sweep approach sequential cost; see EXPERIMENTS.md).
+// leaf sharing make the sweep approach sequential cost; README.md, "Sorted
+// heap fetches read forward", says how the engine reads such a sweep).
 //
-// One calibration adaptation, documented in DESIGN.md: the paper sets k by
+// One calibration adaptation: the paper sets k by
 // the heuristic f(0.05 * Nleaf) = 0.99 * Costscan, "based on experimental
 // evidence gathered through our experience" with their drive. On our device
 // the measured-fit calibration anchors the sigmoid's initial slope to the

@@ -82,27 +82,6 @@ size_t Partitioner::ShardOf(std::string_view key) const {
   return static_cast<size_t>(it - splits_.begin());
 }
 
-Status Partitioner::CheckCompatible(const Partitioner& other) const {
-  if (other.num_shards_ != num_shards_) {
-    return Status::InvalidArgument(
-        "partition router mismatch: router routes over " +
-        std::to_string(other.num_shards_) + " shards but the table has " +
-        std::to_string(num_shards_) +
-        " — rejected, re-routing would misplace writes (data loss)");
-  }
-  if (other.scheme_ != scheme_) {
-    return Status::InvalidArgument(
-        "partition router mismatch: routing scheme differs from the table's "
-        "— rejected, re-routing would misplace writes (data loss)");
-  }
-  if (other.splits_ != splits_) {
-    return Status::InvalidArgument(
-        "partition router mismatch: range splits differ from the table's — "
-        "rejected, re-routing would misplace writes (data loss)");
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // ShardSummary
 // ---------------------------------------------------------------------------

@@ -66,10 +66,7 @@ struct PartitionOptions {
   std::vector<std::string> range_splits;
 };
 
-/// The routing function: key -> owning shard. Deterministic and stateless,
-/// so clients may hold their own copy — but a copy built against a different
-/// shard layout must be rejected, not silently re-route (see
-/// CheckCompatible / PartitionedTable::ValidateRouter).
+/// The routing function: key -> owning shard. Deterministic and stateless.
 class Partitioner {
  public:
   /// Validates the spec: num_shards >= 1; range scheme needs exactly
@@ -79,14 +76,6 @@ class Partitioner {
   size_t ShardOf(std::string_view key) const;
 
   size_t num_shards() const { return num_shards_; }
-  PartitionOptions::Scheme scheme() const { return scheme_; }
-  const std::vector<std::string>& splits() const { return splits_; }
-
-  /// InvalidArgument when `other` can place any key differently than this
-  /// partitioner (different shard count, scheme, or splits): accepting a
-  /// mismatched router would send writes to the wrong shard — silent data
-  /// loss for every later read.
-  Status CheckCompatible(const Partitioner& other) const;
 
   /// FNV-1a, the stable cross-platform key hash (also feeds Bloom fences).
   static uint64_t HashKey(std::string_view key);
@@ -206,13 +195,6 @@ class PartitionedTable : public AccessPath {
   Status Insert(const catalog::Tuple& tuple) override;
   Status Delete(const catalog::Tuple& tuple) override;
 
-  /// Rejects a client-held router that disagrees with this table's layout
-  /// (see Partitioner::CheckCompatible) — the guard against re-routing after
-  /// a shard-count mismatch.
-  Status ValidateRouter(const Partitioner& router) const {
-    return partitioner_.CheckCompatible(router);
-  }
-
   // --- Reads (one gather) ---------------------------------------------------
 
   /// The union of the admissible shards' PTQ rows, in result order.
@@ -254,7 +236,6 @@ class PartitionedTable : public AccessPath {
   const std::string& name() const override { return name_; }
   const catalog::Schema& schema() const override { return schema_; }
   const core::UpiOptions& options() const { return options_; }
-  const Partitioner& partitioner() const { return partitioner_; }
   size_t num_shards() const { return shards_.size(); }
   /// Shard i's Fractured UPI.
   core::FracturedUpi* shard_fractured(size_t i) const {

@@ -91,16 +91,6 @@ std::future<Result<QueryResult>> Session::SubmitInsert(Table& table,
   }));
 }
 
-std::future<Result<QueryResult>> Session::SubmitDelete(Table& table,
-                                                       catalog::Tuple tuple) {
-  return Enqueue(Task([this, &table, tuple = std::move(tuple)] {
-    return Measure([&](std::vector<core::PtqMatch>*) -> Result<Plan> {
-      UPI_RETURN_NOT_OK(table.Delete(tuple));
-      return Plan{};
-    });
-  }));
-}
-
 uint64_t Session::submitted() const {
   std::lock_guard<sync::Mutex> lock(mu_);
   return submitted_;

@@ -54,13 +54,11 @@ class Session {
   /// Async one-shot execution of a full Query against a table.
   std::future<Result<QueryResult>> Submit(const Table& table, Query q);
 
-  /// Async writes, run through Table::Insert/Delete on the session worker —
-  /// so with a WAL in group-commit mode, many sessions' commits batch into
+  /// Async insert, run through Table::Insert on the session worker — so
+  /// with a WAL in group-commit mode, many sessions' commits batch into
   /// shared syncs (the result's sim_ms carries this operation's share of the
   /// device time). The returned QueryResult has no plan and no rows.
   std::future<Result<QueryResult>> SubmitInsert(Table& table,
-                                                catalog::Tuple tuple);
-  std::future<Result<QueryResult>> SubmitDelete(Table& table,
                                                 catalog::Tuple tuple);
 
   /// Operations submitted over the session's lifetime.

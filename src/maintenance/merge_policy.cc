@@ -7,6 +7,11 @@
 
 namespace upi::maintenance {
 
+namespace {
+// How many of the oldest delta fractures a partial merge folds together.
+constexpr size_t kPartialMergeFanin = 4;
+}  // namespace
+
 Decision MergePolicy::DecideFlush(const core::FracturedUpi& table) const {
   Decision d;
   core::FracturedUpi::BufferWatermarks w = table.buffer_watermarks();
@@ -97,7 +102,7 @@ Decision MergePolicy::DecideMerge(const core::FracturedUpi& table) const {
   if (deltas >= 2 && d.overhead_ms > options_.partial_merge_overhead_fraction *
                                          d.predicted_query_ms) {
     d.action = core::MaintenanceOp::kMergePartial;
-    d.merge_count = std::min(options_.partial_merge_fanin, deltas);
+    d.merge_count = std::min(kPartialMergeFanin, deltas);
     d.reason = "fracture-overhead fraction";
   }
   return d;

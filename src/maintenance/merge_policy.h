@@ -56,8 +56,6 @@ struct MergePolicyOptions {
   /// Partial merge when Nfrac * (Costinit + H*Tseek) exceeds this fraction of
   /// the predicted reference-query cost.
   double partial_merge_overhead_fraction = 0.5;
-  /// How many of the oldest delta fractures a partial merge folds together.
-  size_t partial_merge_fanin = 4;
   /// Full merge when predicted query cost exceeds this multiple of the cost
   /// on an ideal fully-merged (Nfrac = 1) layout.
   double full_merge_deterioration = 3.0;

@@ -45,12 +45,6 @@ inline std::string EncodeLeafHeapKey(uint64_t label, catalog::TupleId id) {
   return key;
 }
 
-inline std::string LeafHeapPrefix(uint64_t label) {
-  std::string key;
-  PutFixed64BE(&key, label);
-  return key;
-}
-
 inline void DecodeLeafHeapKey(std::string_view key, uint64_t* label,
                               catalog::TupleId* id) {
   *label = GetFixed64BE(key.data());

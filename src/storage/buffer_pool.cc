@@ -220,14 +220,17 @@ std::vector<BufferPool::DirtyFile> BufferPool::CollectDirty(
   for (size_t i = 0; i < shards_count_; ++i) {
     Shard& s = shards_[i];
     std::lock_guard<sync::Mutex> lock(s.mu);
-    // A snapshot of the *resident* dirty set. Loading frames are skipped
-    // deliberately (their creator still holds the pin and is mid-write;
-    // callers that want a page flushed quiesce its writer first), and
-    // detached kWriting victims are already on their way to the device.
-    // Never waiting on transients keeps flushes live under sustained miss
-    // traffic on other pages of the shard.
+    // A snapshot of the *resident, unpinned* dirty set. A pinned frame may
+    // be mid-write by the thread that holds the pin (page writers hold only
+    // their pin, never the shard latch), so copying it could put a torn
+    // page on the device: it stays dirty for its next flush or eviction,
+    // and callers that want a page flushed release its pin first. Loading
+    // frames are pinned by their creator, and detached kWriting victims are
+    // already on their way to the device. Never waiting on transients or
+    // pins keeps flushes live under sustained traffic on other pages of the
+    // shard.
     for (auto& [k, f] : s.frames) {
-      if (f.state != Frame::State::kResident || !f.dirty ||
+      if (f.state != Frame::State::kResident || !f.dirty || f.pins > 0 ||
           (only_file != nullptr && k.file != only_file)) {
         continue;
       }
@@ -256,9 +259,11 @@ void BufferPool::WriteBackOne(const Key& k) {
     std::lock_guard<sync::Mutex> lock(s.mu);
     auto it = s.frames.find(k);
     if (it == s.frames.end() || it->second.state != Frame::State::kResident ||
-        !it->second.dirty) {
+        !it->second.dirty || it->second.pins > 0) {
       // Evicted (and thus written), discarded, or its file dropped since
-      // collection: the lookup never touched the PageFile.
+      // collection: the lookup never touched the PageFile. Or pinned again
+      // since collection, and so possibly mid-write: left dirty, as
+      // CollectDirty leaves it.
       return;
     }
     // Flush-pin + snapshot, then write outside the latch (in realtime mode a

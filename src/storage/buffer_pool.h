@@ -38,11 +38,12 @@
 // page, never whether I/O happens.
 //
 // Returned page pointers stay valid while pinned (frames are node-stable and
-// pinned frames are never evicted); concurrent *readers* of a pinned page
-// are safe, and writers are serialized above this layer (a page is only
-// written by the single thread building its file, or under the table's
-// exclusive lock). Pin-protocol violations (unpinning an unmapped frame,
-// discarding a pinned page) abort in every build type — see common/check.h.
+// pinned frames are never evicted or flushed); concurrent *readers* of a
+// pinned page are safe, and writers are serialized above this layer (a page
+// is only written by the single thread building its file, or under the
+// table's exclusive lock). Pin-protocol violations (unpinning an unmapped
+// frame, discarding a pinned page) abort in every build type — see
+// common/check.h.
 #pragma once
 
 #include <atomic>
@@ -91,13 +92,16 @@ class BufferPool {
   void MarkDirty(PageFile* file, PageId id);
 
   /// Writes back every dirty frame, in (file-name, page-id) order so a batch
-  /// flush of a freshly built file is physically sequential.
+  /// flush of a freshly built file is physically sequential. A pinned frame
+  /// is skipped and stays dirty: its pin holder may be writing it in place,
+  /// without the shard latch, so a copy could be torn.
   void FlushAll();
 
-  /// Flushes dirty frames of one file only.
+  /// Flushes dirty frames of one file only, skipping pinned ones likewise.
   void FlushFile(PageFile* file);
 
   /// Flushes everything, then evicts every frame: the cold-cache protocol.
+  /// Aborts on a pinned frame.
   void DropAll();
 
   /// Drops the frame for a page being freed, discarding dirty data.

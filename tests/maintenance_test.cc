@@ -256,7 +256,6 @@ TEST(MaintenanceManagerTest, PolicyTriggeredPartialMerge) {
   opt.policy.reference_selectivity = 0.0;  // isolate the fracture tax
   opt.policy.partial_merge_overhead_fraction = 0.5;
   opt.policy.full_merge_deterioration = 100.0;  // keep MergeAll out of this test
-  opt.policy.partial_merge_fanin = 4;
   MaintenanceManager mgr(&fx.env, opt);
   mgr.Register(fx.table.get());
 

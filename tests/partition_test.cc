@@ -132,49 +132,6 @@ TEST(PartitionerTest, RejectsInvalidSpecs) {
 }
 
 // ---------------------------------------------------------------------------
-// Router mismatch: rejected with a clear Status, never silently re-routed
-// ---------------------------------------------------------------------------
-
-TEST(PartitionTest, MismatchedRouterIsRejected) {
-  DatabaseOptions dopt;
-  dopt.gather_workers = 0;
-  Database db(dopt);
-  PartitionOptions popts;
-  popts.num_shards = 4;
-  Table* t = db.CreatePartitionedTable("t", TwoColSchema(), Options(), {},
-                                       popts, RangeTuples())
-                 .ValueOrDie();
-  PartitionedTable* pt = t->partitioned();
-  ASSERT_NE(pt, nullptr);
-
-  // The table's own router is of course compatible.
-  EXPECT_TRUE(pt->ValidateRouter(pt->partitioner()).ok());
-
-  // A client still routing over the old shard count must be refused: its
-  // placements disagree, so accepting writes would lose data.
-  PartitionOptions stale = popts;
-  stale.num_shards = 8;
-  Status st = pt->ValidateRouter(Partitioner::Make(stale).ValueOrDie());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.message().find("mismatch"), std::string::npos);
-
-  // Same count, different scheme: also a placement disagreement.
-  PartitionOptions other_scheme = RangePopts();
-  st = pt->ValidateRouter(Partitioner::Make(other_scheme).ValueOrDie());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-
-  // Range tables reject routers with different splits.
-  Table* rt = db.CreatePartitionedTable("rt", TwoColSchema(), Options(), {},
-                                        RangePopts(), RangeTuples())
-                  .ValueOrDie();
-  PartitionOptions moved_splits = RangePopts();
-  moved_splits.range_splits = {"g", "n", "u"};
-  st = rt->partitioned()->ValidateRouter(
-      Partitioner::Make(moved_splits).ValueOrDie());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-}
-
-// ---------------------------------------------------------------------------
 // Routed writes
 // ---------------------------------------------------------------------------
 

@@ -161,6 +161,29 @@ TEST(BufferPoolTest, DiscardDropsDirtyData) {
   EXPECT_EQ(out, "original");
 }
 
+TEST(BufferPoolTest, FlushLeavesAPinnedFrameDirty) {
+  // The pin holder may be writing the page in place without the shard
+  // latch, so a flush that copied the frame could write a torn page.
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  BufferPool pool(1 << 20);
+  PageId a = f.Allocate();
+  f.Write(a, "original");
+  std::string* data = pool.Fetch(&f, a);
+  *data = "mid-write";
+  pool.MarkDirty(&f, a);
+  pool.FlushAll();
+  pool.FlushFile(&f);
+  std::string out;
+  f.Read(a, &out);
+  EXPECT_EQ(out, "original") << "a pinned frame was copied";
+  EXPECT_EQ(pool.counters().writebacks, 0u);
+  pool.Unpin(&f, a);
+  pool.FlushAll();
+  f.Read(a, &out);
+  EXPECT_EQ(out, "mid-write") << "the frame stays dirty until unpinned";
+}
+
 TEST(PagerTest, PageRefUnpinsOnDestruction) {
   sim::SimDisk disk;
   PageFile f(&disk, "t", 4096);
