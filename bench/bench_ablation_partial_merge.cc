@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
     }
     QueryCost q = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured->QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured->OpenPtq(d.popular_institution, qt)->Drain(&out));
       return out.size();
     });
     std::printf("%-14s %12.1f %9zu %12.3f\n", strategy,

@@ -33,9 +33,10 @@ int main(int argc, char** argv) {
                    .ValueOrDie();
     QueryCost cost = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(upi->QueryBySecondary(datagen::PublicationCols::kCountry,
-                                    d.mid_country, qt,
-                                    core::SecondaryAccessMode::kTailored, &out));
+      CheckOk(upi->OpenSecondary(datagen::PublicationCols::kCountry,
+                                 d.mid_country, qt,
+                                 core::SecondaryAccessMode::kTailored)
+                  ->Drain(&out));
       return out.size();
     });
     double sec_mb =

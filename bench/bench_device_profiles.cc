@@ -39,6 +39,13 @@
 // --smoke runs A..C at reduced sizes and exits non-zero unless (1) the
 // planner flips between profiles and (2) flash ingest reaches the 1.5x bar.
 // The full run applies the same gates.
+//
+// Scale floor: section B's gate "flash must schedule fewer merges" needs
+// enough ingest for the spinning disk's policy to fire more merges than
+// flash's. With --smoke it fails at --scale=0.22 (6 merges on each profile)
+// and passes from 0.25 (5 vs 6); without --smoke it fails at 0.15 and passes
+// from 0.2. All of it is simulated time, so the floor does not depend on the
+// host.
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
@@ -176,7 +183,7 @@ MergeScheduleRow RunMergeSchedule(const DblpData& d,
     for (int q = 0; q < queries_per_round; ++q) {
       QueryCost cost = RunCold(&env, [&]() -> size_t {
         std::vector<core::PtqMatch> out;
-        CheckOk(fractured->QueryPtq(d.popular_institution, 0.1, &out));
+        CheckOk(fractured->OpenPtq(d.popular_institution, 0.1)->Drain(&out));
         return out.size();
       });
       r.rows += cost.rows;
@@ -301,7 +308,7 @@ ThroughputRow RunThroughput(const DblpData& d,
         q % 2 == 0 ? d.popular_institution : d.selective_institution;
     QueryCost cost = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured->QueryPtq(value, 0.1, &out));
+      CheckOk(fractured->OpenPtq(value, 0.1)->Drain(&out));
       return out.size();
     });
     r.query_sim_ms += cost.sim_ms;

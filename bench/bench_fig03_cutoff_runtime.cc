@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
       for (double qt : qts) {
         QueryCost cost = RunCold(&env, [&]() -> size_t {
           std::vector<core::PtqMatch> out;
-          CheckOk(upi->QueryPtq(value, qt, &out));
+          CheckOk(upi->OpenPtq(value, qt)->Drain(&out));
           return out.size();
         });
         std::printf(" %7.3fs/%4zu", cost.sim_ms / 1000.0, cost.rows);

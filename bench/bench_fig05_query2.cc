@@ -31,14 +31,15 @@ int main(int argc, char** argv) {
     size_t groups = 0;
     QueryCost pii = RunCold(&pii_env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(table->QueryPii(datagen::PublicationCols::kInstitution,
-                              d.popular_institution, qt, &out));
+      CheckOk(table->OpenPii(datagen::PublicationCols::kInstitution,
+                             d.popular_institution, qt)
+                  ->Drain(&out));
       groups = exec::GroupByCount(out, datagen::PublicationCols::kJournal).size();
       return out.size();
     });
     QueryCost upic = RunCold(&upi_env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(upi->QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(upi->OpenPtq(d.popular_institution, qt)->Drain(&out));
       groups = exec::GroupByCount(out, datagen::PublicationCols::kJournal).size();
       return out.size();
     });

@@ -37,7 +37,8 @@ int main(int argc, char** argv) {
   for (double qt = 0.1; qt <= 0.81; qt += 0.1) {
     QueryCost pii = RunCold(&pii_env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(table->QueryPii(datagen::CarObsCols::kSegment, segment, qt, &out));
+      CheckOk(table->OpenPii(datagen::CarObsCols::kSegment, segment, qt)
+                  ->Drain(&out));
       return out.size();
     });
     QueryCost up = RunCold(&upi_env, [&]() -> size_t {

@@ -43,18 +43,19 @@ int main(int argc, char** argv) {
   auto measure = [&](int batch) {
     QueryCost h = RunCold(&heap_env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(table->QueryPii(datagen::AuthorCols::kInstitution,
-                              d.popular_institution, qt, &out));
+      CheckOk(table->OpenPii(datagen::AuthorCols::kInstitution,
+                             d.popular_institution, qt)
+                  ->Drain(&out));
       return out.size();
     });
     QueryCost u = RunCold(&upi_env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(upi->QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(upi->OpenPtq(d.popular_institution, qt)->Drain(&out));
       return out.size();
     });
     QueryCost f = RunCold(&frac_env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured->QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured->OpenPtq(d.popular_institution, qt)->Drain(&out));
       return out.size();
     });
     std::printf("%-7d %15.3f %10.3f %14.3f %7zu\n", batch, h.sim_ms / 1000.0,

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   auto measure = [&](int batch, const char* event) {
     QueryCost real = RunCold(&env, [&]() -> size_t {
       std::vector<core::PtqMatch> out;
-      CheckOk(fractured->QueryPtq(d.popular_institution, qt, &out));
+      CheckOk(fractured->OpenPtq(d.popular_institution, qt)->Drain(&out));
       return out.size();
     });
     core::CostModel model(env.profile(), core::TableStats::Of(*fractured));

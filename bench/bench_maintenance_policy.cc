@@ -71,7 +71,7 @@ RunResult RunWorkload(const DblpData& d, maintenance::MergePolicyOptions policy,
           q % 2 == 0 ? d.popular_institution : d.selective_institution;
       QueryCost cost = RunCold(&env, [&]() -> size_t {
         std::vector<core::PtqMatch> out;
-        CheckOk(fractured->QueryPtq(value, qt, &out));
+        CheckOk(fractured->OpenPtq(value, qt)->Drain(&out));
         return out.size();
       });
       r.query_ms += cost.sim_ms;

@@ -268,7 +268,7 @@ void BM_UpiInsert(benchmark::State& state) {
 }
 BENCHMARK(BM_UpiInsert);
 
-void BM_UpiQueryPtq(benchmark::State& state) {
+void BM_UpiOpenPtq(benchmark::State& state) {
   datagen::DblpConfig cfg;
   cfg.num_authors = 20000;
   datagen::DblpGenerator gen(cfg);
@@ -283,17 +283,17 @@ void BM_UpiQueryPtq(benchmark::State& state) {
   std::string v = gen.PopularInstitution();
   for (auto _ : state) {
     std::vector<core::PtqMatch> out;
-    benchmark::DoNotOptimize(upi->QueryPtq(v, 0.3, &out));
+    benchmark::DoNotOptimize(upi->OpenPtq(v, 0.3)->Drain(&out));
     benchmark::DoNotOptimize(out.size());
   }
 }
-BENCHMARK(BM_UpiQueryPtq)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UpiOpenPtq)->Unit(benchmark::kMillisecond);
 
 // Query 3 with tailored access (Algorithm 3) on a warm, pool-resident
 // Publication table: the rows' heap keys, sorted, go through one
 // SortedLookup, so this is the B-tree point-lookup path under a real
 // secondary probe.
-void BM_UpiQueryBySecondary(benchmark::State& state) {
+void BM_UpiOpenSecondary(benchmark::State& state) {
   datagen::DblpConfig cfg;
   cfg.num_authors = 10000;
   cfg.num_publications = 20000;
@@ -311,14 +311,15 @@ void BM_UpiQueryBySecondary(benchmark::State& state) {
   size_t rows = 0;
   for (auto _ : state) {
     std::vector<core::PtqMatch> out;
-    benchmark::DoNotOptimize(upi->QueryBySecondary(
-        datagen::PublicationCols::kCountry, v, 0.3,
-        core::SecondaryAccessMode::kTailored, &out));
+    benchmark::DoNotOptimize(
+        upi->OpenSecondary(datagen::PublicationCols::kCountry, v, 0.3,
+                           core::SecondaryAccessMode::kTailored)
+            ->Drain(&out));
     rows += out.size();
   }
   state.SetItemsProcessed(static_cast<int64_t>(rows));
 }
-BENCHMARK(BM_UpiQueryBySecondary)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_UpiOpenSecondary)->Unit(benchmark::kMillisecond);
 
 // The WAL's frame checksum over a 16 MiB buffer, the size class of a bulk
 // create record: paid once when the record is logged and again at recovery.

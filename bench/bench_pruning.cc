@@ -163,19 +163,20 @@ int main(int argc, char** argv) {
     std::vector<Spec> specs = {
         {"point-ptq",
          [&](std::vector<core::PtqMatch>* out) {
-           return table->QueryPtq(point_value, 0.1, out);
+           return table->OpenPtq(point_value, 0.1)->Drain(out);
          }},
         {"sec-exact",
          [&](std::vector<core::PtqMatch>* out) {
-           return table->QueryBySecondary(kCountry, sec_value, 0.2,
-                                          core::SecondaryAccessMode::kTailored,
-                                          out);
+           return table
+               ->OpenSecondary(kCountry, sec_value, 0.2,
+                               core::SecondaryAccessMode::kTailored)
+               ->Drain(out);
          }},
         {"high-qt-ptq",
          [&](std::vector<core::PtqMatch>* out) {
            // Threshold above every delta's max existence (0.30): only the
            // main fracture can hold a qualifying row.
-           return table->QueryPtq(main_value, 0.5, out);
+           return table->OpenPtq(main_value, 0.5)->Drain(out);
          }},
     };
 

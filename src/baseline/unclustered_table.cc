@@ -2,12 +2,52 @@
 
 #include <algorithm>
 
+#include "core/upi.h"
+
 namespace upi::baseline {
 
 using catalog::Tuple;
 using catalog::TupleId;
 using catalog::Value;
 using catalog::ValueType;
+
+namespace {
+
+/// Reads the tuple a PII entry points at.
+Status Fetch(const storage::HeapFile& heap, const PiiIndex::Entry& entry,
+             core::PtqMatch* out) {
+  std::string bytes;
+  UPI_RETURN_NOT_OK(heap.Read(entry.rid, &bytes));
+  out->id = entry.key.id;
+  out->confidence = entry.key.prob;
+  UPI_ASSIGN_OR_RETURN(out->tuple, Tuple::Deserialize(bytes));
+  return Status::OK();
+}
+
+/// OpenPii's cursor: the inverted-list entries in RID order, each tuple
+/// fetched from the heap when the consumer pulls its row. A failed
+/// collection is carried as the cursor's status.
+class PiiProbeCursor : public core::ResultCursor {
+ public:
+  PiiProbeCursor(const storage::HeapFile* heap,
+                 std::vector<PiiIndex::Entry> entries, Status collect_status)
+      : heap_(heap), entries_(std::move(entries)) {
+    status_ = std::move(collect_status);
+  }
+
+ private:
+  bool Produce(core::PtqMatch* out) override {
+    if (idx_ >= entries_.size()) return false;
+    status_ = Fetch(*heap_, entries_[idx_++], out);
+    return status_.ok();
+  }
+
+  const storage::HeapFile* heap_;
+  std::vector<PiiIndex::Entry> entries_;
+  size_t idx_ = 0;
+};
+
+}  // namespace
 
 UnclusteredTable::UnclusteredTable(std::string name, catalog::Schema schema,
                                    storage::Pager heap)
@@ -142,58 +182,39 @@ Result<std::unique_ptr<UnclusteredTable>> UnclusteredTable::Build(
   return table;
 }
 
-Status UnclusteredTable::CollectPiiMatches(
-    int column, std::string_view value, double qt,
-    std::vector<PiiIndex::Entry>* out) const {
+std::unique_ptr<core::ResultCursor> UnclusteredTable::OpenPii(
+    int column, std::string_view value, double qt) const {
+  std::vector<PiiIndex::Entry> entries;
   PiiIndex* p = pii(column);
-  if (p == nullptr) return Status::InvalidArgument("no PII index on column");
-  UPI_RETURN_NOT_OK(p->Collect(value, qt, out));
+  Status st = p == nullptr
+                  ? Status::InvalidArgument("no PII index on column")
+                  : p->Collect(value, qt, &entries);
   // Bitmap-scan protocol: sort pointers in heap order before fetching.
-  std::sort(out->begin(), out->end(),
+  std::sort(entries.begin(), entries.end(),
             [](const PiiIndex::Entry& a, const PiiIndex::Entry& b) {
               return a.rid < b.rid;
             });
-  return Status::OK();
+  return std::make_unique<PiiProbeCursor>(heap_.get(), std::move(entries),
+                                          std::move(st));
 }
 
-Status UnclusteredTable::FetchMatch(const PiiIndex::Entry& entry,
-                                    core::PtqMatch* out) const {
-  std::string bytes;
-  UPI_RETURN_NOT_OK(heap_->Read(entry.rid, &bytes));
-  out->id = entry.key.id;
-  out->confidence = entry.key.prob;
-  UPI_ASSIGN_OR_RETURN(out->tuple, Tuple::Deserialize(bytes));
-  return Status::OK();
-}
-
-Status UnclusteredTable::QueryPii(int column, std::string_view value, double qt,
-                                  std::vector<core::PtqMatch>* out) const {
-  std::vector<PiiIndex::Entry> entries;
-  UPI_RETURN_NOT_OK(CollectPiiMatches(column, value, qt, &entries));
-  for (const auto& e : entries) {
-    core::PtqMatch m;
-    UPI_RETURN_NOT_OK(FetchMatch(e, &m));
-    out->push_back(std::move(m));
-  }
-  return Status::OK();
-}
-
-Status UnclusteredTable::QueryTopK(int column, std::string_view value, size_t k,
-                                   std::vector<core::PtqMatch>* out) const {
-  PiiIndex* p = pii(column);
-  if (p == nullptr) return Status::InvalidArgument("no PII index on column");
-  std::vector<PiiIndex::Entry> entries;
-  UPI_RETURN_NOT_OK(p->Collect(value, 0.0, &entries, k));
-  std::string bytes;
-  for (const auto& e : entries) {
-    UPI_RETURN_NOT_OK(heap_->Read(e.rid, &bytes));
-    core::PtqMatch m;
-    m.id = e.key.id;
-    m.confidence = e.key.prob;
-    UPI_ASSIGN_OR_RETURN(m.tuple, Tuple::Deserialize(bytes));
-    out->push_back(std::move(m));
-  }
-  return Status::OK();
+std::unique_ptr<core::ResultCursor> UnclusteredTable::OpenTopK(
+    int column, std::string_view value, size_t k) const {
+  std::vector<core::PtqMatch> rows;
+  Status st = [&]() -> Status {
+    PiiIndex* p = pii(column);
+    if (p == nullptr) return Status::InvalidArgument("no PII index on column");
+    std::vector<PiiIndex::Entry> entries;
+    UPI_RETURN_NOT_OK(p->Collect(value, 0.0, &entries, k));
+    for (const auto& e : entries) {
+      core::PtqMatch m;
+      UPI_RETURN_NOT_OK(Fetch(*heap_, e, &m));
+      rows.push_back(std::move(m));
+    }
+    return Status::OK();
+  }();
+  return std::make_unique<core::MaterializedCursor>(std::move(rows),
+                                                    std::move(st));
 }
 
 }  // namespace upi::baseline

@@ -2,7 +2,8 @@
 // sequence" (paper Section 7.2) with PII secondary indexes on uncertain
 // discrete columns. Queries go through a PII index and fetch each qualifying
 // tuple from the heap by RID — the random-seek pattern the UPI is built to
-// avoid.
+// avoid. Both reads return a core::ResultCursor (core/result_cursor.h): the
+// PII probe streams its heap fetches, the top-k is eager.
 #pragma once
 
 #include <atomic>
@@ -15,7 +16,7 @@
 #include "baseline/pii.h"
 #include "catalog/schema.h"
 #include "catalog/tuple.h"
-#include "core/upi.h"  // PtqMatch
+#include "core/result_cursor.h"
 #include "storage/db_env.h"
 #include "storage/heap_file.h"
 
@@ -43,25 +44,21 @@ class UnclusteredTable {
   /// punches a hole in the heap.
   Status Delete(catalog::TupleId id);
 
-  /// PTQ through the PII index on `column`, bitmap-style RID-ordered heap
-  /// fetch. Results in heap order.
-  Status QueryPii(int column, std::string_view value, double qt,
-                  std::vector<core::PtqMatch>* out) const;
+  /// PTQ through the PII index on `column`: the inverted list is read at
+  /// open and sorted into RID order (bitmap-scan style), and each tuple's
+  /// random heap fetch — the dominant cost of this baseline — happens only
+  /// when the consumer pulls its row, so an early-exiting consumer skips
+  /// the rest. Rows arrive in heap order. The cursor must not outlive the
+  /// table.
+  std::unique_ptr<core::ResultCursor> OpenPii(int column,
+                                              std::string_view value,
+                                              double qt) const;
 
-  /// The collection half of QueryPii: the matching PII entries in RID order.
-  /// Streaming cursors fetch each tuple lazily via FetchMatch, so an
-  /// early-exiting consumer skips the per-tuple random heap seeks — the
-  /// dominant cost of this baseline.
-  Status CollectPiiMatches(int column, std::string_view value, double qt,
-                           std::vector<PiiIndex::Entry>* out) const;
-
-  /// Fetches one collected entry's tuple from the heap.
-  Status FetchMatch(const PiiIndex::Entry& entry, core::PtqMatch* out) const;
-
-  /// Top-k through the PII index: the inverted list is probability-ordered,
-  /// so only k entries are read.
-  Status QueryTopK(int column, std::string_view value, size_t k,
-                   std::vector<core::PtqMatch>* out) const;
+  /// Top-k through the PII index on `column` (eager): the inverted list is
+  /// probability-ordered, so only k entries are read and fetched.
+  std::unique_ptr<core::ResultCursor> OpenTopK(int column,
+                                               std::string_view value,
+                                               size_t k) const;
 
   storage::HeapFile* heap() { return heap_.get(); }
   PiiIndex* pii(int column) const;

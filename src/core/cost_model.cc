@@ -14,13 +14,13 @@ TableStats TableStats::Of(const Upi& upi) {
   s.num_leaf_pages = upi.heap_tree()->num_leaf_pages();
   s.btree_height = upi.heap_tree()->height();
   s.num_fractures = 1;
-  s.page_size = upi.options().page_size;
+  s.page_size = Upi::kPageSize;
   return s;
 }
 
 TableStats TableStats::Of(const FracturedUpi& fractured) {
   TableStats s;
-  s.page_size = fractured.options().page_size;
+  s.page_size = Upi::kPageSize;
   s.num_fractures = 0;
   fractured.ForEachFractureShared([&](const Upi& u) {
     TableStats m = Of(u);

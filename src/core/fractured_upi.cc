@@ -6,6 +6,7 @@
 #include <queue>
 
 #include "common/coding.h"
+#include "obs/trace.h"
 
 namespace upi::core {
 
@@ -125,8 +126,8 @@ Status FracturedUpi::PersistDeleteSet(const std::string& name,
                                       std::vector<TupleId> ids) {
   storage::NewFiles files(env_);
   UPI_ASSIGN_OR_RETURN(storage::PageFile* file,
-                       files.Create(name, options_.page_size));
-  const size_t per_page = options_.page_size / 8;
+                       files.Create(name, Upi::kPageSize));
+  const size_t per_page = Upi::kPageSize / 8;
   std::string page;
   for (size_t i = 0; i < ids.size(); i += per_page) {
     page.clear();
@@ -166,7 +167,7 @@ void FracturedUpi::RetuneFromBuffer() {
                          static_cast<double>(buffer_.size()) +
                      24.0;
   histogram::SelectivityEstimator estimator(&hist);
-  Advisor advisor(env_->profile(), &estimator, avg_entry, options_.page_size);
+  Advisor advisor(env_->profile(), &estimator, avg_entry, Upi::kPageSize);
   CutoffRecommendation rec = advisor.RecommendCutoff(
       {0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5}, tuning_workload_,
       tuning_budget_bytes_);
@@ -320,57 +321,34 @@ PruneEstimate FracturedUpi::EstimatePrune(int column, std::string_view value,
   return pe;
 }
 
-FracturedPtqCursor FracturedUpi::OpenPtqCursor(std::string_view value,
-                                               double qt) const {
-  return FracturedPtqCursor(this, value, qt);
-}
-
-Status FracturedUpi::QueryPtq(std::string_view value, double qt,
-                              std::vector<PtqMatch>* out) const {
-  // The fan-out lives in FracturedPtqCursor (which takes the shared lock and
-  // consults the fracture summaries); the materialized query is its fully
-  // drained stream, confidence-sorted.
-  FracturedPtqCursor c = OpenPtqCursor(value, qt);
-  std::vector<PtqMatch> all;
-  PtqMatch m;
-  while (c.Next(&m)) all.push_back(std::move(m));
-  UPI_RETURN_NOT_OK(c.status());
-  SortByConfidenceDesc(&all);
-  out->insert(out->end(), std::make_move_iterator(all.begin()),
-              std::make_move_iterator(all.end()));
-  return Status::OK();
-}
-
-Status FracturedUpi::QueryBySecondary(int column, std::string_view value,
-                                      double qt, SecondaryAccessMode mode,
-                                      std::vector<PtqMatch>* out) const {
+std::unique_ptr<ResultCursor> FracturedUpi::OpenSecondary(
+    int column, std::string_view value, double qt,
+    SecondaryAccessMode mode) const {
   std::shared_lock lock(mu_);
-  std::vector<PtqMatch> all;
-  QueryBuffer(column, value, qt, &all);
+  std::vector<PtqMatch> rows;
+  QueryBuffer(column, value, qt, &rows);
+  Status st = Status::OK();
   for (const Fracture& f : fractures_) {
     // The summary fences cover every secondary alternative, so a fracture
     // whose zone/Bloom/max-prob summary rules the probe out never opens.
     if (Prune(f, column, value, qt)) continue;
-    std::vector<PtqMatch> part;
-    UPI_RETURN_NOT_OK(f.upi->QueryBySecondary(column, value, qt, mode, &part));
-    for (auto& m : part) {
-      if (!Deleted(m.id)) all.push_back(std::move(m));
-    }
+    std::unique_ptr<ResultCursor> c =
+        f.upi->OpenSecondary(column, value, qt, mode);
+    c->SetPredicate(NotDeleted());
+    st = c->Drain(&rows);
+    if (!st.ok()) break;
   }
-  SortByConfidenceDesc(&all);
-  out->insert(out->end(), std::make_move_iterator(all.begin()),
-              std::make_move_iterator(all.end()));
-  return Status::OK();
+  return std::make_unique<MaterializedCursor>(std::move(rows), std::move(st));
 }
 
-Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
-                               std::vector<PtqMatch>* out) const {
+std::unique_ptr<ResultCursor> FracturedUpi::OpenTopK(std::string_view value,
+                                                     size_t k) const {
   std::shared_lock lock(mu_);
-  if (k == 0) return Status::OK();
-  std::vector<PtqMatch> all;
+  std::vector<PtqMatch> rows;
+  if (k == 0) return std::make_unique<MaterializedCursor>(std::move(rows));
   const int col = options_.cluster_column;
   // Buffer candidates compete at any confidence (no threshold in top-k).
-  QueryBuffer(col, value, 0.0, &all);
+  QueryBuffer(col, value, 0.0, &rows);
   // Running k-th-best bound: a min-heap of the k highest confidences seen so
   // far. A later fracture must beat heap.top() to change the answer.
   std::priority_queue<double, std::vector<double>, std::greater<double>> best;
@@ -382,7 +360,8 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
       best.push(conf);
     }
   };
-  for (const PtqMatch& m : all) note(m.confidence);
+  for (const PtqMatch& m : rows) note(m.confidence);
+  Status st = Status::OK();
   for (const Fracture& f : fractures_) {
     // The PTQ decision with the k-th score as its threshold: skip when the
     // value cannot be present, or — strictly — when no alternative can beat
@@ -390,24 +369,23 @@ Status FracturedUpi::QueryTopK(std::string_view value, size_t k,
     // probe). Until k scores are seen any alternative can enter.
     const double bound = best.size() >= k ? best.top() : 0.0;
     if (Prune(f, col, value, bound)) continue;
-    UpiPtqCursor c = f.upi->OpenTopKCursor(value);
-    PtqMatch m;
-    size_t got = 0;
     // k surviving rows per fracture suffice: the global top-k is contained
-    // in the union of per-fracture (delete-filtered) top-k streams.
-    while (got < k && c.Next(&m)) {
-      if (Deleted(m.id)) continue;
+    // in the union of per-fracture (delete-filtered) top-k streams. The
+    // limit counts only rows that pass the predicate, so the stream reads
+    // past deleted rows until k rows survive.
+    std::unique_ptr<ResultCursor> c = f.upi->OpenTopK(value, k);
+    c->SetPredicate(NotDeleted());
+    PtqMatch m;
+    while (c->TakeNext(&m)) {
       note(m.confidence);
-      all.push_back(std::move(m));
-      ++got;
+      rows.push_back(std::move(m));
     }
-    UPI_RETURN_NOT_OK(c.status());
+    st = c->status();
+    if (!st.ok()) break;
   }
-  SortByConfidenceDesc(&all);
-  if (all.size() > k) all.resize(k);
-  out->insert(out->end(), std::make_move_iterator(all.begin()),
-              std::make_move_iterator(all.end()));
-  return Status::OK();
+  SortByConfidenceDesc(&rows);
+  if (rows.size() > k) rows.resize(k);
+  return std::make_unique<MaterializedCursor>(std::move(rows), std::move(st));
 }
 
 Status FracturedUpi::ScanTuples(
@@ -485,6 +463,32 @@ Status FracturedUpi::ScanTuplesMatching(
 // Streaming cursor (the pruned fan-out, executed lazily)
 // ---------------------------------------------------------------------------
 
+/// FracturedUpi::OpenPtq's cursor: the pruned fan-out, executed lazily.
+class FracturedPtqCursor : public ResultCursor {
+ public:
+  FracturedPtqCursor(const FracturedUpi* table, std::string_view value,
+                     double qt);
+
+ private:
+  bool Produce(PtqMatch* out) override;
+
+  std::shared_lock<sync::SharedMutex> lock_;
+  const FracturedUpi* table_;
+  std::string value_;
+  double qt_ = 0.0;
+  std::vector<PtqMatch> buffer_rows_;
+  size_t buf_idx_ = 0;
+  std::vector<const Upi*> pending_;  // post-pruning fan-out, opened lazily
+  size_t next_fracture_ = 0;
+  std::unique_ptr<ResultCursor> cur_;
+  // Per-fracture trace attribution (inert when no QueryTrace is installed):
+  // the scope re-arms at each fracture boundary, so each drained fracture
+  // becomes one TraceOp carrying exactly its own thread-stats delta.
+  obs::TraceOpScope op_scope_;
+  const Upi* cur_upi_ = nullptr;
+  uint64_t cur_rows_ = 0;
+};
+
 FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
                                        std::string_view value, double qt)
     : lock_(table->mu_), table_(table), value_(value), qt_(qt) {
@@ -498,7 +502,6 @@ FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
       pending_.push_back(f.upi.get());
       continue;
     }
-    ++pruned_;
     if (trace != nullptr) {
       // A pruned fracture is a real plan node with provably-zero actuals.
       obs::TraceOp op;
@@ -515,14 +518,13 @@ FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
   }
 }
 
-bool FracturedPtqCursor::Next(PtqMatch* out) {
-  if (!status_.ok()) return false;
+bool FracturedPtqCursor::Produce(PtqMatch* out) {
   if (buf_idx_ < buffer_rows_.size()) {
     *out = std::move(buffer_rows_[buf_idx_++]);
     return true;
   }
   for (;;) {
-    if (!cur_.has_value()) {
+    if (cur_ == nullptr) {
       if (next_fracture_ >= pending_.size()) return false;
       const Upi* u = pending_[next_fracture_++];
       // Opening the fracture is where its Costinit can land (the Section
@@ -530,14 +532,12 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
       // file now, cutoff file when the stream actually consults it (qt < C
       // and the consumer drains past the heap phase). A consumer that stops
       // before this fracture never pays either.
-      cur_.emplace(u->OpenPtqCursor(value_, qt_));
+      cur_ = u->OpenPtq(value_, qt_);
+      cur_->SetPredicate(table_->NotDeleted());
       cur_upi_ = u;
       cur_rows_ = 0;
     }
-    PtqMatch m;
-    while (cur_->Next(&m)) {
-      if (table_->Deleted(m.id)) continue;
-      *out = std::move(m);
+    if (cur_->TakeNext(out)) {
       ++cur_rows_;
       return true;
     }
@@ -550,6 +550,11 @@ bool FracturedPtqCursor::Next(PtqMatch* out) {
     if (op_scope_.active()) op_scope_.Finish(cur_upi_->name(), cur_rows_);
     cur_.reset();
   }
+}
+
+std::unique_ptr<ResultCursor> FracturedUpi::OpenPtq(std::string_view value,
+                                                    double qt) const {
+  return std::make_unique<FracturedPtqCursor>(this, value, qt);
 }
 
 // ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@
 // out of the list; after the lock is released they are retired and
 // Upi::Release drops their files, pool frames and RAM pages, together with
 // every delete-set file whose ids the merge retired. That is safe because
-// every read (each FracturedPtqCursor included) holds the shared lock for its
+// every read (each OpenPtq cursor included) holds the shared lock for its
 // whole life, so no reader can still reach a retired fracture, and a retired
 // fracture is never dirty: it was written straight to the device and never
 // changed, so neither a flush nor a merge writes anything back through the
@@ -62,7 +62,6 @@
 #include <atomic>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <span>
@@ -74,7 +73,6 @@
 #include "core/fracture_summary.h"
 #include "core/upi.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "sync/sync.h"
 
 namespace upi::core {
@@ -96,59 +94,7 @@ struct Fracture {
   std::shared_ptr<const FractureSummary> summary;
 };
 
-/// Pull-based streaming PTQ over a Fractured UPI: the pruned fan-out,
-/// executed lazily. Construction scans the RAM buffer (free) and prunes the
-/// fracture list through the table's FractureSummaries; each surviving
-/// fracture is opened — Costinit charged if its handle is closed, cursor
-/// seeked — only when the consumer drains into it, so a LIMIT consumer that
-/// stops early never pays for the fractures behind it, and a pruned
-/// fracture costs zero simulated pages. Delete sets are applied per row. Fully drained, the access
-/// sequence is identical to FracturedUpi::QueryPtq (which is implemented as
-/// this cursor, drained and confidence-sorted).
-///
-/// Holds the table's shared lock for its lifetime: results stay consistent
-/// while background maintenance runs, but a flush/merge *install* (and any
-/// Insert/Delete) blocks until the cursor is destroyed — drain promptly, and
-/// never touch the same table from the same thread while one is open: a
-/// write would self-deadlock, and even a second read re-enters the
-/// shared_mutex (UB that can deadlock behind a queued writer). The lock-rank
-/// checker (UPI_SYNC_CHECKS) aborts on either. Destroy the cursor on the
-/// thread that opened it.
-class FracturedPtqCursor {
- public:
-  /// Produces the next match; false at end of stream or on error (check
-  /// status() after a false return).
-  bool Next(PtqMatch* out);
-  const Status& status() const { return status_; }
-
-  /// Fan-out telemetry: fractures this cursor will open at most / skipped
-  /// via summaries (fixed at construction).
-  size_t fractures_probed() const { return pending_.size(); }
-  size_t fractures_pruned() const { return pruned_; }
-
- private:
-  friend class FracturedUpi;
-  FracturedPtqCursor(const FracturedUpi* table, std::string_view value,
-                     double qt);
-
-  std::shared_lock<sync::SharedMutex> lock_;
-  const FracturedUpi* table_;
-  std::string value_;
-  double qt_ = 0.0;
-  std::vector<PtqMatch> buffer_rows_;
-  size_t buf_idx_ = 0;
-  std::vector<const Upi*> pending_;  // post-pruning fan-out, opened lazily
-  size_t next_fracture_ = 0;
-  size_t pruned_ = 0;
-  std::optional<UpiPtqCursor> cur_;
-  Status status_;
-  // Per-fracture trace attribution (inert when no QueryTrace is installed):
-  // the scope re-arms at each fracture boundary, so each drained fracture
-  // becomes one TraceOp carrying exactly its own thread-stats delta.
-  obs::TraceOpScope op_scope_;
-  const Upi* cur_upi_ = nullptr;
-  uint64_t cur_rows_ = 0;
-};
+class FracturedPtqCursor;
 
 class FracturedUpi {
  public:
@@ -227,32 +173,45 @@ class FracturedUpi {
     maintenance_hook_ = std::move(hook);
   }
 
-  /// Algorithm 2 across buffer + every fracture, delete-sets applied.
-  /// Results sorted by descending confidence.
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<PtqMatch>* out) const;
+  /// Algorithm 2 across buffer + every fracture, delete sets applied,
+  /// executed lazily: the pruned fan-out is fixed at open (the RAM buffer's
+  /// matches collected, free, and the fracture list pruned through the
+  /// FractureSummaries), and each surviving fracture is opened — Costinit
+  /// charged if its handle is closed, cursor seeked — only when the consumer
+  /// drains into it, so a LIMIT consumer that stops early never pays for the
+  /// fractures behind it and a pruned fracture costs zero simulated pages.
+  /// Rows arrive in storage order: the buffer's, then each fracture's.
+  ///
+  /// The cursor holds the table's shared lock for its lifetime: results stay
+  /// consistent while background maintenance runs, but a flush/merge
+  /// *install* (and any Insert/Delete) blocks until the cursor is destroyed
+  /// — drain promptly, and never touch the same table from the same thread
+  /// while one is open: a write would self-deadlock, and even a second read
+  /// re-enters the shared_mutex (UB that can deadlock behind a queued
+  /// writer). The lock-rank checker (UPI_SYNC_CHECKS) aborts on either.
+  /// Destroy the cursor on the thread that opened it.
+  std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
+                                        double qt) const;
 
-  /// Secondary-index query across buffer + every fracture.
-  Status QueryBySecondary(int column, std::string_view value, double qt,
-                          SecondaryAccessMode mode,
-                          std::vector<PtqMatch>* out) const;
+  /// Direct top-k on the clustered attribute across buffer + every fracture
+  /// (eager): each probed fracture contributes its first k surviving
+  /// (non-deleted) rows off its top-k stream; the union is served
+  /// confidence-sorted (ties by TupleId), truncated to k. Keeps a running
+  /// k-th-score bound and — when pruning is enabled — prunes through the
+  /// same summary decision as a PTQ, with the bound as its threshold (0
+  /// until k scores are seen): a fracture whose max probability cannot beat
+  /// the bound, or that cannot contain `value` at all, is skipped. The bound
+  /// only ever skips fractures that cannot change the answer, so rows are
+  /// identical with pruning on or off.
+  std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
+                                         size_t k) const;
 
-  /// Direct top-k on the clustered attribute across buffer + every fracture:
-  /// each probed fracture contributes its first k surviving (non-deleted)
-  /// rows off a top-k cursor; the union is confidence-sorted (ties by
-  /// TupleId) and truncated to k. Keeps a running k-th-score bound and —
-  /// when pruning is enabled — prunes through the same summary decision as
-  /// a PTQ, with the bound as its threshold (0 until k scores are seen): a
-  /// fracture whose max probability cannot beat the bound, or that cannot
-  /// contain `value` at all, is skipped. The bound only ever skips fractures
-  /// that cannot change the answer, so rows are identical with pruning on or
-  /// off.
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<PtqMatch>* out) const;
-
-  /// Streaming PTQ: the pruned fan-out executed lazily (see
-  /// FracturedPtqCursor for ordering and the lock-lifetime contract).
-  FracturedPtqCursor OpenPtqCursor(std::string_view value, double qt) const;
+  /// Secondary-index probe across buffer + every fracture (eager), served
+  /// confidence-sorted.
+  std::unique_ptr<ResultCursor> OpenSecondary(int column,
+                                              std::string_view value,
+                                              double qt,
+                                              SecondaryAccessMode mode) const;
 
   /// Full sequential sweep: RAM-buffered tuples first (no I/O), then the
   /// fracture list in order, deduplicated by TupleId with delete sets
@@ -380,6 +339,11 @@ class FracturedUpi {
   /// holds at least the shared lock.
   bool Deleted(catalog::TupleId id) const {
     return deleted_.contains(id) || buffer_deletes_.contains(id);
+  }
+  /// A fracture cursor's predicate that skips deleted rows. The caller
+  /// holds at least the shared lock while the cursor is pulled.
+  std::function<bool(const catalog::Tuple&)> NotDeleted() const {
+    return [this](const catalog::Tuple& t) { return !Deleted(t.id()); };
   }
   void RetuneFromBuffer();
   /// FlushBuffer body; caller holds the exclusive lock. Returns whether it

@@ -111,17 +111,6 @@ Status CheckDistinctIds(const std::vector<Tuple>& tuples) {
   return Status::OK();
 }
 
-void SortByConfidenceDesc(std::vector<PtqMatch>* matches) {
-  auto before = [](const PtqMatch& a, const PtqMatch& b) {
-    if (a.confidence != b.confidence) return a.confidence > b.confidence;
-    return a.id < b.id;
-  };
-  // Eager cursors already serve this order; re-sorting their drained rows
-  // costs one linear pass.
-  if (std::is_sorted(matches->begin(), matches->end(), before)) return;
-  std::sort(matches->begin(), matches->end(), before);
-}
-
 Upi::Upi(storage::DbEnv* env, std::string name, catalog::Schema schema,
          UpiOptions options, btree::BTree heap,
          std::unique_ptr<CutoffIndex> cutoff,
@@ -336,7 +325,7 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
       StagingArena::Ref key = keys.AddKey(alt.attr, alt.prob, t.id(), i);
       if (btree::kNodeHeaderSize +
               btree::Node::LeafEntrySize(keys.View(key), tuple_bytes) >
-          options.page_size) {
+          kPageSize) {
         return Status::InvalidArgument("tuple " + std::to_string(t.id()) +
                                        " does not fit a heap page");
       }
@@ -364,7 +353,7 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
   storage::NewFiles files(env);
   keys.Sort(&heap_keys);
   UPI_ASSIGN_OR_RETURN(storage::PageFile* heap_file,
-                       files.Create(name + ".heap", options.page_size));
+                       files.Create(name + ".heap", kPageSize));
   btree::BTreeBuilder heap_builder(env->MakePager(heap_file));
   for (const StagingArena::Ref& e : heap_keys) {
     tuple_bytes.clear();
@@ -375,7 +364,7 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
 
   keys.Sort(&cutoff_keys);
   UPI_ASSIGN_OR_RETURN(storage::PageFile* cutoff_file,
-                       files.Create(name + ".cutoff", options.page_size));
+                       files.Create(name + ".cutoff", kPageSize));
   CutoffIndex::Builder cutoff_builder(env->MakePager(cutoff_file));
   for (const StagingArena::Ref& e : cutoff_keys) {
     UPI_RETURN_NOT_OK(
@@ -408,7 +397,7 @@ Result<std::unique_ptr<Upi>> Upi::Build(storage::DbEnv* env, std::string name,
     keys.Sort(&entries);
     UPI_ASSIGN_OR_RETURN(
         storage::PageFile* sec_file,
-        files.Create(SecondaryFileName(name, schema, col), options.page_size));
+        files.Create(SecondaryFileName(name, schema, col), kPageSize));
     SecondaryIndex::Builder builder(env->MakePager(sec_file),
                                     options.max_secondary_pointers);
     for (const StagingArena::Ref& e : entries) {
@@ -492,7 +481,7 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   // A failure drops every file this merge created.
   storage::NewFiles files(env);
   UPI_ASSIGN_OR_RETURN(storage::PageFile* heap_file,
-                       files.Create(name + ".heap", options.page_size));
+                       files.Create(name + ".heap", kPageSize));
   btree::BTreeBuilder heap_builder(env->MakePager(heap_file));
   UPI_RETURN_NOT_OK(MergeTrees(
       trees, [&](std::string_view key, std::string_view value) -> Status {
@@ -558,7 +547,7 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
   trees.clear();
   for (const Upi* s : sources) trees.push_back(s->cutoff_->tree());
   UPI_ASSIGN_OR_RETURN(storage::PageFile* cutoff_file,
-                       files.Create(name + ".cutoff", options.page_size));
+                       files.Create(name + ".cutoff", kPageSize));
   CutoffIndex::Builder cutoff_builder(env->MakePager(cutoff_file));
   size_t next_demotion = 0;
   auto flush_demotions_below = [&](std::string_view key) -> Status {
@@ -605,7 +594,7 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
     for (const Upi* s : sources) trees.push_back(s->secondary(col)->tree());
     UPI_ASSIGN_OR_RETURN(
         storage::PageFile* sec_file,
-        files.Create(SecondaryFileName(name, schema, col), options.page_size));
+        files.Create(SecondaryFileName(name, schema, col), kPageSize));
     SecondaryIndex::Builder builder(env->MakePager(sec_file), max_pointers);
     histogram::ProbHistogram& sec_hist = sec_histograms[col];
     UPI_RETURN_NOT_OK(MergeTrees(
@@ -673,92 +662,77 @@ Status Upi::FetchHeapTuple(std::string_view heap_key,
   return Status::OK();
 }
 
-Status Upi::QueryPtq(std::string_view value, double qt,
-                     std::vector<PtqMatch>* out) const {
-  // Algorithm 2 lives in UpiPtqCursor; the materialized query is its fully
-  // drained stream (same access sequence, one implementation).
-  UpiPtqCursor c = OpenPtqCursor(value, qt);
-  PtqMatch m;
-  while (c.Next(&m)) out->push_back(std::move(m));
-  return c.status();
-}
+std::unique_ptr<ResultCursor> Upi::OpenSecondary(
+    int column, std::string_view value, double qt,
+    SecondaryAccessMode mode) const {
+  // Every row is fetched here, at open; an error rides in the cursor.
+  std::vector<PtqMatch> rows;
+  Status st = [&]() -> Status {
+    SecondaryIndex* sec = secondary(column);
+    if (sec == nullptr) return Status::InvalidArgument("no secondary index");
+    // The secondary index's file pays Costinit only per query: the paper's
+    // Cost_frac prices a fracture's open as its heap's, opened below.
+    if (options_.charge_open_per_query) sec->ChargeOpen();
+    std::vector<SecondaryEntry> entries;
+    UPI_RETURN_NOT_OK(sec->Collect(value, qt, &entries));
 
-Status Upi::QueryTopK(std::string_view value, size_t k,
-                      std::vector<PtqMatch>* out) const {
-  // The k bound is the consumer stopping: the cursor's cutoff phase runs
-  // only when the heap ran short of k.
-  UpiPtqCursor c = OpenTopKCursor(value);
-  PtqMatch m;
-  while (out->size() < k && c.Next(&m)) out->push_back(std::move(m));
-  return c.status();
-}
+    // Choose one heap pointer per entry.
+    struct Chosen {
+      std::string heap_key;
+      const SecondaryEntry* entry;
+    };
+    std::vector<Chosen> chosen;
+    chosen.reserve(entries.size());
 
-Status Upi::QueryBySecondary(int column, std::string_view value, double qt,
-                             SecondaryAccessMode mode,
-                             std::vector<PtqMatch>* out) const {
-  SecondaryIndex* sec = secondary(column);
-  if (sec == nullptr) return Status::InvalidArgument("no secondary index");
-  // The secondary index's file pays Costinit only per query: the paper's
-  // Cost_frac prices a fracture's open as its heap's, opened below.
-  if (options_.charge_open_per_query) sec->ChargeOpen();
-  std::vector<SecondaryEntry> entries;
-  UPI_RETURN_NOT_OK(sec->Collect(value, qt, &entries));
-
-  // Choose one heap pointer per entry.
-  struct Chosen {
-    std::string heap_key;
-    const SecondaryEntry* entry;
-  };
-  std::vector<Chosen> chosen;
-  chosen.reserve(entries.size());
-
-  if (mode == SecondaryAccessMode::kFirstPointer) {
-    for (const auto& e : entries) {
-      chosen.push_back({EncodeUpiKey(e.pointers[0].attr, e.pointers[0].prob,
-                                     e.key.id),
-                        &e});
-    }
-  } else {
-    // Algorithm 3: first pass pins the single-pointer entries' regions; the
-    // second pass prefers pointers into regions already being read.
-    std::set<std::string> regions;
-    for (const auto& e : entries) {
-      if (e.pointers.size() == 1) regions.insert(e.pointers[0].attr);
-    }
-    for (const auto& e : entries) {
-      const SecondaryPointer* pick = nullptr;
-      if (e.pointers.size() == 1) {
-        pick = &e.pointers[0];
-      } else {
-        for (const auto& p : e.pointers) {
-          if (regions.contains(p.attr)) {
-            pick = &p;
-            break;
+    if (mode == SecondaryAccessMode::kFirstPointer) {
+      for (const auto& e : entries) {
+        chosen.push_back({EncodeUpiKey(e.pointers[0].attr, e.pointers[0].prob,
+                                       e.key.id),
+                          &e});
+      }
+    } else {
+      // Algorithm 3: first pass pins the single-pointer entries' regions; the
+      // second pass prefers pointers into regions already being read.
+      std::set<std::string> regions;
+      for (const auto& e : entries) {
+        if (e.pointers.size() == 1) regions.insert(e.pointers[0].attr);
+      }
+      for (const auto& e : entries) {
+        const SecondaryPointer* pick = nullptr;
+        if (e.pointers.size() == 1) {
+          pick = &e.pointers[0];
+        } else {
+          for (const auto& p : e.pointers) {
+            if (regions.contains(p.attr)) {
+              pick = &p;
+              break;
+            }
+          }
+          if (pick == nullptr) {
+            pick = &e.pointers[0];
+            regions.insert(pick->attr);
           }
         }
-        if (pick == nullptr) {
-          pick = &e.pointers[0];
-          regions.insert(pick->attr);
-        }
+        chosen.push_back({EncodeUpiKey(pick->attr, pick->prob, e.key.id), &e});
       }
-      chosen.push_back({EncodeUpiKey(pick->attr, pick->prob, e.key.id), &e});
     }
-  }
 
-  // Bitmap-scan style ordered fetch from the heap: one forward lookup
-  // descends once per heap leaf, not once per pointer.
-  std::sort(chosen.begin(), chosen.end(),
-            [](const Chosen& a, const Chosen& b) { return a.heap_key < b.heap_key; });
-  OpenFile(heap_file());
-  btree::SortedLookup sorted(heap_.get());
-  for (const auto& ch : chosen) {
-    PtqMatch m;
-    m.id = ch.entry->key.id;
-    m.confidence = ch.entry->key.prob;
-    UPI_RETURN_NOT_OK(FetchHeapTuple(ch.heap_key, &sorted, &m.tuple));
-    out->push_back(std::move(m));
-  }
-  return Status::OK();
+    // Bitmap-scan style ordered fetch from the heap: one forward lookup
+    // descends once per heap leaf, not once per pointer.
+    std::sort(chosen.begin(), chosen.end(),
+              [](const Chosen& a, const Chosen& b) { return a.heap_key < b.heap_key; });
+    OpenFile(heap_file());
+    btree::SortedLookup sorted(heap_.get());
+    for (const auto& ch : chosen) {
+      PtqMatch m;
+      m.id = ch.entry->key.id;
+      m.confidence = ch.entry->key.prob;
+      UPI_RETURN_NOT_OK(FetchHeapTuple(ch.heap_key, &sorted, &m.tuple));
+      rows.push_back(std::move(m));
+    }
+    return Status::OK();
+  }();
+  return std::make_unique<MaterializedCursor>(std::move(rows), std::move(st));
 }
 
 void Upi::ScanHeap(
@@ -781,12 +755,53 @@ void Upi::OpenFile(storage::PageFile* file) const {
   }
 }
 
-UpiPtqCursor Upi::OpenPtqCursor(std::string_view value, double qt) const {
-  return UpiPtqCursor(this, value, qt, /*topk_mode=*/false);
+/// Pull-based Algorithm 2 over one UPI. The heap phase streams the value's
+/// clustered region in descending-probability order; the cutoff phase —
+/// pointer collection and its heap fetches — is entered only when the
+/// consumer pulls past the heap phase, so a consumer that stops early
+/// (top-k, LIMIT) never pays for it. Must not outlive the Upi or be used
+/// across tree modifications (it wraps a btree::Cursor).
+class UpiPtqCursor : public ResultCursor {
+ public:
+  UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
+               bool topk_mode);
+
+ private:
+  enum class Phase { kHeap, kCutoff, kDone };
+  bool Produce(PtqMatch* out) override;
+  bool NextHeap(PtqMatch* out);
+  bool NextCutoff(PtqMatch* out);
+  /// Heap phase exhausted: collect cutoff pointers if this query consults
+  /// them (QT < C, or top-k mode with a non-empty cutoff index).
+  void EnterCutoffPhase();
+
+  const Upi* upi_ = nullptr;
+  std::string value_;
+  std::string prefix_;
+  double qt_ = 0.0;
+  bool topk_mode_ = false;
+  Phase phase_ = Phase::kHeap;
+  btree::Cursor heap_;
+  std::vector<CutoffIndex::PointerEntry> pointers_;
+  // The PTQ cutoff phase fetches its sorted pointers through one forward
+  // lookup, one per row; top-k's collected order keeps per-key lookups.
+  btree::SortedLookup sorted_fetch_;
+  size_t ptr_idx_ = 0;
+};
+
+std::unique_ptr<ResultCursor> Upi::OpenPtq(std::string_view value,
+                                           double qt) const {
+  return std::make_unique<UpiPtqCursor>(this, value, qt, /*topk_mode=*/false);
 }
 
-UpiPtqCursor Upi::OpenTopKCursor(std::string_view value) const {
-  return UpiPtqCursor(this, value, /*qt=*/0.0, /*topk_mode=*/true);
+std::unique_ptr<ResultCursor> Upi::OpenTopK(std::string_view value,
+                                            size_t k) const {
+  // The k bound is the consumer stopping: the cutoff phase runs only when
+  // the heap ran short of k.
+  auto cursor = std::make_unique<UpiPtqCursor>(this, value, /*qt=*/0.0,
+                                               /*topk_mode=*/true);
+  cursor->SetLimit(k);
+  return cursor;
 }
 
 UpiPtqCursor::UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
@@ -797,13 +812,13 @@ UpiPtqCursor::UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
       qt_(qt),
       topk_mode_(topk_mode),
       sorted_fetch_(upi->heap_.get()) {
-  // Same opening sequence as QueryPtq/QueryTopK: open the heap file, then
-  // one index descent to the start of the value's clustered region.
+  // Open the heap file, then one index descent to the start of the value's
+  // clustered region.
   upi_->OpenFile(upi_->heap_file());
   heap_ = upi_->heap_->Seek(prefix_);
 }
 
-bool UpiPtqCursor::Next(PtqMatch* out) {
+bool UpiPtqCursor::Produce(PtqMatch* out) {
   for (;;) {
     switch (phase_) {
       case Phase::kHeap:
@@ -845,7 +860,7 @@ bool UpiPtqCursor::NextHeap(PtqMatch* out) {
   out->id = key.id;
   out->confidence = key.prob;
   out->tuple = std::move(tuple).value();
-  heap_.Next();  // eager advance, like the QueryPtq for-loop
+  heap_.Next();
   return true;
 }
 
@@ -868,8 +883,8 @@ void UpiPtqCursor::EnterCutoffPhase() {
     return;
   }
   if (!topk_mode_) {
-    // Bitmap-scan style: fetch in heap order (QueryTopK fetches in collected
-    // order, matching the materialized path).
+    // Bitmap-scan style: fetch in heap order (top-k fetches in collected
+    // order).
     std::sort(pointers_.begin(), pointers_.end(),
               [](const CutoffIndex::PointerEntry& a,
                  const CutoffIndex::PointerEntry& b) {

@@ -8,6 +8,10 @@
 // consulting the cutoff index only when QT < C (Algorithm 2). Secondary
 // indexes store multi-pointer entries exploited by tailored access
 // (Section 3.2, Algorithm 3).
+//
+// Every read returns a core::ResultCursor (core/result_cursor.h): the PTQ
+// and the top-k stream Algorithm 2 off the heap, so a consumer that stops
+// early never runs the cutoff phase; the secondary probe is eager.
 #pragma once
 
 #include <atomic>
@@ -24,6 +28,7 @@
 #include "catalog/tuple.h"
 #include "core/cutoff_index.h"
 #include "core/fracture_summary.h"
+#include "core/result_cursor.h"
 #include "core/secondary_index.h"
 #include "histogram/prob_histogram.h"
 #include "histogram/selectivity.h"
@@ -38,8 +43,6 @@ struct UpiOptions {
   /// this go to the cutoff index instead of the heap (except first
   /// alternatives, which always stay in the heap).
   double cutoff = 0.1;
-  /// Heap / index page size (the paper's BDB setup used 8 KB pages).
-  uint32_t page_size = 8192;
   /// Max pointers stored per secondary-index entry (Section 3.2's tuning
   /// knob); < 0 means unlimited.
   int max_secondary_pointers = 10;
@@ -64,13 +67,6 @@ struct UpiOptions {
   bool enable_pruning = true;
 };
 
-/// One PTQ result row.
-struct PtqMatch {
-  catalog::TupleId id = 0;
-  double confidence = 0.0;
-  catalog::Tuple tuple;
-};
-
 /// The one check on a tuple's clustered column, run by every path that hands
 /// a tuple to a UPI (Upi::Insert, Delete and Build, FracturedUpi::Insert):
 /// the column must exist and hold a discrete distribution with at least one
@@ -82,10 +78,6 @@ Status CheckClusteredValue(const catalog::Tuple& tuple, int cluster_column);
 /// table before it routes its input) before it creates a file.
 Status CheckDistinctIds(const std::vector<catalog::Tuple>& tuples);
 
-/// Sorts matches into the order every read path delivers: descending
-/// confidence, ties by TupleId.
-void SortByConfidenceDesc(std::vector<PtqMatch>* matches);
-
 /// How a query uses secondary-index pointers (Figure 6's three curves are
 /// PII-on-heap vs. these two modes).
 enum class SecondaryAccessMode {
@@ -93,52 +85,14 @@ enum class SecondaryAccessMode {
   kTailored,      // Algorithm 3: prefer heap regions already being read
 };
 
-class Upi;
-
-/// Pull-based streaming cursor over one UPI's read path (Algorithm 2,
-/// incremental). The heap phase streams the value's clustered region in
-/// descending-probability order; the cutoff phase — pointer collection and
-/// its heap fetches — is entered only when the consumer pulls past the heap
-/// phase, so a consumer that stops early (top-k, LIMIT) never pays for it.
-/// Fully drained, the access sequence is identical to QueryPtq/QueryTopK.
-/// Must not outlive the Upi or be used across tree modifications (it wraps a
-/// btree::Cursor).
-class UpiPtqCursor {
- public:
-  /// Produces the next match; false at end of stream or on error (check
-  /// status() after a false return).
-  bool Next(PtqMatch* out);
-  const Status& status() const { return status_; }
-
- private:
-  friend class Upi;
-  UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
-               bool topk_mode);
-
-  enum class Phase { kHeap, kCutoff, kDone };
-  bool NextHeap(PtqMatch* out);
-  bool NextCutoff(PtqMatch* out);
-  /// Heap phase exhausted: collect cutoff pointers if this query consults
-  /// them (QT < C, or top-k mode with a non-empty cutoff index).
-  void EnterCutoffPhase();
-
-  const Upi* upi_ = nullptr;
-  std::string value_;
-  std::string prefix_;
-  double qt_ = 0.0;
-  bool topk_mode_ = false;
-  Phase phase_ = Phase::kHeap;
-  btree::Cursor heap_;
-  std::vector<CutoffIndex::PointerEntry> pointers_;
-  // The PTQ cutoff phase fetches its sorted pointers through one forward
-  // lookup, one per Next; top-k's collected order keeps per-key lookups.
-  btree::SortedLookup sorted_fetch_;
-  size_t ptr_idx_ = 0;
-  Status status_;
-};
+class UpiPtqCursor;
 
 class Upi {
  public:
+  /// Heap, cutoff and secondary-index page size (the paper's BDB setup used
+  /// 8 KB pages).
+  static constexpr uint32_t kPageSize = 8192;
+
   /// The one way a UPI comes into being: bulk-builds its heap, cutoff index,
   /// secondary indexes on `secondary_columns` and histograms from `tuples`,
   /// physically sequential like a freshly clustered table (a UPI that Insert
@@ -193,32 +147,29 @@ class Upi {
   /// heap file or cutoff index depends on the probability").
   Status Delete(const catalog::Tuple& tuple);
 
-  /// Algorithm 2: SELECT * WHERE cluster_attr = value THRESHOLD qt.
-  /// Results arrive heap-scan hits first (descending confidence), then
-  /// cutoff-pointer hits.
-  Status QueryPtq(std::string_view value, double qt,
-                  std::vector<PtqMatch>* out) const;
+  /// Algorithm 2: SELECT * WHERE cluster_attr = value THRESHOLD qt, one
+  /// seek and a sequential scan pulled a row at a time. Rows arrive heap
+  /// hits first (descending confidence), then cutoff-pointer hits; the
+  /// cutoff phase runs, and opens the cutoff index's file, only when QT < C
+  /// and the consumer drains past the heap phase. The cursor reads live
+  /// pages: it must not outlive this UPI or be used across a write to it.
+  std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
+                                        double qt) const;
 
-  /// Top-k on the clustered attribute: scanning stops after k results — the
-  /// early-termination benefit Section 3.1 describes. When fewer than k heap
-  /// entries qualify, the cutoff index is consulted.
-  Status QueryTopK(std::string_view value, size_t k,
-                   std::vector<PtqMatch>* out) const;
+  /// Top-k on the clustered attribute: the same stream with no threshold,
+  /// limited to k rows, so scanning stops after k results — the
+  /// early-termination benefit Section 3.1 describes. The cutoff index is
+  /// consulted only when fewer than k heap entries qualify.
+  std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
+                                         size_t k) const;
 
   /// SELECT * WHERE sec_col = value THRESHOLD qt via a secondary index,
-  /// fetching tuple data from the heap (Algorithm 3 when tailored).
-  Status QueryBySecondary(int column, std::string_view value, double qt,
-                          SecondaryAccessMode mode,
-                          std::vector<PtqMatch>* out) const;
-
-  /// Streaming Algorithm 2: QueryPtq's rows, pulled one at a time (the
-  /// cutoff phase runs only if the consumer drains past the heap phase, and
-  /// only then opens the cutoff index's file).
-  UpiPtqCursor OpenPtqCursor(std::string_view value, double qt) const;
-
-  /// Streaming top-k: QueryTopK's row stream without the k bound — the
-  /// caller stops pulling after k rows, which is what makes it early-exit.
-  UpiPtqCursor OpenTopKCursor(std::string_view value) const;
+  /// fetching tuple data from the heap in heap order (Algorithm 3 when
+  /// tailored). Eager: every row is fetched at open.
+  std::unique_ptr<ResultCursor> OpenSecondary(int column,
+                                              std::string_view value,
+                                              double qt,
+                                              SecondaryAccessMode mode) const;
 
   // --- Introspection -------------------------------------------------------
 

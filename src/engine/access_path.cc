@@ -13,53 +13,6 @@ double AvgEntryBytes(uint64_t table_bytes, uint64_t entries) {
                             static_cast<double>(entries);
 }
 
-/// ResultCursor over a core streaming cursor: core::UpiPtqCursor (Algorithm
-/// 2) or core::FracturedPtqCursor (the pruned fan-out executed lazily, which
-/// holds the table's shared lock for the cursor's lifetime).
-template <typename CoreCursor>
-class CoreStreamCursor : public ResultCursor {
- public:
-  explicit CoreStreamCursor(CoreCursor cursor) : cursor_(std::move(cursor)) {}
-
- private:
-  bool Produce(core::PtqMatch* out) override {
-    if (cursor_.Next(out)) return true;
-    status_ = cursor_.status();
-    return false;
-  }
-
-  CoreCursor cursor_;
-};
-
-/// ResultCursor over the PII baseline's probe: the inverted-list entries are
-/// collected up front (one index scan, as QueryPii does), but each tuple's
-/// random heap seek happens only when the consumer pulls its row. A failed
-/// collection is carried as the cursor's status.
-class PiiStreamCursor : public ResultCursor {
- public:
-  PiiStreamCursor(const baseline::UnclusteredTable* table,
-                  std::vector<baseline::PiiIndex::Entry> entries,
-                  Status collect_status)
-      : table_(table), entries_(std::move(entries)) {
-    status_ = std::move(collect_status);
-  }
-
- private:
-  bool Produce(core::PtqMatch* out) override {
-    if (!status_.ok() || idx_ >= entries_.size()) return false;
-    Status st = table_->FetchMatch(entries_[idx_++], out);
-    if (!st.ok()) {
-      status_ = st;
-      return false;
-    }
-    return true;
-  }
-
-  const baseline::UnclusteredTable* table_;
-  std::vector<baseline::PiiIndex::Entry> entries_;
-  size_t idx_ = 0;
-};
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -109,24 +62,18 @@ Status UpiAccessPath::Delete(const catalog::Tuple& tuple) {
 
 std::unique_ptr<ResultCursor> UpiAccessPath::OpenPtq(std::string_view value,
                                                      double qt) const {
-  return std::make_unique<CoreStreamCursor<core::UpiPtqCursor>>(
-      upi_->OpenPtqCursor(value, qt));
+  return upi_->OpenPtq(value, qt);
 }
 
 std::unique_ptr<ResultCursor> UpiAccessPath::OpenTopK(std::string_view value,
                                                       size_t k) const {
-  auto cursor = std::make_unique<CoreStreamCursor<core::UpiPtqCursor>>(
-      upi_->OpenTopKCursor(value));
-  cursor->SetLimit(k);
-  return cursor;
+  return upi_->OpenTopK(value, k);
 }
 
 std::unique_ptr<ResultCursor> UpiAccessPath::OpenSecondary(
     int column, std::string_view value, double qt,
     core::SecondaryAccessMode mode) const {
-  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
-    return upi_->QueryBySecondary(column, value, qt, mode, rows);
-  });
+  return upi_->OpenSecondary(column, value, qt, mode);
 }
 
 Status UpiAccessPath::ScanTuples(
@@ -190,7 +137,7 @@ const std::string& FracturedAccessPath::name() const { return table_->name(); }
 PathStats FracturedAccessPath::Stats() const {
   PathStats s;
   s.cutoff = table_->options().cutoff;
-  s.table.page_size = table_->options().page_size;
+  s.table.page_size = core::Upi::kPageSize;
   uint32_t fractures = 0;
   table_->ForEachFractureShared([&](const core::Upi& u) {
     core::TableStats t = core::TableStats::Of(u);
@@ -215,7 +162,7 @@ PathStats FracturedAccessPath::Stats() const {
   // (first touch after its build or a DbEnv::ColdCache()).
   s.charges_open_per_query = true;
   // Summary-pruned fan-out with a running k-th-score bound (see
-  // FracturedUpi::QueryTopK); each probed fracture streams k rows at most.
+  // FracturedUpi::OpenTopK); each probed fracture streams k rows at most.
   s.supports_direct_topk = true;
   s.clustered = true;
   return s;
@@ -235,23 +182,18 @@ Status FracturedAccessPath::Delete(const catalog::Tuple& tuple) {
 
 std::unique_ptr<ResultCursor> FracturedAccessPath::OpenPtq(
     std::string_view value, double qt) const {
-  return std::make_unique<CoreStreamCursor<core::FracturedPtqCursor>>(
-      table_->OpenPtqCursor(value, qt));
+  return table_->OpenPtq(value, qt);
 }
 
 std::unique_ptr<ResultCursor> FracturedAccessPath::OpenTopK(
     std::string_view value, size_t k) const {
-  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
-    return table_->QueryTopK(value, k, rows);
-  });
+  return table_->OpenTopK(value, k);
 }
 
 std::unique_ptr<ResultCursor> FracturedAccessPath::OpenSecondary(
     int column, std::string_view value, double qt,
     core::SecondaryAccessMode mode) const {
-  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
-    return table_->QueryBySecondary(column, value, qt, mode, rows);
-  });
+  return table_->OpenSecondary(column, value, qt, mode);
 }
 
 Status FracturedAccessPath::ScanTuples(
@@ -389,26 +331,23 @@ Status UnclusteredAccessPath::Delete(const catalog::Tuple& tuple) {
 
 std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenPtq(
     std::string_view value, double qt) const {
-  std::vector<baseline::PiiIndex::Entry> entries;
-  Status st = table_->CollectPiiMatches(primary_column_, value, qt, &entries);
-  return std::make_unique<PiiStreamCursor>(table_.get(), std::move(entries),
-                                           std::move(st));
+  return table_->OpenPii(primary_column_, value, qt);
 }
 
 std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenTopK(
     std::string_view value, size_t k) const {
-  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
-    return table_->QueryTopK(primary_column_, value, k, rows);
-  });
+  return table_->OpenTopK(primary_column_, value, k);
 }
 
 std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenSecondary(
     int column, std::string_view value, double qt,
     core::SecondaryAccessMode) const {
-  // PII entries carry a single RID — there is nothing to tailor.
-  return MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
-    return table_->QueryPii(column, value, qt, rows);
-  });
+  // PII entries carry a single RID — there is nothing to tailor. Eager, as
+  // every design's secondary probe: the whole probe runs here and its rows
+  // are served in confidence order.
+  std::vector<core::PtqMatch> rows;
+  Status st = table_->OpenPii(column, value, qt)->Drain(&rows);
+  return std::make_unique<MaterializedCursor>(std::move(rows), std::move(st));
 }
 
 Status UnclusteredAccessPath::ScanTuples(

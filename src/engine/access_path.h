@@ -5,11 +5,13 @@
 // 7.2), and the horizontally partitioned table (engine/partition.h) — answers
 // the same logical requests: probabilistic threshold queries, top-k,
 // secondary probes. AccessPath is the common interface the executor and the
-// cost-based QueryPlanner work against, and it has one read contract: every
-// probe answers through a ResultCursor. Streaming cursors (clustered PTQ and
-// top-k, the Fractured PTQ fan-out, PII probes) pay for each row as it is
-// pulled; eager ones (fan-out unions, secondary probes) computed every row at
-// open. The path is also the table's write path: Insert/Delete are the
+// cost-based QueryPlanner work against. Its reads are the designs' own: each
+// probe forwards the core::ResultCursor (core/result_cursor.h) the design
+// returns, so one cursor protocol runs from the B-tree leaf to the Session.
+// Streaming cursors (clustered PTQ and top-k, the Fractured PTQ fan-out, the
+// PII PTQ) pay for each row as it is pulled; eager ones (secondary probes,
+// the fractured and PII top-k, every partitioned gather) computed every row
+// at open. The path is also the table's write path: Insert/Delete are the
 // in-memory mutation (engine::Table journals to the WAL first). An adapter
 // owns its design and is complete when constructed. The estimation hooks are
 // RAM-only so the planner never spends simulated disk time to make a
@@ -179,14 +181,15 @@ class UpiAccessPath : public AccessPath {
   Status Insert(const catalog::Tuple& tuple) override;
   Status Delete(const catalog::Tuple& tuple) override;
 
-  /// Streams Algorithm 2 (core::UpiPtqCursor).
+  /// Streams Algorithm 2 (core::Upi::OpenPtq).
   std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
                                         double qt) const override;
   /// Streams the value's heap region (cutoff pointers only if it runs
-  /// short of k); stops after k rows.
+  /// short of k); stops after k rows (core::Upi::OpenTopK).
   std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
                                          size_t k) const override;
-  /// Eager: Algorithm 3 (or first-pointer) fetch in heap order.
+  /// Eager: Algorithm 3 (or first-pointer) fetch in heap order
+  /// (core::Upi::OpenSecondary).
   std::unique_ptr<ResultCursor> OpenSecondary(
       int column, std::string_view value, double qt,
       core::SecondaryAccessMode mode) const override;
@@ -231,11 +234,11 @@ class FracturedAccessPath : public AccessPath {
   Status Delete(const catalog::Tuple& tuple) override;
 
   /// Streams the pruned fan-out, fractures opened lazily. Holds the table's
-  /// shared lock until destroyed (see core::FracturedPtqCursor): drain
+  /// shared lock until destroyed (see core::FracturedUpi::OpenPtq): drain
   /// promptly and never write to this table while one is open.
   std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
                                         double qt) const override;
-  /// Eager: FracturedUpi::QueryTopK's bounded fan-out.
+  /// Eager: FracturedUpi::OpenTopK's bounded fan-out.
   std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
                                          size_t k) const override;
   /// Eager: the pruned secondary fan-out.
@@ -290,14 +293,16 @@ class UnclusteredAccessPath : public AccessPath {
   Status Insert(const catalog::Tuple& tuple) override;
   Status Delete(const catalog::Tuple& tuple) override;
 
-  /// Reads the inverted list at open; each tuple's random heap fetch
-  /// happens only when the consumer pulls its row.
+  /// UnclusteredTable::OpenPii on the primary column: reads the inverted
+  /// list at open; each tuple's random heap fetch happens only when the
+  /// consumer pulls its row.
   std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
                                         double qt) const override;
   /// Eager: k inverted-list entries and their heap fetches.
   std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
                                          size_t k) const override;
-  /// Eager: the PII probe on `column`, fetched in RID order.
+  /// Eager: the PII probe on `column`, fetched in RID order and drained at
+  /// open.
   std::unique_ptr<ResultCursor> OpenSecondary(
       int column, std::string_view value, double qt,
       core::SecondaryAccessMode mode) const override;

@@ -499,7 +499,7 @@ Status PartitionedTable::ScanTuplesMatching(
 PathStats PartitionedTable::Stats() const {
   PathStats s;
   s.cutoff = options_.cutoff;
-  s.table.page_size = options_.page_size;
+  s.table.page_size = core::Upi::kPageSize;
   s.table.num_fractures = 0;
   uint64_t seek_span = 0;
   for (const auto& shard : shards_) {

@@ -12,7 +12,6 @@
 #include "engine/planner.h"
 #include "exec/cursor.h"
 #include "exec/operators.h"
-#include "exec/ptq.h"
 #include "obs/slow_query_log.h"
 #include "obs/trace.h"
 #include "sim/sim_disk.h"
@@ -168,53 +167,6 @@ Status Query::Validate(const AccessPath& path) const {
       return Status::OK();
   }
   return Status::Internal("unknown query kind");
-}
-
-// ---------------------------------------------------------------------------
-// ResultCursor
-// ---------------------------------------------------------------------------
-
-bool ResultCursor::Advance() {
-  if (!status_.ok()) return false;
-  if (limit_ > 0 && rows_ >= limit_) return false;
-  for (;;) {
-    if (!Produce(&slot_)) return false;
-    if (predicate_ && !predicate_(slot_.tuple)) continue;
-    ++rows_;
-    return true;
-  }
-}
-
-bool ResultCursor::Next(RowView* row) {
-  if (!Advance()) return false;
-  row->id = slot_.id;
-  row->confidence = slot_.confidence;
-  row->tuple = &slot_.tuple;
-  return true;
-}
-
-bool ResultCursor::TakeNext(core::PtqMatch* match) {
-  if (!Advance()) return false;
-  *match = std::move(slot_);
-  return true;
-}
-
-Status ResultCursor::Drain(std::vector<core::PtqMatch>* out) {
-  while (Advance()) out->push_back(std::move(slot_));
-  return status_;
-}
-
-MaterializedCursor::MaterializedCursor(std::vector<core::PtqMatch> rows,
-                                       Status status)
-    : rows_(std::move(rows)) {
-  status_ = std::move(status);
-  exec::SortByConfidenceDesc(&rows_);
-}
-
-bool MaterializedCursor::Produce(core::PtqMatch* out) {
-  if (idx_ >= rows_.size()) return false;
-  *out = std::move(rows_[idx_++]);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@
 //   table->Prepare(q)             plan once, re-execute with bound
 //                                 parameters: pq.Bind(value).Execute(&rows)
 //
+// All three read through the cursor the table's design returns
+// (core::ResultCursor, core/result_cursor.h): the executor caps and filters
+// it, and Run drains it.
+//
 // PreparedQuery caches the Plan keyed on the query shape plus the bound
 // parameter's histogram bucket (two values the statistics consider alike
 // share a plan), and invalidates on the table's stats epoch — the counter
@@ -27,7 +31,7 @@
 
 #include "catalog/tuple.h"
 #include "common/status.h"
-#include "core/upi.h"  // core::PtqMatch
+#include "core/result_cursor.h"
 #include "obs/metrics.h"
 
 namespace upi::sim {
@@ -112,101 +116,11 @@ struct Query {
   Status Validate(const AccessPath& path) const;
 };
 
-/// A borrowed view of the cursor's current row; valid until the next
-/// Next()/TakeNext() call or cursor destruction.
-struct RowView {
-  catalog::TupleId id = 0;
-  double confidence = 0.0;
-  const catalog::Tuple* tuple = nullptr;
-};
-
-/// Pull-based result stream: the one physical read interface (every
-/// AccessPath probe and every executed Plan answers through one).
-/// Implementations either stream straight off the storage structures
-/// (clustered PTQ and top-k, the Fractured PTQ fan-out, PII probes), paying
-/// for each row as it is pulled, or are eager: every row was computed, and
-/// its I/O charged, at open (MaterializedCursor, which also serves the
-/// partitioned gather). The base class enforces the row limit and the residual predicate so every
-/// producer stays simple.
-///
-/// Streaming cursors read live index pages: drain them before writing to
-/// the table (see Table::OpenCursor for the full lifetime contract).
-class ResultCursor {
- public:
-  virtual ~ResultCursor() = default;
-
-  ResultCursor(const ResultCursor&) = delete;
-  ResultCursor& operator=(const ResultCursor&) = delete;
-
-  /// Views the next row; false at end of stream or error (check status()).
-  bool Next(RowView* row);
-
-  /// Moves the next row out (avoids a tuple copy when the caller keeps it).
-  bool TakeNext(core::PtqMatch* match);
-
-  /// Moves every remaining row onto the end of `out`; returns status().
-  Status Drain(std::vector<core::PtqMatch>* out);
-
-  /// True when every row was computed at open: pulling reads nothing more,
-  /// so a predicate cannot make the producer fetch rows past its bound.
-  virtual bool eager() const { return false; }
-
-  const Status& status() const { return status_; }
-  /// Rows handed to the consumer so far.
-  size_t rows_returned() const { return rows_; }
-
-  /// Caps the rows this cursor returns (0 = unlimited). Set before pulling.
-  void SetLimit(size_t limit) { limit_ = limit; }
-
-  /// Residual filter; rows failing it are skipped (and not counted against
-  /// the limit).
-  void SetPredicate(std::function<bool(const catalog::Tuple&)> pred) {
-    predicate_ = std::move(pred);
-  }
-
- protected:
-  ResultCursor() = default;
-
-  /// Produces the next raw row, pre-limit/predicate. False = end or error
-  /// (set status_ before returning false on error).
-  virtual bool Produce(core::PtqMatch* out) = 0;
-
-  Status status_;
-
- private:
-  bool Advance();
-
-  size_t limit_ = 0;  // 0 = unlimited
-  std::function<bool(const catalog::Tuple&)> predicate_;
-  core::PtqMatch slot_;
-  size_t rows_ = 0;
-};
-
-/// Eager cursor over a result set computed at open, served in descending
-/// confidence (ties by TupleId). A non-OK `status` — the computation failed
-/// after charging its I/O — makes it produce nothing.
-class MaterializedCursor : public ResultCursor {
- public:
-  explicit MaterializedCursor(std::vector<core::PtqMatch> rows,
-                              Status status = Status::OK());
-
-  /// Runs `compute(&rows)` now and serves what it produced (or its error).
-  template <typename Fn>
-  static std::unique_ptr<ResultCursor> Of(Fn&& compute) {
-    std::vector<core::PtqMatch> rows;
-    Status st = compute(&rows);
-    return std::make_unique<MaterializedCursor>(std::move(rows),
-                                                std::move(st));
-  }
-
-  bool eager() const override { return true; }
-
- private:
-  bool Produce(core::PtqMatch* out) override;
-
-  std::vector<core::PtqMatch> rows_;
-  size_t idx_ = 0;
-};
+/// The one read contract starts at the designs (core/result_cursor.h); the
+/// engine serves the same cursor types.
+using core::MaterializedCursor;
+using core::ResultCursor;
+using core::RowView;
 
 class PreparedQuery;
 

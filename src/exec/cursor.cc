@@ -18,10 +18,11 @@ std::unique_ptr<engine::ResultCursor> OpenTopKRun(
   if (plan.kind == engine::PlanKind::kTopKDirect) {
     return path.OpenTopK(plan.value, k);
   }
-  return engine::MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
-    return TopKByDecreasingThreshold(path, plan.value, k, plan.initial_qt,
-                                     rows);
-  });
+  std::vector<core::PtqMatch> rows;
+  Status st =
+      TopKByDecreasingThreshold(path, plan.value, k, plan.initial_qt, &rows);
+  return std::make_unique<engine::MaterializedCursor>(std::move(rows),
+                                                      std::move(st));
 }
 
 /// Top-k whose k rows must survive `predicate`. A streaming run filters as
@@ -56,18 +57,19 @@ std::unique_ptr<engine::ResultCursor> OpenFilteredTopK(
 std::unique_ptr<engine::ResultCursor> OpenScanFilter(
     const engine::AccessPath& path, int column, std::string_view value,
     double qt) {
-  return engine::MaterializedCursor::Of([&](std::vector<core::PtqMatch>* rows) {
-    // The filter rides along so paths with pruning metadata can skip storage
-    // units that cannot contain a qualifying alternative; the exact
-    // per-tuple check below still decides every emitted row.
-    return path.ScanTuplesMatching(column, value, qt,
-                                   [&](const catalog::Tuple& tuple) {
-      double conf =
-          QuantizeProb(tuple.ConfidenceOf(static_cast<size_t>(column), value));
-      if (conf < qt || conf <= 0.0) return;
-      rows->push_back(core::PtqMatch{tuple.id(), conf, tuple});
-    });
-  });
+  // The filter rides along so paths with pruning metadata can skip storage
+  // units that cannot contain a qualifying alternative; the exact per-tuple
+  // check below still decides every emitted row.
+  std::vector<core::PtqMatch> rows;
+  Status st = path.ScanTuplesMatching(
+      column, value, qt, [&](const catalog::Tuple& tuple) {
+        double conf = QuantizeProb(
+            tuple.ConfidenceOf(static_cast<size_t>(column), value));
+        if (conf < qt || conf <= 0.0) return;
+        rows.push_back(core::PtqMatch{tuple.id(), conf, tuple});
+      });
+  return std::make_unique<engine::MaterializedCursor>(std::move(rows),
+                                                      std::move(st));
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 // Pull-based plan execution: the cursor layer under the declarative Query
 // API, and the one place a Plan meets the physical read interface.
 //
-// OpenCursor() turns a planner-produced Plan into an engine::ResultCursor by
-// opening the access path's cursor for the plan's kind (see
-// engine/access_path.h). Streaming cursors — clustered PTQ (Algorithm 2),
-// the direct top-k, the Fractured PTQ fan-out, the PII probe's heap fetches —
-// execute incrementally: a consumer that stops after k rows never runs the
-// deferred phases (cutoff pointer collection, later fractures, remaining
-// heap fetches), which is where LIMIT/top-k beat full execution on simulated
-// page reads. Eager cursors (secondary probes, scans, threshold top-k, the
-// partitioned gather) computed their rows at open and serve them.
+// OpenCursor() turns a planner-produced Plan into a core::ResultCursor: the
+// one the table's design returns for the plan's kind, which the access path
+// forwards (see engine/access_path.h), or an eager cursor over a scan or a
+// threshold top-k run. Streaming cursors — clustered PTQ (Algorithm 2) and
+// top-k, the Fractured PTQ fan-out, the PII probe's heap fetches — execute
+// incrementally: a consumer that stops after k rows never runs the deferred
+// phases (cutoff pointer collection, later fractures, remaining heap
+// fetches), which is where LIMIT/top-k beat full execution on simulated page
+// reads. Eager cursors (secondary probes, the fractured and PII top-k, scans,
+// threshold top-k, the partitioned gather) computed their rows at open and
+// serve them.
 //
 // Row order: eager cursors serve descending confidence (ties by TupleId);
 // streaming cursors deliver storage order — the heap phase (descending

@@ -5,14 +5,6 @@
 
 namespace upi::exec {
 
-void FilterByThreshold(std::vector<core::PtqMatch>* matches, double qt) {
-  matches->erase(std::remove_if(matches->begin(), matches->end(),
-                                [qt](const core::PtqMatch& m) {
-                                  return m.confidence < qt;
-                                }),
-                 matches->end());
-}
-
 std::string Summarize(const std::vector<core::PtqMatch>& matches) {
   if (matches.empty()) return "0 tuples";
   double hi = matches.front().confidence, lo = matches.front().confidence;

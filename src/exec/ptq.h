@@ -4,15 +4,12 @@
 #include <string>
 #include <vector>
 
-#include "core/upi.h"
+#include "core/result_cursor.h"
 
 namespace upi::exec {
 
 /// The one result-order sort (descending confidence, ties by TupleId).
 using core::SortByConfidenceDesc;
-
-/// Drops matches below the threshold (defensive re-filter for union paths).
-void FilterByThreshold(std::vector<core::PtqMatch>* matches, double qt);
 
 /// One-line human-readable summary ("42 tuples, conf 0.95..0.12").
 std::string Summarize(const std::vector<core::PtqMatch>& matches);

@@ -6,11 +6,6 @@
 
 namespace upi::exec {
 
-Status TopKDirect(const engine::AccessPath& path, std::string_view value,
-                  size_t k, std::vector<core::PtqMatch>* out) {
-  return path.OpenTopK(value, k)->Drain(out);
-}
-
 Status TopKByDecreasingThreshold(const engine::AccessPath& path,
                                  std::string_view value, size_t k,
                                  double initial_qt,
@@ -31,15 +26,6 @@ Status TopKByDecreasingThreshold(const engine::AccessPath& path,
     qt /= 4.0;
     if (qt < 1e-6) qt = 0.0;
   }
-}
-
-Status TopKByEstimatedThreshold(const engine::AccessPath& path,
-                                std::string_view value, size_t k,
-                                std::vector<core::PtqMatch>* out) {
-  double qt = path.EstimateTopKThreshold(value, k);
-  int rounds = 0;
-  return TopKByDecreasingThreshold(path, value, k, qt <= 0 ? 0.25 : qt, out,
-                                   &rounds);
 }
 
 }  // namespace upi::exec

@@ -199,7 +199,7 @@ std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
   // UpiOptions.
   PutInt32(&out, spec.options.cluster_column);
   PutDouble(&out, spec.options.cutoff);
-  PutFixed32(&out, spec.options.page_size);
+  PutFixed32(&out, core::Upi::kPageSize);  // a slot kept for log compatibility
   PutInt32(&out, spec.options.max_secondary_pointers);
   out.push_back(spec.options.charge_open_per_query ? 1 : 0);
   out.push_back(spec.options.enable_pruning ? 1 : 0);
@@ -301,7 +301,9 @@ Result<WalRecord> DecodeRecord(std::string_view payload) {
       rec.spec.options.cluster_column = i32;
       UPI_RETURN_NOT_OK(GetDouble(&p, limit, &rec.spec.options.cutoff));
       if (limit - p < 4) return Status::Corruption("wal: truncated options");
-      rec.spec.options.page_size = GetFixed32(p);
+      if (GetFixed32(p) != core::Upi::kPageSize) {
+        return Status::Corruption("wal: unsupported page size");
+      }
       p += 4;
       UPI_RETURN_NOT_OK(GetInt32(&p, limit, &i32));
       rec.spec.options.max_secondary_pointers = i32;

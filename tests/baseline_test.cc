@@ -92,8 +92,9 @@ TEST(UnclusteredTableTest, QueryMatchesOracle) {
       if (conf >= qt && conf > 0) oracle[t.id()] = conf;
     }
     std::vector<core::PtqMatch> out;
-    ASSERT_TRUE(
-        fx.table->QueryPii(AuthorCols::kInstitution, value, qt, &out).ok());
+    ASSERT_TRUE(fx.table->OpenPii(AuthorCols::kInstitution, value, qt)
+                    ->Drain(&out)
+                    .ok());
     std::map<TupleId, double> got;
     for (const auto& m : out) got[m.id] = m.confidence;
     ASSERT_EQ(got.size(), oracle.size()) << value << " qt=" << qt;
@@ -111,14 +112,16 @@ TEST(UnclusteredTableTest, InsertDeleteMaintainsIndexes) {
   const std::string v =
       extra.Get(AuthorCols::kInstitution).discrete().First().value;
   std::vector<core::PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPii(AuthorCols::kInstitution, v, 0.01, &out).ok());
+  ASSERT_TRUE(
+      fx.table->OpenPii(AuthorCols::kInstitution, v, 0.01)->Drain(&out).ok());
   bool found = false;
   for (const auto& m : out) found |= m.id == extra.id();
   EXPECT_TRUE(found);
 
   ASSERT_TRUE(fx.table->Delete(extra.id()).ok());
   out.clear();
-  ASSERT_TRUE(fx.table->QueryPii(AuthorCols::kInstitution, v, 0.01, &out).ok());
+  ASSERT_TRUE(
+      fx.table->OpenPii(AuthorCols::kInstitution, v, 0.01)->Drain(&out).ok());
   for (const auto& m : out) EXPECT_NE(m.id, extra.id());
   EXPECT_TRUE(fx.table->Delete(extra.id()).IsNotFound());
 }
@@ -127,7 +130,8 @@ TEST(UnclusteredTableTest, TopKReadsOnlyKEntries) {
   Fx fx;
   std::string v = fx.gen->PopularInstitution();
   std::vector<core::PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryTopK(AuthorCols::kInstitution, v, 5, &out).ok());
+  ASSERT_TRUE(
+      fx.table->OpenTopK(AuthorCols::kInstitution, v, 5)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 5u);
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(out[i - 1].confidence, out[i].confidence);
@@ -156,13 +160,13 @@ TEST(UpiVsPiiIoTest, UpiUsesFarLessIoForNonSelectiveQuery) {
   sim::StatsWindow w_pii(fx.env.disk());
   std::vector<core::PtqMatch> out_pii;
   ASSERT_TRUE(
-      fx.table->QueryPii(AuthorCols::kInstitution, v, qt, &out_pii).ok());
+      fx.table->OpenPii(AuthorCols::kInstitution, v, qt)->Drain(&out_pii).ok());
   double pii_ms = w_pii.ElapsedMs();
 
   env2.ColdCache();
   sim::StatsWindow w_upi(env2.disk());
   std::vector<core::PtqMatch> out_upi;
-  ASSERT_TRUE(upi->QueryPtq(v, qt, &out_upi).ok());
+  ASSERT_TRUE(upi->OpenPtq(v, qt)->Drain(&out_upi).ok());
   double upi_ms = w_upi.ElapsedMs();
 
   ASSERT_GT(out_pii.size(), 50u) << "query should not be trivially selective";

@@ -1,7 +1,6 @@
 // Tests for the engine layer: AccessPath adapters, the cost-based
 // QueryPlanner (including the Figure 6 planner-vs-measurement agreement the
-// acceptance criteria require), executor operators with batching, and the
-// Database facade.
+// acceptance criteria require), the executor, and the Database facade.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +15,6 @@
 #include "engine/database.h"
 #include "engine/planner.h"
 #include "exec/operators.h"
-#include "exec/ptq.h"
 #include "sim/sim_disk.h"
 
 namespace upi::engine {
@@ -30,6 +28,16 @@ using datagen::PublicationCols;
 
 prob::DiscreteDistribution Dist(std::vector<prob::Alternative> alts) {
   return prob::DiscreteDistribution::Make(std::move(alts)).ValueOrDie();
+}
+
+/// A forced heap-scan plan on (column, value, qt): one sequential sweep.
+Plan HeapScanPlan(int column, const std::string& value, double qt) {
+  Plan plan;
+  plan.kind = PlanKind::kHeapScan;
+  plan.column = column;
+  plan.value = value;
+  plan.qt = qt;
+  return plan;
 }
 
 /// Cold-cache simulated cost of `fn`, bench-style.
@@ -106,8 +114,8 @@ TEST(PlannerTest, SecondaryModeAgreesWithMeasurementOnFigure6Shapes) {
     }
     measured[PlanKind::kHeapScan] = ColdSimMs(fx.db.env(), [&] {
       std::vector<core::PtqMatch> out;
-      ASSERT_TRUE(exec::ScanFilter(*fx.pub_table->path(), col, country, qt,
-                                   &out)
+      ASSERT_TRUE(exec::Execute(*fx.pub_table->path(),
+                                HeapScanPlan(col, country, qt), &out)
                       .ok());
     });
 
@@ -161,9 +169,10 @@ TEST(PlannerTest, PtqPrefersClusteredProbeAndPredictsWithinBounds) {
   });
   double scan_ms = ColdSimMs(fx.db.env(), [&] {
     std::vector<core::PtqMatch> out;
-    ASSERT_TRUE(exec::ScanFilter(*fx.author_table->path(),
-                                 AuthorCols::kInstitution, inst, 0.5, &out)
-                    .ok());
+    ASSERT_TRUE(
+        exec::Execute(*fx.author_table->path(),
+                      HeapScanPlan(AuthorCols::kInstitution, inst, 0.5), &out)
+            .ok());
   });
   EXPECT_LT(probe_ms, scan_ms);  // the planner's choice is the real winner
   EXPECT_GE(plan.predicted_ms, probe_ms / 15.0) << plan.Explain();
@@ -284,60 +293,6 @@ TEST(PlannerTest, TopKUsesDirectCursorOnUpiAndPrunedFanOutOnFractured) {
   ASSERT_EQ(via_threshold.size(), 10u);
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_NEAR(direct[i].confidence, via_threshold[i].confidence, 1e-8);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched execution
-// ---------------------------------------------------------------------------
-
-TEST(RunBatchTest, AmortizesRepeatedProbesOnAFracturedTable) {
-  DblpFx fx;
-  core::UpiOptions fopt;
-  fopt.cluster_column = AuthorCols::kInstitution;
-  fopt.cutoff = 0.1;
-  Table* table =
-      fx.db.CreateFracturedTable("authors_batch",
-                                 datagen::DblpGenerator::AuthorSchema(), fopt,
-                                 {}, fx.authors)
-          .ValueOrDie();
-
-  std::string popular = fx.gen->PopularInstitution();
-  std::string other = fx.gen->InstitutionName(7);
-  std::vector<exec::ProbeSpec> probes = {
-      {-1, popular, 0.6}, {-1, popular, 0.3}, {-1, popular, 0.45},
-      {-1, other, 0.5},   {-1, other, 0.25},
-  };
-
-  double individual = 0.0;
-  std::vector<std::vector<core::PtqMatch>> solo(probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    individual += ColdSimMs(fx.db.env(), [&] {
-      ASSERT_TRUE(table->path()
-                      ->OpenPtq(probes[i].value, probes[i].qt)
-                      ->Drain(&solo[i])
-                      .ok());
-    });
-  }
-
-  std::vector<std::vector<core::PtqMatch>> batched;
-  double batch = ColdSimMs(fx.db.env(), [&] {
-    ASSERT_TRUE(exec::RunBatch(*table->path(), probes, &batched).ok());
-  });
-
-  // Five probes collapse to two physical probes: the batch must amortize the
-  // per-probe Costinit + H*Tseek (here: clearly under the summed cost).
-  EXPECT_LT(batch, individual * 0.6)
-      << "batch=" << batch << " individual=" << individual;
-
-  // And the rows must match the per-probe results exactly.
-  ASSERT_EQ(batched.size(), probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    exec::SortByConfidenceDesc(&solo[i]);
-    ASSERT_EQ(batched[i].size(), solo[i].size()) << "probe " << i;
-    for (size_t j = 0; j < solo[i].size(); ++j) {
-      EXPECT_EQ(batched[i][j].id, solo[i][j].id);
-    }
   }
 }
 

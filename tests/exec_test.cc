@@ -8,6 +8,7 @@
 #include "datagen/cartel.h"
 #include "datagen/dblp.h"
 #include "engine/access_path.h"
+#include "engine/planner.h"
 #include "exec/aggregate.h"
 #include "exec/operators.h"
 #include "exec/ptq.h"
@@ -57,12 +58,25 @@ struct DblpFx {
   }
 };
 
+/// The Section 9 estimated-threshold plan, as the planner builds it: one
+/// descending-threshold run starting at the histogram's k-th confidence.
+engine::Plan EstimatedThresholdPlan(const engine::AccessPath& path,
+                                    const std::string& value, size_t k) {
+  engine::Plan plan;
+  plan.kind = engine::PlanKind::kTopKEstimatedThreshold;
+  plan.value = value;
+  plan.k = k;
+  const double est_qt = path.EstimateTopKThreshold(value, k);
+  plan.initial_qt = est_qt > 0 ? est_qt : 0.25;
+  return plan;
+}
+
 TEST(AggregateTest, Query2GroupByJournal) {
   DblpFx fx;
   std::string v = fx.gen->PopularInstitution();
   double qt = 0.15;
   std::vector<core::PtqMatch> matches;
-  ASSERT_TRUE(fx.pub_upi->QueryPtq(v, qt, &matches).ok());
+  ASSERT_TRUE(fx.pub_upi->OpenPtq(v, qt)->Drain(&matches).ok());
   auto groups = GroupByCount(matches, PublicationCols::kJournal);
 
   // Oracle.
@@ -79,7 +93,7 @@ TEST(AggregateTest, Query2GroupByJournal) {
   }
 }
 
-TEST(PtqUtilTest, SortFilterSummarize) {
+TEST(PtqUtilTest, SortSummarize) {
   std::vector<core::PtqMatch> ms(3);
   ms[0].id = 1;
   ms[0].confidence = 0.2;
@@ -90,9 +104,7 @@ TEST(PtqUtilTest, SortFilterSummarize) {
   SortByConfidenceDesc(&ms);
   EXPECT_EQ(ms[0].id, 2u);
   EXPECT_EQ(ms[2].id, 1u);
-  FilterByThreshold(&ms, 0.4);
-  EXPECT_EQ(ms.size(), 2u);
-  EXPECT_NE(Summarize(ms).find("2 tuples"), std::string::npos);
+  EXPECT_NE(Summarize(ms).find("3 tuples"), std::string::npos);
   ms.clear();
   EXPECT_EQ(Summarize(ms), "0 tuples");
 }
@@ -104,7 +116,7 @@ TEST(TopKTest, StrategiesAgree) {
   const size_t k = 10;
 
   std::vector<core::PtqMatch> direct;
-  ASSERT_TRUE(TopKDirect(path, v, k, &direct).ok());
+  ASSERT_TRUE(path.OpenTopK(v, k)->Drain(&direct).ok());
   ASSERT_EQ(direct.size(), k);
   for (size_t i = 1; i < direct.size(); ++i) {
     EXPECT_GE(direct[i - 1].confidence, direct[i].confidence);
@@ -117,7 +129,7 @@ TEST(TopKTest, StrategiesAgree) {
   EXPECT_GE(rounds, 1);
 
   std::vector<core::PtqMatch> est;
-  ASSERT_TRUE(TopKByEstimatedThreshold(path, v, k, &est).ok());
+  ASSERT_TRUE(Execute(path, EstimatedThresholdPlan(path, v, k), &est).ok());
   ASSERT_EQ(est.size(), k);
 
   // All strategies must return the same confidence profile (ids may tie).
@@ -139,8 +151,8 @@ TEST(TopKTest, UnclusteredBaselineAgrees) {
   engine::UnclusteredAccessPath heap_path(std::move(table),
                                           AuthorCols::kInstitution, fx.authors);
   std::vector<core::PtqMatch> via_upi, via_heap;
-  ASSERT_TRUE(TopKDirect(upi_path, v, 7, &via_upi).ok());
-  ASSERT_TRUE(TopKDirect(heap_path, v, 7, &via_heap).ok());
+  ASSERT_TRUE(upi_path.OpenTopK(v, 7)->Drain(&via_upi).ok());
+  ASSERT_TRUE(heap_path.OpenTopK(v, 7)->Drain(&via_heap).ok());
   ASSERT_EQ(via_upi.size(), via_heap.size());
   for (size_t i = 0; i < via_upi.size(); ++i) {
     EXPECT_NEAR(via_upi[i].confidence, via_heap[i].confidence, 1e-8);
@@ -183,7 +195,7 @@ TEST(TopKTest, KLargerThanMatchesReturnsAll) {
   engine::UpiAccessPath path(std::move(fx.author_upi));
   std::string v = fx.gen->InstitutionName(40);  // unpopular
   std::vector<core::PtqMatch> out;
-  ASSERT_TRUE(TopKDirect(path, v, 100000, &out).ok());
+  ASSERT_TRUE(path.OpenTopK(v, 100000)->Drain(&out).ok());
   // Oracle: all tuples with any positive confidence on v.
   size_t expected = 0;
   for (const Tuple& t : fx.authors) {
@@ -204,33 +216,12 @@ TEST(TopKTest, DecreasingThresholdUsesFewRoundsForPopularValue) {
   EXPECT_EQ(rounds, 1);  // plenty of matches at QT=0.5 already
 }
 
-TEST(RunBatchTest, GroupsSameValueProbesAndMatchesIndividualResults) {
-  DblpFx fx;
-  engine::UpiAccessPath path(std::move(fx.author_upi));
-  std::string v = fx.gen->PopularInstitution();
-  std::vector<ProbeSpec> probes = {
-      {-1, v, 0.6}, {-1, v, 0.3}, {-1, fx.gen->InstitutionName(12), 0.4},
-      {-1, v, 0.3},  // exact duplicate of probe 1
-  };
-  std::vector<std::vector<core::PtqMatch>> batched;
-  ASSERT_TRUE(RunBatch(path, probes, &batched).ok());
-  ASSERT_EQ(batched.size(), probes.size());
-  for (size_t i = 0; i < probes.size(); ++i) {
-    std::vector<core::PtqMatch> solo;
-    ASSERT_TRUE(path.OpenPtq(probes[i].value, probes[i].qt)->Drain(&solo).ok());
-    SortByConfidenceDesc(&solo);
-    ASSERT_EQ(batched[i].size(), solo.size()) << "probe " << i;
-    for (size_t j = 0; j < solo.size(); ++j) {
-      EXPECT_EQ(batched[i][j].id, solo[j].id);
-      EXPECT_NEAR(batched[i][j].confidence, solo[j].confidence, 1e-12);
-    }
-  }
-}
-
 TEST(AggregateTest, ExpectedCountBelowThresholdCount) {
   DblpFx fx;
   std::vector<core::PtqMatch> matches;
-  ASSERT_TRUE(fx.pub_upi->QueryPtq(fx.gen->PopularInstitution(), 0.1, &matches).ok());
+  ASSERT_TRUE(fx.pub_upi->OpenPtq(fx.gen->PopularInstitution(), 0.1)
+                  ->Drain(&matches)
+                  .ok());
   auto groups = GroupByCount(matches, PublicationCols::kJournal);
   ASSERT_FALSE(groups.empty());
   for (const auto& [j, gc] : groups) {

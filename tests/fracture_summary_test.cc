@@ -176,8 +176,8 @@ TEST(FractureSummaryTest, ConcurrentQueriesDuringMaintenanceSmoke) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_relaxed)) {
         std::vector<PtqMatch> out;
-        ASSERT_TRUE(table.QueryPtq(v, 0.2, &out).ok());
-        ASSERT_TRUE(table.QueryTopK(v, 5, &out).ok());
+        ASSERT_TRUE(table.OpenPtq(v, 0.2)->Drain(&out).ok());
+        ASSERT_TRUE(table.OpenTopK(v, 5)->Drain(&out).ok());
         (void)table.ForQuery(-1, v, 0.2);
         (void)table.EstimatePrune(-1, v, 0.2);
       }

@@ -61,7 +61,7 @@ struct Fx {
   void ExpectQueryMatches(const std::string& value, double qt,
                           const std::map<TupleId, double>& oracle) {
     std::vector<PtqMatch> out;
-    ASSERT_TRUE(table->QueryPtq(value, qt, &out).ok());
+    ASSERT_TRUE(table->OpenPtq(value, qt)->Drain(&out).ok());
     std::map<TupleId, double> got;
     for (const auto& m : out) got[m.id] = m.confidence;
     ASSERT_EQ(got.size(), oracle.size()) << value << " qt=" << qt;
@@ -102,15 +102,19 @@ std::vector<ReadShape> ReadShapes(const std::string& inst,
   auto rows = std::make_shared<std::vector<PtqMatch>>();
   return {
       {"ptq",  // qt < C: consults every probed fracture's cutoff index
-       [=](const FracturedUpi& t) { return t.QueryPtq(inst, 0.05, rows.get()); }},
+       [=](const FracturedUpi& t) {
+         return t.OpenPtq(inst, 0.05)->Drain(rows.get());
+       }},
       {"top-k",  // k beyond every match: each heap runs short of k
        [=](const FracturedUpi& t) {
-         return t.QueryTopK(inst, 100000, rows.get());
+         return t.OpenTopK(inst, 100000)->Drain(rows.get());
        }},
       {"secondary",
        [=](const FracturedUpi& t) {
-         return t.QueryBySecondary(datagen::AuthorCols::kCountry, country, 0.1,
-                                   SecondaryAccessMode::kTailored, rows.get());
+         return t
+             .OpenSecondary(datagen::AuthorCols::kCountry, country, 0.1,
+                            SecondaryAccessMode::kTailored)
+             ->Drain(rows.get());
        }},
       {"scan-filter",
        [=](const FracturedUpi& t) {
@@ -150,11 +154,12 @@ TEST(FracturedUpiTest, BufferedConfidenceEqualsFlushedConfidence) {
   auto confidences = [&](int column, const std::string& value) {
     std::vector<PtqMatch> out;
     if (column == datagen::AuthorCols::kInstitution) {
-      EXPECT_TRUE(fx.table->QueryPtq(value, 0.0, &out).ok());
+      EXPECT_TRUE(fx.table->OpenPtq(value, 0.0)->Drain(&out).ok());
     } else {
       EXPECT_TRUE(fx.table
-                      ->QueryBySecondary(column, value, 0.0,
-                                         SecondaryAccessMode::kTailored, &out)
+                      ->OpenSecondary(column, value, 0.0,
+                                      SecondaryAccessMode::kTailored)
+                      ->Drain(&out)
                       .ok());
     }
     std::map<TupleId, double> got;
@@ -222,6 +227,27 @@ TEST(FracturedUpiTest, DeleteHidesTuplesEverywhere) {
   fx.ExpectQueryMatches(v, 0.05, fx.Oracle(v, 0.05, 1, victims));
 }
 
+TEST(FracturedUpiTest, TopKReadsPastDeletedRowsUntilKSurvive) {
+  // Deleting a fracture's best rows must not shrink a top-k answer: the
+  // per-fracture stream's k bound counts only rows that survive the delete
+  // sets, flushed and buffered alike.
+  Fx fx;
+  const std::string v = fx.gen->PopularInstitution();
+  const size_t k = 5;
+  std::vector<PtqMatch> before;
+  ASSERT_TRUE(fx.table->OpenTopK(v, k)->Drain(&before).ok());
+  ASSERT_EQ(before.size(), k);
+  ASSERT_TRUE(fx.table->Delete(before[0].id).ok());
+  ASSERT_TRUE(fx.table->Delete(before[1].id).ok());
+  ASSERT_TRUE(fx.table->FlushBuffer().ok());
+  ASSERT_TRUE(fx.table->Delete(before[2].id).ok());
+  std::vector<PtqMatch> after;
+  ASSERT_TRUE(fx.table->OpenTopK(v, k)->Drain(&after).ok());
+  ASSERT_EQ(after.size(), k);
+  EXPECT_EQ(after[0].id, before[3].id);
+  EXPECT_EQ(after[1].id, before[4].id);
+}
+
 TEST(FracturedUpiTest, DeleteOfBufferedInsertNeverReachesDisk) {
   Fx fx;
   Tuple extra = fx.gen->MakeAuthor(200000);
@@ -270,8 +296,9 @@ TEST(FracturedUpiTest, MergeCollapsesFracturesAndPreservesAnswers) {
   std::string country = fx.gen->MidCountry();
   std::vector<PtqMatch> out;
   ASSERT_TRUE(fx.table
-                  ->QueryBySecondary(datagen::AuthorCols::kCountry, country,
-                                     0.3, SecondaryAccessMode::kTailored, &out)
+                  ->OpenSecondary(datagen::AuthorCols::kCountry, country, 0.3,
+                                  SecondaryAccessMode::kTailored)
+                  ->Drain(&out)
                   .ok());
   auto oracle =
       fx.Oracle(country, 0.3, datagen::AuthorCols::kCountry, victims, extras);
@@ -392,7 +419,7 @@ TEST(FracturedUpiTest, MergesReleaseRetiredFractureFiles) {
   // holds. Merged-away fractures and spent delete sets leave nothing behind,
   // in the file table or in the pool.
   Fx fx;
-  const uint64_t page = fx.table->options().page_size;
+  const uint64_t page = core::Upi::kPageSize;
   uint64_t delete_set_bytes = 0;
   auto expect_only_live_files = [&](const char* when) {
     SCOPED_TRACE(when);
@@ -656,7 +683,7 @@ TEST(FracturedUpiTest, AdaptiveTuningRetunesPerFracture) {
   auto base = gen2.GenerateAuthors();
   (void)base;
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.02, &out).ok());
+  ASSERT_TRUE(fx.table->OpenPtq(v, 0.02)->Drain(&out).ok());
   EXPECT_GE(out.size(), fx.Oracle(v, 0.02).size());
 }
 
@@ -715,7 +742,8 @@ TEST(FracturedHandleCacheTest, ColdCacheReArmsExactlyTheProbedFiles) {
   }
   std::vector<PtqMatch> out;
   auto ptq = [&](double qt) {
-    return fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryPtq(v, qt, &out).ok()); });
+    return fx.OpensOf(
+        [&] { ASSERT_TRUE(fx.table->OpenPtq(v, qt)->Drain(&out).ok()); });
   };
   for (int epoch = 0; epoch < 2; ++epoch) {
     fx.env.ColdCache();
@@ -735,7 +763,8 @@ TEST(FracturedHandleCacheTest, NewFracturePaysOnceOnFirstTouch) {
   const std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
   auto ptq = [&] {  // qt >= C: heap files only
-    return fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryPtq(v, 0.5, &out).ok()); });
+    return fx.OpensOf(
+        [&] { ASSERT_TRUE(fx.table->OpenPtq(v, 0.5)->Drain(&out).ok()); });
   };
   EXPECT_EQ(ptq(), 1u) << "the bulk-built main fracture";
   EXPECT_EQ(ptq(), 0u);
@@ -818,21 +847,27 @@ TEST(FracturedHandleCacheTest, ChargeOpenPerQueryPaysOncePerFilePerQuery) {
   std::vector<PtqMatch> out;
   for (int run = 0; run < 2; ++run) {  // cold, then warm: same charges
     if (run == 0) fx.env.ColdCache();
-    EXPECT_EQ(fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryPtq(v, 0.5, &out).ok()); }),
+    EXPECT_EQ(fx.OpensOf([&] {
+                ASSERT_TRUE(fx.table->OpenPtq(v, 0.5)->Drain(&out).ok());
+              }),
               1u)
         << "ptq, heap only, run " << run;
-    EXPECT_EQ(fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok()); }),
+    EXPECT_EQ(fx.OpensOf([&] {
+                ASSERT_TRUE(fx.table->OpenPtq(v, 0.05)->Drain(&out).ok());
+              }),
               2u)
         << "ptq, heap + cutoff, run " << run;
-    EXPECT_EQ(fx.OpensOf([&] { ASSERT_TRUE(fx.table->QueryTopK(v, 5, &out).ok()); }),
+    EXPECT_EQ(fx.OpensOf([&] {
+                ASSERT_TRUE(fx.table->OpenTopK(v, 5)->Drain(&out).ok());
+              }),
               1u)
         << "top-k, heap only, run " << run;
     EXPECT_EQ(fx.OpensOf([&] {
                 ASSERT_TRUE(fx.table
-                                ->QueryBySecondary(datagen::AuthorCols::kCountry,
-                                                   fx.gen->MidCountry(), 0.1,
-                                                   SecondaryAccessMode::kTailored,
-                                                   &out)
+                                ->OpenSecondary(datagen::AuthorCols::kCountry,
+                                                fx.gen->MidCountry(), 0.1,
+                                                SecondaryAccessMode::kTailored)
+                                ->Drain(&out)
                                 .ok());
               }),
               2u)

@@ -18,8 +18,8 @@
 #include "datagen/dblp.h"
 #include "engine/access_path.h"
 #include "exec/aggregate.h"
+#include "exec/operators.h"
 #include "exec/spatial.h"
-#include "exec/topk.h"
 #include "storage/db_env.h"
 
 namespace upi {
@@ -79,7 +79,7 @@ TEST(IntegrationTest, DiscreteLifecycle) {
     for (const auto& t : authors) consider(t);
     for (const auto& t : extra) consider(t);
     std::vector<core::PtqMatch> out;
-    ASSERT_TRUE(table.QueryPtq(inst, qt, &out).ok());
+    ASSERT_TRUE(table.OpenPtq(inst, qt)->Drain(&out).ok());
     ASSERT_EQ(out.size(), oracle.size()) << "qt=" << qt;
     for (const auto& m : out) {
       ASSERT_TRUE(oracle.contains(m.id));
@@ -91,17 +91,16 @@ TEST(IntegrationTest, DiscreteLifecycle) {
 
   {
     std::vector<core::PtqMatch> matches;
-    ASSERT_TRUE(pub_upi->QueryPtq(inst, 0.2, &matches).ok());
+    ASSERT_TRUE(pub_upi->OpenPtq(inst, 0.2)->Drain(&matches).ok());
     auto groups = exec::GroupByCount(matches, PublicationCols::kJournal);
     uint64_t total = 0;
     for (const auto& [j, gc] : groups) total += gc.count;
     EXPECT_EQ(total, matches.size());
 
     std::vector<core::PtqMatch> by_country;
-    ASSERT_TRUE(pub_upi->QueryBySecondary(PublicationCols::kCountry, country,
-                                          0.3,
-                                          core::SecondaryAccessMode::kTailored,
-                                          &by_country)
+    ASSERT_TRUE(pub_upi->OpenSecondary(PublicationCols::kCountry, country, 0.3,
+                                       core::SecondaryAccessMode::kTailored)
+                    ->Drain(&by_country)
                     .ok());
     std::map<TupleId, double> oracle;
     for (const auto& t : pubs) {
@@ -148,11 +147,18 @@ TEST(IntegrationTest, DiscreteLifecycle) {
   EXPECT_EQ(table.num_live_tuples(),
             authors.size() + extra.size() - deleted.size());
 
-  // Top-k strategies agree after the whole lifecycle.
+  // Top-k strategies agree after the whole lifecycle: the direct cursor and
+  // a Section 9 plan starting at the histogram's k-th threshold.
   engine::FracturedAccessPath path(std::move(owned), /*manager=*/nullptr);
   std::vector<core::PtqMatch> direct, est_k;
-  ASSERT_TRUE(exec::TopKDirect(path, inst, 5, &direct).ok());
-  ASSERT_TRUE(exec::TopKByEstimatedThreshold(path, inst, 5, &est_k).ok());
+  ASSERT_TRUE(path.OpenTopK(inst, 5)->Drain(&direct).ok());
+  engine::Plan estimated;
+  estimated.kind = engine::PlanKind::kTopKEstimatedThreshold;
+  estimated.value = inst;
+  estimated.k = 5;
+  const double est_qt = path.EstimateTopKThreshold(inst, 5);
+  estimated.initial_qt = est_qt > 0 ? est_qt : 0.25;
+  ASSERT_TRUE(exec::Execute(path, estimated, &est_k).ok());
   ASSERT_EQ(direct.size(), 5u);
   ASSERT_EQ(est_k.size(), 5u);
   for (size_t i = 0; i < 5; ++i) {

@@ -227,7 +227,7 @@ TEST(MaintenanceManagerTest, WatermarkTriggeredFlush) {
 
   std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(fx.table->OpenPtq(v, 0.05)->Drain(&out).ok());
   auto oracle = fx.Oracle(v, 0.05, {}, extras);
   EXPECT_EQ(out.size(), oracle.size());
 }
@@ -276,7 +276,7 @@ TEST(MaintenanceManagerTest, PolicyTriggeredPartialMerge) {
 
   std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(fx.table->OpenPtq(v, 0.05)->Drain(&out).ok());
   auto oracle = fx.Oracle(v, 0.05, {}, extras);
   ASSERT_EQ(out.size(), oracle.size());
   for (const auto& m : out) {
@@ -315,7 +315,7 @@ TEST(MaintenanceManagerTest, MergeAllPastDeteriorationThreshold) {
 
   std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(fx.table->OpenPtq(v, 0.05)->Drain(&out).ok());
   auto oracle = fx.Oracle(v, 0.05, {}, extras);
   ASSERT_EQ(out.size(), oracle.size());
 }
@@ -348,7 +348,7 @@ TEST(MaintenanceManagerTest, ForcedScheduleAndDeleteFlush) {
 
   std::string v = fx.gen->PopularInstitution();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(fx.table->OpenPtq(v, 0.05)->Drain(&out).ok());
   auto oracle = fx.Oracle(v, 0.05, {1, 2, 3, 4}, {extra});
   EXPECT_EQ(out.size(), oracle.size());
 }
@@ -385,7 +385,7 @@ TEST(MaintenanceManagerTest, ThreadedQueriesStayCorrectDuringMerges) {
       if (i % 10 == 9) {
         auto oracle = fx.Oracle(v, 0.05, {}, extras);
         std::vector<PtqMatch> out;
-        ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+        ASSERT_TRUE(fx.table->OpenPtq(v, 0.05)->Drain(&out).ok());
         ASSERT_EQ(out.size(), oracle.size())
             << "round " << round << " insert " << i;
         for (const auto& m : out) {
@@ -405,7 +405,7 @@ TEST(MaintenanceManagerTest, ThreadedQueriesStayCorrectDuringMerges) {
   // Final state: everything visible, exactly once.
   auto oracle = fx.Oracle(v, 0.05, {}, extras);
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(fx.table->QueryPtq(v, 0.05, &out).ok());
+  ASSERT_TRUE(fx.table->OpenPtq(v, 0.05)->Drain(&out).ok());
   ASSERT_EQ(out.size(), oracle.size());
 
   mgr.Stop();

@@ -140,17 +140,17 @@ TEST(PruningPropertyTest, AllReadPathsBitIdenticalWithAndWithoutPruning) {
         fx.table->mutable_options()->enable_pruning = pruning;
         auto& fps = pruning ? fp_on : fp_off;
         std::vector<PtqMatch> rows;
-        ASSERT_TRUE(fx.table->QueryPtq(value, qt, &rows).ok());
+        ASSERT_TRUE(fx.table->OpenPtq(value, qt)->Drain(&rows).ok());
         fps["ptq"] = Fingerprint(rows);
         rows.clear();
         ASSERT_TRUE(fx.table
-                        ->QueryBySecondary(kCountry, region, qt,
-                                           SecondaryAccessMode::kTailored,
-                                           &rows)
+                        ->OpenSecondary(kCountry, region, qt,
+                                        SecondaryAccessMode::kTailored)
+                        ->Drain(&rows)
                         .ok());
         fps["sec"] = Fingerprint(rows);
         rows.clear();
-        ASSERT_TRUE(fx.table->QueryTopK(value, k, &rows).ok());
+        ASSERT_TRUE(fx.table->OpenTopK(value, k)->Drain(&rows).ok());
         fps["topk"] = Fingerprint(rows);
         rows.clear();
         ASSERT_TRUE(fx.table
@@ -228,7 +228,7 @@ TEST(PruningPinnedTest, HighThresholdPtqProbesOnlyMainAndPaysMainOnlyPages) {
     e->ColdCache();
     sim::StatsWindow w(e->disk());
     std::vector<PtqMatch> rows;
-    EXPECT_TRUE(t->QueryPtq(v, 0.5, &rows).ok());
+    EXPECT_TRUE(t->OpenPtq(v, 0.5)->Drain(&rows).ok());
     return w.Delta();
   };
   sim::DiskStats pruned = measure(&env, &table, value);
@@ -245,13 +245,15 @@ TEST(PruningPinnedTest, HighThresholdPtqProbesOnlyMainAndPaysMainOnlyPages) {
   {
     env.ColdCache();
     sim::StatsWindow w(env.disk());
-    FracturedPtqCursor c = table.OpenPtqCursor(value, 0.5);
-    EXPECT_EQ(c.fractures_probed(), 1u);
-    EXPECT_EQ(c.fractures_pruned(), 4u);
+    const uint64_t probed0 = table.fractures_probed_total();
+    const uint64_t pruned0 = table.fractures_pruned_total();
+    std::unique_ptr<ResultCursor> c = table.OpenPtq(value, 0.5);
+    EXPECT_EQ(table.fractures_probed_total() - probed0, 1u);
+    EXPECT_EQ(table.fractures_pruned_total() - pruned0, 4u);
     PtqMatch m;
-    size_t n = 0;
-    while (c.Next(&m)) ++n;
-    EXPECT_TRUE(c.status().ok());
+    while (c->TakeNext(&m)) {
+    }
+    EXPECT_TRUE(c->status().ok());
     EXPECT_EQ(w.Delta().reads, reference.reads);
   }
 
@@ -293,16 +295,17 @@ TEST(PruningPinnedTest, LazyCursorOpensNothingBeyondTheLimit) {
 
   sim::StatsWindow w(env.disk());
   // qt > C: the cutoff index is never consulted, one heap open per fracture.
-  FracturedPtqCursor c = table.OpenPtqCursor("part000000", 0.2);
-  EXPECT_EQ(c.fractures_probed(), 4u);  // nothing pruned...
+  const uint64_t probed0 = table.fractures_probed_total();
+  std::unique_ptr<ResultCursor> c = table.OpenPtq("part000000", 0.2);
+  EXPECT_EQ(table.fractures_probed_total() - probed0, 4u);  // none pruned...
   PtqMatch m;
-  ASSERT_TRUE(c.Next(&m));  // ...but one row only opens the first fracture
+  ASSERT_TRUE(c->TakeNext(&m));  // ...but one row only opens the first one
   EXPECT_EQ(w.Delta().file_opens, 1u);
 
   // Full drain pays the whole (unpruned) fan-out: all four heap opens.
-  while (c.Next(&m)) {
+  while (c->TakeNext(&m)) {
   }
-  EXPECT_TRUE(c.status().ok());
+  EXPECT_TRUE(c->status().ok());
   EXPECT_EQ(w.Delta().file_opens, 4u);
 }
 
@@ -435,15 +438,16 @@ void ForEachExecutedShape(FracturedUpi* frac, const std::string& value,
   const double qt = 0.1;
   std::vector<PtqMatch> rows;
   before("ptq");
-  ASSERT_TRUE(frac->QueryPtq(value, qt, &rows).ok());
+  ASSERT_TRUE(frac->OpenPtq(value, qt)->Drain(&rows).ok());
   check("ptq");
   before("secondary");
-  ASSERT_TRUE(frac->QueryBySecondary(kCountry, region, qt,
-                                     SecondaryAccessMode::kTailored, &rows)
+  ASSERT_TRUE(frac->OpenSecondary(kCountry, region, qt,
+                                  SecondaryAccessMode::kTailored)
+                  ->Drain(&rows)
                   .ok());
   check("secondary");
   before("top-k");
-  ASSERT_TRUE(frac->QueryTopK(value, 3, &rows).ok());
+  ASSERT_TRUE(frac->OpenTopK(value, 3)->Drain(&rows).ok());
   check("top-k");
   before("scan-filter");
   ASSERT_TRUE(
@@ -492,7 +496,7 @@ TEST(PruningCounterTest, BloomRejectsCountExecutedFanOutsOnly) {
   // Top-k prunes through the same decision, so its Bloom skips count too.
   rejects0 = fx.BloomRejects();
   std::vector<PtqMatch> rows;
-  ASSERT_TRUE(fx.frac->QueryTopK(value, 3, &rows).ok());
+  ASSERT_TRUE(fx.frac->OpenTopK(value, 3)->Drain(&rows).ok());
   EXPECT_GT(fx.BloomRejects(), rejects0);
 #endif
 }
@@ -519,7 +523,7 @@ TEST(PruningFanoutTest, EveryExecutedShapeDecidesEachFractureOnce) {
   {
     obs::TraceScope scope(&trace);
     std::vector<PtqMatch> rows;
-    ASSERT_TRUE(fx.frac->QueryPtq(value, 0.1, &rows).ok());
+    ASSERT_TRUE(fx.frac->OpenPtq(value, 0.1)->Drain(&rows).ok());
   }
   std::vector<std::string> probed;
   for (const obs::TraceOp& op : trace.ops) {

@@ -669,6 +669,56 @@ TEST(QueryTest, UnclusteredTableReportsItsName) {
 }
 
 // ---------------------------------------------------------------------------
+// Cursor kinds: which probe streams and which is eager, per design
+// ---------------------------------------------------------------------------
+
+TEST(QueryTest, EachDesignPinsItsCursorKindPerProbe) {
+  // A streaming cursor reads storage as rows are pulled; an eager one
+  // computed every row at open and serves confidence order. The kind is part
+  // of the read contract: a filtered top-k lets a streaming run filter as it
+  // descends but re-runs an eager one with a doubled bound, and a LIMIT on a
+  // cursor keeps the head of a streaming run's storage order.
+  DesignsFx fx;
+  const std::string inst = fx.gen->PopularInstitution();
+  const std::string country = fx.gen->MidCountry();
+  struct Kinds {
+    const char* design;
+    bool ptq_eager, topk_eager, secondary_eager;
+  };
+  const Kinds kKinds[] = {
+      {"upi", false, false, true},
+      {"frac", false, true, true},
+      {"heap", false, true, true},
+      {"part", true, true, true},
+  };
+  ASSERT_EQ(fx.tables.size(), std::size(kKinds));
+  for (size_t t = 0; t < fx.tables.size(); ++t) {
+    const AccessPath& path = *fx.tables[t]->path();
+    const Kinds& want = kKinds[t];
+    ASSERT_EQ(path.name(), want.design);
+    auto check = [&](const char* probe, std::unique_ptr<ResultCursor> cursor,
+                     bool eager) {
+      SCOPED_TRACE(std::string(want.design) + " " + probe);
+      EXPECT_EQ(cursor->eager(), eager);
+      std::vector<core::PtqMatch> rows;
+      ASSERT_TRUE(cursor->Drain(&rows).ok());
+      ASSERT_FALSE(rows.empty());
+      if (eager) {
+        std::vector<core::PtqMatch> sorted = rows;
+        core::SortByConfidenceDesc(&sorted);
+        EXPECT_EQ(Ids(rows), Ids(sorted));
+      }
+    };
+    check("ptq", path.OpenPtq(inst, 0.05), want.ptq_eager);
+    check("top-k", path.OpenTopK(inst, 10), want.topk_eager);
+    check("secondary",
+          path.OpenSecondary(AuthorCols::kCountry, country, 0.3,
+                             core::SecondaryAccessMode::kTailored),
+          want.secondary_eager);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // MaterializedCursor: the eager cursor behind fan-out unions and the
 // partitioned gather
 // ---------------------------------------------------------------------------

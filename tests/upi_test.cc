@@ -163,7 +163,7 @@ TEST(UpiTest, FirstAlternativeStaysInHeapEvenBelowCutoff) {
   EXPECT_EQ(upi->heap_entries(), 1u);   // X stays although 0.3 < 0.5
   EXPECT_EQ(upi->cutoff_index()->num_entries(), 1u);  // Y goes to cutoff
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi->QueryPtq("X", 0.1, &out).ok());
+  ASSERT_TRUE(upi->OpenPtq("X", 0.1)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 7u);
 }
@@ -175,7 +175,7 @@ TEST(UpiTest, Query1FromThePaper) {
                         PaperTuples())
                  .ValueOrDie();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi->QueryPtq("MIT", 0.10, &out).ok());
+  ASSERT_TRUE(upi->OpenPtq("MIT", 0.10)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].id, 2u);
   EXPECT_NEAR(out[0].confidence, 0.95, 1e-8);
@@ -184,7 +184,7 @@ TEST(UpiTest, Query1FromThePaper) {
   EXPECT_EQ(out[0].tuple.Get(0).str(), "Bob");
 
   out.clear();
-  ASSERT_TRUE(upi->QueryPtq("MIT", 0.5, &out).ok());
+  ASSERT_TRUE(upi->OpenPtq("MIT", 0.5)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 2u);
 }
@@ -196,14 +196,14 @@ TEST(UpiTest, QueryBelowCutoffFollowsPointers) {
                  .ValueOrDie();
   // UCB@5% lives only in the cutoff index; QT=1% < C=10% must find it.
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi->QueryPtq("UCB", 0.01, &out).ok());
+  ASSERT_TRUE(upi->OpenPtq("UCB", 0.01)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 2u);
   EXPECT_NEAR(out[0].confidence, 0.05, 1e-8);
   EXPECT_EQ(out[0].tuple.Get(0).str(), "Bob");
   // ... while QT=10% >= C skips the cutoff index and finds nothing.
   out.clear();
-  ASSERT_TRUE(upi->QueryPtq("UCB", 0.10, &out).ok());
+  ASSERT_TRUE(upi->OpenPtq("UCB", 0.10)->Drain(&out).ok());
   EXPECT_TRUE(out.empty());
 }
 
@@ -221,8 +221,8 @@ TEST(UpiTest, InsertMatchesBulkBuild) {
             incremental->cutoff_index()->num_entries());
   for (const char* v : {"MIT", "Brown", "UCB", "U.Tokyo"}) {
     std::vector<PtqMatch> r1, r2;
-    ASSERT_TRUE(built->QueryPtq(v, 0.01, &r1).ok());
-    ASSERT_TRUE(incremental->QueryPtq(v, 0.01, &r2).ok());
+    ASSERT_TRUE(built->OpenPtq(v, 0.01)->Drain(&r1).ok());
+    ASSERT_TRUE(incremental->OpenPtq(v, 0.01)->Drain(&r2).ok());
     ASSERT_EQ(r1.size(), r2.size()) << v;
     for (size_t i = 0; i < r1.size(); ++i) {
       EXPECT_EQ(r1[i].id, r2[i].id);
@@ -241,7 +241,7 @@ TEST(UpiTest, DeleteRemovesAllTraces) {
   EXPECT_EQ(upi->num_tuples(), 2u);
   EXPECT_EQ(upi->cutoff_index()->num_entries(), 0u);  // UCB pointer gone
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi->QueryPtq("MIT", 0.01, &out).ok());
+  ASSERT_TRUE(upi->OpenPtq("MIT", 0.01)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 1u);  // only Alice remains
   EXPECT_EQ(out[0].id, 1u);
 }
@@ -252,11 +252,11 @@ TEST(UpiTest, TopKTerminatesEarly) {
                         PaperTuples())
                  .ValueOrDie();
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi->QueryTopK("MIT", 1, &out).ok());
+  ASSERT_TRUE(upi->OpenTopK("MIT", 1)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 2u);  // Bob, the highest confidence
   out.clear();
-  ASSERT_TRUE(upi->QueryTopK("MIT", 10, &out).ok());
+  ASSERT_TRUE(upi->OpenTopK("MIT", 10)->Drain(&out).ok());
   EXPECT_EQ(out.size(), 2u);  // only two MIT tuples exist
 }
 
@@ -296,7 +296,7 @@ TEST(UpiTest, SecondaryQueryPaperExample) {
   for (SecondaryAccessMode mode :
        {SecondaryAccessMode::kTailored, SecondaryAccessMode::kFirstPointer}) {
     std::vector<PtqMatch> out;
-    ASSERT_TRUE(upi->QueryBySecondary(2, "US", 0.8, mode, &out).ok());
+    ASSERT_TRUE(upi->OpenSecondary(2, "US", 0.8, mode)->Drain(&out).ok());
     std::set<TupleId> ids;
     for (const auto& m : out) ids.insert(m.id);
     EXPECT_EQ(ids, (std::set<TupleId>{1, 2}));
@@ -327,17 +327,18 @@ TEST(UpiTest, TailoredAccessPrefersSharedRegions) {
   env.ColdCache();
   sim::StatsWindow w1(env.disk());
   std::vector<PtqMatch> out1;
-  ASSERT_TRUE(upi->QueryBySecondary(2, "US", 0.8,
-                                    SecondaryAccessMode::kTailored, &out1)
+  ASSERT_TRUE(upi->OpenSecondary(2, "US", 0.8, SecondaryAccessMode::kTailored)
+                  ->Drain(&out1)
                   .ok());
   double tailored_ms = w1.ElapsedMs();
 
   env.ColdCache();
   sim::StatsWindow w2(env.disk());
   std::vector<PtqMatch> out2;
-  ASSERT_TRUE(upi->QueryBySecondary(2, "US", 0.8,
-                                    SecondaryAccessMode::kFirstPointer, &out2)
-                  .ok());
+  ASSERT_TRUE(
+      upi->OpenSecondary(2, "US", 0.8, SecondaryAccessMode::kFirstPointer)
+          ->Drain(&out2)
+          .ok());
   double first_ms = w2.ElapsedMs();
   EXPECT_EQ(out1.size(), out2.size());
   EXPECT_LE(tailored_ms, first_ms + 1e-9);
@@ -366,8 +367,9 @@ sim::DiskStats ColdSortedFetch(sim::DeviceProfile profile, bool get_loop) {
   sim::StatsWindow window(env.disk());
   if (!get_loop) {
     std::vector<PtqMatch> rows;
-    UPI_CHECK(upi->QueryBySecondary(col, country, qt,
-                                    SecondaryAccessMode::kFirstPointer, &rows)
+    UPI_CHECK(upi->OpenSecondary(col, country, qt,
+                                 SecondaryAccessMode::kFirstPointer)
+                      ->Drain(&rows)
                       .ok() &&
                   rows.size() > 100,
               "a secondary sweep worth measuring");
@@ -447,7 +449,7 @@ TEST_P(UpiOracleTest, MatchesBruteForce) {
       if (conf >= qt && conf > 0) oracle[t.id()] = conf;
     }
     std::vector<PtqMatch> out;
-    ASSERT_TRUE(upi->QueryPtq(value, qt, &out).ok());
+    ASSERT_TRUE(upi->OpenPtq(value, qt)->Drain(&out).ok());
     std::map<TupleId, double> got;
     for (const auto& m : out) got[m.id] = m.confidence;
     ASSERT_EQ(got.size(), oracle.size())
@@ -468,8 +470,9 @@ TEST_P(UpiOracleTest, MatchesBruteForce) {
       if (conf >= qt && conf > 0) oracle[t.id()] = conf;
     }
     std::vector<PtqMatch> out;
-    ASSERT_TRUE(upi->QueryBySecondary(datagen::AuthorCols::kCountry, value, qt,
-                                      SecondaryAccessMode::kTailored, &out)
+    ASSERT_TRUE(upi->OpenSecondary(datagen::AuthorCols::kCountry, value, qt,
+                                   SecondaryAccessMode::kTailored)
+                    ->Drain(&out)
                     .ok());
     std::map<TupleId, double> got;
     for (const auto& m : out) got[m.id] = m.confidence;
@@ -538,7 +541,7 @@ TEST(UpiTest, TopKSpansIntoCutoffIndex) {
       Upi::Build(&env, "a", PaperSchema(), opt, {}, tuples).ValueOrDie();
   // Y-alternatives (prob 0.15..0.4) are all below C=0.4 -> cutoff.
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi->QueryTopK("Y", 4, &out).ok());
+  ASSERT_TRUE(upi->OpenTopK("Y", 4)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 4u);
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(out[i - 1].confidence, out[i].confidence);
@@ -559,14 +562,14 @@ TEST(UpiTest, DeleteThenPtqAndSecondaryQueries) {
 
   ASSERT_TRUE(upi.Delete(tuples[0]).ok());  // Alice (US 90%)
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi.QueryPtq("Brown", 0.01, &out).ok());
+  ASSERT_TRUE(upi.OpenPtq("Brown", 0.01)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 1u);  // only Carol's Brown alternative remains
   EXPECT_EQ(out[0].id, 3u);
 
   for (auto mode : {SecondaryAccessMode::kFirstPointer,
                     SecondaryAccessMode::kTailored}) {
     out.clear();
-    ASSERT_TRUE(upi.QueryBySecondary(2, "US", 0.1, mode, &out).ok());
+    ASSERT_TRUE(upi.OpenSecondary(2, "US", 0.1, mode)->Drain(&out).ok());
     ASSERT_EQ(out.size(), 2u) << "mode " << static_cast<int>(mode);
     for (const auto& m : out) EXPECT_NE(m.id, 1u);
   }
@@ -577,18 +580,18 @@ TEST(UpiTest, DeleteThenPtqAndSecondaryQueries) {
   // Delete Bob too: his below-cutoff UCB pointer and US entry must go.
   ASSERT_TRUE(upi.Delete(tuples[1]).ok());
   out.clear();
-  ASSERT_TRUE(upi.QueryPtq("UCB", 0.01, &out).ok());
+  ASSERT_TRUE(upi.OpenPtq("UCB", 0.01)->Drain(&out).ok());
   EXPECT_TRUE(out.empty());
   out.clear();
-  ASSERT_TRUE(
-      upi.QueryBySecondary(2, "US", 0.1, SecondaryAccessMode::kTailored, &out)
-          .ok());
+  ASSERT_TRUE(upi.OpenSecondary(2, "US", 0.1, SecondaryAccessMode::kTailored)
+                  ->Drain(&out)
+                  .ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 3u);
 }
 
 TEST(UpiTest, TopKFallsBackToCutoffWhenHeapHasFewerThanK) {
-  // After deletes shrink the heap-resident entries below k, QueryTopK must
+  // After deletes shrink the heap-resident entries below k, OpenTopK must
   // serve the tail through the cutoff index (Section 3.1's fallback).
   storage::DbEnv env;
   UpiOptions opt = PaperOptions();
@@ -613,7 +616,7 @@ TEST(UpiTest, TopKFallsBackToCutoffWhenHeapHasFewerThanK) {
 
   // With t7 present the heap holds one qualifying Y entry; ask for more.
   std::vector<PtqMatch> out;
-  ASSERT_TRUE(upi->QueryTopK("Y", 3, &out).ok());
+  ASSERT_TRUE(upi->OpenTopK("Y", 3)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].id, 7u);  // the heap entry leads
   for (size_t i = 1; i < out.size(); ++i) {
@@ -624,7 +627,7 @@ TEST(UpiTest, TopKFallsBackToCutoffWhenHeapHasFewerThanK) {
   // served entirely from the cutoff index.
   ASSERT_TRUE(upi->Delete(tuples.back()).ok());
   out.clear();
-  ASSERT_TRUE(upi->QueryTopK("Y", 3, &out).ok());
+  ASSERT_TRUE(upi->OpenTopK("Y", 3)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 3u);
   for (const auto& m : out) EXPECT_NE(m.id, 7u);
   // Cutoff Y alternatives are 1 - strong: strongest first => id 1.
@@ -707,7 +710,7 @@ TEST(UpiTest, FailedBuildOrMergeLeavesNoFileBehind) {
                     .ValueOrDie();
   EXPECT_EQ(env.TotalFileBytes(), bytes + merged->size_bytes());
   std::vector<PtqMatch> rows;
-  ASSERT_TRUE(merged->QueryPtq("MIT", 0.1, &rows).ok());
+  ASSERT_TRUE(merged->OpenPtq("MIT", 0.1)->Drain(&rows).ok());
   EXPECT_EQ(rows.size(), 2u);
 }
 
@@ -734,7 +737,7 @@ TEST(UpiTest, BuildRejectsARepeatedTupleId) {
                         {repeated[0]})
                  .ValueOrDie();
   std::vector<PtqMatch> rows;
-  ASSERT_TRUE(upi->QueryPtq("MIT", 0.3, &rows).ok());
+  ASSERT_TRUE(upi->OpenPtq("MIT", 0.3)->Drain(&rows).ok());
   EXPECT_EQ(rows.size(), 1u);
 }
 

@@ -216,6 +216,30 @@ TEST(WalFormatTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(wal::DecodeRecord(wal::FramePayload(frame)).ok());
 }
 
+TEST(WalFormatTest, DecodeRejectsAPageSizeOtherThanTheUpiPage) {
+  // The create record keeps its 4-byte page-size slot, so logs written
+  // before the page size became a constant still replay. Every UPI page is
+  // core::Upi::kPageSize: any other value is a corrupt record, not a table
+  // of another page size.
+  wal::TableSpec spec;
+  spec.kind = wal::TableKind::kUpi;
+  spec.schema = datagen::DblpGenerator::AuthorSchema();
+  spec.options.cluster_column = AuthorCols::kInstitution;
+  std::string payload(
+      wal::FramePayload(wal::EncodeCreateTable("t", spec, {})));
+  ASSERT_TRUE(wal::DecodeRecord(payload).ok());
+  std::string page;
+  PutFixed32(&page, core::Upi::kPageSize);
+  const size_t slot = payload.find(page);
+  ASSERT_NE(slot, std::string::npos);
+  ASSERT_EQ(payload.find(page, slot + 1), std::string::npos);
+  std::string other;
+  PutFixed32(&other, 4096);
+  payload.replace(slot, other.size(), other);
+  EXPECT_EQ(wal::DecodeRecord(payload).status().code(),
+            StatusCode::kCorruption);
+}
+
 TEST(WalFormatTest, EncodersLeaveTheHeaderSlotForSealFrame) {
   std::string frame =
       wal::EncodeMaintenance("t", 3, wal::MaintenanceOp::kMergeAll, 0);
