@@ -108,7 +108,10 @@ int main(int argc, char** argv) {
   std::printf("Top-5 most-confident %s authors (streamed):\n", inst.c_str());
   engine::RowView row;
   while (cursor->Next(&row)) {
-    std::printf("  %-12s confidence=%.2f\n", row.tuple->Get(0).str().c_str(),
+    // The row's tuple stays encoded; this decodes its name column alone.
+    catalog::Value name =
+        row.tuple.Column(datagen::AuthorCols::kName).ValueOrDie();
+    std::printf("  %-12s confidence=%.2f\n", name.str().c_str(),
                 row.confidence);
   }
   bench::CheckOk(cursor->status());

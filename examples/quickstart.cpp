@@ -22,10 +22,15 @@ prob::DiscreteDistribution Dist(std::vector<prob::Alternative> alts) {
   return prob::DiscreteDistribution::Make(std::move(alts)).ValueOrDie();
 }
 
+/// A row keeps its tuple encoded: reading the name decodes that one column.
+std::string NameOf(catalog::TupleView tuple) {
+  return tuple.Column(0).ValueOrDie().str();
+}
+
 void PrintMatches(const char* what, const std::vector<core::PtqMatch>& out) {
   std::printf("%s -> %s\n", what, exec::Summarize(out).c_str());
   for (const auto& m : out) {
-    std::printf("  %-6s confidence=%.0f%%\n", m.tuple.Get(0).str().c_str(),
+    std::printf("  %-6s confidence=%.0f%%\n", NameOf(m.tuple.view()).c_str(),
                 m.confidence * 100.0);
   }
 }
@@ -70,9 +75,8 @@ int main() {
   table->upi()->ScanHeap([&](std::string_view key, std::string_view tuple_bytes) {
     core::UpiKey k;
     (void)core::DecodeUpiKey(key, &k);
-    auto t = catalog::Tuple::Deserialize(tuple_bytes).ValueOrDie();
     std::printf("  %-9s (%2.0f%%)  %s\n", k.attr.c_str(), k.prob * 100.0,
-                t.Get(0).str().c_str());
+                NameOf(catalog::TupleView(tuple_bytes)).c_str());
   });
   std::printf("Cutoff index holds %llu entry(ies) — Bob's UCB@5%% pointer.\n\n",
               static_cast<unsigned long long>(
@@ -119,7 +123,7 @@ int main() {
   engine::RowView row;
   std::printf("\nTop-1 for Institution=Brown (streamed):\n");
   while (cursor->Next(&row)) {
-    std::printf("  %-6s confidence=%.0f%%\n", row.tuple->Get(0).str().c_str(),
+    std::printf("  %-6s confidence=%.0f%%\n", NameOf(row.tuple).c_str(),
                 row.confidence * 100.0);
   }
   if (!cursor->status().ok()) {

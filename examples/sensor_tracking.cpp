@@ -93,7 +93,10 @@ int main(int argc, char** argv) {
   std::printf("5-NN around (%.0f, %.0f) after %d range expansions:\n", center.x,
               center.y, rounds);
   for (const auto& m : knn) {
-    const auto& g = m.tuple.Get(datagen::CarObsCols::kLocation).gaussian();
+    // One column of the encoded row: the location, decoded alone.
+    const catalog::Value loc =
+        m.tuple.Column(datagen::CarObsCols::kLocation).ValueOrDie();
+    const auto& g = loc.gaussian();
     std::printf("  car %llu at (%.0f, %.0f), conf %.2f\n",
                 static_cast<unsigned long long>(m.id), g.mean().x, g.mean().y,
                 m.confidence);

@@ -78,7 +78,7 @@ Status SecondaryUtree::QueryRange(const UnclusteredTable& table,
     core::PtqMatch m;
     m.id = h.id;
     m.confidence = h.prob;
-    UPI_ASSIGN_OR_RETURN(m.tuple, Tuple::Deserialize(bytes));
+    UPI_RETURN_NOT_OK(m.tuple.Assign(bytes));
     out->push_back(std::move(m));
   }
   return Status::OK();

@@ -20,8 +20,7 @@ Status Fetch(const storage::HeapFile& heap, const PiiIndex::Entry& entry,
   UPI_RETURN_NOT_OK(heap.Read(entry.rid, &bytes));
   out->id = entry.key.id;
   out->confidence = entry.key.prob;
-  UPI_ASSIGN_OR_RETURN(out->tuple, Tuple::Deserialize(bytes));
-  return Status::OK();
+  return out->tuple.Assign(bytes);
 }
 
 /// OpenPii's cursor: the inverted-list entries in RID order, each tuple

@@ -79,41 +79,46 @@ Status Value::Deserialize(const char** p, const char* limit, Value* out) {
   if (*p >= limit) return Status::Corruption("truncated value");
   auto type = static_cast<ValueType>(**p);
   ++*p;
+  const auto left = [&] { return static_cast<size_t>(limit - *p); };
   switch (type) {
     case ValueType::kNull:
-      *out = Value::Null();
+      if (out != nullptr) *out = Value::Null();
       return Status::OK();
     case ValueType::kInt64: {
-      if (*p + 8 > limit) return Status::Corruption("truncated int64");
-      *out = Value::Int64(static_cast<int64_t>(GetFixed64BE(*p)));
+      if (left() < 8) return Status::Corruption("truncated int64");
+      if (out != nullptr) {
+        *out = Value::Int64(static_cast<int64_t>(GetFixed64BE(*p)));
+      }
       *p += 8;
       return Status::OK();
     }
     case ValueType::kDouble: {
-      if (*p + 8 > limit) return Status::Corruption("truncated double");
-      *out = Value::Double(DecodeOrderedDouble(*p));
+      if (left() < 8) return Status::Corruption("truncated double");
+      if (out != nullptr) *out = Value::Double(DecodeOrderedDouble(*p));
       *p += 8;
       return Status::OK();
     }
     case ValueType::kString: {
       uint32_t len;
       size_t n = GetVarint32(*p, limit, &len);
-      if (n == 0 || *p + n + len > limit) return Status::Corruption("truncated string");
+      if (n == 0 || left() - n < len) return Status::Corruption("truncated string");
       *p += n;
-      *out = Value::String(std::string(*p, len));
+      if (out != nullptr) *out = Value::String(std::string(*p, len));
       *p += len;
       return Status::OK();
     }
     case ValueType::kDiscrete: {
       prob::DiscreteDistribution d;
-      UPI_RETURN_NOT_OK(prob::DiscreteDistribution::Deserialize(p, limit, &d));
-      *out = Value::Discrete(std::move(d));
+      UPI_RETURN_NOT_OK(prob::DiscreteDistribution::Deserialize(
+          p, limit, out != nullptr ? &d : nullptr));
+      if (out != nullptr) *out = Value::Discrete(std::move(d));
       return Status::OK();
     }
     case ValueType::kGaussian2D: {
       prob::ConstrainedGaussian2D g;
-      UPI_RETURN_NOT_OK(prob::ConstrainedGaussian2D::Deserialize(p, limit, &g));
-      *out = Value::Gaussian(std::move(g));
+      UPI_RETURN_NOT_OK(prob::ConstrainedGaussian2D::Deserialize(
+          p, limit, out != nullptr ? &g : nullptr));
+      if (out != nullptr) *out = Value::Gaussian(std::move(g));
       return Status::OK();
     }
   }

@@ -48,6 +48,9 @@ class Value {
   }
 
   void Serialize(std::string* out) const;
+  /// Decodes one serialized value at *p and advances past it. With `out`
+  /// null it only walks past it: the same checks, so the same Corruption,
+  /// and no allocation.
   static Status Deserialize(const char** p, const char* limit, Value* out);
 
   bool operator==(const Value& o) const { return type_ == o.type_ && data_ == o.data_; }

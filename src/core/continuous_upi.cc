@@ -233,10 +233,9 @@ Status ContinuousUpi::Insert(const Tuple& tuple) {
 // ---------------------------------------------------------------------------
 
 Status ContinuousUpi::FetchByHeapKey(const std::string& heap_key,
-                                     Tuple* out) const {
+                                     catalog::EncodedTuple* out) const {
   UPI_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(heap_key));
-  UPI_ASSIGN_OR_RETURN(*out, Tuple::Deserialize(bytes));
-  return Status::OK();
+  return out->Assign(bytes);
 }
 
 Status ContinuousUpi::QueryRange(Point center, double radius, double qt,

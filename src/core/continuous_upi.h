@@ -99,7 +99,8 @@ class ContinuousUpi {
 
   Status MoveHeapTuple(catalog::TupleId id, uint64_t from_label,
                        uint64_t to_label);
-  Status FetchByHeapKey(const std::string& heap_key, catalog::Tuple* out) const;
+  Status FetchByHeapKey(const std::string& heap_key,
+                        catalog::EncodedTuple* out) const;
   rtree::ObjectEntry MakeEntry(const catalog::Tuple& tuple) const;
 
   const int location_column_;

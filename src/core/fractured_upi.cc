@@ -274,7 +274,7 @@ uint64_t FracturedUpi::size_bytes() const {
 // ---------------------------------------------------------------------------
 
 void FracturedUpi::QueryBuffer(int column, std::string_view value, double qt,
-                               std::vector<PtqMatch>* out) const {
+                               std::vector<BufferHit>* out) const {
   for (const auto& [id, bt] : buffer_) {
     const Value& v = bt.tuple.Get(column);
     if (v.type() != ValueType::kDiscrete) continue;
@@ -282,7 +282,7 @@ void FracturedUpi::QueryBuffer(int column, std::string_view value, double qt,
     double p =
         QuantizeProb(v.discrete().ProbabilityOf(value) * bt.tuple.existence());
     if (p >= qt && p > 0.0) {
-      out->push_back(PtqMatch{id, p, bt.tuple});
+      out->push_back(BufferHit{id, p, &bt.tuple});
     }
   }
 }
@@ -325,8 +325,10 @@ std::unique_ptr<ResultCursor> FracturedUpi::OpenSecondary(
     int column, std::string_view value, double qt,
     SecondaryAccessMode mode) const {
   std::shared_lock lock(mu_);
+  std::vector<BufferHit> hits;
+  QueryBuffer(column, value, qt, &hits);
   std::vector<PtqMatch> rows;
-  QueryBuffer(column, value, qt, &rows);
+  for (const BufferHit& h : hits) rows.push_back(h.Row());
   Status st = Status::OK();
   for (const Fracture& f : fractures_) {
     // The summary fences cover every secondary alternative, so a fracture
@@ -348,7 +350,18 @@ std::unique_ptr<ResultCursor> FracturedUpi::OpenTopK(std::string_view value,
   if (k == 0) return std::make_unique<MaterializedCursor>(std::move(rows));
   const int col = options_.cluster_column;
   // Buffer candidates compete at any confidence (no threshold in top-k).
-  QueryBuffer(col, value, 0.0, &rows);
+  // Only the buffer's k best can reach the answer, so only they serialize.
+  std::vector<BufferHit> hits;
+  QueryBuffer(col, value, 0.0, &hits);
+  auto before = [](const BufferHit& a, const BufferHit& b) {
+    if (a.confidence != b.confidence) return a.confidence > b.confidence;
+    return a.id < b.id;
+  };
+  if (hits.size() > k) {
+    std::nth_element(hits.begin(), hits.begin() + (k - 1), hits.end(), before);
+    hits.resize(k);
+  }
+  for (const BufferHit& h : hits) rows.push_back(h.Row());
   // Running k-th-best bound: a min-heap of the k highest confidences seen so
   // far. A later fracture must beat heap.top() to change the answer.
   std::priority_queue<double, std::vector<double>, std::greater<double>> best;
@@ -389,7 +402,7 @@ std::unique_ptr<ResultCursor> FracturedUpi::OpenTopK(std::string_view value,
 }
 
 Status FracturedUpi::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>& fn) const {
+    const std::function<void(catalog::TupleView)>& fn) const {
   // No filter, no pruning: every fracture can hold live tuples.
   return ScanTuplesMatching(/*column=*/-1, std::string_view(), /*qt=*/-1.0,
                             fn);
@@ -397,7 +410,7 @@ Status FracturedUpi::ScanTuples(
 
 Status FracturedUpi::ScanTuplesMatching(
     int column, std::string_view value, double qt,
-    const std::function<void(const catalog::Tuple&)>& fn) const {
+    const std::function<void(catalog::TupleView)>& fn) const {
   std::shared_lock lock(mu_);
   // qt < 0 marks the unfiltered sweep (ScanTuples): nothing can be pruned.
   const bool filtered = qt >= 0.0;
@@ -407,9 +420,12 @@ Status FracturedUpi::ScanTuplesMatching(
   // The RAM buffer first: its tuples shadow nothing (TupleIds are unique),
   // and emitting them costs no I/O. It has no summary, so it is never
   // pruned — the scan-filter caller re-checks the predicate anyway.
+  std::string bytes;
   for (const auto& [id, bt] : buffer_) {
     seen.insert(id);
-    fn(bt.tuple);
+    bytes.clear();
+    bt.tuple.Serialize(&bytes);
+    fn(catalog::TupleView(bytes));
   }
   if (trace != nullptr && !buffer_.empty()) {
     obs::TraceOp op;
@@ -446,12 +462,9 @@ Status FracturedUpi::ScanTuplesMatching(
       // and apply both the flushed and the still-buffered delete sets.
       if (Deleted(k.id)) return;
       if (!seen.insert(k.id).second) return;
-      auto tuple = catalog::Tuple::Deserialize(tuple_bytes);
-      if (!tuple.ok()) {
-        st = tuple.status();
-        return;
-      }
-      fn(std::move(tuple).value());
+      st = catalog::TupleView::Validate(tuple_bytes);
+      if (!st.ok()) return;
+      fn(catalog::TupleView(tuple_bytes));
       ++emitted;
     });
     if (op_scope.active()) op_scope.Finish(upi.name(), emitted);
@@ -476,7 +489,9 @@ class FracturedPtqCursor : public ResultCursor {
   const FracturedUpi* table_;
   std::string value_;
   double qt_ = 0.0;
-  std::vector<PtqMatch> buffer_rows_;
+  // The buffer's matches, serialized as they are pulled (lock_ keeps the
+  // buffered tuples in place).
+  std::vector<FracturedUpi::BufferHit> buffer_hits_;
   size_t buf_idx_ = 0;
   std::vector<const Upi*> pending_;  // post-pruning fan-out, opened lazily
   size_t next_fracture_ = 0;
@@ -495,7 +510,7 @@ FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
   // The RAM buffer's matches are collected eagerly — they cost no I/O and
   // stream first.
   const int col = table_->options_.cluster_column;
-  table_->QueryBuffer(col, value_, qt_, &buffer_rows_);
+  table_->QueryBuffer(col, value_, qt_, &buffer_hits_);
   obs::QueryTrace* trace = obs::CurrentTrace();
   for (const Fracture& f : table_->fractures_) {
     if (!table_->Prune(f, col, value_, qt_)) {
@@ -510,17 +525,17 @@ FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
       trace->ops.push_back(std::move(op));
     }
   }
-  if (trace != nullptr && !buffer_rows_.empty()) {
+  if (trace != nullptr && !buffer_hits_.empty()) {
     obs::TraceOp op;
     op.label = table_->name_ + ".buffer";
-    op.rows = buffer_rows_.size();  // RAM scan: no I/O by construction
+    op.rows = buffer_hits_.size();  // RAM scan: no I/O by construction
     trace->ops.push_back(std::move(op));
   }
 }
 
 bool FracturedPtqCursor::Produce(PtqMatch* out) {
-  if (buf_idx_ < buffer_rows_.size()) {
-    *out = std::move(buffer_rows_[buf_idx_++]);
+  if (buf_idx_ < buffer_hits_.size()) {
+    *out = buffer_hits_[buf_idx_++].Row();
     return true;
   }
   for (;;) {

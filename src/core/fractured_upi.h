@@ -215,9 +215,11 @@ class FracturedUpi {
 
   /// Full sequential sweep: RAM-buffered tuples first (no I/O), then the
   /// fracture list in order, deduplicated by TupleId with delete sets
-  /// applied — `fn` runs exactly once per live tuple. Opens each fracture's
-  /// heap file like every other fractured read.
-  Status ScanTuples(const std::function<void(const catalog::Tuple&)>& fn) const;
+  /// applied — `fn` runs exactly once per live tuple, with a view of its
+  /// serialized bytes (valid during the call): a heap entry's, validated,
+  /// or a buffered tuple serialized for the call. Opens each fracture's heap
+  /// file like every other fractured read.
+  Status ScanTuples(const std::function<void(catalog::TupleView)>& fn) const;
 
   /// ScanTuples for a scan-filter on (column, value, qt): identical
   /// semantics over the tuples that could match, but fractures whose
@@ -225,7 +227,7 @@ class FracturedUpi {
   /// skipped without any I/O. column < 0 means the clustered attribute.
   Status ScanTuplesMatching(
       int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const;
+      const std::function<void(catalog::TupleView)>& fn) const;
 
   // --- Fracture pruning (see core/fracture_summary.h) ---------------------
 
@@ -340,10 +342,11 @@ class FracturedUpi {
   bool Deleted(catalog::TupleId id) const {
     return deleted_.contains(id) || buffer_deletes_.contains(id);
   }
-  /// A fracture cursor's predicate that skips deleted rows. The caller
-  /// holds at least the shared lock while the cursor is pulled.
-  std::function<bool(const catalog::Tuple&)> NotDeleted() const {
-    return [this](const catalog::Tuple& t) { return !Deleted(t.id()); };
+  /// A fracture cursor's predicate that skips deleted rows, reading the
+  /// row's id only. The caller holds at least the shared lock while the
+  /// cursor is pulled.
+  RowPredicate NotDeleted() const {
+    return [this](const RowView& row) { return !Deleted(row.id); };
   }
   void RetuneFromBuffer();
   /// FlushBuffer body; caller holds the exclusive lock. Returns whether it
@@ -368,9 +371,21 @@ class FracturedUpi {
   int ResolveColumn(int column) const {
     return column < 0 ? options_.cluster_column : column;
   }
+  /// A buffered tuple that matches a probe. `tuple` points into buffer_,
+  /// so it is valid while the caller holds the lock.
+  struct BufferHit {
+    catalog::TupleId id = 0;
+    double confidence = 0.0;
+    const catalog::Tuple* tuple = nullptr;
+
+    /// The result row, serialized from the buffered tuple.
+    PtqMatch Row() const {
+      return PtqMatch{id, confidence, catalog::EncodedTuple(*tuple)};
+    }
+  };
   /// The RAM buffer's matches of (column, value, qt); column is concrete.
   void QueryBuffer(int column, std::string_view value, double qt,
-                   std::vector<PtqMatch>* out) const;
+                   std::vector<BufferHit>* out) const;
   /// Writes `ids` sequentially to a fresh delete-set file (cost accounting)
   /// and records it in delete_sets_. Caller holds the exclusive lock.
   Status PersistDeleteSet(const std::string& name,

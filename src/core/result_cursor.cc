@@ -20,7 +20,7 @@ bool ResultCursor::Advance() {
   if (limit_ > 0 && rows_ >= limit_) return false;
   for (;;) {
     if (!Produce(&slot_)) return false;
-    if (predicate_ && !predicate_(slot_.tuple)) continue;
+    if (predicate_ && !predicate_(slot_.view())) continue;
     ++rows_;
     return true;
   }
@@ -28,9 +28,7 @@ bool ResultCursor::Advance() {
 
 bool ResultCursor::Next(RowView* row) {
   if (!Advance()) return false;
-  row->id = slot_.id;
-  row->confidence = slot_.confidence;
-  row->tuple = &slot_.tuple;
+  *row = slot_.view();
   return true;
 }
 

@@ -11,6 +11,14 @@
 // A cursor is either streaming — it reads storage as rows are pulled, so a
 // consumer that stops early never pays for the rest — or eager: every row was
 // computed, and its I/O charged, at open (MaterializedCursor).
+//
+// A row is its id, its confidence and its tuple's serialized bytes, copied
+// from where the read found them (a heap leaf, a heap-file record) and
+// decoded only when a consumer asks: one column, or the whole tuple. The
+// copy is checked by a validation walk as the row is produced, so a
+// malformed tuple fails the cursor with Corruption, and a later decode of a
+// row cannot fail. Only the Fractured UPI's RAM insert buffer holds decoded
+// tuples; it serializes the rows a read returns.
 #pragma once
 
 #include <functional>
@@ -21,24 +29,33 @@
 
 namespace upi::core {
 
-/// One result row.
+/// A borrowed view of one row: the cursor's current row (valid until the
+/// next Next()/TakeNext() call or cursor destruction), or a PtqMatch's.
+struct RowView {
+  catalog::TupleId id = 0;
+  double confidence = 0.0;
+  catalog::TupleView tuple;
+};
+
+/// One result row: its id, its confidence and its tuple, kept encoded —
+/// `tuple.Column(i)` decodes one column, `tuple.Decode()` the whole tuple,
+/// and most consumers read neither. The row owns its bytes, so it outlives
+/// the cursor, the page and the table version it was read from.
 struct PtqMatch {
   catalog::TupleId id = 0;
   double confidence = 0.0;
-  catalog::Tuple tuple;
+  catalog::EncodedTuple tuple;
+
+  RowView view() const { return {id, confidence, tuple.view()}; }
 };
+
+/// A residual filter on a row. It sees the row, not a decoded tuple, so a
+/// test of the id or the confidence decodes nothing.
+using RowPredicate = std::function<bool(const RowView&)>;
 
 /// Sorts matches into the order every eager read delivers: descending
 /// confidence, ties by TupleId.
 void SortByConfidenceDesc(std::vector<PtqMatch>* matches);
-
-/// A borrowed view of the cursor's current row; valid until the next
-/// Next()/TakeNext() call or cursor destruction.
-struct RowView {
-  catalog::TupleId id = 0;
-  double confidence = 0.0;
-  const catalog::Tuple* tuple = nullptr;
-};
 
 /// Pull-based result stream. Subclasses implement Produce; the base class
 /// enforces the row limit and the residual predicate so every producer stays
@@ -56,7 +73,7 @@ class ResultCursor {
   /// Views the next row; false at end of stream or error (check status()).
   bool Next(RowView* row);
 
-  /// Moves the next row out (avoids a tuple copy when the caller keeps it).
+  /// Moves the next row out (avoids a byte copy when the caller keeps it).
   bool TakeNext(PtqMatch* match);
 
   /// Moves every remaining row onto the end of `out`; returns status().
@@ -75,15 +92,16 @@ class ResultCursor {
 
   /// Residual filter; rows failing it are skipped (and not counted against
   /// the limit).
-  void SetPredicate(std::function<bool(const catalog::Tuple&)> pred) {
-    predicate_ = std::move(pred);
-  }
+  void SetPredicate(RowPredicate pred) { predicate_ = std::move(pred); }
 
  protected:
   ResultCursor() = default;
 
   /// Produces the next raw row, pre-limit/predicate. False = end or error
-  /// (set status_ before returning false on error).
+  /// (set status_ before returning false on error). A producer fills the
+  /// row's tuple from bytes it already holds through
+  /// catalog::EncodedTuple::Assign, whose validation walk fails the cursor
+  /// with Corruption on a malformed tuple here, when the row is produced.
   virtual bool Produce(PtqMatch* out) = 0;
 
   Status status_;
@@ -92,7 +110,7 @@ class ResultCursor {
   bool Advance();
 
   size_t limit_ = 0;  // 0 = unlimited
-  std::function<bool(const catalog::Tuple&)> predicate_;
+  RowPredicate predicate_;
   PtqMatch slot_;
   size_t rows_ = 0;
 };

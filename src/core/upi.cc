@@ -496,9 +496,12 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
         if (k.prob < c_merged) {
           // Possibly demote: only a tuple's first alternative stays in the
           // heap below the cutoff (Algorithm 1).
-          UPI_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(value));
-          const auto& dist = t.Get(options.cluster_column).discrete();
-          const prob::Alternative& first = dist.First();
+          const catalog::TupleView t(value);
+          UPI_ASSIGN_OR_RETURN(Value cv, t.Column(options.cluster_column));
+          if (cv.type() != ValueType::kDiscrete || cv.discrete().empty()) {
+            return Status::Corruption("heap tuple lacks clustered alternatives");
+          }
+          const prob::Alternative& first = cv.discrete().First();
           if (first.value != k.attr) {
             demotions.push_back(Demoted{
                 attr, k.prob, k.id,
@@ -649,17 +652,15 @@ Result<std::unique_ptr<Upi>> Upi::Merge(const std::vector<const Upi*>& sources,
 // ---------------------------------------------------------------------------
 
 Status Upi::FetchHeapTuple(std::string_view heap_key,
-                           btree::SortedLookup* sorted, Tuple* out) const {
-  std::string copy;
-  std::string_view bytes;
+                           btree::SortedLookup* sorted,
+                           catalog::EncodedTuple* out) const {
   if (sorted != nullptr) {
+    std::string_view bytes;
     UPI_RETURN_NOT_OK(sorted->Get(heap_key, &bytes));
-  } else {
-    UPI_ASSIGN_OR_RETURN(copy, heap_->Get(heap_key));
-    bytes = copy;
+    return out->Assign(bytes);
   }
-  UPI_ASSIGN_OR_RETURN(*out, Tuple::Deserialize(bytes));
-  return Status::OK();
+  UPI_ASSIGN_OR_RETURN(std::string bytes, heap_->Get(heap_key));
+  return out->Assign(bytes);
 }
 
 std::unique_ptr<ResultCursor> Upi::OpenSecondary(
@@ -851,15 +852,14 @@ bool UpiPtqCursor::NextHeap(PtqMatch* out) {
     EnterCutoffPhase();
     return false;
   }
-  auto tuple = catalog::Tuple::Deserialize(heap_.value());
-  if (!tuple.ok()) {
-    status_ = tuple.status();
+  st = out->tuple.Assign(heap_.value());
+  if (!st.ok()) {
+    status_ = st;
     phase_ = Phase::kDone;
     return false;
   }
   out->id = key.id;
   out->confidence = key.prob;
-  out->tuple = std::move(tuple).value();
   heap_.Next();
   return true;
 }

@@ -226,10 +226,11 @@ class Upi {
   Status InsertSecondaryEntries(const catalog::Tuple& tuple,
                                 const AltPartition& part);
   Status RemoveSecondaryEntries(const catalog::Tuple& tuple);
-  /// Fetches the tuple stored under `heap_key`: through `sorted` when the
-  /// caller's keys arrive in heap order, else with a descent of its own.
+  /// Fetches the tuple stored under `heap_key` into *out: through `sorted`
+  /// when the caller's keys arrive in heap order, else with a descent of its
+  /// own.
   Status FetchHeapTuple(std::string_view heap_key, btree::SortedLookup* sorted,
-                        catalog::Tuple* out) const;
+                        catalog::EncodedTuple* out) const;
   storage::PageFile* heap_file() const { return heap_->pager()->file(); }
   /// The one Costinit rule for a read touching `file` (this UPI's heap or
   /// cutoff file): with charge_open_per_query every touch pays (a query

@@ -77,7 +77,7 @@ std::unique_ptr<ResultCursor> UpiAccessPath::OpenSecondary(
 }
 
 Status UpiAccessPath::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>& fn) const {
+    const std::function<void(catalog::TupleView)>& fn) const {
   // ScanHeap opens the heap file as OpenPtq does (and as ScanMs prices it).
   // The heap duplicates a tuple once per (non-cutoff) alternative; report
   // each tuple once.
@@ -92,12 +92,8 @@ Status UpiAccessPath::ScanTuples(
       return;
     }
     if (!seen.insert(k.id).second) return;
-    auto tuple = catalog::Tuple::Deserialize(tuple_bytes);
-    if (!tuple.ok()) {
-      st = tuple.status();
-      return;
-    }
-    fn(std::move(tuple).value());
+    st = catalog::TupleView::Validate(tuple_bytes);
+    if (st.ok()) fn(catalog::TupleView(tuple_bytes));
   });
   return st;
 }
@@ -197,13 +193,13 @@ std::unique_ptr<ResultCursor> FracturedAccessPath::OpenSecondary(
 }
 
 Status FracturedAccessPath::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>& fn) const {
+    const std::function<void(catalog::TupleView)>& fn) const {
   return table_->ScanTuples(fn);
 }
 
 Status FracturedAccessPath::ScanTuplesMatching(
     int column, std::string_view value, double qt,
-    const std::function<void(const catalog::Tuple&)>& fn) const {
+    const std::function<void(catalog::TupleView)>& fn) const {
   return table_->ScanTuplesMatching(column, value, qt, fn);
 }
 
@@ -351,16 +347,13 @@ std::unique_ptr<ResultCursor> UnclusteredAccessPath::OpenSecondary(
 }
 
 Status UnclusteredAccessPath::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>& fn) const {
+    const std::function<void(catalog::TupleView)>& fn) const {
   Status st = Status::OK();
   table_->heap()->Scan([&](storage::Rid, std::string_view record) {
     if (!st.ok()) return false;
-    auto tuple = catalog::Tuple::Deserialize(record);
-    if (!tuple.ok()) {
-      st = tuple.status();
-      return false;
-    }
-    fn(std::move(tuple).value());
+    st = catalog::TupleView::Validate(record);
+    if (!st.ok()) return false;
+    fn(catalog::TupleView(record));
     return true;
   });
   return st;

@@ -101,9 +101,11 @@ class AccessPath {
       core::SecondaryAccessMode mode) const = 0;
 
   /// Full sequential sweep; `fn` is called exactly once per live tuple (heap
-  /// duplicates are deduplicated here).
+  /// duplicates are deduplicated here) with a view of its serialized bytes,
+  /// validated and valid during the call: read one column or decode it
+  /// (catalog::TupleView), and copy it (catalog::EncodedTuple) to keep it.
   virtual Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const = 0;
+      const std::function<void(catalog::TupleView)>& fn) const = 0;
 
   /// Sweep in service of a scan-filter on (column, value, qt): same
   /// semantics over every tuple that could match, but paths with pruning
@@ -112,7 +114,7 @@ class AccessPath {
   /// to the plain ScanTuples. column < 0 means the primary attribute.
   virtual Status ScanTuplesMatching(
       int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const {
+      const std::function<void(catalog::TupleView)>& fn) const {
     (void)column, (void)value, (void)qt;
     return ScanTuples(fn);
   }
@@ -194,7 +196,7 @@ class UpiAccessPath : public AccessPath {
       int column, std::string_view value, double qt,
       core::SecondaryAccessMode mode) const override;
   Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
+      const std::function<void(catalog::TupleView)>& fn) const override;
 
   uint64_t StatsEpoch() const override { return upi_->stats_epoch(); }
 
@@ -246,10 +248,10 @@ class FracturedAccessPath : public AccessPath {
       int column, std::string_view value, double qt,
       core::SecondaryAccessMode mode) const override;
   Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
+      const std::function<void(catalog::TupleView)>& fn) const override;
   Status ScanTuplesMatching(
       int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
+      const std::function<void(catalog::TupleView)>& fn) const override;
 
   uint64_t StatsEpoch() const override { return table_->stats_epoch(); }
   core::PruneEstimate EstimatePrune(int column, std::string_view value,
@@ -307,7 +309,7 @@ class UnclusteredAccessPath : public AccessPath {
       int column, std::string_view value, double qt,
       core::SecondaryAccessMode mode) const override;
   Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
+      const std::function<void(catalog::TupleView)>& fn) const override;
 
   uint64_t StatsEpoch() const override { return table_->stats_epoch(); }
 

@@ -432,9 +432,19 @@ Status Database::Checkpoint() {
   // scanned, so the checkpoint holds one table's rows at a time.
   return wal_->Rotate([this](const wal::WalWriter::SnapshotSink& sink) {
     for (const auto& [name, table] : tables_) {
+      // The snapshot record serializes decoded tuples: one full decode each.
       std::vector<catalog::Tuple> tuples;
-      UPI_RETURN_NOT_OK(table->path()->ScanTuples(
-          [&tuples](const catalog::Tuple& t) { tuples.push_back(t); }));
+      Status decoded = Status::OK();
+      UPI_RETURN_NOT_OK(
+          table->path()->ScanTuples([&](catalog::TupleView t) {
+            Result<catalog::Tuple> tuple = t.Decode();
+            if (!tuple.ok()) {
+              decoded = tuple.status();
+            } else {
+              tuples.push_back(std::move(tuple).value());
+            }
+          }));
+      UPI_RETURN_NOT_OK(decoded);
       // The insert paths accept a TupleId that is still live, and the
       // unclustered and partitioned scans report both tuples. A create
       // record that repeats an id does not replay (CreateTable rejects it),

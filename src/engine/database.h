@@ -48,9 +48,10 @@ class Table {
 
   // --- Declarative execution (see engine/query.h). ------------------------
 
-  /// Plans `q` and executes it materialized: rows sorted by descending
-  /// confidence, top-k / LIMIT / predicate applied. Returns the Plan (feed
-  /// it to Plan::Explain() for the EXPLAIN output).
+  /// Plans `q` and executes it materialized: appends this execution's rows
+  /// to `out`, after whatever it already holds, sorted by descending
+  /// confidence with top-k / LIMIT / predicate applied (exec::Execute).
+  /// Returns the Plan (feed it to Plan::Explain() for the EXPLAIN output).
   Result<Plan> Run(const Query& q, std::vector<core::PtqMatch>* out) const;
 
   /// Plans `q` and opens a pull-based cursor: LIMIT/top-k consumers stop the

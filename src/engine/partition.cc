@@ -473,7 +473,7 @@ std::unique_ptr<ResultCursor> PartitionedTable::OpenTopK(std::string_view value,
 }
 
 Status PartitionedTable::ScanTuples(
-    const std::function<void(const catalog::Tuple&)>& fn) const {
+    const std::function<void(catalog::TupleView)>& fn) const {
   // Serial: the tuple callback isn't thread-safe, and a sweep is bandwidth-
   // bound on the single simulated spindle anyway.
   for (const auto& shard : shards_) {
@@ -484,7 +484,7 @@ Status PartitionedTable::ScanTuples(
 
 Status PartitionedTable::ScanTuplesMatching(
     int column, std::string_view value, double qt,
-    const std::function<void(const catalog::Tuple&)>& fn) const {
+    const std::function<void(catalog::TupleView)>& fn) const {
   const int col = ResolveColumn(column);
   size_t probed = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {

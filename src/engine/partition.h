@@ -208,10 +208,10 @@ class PartitionedTable : public AccessPath {
       int column, std::string_view value, double qt,
       core::SecondaryAccessMode mode) const override;
   Status ScanTuples(
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
+      const std::function<void(catalog::TupleView)>& fn) const override;
   Status ScanTuplesMatching(
       int column, std::string_view value, double qt,
-      const std::function<void(const catalog::Tuple&)>& fn) const override;
+      const std::function<void(catalog::TupleView)>& fn) const override;
 
   // --- Estimation (RAM only) -----------------------------------------------
 

@@ -14,7 +14,13 @@
 //
 // All three read through the cursor the table's design returns
 // (core::ResultCursor, core/result_cursor.h): the executor caps and filters
-// it, and Run drains it.
+// it, and Run drains it. Run and Execute append to the caller's vector.
+//
+// A result row (core::PtqMatch) is its id, its confidence and its tuple's
+// serialized bytes: `row.tuple.Column(i)` decodes one column,
+// `row.tuple.Decode()` the whole tuple. A row that Run, Execute or a Session
+// future returns owns its bytes, so it stays readable after the cursor, a
+// flush or a merge.
 //
 // PreparedQuery caches the Plan keyed on the query shape plus the bound
 // parameter's histogram bucket (two values the statistics consider alike
@@ -101,7 +107,9 @@ struct Query {
   /// underlying descent; materialized execution truncates after the
   /// confidence sort.
   size_t limit = 0;
-  /// Optional residual filter, applied to every candidate row.
+  /// Optional residual filter, applied to every candidate row. Rows stay
+  /// encoded (core::PtqMatch), so each candidate's tuple is decoded once
+  /// for it: a Where costs a full decode per candidate.
   std::function<bool(const catalog::Tuple&)> predicate;
 
   static Query Ptq(std::string_view value, double qt);
@@ -110,6 +118,8 @@ struct Query {
   static Query ScanFilter(int column, std::string_view value, double qt);
 
   Query&& WithLimit(size_t n) &&;
+  /// Sets the residual predicate (see `predicate`: it decodes each
+  /// candidate row's tuple once).
   Query&& Where(std::function<bool(const catalog::Tuple&)> pred) &&;
 
   /// Shape-level validation against a concrete path (no I/O).
@@ -137,8 +147,9 @@ class BoundQuery {
   /// The plan this execution will use (EXPLAIN it before running).
   const Plan& plan() const { return *plan_; }
 
-  /// Materialized execution: rows sorted by descending confidence, top-k /
-  /// LIMIT applied. Returns the plan it ran.
+  /// Materialized execution: appends this execution's rows to `out`, after
+  /// whatever it already holds, sorted by descending confidence with top-k /
+  /// LIMIT applied (exec::Execute). Returns the plan it ran.
   Result<Plan> Execute(std::vector<core::PtqMatch>* out) const;
 
   /// Streaming execution; see Table::OpenCursor for ordering semantics.

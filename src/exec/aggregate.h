@@ -21,7 +21,9 @@ struct GroupCount {
   double expected_count = 0.0; // sum of confidences
 };
 
-/// Groups PTQ matches by the string column `group_column`.
+/// Groups PTQ matches by the string column `group_column`, decoding that
+/// one column of each row (catalog::EncodedTuple::Column); a row whose
+/// column is not a string joins no group.
 std::map<std::string, GroupCount> GroupByCount(
     const std::vector<core::PtqMatch>& matches, int group_column);
 

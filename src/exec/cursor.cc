@@ -5,6 +5,7 @@
 
 #include "common/coding.h"
 #include "exec/topk.h"
+#include "prob/confidence.h"
 
 namespace upi::exec {
 
@@ -27,21 +28,27 @@ std::unique_ptr<engine::ResultCursor> OpenTopKRun(
 
 /// Top-k whose k rows must survive `predicate`. A streaming run filters as
 /// it descends, so its k bound already counts survivors. An eager run holds
-/// exactly k raw rows: it is rerun with the bound doubled until k rows
-/// survive or the table runs out (the run came back short).
+/// exactly k raw rows: the survivors are kept, and it is rerun with the
+/// bound doubled until k rows survive or the table runs out (the run came
+/// back short). Either way the predicate sees each row once.
 std::unique_ptr<engine::ResultCursor> OpenFilteredTopK(
     const engine::AccessPath& path, const engine::Plan& plan,
-    const std::function<bool(const catalog::Tuple&)>& predicate) {
+    core::RowPredicate predicate) {
   std::unique_ptr<engine::ResultCursor> run = OpenTopKRun(path, plan, plan.k);
-  if (!predicate || !run->eager()) return run;
+  if (!predicate) return run;
+  if (!run->eager()) {
+    run->SetPredicate(std::move(predicate));
+    return run;
+  }
   for (size_t want = plan.k;; want *= 2) {
     std::vector<core::PtqMatch> rows;
     Status st = run->Drain(&rows);
     run.reset();
-    size_t passing = std::count_if(
-        rows.begin(), rows.end(),
-        [&](const core::PtqMatch& m) { return predicate(m.tuple); });
-    if (!st.ok() || passing >= plan.k || rows.size() < want) {
+    const size_t raw = rows.size();
+    std::erase_if(rows, [&](const core::PtqMatch& m) {
+      return !predicate(m.view());
+    });
+    if (!st.ok() || rows.size() >= plan.k || raw < want) {
       return std::make_unique<engine::MaterializedCursor>(std::move(rows),
                                                           std::move(st));
     }
@@ -50,10 +57,10 @@ std::unique_ptr<engine::ResultCursor> OpenFilteredTopK(
 }
 
 /// Sequential-sweep operator: one full scan keeping tuples whose combined
-/// probability of `value` in `column` reaches `qt` (exact: the full tuple is
-/// inspected; deduplicated). The confidence is rounded to the 2^-30 grid
-/// index keys store, so a row reports the same confidence, and qualifies at
-/// the same threshold, under every plan.
+/// probability of `value` in `column` reaches `qt` (exact: the tuple's
+/// `column` is decoded, alone; deduplicated). The confidence is rounded to
+/// the 2^-30 grid index keys store, so a row reports the same confidence,
+/// and qualifies at the same threshold, under every plan.
 std::unique_ptr<engine::ResultCursor> OpenScanFilter(
     const engine::AccessPath& path, int column, std::string_view value,
     double qt) {
@@ -61,15 +68,35 @@ std::unique_ptr<engine::ResultCursor> OpenScanFilter(
   // units that cannot contain a qualifying alternative; the exact per-tuple
   // check below still decides every emitted row.
   std::vector<core::PtqMatch> rows;
+  Status decoded = Status::OK();
   Status st = path.ScanTuplesMatching(
-      column, value, qt, [&](const catalog::Tuple& tuple) {
-        double conf = QuantizeProb(
-            tuple.ConfidenceOf(static_cast<size_t>(column), value));
+      column, value, qt, [&](catalog::TupleView tuple) {
+        if (!decoded.ok()) return;
+        Result<catalog::Value> v = tuple.Column(static_cast<size_t>(column));
+        if (!v.ok()) {
+          decoded = v.status();
+          return;
+        }
+        if (v.value().type() != catalog::ValueType::kDiscrete) return;
+        double conf = QuantizeProb(prob::Confidence(
+            tuple.existence(), v.value().discrete().ProbabilityOf(value)));
         if (conf < qt || conf <= 0.0) return;
-        rows.push_back(core::PtqMatch{tuple.id(), conf, tuple});
+        rows.push_back(core::PtqMatch{tuple.id(), conf, {}});
+        decoded = rows.back().tuple.Assign(tuple.bytes());
       });
+  if (st.ok()) st = decoded;
   return std::make_unique<engine::MaterializedCursor>(std::move(rows),
                                                       std::move(st));
+}
+
+/// Query::Where's predicate on a row: the row's tuple decoded once.
+core::RowPredicate OnDecodedTuple(
+    std::function<bool(const catalog::Tuple&)> predicate) {
+  if (!predicate) return {};
+  return [predicate = std::move(predicate)](const core::RowView& row) {
+    Result<catalog::Tuple> tuple = row.tuple.Decode();
+    return tuple.ok() && predicate(tuple.value());
+  };
 }
 
 }  // namespace
@@ -77,6 +104,7 @@ std::unique_ptr<engine::ResultCursor> OpenScanFilter(
 Result<std::unique_ptr<engine::ResultCursor>> OpenCursor(
     const engine::AccessPath& path, const engine::Plan& plan,
     std::function<bool(const catalog::Tuple&)> predicate) {
+  core::RowPredicate row_predicate = OnDecodedTuple(std::move(predicate));
   std::unique_ptr<engine::ResultCursor> cursor;
   switch (plan.kind) {
     case engine::PlanKind::kPrimaryProbe:
@@ -98,11 +126,12 @@ Result<std::unique_ptr<engine::ResultCursor>> OpenCursor(
     case engine::PlanKind::kTopKDirect:
     case engine::PlanKind::kTopKEstimatedThreshold:
     case engine::PlanKind::kTopKDecreasingThreshold:
-      cursor = OpenFilteredTopK(path, plan, predicate);
+      // The top-k run applies the predicate itself.
+      cursor = OpenFilteredTopK(path, plan, std::exchange(row_predicate, {}));
       break;
   }
   UPI_RETURN_NOT_OK(cursor->status());
-  if (predicate) cursor->SetPredicate(std::move(predicate));
+  if (row_predicate) cursor->SetPredicate(std::move(row_predicate));
   size_t limit = plan.limit;
   if (plan.k > 0 && (limit == 0 || plan.k < limit)) limit = plan.k;
   cursor->SetLimit(limit);

@@ -29,7 +29,8 @@
 namespace upi::exec {
 
 /// Opens a cursor executing `plan` against `path`. The cursor enforces
-/// plan.k / plan.limit (whichever is tighter) and, when given, `predicate`.
+/// plan.k / plan.limit (whichever is tighter) and, when given, `predicate`,
+/// which sees each candidate row's tuple decoded once.
 /// A plan whose open already failed (an eager read's error) is returned as
 /// that error.
 Result<std::unique_ptr<engine::ResultCursor>> OpenCursor(

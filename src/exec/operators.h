@@ -15,9 +15,12 @@
 
 namespace upi::exec {
 
-/// Runs `plan` against `path`. Results are sorted by descending confidence
-/// (ties by TupleId); top-k / LIMIT plans are truncated, and rows failing
-/// `predicate` (when given) are dropped before the limit counts them.
+/// Runs `plan` against `path` and appends this execution's rows to `out`,
+/// after whatever `out` already holds (which is left as it is). The
+/// appended rows are sorted by descending confidence (ties by TupleId);
+/// top-k / LIMIT plans are truncated, and rows failing `predicate` (when
+/// given; it sees each candidate's tuple decoded once) are dropped before
+/// the limit counts them.
 Status Execute(const engine::AccessPath& path, const engine::Plan& plan,
                std::vector<core::PtqMatch>* out,
                std::function<bool(const catalog::Tuple&)> predicate = {});

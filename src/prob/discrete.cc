@@ -64,22 +64,25 @@ Status DiscreteDistribution::Deserialize(const char** p, const char* limit,
   if (consumed == 0) return Status::Corruption("bad discrete dist count");
   *p += consumed;
   std::vector<Alternative> alts;
-  alts.reserve(n);
+  // Each alternative takes at least 5 bytes, so a corrupt count cannot
+  // reserve past the input.
+  if (out != nullptr) {
+    alts.reserve(std::min<size_t>(n, static_cast<size_t>(limit - *p) / 5));
+  }
   for (uint32_t i = 0; i < n; ++i) {
     uint32_t len;
     consumed = GetVarint32(*p, limit, &len);
-    if (consumed == 0 || *p + consumed + len + 4 > limit) {
+    if (consumed == 0 ||
+        static_cast<size_t>(limit - *p) - consumed < size_t{len} + 4) {
       return Status::Corruption("bad discrete dist alternative");
     }
     *p += consumed;
-    Alternative a;
-    a.value.assign(*p, len);
-    *p += len;
-    a.prob = DecodeProbDesc(*p);
-    *p += 4;
-    alts.push_back(std::move(a));
+    if (out != nullptr) {
+      alts.push_back(Alternative{std::string(*p, len), DecodeProbDesc(*p + len)});
+    }
+    *p += len + 4;
   }
-  out->alts_ = std::move(alts);
+  if (out != nullptr) out->alts_ = std::move(alts);
   return Status::OK();
 }
 

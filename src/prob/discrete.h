@@ -44,6 +44,8 @@ class DiscreteDistribution {
   double TotalMass() const;
 
   void Serialize(std::string* out) const;
+  /// Decodes one serialized distribution at *p and advances past it. With
+  /// `out` null it only walks past it: the same checks, no allocation.
   static Status Deserialize(const char** p, const char* limit,
                             DiscreteDistribution* out);
 

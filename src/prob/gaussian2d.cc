@@ -102,12 +102,13 @@ void ConstrainedGaussian2D::Serialize(std::string* out) const {
 
 Status ConstrainedGaussian2D::Deserialize(const char** p, const char* limit,
                                           ConstrainedGaussian2D* out) {
-  if (*p + 32 > limit) return Status::Corruption("truncated gaussian2d");
-  Point mean{DecodeOrderedDouble(*p), DecodeOrderedDouble(*p + 8)};
-  double sigma = DecodeOrderedDouble(*p + 16);
-  double bound = DecodeOrderedDouble(*p + 24);
+  if (limit - *p < 32) return Status::Corruption("truncated gaussian2d");
+  if (out != nullptr) {
+    Point mean{DecodeOrderedDouble(*p), DecodeOrderedDouble(*p + 8)};
+    *out = ConstrainedGaussian2D(mean, DecodeOrderedDouble(*p + 16),
+                                 DecodeOrderedDouble(*p + 24));
+  }
   *p += 32;
-  *out = ConstrainedGaussian2D(mean, sigma, bound);
   return Status::OK();
 }
 

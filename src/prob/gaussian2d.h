@@ -56,6 +56,8 @@ class ConstrainedGaussian2D {
   Point Sample(Rng* rng) const;
 
   void Serialize(std::string* out) const;
+  /// Decodes one serialized Gaussian at *p and advances past it; with `out`
+  /// null it only walks past it.
   static Status Deserialize(const char** p, const char* limit,
                             ConstrainedGaussian2D* out);
 

@@ -183,7 +183,11 @@ TEST(SpatialTest, KnnExpandsUntilKFound) {
   double prev = -1;
   for (const auto& m : out) {
     double d = prob::DistanceBetween(
-        m.tuple.Get(datagen::CarObsCols::kLocation).gaussian().mean(), c);
+        m.tuple.Column(datagen::CarObsCols::kLocation)
+            .ValueOrDie()
+            .gaussian()
+            .mean(),
+        c);
     EXPECT_GE(d, prev);
     prev = d;
   }

@@ -118,7 +118,7 @@ std::vector<ReadShape> ReadShapes(const std::string& inst,
        }},
       {"scan-filter",
        [=](const FracturedUpi& t) {
-         return t.ScanTuplesMatching(-1, inst, 0.05, [](const Tuple&) {});
+         return t.ScanTuplesMatching(-1, inst, 0.05, [](catalog::TupleView) {});
        }},
   };
 }
@@ -456,7 +456,7 @@ TEST(FracturedUpiTest, MergesReleaseRetiredFractureFiles) {
   const uint64_t live = fx.tuples.size() + 4 * 30 - 2;
   EXPECT_EQ(fx.table->num_live_tuples(), live);
   uint64_t scanned = 0;
-  ASSERT_TRUE(fx.table->ScanTuples([&](const Tuple&) { ++scanned; }).ok());
+  ASSERT_TRUE(fx.table->ScanTuples([&](catalog::TupleView) { ++scanned; }).ok());
   EXPECT_EQ(scanned, live);
 }
 
@@ -595,7 +595,7 @@ TEST(FracturedUpiTest, MergesReleaseFilesWhileAnotherThreadFlushesThePool) {
     const uint64_t live = 200 + kRounds * kPerRound;
     EXPECT_EQ(table->num_live_tuples(), live);
     uint64_t scanned = 0;
-    ASSERT_TRUE(table->ScanTuples([&](const Tuple&) { ++scanned; }).ok());
+    ASSERT_TRUE(table->ScanTuples([&](catalog::TupleView) { ++scanned; }).ok());
     EXPECT_EQ(scanned, live);
   }
   EXPECT_EQ(env.TotalFileBytes(), live_bytes);
@@ -644,7 +644,7 @@ TEST(FracturedUpiTest, ScanTuplesDedupsAndSubtractsDeleteSetsAcrossFractures) {
   std::set<TupleId> deleted = {victim_a, victim_main, victim_buffered};
   std::map<TupleId, int> seen;
   ASSERT_TRUE(
-      fx.table->ScanTuples([&](const Tuple& t) { ++seen[t.id()]; }).ok());
+      fx.table->ScanTuples([&](catalog::TupleView t) { ++seen[t.id()]; }).ok());
   for (const auto& [id, count] : seen) {
     EXPECT_EQ(count, 1) << "tuple " << id << " emitted more than once";
     EXPECT_FALSE(deleted.contains(id)) << "deleted tuple " << id << " emitted";
@@ -875,7 +875,7 @@ TEST(FracturedHandleCacheTest, ChargeOpenPerQueryPaysOncePerFilePerQuery) {
     EXPECT_EQ(fx.OpensOf([&] {
                 ASSERT_TRUE(fx.table
                                 ->ScanTuplesMatching(-1, v, 0.5,
-                                                     [](const Tuple&) {})
+                                                     [](catalog::TupleView) {})
                                 .ok());
               }),
               1u)

@@ -234,7 +234,7 @@ TEST(PartitionTest, BloomFalsePositiveDeleteLowersLiveCountUntilFullMerge) {
   EXPECT_EQ(right->num_live_tuples(), 0u);
   EXPECT_EQ(left->num_live_tuples(), 199u);  // the phantom
   uint64_t scanned = 0;
-  ASSERT_TRUE(pt->ScanTuples([&](const Tuple&) { ++scanned; }).ok());
+  ASSERT_TRUE(pt->ScanTuples([&](catalog::TupleView) { ++scanned; }).ok());
   EXPECT_EQ(scanned, 200u);
 
   ASSERT_TRUE(left->MergeAll().ok());

@@ -156,10 +156,12 @@ TEST(PruningPropertyTest, AllReadPathsBitIdenticalWithAndWithoutPruning) {
         ASSERT_TRUE(fx.table
                         ->ScanTuplesMatching(
                             kInst, value, qt,
-                            [&](const Tuple& t) {
+                            [&](catalog::TupleView v) {
+                              const Tuple t = v.Decode().ValueOrDie();
                               double c = t.ConfidenceOf(kInst, value);
                               if (c >= qt && c > 0) {
-                                rows.push_back(PtqMatch{t.id(), c, t});
+                                rows.push_back(PtqMatch{
+                                    t.id(), c, catalog::EncodedTuple(t)});
                               }
                             })
                         .ok());
@@ -451,7 +453,7 @@ void ForEachExecutedShape(FracturedUpi* frac, const std::string& value,
   check("top-k");
   before("scan-filter");
   ASSERT_TRUE(
-      frac->ScanTuplesMatching(kInst, value, qt, [](const Tuple&) {}).ok());
+      frac->ScanTuplesMatching(kInst, value, qt, [](catalog::TupleView) {}).ok());
   check("scan-filter");
 }
 

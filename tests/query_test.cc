@@ -90,6 +90,9 @@ struct DesignsFx {
   std::vector<Tuple> authors;
   Database db;
   std::vector<Table*> tables;  // upi, frac, heap, part
+  std::map<catalog::TupleId, const Tuple*> by_id;  // every inserted tuple
+  std::set<catalog::TupleId> buffered;  // frac's RAM-buffered tail
+  std::set<catalog::TupleId> deleted;   // deleted from frac
 
   static DatabaseOptions Options() {
     DatabaseOptions o;
@@ -126,6 +129,11 @@ struct DesignsFx {
     EXPECT_TRUE(frac->Delete(authors[3]).ok());
     EXPECT_TRUE(frac->Delete(authors[1700]).ok());
     tables.push_back(frac);
+    for (const Tuple& t : authors) by_id[t.id()] = &t;
+    for (size_t i = 1500; i < authors.size(); ++i) {
+      buffered.insert(authors[i].id());
+    }
+    deleted = {authors[3].id(), authors[1700].id()};
 
     tables.push_back(db.CreateUnclusteredTable(
                            "heap", schema, AuthorCols::kInstitution,
@@ -340,7 +348,10 @@ bool SameRows(const std::vector<core::PtqMatch>& a,
               const std::vector<core::PtqMatch>& b) {
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].id != b[i].id || a[i].confidence != b[i].confidence) return false;
+    if (a[i].id != b[i].id || a[i].confidence != b[i].confidence ||
+        !(a[i].tuple == b[i].tuple)) {
+      return false;
+    }
   }
   return true;
 }
@@ -349,6 +360,22 @@ bool SameIo(const sim::DiskStats& a, const sim::DiskStats& b) {
   return a.reads == b.reads && a.seeks == b.seeks && a.seek_ms == b.seek_ms &&
          a.bytes_read == b.bytes_read && a.file_opens == b.file_opens &&
          a.writes == b.writes;
+}
+
+/// Every row of `table` decodes — by its header and whole — to the tuple
+/// inserted under its id, and none is a row deleted from it.
+void ExpectInsertedTuples(const DesignsFx& fx, const Table& table,
+                          const std::vector<core::PtqMatch>& rows) {
+  for (const core::PtqMatch& m : rows) {
+    SCOPED_TRACE("row " + std::to_string(m.id));
+    EXPECT_EQ(m.tuple.id(), m.id);
+    EXPECT_FALSE(table.name() == "frac" && fx.deleted.contains(m.id));
+    auto it = fx.by_id.find(m.id);
+    ASSERT_NE(it, fx.by_id.end());
+    Result<Tuple> t = m.tuple.Decode();
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    EXPECT_TRUE(t.value() == *it->second);
+  }
 }
 
 TEST(QueryTest, DrainedCursorMatchesMaterializedRun) {
@@ -471,6 +498,16 @@ TEST(QueryTest, DrainedCursorMatchesMaterializedRun) {
         exec::SortByConfidenceDesc(&cursor.rows);
 
         ASSERT_FALSE(run.rows.empty());
+        for (const auto* rows : {&run.rows, &cursor.rows, &prepared.rows}) {
+          ExpectInsertedTuples(fx, *table, *rows);
+        }
+        if (table->name() == "frac" && variant == Variant::kPlain &&
+            (kind == PlanKind::kPrimaryProbe || kind == PlanKind::kHeapScan)) {
+          // The fractured answer includes RAM-buffered rows.
+          EXPECT_TRUE(std::any_of(
+              run.rows.begin(), run.rows.end(),
+              [&](const core::PtqMatch& m) { return fx.buffered.contains(m.id); }));
+        }
         EXPECT_TRUE(SameRows(run.rows, prepared.rows));
         if (variant == Variant::kLimit) {
           // LIMIT keeps the highest-confidence rows of the materialized
@@ -768,6 +805,67 @@ TEST(QueryTest, PredicateFiltersRows) {
   EXPECT_EQ(confident.size(), expected);
 }
 
+/// Whether `rows` is in result order: descending confidence, ties by id.
+bool InConfidenceOrder(std::vector<core::PtqMatch>::const_iterator begin,
+                       std::vector<core::PtqMatch>::const_iterator end) {
+  return std::is_sorted(begin, end,
+                        [](const core::PtqMatch& a, const core::PtqMatch& b) {
+                          if (a.confidence != b.confidence) {
+                            return a.confidence > b.confidence;
+                          }
+                          return a.id < b.id;
+                        });
+}
+
+TEST(QueryTest, ExecutionsAppendAfterWhatTheVectorHolds) {
+  // Table::Run, BoundQuery::Execute and exec::Execute append this
+  // execution's rows, sorted and trimmed, after whatever `out` holds: two
+  // executions into one vector keep the first result and put the second
+  // after it, each in confidence order.
+  QueryFx fx;
+  const std::string inst = fx.gen->PopularInstitution();
+  const std::string other = fx.gen->InstitutionName(3);
+  const Query ptq = Query::Ptq(inst, 0.3);
+  const Query topk = Query::TopK(other, 7);
+  std::vector<core::PtqMatch> first, second;
+  ASSERT_TRUE(fx.authors_table->Run(ptq, &first).ok());
+  ASSERT_TRUE(fx.authors_table->Run(topk, &second).ok());
+  ASSERT_GT(first.size(), 7u);
+  ASSERT_EQ(second.size(), 7u);
+  ASSERT_TRUE(InConfidenceOrder(first.begin(), first.end()));
+  ASSERT_TRUE(InConfidenceOrder(second.begin(), second.end()));
+  // The concatenation is not one sorted answer: the second result restarts
+  // at a higher confidence than the first one ends with.
+  ASSERT_GT(second.front().confidence, first.back().confidence);
+
+  PreparedQuery prepared = fx.authors_table->Prepare(topk).ValueOrDie();
+  const Plan plan = fx.authors_table->planner().PlanQuery(topk);
+  using Second = std::function<Status(std::vector<core::PtqMatch>*)>;
+  const std::pair<const char*, Second> routes[] = {
+      {"Table::Run",
+       [&](auto* out) { return fx.authors_table->Run(topk, out).status(); }},
+      {"BoundQuery::Execute",
+       [&](auto* out) { return prepared.Bind(other).Execute(out).status(); }},
+      {"exec::Execute",
+       [&](auto* out) {
+         return exec::Execute(*fx.authors_table->path(), plan, out);
+       }},
+  };
+  for (const auto& [name, run_second] : routes) {
+    SCOPED_TRACE(name);
+    std::vector<core::PtqMatch> both;
+    ASSERT_TRUE(fx.authors_table->Run(ptq, &both).ok());
+    ASSERT_TRUE(run_second(&both).ok());
+    ASSERT_EQ(both.size(), first.size() + second.size());
+    std::vector<core::PtqMatch> head(both.begin(), both.begin() + first.size());
+    std::vector<core::PtqMatch> tail(both.begin() + first.size(), both.end());
+    EXPECT_TRUE(SameRows(head, first));
+    EXPECT_TRUE(SameRows(tail, second));
+    EXPECT_TRUE(InConfidenceOrder(both.begin() + first.size(), both.end()));
+    EXPECT_FALSE(InConfidenceOrder(both.begin(), both.end()));
+  }
+}
+
 TEST(QueryTest, ScanFilterOnFracturedSeesBufferFracturesAndDeletes) {
   QueryFx fx;
   core::UpiOptions opt;
@@ -966,6 +1064,62 @@ TEST(SessionTest, SubmitsExecuteInOrderWithPerOpSimCost) {
   EXPECT_GT(r1.value().sim_ms, 0.0);
   EXPECT_EQ(r2.value().rows.size(), 5u);
   EXPECT_EQ(session.submitted(), 2u);
+}
+
+TEST(SessionTest, ReturnedRowsOwnTheirBytesPastFlushAndMerge) {
+  // A row that Table::Run, BoundQuery::Execute or a Session future returns
+  // owns its tuple's bytes: after a flush and a full merge release the
+  // fractures and the buffer it was read from, every row still decodes to
+  // the tuple inserted under its id. A row that viewed a leaf, a pool frame
+  // or a buffered tuple would read freed memory here (the sanitizer build
+  // reports it).
+  QueryFx fx;
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  opt.cutoff = 0.1;
+  Table* table =
+      fx.db.CreateFracturedTable("frac", datagen::DblpGenerator::AuthorSchema(),
+                                 opt, {AuthorCols::kCountry}, {})
+          .ValueOrDie();
+  for (size_t i = 0; i < 600; ++i) ASSERT_TRUE(table->Insert(fx.authors[i]).ok());
+  ASSERT_TRUE(table->fractured()->FlushBuffer().ok());
+  for (size_t i = 600; i < 800; ++i) ASSERT_TRUE(table->Insert(fx.authors[i]).ok());
+  ASSERT_TRUE(table->fractured()->FlushBuffer().ok());
+  for (size_t i = 800; i < 900; ++i) ASSERT_TRUE(table->Insert(fx.authors[i]).ok());
+
+  const std::string inst = fx.gen->PopularInstitution();
+  const Query q = Query::Ptq(inst, 0.05);
+  std::vector<core::PtqMatch> run, executed;
+  ASSERT_TRUE(table->Run(q, &run).ok());
+  PreparedQuery pq = table->Prepare(q).ValueOrDie();
+  ASSERT_TRUE(pq.Bind(inst).Execute(&executed).ok());
+  Result<QueryResult> submitted = [&] {
+    Session session(&fx.db);
+    return session.Submit(pq, inst).get();
+  }();
+  ASSERT_TRUE(submitted.ok());
+  ASSERT_EQ(table->fractured()->num_fractures(), 2u);
+
+  // The buffered rows go to a third fracture; the merge then releases all
+  // three fractures' files, pool frames and RAM pages.
+  ASSERT_TRUE(table->fractured()->FlushBuffer().ok());
+  ASSERT_TRUE(table->fractured()->MergeAll().ok());
+  ASSERT_EQ(table->fractured()->num_fractures(), 1u);
+  fx.db.ColdCache();
+
+  std::map<catalog::TupleId, const Tuple*> by_id;
+  for (size_t i = 0; i < 900; ++i) by_id[fx.authors[i].id()] = &fx.authors[i];
+  for (const auto* rows : {&run, &executed, &submitted.value().rows}) {
+    ASSERT_FALSE(rows->empty());
+    EXPECT_EQ(Ids(*rows), Ids(run));
+    for (const core::PtqMatch& m : *rows) {
+      auto it = by_id.find(m.id);
+      ASSERT_NE(it, by_id.end()) << m.id;
+      Result<Tuple> t = m.tuple.Decode();
+      ASSERT_TRUE(t.ok()) << t.status().ToString();
+      EXPECT_TRUE(t.value() == *it->second) << m.id;
+    }
+  }
 }
 
 TEST(SessionTest, ManyConcurrentSessionsAgree) {

@@ -12,6 +12,8 @@
 #include "common/random.h"
 #include "core/secondary_index.h"
 #include "core/upi_key.h"
+#include "datagen/cartel.h"
+#include "datagen/dblp.h"
 #include "prob/discrete.h"
 
 namespace upi {
@@ -160,23 +162,94 @@ TEST(NodeCodecTest, RandomGarbageNeverCrashes) {
   }
 }
 
-TEST(TupleCodecTest, EveryTruncationPointFailsCleanly) {
+/// A tuple holding every value type.
+catalog::Tuple EveryValueType() {
   auto dist = prob::DiscreteDistribution::Make({{"Brown", 0.8}, {"MIT", 0.2}})
                   .ValueOrDie();
-  catalog::Tuple t(7, 0.9,
-                   {catalog::Value::String("Alice"),
-                    catalog::Value::Discrete(dist),
-                    catalog::Value::Gaussian(
-                        prob::ConstrainedGaussian2D({1, 2}, 3, 9)),
-                    catalog::Value::Int64(-5), catalog::Value::Double(2.5),
-                    catalog::Value::Null()});
+  return catalog::Tuple(
+      7, 0.9,
+      {catalog::Value::Null(), catalog::Value::Int64(-5),
+       catalog::Value::Double(2.5), catalog::Value::String("Alice"),
+       catalog::Value::Discrete(dist),
+       catalog::Value::Gaussian(prob::ConstrainedGaussian2D({1, 2}, 3, 9))});
+}
+
+// Every read of a serialized tuple fails cleanly at every truncation point:
+// the full decode, the one-column decode of each column, and the validation
+// walk a read runs when it produces a row. Each cut is copied into a buffer
+// of exactly its size, so the sanitizer build catches a read past its end.
+TEST(TupleCodecTest, EveryTruncationPointFailsCleanly) {
+  const catalog::Tuple t = EveryValueType();
   std::string buf;
   t.Serialize(&buf);
   for (size_t cut = 0; cut < buf.size(); ++cut) {
-    auto r = catalog::Tuple::Deserialize(std::string_view(buf.data(), cut));
-    EXPECT_FALSE(r.ok()) << "truncation at " << cut;
+    SCOPED_TRACE("truncated at " + std::to_string(cut));
+    std::vector<char> bytes(buf.begin(), buf.begin() + cut);
+    const std::string_view truncated(bytes.data(), bytes.size());
+    const catalog::TupleView view(truncated);
+    EXPECT_EQ(view.Decode().status().code(), StatusCode::kCorruption);
+    for (size_t col = 0; col < t.values().size(); ++col) {
+      EXPECT_EQ(view.Column(col).status().code(), StatusCode::kCorruption)
+          << "column " << col;
+    }
+    EXPECT_EQ(catalog::TupleView::Validate(truncated).code(),
+              StatusCode::kCorruption);
+    catalog::EncodedTuple row;
+    EXPECT_EQ(row.Assign(truncated).code(), StatusCode::kCorruption);
+    EXPECT_TRUE(row.bytes().empty());
   }
-  EXPECT_TRUE(catalog::Tuple::Deserialize(buf).ok());
+  std::vector<char> bytes(buf.begin(), buf.end());
+  const catalog::TupleView whole({bytes.data(), bytes.size()});
+  ASSERT_TRUE(catalog::TupleView::Validate(whole.bytes()).ok());
+  Result<catalog::Tuple> decoded = whole.Decode();
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(decoded.value() == t);
+  for (size_t col = 0; col < t.values().size(); ++col) {
+    Result<catalog::Value> v = whole.Column(col);
+    ASSERT_TRUE(v.ok()) << "column " << col;
+    EXPECT_TRUE(v.value() == t.Get(col)) << "column " << col;
+  }
+  EXPECT_EQ(whole.Column(t.values().size()).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Seeded property over generated DBLP authors and publications and Cartel
+// observations: each column decoded alone equals that column of the full
+// decode, and the header read in place equals the decoded id and existence.
+TEST(TupleCodecTest, OneColumnDecodesMatchTheFullDecode) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    datagen::DblpConfig dblp;
+    dblp.num_authors = 300;
+    dblp.num_publications = 300;
+    dblp.num_institutions = 40;
+    dblp.seed = seed;
+    datagen::DblpGenerator dblp_gen(dblp);
+    std::vector<catalog::Tuple> tuples = dblp_gen.GenerateAuthors();
+    std::vector<catalog::Tuple> pubs = dblp_gen.GeneratePublications(tuples);
+    datagen::CartelConfig cartel;
+    cartel.num_observations = 300;
+    cartel.seed = seed;
+    std::vector<catalog::Tuple> obs =
+        datagen::CartelGenerator(cartel).GenerateObservations();
+    tuples.insert(tuples.end(), pubs.begin(), pubs.end());
+    tuples.insert(tuples.end(), obs.begin(), obs.end());
+    for (const catalog::Tuple& t : tuples) {
+      const catalog::EncodedTuple row(t);
+      ASSERT_TRUE(catalog::TupleView::Validate(row.bytes()).ok()) << t.id();
+      Result<catalog::Tuple> full = row.Decode();
+      ASSERT_TRUE(full.ok()) << t.id();
+      ASSERT_TRUE(full.value() == t) << t.id();
+      EXPECT_EQ(row.id(), full.value().id());
+      EXPECT_EQ(row.existence(), full.value().existence());
+      for (size_t col = 0; col < full.value().values().size(); ++col) {
+        Result<catalog::Value> v = row.Column(col);
+        ASSERT_TRUE(v.ok()) << t.id() << " column " << col;
+        EXPECT_TRUE(v.value() == full.value().Get(col))
+            << t.id() << " column " << col;
+      }
+    }
+  }
 }
 
 TEST(UpiKeyCodecTest, TruncationRejected) {

@@ -181,7 +181,7 @@ TEST(UpiTest, Query1FromThePaper) {
   EXPECT_NEAR(out[0].confidence, 0.95, 1e-8);
   EXPECT_EQ(out[1].id, 1u);
   EXPECT_NEAR(out[1].confidence, 0.18, 1e-8);
-  EXPECT_EQ(out[0].tuple.Get(0).str(), "Bob");
+  EXPECT_EQ(out[0].tuple.Column(0).ValueOrDie().str(), "Bob");
 
   out.clear();
   ASSERT_TRUE(upi->OpenPtq("MIT", 0.5)->Drain(&out).ok());
@@ -200,11 +200,40 @@ TEST(UpiTest, QueryBelowCutoffFollowsPointers) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].id, 2u);
   EXPECT_NEAR(out[0].confidence, 0.05, 1e-8);
-  EXPECT_EQ(out[0].tuple.Get(0).str(), "Bob");
+  EXPECT_EQ(out[0].tuple.Column(0).ValueOrDie().str(), "Bob");
   // ... while QT=10% >= C skips the cutoff index and finds nothing.
   out.clear();
   ASSERT_TRUE(upi->OpenPtq("UCB", 0.10)->Drain(&out).ok());
   EXPECT_TRUE(out.empty());
+}
+
+TEST(UpiTest, MalformedHeapTupleFailsTheCursorAsItsRowIsProduced) {
+  // Rows keep their tuple encoded, so a read checks each tuple's bytes when
+  // it produces the row: Bob's MIT heap entry, truncated, fails the heap
+  // phase at his row and the cutoff phase at the fetch UCB's pointer makes,
+  // with Corruption; rows before it stream.
+  storage::DbEnv env;
+  auto upi = Upi::Build(&env, "author", PaperSchema(), PaperOptions(), {},
+                        PaperTuples())
+                 .ValueOrDie();
+  const std::string bob = EncodeUpiKey("MIT", 0.95, 2);
+  std::string bytes = upi->heap_tree()->Get(bob).ValueOrDie();
+  bytes.resize(bytes.size() - 1);
+  ASSERT_TRUE(upi->heap_tree()->Put(bob, bytes).ok());
+
+  std::unique_ptr<ResultCursor> mit = upi->OpenPtq("MIT", 0.10);
+  PtqMatch m;
+  EXPECT_FALSE(mit->TakeNext(&m));
+  EXPECT_EQ(mit->status().code(), StatusCode::kCorruption);
+
+  std::unique_ptr<ResultCursor> brown = upi->OpenPtq("Brown", 0.10);
+  std::vector<PtqMatch> rows;
+  EXPECT_TRUE(brown->Drain(&rows).ok());
+  EXPECT_EQ(rows.size(), 2u);
+
+  std::unique_ptr<ResultCursor> ucb = upi->OpenPtq("UCB", 0.01);
+  EXPECT_FALSE(ucb->TakeNext(&m));
+  EXPECT_EQ(ucb->status().code(), StatusCode::kCorruption);
 }
 
 TEST(UpiTest, InsertMatchesBulkBuild) {

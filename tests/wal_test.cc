@@ -99,7 +99,10 @@ Result<ScannedLog> ScanAll(const std::string& path) {
 std::vector<Tuple> RowsById(engine::Table* table) {
   std::vector<Tuple> rows;
   EXPECT_TRUE(
-      table->path()->ScanTuples([&rows](const Tuple& t) { rows.push_back(t); })
+      table->path()
+          ->ScanTuples([&rows](catalog::TupleView t) {
+            rows.push_back(t.Decode().ValueOrDie());
+          })
           .ok());
   std::sort(rows.begin(), rows.end(),
             [](const Tuple& a, const Tuple& b) { return a.id() < b.id(); });
@@ -1175,7 +1178,7 @@ TEST(CheckpointTest, RefusesASnapshotThatRepeatsATupleId) {
   const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
   auto rows = [](engine::Table* table) {
     size_t n = 0;
-    EXPECT_TRUE(table->path()->ScanTuples([&n](const Tuple&) { ++n; }).ok());
+    EXPECT_TRUE(table->path()->ScanTuples([&n](catalog::TupleView) { ++n; }).ok());
     return n;
   };
 
