@@ -14,7 +14,9 @@
 
 #include "btree/btree.h"
 #include "btree/bulk_load.h"
+#include "common/check.h"
 #include "common/random.h"
+#include "core/fractured_upi.h"
 #include "core/upi.h"
 #include "datagen/dblp.h"
 #include "engine/database.h"
@@ -353,6 +355,62 @@ void BM_UpiOpenSecondary(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(rows));
 }
 BENCHMARK(BM_UpiOpenSecondary)->Unit(benchmark::kMillisecond);
+
+// A Fractured UPI between two flushes: a main fracture of 15,000 DBLP
+// authors and 2,048 more in the RAM insert buffer (perfbench's flush
+// watermark). The buffer benchmarks read both, warm: the main's pages stay
+// in the pool, so the buffer's share of each read shows.
+std::unique_ptr<core::FracturedUpi> BufferedAuthors(
+    storage::DbEnv* env, datagen::DblpGenerator* gen) {
+  auto tuples = gen->GenerateAuthors();
+  core::UpiOptions opt;
+  opt.cluster_column = datagen::AuthorCols::kInstitution;
+  opt.charge_open_per_query = false;
+  auto table = core::FracturedUpi::Build(
+                   env, "f", datagen::DblpGenerator::AuthorSchema(), opt,
+                   {datagen::AuthorCols::kCountry}, tuples)
+                   .ValueOrDie();
+  for (catalog::TupleId id = 1'000'000; id < 1'000'000 + 2048; ++id) {
+    UPI_CHECK(table->Insert(gen->MakeAuthor(id)).ok(), "buffered insert");
+  }
+  return table;
+}
+
+datagen::DblpConfig BufferedAuthorsConfig() {
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 15000;
+  return cfg;
+}
+
+// PTQ (QT 0.3) on a popular institution across the buffer and the main.
+void BM_FracturedUpiBufferPtq(benchmark::State& state) {
+  datagen::DblpGenerator gen(BufferedAuthorsConfig());
+  storage::DbEnv env(512ull << 20);
+  auto table = BufferedAuthors(&env, &gen);
+  std::string v = gen.PopularInstitution();
+  size_t rows = 0;
+  for (auto _ : state) {
+    std::vector<core::PtqMatch> out;
+    benchmark::DoNotOptimize(table->OpenPtq(v, 0.3)->Drain(&out));
+    rows += out.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_FracturedUpiBufferPtq)->Unit(benchmark::kMicrosecond);
+
+// Top-10 on the same institution: the buffer's ten best, then the main's.
+void BM_FracturedUpiBufferTopK(benchmark::State& state) {
+  datagen::DblpGenerator gen(BufferedAuthorsConfig());
+  storage::DbEnv env(512ull << 20);
+  auto table = BufferedAuthors(&env, &gen);
+  std::string v = gen.PopularInstitution();
+  for (auto _ : state) {
+    std::vector<core::PtqMatch> out;
+    benchmark::DoNotOptimize(table->OpenTopK(v, 10)->Drain(&out));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FracturedUpiBufferTopK)->Unit(benchmark::kMicrosecond);
 
 // The WAL's frame checksum over a 16 MiB buffer, the size class of a bulk
 // create record: paid once when the record is logged and again at recovery.

@@ -1,7 +1,8 @@
 // Partitioned fleet tracking: horizontal partitioning with scatter-gather.
 // Builds one logical car-observation table as N range-partitioned Fractured
 // UPI shards through the Database facade — writes route to the owning shard,
-// segment PTQs consult the per-shard summaries and probe only the admissible
+// segment PTQs admit a shard only when its own fences (its insert buffer's
+// index and its fractures' summaries) may hold a match and probe only those
 // shards (concurrently, on the shared gather pool), and each shard runs its
 // own maintenance domain so flushes and merges interleave instead of
 // serializing behind one table lock. Prints the planner's EXPLAIN (the shard
@@ -35,7 +36,7 @@ int main(int argc, char** argv) {
   // highest-probability segment, and because a Cartel observation's
   // alternatives are the true segment plus its lexical neighbors, almost
   // every tuple lands with *all* its alternatives inside one shard — the
-  // property that lets the per-shard summaries prune.
+  // property that lets each shard's fences prune.
   std::vector<std::string> keys;
   keys.reserve(obs.size());
   for (const catalog::Tuple& t : obs) {
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
   std::printf("Streamed %zu observations; each shard flushes on its own "
               "maintenance domain\n\n", stream);
 
-  // --- Segment PTQ: summaries prune the fan-out -----------------------------
+  // --- Segment PTQ: shard fences prune the fan-out -------------------------
   std::string segment = gen.MidSegment();
   std::vector<core::PtqMatch> out;
   engine::Plan plan =

@@ -58,8 +58,8 @@ struct PruneEstimate {
 };
 
 /// Which members of one fan-out to open. Index 0 is the main fracture,
-/// 1..N the delta fractures in list order (the RAM buffer is always
-/// scanned — it has no summary and costs no I/O).
+/// 1..N the delta fractures in list order (the RAM buffer has no slot: it
+/// is read through its own index and costs no I/O).
 struct PruneSet {
   std::vector<bool> probe;
   size_t probed = 0;

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <queue>
+#include <tuple>
 
 #include "common/coding.h"
 #include "obs/trace.h"
@@ -54,6 +56,25 @@ bool FracturedUpi::Prune(const Fracture& f, int column, std::string_view value,
   return skip;
 }
 
+template <typename Fn>
+void FracturedUpi::ForEachBufferEntry(const Tuple& t, Fn fn) const {
+  auto column = [&](int col) {
+    if (static_cast<size_t>(col) >= t.values().size()) return;
+    const Value& v = t.Get(col);
+    if (v.type() != ValueType::kDiscrete) return;
+    for (const auto& alt : v.discrete().alternatives()) {
+      // On the heap key's grid, so flushing never changes a row's
+      // confidence.
+      const double p = QuantizeProb(alt.prob * t.existence());
+      if (p > 0.0) fn(BufferEntry{col, alt.value, p, t.id(), &t});
+    }
+  };
+  column(options_.cluster_column);
+  for (int col : secondary_columns_) {
+    if (col != options_.cluster_column) column(col);
+  }
+}
+
 Result<std::unique_ptr<FracturedUpi>> FracturedUpi::Build(
     storage::DbEnv* env, std::string name, catalog::Schema schema,
     UpiOptions options, std::vector<int> secondary_columns,
@@ -94,6 +115,8 @@ Status FracturedUpi::Insert(const Tuple& tuple) {
   auto [it, inserted] =
       buffer_.emplace(tuple.id(), BufferedTuple{tuple, buf.size()});
   if (!inserted) return Status::AlreadyExists("TupleId already buffered");
+  ForEachBufferEntry(it->second.tuple,
+                     [&](const BufferEntry& e) { buffer_index_.insert(e); });
   buffer_bytes_ += it->second.bytes;
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
@@ -104,6 +127,8 @@ Status FracturedUpi::Delete(TupleId id) {
   auto it = buffer_.find(id);
   stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   if (it != buffer_.end()) {
+    ForEachBufferEntry(it->second.tuple,
+                       [&](const BufferEntry& e) { buffer_index_.erase(e); });
     buffer_bytes_ -= it->second.bytes;
     buffer_.erase(it);  // never reached disk; no delete-set entry needed
     return Status::OK();
@@ -225,6 +250,7 @@ Result<bool> FracturedUpi::FlushBufferLocked() {
     deleted_.insert(buffer_deletes_.begin(), buffer_deletes_.end());
   }
   if (frac.upi != nullptr) fractures_.push_back(std::move(frac));
+  buffer_index_.clear();
   buffer_.clear();
   buffer_bytes_ = 0;
   buffer_deletes_.clear();
@@ -273,18 +299,37 @@ uint64_t FracturedUpi::size_bytes() const {
 // Queries
 // ---------------------------------------------------------------------------
 
-void FracturedUpi::QueryBuffer(int column, std::string_view value, double qt,
-                               std::vector<BufferHit>* out) const {
-  for (const auto& [id, bt] : buffer_) {
-    const Value& v = bt.tuple.Get(column);
-    if (v.type() != ValueType::kDiscrete) continue;
-    // On the heap key's grid, so flushing never changes a row's confidence.
-    double p =
-        QuantizeProb(v.discrete().ProbabilityOf(value) * bt.tuple.existence());
-    if (p >= qt && p > 0.0) {
-      out->push_back(BufferHit{id, p, &bt.tuple});
-    }
+std::pair<FracturedUpi::BufferIndex::const_iterator,
+          FracturedUpi::BufferIndex::const_iterator>
+FracturedUpi::BufferRange(int column, std::string_view value,
+                          double qt) const {
+  // Confidence sorts descending: the range runs from above every confidence
+  // down to the last entry at qt.
+  return {buffer_index_.lower_bound(
+              BufferEntry{column, value,
+                          std::numeric_limits<double>::infinity(), 0}),
+          buffer_index_.upper_bound(BufferEntry{
+              column, value, qt, std::numeric_limits<TupleId>::max()})};
+}
+
+bool FracturedUpi::MayMatch(int column, std::string_view value,
+                            double qt) const {
+  std::shared_lock lock(mu_);
+  if (!options_.enable_pruning) return true;
+  const int col = ResolveColumn(column);
+  // The buffer's index covers the clustered and the secondary columns.
+  if (col == options_.cluster_column ||
+      std::ranges::find(secondary_columns_, col) != secondary_columns_.end()) {
+    auto [first, last] = BufferRange(col, value, qt);
+    if (first != last) return true;
+  } else if (!buffer_.empty()) {
+    return true;
   }
+  return std::any_of(fractures_.begin(), fractures_.end(),
+                     [&](const Fracture& f) {
+                       return WhySkip(f, col, value, qt) ==
+                              FractureSummary::SkipReason::kNone;
+                     });
 }
 
 PruneSet FracturedUpi::ForQuery(int column, std::string_view value,
@@ -325,10 +370,15 @@ std::unique_ptr<ResultCursor> FracturedUpi::OpenSecondary(
     int column, std::string_view value, double qt,
     SecondaryAccessMode mode) const {
   std::shared_lock lock(mu_);
-  std::vector<BufferHit> hits;
-  QueryBuffer(column, value, qt, &hits);
   std::vector<PtqMatch> rows;
-  for (const BufferHit& h : hits) rows.push_back(h.Row());
+  if (std::ranges::find(secondary_columns_, column) ==
+      secondary_columns_.end()) {
+    return std::make_unique<MaterializedCursor>(
+        std::move(rows), Status::InvalidArgument("no secondary index"));
+  }
+  for (auto [it, end] = BufferRange(column, value, qt); it != end; ++it) {
+    rows.push_back(it->Row());
+  }
   Status st = Status::OK();
   for (const Fracture& f : fractures_) {
     // The summary fences cover every secondary alternative, so a fracture
@@ -350,18 +400,11 @@ std::unique_ptr<ResultCursor> FracturedUpi::OpenTopK(std::string_view value,
   if (k == 0) return std::make_unique<MaterializedCursor>(std::move(rows));
   const int col = options_.cluster_column;
   // Buffer candidates compete at any confidence (no threshold in top-k).
-  // Only the buffer's k best can reach the answer, so only they serialize.
-  std::vector<BufferHit> hits;
-  QueryBuffer(col, value, 0.0, &hits);
-  auto before = [](const BufferHit& a, const BufferHit& b) {
-    if (a.confidence != b.confidence) return a.confidence > b.confidence;
-    return a.id < b.id;
-  };
-  if (hits.size() > k) {
-    std::nth_element(hits.begin(), hits.begin() + (k - 1), hits.end(), before);
-    hits.resize(k);
+  // Only the buffer's k best can reach the answer: they lead its range.
+  for (auto [it, end] = BufferRange(col, value, 0.0);
+       it != end && rows.size() < k; ++it) {
+    rows.push_back(it->Row());
   }
-  for (const BufferHit& h : hits) rows.push_back(h.Row());
   // Running k-th-best bound: a min-heap of the k highest confidences seen so
   // far. A later fracture must beat heap.top() to change the answer.
   std::priority_queue<double, std::vector<double>, std::greater<double>> best;
@@ -417,9 +460,9 @@ Status FracturedUpi::ScanTuplesMatching(
   const int col = ResolveColumn(column);
   std::set<catalog::TupleId> seen;
   obs::QueryTrace* trace = obs::CurrentTrace();
-  // The RAM buffer first: its tuples shadow nothing (TupleIds are unique),
-  // and emitting them costs no I/O. It has no summary, so it is never
-  // pruned — the scan-filter caller re-checks the predicate anyway.
+  // The RAM buffer first, every tuple whatever the filter: its tuples shadow
+  // nothing (TupleIds are unique), emitting them costs no I/O, and the
+  // scan-filter caller re-checks the predicate.
   std::string bytes;
   for (const auto& [id, bt] : buffer_) {
     seen.insert(id);
@@ -489,10 +532,10 @@ class FracturedPtqCursor : public ResultCursor {
   const FracturedUpi* table_;
   std::string value_;
   double qt_ = 0.0;
-  // The buffer's matches, serialized as they are pulled (lock_ keeps the
-  // buffered tuples in place).
-  std::vector<FracturedUpi::BufferHit> buffer_hits_;
-  size_t buf_idx_ = 0;
+  // The buffer index's range of matches, serialized as they are pulled
+  // (lock_ keeps the index and the buffered tuples in place).
+  FracturedUpi::BufferIndex::const_iterator buf_next_;
+  FracturedUpi::BufferIndex::const_iterator buf_end_;
   std::vector<const Upi*> pending_;  // post-pruning fan-out, opened lazily
   size_t next_fracture_ = 0;
   std::unique_ptr<ResultCursor> cur_;
@@ -507,10 +550,9 @@ class FracturedPtqCursor : public ResultCursor {
 FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
                                        std::string_view value, double qt)
     : lock_(table->mu_), table_(table), value_(value), qt_(qt) {
-  // The RAM buffer's matches are collected eagerly — they cost no I/O and
-  // stream first.
+  // The buffer's matches cost no I/O and stream first.
   const int col = table_->options_.cluster_column;
-  table_->QueryBuffer(col, value_, qt_, &buffer_hits_);
+  std::tie(buf_next_, buf_end_) = table_->BufferRange(col, value_, qt_);
   obs::QueryTrace* trace = obs::CurrentTrace();
   for (const Fracture& f : table_->fractures_) {
     if (!table_->Prune(f, col, value_, qt_)) {
@@ -525,17 +567,18 @@ FracturedPtqCursor::FracturedPtqCursor(const FracturedUpi* table,
       trace->ops.push_back(std::move(op));
     }
   }
-  if (trace != nullptr && !buffer_hits_.empty()) {
+  if (trace != nullptr && buf_next_ != buf_end_) {
     obs::TraceOp op;
     op.label = table_->name_ + ".buffer";
-    op.rows = buffer_hits_.size();  // RAM scan: no I/O by construction
+    // RAM read: no I/O by construction.
+    op.rows = static_cast<uint64_t>(std::distance(buf_next_, buf_end_));
     trace->ops.push_back(std::move(op));
   }
 }
 
 bool FracturedPtqCursor::Produce(PtqMatch* out) {
-  if (buf_idx_ < buffer_hits_.size()) {
-    *out = buffer_hits_[buf_idx_++].Row();
+  if (buf_next_ != buf_end_) {
+    *out = (buf_next_++)->Row();
     return true;
   }
   for (;;) {

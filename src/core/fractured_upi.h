@@ -9,16 +9,26 @@
 // what keeps maintenance cost near an append-only heap (Table 7) and
 // eliminates fragmentation (Figure 9).
 //
+// The insert buffer is the memtable of an LSM tree: one ordered index, kept
+// under the table lock by Insert, Delete and the flush, holds an entry per
+// alternative of the clustered column and of each secondary column, keyed
+// like the heap (column, value ascending, confidence descending, TupleId) and
+// pointing at the buffered tuple. A PTQ or a secondary probe reads one key
+// range of it and stops below its threshold, top-k takes the range's first k
+// entries, and the buffer's rows stream in the heap's order.
+//
 // The on-disk part is one ordered list of immutable fractures, each paired
 // with its pruning summary: the main fracture first when one exists, then the
 // deltas oldest first. Queries fan out to the buffer and that list, union the
 // results, and subtract delete sets (Section 4.2); each executed fan-out makes
-// its per-fracture pruning decision through one member. Each probed fracture
-// costs an extra Costinit + H seeks, the linear-in-Nfrac overhead the Section
-// 6.2 cost model captures and merging (Section 4.3) repays. Both merges are
-// one sort-merge over a range of the list: a full merge (MergeAll) turns the
-// whole list into a new main, a partial merge (MergeOldestFractures) the
-// oldest deltas into one delta.
+// its per-fracture pruning decision through one member. MayMatch answers the
+// same question for the whole table, from the buffer's index and the
+// summaries: a partitioned table admits its shards through it. Each probed
+// fracture costs an extra Costinit + H seeks, the linear-in-Nfrac overhead
+// the Section 6.2 cost model captures and merging (Section 4.3) repays. Both
+// merges are one sort-merge over a range of the list: a full merge
+// (MergeAll) turns the whole list into a new main, a partial merge
+// (MergeOldestFractures) the oldest deltas into one delta.
 //
 // Maintenance is one op type, core::MaintenanceOp (flush, full merge,
 // partial merge), with one dispatch, Run(op, merge_count). The maintenance
@@ -67,6 +77,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/advisor.h"
@@ -174,13 +185,14 @@ class FracturedUpi {
   }
 
   /// Algorithm 2 across buffer + every fracture, delete sets applied,
-  /// executed lazily: the pruned fan-out is fixed at open (the RAM buffer's
-  /// matches collected, free, and the fracture list pruned through the
-  /// FractureSummaries), and each surviving fracture is opened — Costinit
+  /// executed lazily: the pruned fan-out is fixed at open (the buffer
+  /// index's key range located, free, and the fracture list pruned through
+  /// the FractureSummaries), and each surviving fracture is opened — Costinit
   /// charged if its handle is closed, cursor seeked — only when the consumer
   /// drains into it, so a LIMIT consumer that stops early never pays for the
   /// fractures behind it and a pruned fracture costs zero simulated pages.
-  /// Rows arrive in storage order: the buffer's, then each fracture's.
+  /// Rows arrive in storage order: the buffer's in the heap's order
+  /// (confidence descending, ties by TupleId), then each fracture's.
   ///
   /// The cursor holds the table's shared lock for its lifetime: results stay
   /// consistent while background maintenance runs, but a flush/merge
@@ -207,7 +219,8 @@ class FracturedUpi {
                                          size_t k) const;
 
   /// Secondary-index probe across buffer + every fracture (eager), served
-  /// confidence-sorted.
+  /// confidence-sorted. A column without a secondary index fails the cursor
+  /// with InvalidArgument, buffered rows or not.
   std::unique_ptr<ResultCursor> OpenSecondary(int column,
                                               std::string_view value,
                                               double qt,
@@ -243,6 +256,14 @@ class FracturedUpi {
   /// the probed fractures' heap bytes. RAM-only; counts nothing.
   PruneEstimate EstimatePrune(int column, std::string_view value,
                               double qt) const;
+
+  /// Whether a probe (column, value, qt) may find a row here (RAM only,
+  /// counts nothing): false only when the buffer's index has no entry of
+  /// (column, value) at qt or above and every fracture's summary rules the
+  /// probe out (WhySkip). True when pruning is off, and for a column the
+  /// index does not cover while the buffer holds a tuple. column < 0 means
+  /// the clustered attribute.
+  bool MayMatch(int column, std::string_view value, double qt) const;
 
   /// Cumulative fractures skipped / opened by executed query fan-outs since
   /// construction (bench/test telemetry).
@@ -371,21 +392,40 @@ class FracturedUpi {
   int ResolveColumn(int column) const {
     return column < 0 ? options_.cluster_column : column;
   }
-  /// A buffered tuple that matches a probe. `tuple` points into buffer_,
-  /// so it is valid while the caller holds the lock.
-  struct BufferHit {
+  /// One entry of the insert buffer's index: an alternative of an indexed
+  /// column of a buffered tuple. `value` and `tuple` point into buffer_,
+  /// whose nodes never move, so they are valid while the tuple is buffered.
+  struct BufferEntry {
+    int column = 0;
+    std::string_view value;
+    double confidence = 0.0;  // quantized, as the heap key's
     catalog::TupleId id = 0;
-    double confidence = 0.0;
     const catalog::Tuple* tuple = nullptr;
 
+    /// The heap's order: column, value ascending, confidence descending,
+    /// then TupleId.
+    bool operator<(const BufferEntry& o) const {
+      if (column != o.column) return column < o.column;
+      if (int c = value.compare(o.value); c != 0) return c < 0;
+      if (confidence != o.confidence) return confidence > o.confidence;
+      return id < o.id;
+    }
     /// The result row, serialized from the buffered tuple.
     PtqMatch Row() const {
       return PtqMatch{id, confidence, catalog::EncodedTuple(*tuple)};
     }
   };
-  /// The RAM buffer's matches of (column, value, qt); column is concrete.
-  void QueryBuffer(int column, std::string_view value, double qt,
-                   std::vector<BufferHit>* out) const;
+  using BufferIndex = std::set<BufferEntry>;
+  /// Calls `fn` with each index entry of buffered tuple `t`: one per
+  /// alternative of an indexed column whose confidence is above zero (a
+  /// zero-confidence alternative matches no probe).
+  template <typename Fn>
+  void ForEachBufferEntry(const catalog::Tuple& t, Fn fn) const;
+  /// The buffer's entries of (column, value) with confidence >= qt, in the
+  /// heap's order: one key range of the index. Empty for a column the index
+  /// does not cover. Caller holds at least the shared lock.
+  std::pair<BufferIndex::const_iterator, BufferIndex::const_iterator>
+  BufferRange(int column, std::string_view value, double qt) const;
   /// Writes `ids` sequentially to a fresh delete-set file (cost accounting)
   /// and records it in delete_sets_. Caller holds the exclusive lock.
   Status PersistDeleteSet(const std::string& name,
@@ -422,6 +462,7 @@ class FracturedUpi {
     uint64_t bytes = 0;
   };
   std::unordered_map<catalog::TupleId, BufferedTuple> buffer_;
+  BufferIndex buffer_index_;   // buffer_ in the heap's order
   uint64_t buffer_bytes_ = 0;  // serialized footprint of buffer_
   std::set<catalog::TupleId> buffer_deletes_;  // deletions not yet flushed
   // Union of all flushed delete sets (each fracture also persists its own).

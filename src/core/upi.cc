@@ -102,6 +102,10 @@ Status CheckDistinctIds(const std::vector<Tuple>& tuples) {
   std::vector<TupleId> ids;
   ids.reserve(tuples.size());
   for (const Tuple& t : tuples) ids.push_back(t.id());
+  return CheckDistinctIds(std::move(ids));
+}
+
+Status CheckDistinctIds(std::vector<TupleId> ids) {
   std::sort(ids.begin(), ids.end());
   auto repeat = std::adjacent_find(ids.begin(), ids.end());
   if (repeat != ids.end()) {
@@ -760,8 +764,12 @@ void Upi::OpenFile(storage::PageFile* file) const {
 /// clustered region in descending-probability order; the cutoff phase —
 /// pointer collection and its heap fetches — is entered only when the
 /// consumer pulls past the heap phase, so a consumer that stops early
-/// (top-k, LIMIT) never pays for it. Must not outlive the Upi or be used
-/// across tree modifications (it wraps a btree::Cursor).
+/// (top-k, LIMIT) never pays for it. Top-k leaves the heap phase at the
+/// first entry below the cutoff C: the heap's remaining entries (first
+/// alternatives, which Algorithm 1 keeps below C) and the cutoff pointers
+/// (all below C) then merge, so the stream stays in descending confidence.
+/// Must not outlive the Upi or be used across tree modifications (it wraps
+/// a btree::Cursor).
 class UpiPtqCursor : public ResultCursor {
  public:
   UpiPtqCursor(const Upi* upi, std::string_view value, double qt,
@@ -772,6 +780,8 @@ class UpiPtqCursor : public ResultCursor {
   bool Produce(PtqMatch* out) override;
   bool NextHeap(PtqMatch* out);
   bool NextCutoff(PtqMatch* out);
+  /// Emits the heap cursor's entry, whose decoded key is `key`.
+  bool EmitHeap(const UpiKey& key, PtqMatch* out);
   /// Heap phase exhausted: collect cutoff pointers if this query consults
   /// them (QT < C, or top-k mode with a non-empty cutoff index).
   void EnterCutoffPhase();
@@ -852,7 +862,17 @@ bool UpiPtqCursor::NextHeap(PtqMatch* out) {
     EnterCutoffPhase();
     return false;
   }
-  st = out->tuple.Assign(heap_.value());
+  if (topk_mode_ && key.prob < upi_->options_.cutoff &&
+      upi_->cutoff_->num_entries() > 0) {
+    // A cutoff pointer may outrank this entry: merge from here on.
+    EnterCutoffPhase();
+    return false;
+  }
+  return EmitHeap(key, out);
+}
+
+bool UpiPtqCursor::EmitHeap(const UpiKey& key, PtqMatch* out) {
+  Status st = out->tuple.Assign(heap_.value());
   if (!st.ok()) {
     status_ = st;
     phase_ = Phase::kDone;
@@ -895,6 +915,23 @@ void UpiPtqCursor::EnterCutoffPhase() {
 }
 
 bool UpiPtqCursor::NextCutoff(PtqMatch* out) {
+  if (topk_mode_ && heap_.Valid() &&
+      heap_.key().substr(0, prefix_.size()) == prefix_) {
+    // Top-k merges the heap's entries below C with the pointers, in result
+    // order: confidence descending, ties by TupleId.
+    UpiKey key;
+    Status st = DecodeUpiKey(heap_.key(), &key);
+    if (!st.ok()) {
+      status_ = st;
+      phase_ = Phase::kDone;
+      return false;
+    }
+    if (ptr_idx_ >= pointers_.size()) return EmitHeap(key, out);
+    const UpiKey& next = pointers_[ptr_idx_].entry;
+    if (key.prob > next.prob || (key.prob == next.prob && key.id < next.id)) {
+      return EmitHeap(key, out);
+    }
+  }
   if (ptr_idx_ >= pointers_.size()) {
     phase_ = Phase::kDone;
     return false;

@@ -75,7 +75,9 @@ Status CheckClusteredValue(const catalog::Tuple& tuple, int cluster_column);
 
 /// The one check that a bulk input names each TupleId once, run by every
 /// bulk build (Upi, ContinuousUpi, UnclusteredTable, and a partitioned
-/// table before it routes its input) before it creates a file.
+/// table before it routes its input) before it creates a file, and on the
+/// ids of a checkpoint's snapshot.
+Status CheckDistinctIds(std::vector<catalog::TupleId> ids);
 Status CheckDistinctIds(const std::vector<catalog::Tuple>& tuples);
 
 /// How a query uses secondary-index pointers (Figure 6's three curves are

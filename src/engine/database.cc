@@ -432,25 +432,24 @@ Status Database::Checkpoint() {
   // scanned, so the checkpoint holds one table's rows at a time.
   return wal_->Rotate([this](const wal::WalWriter::SnapshotSink& sink) {
     for (const auto& [name, table] : tables_) {
-      // The snapshot record serializes decoded tuples: one full decode each.
-      std::vector<catalog::Tuple> tuples;
-      Status decoded = Status::OK();
+      // The snapshot record holds each tuple's serialized bytes, which the
+      // scan hands over: they are kept as they are, never decoded.
+      std::vector<catalog::EncodedTuple> tuples;
+      std::vector<catalog::TupleId> ids;
+      Status copied = Status::OK();
       UPI_RETURN_NOT_OK(
           table->path()->ScanTuples([&](catalog::TupleView t) {
-            Result<catalog::Tuple> tuple = t.Decode();
-            if (!tuple.ok()) {
-              decoded = tuple.status();
-            } else {
-              tuples.push_back(std::move(tuple).value());
-            }
+            if (!copied.ok()) return;
+            copied = tuples.emplace_back().Assign(t.bytes());
+            ids.push_back(t.id());
           }));
-      UPI_RETURN_NOT_OK(decoded);
+      UPI_RETURN_NOT_OK(copied);
       // The insert paths accept a TupleId that is still live, and the
       // unclustered and partitioned scans report both tuples. A create
       // record that repeats an id does not replay (CreateTable rejects it),
       // so the table would be lost: refuse, and keep the current log, which
       // replays.
-      Status distinct = core::CheckDistinctIds(tuples);
+      Status distinct = core::CheckDistinctIds(std::move(ids));
       if (!distinct.ok()) {
         return Status::InvalidArgument("checkpoint: table '" + name +
                                        "': " + distinct.message());

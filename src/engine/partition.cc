@@ -18,8 +18,6 @@ double AvgEntryBytes(uint64_t table_bytes, uint64_t entries) {
                             static_cast<double>(entries);
 }
 
-constexpr uint64_t kBloomMix = 0x9e3779b97f4a7c15ull;
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -80,68 +78,6 @@ size_t Partitioner::ShardOf(std::string_view key) const {
                                return k < std::string_view(s);
                              });
   return static_cast<size_t>(it - splits_.begin());
-}
-
-// ---------------------------------------------------------------------------
-// ShardSummary
-// ---------------------------------------------------------------------------
-
-ShardSummary::ShardSummary() : bloom_(kBloomWords, 0) {}
-
-void ShardSummary::AddTuple(const catalog::Tuple& tuple,
-                            const std::vector<int>& summary_columns) {
-  std::unique_lock lock(mu_);
-  ++tuples_;
-  for (int col : summary_columns) {
-    const catalog::Value& v = tuple.Get(col);
-    if (v.type() != catalog::ValueType::kDiscrete) continue;
-    ColumnZone& zone = columns_[col];
-    for (const auto& alt : v.discrete().alternatives()) {
-      double prob = tuple.existence() * alt.prob;
-      if (zone.alternatives == 0 || alt.value < zone.min_key) {
-        zone.min_key = alt.value;
-      }
-      if (zone.alternatives == 0 || alt.value > zone.max_key) {
-        zone.max_key = alt.value;
-      }
-      zone.max_prob = std::max(zone.max_prob, prob);
-      ++zone.alternatives;
-      uint64_t h =
-          Partitioner::HashKey(alt.value) ^ (kBloomMix * (col + 1));
-      uint64_t h2 = h * 0xff51afd7ed558ccdull;
-      const uint64_t bits = kBloomWords * 64;
-      for (uint64_t bit : {h % bits, h2 % bits}) {
-        bloom_[bit / 64] |= 1ull << (bit % 64);
-      }
-    }
-  }
-}
-
-bool ShardSummary::MayMatch(int column, std::string_view value,
-                            double qt) const {
-  std::shared_lock lock(mu_);
-  if (tuples_ == 0) return false;  // empty shard: pruning is exact
-  auto it = columns_.find(column);
-  // A column that was never summarized on a non-empty shard cannot prune.
-  if (it == columns_.end() || it->second.alternatives == 0) return true;
-  const ColumnZone& zone = it->second;
-  if (zone.max_prob < qt) return false;
-  if (value < std::string_view(zone.min_key) ||
-      value > std::string_view(zone.max_key)) {
-    return false;
-  }
-  uint64_t h = Partitioner::HashKey(value) ^ (kBloomMix * (column + 1));
-  uint64_t h2 = h * 0xff51afd7ed558ccdull;
-  const uint64_t bits = kBloomWords * 64;
-  for (uint64_t bit : {h % bits, h2 % bits}) {
-    if ((bloom_[bit / 64] & (1ull << (bit % 64))) == 0) return false;
-  }
-  return true;
-}
-
-uint64_t ShardSummary::tuples() const {
-  std::shared_lock lock(mu_);
-  return tuples_;
 }
 
 // ---------------------------------------------------------------------------
@@ -254,10 +190,6 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
   table->schema_ = schema;
   table->options_ = options;
   table->partitioner_ = std::move(partitioner);
-  table->summary_columns_.push_back(options.cluster_column);
-  for (int col : secondary_columns) {
-    if (col != options.cluster_column) table->summary_columns_.push_back(col);
-  }
   obs::MetricsRegistry* metrics = env->metrics();
   table->m_shards_probed_ =
       metrics->counter("upi_partition_shards_probed_total");
@@ -265,9 +197,9 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
       metrics->counter("upi_partition_shards_pruned_total");
   table->m_rows_routed_ = metrics->counter("upi_partition_rows_routed_total");
 
-  // Route every tuple before any shard builds, then copy, build and
-  // summarize one shard's tuples at a time, so the create holds one shard's
-  // copy of the input, not all of them.
+  // Route every tuple before any shard builds, then copy and build one
+  // shard's tuples at a time, so the create holds one shard's copy of the
+  // input, not all of them.
   const size_t n = table->partitioner_.num_shards();
   std::vector<uint32_t> shard_of(tuples.size());
   std::vector<size_t> counts(n, 0);
@@ -294,15 +226,10 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
       return fractured.status();
     }
     built.push_back(std::move(fractured).value());
-    auto shard = std::make_unique<Shard>();
-    for (const catalog::Tuple& t : part) {
-      shard->summary.AddTuple(t, table->summary_columns_);
-    }
-    table->shards_.push_back(std::move(shard));
   }
-  for (size_t i = 0; i < n; ++i) {
-    table->shards_[i]->path =
-        std::make_unique<FracturedAccessPath>(std::move(built[i]), manager);
+  for (auto& shard : built) {
+    table->shards_.push_back(
+        std::make_unique<FracturedAccessPath>(std::move(shard), manager));
   }
   return table;
 }
@@ -327,9 +254,7 @@ Result<size_t> PartitionedTable::RouteOf(const catalog::Tuple& tuple) const {
 
 Status PartitionedTable::Insert(const catalog::Tuple& tuple) {
   UPI_ASSIGN_OR_RETURN(size_t idx, RouteOf(tuple));
-  Shard& shard = *shards_[idx];
-  UPI_RETURN_NOT_OK(shard.path->Insert(tuple));
-  shard.summary.AddTuple(tuple, summary_columns_);
+  UPI_RETURN_NOT_OK(shards_[idx]->Insert(tuple));
   if (m_rows_routed_ != nullptr) m_rows_routed_->Add();
   return Status::OK();
 }
@@ -338,13 +263,11 @@ Status PartitionedTable::Delete(const catalog::Tuple& tuple) {
   // By id: the tuple's value may not be the one it was stored under, so
   // every shard that may hold the id gets the delete. A Bloom false positive
   // also buffers a phantom delete in a shard that lacks the id; see
-  // partition.h for its effect. Summaries never shrink on delete —
-  // conservative, like fracture summaries: a stale fence costs one extra
-  // probe, never a lost row.
+  // partition.h for its effect.
   bool sent = false;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    if (!shard->path->fractured()->MayHoldTupleId(tuple.id())) continue;
-    UPI_RETURN_NOT_OK(shard->path->Delete(tuple));
+  for (const auto& shard : shards_) {
+    if (!shard->fractured()->MayHoldTupleId(tuple.id())) continue;
+    UPI_RETURN_NOT_OK(shard->Delete(tuple));
     sent = true;
   }
   if (!sent) {
@@ -352,12 +275,6 @@ Status PartitionedTable::Delete(const catalog::Tuple& tuple) {
                             " is in no shard of '" + name_ + "'");
   }
   return Status::OK();
-}
-
-bool PartitionedTable::Admissible(size_t i, int column, std::string_view value,
-                                  double qt) const {
-  if (!options_.enable_pruning) return true;
-  return shards_[i]->summary.MayMatch(column, value, qt);
 }
 
 void PartitionedTable::CountFanout(size_t probed) const {
@@ -379,7 +296,6 @@ std::unique_ptr<ResultCursor> PartitionedTable::Gather(
     sim::DiskStats io;
     Status status;
   };
-  const int col = ResolveColumn(column);
   const size_t n = shards_.size();
   std::vector<ShardRun> runs(n);
   sim::SimDisk* disk = env_->disk();
@@ -387,11 +303,11 @@ std::unique_ptr<ResultCursor> PartitionedTable::Gather(
   std::vector<std::function<void()>> tasks;
   for (size_t i = 0; i < n; ++i) {
     ShardRun& run = runs[i];
-    if (!Admissible(i, col, value, qt)) {
+    if (!Admissible(i, column, value, qt)) {
       run.pruned = true;
       continue;
     }
-    const AccessPath* shard = shards_[i]->path.get();
+    const AccessPath* shard = shards_[i].get();
     tasks.push_back([disk, shard, &run, &open] {
       // Suppress any inner trace (per-fracture ops) so the per-shard record
       // below is the one operator EXPLAIN ANALYZE reconciles; measure the
@@ -477,7 +393,7 @@ Status PartitionedTable::ScanTuples(
   // Serial: the tuple callback isn't thread-safe, and a sweep is bandwidth-
   // bound on the single simulated spindle anyway.
   for (const auto& shard : shards_) {
-    UPI_RETURN_NOT_OK(shard->path->ScanTuples(fn));
+    UPI_RETURN_NOT_OK(shard->ScanTuples(fn));
   }
   return Status::OK();
 }
@@ -485,12 +401,11 @@ Status PartitionedTable::ScanTuples(
 Status PartitionedTable::ScanTuplesMatching(
     int column, std::string_view value, double qt,
     const std::function<void(catalog::TupleView)>& fn) const {
-  const int col = ResolveColumn(column);
   size_t probed = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!Admissible(i, col, value, qt)) continue;
+    if (!Admissible(i, column, value, qt)) continue;
     ++probed;
-    UPI_RETURN_NOT_OK(shards_[i]->path->ScanTuplesMatching(column, value, qt, fn));
+    UPI_RETURN_NOT_OK(shards_[i]->ScanTuplesMatching(column, value, qt, fn));
   }
   CountFanout(probed);
   return Status::OK();
@@ -503,7 +418,7 @@ PathStats PartitionedTable::Stats() const {
   s.table.num_fractures = 0;
   uint64_t seek_span = 0;
   for (const auto& shard : shards_) {
-    PathStats ss = shard->path->Stats();
+    PathStats ss = shard->Stats();
     s.table.table_bytes += ss.table.table_bytes;
     s.table.num_leaf_pages += ss.table.num_leaf_pages;
     s.table.btree_height = std::max(s.table.btree_height, ss.table.btree_height);
@@ -532,13 +447,13 @@ PathStats PartitionedTable::Stats() const {
 
 uint64_t PartitionedTable::StatsEpoch() const {
   uint64_t epoch = 0;
-  for (const auto& shard : shards_) epoch += shard->path->StatsEpoch();
+  for (const auto& shard : shards_) epoch += shard->StatsEpoch();
   return epoch;
 }
 
 void PartitionedTable::ForEachShardPath(
     const std::function<void(const AccessPath&)>& fn) const {
-  for (const auto& shard : shards_) fn(*shard->path);
+  for (const auto& shard : shards_) fn(*shard);
 }
 
 histogram::PtqEstimate PartitionedTable::EstimatePtq(std::string_view value,
@@ -569,15 +484,14 @@ double PartitionedTable::EstimateSecondaryMatches(int column,
 core::PruneEstimate PartitionedTable::EstimatePrune(int column,
                                                     std::string_view value,
                                                     double qt) const {
-  const int col = ResolveColumn(column);
   core::PruneEstimate pe;
   pe.probed_shards = 0.0;
   pe.total_shards = static_cast<uint32_t>(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
     core::PruneEstimate inner =
-        shards_[i]->path->EstimatePrune(column, value, qt);
+        shards_[i]->EstimatePrune(column, value, qt);
     pe.total_fractures += inner.total_fractures;
-    if (Admissible(i, col, value, qt)) {
+    if (Admissible(i, column, value, qt)) {
       pe.probed_shards += 1.0;
       pe.probed_fractures += inner.probed_fractures;
       pe.probed_bytes += inner.probed_bytes;
@@ -610,7 +524,7 @@ double PartitionedTable::EstimateTopKThreshold(std::string_view value,
 
 bool PartitionedTable::HasSecondary(int column) const {
   for (const auto& shard : shards_) {
-    if (shard->path->HasSecondary(column)) return true;
+    if (shard->HasSecondary(column)) return true;
   }
   return false;
 }

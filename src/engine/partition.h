@@ -14,17 +14,14 @@
 // reused), but it lowers that shard's num_live_tuples() by one, and it
 // costs a delete-set entry, until the shard's next full merge drops it.
 //
-// Reads generalize fracture pruning to shard granularity: the router keeps
-// an incremental per-shard summary (zone map + Bloom fence + max combined
-// probability, one slot per indexed column) fed by every bulk build and
-// insert, and a probe consults only these summaries to pick the
-// *admissible* shards. UpiOptions::enable_pruning is the one switch: off, a
+// Reads generalize fracture pruning to shard granularity: a probe admits a
+// shard when the shard's own fences may hold a match
+// (FracturedUpi::MayMatch): its insert buffer's index, read exactly, and its
+// fractures' summaries. UpiOptions::enable_pruning is the one switch: off, a
 // probe admits every shard and every fracture. Because a tuple's
 // lower-probability alternatives can land on a shard other than the one
-// that owns its routing key, admissibility comes from the summaries — which
-// see every alternative — never from the routing function. Deletes don't
-// shrink summaries (conservative, like fracture summaries: a stale fence
-// only costs an extra probe, never a lost row).
+// that owns its routing key, admissibility comes from those fences — which
+// see every alternative — never from the routing function.
 //
 // Every read is one gather: the admitted shards' cursors run concurrently on
 // a small shared GatherPool and are drained where they ran; each probe
@@ -39,10 +36,8 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -77,7 +72,7 @@ class Partitioner {
 
   size_t num_shards() const { return num_shards_; }
 
-  /// FNV-1a, the stable cross-platform key hash (also feeds Bloom fences).
+  /// FNV-1a, the stable cross-platform key hash of the hash scheme.
   static uint64_t HashKey(std::string_view key);
 
  private:
@@ -87,46 +82,6 @@ class Partitioner {
   PartitionOptions::Scheme scheme_ = PartitionOptions::Scheme::kHash;
   size_t num_shards_ = 1;
   std::vector<std::string> splits_;
-};
-
-/// One shard's pruning metadata, generalizing core::FractureSummary from
-/// per-fracture to per-shard granularity — but *incremental*: fractures are
-/// immutable once written, shards live as long as the table, so the summary
-/// grows in place under every insert. Per indexed column it fences the
-/// min/max attribute key, the max combined probability, and a Bloom filter
-/// over exact keys. Grows-only: deletes never shrink it, so MayMatch is
-/// conservative (false only when the shard provably cannot match).
-class ShardSummary {
- public:
-  ShardSummary();
-
-  /// Folds every alternative of `tuple`'s summarized columns in.
-  void AddTuple(const catalog::Tuple& tuple,
-                const std::vector<int>& summary_columns);
-
-  /// False when no alternative of `column` in this shard can match `value`
-  /// at threshold `qt`: outside the zone fences, rejected by the Bloom
-  /// fence, or with max probability below qt. Columns never summarized on a
-  /// non-empty shard cannot prune (returns true); an empty shard always
-  /// prunes.
-  bool MayMatch(int column, std::string_view value, double qt) const;
-
-  uint64_t tuples() const;
-
- private:
-  static constexpr size_t kBloomWords = 1u << 12;  // 2^18 bits, 32 KiB
-
-  struct ColumnZone {
-    std::string min_key;
-    std::string max_key;
-    double max_prob = 0.0;
-    uint64_t alternatives = 0;
-  };
-
-  mutable sync::SharedMutex mu_{sync::LockRank::kShardSummary};
-  std::map<int, ColumnZone> columns_;
-  std::vector<uint64_t> bloom_;
-  uint64_t tuples_ = 0;
 };
 
 /// A small shared pool the gather side scatters shard probes onto. The
@@ -167,8 +122,8 @@ class GatherPool {
   std::vector<std::thread> workers_;
 };
 
-/// The logical table: N Fractured-UPI shards plus the router, summaries, and
-/// the gather. It is its own AccessPath, so the planner, executor, prepared
+/// The logical table: N Fractured-UPI shards plus the router and the
+/// gather. It is its own AccessPath, so the planner, executor, prepared
 /// queries and EXPLAIN ANALYZE work unchanged against the logical name.
 /// Every read is eager: the gather runs at open (shard probes drained where
 /// they ran, on the gather pool) and the cursor serves the union.
@@ -200,8 +155,8 @@ class PartitionedTable : public AccessPath {
   /// The union of the admissible shards' PTQ rows, in result order.
   std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
                                         double qt) const override;
-  /// Each admissible shard's top k (summary-pruned at qt = 0); the union's
-  /// best k are served.
+  /// Each admissible shard's top k (admitted at qt = 0); the union's best k
+  /// are served.
   std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
                                          size_t k) const override;
   std::unique_ptr<ResultCursor> OpenSecondary(
@@ -239,10 +194,7 @@ class PartitionedTable : public AccessPath {
   size_t num_shards() const { return shards_.size(); }
   /// Shard i's Fractured UPI.
   core::FracturedUpi* shard_fractured(size_t i) const {
-    return shards_[i]->path->fractured();
-  }
-  const ShardSummary& shard_summary(size_t i) const {
-    return shards_[i]->summary;
+    return shards_[i]->fractured();
   }
   /// Cumulative shards probed / pruned by query fan-outs (test telemetry).
   uint64_t shards_probed_total() const {
@@ -253,24 +205,19 @@ class PartitionedTable : public AccessPath {
   }
 
  private:
-  struct Shard {
-    std::unique_ptr<FracturedAccessPath> path;  // owns the shard's UPI
-    ShardSummary summary;
-  };
-
   PartitionedTable() = default;
 
-  int ResolveColumn(int column) const {
-    return column < 0 ? options_.cluster_column : column;
-  }
   /// The routing key: the clustered attribute's highest-probability
   /// alternative.
   Result<std::string_view> RoutingKeyOf(const catalog::Tuple& tuple) const;
   Result<size_t> RouteOf(const catalog::Tuple& tuple) const;
-  /// Summary admissibility of shard `i` for a probe (resolved column); every
-  /// shard is admissible when pruning is off.
+  /// Whether shard `i` may match a probe (FracturedUpi::MayMatch; column < 0
+  /// is the clustered attribute); every shard is admissible when pruning is
+  /// off.
   bool Admissible(size_t i, int column, std::string_view value,
-                  double qt) const;
+                  double qt) const {
+    return shards_[i]->fractured()->MayMatch(column, value, qt);
+  }
   /// Bumps the fan-out counters for one probe that admitted `probed` shards.
   void CountFanout(size_t probed) const;
   /// Opens `open` on every admissible shard (concurrently when a pool is
@@ -290,9 +237,8 @@ class PartitionedTable : public AccessPath {
   std::string name_;
   catalog::Schema schema_;
   core::UpiOptions options_;
-  std::vector<int> summary_columns_;  // cluster column + secondary columns
   Partitioner partitioner_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<FracturedAccessPath>> shards_;  // own the UPIs
 
   mutable std::atomic<uint64_t> shards_probed_total_{0};
   mutable std::atomic<uint64_t> shards_pruned_total_{0};

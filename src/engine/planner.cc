@@ -120,7 +120,9 @@ double QueryPlanner::PrunedScanMs(const PathStats& s,
 double QueryPlanner::SortedSweepMs(const PathStats& s, double x,
                                    double regions) const {
   if (x <= 0) return 0.0;
-  double r = std::clamp(regions, 1.0, x);
+  // At least one region, at most one per target; below one expected target
+  // (x < 1) the second bound wins, and r is x.
+  double r = std::min(std::max(regions, 1.0), x);
   double page_size = s.table.page_size > 0 ? s.table.page_size : 8192.0;
   // One short seek per region (sorted order: gap = table/r), then the
   // region-local pages, which targets share, transfer near-sequentially.

@@ -31,7 +31,6 @@
 //    30  | maintenance TaskQueue        | inner side of the manager edge
 //    40  | GatherPool queue             | leaf: workers run probes lock-free
 //    45  | gather Batch completion      | leaf: taken only after a probe ends
-//    50  | partition ShardSummary       | leaf: RAM-only zone/Bloom fences
 //    53  | WAL sync (durable tail)      | serializes durable log appends;
 //        |                              | held across the log device's
 //        |                              | simulated sequential write + the
@@ -91,7 +90,6 @@ enum class LockRank : uint16_t {
   kTaskQueue = 30,           // maintenance/task_queue.h: pending task deque
   kGatherPool = 40,          // engine/partition.h (GatherPool): probe queue
   kGatherBatch = 45,         // engine/partition.cc: per-RunAll batch countdown
-  kShardSummary = 50,        // engine/partition.h: per-shard zone/Bloom fences
   kWalSync = 53,             // wal/wal_writer.h: serialized durable appends
   kWalTail = 56,             // wal/wal_writer.h: LSN + pending frames + parking
   kFracturedUpi = 60,        // core/fractured_upi.h: fracture list + buffers
@@ -114,7 +112,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kTaskQueue:          return "TaskQueue";
     case LockRank::kGatherPool:         return "GatherPool";
     case LockRank::kGatherBatch:        return "GatherBatch";
-    case LockRank::kShardSummary:       return "ShardSummary";
     case LockRank::kWalSync:            return "WalSync";
     case LockRank::kWalTail:            return "WalTail";
     case LockRank::kFracturedUpi:       return "FracturedUpi";

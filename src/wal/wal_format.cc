@@ -178,14 +178,9 @@ std::string NewFrame(RecordType type) {
   return frame;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Record encoders
-// ---------------------------------------------------------------------------
-
-std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
-                              const std::vector<catalog::Tuple>& tuples) {
+/// A create record up to its tuples: the name, the spec and the tuple count.
+std::string EncodeCreateSpec(const std::string& name, const TableSpec& spec,
+                             size_t num_tuples) {
   std::string out = NewFrame(RecordType::kCreateTable);
   out.push_back(static_cast<char>(spec.kind));
   PutLP(&out, name);
@@ -226,9 +221,29 @@ std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
     }
   }
   PutColumnList(&out, spec.secondary_columns);
-  PutVarint32(&out, static_cast<uint32_t>(tuples.size()));
+  PutVarint32(&out, static_cast<uint32_t>(num_tuples));
+  return out;
+}
+
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Record encoders
+// ---------------------------------------------------------------------------
+
+std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
+                              const std::vector<catalog::Tuple>& tuples) {
+  std::string out = EncodeCreateSpec(name, spec, tuples.size());
   std::string scratch;
   for (const catalog::Tuple& t : tuples) PutTuple(&out, t, &scratch);
+  return out;
+}
+
+std::string EncodeCreateTable(
+    const std::string& name, const TableSpec& spec,
+    const std::vector<catalog::EncodedTuple>& tuples) {
+  std::string out = EncodeCreateSpec(name, spec, tuples.size());
+  for (const catalog::EncodedTuple& t : tuples) PutLP(&out, t.bytes());
   return out;
 }
 

@@ -122,6 +122,10 @@ struct WalRecord {
 
 std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
                               const std::vector<catalog::Tuple>& tuples);
+/// The same record from tuples already serialized (a checkpoint's scan):
+/// byte for byte what the decoded tuples encode to.
+std::string EncodeCreateTable(const std::string& name, const TableSpec& spec,
+                              const std::vector<catalog::EncodedTuple>& tuples);
 std::string EncodeInsert(const std::string& table, const catalog::Tuple& t);
 std::string EncodeDelete(const std::string& table, const catalog::Tuple& t);
 std::string EncodeMaintenance(const std::string& table, int32_t shard,

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <map>
 #include <memory>
@@ -247,6 +248,40 @@ TEST(PlannerTest, TinyTablePrefersScanForSecondaryQuery) {
   EXPECT_EQ(plan.kind, PlanKind::kHeapScan) << plan.Explain();
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].id, 2u);  // Bob at 1.0 before Alice at 0.9
+}
+
+TEST(PlannerTest, PtqBelowOneExpectedCutoffPointerIsPriced) {
+  // Bob's UCB alternative (0.07) lies below the cutoff (0.1), in the
+  // histogram bucket [0.05, 0.1). A PTQ at 0.075 expects half a cutoff
+  // pointer: the sorted sweep then bounds its regions by that count (x < 1),
+  // below the one region it otherwise asks for. Passing that pair to
+  // std::clamp broke its precondition and aborted under
+  // -D_GLIBCXX_ASSERTIONS.
+  Database db;
+  catalog::Schema schema({{"Name", ValueType::kString},
+                          {"Institution", ValueType::kDiscrete}});
+  std::vector<Tuple> tuples;
+  tuples.push_back(
+      Tuple(1, 0.9, {Value::String("Alice"),
+                     Value::Discrete(Dist({{"Brown", 0.8}, {"MIT", 0.2}}))}));
+  tuples.push_back(
+      Tuple(2, 1.0, {Value::String("Bob"),
+                     Value::Discrete(Dist({{"MIT", 0.93}, {"UCB", 0.07}}))}));
+  core::UpiOptions opt;
+  opt.cluster_column = 1;
+  opt.cutoff = 0.1;
+  Table* table = db.CreateUpiTable("t", schema, opt, {}, tuples).ValueOrDie();
+  histogram::PtqEstimate est = table->path()->EstimatePtq("UCB", 0.075);
+  ASSERT_GT(est.cutoff_pointers, 0.0);
+  ASSERT_LT(est.cutoff_pointers, 1.0);
+
+  Plan plan = table->planner().PlanPtq("UCB", 0.075);
+  EXPECT_TRUE(std::isfinite(plan.predicted_ms)) << plan.Explain();
+  EXPECT_GT(plan.predicted_ms, 0.0) << plan.Explain();
+  std::vector<core::PtqMatch> out;
+  ASSERT_TRUE(table->Run(Query::Ptq("UCB", 0.04), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].id, 2u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
 #include <set>
 #include <thread>
 
+#include "common/coding.h"
 #include "core/cost_model.h"
 #include "core/fractured_upi.h"
 #include "datagen/dblp.h"
@@ -193,6 +195,132 @@ TEST(FracturedUpiTest, BufferedConfidenceEqualsFlushedConfidence) {
                                    << probes[i].second;
     }
   }
+}
+
+/// An empty Fractured UPI on the author schema, with a secondary index on
+/// Country: every tuple inserted into it stays in the insert buffer.
+std::unique_ptr<FracturedUpi> BufferOnlyTable(storage::DbEnv* env,
+                                              std::vector<int> secondary) {
+  UpiOptions opt;
+  opt.cluster_column = datagen::AuthorCols::kInstitution;
+  opt.cutoff = 0.1;
+  return FracturedUpi::Build(env, "buffered",
+                             datagen::DblpGenerator::AuthorSchema(), opt,
+                             std::move(secondary), {})
+      .ValueOrDie();
+}
+
+TEST(FracturedUpiTest, BufferIndexServesRowsInHeapOrder) {
+  // The insert buffer is indexed like the heap: a PTQ streams its buffered
+  // rows confidence-descending, ties by TupleId, top-k takes the first k of
+  // the same range, and a secondary probe reads its column's range.
+  Fx fx;
+  storage::DbEnv env;
+  auto table = BufferOnlyTable(&env, {datagen::AuthorCols::kCountry});
+  std::vector<Tuple> extras;
+  for (TupleId id = 100000; id < 100300; ++id) {
+    extras.push_back(fx.gen->MakeAuthor(id));
+    ASSERT_TRUE(table->Insert(extras.back()).ok());
+  }
+  ASSERT_EQ(table->num_fractures(), 0u);
+  auto expected = [&](int column, const std::string& value, double qt) {
+    std::vector<std::pair<double, TupleId>> rows;
+    for (const Tuple& t : extras) {
+      // On the heap key's grid, as every row reports it.
+      const double conf = QuantizeProb(t.ConfidenceOf(column, value));
+      if (conf >= qt && conf > 0) rows.emplace_back(-conf, t.id());
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  auto got = [](std::unique_ptr<ResultCursor> cursor) {
+    std::vector<std::pair<double, TupleId>> rows;
+    PtqMatch m;
+    while (cursor->TakeNext(&m)) rows.emplace_back(-m.confidence, m.id);
+    EXPECT_TRUE(cursor->status().ok());
+    return rows;
+  };
+  const std::string inst = fx.gen->PopularInstitution();
+  const auto ptq = expected(datagen::AuthorCols::kInstitution, inst, 0.05);
+  ASSERT_GE(ptq.size(), 10u);
+  EXPECT_EQ(got(table->OpenPtq(inst, 0.05)), ptq);
+
+  const auto all = expected(datagen::AuthorCols::kInstitution, inst, 0.0);
+  const auto top = got(table->OpenTopK(inst, 7));
+  ASSERT_EQ(top.size(), 7u);
+  EXPECT_TRUE(std::equal(top.begin(), top.end(), all.begin()));
+
+  const std::string country = fx.gen->MidCountry();
+  const auto sec = expected(datagen::AuthorCols::kCountry, country, 0.3);
+  ASSERT_FALSE(sec.empty());
+  EXPECT_EQ(got(table->OpenSecondary(datagen::AuthorCols::kCountry, country,
+                                     0.3, SecondaryAccessMode::kTailored)),
+            sec);
+}
+
+TEST(FracturedUpiTest, OpenSecondaryWithoutAnIndexIsInvalidArgument) {
+  // Whether the rows are buffered or flushed, a column without a secondary
+  // index has nothing to probe.
+  Fx fx;
+  storage::DbEnv env;
+  auto table = BufferOnlyTable(&env, {});
+  Tuple t = fx.gen->MakeAuthor(100000);
+  const std::string country =
+      t.Get(datagen::AuthorCols::kCountry).discrete().First().value;
+  ASSERT_TRUE(table->Insert(t).ok());
+  auto probe = [&] {
+    std::vector<PtqMatch> rows;
+    Status st = table
+                    ->OpenSecondary(datagen::AuthorCols::kCountry, country,
+                                    0.0, SecondaryAccessMode::kTailored)
+                    ->Drain(&rows);
+    EXPECT_TRUE(rows.empty());
+    return st.code();
+  };
+  EXPECT_EQ(probe(), StatusCode::kInvalidArgument);  // buffer only
+  ASSERT_TRUE(table->FlushBuffer().ok());
+  EXPECT_EQ(probe(), StatusCode::kInvalidArgument);  // one fracture
+}
+
+TEST(FracturedUpiTest, MayMatchReadsTheBufferIndexAndTheSummaries) {
+  storage::DbEnv env;
+  auto table = BufferOnlyTable(&env, {datagen::AuthorCols::kCountry});
+  EXPECT_FALSE(table->MayMatch(-1, "mit", 0.0));  // empty table
+  auto author = [](TupleId id, const std::string& best) {
+    return Tuple(
+        id, 1.0,
+        {catalog::Value::String("a"),
+         catalog::Value::Discrete(
+             prob::DiscreteDistribution::Make({{best, 0.7}, {"brown", 0.3}})
+                 .ValueOrDie()),
+         catalog::Value::Discrete(
+             prob::DiscreteDistribution::Make({{"us", 1.0}}).ValueOrDie()),
+         catalog::Value::String("p")});
+  };
+  ASSERT_TRUE(table->Insert(author(1, "mit")).ok());
+  // The buffer's index, exactly: the value at or above qt.
+  EXPECT_TRUE(table->MayMatch(-1, "mit", 0.69));
+  EXPECT_FALSE(table->MayMatch(-1, "mit", 0.71));
+  EXPECT_TRUE(table->MayMatch(-1, "brown", 0.29));
+  EXPECT_FALSE(table->MayMatch(-1, "brown", 0.31));
+  EXPECT_FALSE(table->MayMatch(-1, "cmu", 0.0));
+  EXPECT_TRUE(table->MayMatch(datagen::AuthorCols::kCountry, "us", 0.99));
+  EXPECT_FALSE(table->MayMatch(datagen::AuthorCols::kCountry, "fr", 0.0));
+  // Name has no index: a non-empty buffer may hold any name.
+  EXPECT_TRUE(table->MayMatch(datagen::AuthorCols::kName, "zed", 0.9));
+  // A delete takes the tuple's entries out of the index.
+  ASSERT_TRUE(table->Delete(1).ok());
+  EXPECT_FALSE(table->MayMatch(-1, "mit", 0.0));
+  EXPECT_FALSE(table->MayMatch(datagen::AuthorCols::kName, "zed", 0.9));
+  // Flushed, the fracture's summary answers: its max probability and its
+  // zone fences.
+  ASSERT_TRUE(table->Insert(author(2, "mit")).ok());
+  ASSERT_TRUE(table->FlushBuffer().ok());
+  EXPECT_TRUE(table->MayMatch(-1, "mit", 0.69));
+  EXPECT_FALSE(table->MayMatch(-1, "mit", 0.71));
+  EXPECT_FALSE(table->MayMatch(-1, "zzz", 0.0));
+  table->mutable_options()->enable_pruning = false;
+  EXPECT_TRUE(table->MayMatch(-1, "zzz", 0.0));
 }
 
 TEST(FracturedUpiTest, FlushCreatesFractureAndPreservesResults) {

@@ -148,8 +148,8 @@ TEST(PartitionTest, InsertAndDeleteRouteToOwningShard) {
   Tuple extra = CertainTuple(500, "q-extra");
   ASSERT_TRUE(t->Insert(extra).ok());
   db.RunMaintenance();
-  EXPECT_EQ(pt->shard_summary(2).tuples(), 13u);
-  EXPECT_EQ(pt->shard_summary(0).tuples(), 12u);
+  EXPECT_EQ(pt->shard_fractured(2)->num_live_tuples(), 13u);
+  EXPECT_EQ(pt->shard_fractured(0)->num_live_tuples(), 12u);
 
   std::vector<core::PtqMatch> rows;
   ASSERT_TRUE(t->Run(Query::Ptq("q-extra", 0.5), &rows).ok());
@@ -309,6 +309,81 @@ TEST(PartitionTest, SummariesPruneAcrossAllAlternatives) {
   EXPECT_EQ(rows[0].id, 900u);
   // Within the key encoding's probability quantization step.
   EXPECT_NEAR(rows[0].confidence, 0.4, 1e-8);
+}
+
+TEST(PartitionTest, AValueOnlyInOneShardsBufferIsAdmitted) {
+  // Admission reads each shard's insert-buffer index exactly: a value that
+  // lives only in one shard's buffer admits that shard and no other, and
+  // once the buffered tuple is deleted no shard is probed for it.
+  DatabaseOptions dopt;
+  dopt.gather_workers = 0;
+  Database db(dopt);
+  Table* t = db.CreatePartitionedTable("t", TwoColSchema(), Options(), {},
+                                       RangePopts(), RangeTuples())
+                 .ValueOrDie();
+  PartitionedTable* pt = t->partitioned();
+  const Tuple buffered = CertainTuple(600, "q-buffered");  // shard 2
+  ASSERT_TRUE(t->Insert(buffered).ok());
+  ASSERT_EQ(pt->shard_fractured(2)->buffered_inserts(), 1u);
+
+  EXPECT_EQ(pt->EstimatePrune(-1, "q-buffered", 0.5).probed_shards, 1.0);
+  uint64_t probed_before = pt->shards_probed_total();
+  std::vector<core::PtqMatch> rows;
+  ASSERT_TRUE(t->Run(Query::Ptq("q-buffered", 0.5), &rows).ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].id, 600u);
+  EXPECT_EQ(pt->shards_probed_total() - probed_before, 1u);
+  rows.clear();
+  ASSERT_TRUE(t->Run(Query::TopK("q-buffered", 3), &rows).ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].id, 600u);
+
+  ASSERT_TRUE(t->Delete(buffered).ok());
+  probed_before = pt->shards_probed_total();
+  rows.clear();
+  ASSERT_TRUE(t->Run(Query::Ptq("q-buffered", 0.5), &rows).ok());
+  EXPECT_TRUE(rows.empty());
+  EXPECT_EQ(pt->shards_probed_total() - probed_before, 0u);
+}
+
+TEST(PartitionTest, ScanFilterOnAnUnindexedColumnReachesBufferedRows) {
+  // The buffers index only the clustered and secondary columns. A probe on
+  // any other column must still admit every shard whose buffer holds a
+  // tuple.
+  DatabaseOptions dopt;
+  dopt.gather_workers = 0;
+  Database db(dopt);
+  Schema schema({{"Name", ValueType::kString},
+                 {"Institution", ValueType::kDiscrete},
+                 {"Tag", ValueType::kDiscrete}});
+  auto tagged = [](catalog::TupleId id, const std::string& key,
+                   const std::string& tag) {
+    return Tuple(id, 1.0,
+                 {Value::String("n" + std::to_string(id)),
+                  Value::Discrete(Dist({{key, 1.0}})),
+                  Value::Discrete(Dist({{tag, 0.8}}))});
+  };
+  // Every base tuple lands in shard 1, so shard 0 has no fracture: only
+  // its buffer can admit it.
+  std::vector<Tuple> base;
+  for (catalog::TupleId id = 1; id <= 8; ++id) {
+    base.push_back(tagged(id, "x" + std::to_string(id), "old"));
+  }
+  PartitionOptions split;
+  split.scheme = PartitionOptions::Scheme::kRange;
+  split.num_shards = 2;
+  split.range_splits = {"m"};
+  Table* t = db.CreatePartitionedTable("t", schema, Options(), {}, split, base)
+                 .ValueOrDie();
+  ASSERT_TRUE(t->Insert(tagged(50, "c", "new")).ok());  // shard 0's buffer
+  ASSERT_EQ(t->partitioned()->shard_fractured(0)->num_fractures(), 0u);
+  std::vector<core::PtqMatch> rows;
+  ASSERT_TRUE(t->Run(Query::ScanFilter(2, "new", 0.5), &rows).ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].id, 50u);
+  rows.clear();
+  ASSERT_TRUE(t->Run(Query::ScanFilter(2, "old", 0.5), &rows).ok());
+  EXPECT_EQ(rows.size(), 8u);
 }
 
 TEST(PartitionTest, ProbedShardFractureOpensOncePerColdEpoch) {

@@ -5,12 +5,15 @@
 // summaries guarantee (a fully-skipped delta costs zero pages).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/random.h"
 #include "core/fractured_upi.h"
 #include "datagen/dblp.h"
@@ -540,6 +543,201 @@ TEST(PruningFanoutTest, EveryExecutedShapeDecidesEachFractureOnce) {
   EXPECT_EQ(probed, want);
   EXPECT_EQ(want.size(), set.probed);
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// Seeded differential traces. Shard admission and fracture pruning may only
+// change what a read opens: every read of a trace must equal the same read on
+// a pruning-off twin and a brute-force answer over the live tuples.
+// ---------------------------------------------------------------------------
+
+// Columns of the trace schema: a clustered Key, a secondary Region, and a
+// Tag that no index covers.
+constexpr int kKey = 1;
+constexpr int kRegion = 2;
+constexpr int kTag = 3;
+
+std::string Pick(const char* prefix, uint64_t n, Rng* rng) {
+  return prefix + std::to_string(10 + rng->Uniform(n));
+}
+
+/// A discrete value of 1-3 distinct alternatives drawn from `n` values.
+catalog::Value TraceDist(const char* prefix, uint64_t n, Rng* rng) {
+  std::vector<prob::Alternative> alts;
+  double mass = 1.0;
+  const uint64_t count = 1 + rng->Uniform(3);
+  for (uint64_t i = 0; i < count; ++i) {
+    std::string v = Pick(prefix, n, rng);
+    bool seen = false;
+    for (const prob::Alternative& a : alts) seen |= a.value == v;
+    if (seen) continue;
+    const double p =
+        i + 1 == count ? mass : mass * rng->UniformDouble(0.2, 0.9);
+    alts.push_back({v, p});
+    mass -= p;
+  }
+  return catalog::Value::Discrete(
+      prob::DiscreteDistribution::Make(std::move(alts)).ValueOrDie());
+}
+
+Tuple TraceTuple(TupleId id, Rng* rng) {
+  return Tuple(id, rng->UniformDouble(0.3, 1.0),
+               {catalog::Value::String("n" + std::to_string(id)),
+                TraceDist("k", 24, rng), TraceDist("r", 6, rng),
+                TraceDist("t", 4, rng)});
+}
+
+using IdConf = std::vector<std::pair<TupleId, double>>;
+
+/// Rows by id: every read path's answer set, whatever its order.
+IdConf ById(const std::vector<PtqMatch>& rows) {
+  IdConf out;
+  for (const PtqMatch& m : rows) out.emplace_back(m.id, m.confidence);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The brute-force answer: live tuples whose `column` takes `value` at qt or
+/// above (on the heap key's grid, as every row reports it), or, when k > 0,
+/// the k best of them (confidence descending, ties by TupleId).
+IdConf Oracle(const std::map<TupleId, Tuple>& live, int column,
+              const std::string& value, double qt, size_t k) {
+  std::vector<std::pair<double, TupleId>> hits;
+  for (const auto& [id, t] : live) {
+    const double conf = QuantizeProb(t.ConfidenceOf(column, value));
+    if (conf > 0 && conf >= qt) hits.emplace_back(-conf, id);
+  }
+  std::sort(hits.begin(), hits.end());
+  if (k > 0 && hits.size() > k) hits.resize(k);
+  IdConf out;
+  for (const auto& [neg, id] : hits) out.emplace_back(id, -neg);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The Fractured UPIs behind a table: itself, or each shard.
+std::vector<FracturedUpi*> FracturesOf(engine::Table* t) {
+  if (t->fractured() != nullptr) return {t->fractured()};
+  std::vector<FracturedUpi*> out;
+  const engine::PartitionedTable* pt = t->partitioned();
+  for (size_t i = 0; i < pt->num_shards(); ++i) {
+    out.push_back(pt->shard_fractured(i));
+  }
+  return out;
+}
+
+TEST(DifferentialTraceTest, ReadsEqualPruningOffTwinsAndBruteForce) {
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    engine::DatabaseOptions dopt;
+    dopt.gather_workers = 0;
+    // A small flush watermark: buffered rows and fractures mix.
+    dopt.maintenance.policy.flush_max_buffered_tuples = 24;
+    dopt.maintenance.policy.flush_max_buffered_deletes = 8;
+    engine::Database db(dopt);
+    const catalog::Schema schema({{"Name", catalog::ValueType::kString},
+                                  {"Key", catalog::ValueType::kDiscrete},
+                                  {"Region", catalog::ValueType::kDiscrete},
+                                  {"Tag", catalog::ValueType::kDiscrete}});
+    std::map<TupleId, Tuple> live;
+    std::vector<Tuple> base;
+    TupleId next_id = 1;
+    for (int i = 0; i < 60; ++i) {
+      base.push_back(TraceTuple(next_id++, &rng));
+      live.emplace(base.back().id(), base.back());
+    }
+    engine::PartitionOptions range;
+    range.scheme = engine::PartitionOptions::Scheme::kRange;
+    range.num_shards = 4;
+    range.range_splits = {"k16", "k22", "k28"};
+    engine::PartitionOptions hash;
+    hash.num_shards = 4;
+    // Each table kind with pruning on, then its pruning-off twin.
+    std::vector<engine::Table*> tables;
+    for (bool pruning : {true, false}) {
+      UpiOptions opt;
+      opt.cluster_column = kKey;
+      opt.cutoff = 0.2;
+      opt.enable_pruning = pruning;
+      const std::string tag = pruning ? "on" : "off";
+      tables.push_back(db.CreatePartitionedTable("range_" + tag, schema, opt,
+                                                 {kRegion}, range, base)
+                           .ValueOrDie());
+      tables.push_back(db.CreatePartitionedTable("hash_" + tag, schema, opt,
+                                                 {kRegion}, hash, base)
+                           .ValueOrDie());
+      tables.push_back(db.CreateFracturedTable("frac_" + tag, schema, opt,
+                                               {kRegion}, base)
+                           .ValueOrDie());
+    }
+
+    for (int op = 0; op < 400; ++op) {
+      SCOPED_TRACE("op " + std::to_string(op));
+      const uint64_t dice = rng.Uniform(100);
+      if (dice < 45) {
+        const Tuple t = TraceTuple(next_id++, &rng);
+        for (engine::Table* table : tables) {
+          ASSERT_TRUE(table->Insert(t).ok());
+        }
+        live.emplace(t.id(), t);
+      } else if (dice < 55 && !live.empty()) {
+        auto victim = live.begin();
+        std::advance(victim, rng.Uniform(live.size()));
+        for (engine::Table* table : tables) {
+          ASSERT_TRUE(table->Delete(victim->second).ok());
+        }
+        live.erase(victim);
+      } else if (dice < 58) {
+        // An id never stored: a phantom delete changes no answer.
+        const Tuple ghost = TraceTuple(1'000'000 + next_id, &rng);
+        for (engine::Table* table : tables) (void)table->Delete(ghost);
+      } else if (dice < 62) {
+        db.RunMaintenance();
+      } else if (dice < 66) {
+        const uint64_t kind = rng.Uniform(3);
+        for (engine::Table* table : tables) {
+          for (FracturedUpi* f : FracturesOf(table)) {
+            const Status st = kind == 0   ? f->FlushBuffer()
+                              : kind == 1 ? f->MergeOldestFractures(2)
+                                          : f->MergeAll();
+            ASSERT_TRUE(st.ok()) << st.ToString();
+          }
+        }
+      } else {
+        const uint64_t shape = rng.Uniform(4);
+        constexpr double kThresholds[] = {0.05, 0.15, 0.3, 0.6};
+        const double qt = kThresholds[rng.Uniform(4)];
+        engine::Query q = engine::Query::Ptq("", 0.0);
+        IdConf want;
+        if (shape == 0) {
+          const std::string v = Pick("k", 24, &rng);
+          q = engine::Query::Ptq(v, qt);
+          want = Oracle(live, kKey, v, qt, 0);
+        } else if (shape == 1) {
+          const std::string v = Pick("k", 24, &rng);
+          const size_t k = 1 + rng.Uniform(8);
+          q = engine::Query::TopK(v, k);
+          want = Oracle(live, kKey, v, 0.0, k);
+        } else if (shape == 2) {
+          const std::string v = Pick("r", 6, &rng);
+          q = engine::Query::Secondary(kRegion, v, qt);
+          want = Oracle(live, kRegion, v, qt, 0);
+        } else {
+          const std::string v = Pick("t", 4, &rng);
+          q = engine::Query::ScanFilter(kTag, v, qt);
+          want = Oracle(live, kTag, v, qt, 0);
+        }
+        for (engine::Table* table : tables) {
+          std::vector<PtqMatch> rows;
+          ASSERT_TRUE(table->Run(q, &rows).ok()) << table->name();
+          ASSERT_EQ(ById(rows), want)
+              << table->name() << " shape " << shape << " value " << q.value
+              << " qt " << q.qt << " k " << q.k;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -666,6 +666,39 @@ TEST(UpiTest, TopKFallsBackToCutoffWhenHeapHasFewerThanK) {
   }
 }
 
+TEST(UpiTest, TopKMergesHeapEntriesBelowTheCutoffWithItsPointers) {
+  // Algorithm 1 keeps a first alternative in the heap even below C, so the
+  // heap's tail can rank below a cutoff pointer: top-k must merge the two,
+  // not drain the heap first.
+  storage::DbEnv env;
+  UpiOptions opt = PaperOptions();
+  opt.cutoff = 0.3;
+  std::vector<Tuple> tuples;
+  tuples.push_back(Tuple(1, 1.0,  // heap: Y first, 0.20 < C
+                         {Value::String("t1"),
+                          Value::Discrete(Dist({{"Y", 0.2}, {"Z", 0.15}})),
+                          Value::Discrete(Dist({{"US", 1.0}}))}));
+  tuples.push_back(Tuple(2, 1.0,  // cutoff index: Y second, 0.25 < C
+                         {Value::String("t2"),
+                          Value::Discrete(Dist({{"X", 0.75}, {"Y", 0.25}})),
+                          Value::Discrete(Dist({{"US", 1.0}}))}));
+  tuples.push_back(Tuple(3, 1.0,  // heap: Y first, 0.6 >= C
+                         {Value::String("t3"),
+                          Value::Discrete(Dist({{"Y", 0.6}, {"X", 0.4}})),
+                          Value::Discrete(Dist({{"US", 1.0}}))}));
+  auto upi =
+      Upi::Build(&env, "a", PaperSchema(), opt, {}, tuples).ValueOrDie();
+  std::vector<PtqMatch> out;
+  ASSERT_TRUE(upi->OpenTopK("Y", 2)->Drain(&out).ok());
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 3u);
+  EXPECT_EQ(out[1].id, 2u);  // 0.25 from the cutoff index beats 0.20
+  out.clear();
+  ASSERT_TRUE(upi->OpenTopK("Y", 5)->Drain(&out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[2].id, 1u);
+}
+
 TEST(UpiTest, BuildValidatesInputBeforeCreatingFiles) {
   // Bad secondary columns and a tuple without clustered alternatives are
   // rejected before any file exists, so the same name builds afterwards.

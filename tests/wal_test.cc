@@ -228,8 +228,8 @@ TEST(WalFormatTest, DecodeRejectsAPageSizeOtherThanTheUpiPage) {
   spec.kind = wal::TableKind::kUpi;
   spec.schema = datagen::DblpGenerator::AuthorSchema();
   spec.options.cluster_column = AuthorCols::kInstitution;
-  std::string payload(
-      wal::FramePayload(wal::EncodeCreateTable("t", spec, {})));
+  std::string payload(wal::FramePayload(
+      wal::EncodeCreateTable("t", spec, std::vector<Tuple>{})));
   ASSERT_TRUE(wal::DecodeRecord(payload).ok());
   std::string page;
   PutFixed32(&page, core::Upi::kPageSize);
@@ -762,7 +762,8 @@ TEST(KillAndRecoverTest, RetiredPartitionBytesReplayAsFracturedShards) {
   std::string record = wal::EncodeCreateTable("authors", spec, base);
   // The retired bytes sit just before the secondary-column list (varint
   // count + one int32) and the tuple count; the bulk-free record ends there.
-  std::string bare = wal::EncodeCreateTable("authors", spec, {});
+  std::string bare =
+      wal::EncodeCreateTable("authors", spec, std::vector<Tuple>{});
   const size_t retired = bare.size() - 1 - (1 + 4) - 3;
   ASSERT_EQ(record.compare(0, retired + 3, bare, 0, retired + 3), 0);
   ASSERT_EQ(record.substr(retired, 3), std::string(3, '\x01'));
@@ -1107,6 +1108,51 @@ TEST(CheckpointTest, RotateTruncatesLogAndRecoversSnapshot) {
   }
   ExpectSameResults(recovered.GetTable("authors"), twin.GetTable("authors"),
                     gen);
+}
+
+TEST(CheckpointTest, SnapshotFrameIsTheCreateRecordOfTheDecodedTuples) {
+  // The checkpoint writes each scanned tuple's bytes as they are: the frame
+  // must equal, byte for byte, the create record encoded from the decoded
+  // tuples in scan order, for heap rows and buffered rows alike.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 80;
+  cfg.num_institutions = 12;
+  cfg.seed = 37;
+  datagen::DblpGenerator gen(cfg);
+  std::vector<Tuple> base = gen.GenerateAuthors();
+  TempDir dir;
+  engine::Database db(TestOptions(dir.path));
+  ASSERT_TRUE(db.CreateFracturedTable("authors",
+                                      datagen::DblpGenerator::AuthorSchema(),
+                                      AuthorUpiOptions(),
+                                      {AuthorCols::kCountry}, base)
+                  .ok());
+  engine::Table* table = db.GetTable("authors");
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(table->Insert(gen.MakeAuthor(6'000'000 + i)).ok());
+  }
+  ASSERT_TRUE(table->Delete(base[3]).ok());
+  ASSERT_GT(table->fractured()->buffered_inserts(), 0u);
+  std::vector<Tuple> scanned;
+  ASSERT_TRUE(table->path()
+                  ->ScanTuples([&](catalog::TupleView t) {
+                    scanned.push_back(t.Decode().ValueOrDie());
+                  })
+                  .ok());
+  ASSERT_EQ(scanned.size(), base.size() + 11);
+
+  ASSERT_TRUE(db.Checkpoint().ok());
+  Result<ScannedLog> log = ScanAll(dir.Log());
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  ASSERT_EQ(log.value().payloads.size(), 1u);
+  wal::TableSpec spec;
+  spec.kind = wal::TableKind::kFractured;
+  spec.schema = datagen::DblpGenerator::AuthorSchema();
+  spec.options = AuthorUpiOptions();
+  spec.secondary_columns = {AuthorCols::kCountry};
+  EXPECT_EQ(log.value().payloads[0],
+            wal::FramePayload(
+                wal::EncodeCreateTable("authors", spec, scanned)));
 }
 
 TEST(CheckpointTest, WatermarkSchedulesBackgroundCheckpoint) {
