@@ -52,7 +52,6 @@
 
 #include "bench_util.h"
 #include "closed_loop.h"
-#include "engine/access_path.h"
 #include "engine/database.h"
 #include "engine/planner.h"
 #include "engine/session.h"
@@ -99,10 +98,11 @@ void RunPlanChoice(Gate* gate, JsonWriter* json, bool smoke) {
   storage::DbEnv env(256ull << 20);
   core::UpiOptions opt;
   opt.cluster_column = datagen::AuthorCols::kInstitution;
-  engine::UpiAccessPath path(
+  std::unique_ptr<core::Upi> upi =
       core::Upi::Build(&env, "authors", datagen::DblpGenerator::AuthorSchema(),
                        opt, {datagen::AuthorCols::kCountry}, authors)
-          .ValueOrDie());
+          .ValueOrDie();
+  const core::Upi& path = *upi;
 
   PrintTitle("A. Plan choice: one secondary probe, two devices");
   std::printf("# authors=%zu institutions=%zu value=%s qt=%.2f\n",

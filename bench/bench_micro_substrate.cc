@@ -185,8 +185,10 @@ void BM_UpiMerge(benchmark::State& state) {
                                      f == 0 ? pubs.begin() + half : pubs.end());
     for (size_t i = 0; i < part.size(); i += 10) deleted.insert(part[i].id());
     core::FractureSummary::Builder summary;
+    std::string name = "f";
+    name += std::to_string(f);
     fractures.push_back(
-        core::Upi::Build(&env, "f" + std::to_string(f),
+        core::Upi::Build(&env, std::move(name),
                          datagen::DblpGenerator::PublicationSchema(),
                          AnalyticOptions(),
                          {datagen::PublicationCols::kCountry}, part, &summary)
@@ -244,8 +246,9 @@ void BM_HistogramEstimate(benchmark::State& state) {
   histogram::ProbHistogram h(20);
   Rng rng(4);
   for (int i = 0; i < 100000; ++i) {
-    h.Add("v" + std::to_string(rng.Uniform(500)), rng.NextDouble(),
-          rng.Bernoulli(0.4));
+    std::string value = "v";
+    value += std::to_string(rng.Uniform(500));
+    h.Add(value, rng.NextDouble(), rng.Bernoulli(0.4));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(h.EstimateHeapHits("v42", 0.1, 0.3));

@@ -60,8 +60,9 @@ catalog::Tuple MakeTuple(catalog::TupleId id, uint64_t key, uint64_t country,
                 static_cast<unsigned long long>(key + 1));
   alts.push_back({alt2, 0.2});
   std::vector<catalog::Value> values(4);
-  values[datagen::AuthorCols::kName] =
-      catalog::Value::String("n" + std::to_string(id));
+  std::string name = "n";
+  name += std::to_string(id);
+  values[datagen::AuthorCols::kName] = catalog::Value::String(std::move(name));
   values[kInst] = catalog::Value::Discrete(
       prob::DiscreteDistribution::Make(std::move(alts)).ValueOrDie());
   values[kCountry] = catalog::Value::Discrete(

@@ -1,6 +1,5 @@
 #include "core/cost_model.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/fractured_upi.h"
@@ -19,17 +18,7 @@ TableStats TableStats::Of(const Upi& upi) {
 }
 
 TableStats TableStats::Of(const FracturedUpi& fractured) {
-  TableStats s;
-  s.page_size = Upi::kPageSize;
-  s.num_fractures = 0;
-  fractured.ForEachFractureShared([&](const Upi& u) {
-    TableStats m = Of(u);
-    s.table_bytes += m.table_bytes;
-    s.num_leaf_pages += m.num_leaf_pages;
-    s.btree_height = std::max(s.btree_height, m.btree_height);
-    ++s.num_fractures;
-  });
-  return s;
+  return fractured.Stats().table;
 }
 
 double CostModel::CostScanMs() const { return params_.ReadMs(stats_.table_bytes); }

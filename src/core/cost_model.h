@@ -47,6 +47,8 @@ struct TableStats {
   uint32_t page_size = 8192;
 
   static TableStats Of(const Upi& upi);
+  /// The fractures' sums, as FracturedUpi::Stats reports them (an empty
+  /// table counts one fracture).
   static TableStats Of(const FracturedUpi& fractured);
 };
 

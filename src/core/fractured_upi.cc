@@ -103,37 +103,45 @@ void FracturedUpi::Release(std::unique_ptr<FracturedUpi> table) {
 }
 
 Status FracturedUpi::Insert(const Tuple& tuple) {
-  std::unique_lock lock(mu_);
-  // Checked now, not at the flush: a buffered tuple no fracture can hold
-  // would fail every later flush.
-  UPI_RETURN_NOT_OK(CheckClusteredValue(tuple, options_.cluster_column));
-  if (Deleted(tuple.id())) {
-    return Status::InvalidArgument("TupleId reuse after deletion is not allowed");
+  {
+    std::unique_lock lock(mu_);
+    // Checked now, not at the flush: a buffered tuple no fracture can hold
+    // would fail every later flush.
+    UPI_RETURN_NOT_OK(CheckClusteredValue(tuple, options_.cluster_column));
+    if (Deleted(tuple.id())) {
+      return Status::InvalidArgument(
+          "TupleId reuse after deletion is not allowed");
+    }
+    std::string buf;
+    tuple.Serialize(&buf);
+    auto [it, inserted] =
+        buffer_.emplace(tuple.id(), BufferedTuple{tuple, buf.size()});
+    if (!inserted) return Status::AlreadyExists("TupleId already buffered");
+    ForEachBufferEntry(it->second.tuple,
+                       [&](const BufferEntry& e) { buffer_index_.insert(e); });
+    buffer_bytes_ += it->second.bytes;
+    stats_epoch_.fetch_add(1, std::memory_order_relaxed);
   }
-  std::string buf;
-  tuple.Serialize(&buf);
-  auto [it, inserted] =
-      buffer_.emplace(tuple.id(), BufferedTuple{tuple, buf.size()});
-  if (!inserted) return Status::AlreadyExists("TupleId already buffered");
-  ForEachBufferEntry(it->second.tuple,
-                     [&](const BufferEntry& e) { buffer_index_.insert(e); });
-  buffer_bytes_ += it->second.bytes;
-  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
+  FireWriteHook();
   return Status::OK();
 }
 
 Status FracturedUpi::Delete(TupleId id) {
-  std::unique_lock lock(mu_);
-  auto it = buffer_.find(id);
-  stats_epoch_.fetch_add(1, std::memory_order_relaxed);
-  if (it != buffer_.end()) {
-    ForEachBufferEntry(it->second.tuple,
-                       [&](const BufferEntry& e) { buffer_index_.erase(e); });
-    buffer_bytes_ -= it->second.bytes;
-    buffer_.erase(it);  // never reached disk; no delete-set entry needed
-    return Status::OK();
+  {
+    std::unique_lock lock(mu_);
+    auto it = buffer_.find(id);
+    stats_epoch_.fetch_add(1, std::memory_order_relaxed);
+    if (it != buffer_.end()) {
+      ForEachBufferEntry(it->second.tuple, [&](const BufferEntry& e) {
+        buffer_index_.erase(e);
+      });
+      buffer_bytes_ -= it->second.bytes;
+      buffer_.erase(it);  // never reached disk; no delete-set entry needed
+    } else {
+      buffer_deletes_.insert(id);
+    }
   }
-  buffer_deletes_.insert(id);
+  FireWriteHook();
   return Status::OK();
 }
 
@@ -288,6 +296,98 @@ double FracturedUpi::EstimateSelectivity(std::string_view value,
   return s > 1.0 ? 1.0 : s;
 }
 
+PathStats FracturedUpi::Stats() const {
+  PathStats s;
+  s.cutoff = options_.cutoff;
+  s.table.num_fractures = 0;
+  {
+    std::shared_lock lock(mu_);
+    for (const Fracture& f : fractures_) {
+      PathStats u = f.upi->Stats();
+      s.table.table_bytes += u.table.table_bytes;
+      s.table.num_leaf_pages += u.table.num_leaf_pages;
+      s.table.btree_height =
+          std::max(s.table.btree_height, u.table.btree_height);
+      ++s.table.num_fractures;
+      s.heap_entries += u.heap_entries;
+      s.num_tuples += u.num_tuples;
+      s.seek_span_bytes = u.seek_span_bytes;
+      // Values recur across fractures: the widest fracture approximates the
+      // distinct count better than the sum.
+      s.distinct_primary_values =
+          std::max(s.distinct_primary_values, u.distinct_primary_values);
+    }
+    s.num_tuples += buffer_.size();
+  }
+  if (s.table.num_fractures == 0) s.table.num_fractures = 1;
+  s.charges_open_per_query = true;
+  // Summary-pruned fan-out with a running k-th-score bound (see OpenTopK);
+  // each probed fracture streams k rows at most.
+  s.supports_direct_topk = true;
+  return s;
+}
+
+histogram::PtqEstimate FracturedUpi::EstimatePtq(std::string_view value,
+                                                 double qt) const {
+  histogram::PtqEstimate est;
+  double total_heap = 0.0;
+  std::shared_lock lock(mu_);
+  for (const Fracture& f : fractures_) {
+    histogram::PtqEstimate e = f.upi->EstimatePtq(value, qt);
+    est.heap_entries += e.heap_entries;
+    est.cutoff_pointers += e.cutoff_pointers;
+    total_heap += static_cast<double>(f.upi->heap_entries());
+  }
+  est.selectivity =
+      total_heap > 0 ? std::min(1.0, est.heap_entries / total_heap) : 0.0;
+  return est;
+}
+
+double FracturedUpi::EstimateSecondaryMatches(int column,
+                                              std::string_view value,
+                                              double qt) const {
+  double n = 0.0;
+  std::shared_lock lock(mu_);
+  for (const Fracture& f : fractures_) {
+    n += f.upi->EstimateSecondaryMatches(column, value, qt);
+  }
+  return n;
+}
+
+double FracturedUpi::SecondaryAvgPointers(int column) const {
+  double weighted = 0.0, entries = 0.0;
+  std::shared_lock lock(mu_);
+  for (const Fracture& f : fractures_) {
+    SecondaryIndex* sec = f.upi->secondary(column);
+    if (sec == nullptr) continue;
+    double n = static_cast<double>(sec->num_entries());
+    weighted += sec->avg_pointers() * n;
+    entries += n;
+  }
+  return entries > 0 ? weighted / entries : 1.0;
+}
+
+double FracturedUpi::EstimateTopKThreshold(std::string_view value,
+                                           size_t k) const {
+  std::shared_lock lock(mu_);
+  int nb = 0;
+  for (const Fracture& f : fractures_) {
+    nb = std::max(nb, f.upi->prob_histogram().num_buckets());
+  }
+  if (nb == 0) return 0.0;
+  double acc = 0.0;
+  for (int b = nb - 1; b >= 0; --b) {
+    double lo = static_cast<double>(b) / nb;
+    double hi = static_cast<double>(b + 1) / nb + (b == nb - 1 ? 1e-9 : 0.0);
+    for (const Fracture& f : fractures_) {
+      const histogram::ProbHistogram& h = f.upi->prob_histogram();
+      acc += h.CountFirst(value, lo, hi) + h.CountRest(value, lo, hi);
+    }
+    if (acc >= static_cast<double>(k)) return lo;
+  }
+  return 0.0;
+}
+
 uint64_t FracturedUpi::size_bytes() const {
   std::shared_lock lock(mu_);
   uint64_t total = 0;
@@ -318,8 +418,7 @@ bool FracturedUpi::MayMatch(int column, std::string_view value,
   if (!options_.enable_pruning) return true;
   const int col = ResolveColumn(column);
   // The buffer's index covers the clustered and the secondary columns.
-  if (col == options_.cluster_column ||
-      std::ranges::find(secondary_columns_, col) != secondary_columns_.end()) {
+  if (col == options_.cluster_column || HasSecondary(col)) {
     auto [first, last] = BufferRange(col, value, qt);
     if (first != last) return true;
   } else if (!buffer_.empty()) {
@@ -371,8 +470,7 @@ std::unique_ptr<ResultCursor> FracturedUpi::OpenSecondary(
     SecondaryAccessMode mode) const {
   std::shared_lock lock(mu_);
   std::vector<PtqMatch> rows;
-  if (std::ranges::find(secondary_columns_, column) ==
-      secondary_columns_.end()) {
+  if (!HasSecondary(column)) {
     return std::make_unique<MaterializedCursor>(
         std::move(rows), Status::InvalidArgument("no secondary index"));
   }

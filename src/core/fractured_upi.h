@@ -33,7 +33,15 @@
 // Maintenance is one op type, core::MaintenanceOp (flush, full merge,
 // partial merge), with one dispatch, Run(op, merge_count). The maintenance
 // manager schedules it, the maintenance hook reports it, the WAL journals it
-// and recovery replays it.
+// and recovery replays it. The table learns of nothing above it: its owner
+// installs two hooks, one fired after each write (the manager's watermark
+// check) and one after each maintenance op (the WAL).
+//
+// A FracturedUpi is an AccessPath (core/access_path.h): the engine plans and
+// runs a fractured table's queries against it directly, and its estimation
+// hooks aggregate the fractures' stats and histograms under the table's
+// shared lock, so planning (like querying) is safe while background
+// maintenance merges underneath.
 //
 // Costinit follows a handle cache, as the immutable runs of an LSM tree do:
 // a fracture's heap file pays it on its first touch, and its cutoff file on
@@ -69,6 +77,7 @@
 // tuples visible to every query.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -107,7 +116,7 @@ struct Fracture {
 
 class FracturedPtqCursor;
 
-class FracturedUpi {
+class FracturedUpi final : public AccessPath {
  public:
   /// The one way a Fractured UPI comes into being: checks the secondary
   /// columns, which apply to every fracture, and bulk-builds the main
@@ -127,11 +136,14 @@ class FracturedUpi {
 
   /// Buffers the tuple in RAM (no I/O). Rejects a tuple no fracture could
   /// hold (CheckClusteredValue) up front, as Upi::Insert does.
-  Status Insert(const catalog::Tuple& tuple);
+  Status Insert(const catalog::Tuple& tuple) override;
 
   /// Buffers a deletion (no I/O). Removes the tuple directly if it is still
   /// in the insert buffer.
   Status Delete(catalog::TupleId id);
+  Status Delete(const catalog::Tuple& tuple) override {
+    return Delete(tuple.id());
+  }
 
   /// Whether live tuple `id` may be in this table (no I/O): exact on the
   /// insert buffer and the delete sets, then each fracture's TupleId Bloom
@@ -169,7 +181,15 @@ class FracturedUpi {
   void EnableAdaptiveTuning(std::vector<WorkloadQuery> workload,
                             double storage_budget_bytes);
 
-  // --- Durability hook (see src/wal/) --------------------------------------
+  // --- Hooks (set once, before the table sees concurrent traffic) ---------
+
+  /// Fired after every successful Insert and Delete, with the table lock
+  /// RELEASED: a Database points it at its maintenance manager's watermark
+  /// check (MaintenanceManager::NotifyWrite), which may take the manager's
+  /// locks.
+  void SetWriteHook(std::function<void()> hook) {
+    write_hook_ = std::move(hook);
+  }
 
   /// Fired by FlushBuffer / MergeAll / MergeOldestFractures with the op that
   /// actually changed the physical shape, after the operation completes and
@@ -203,7 +223,7 @@ class FracturedUpi {
   /// writer). The lock-rank checker (UPI_SYNC_CHECKS) aborts on either.
   /// Destroy the cursor on the thread that opened it.
   std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
-                                        double qt) const;
+                                        double qt) const override;
 
   /// Direct top-k on the clustered attribute across buffer + every fracture
   /// (eager): each probed fracture contributes its first k surviving
@@ -216,15 +236,14 @@ class FracturedUpi {
   /// only ever skips fractures that cannot change the answer, so rows are
   /// identical with pruning on or off.
   std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
-                                         size_t k) const;
+                                         size_t k) const override;
 
   /// Secondary-index probe across buffer + every fracture (eager), served
   /// confidence-sorted. A column without a secondary index fails the cursor
   /// with InvalidArgument, buffered rows or not.
-  std::unique_ptr<ResultCursor> OpenSecondary(int column,
-                                              std::string_view value,
-                                              double qt,
-                                              SecondaryAccessMode mode) const;
+  std::unique_ptr<ResultCursor> OpenSecondary(
+      int column, std::string_view value, double qt,
+      SecondaryAccessMode mode) const override;
 
   /// Full sequential sweep: RAM-buffered tuples first (no I/O), then the
   /// fracture list in order, deduplicated by TupleId with delete sets
@@ -232,7 +251,8 @@ class FracturedUpi {
   /// serialized bytes (valid during the call): a heap entry's, validated,
   /// or a buffered tuple serialized for the call. Opens each fracture's heap
   /// file like every other fractured read.
-  Status ScanTuples(const std::function<void(catalog::TupleView)>& fn) const;
+  Status ScanTuples(
+      const std::function<void(catalog::TupleView)>& fn) const override;
 
   /// ScanTuples for a scan-filter on (column, value, qt): identical
   /// semantics over the tuples that could match, but fractures whose
@@ -240,7 +260,7 @@ class FracturedUpi {
   /// skipped without any I/O. column < 0 means the clustered attribute.
   Status ScanTuplesMatching(
       int column, std::string_view value, double qt,
-      const std::function<void(catalog::TupleView)>& fn) const;
+      const std::function<void(catalog::TupleView)>& fn) const override;
 
   // --- Fracture pruning (see core/fracture_summary.h) ---------------------
 
@@ -255,7 +275,7 @@ class FracturedUpi {
   /// Planner-facing expectation for the same decision: fracture count plus
   /// the probed fractures' heap bytes. RAM-only; counts nothing.
   PruneEstimate EstimatePrune(int column, std::string_view value,
-                              double qt) const;
+                              double qt) const override;
 
   /// Whether a probe (column, value, qt) may find a row here (RAM only,
   /// counts nothing): false only when the buffer's index has no entry of
@@ -277,6 +297,38 @@ class FracturedUpi {
   /// Every fracture's summary in fan-out order (main first when one exists),
   /// snapshotted under the shared lock.
   std::vector<std::shared_ptr<const FractureSummary>> summaries() const;
+
+  // --- Planner statistics (RAM only, one shared-lock acquisition each) ----
+
+  /// The fractures' sums (Nfrac counts the main; an empty table counts one)
+  /// plus the buffered tuples. Priced cold, as Section 6.2's Cost_frac:
+  /// Costinit per probed fracture, although at run time a fracture pays it
+  /// only while its file handle is closed.
+  PathStats Stats() const override;
+  /// Whether `column` was declared a secondary column: every fracture and
+  /// the buffer's index carry it, from the first write on.
+  bool HasSecondary(int column) const override {
+    return std::ranges::find(secondary_columns_, column) !=
+           secondary_columns_.end();
+  }
+  int primary_column() const override { return options_.cluster_column; }
+  /// Every fracture's Section 6.1 estimate, summed; the selectivity is over
+  /// their B-tree heap entries.
+  histogram::PtqEstimate EstimatePtq(std::string_view value,
+                                     double qt) const override;
+  double EstimateSecondaryMatches(int column, std::string_view value,
+                                  double qt) const override;
+  /// Entry-weighted mean over the fractures' secondary indexes.
+  double SecondaryAvgPointers(int column) const override;
+  /// The combined k-th threshold: walks the shared bucket grid from the top,
+  /// accumulating every fracture's expected entries per bucket.
+  double EstimateTopKThreshold(std::string_view value,
+                               size_t k) const override;
+  /// Bumped whenever the cost-model inputs move: every Insert/Delete, flush,
+  /// and merge install.
+  uint64_t StatsEpoch() const override {
+    return stats_epoch_.load(std::memory_order_relaxed);
+  }
 
   // --- Tuning / introspection ---------------------------------------------
 
@@ -316,14 +368,10 @@ class FracturedUpi {
   }
   uint64_t num_live_tuples() const;
   uint64_t size_bytes() const;
-  /// Monotonic counter bumped whenever the cost-model inputs move: every
-  /// Insert/Delete, flush, and merge install. Prepared-plan caches compare
-  /// it to decide when to re-plan.
-  uint64_t stats_epoch() const {
-    return stats_epoch_.load(std::memory_order_relaxed);
-  }
   /// Aggregated histogram estimate across the fractures: the fraction of
-  /// all heap entries a PTQ(value, qt) scans — the Section 6.2 Selectivity.
+  /// all heap entries a PTQ(value, qt) scans — the Section 6.2 Selectivity
+  /// MergePolicy prices with (over histogram totals, where EstimatePtq's
+  /// selectivity is over B-tree entry counts).
   double EstimateSelectivity(std::string_view value, double qt) const;
   /// Unsynchronized structural accessors: only safe while no maintenance
   /// operation is in flight (single-threaded benches/tests, or between
@@ -337,14 +385,13 @@ class FracturedUpi {
   }
   /// Iterates the fracture list under the shared lock — safe while
   /// background maintenance runs (installed fractures are immutable; the list
-  /// swap takes the exclusive lock). The engine's planner and the cost model
-  /// read stats and histograms through this.
+  /// swap takes the exclusive lock).
   void ForEachFractureShared(const std::function<void(const Upi&)>& fn) const {
     std::shared_lock lock(mu_);
     for (const Fracture& f : fractures_) fn(*f.upi);
   }
-  const catalog::Schema& schema() const { return schema_; }
-  const std::string& name() const { return name_; }
+  const catalog::Schema& schema() const override { return schema_; }
+  const std::string& name() const override { return name_; }
 
  private:
   friend class FracturedPtqCursor;
@@ -356,6 +403,10 @@ class FracturedUpi {
   /// Fires maintenance_hook_ if set. Caller must NOT hold mu_.
   void FireMaintenanceHook(MaintenanceOp op, size_t merge_count) {
     if (maintenance_hook_) maintenance_hook_(op, merge_count);
+  }
+  /// Fires write_hook_ if set. Caller must NOT hold mu_.
+  void FireWriteHook() {
+    if (write_hook_) write_hook_();
   }
 
   /// True when `id` is in a flushed or a still-buffered delete set. Caller
@@ -439,6 +490,8 @@ class FracturedUpi {
 
   /// Fired (without mu_) after a flush/merge completes; see SetMaintenanceHook.
   std::function<void(MaintenanceOp, size_t)> maintenance_hook_;
+  /// Fired (without mu_) after a write; see SetWriteHook.
+  std::function<void()> write_hook_;
 
   /// Guards fracture list, buffers, delete sets, and counters. Shared:
   /// queries/introspection. Exclusive: Insert/Delete (cheap RAM mutation),

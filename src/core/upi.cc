@@ -165,6 +165,30 @@ histogram::PtqEstimate Upi::EstimatePtq(std::string_view value, double qt) const
   return est.EstimatePtq(value, qt, options_.cutoff);
 }
 
+double Upi::SecondaryAvgPointers(int column) const {
+  SecondaryIndex* sec = secondary(column);
+  return sec == nullptr ? 1.0 : sec->avg_pointers();
+}
+
+double Upi::EstimateTopKThreshold(std::string_view value, size_t k) const {
+  histogram::SelectivityEstimator est(&histogram_);
+  return est.EstimateKthThreshold(value, k);
+}
+
+PathStats Upi::Stats() const {
+  PathStats s;
+  s.table = TableStats::Of(*this);
+  s.cutoff = options_.cutoff;
+  s.heap_entries = heap_entries();
+  s.num_tuples = num_tuples_;
+  s.seek_span_bytes = heap_file()->disk()->SeekSpan();
+  s.distinct_primary_values =
+      static_cast<double>(histogram_.distinct_values());
+  s.charges_open_per_query = options_.charge_open_per_query;
+  s.supports_direct_topk = true;
+  return s;
+}
+
 uint64_t Upi::size_bytes() const {
   uint64_t total = heap_->size_bytes() + cutoff_->size_bytes();
   for (const auto& [col, sec] : secondaries_) total += sec->size_bytes();
@@ -746,6 +770,21 @@ void Upi::ScanHeap(
   for (btree::Cursor c = heap_->SeekToFirst(); c.Valid(); c.Next()) {
     fn(c.key(), c.value());
   }
+}
+
+Status Upi::ScanTuples(
+    const std::function<void(catalog::TupleView)>& fn) const {
+  std::unordered_set<TupleId> seen;
+  Status st = Status::OK();
+  ScanHeap([&](std::string_view key, std::string_view tuple_bytes) {
+    if (!st.ok()) return;
+    UpiKey k;
+    st = DecodeUpiKey(key, &k);
+    if (!st.ok() || !seen.insert(k.id).second) return;
+    st = catalog::TupleView::Validate(tuple_bytes);
+    if (st.ok()) fn(catalog::TupleView(tuple_bytes));
+  });
+  return st;
 }
 
 // ---------------------------------------------------------------------------

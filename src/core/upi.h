@@ -9,9 +9,11 @@
 // indexes store multi-pointer entries exploited by tailored access
 // (Section 3.2, Algorithm 3).
 //
-// Every read returns a core::ResultCursor (core/result_cursor.h): the PTQ
-// and the top-k stream Algorithm 2 off the heap, so a consumer that stops
-// early never runs the cutoff phase; the secondary probe is eager.
+// A Upi is an AccessPath (core/access_path.h): the engine plans and runs a
+// clustered table's queries against it directly. Every read returns a
+// core::ResultCursor (core/result_cursor.h): the PTQ and the top-k stream
+// Algorithm 2 off the heap, so a consumer that stops early never runs the
+// cutoff phase; the secondary probe is eager.
 #pragma once
 
 #include <atomic>
@@ -26,6 +28,7 @@
 #include "btree/bulk_load.h"
 #include "catalog/schema.h"
 #include "catalog/tuple.h"
+#include "core/access_path.h"
 #include "core/cutoff_index.h"
 #include "core/fracture_summary.h"
 #include "core/result_cursor.h"
@@ -80,16 +83,9 @@ Status CheckClusteredValue(const catalog::Tuple& tuple, int cluster_column);
 Status CheckDistinctIds(std::vector<catalog::TupleId> ids);
 Status CheckDistinctIds(const std::vector<catalog::Tuple>& tuples);
 
-/// How a query uses secondary-index pointers (Figure 6's three curves are
-/// PII-on-heap vs. these two modes).
-enum class SecondaryAccessMode {
-  kFirstPointer,  // always follow the highest-probability pointer
-  kTailored,      // Algorithm 3: prefer heap regions already being read
-};
-
 class UpiPtqCursor;
 
-class Upi {
+class Upi final : public AccessPath {
  public:
   /// Heap, cutoff and secondary-index page size (the paper's BDB setup used
   /// 8 KB pages).
@@ -143,11 +139,11 @@ class Upi {
   static void Release(std::unique_ptr<Upi> upi);
 
   /// Algorithm 1. Maintains heap, cutoff index, secondaries and histogram.
-  Status Insert(const catalog::Tuple& tuple);
+  Status Insert(const catalog::Tuple& tuple) override;
 
   /// Deletion (Section 3.1: "handled similarly, deleting entries from the
   /// heap file or cutoff index depends on the probability").
-  Status Delete(const catalog::Tuple& tuple);
+  Status Delete(const catalog::Tuple& tuple) override;
 
   /// Algorithm 2: SELECT * WHERE cluster_attr = value THRESHOLD qt, one
   /// seek and a sequential scan pulled a row at a time. Rows arrive heap
@@ -156,28 +152,56 @@ class Upi {
   /// and the consumer drains past the heap phase. The cursor reads live
   /// pages: it must not outlive this UPI or be used across a write to it.
   std::unique_ptr<ResultCursor> OpenPtq(std::string_view value,
-                                        double qt) const;
+                                        double qt) const override;
 
   /// Top-k on the clustered attribute: the same stream with no threshold,
   /// limited to k rows, so scanning stops after k results — the
   /// early-termination benefit Section 3.1 describes. The cutoff index is
   /// consulted only when fewer than k heap entries qualify.
   std::unique_ptr<ResultCursor> OpenTopK(std::string_view value,
-                                         size_t k) const;
+                                         size_t k) const override;
 
   /// SELECT * WHERE sec_col = value THRESHOLD qt via a secondary index,
   /// fetching tuple data from the heap in heap order (Algorithm 3 when
   /// tailored). Eager: every row is fetched at open.
-  std::unique_ptr<ResultCursor> OpenSecondary(int column,
-                                              std::string_view value,
-                                              double qt,
-                                              SecondaryAccessMode mode) const;
+  std::unique_ptr<ResultCursor> OpenSecondary(
+      int column, std::string_view value, double qt,
+      SecondaryAccessMode mode) const override;
+
+  /// Every tuple once, in heap order: the heap duplicates a tuple once per
+  /// (non-cutoff) alternative, and the sweep reports the first copy. Opens
+  /// the heap file as OpenPtq does (and as the planner's ScanMs prices it).
+  Status ScanTuples(
+      const std::function<void(catalog::TupleView)>& fn) const override;
+
+  // --- Planner statistics (RAM only) ---------------------------------------
+
+  PathStats Stats() const override;
+  bool HasSecondary(int column) const override {
+    return secondary(column) != nullptr;
+  }
+  int primary_column() const override { return options_.cluster_column; }
+  /// Histogram-based estimate for a PTQ on this UPI (Section 6.1).
+  histogram::PtqEstimate EstimatePtq(std::string_view value,
+                                     double qt) const override;
+  /// Estimated number of secondary-index entries matching (value, qt) on
+  /// `column` — the pointer count the planner feeds into the Section 6.3
+  /// sigmoid. Zero when no secondary index exists.
+  double EstimateSecondaryMatches(int column, std::string_view value,
+                                  double qt) const override;
+  double SecondaryAvgPointers(int column) const override;
+  double EstimateTopKThreshold(std::string_view value,
+                               size_t k) const override;
+  /// Bumped by every Insert/Delete.
+  uint64_t StatsEpoch() const override {
+    return stats_epoch_.load(std::memory_order_relaxed);
+  }
 
   // --- Introspection -------------------------------------------------------
 
-  const catalog::Schema& schema() const { return schema_; }
+  const catalog::Schema& schema() const override { return schema_; }
   const UpiOptions& options() const { return options_; }
-  const std::string& name() const { return name_; }
+  const std::string& name() const override { return name_; }
   btree::BTree* heap_tree() const { return heap_.get(); }
   CutoffIndex* cutoff_index() const { return cutoff_.get(); }
   SecondaryIndex* secondary(int column) const;
@@ -185,21 +209,9 @@ class Upi {
   /// Probability histogram of a secondary column (maintained alongside the
   /// secondary index); nullptr when no secondary index exists on `column`.
   const histogram::ProbHistogram* secondary_histogram(int column) const;
-  /// Histogram-based estimate for a PTQ on this UPI (Section 6.1).
-  histogram::PtqEstimate EstimatePtq(std::string_view value, double qt) const;
-  /// Estimated number of secondary-index entries matching (value, qt) on
-  /// `column` — the pointer count the planner feeds into the Section 6.3
-  /// sigmoid. Zero when no secondary index exists.
-  double EstimateSecondaryMatches(int column, std::string_view value,
-                                  double qt) const;
   uint64_t num_tuples() const { return num_tuples_; }
   uint64_t heap_entries() const { return heap_->num_entries(); }
   uint64_t size_bytes() const;
-  /// Monotonic counter bumped by every Insert/Delete — the cost-model inputs
-  /// moved. Prepared-plan caches compare it to decide when to re-plan.
-  uint64_t stats_epoch() const {
-    return stats_epoch_.load(std::memory_order_relaxed);
-  }
 
   /// Enumerates all heap entries in key order (full-table scans and tests):
   /// fn(encoded_key, serialized_tuple). Opens the heap file like a query.

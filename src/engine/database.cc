@@ -94,18 +94,18 @@ Result<Table::AnalyzeResult> Table::AnalyzeQuery(const Query& q) const {
     case Query::Kind::kPtq:
       r.est_rows = est.heap_entries + est.cutoff_pointers;
       r.est_pages = pe.probed_fractures * height +
-                    est.heap_entries * s.avg_entry_bytes / page_size +
+                    est.heap_entries * s.avg_entry_bytes() / page_size +
                     est.cutoff_pointers;
       break;
     case Query::Kind::kSecondary:
       r.est_rows = path_->EstimateSecondaryMatches(q.column, q.value, q.qt);
       r.est_pages = pe.probed_fractures * height +
-                    r.est_rows * s.avg_entry_bytes / page_size;
+                    r.est_rows * s.avg_entry_bytes() / page_size;
       break;
     case Query::Kind::kTopK:
       r.est_rows = static_cast<double>(q.k);
       r.est_pages = pe.probed_fractures * height +
-                    r.est_rows * s.avg_entry_bytes / page_size;
+                    r.est_rows * s.avg_entry_bytes() / page_size;
       break;
     case Query::Kind::kScanFilter:
       r.est_rows = est.heap_entries + est.cutoff_pointers;
@@ -177,16 +177,6 @@ Status Table::Delete(const catalog::Tuple& tuple) {
   w->Commit(lsn);
   db_->MaybeScheduleCheckpoint();
   return s;
-}
-
-core::Upi* Table::upi() const {
-  auto* path = dynamic_cast<UpiAccessPath*>(path_.get());
-  return path != nullptr ? path->upi() : nullptr;
-}
-
-core::FracturedUpi* Table::fractured() const {
-  auto* path = dynamic_cast<FracturedAccessPath*>(path_.get());
-  return path != nullptr ? path->fractured() : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -281,24 +271,21 @@ Result<Table*> Database::CreateTable(
   }
   // Each design's Build checks its whole input and creates its files through
   // storage::NewFiles: a rejected create, or one whose file name collides
-  // with another table's file, leaves no file behind.
+  // with another table's file, leaves no file behind. The built design is
+  // the table's path.
   std::unique_ptr<AccessPath> path;
   switch (spec.kind) {
     case wal::TableKind::kUpi: {
       UPI_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::Upi> upi,
-          core::Upi::Build(&env_, name, spec.schema, spec.options,
-                           spec.secondary_columns, tuples));
-      path = std::make_unique<UpiAccessPath>(std::move(upi));
+          path, core::Upi::Build(&env_, name, spec.schema, spec.options,
+                                 spec.secondary_columns, tuples));
       break;
     }
     case wal::TableKind::kFractured: {
       UPI_ASSIGN_OR_RETURN(
-          std::unique_ptr<core::FracturedUpi> fractured,
+          path,
           core::FracturedUpi::Build(&env_, name, spec.schema, spec.options,
                                     spec.secondary_columns, tuples));
-      path = std::make_unique<FracturedAccessPath>(std::move(fractured),
-                                                   &manager_);
       break;
     }
     case wal::TableKind::kUnclustered: {
@@ -312,8 +299,8 @@ Result<Table*> Database::CreateTable(
     }
     case wal::TableKind::kPartitioned: {
       UPI_ASSIGN_OR_RETURN(
-          path, PartitionedTable::Create(&env_, &manager_, EnsureGatherPool(),
-                                         name, spec.schema, spec.options,
+          path, PartitionedTable::Create(&env_, EnsureGatherPool(), name,
+                                         spec.schema, spec.options,
                                          spec.secondary_columns,
                                          spec.partition, tuples));
       break;
@@ -417,6 +404,7 @@ void Database::ManageFractured(core::FracturedUpi* frac,
       [this, name, shard](core::MaintenanceOp op, size_t merge_count) {
         LogMaintenance(name, shard, op, merge_count);
       });
+  frac->SetWriteHook([this, frac] { manager_.NotifyWrite(frac); });
   manager_.Register(frac);
 }
 

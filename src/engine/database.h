@@ -8,9 +8,9 @@
 // whose plan cache the table's stats epoch invalidates. Every execution
 // returns its explainable Plan. Maintenance is never scheduled by hand:
 // every Fractured UPI under a table (the table itself, or each partition
-// shard) is auto-registered with the environment's
-// MaintenanceManager, and every Insert/Delete notifies it so the Section 6.2
-// watermarks drive flushes and merges.
+// shard) is auto-registered with the environment's MaintenanceManager, and
+// its write hook notifies the manager after every Insert/Delete so the
+// Section 6.2 watermarks drive flushes and merges.
 #pragma once
 
 #include <map>
@@ -19,6 +19,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/fractured_upi.h"
+#include "core/upi.h"
 #include "engine/access_path.h"
 #include "engine/partition.h"
 #include "engine/planner.h"
@@ -38,8 +40,10 @@ class Database;
 /// std::thread::hardware_concurrency (clamped to [4, 16]).
 inline constexpr size_t kGatherWorkersAuto = static_cast<size_t>(-1);
 
-/// A named table: the AccessPath that owns its physical design, the WAL spec
-/// that re-creates it, and a QueryPlanner. Created and owned by a Database.
+/// A named table: its physical design (the AccessPath: a core::Upi, a
+/// core::FracturedUpi, a PartitionedTable or an UnclusteredAccessPath), the
+/// WAL spec that re-creates it, and a QueryPlanner. Created and owned by a
+/// Database.
 class Table {
  public:
   const std::string& name() const { return name_; }
@@ -107,7 +111,8 @@ class Table {
   Result<std::string> ExplainAnalyze(const Query& q) const;
 
   // --- Writes: the path's Insert/Delete (fractured designs notify the
-  // maintenance manager, which flushes/merges per its cost-model policy).
+  // maintenance manager through their write hook; it flushes/merges per its
+  // cost-model policy).
   // When the database has a WAL, the write is journaled first (holding the
   // checkpoint gate shared across append + apply) and made durable per the
   // configured WalMode before returning.
@@ -115,8 +120,10 @@ class Table {
   Status Delete(const catalog::Tuple& tuple);
 
   // --- Escape hatches to the concrete design (nullptr when not that kind).
-  core::Upi* upi() const;
-  core::FracturedUpi* fractured() const;
+  core::Upi* upi() const { return dynamic_cast<core::Upi*>(path_.get()); }
+  core::FracturedUpi* fractured() const {
+    return dynamic_cast<core::FracturedUpi*>(path_.get());
+  }
   PartitionedTable* partitioned() const {
     return dynamic_cast<PartitionedTable*>(path_.get());
   }
@@ -292,7 +299,8 @@ class Database {
   void LogMaintenance(const std::string& table, int shard,
                       core::MaintenanceOp op, size_t merge_count);
   /// Registers `frac` (owned by table `name`, shard `shard`) with the
-  /// maintenance manager and hooks it into LogMaintenance.
+  /// maintenance manager, hooks its writes into the manager's watermark
+  /// check and its maintenance ops into LogMaintenance.
   void ManageFractured(core::FracturedUpi* frac, const std::string& name,
                        int shard);
 

@@ -10,16 +10,6 @@
 
 namespace upi::engine {
 
-namespace {
-
-double AvgEntryBytes(uint64_t table_bytes, uint64_t entries) {
-  return entries == 0 ? 0.0
-                      : static_cast<double>(table_bytes) /
-                            static_cast<double>(entries);
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Partitioner
 // ---------------------------------------------------------------------------
@@ -174,10 +164,10 @@ void GatherPool::RunAll(std::vector<std::function<void()>> tasks) {
 // ---------------------------------------------------------------------------
 
 Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
-    storage::DbEnv* env, maintenance::MaintenanceManager* manager,
-    GatherPool* pool, std::string name, catalog::Schema schema,
-    core::UpiOptions options, std::vector<int> secondary_columns,
-    PartitionOptions popts, const std::vector<catalog::Tuple>& tuples) {
+    storage::DbEnv* env, GatherPool* pool, std::string name,
+    catalog::Schema schema, core::UpiOptions options,
+    std::vector<int> secondary_columns, PartitionOptions popts,
+    const std::vector<catalog::Tuple>& tuples) {
   UPI_ASSIGN_OR_RETURN(Partitioner partitioner, Partitioner::Make(popts));
   // Each shard's build sees only its part of the input: a repeated id is
   // caught here, before any shard creates a file.
@@ -211,7 +201,6 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
 
   // A shard that fails to build releases the shards built before it, so a
   // rejected create leaves no file behind.
-  std::vector<std::unique_ptr<core::FracturedUpi>> built;
   for (size_t i = 0; i < n; ++i) {
     std::vector<catalog::Tuple> part;
     part.reserve(counts[i]);
@@ -222,14 +211,12 @@ Result<std::unique_ptr<PartitionedTable>> PartitionedTable::Create(
         env, table->name_ + ".s" + std::to_string(i), schema, options,
         secondary_columns, part);
     if (!fractured.ok()) {
-      for (auto& shard : built) core::FracturedUpi::Release(std::move(shard));
+      for (auto& shard : table->shards_) {
+        core::FracturedUpi::Release(std::move(shard));
+      }
       return fractured.status();
     }
-    built.push_back(std::move(fractured).value());
-  }
-  for (auto& shard : built) {
-    table->shards_.push_back(
-        std::make_unique<FracturedAccessPath>(std::move(shard), manager));
+    table->shards_.push_back(std::move(fractured).value());
   }
   return table;
 }
@@ -266,7 +253,7 @@ Status PartitionedTable::Delete(const catalog::Tuple& tuple) {
   // partition.h for its effect.
   bool sent = false;
   for (const auto& shard : shards_) {
-    if (!shard->fractured()->MayHoldTupleId(tuple.id())) continue;
+    if (!shard->MayHoldTupleId(tuple.id())) continue;
     UPI_RETURN_NOT_OK(shard->Delete(tuple));
     sent = true;
   }
@@ -287,8 +274,9 @@ void PartitionedTable::CountFanout(size_t probed) const {
 
 std::unique_ptr<ResultCursor> PartitionedTable::Gather(
     int column, std::string_view value, double qt, const char* op,
-    const std::function<std::unique_ptr<ResultCursor>(const AccessPath&)>&
-        open) const {
+    const std::function<
+        std::unique_ptr<ResultCursor>(const core::FracturedUpi&)>& open)
+    const {
   // One shard's slot in the gather.
   struct ShardRun {
     bool pruned = false;
@@ -307,7 +295,7 @@ std::unique_ptr<ResultCursor> PartitionedTable::Gather(
       run.pruned = true;
       continue;
     }
-    const AccessPath* shard = shards_[i].get();
+    const core::FracturedUpi* shard = shards_[i].get();
     tasks.push_back([disk, shard, &run, &open] {
       // Suppress any inner trace (per-fracture ops) so the per-shard record
       // below is the one operator EXPLAIN ANALYZE reconciles; measure the
@@ -362,7 +350,7 @@ std::unique_ptr<ResultCursor> PartitionedTable::Gather(
 
 std::unique_ptr<ResultCursor> PartitionedTable::OpenPtq(std::string_view value,
                                                         double qt) const {
-  return Gather(-1, value, qt, "ptq", [&](const AccessPath& shard) {
+  return Gather(-1, value, qt, "ptq", [&](const core::FracturedUpi& shard) {
     return shard.OpenPtq(value, qt);
   });
 }
@@ -370,9 +358,10 @@ std::unique_ptr<ResultCursor> PartitionedTable::OpenPtq(std::string_view value,
 std::unique_ptr<ResultCursor> PartitionedTable::OpenSecondary(
     int column, std::string_view value, double qt,
     core::SecondaryAccessMode mode) const {
-  return Gather(column, value, qt, "secondary", [&](const AccessPath& shard) {
-    return shard.OpenSecondary(column, value, qt, mode);
-  });
+  return Gather(column, value, qt, "secondary",
+                [&](const core::FracturedUpi& shard) {
+                  return shard.OpenSecondary(column, value, qt, mode);
+                });
 }
 
 std::unique_ptr<ResultCursor> PartitionedTable::OpenTopK(std::string_view value,
@@ -381,9 +370,10 @@ std::unique_ptr<ResultCursor> PartitionedTable::OpenTopK(std::string_view value,
     return std::make_unique<MaterializedCursor>(std::vector<core::PtqMatch>{});
   }
   std::unique_ptr<ResultCursor> cursor =
-      Gather(-1, value, /*qt=*/0.0, "topk", [&](const AccessPath& shard) {
-        return shard.OpenTopK(value, k);
-      });
+      Gather(-1, value, /*qt=*/0.0, "topk",
+             [&](const core::FracturedUpi& shard) {
+               return shard.OpenTopK(value, k);
+             });
   cursor->SetLimit(k);
   return cursor;
 }
@@ -433,7 +423,6 @@ PathStats PartitionedTable::Stats() const {
   }
   if (s.table.num_fractures == 0) s.table.num_fractures = 1;
   s.seek_span_bytes = seek_span;
-  s.avg_entry_bytes = AvgEntryBytes(s.table.table_bytes, s.heap_entries);
   s.supports_direct_topk = true;
   s.clustered = true;
   // The caller participates in its own gather, hence workers + 1.
@@ -451,21 +440,16 @@ uint64_t PartitionedTable::StatsEpoch() const {
   return epoch;
 }
 
-void PartitionedTable::ForEachShardPath(
-    const std::function<void(const AccessPath&)>& fn) const {
-  for (const auto& shard : shards_) fn(*shard);
-}
-
 histogram::PtqEstimate PartitionedTable::EstimatePtq(std::string_view value,
                                                      double qt) const {
   histogram::PtqEstimate est;
   double total_heap = 0.0;
-  ForEachShardPath([&](const AccessPath& p) {
-    histogram::PtqEstimate e = p.EstimatePtq(value, qt);
+  for (const auto& shard : shards_) {
+    histogram::PtqEstimate e = shard->EstimatePtq(value, qt);
     est.heap_entries += e.heap_entries;
     est.cutoff_pointers += e.cutoff_pointers;
-    total_heap += static_cast<double>(p.Stats().heap_entries);
-  });
+    total_heap += static_cast<double>(shard->Stats().heap_entries);
+  }
   est.selectivity =
       total_heap > 0 ? std::min(1.0, est.heap_entries / total_heap) : 0.0;
   return est;
@@ -475,9 +459,9 @@ double PartitionedTable::EstimateSecondaryMatches(int column,
                                                   std::string_view value,
                                                   double qt) const {
   double n = 0.0;
-  ForEachShardPath([&](const AccessPath& p) {
-    n += p.EstimateSecondaryMatches(column, value, qt);
-  });
+  for (const auto& shard : shards_) {
+    n += shard->EstimateSecondaryMatches(column, value, qt);
+  }
   return n;
 }
 
@@ -503,11 +487,11 @@ core::PruneEstimate PartitionedTable::EstimatePrune(int column,
 double PartitionedTable::SecondaryAvgPointers(int column) const {
   // Tuple-weighted mean over shards (shards share one secondary design).
   double weighted = 0.0, tuples = 0.0;
-  ForEachShardPath([&](const AccessPath& p) {
-    double n = static_cast<double>(p.Stats().num_tuples);
-    weighted += p.SecondaryAvgPointers(column) * n;
+  for (const auto& shard : shards_) {
+    double n = static_cast<double>(shard->Stats().num_tuples);
+    weighted += shard->SecondaryAvgPointers(column) * n;
     tuples += n;
-  });
+  }
   return tuples > 0 ? weighted / tuples : 1.0;
 }
 
@@ -516,9 +500,9 @@ double PartitionedTable::EstimateTopKThreshold(std::string_view value,
   // The union holds at least each shard's entries, so the union's k-th
   // threshold is at least the best per-shard one.
   double best = 0.0;
-  ForEachShardPath([&](const AccessPath& p) {
-    best = std::max(best, p.EstimateTopKThreshold(value, k));
-  });
+  for (const auto& shard : shards_) {
+    best = std::max(best, shard->EstimateTopKThreshold(value, k));
+  }
   return best;
 }
 

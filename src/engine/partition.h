@@ -1,12 +1,12 @@
 // Horizontally partitioned tables: one gather over N Fractured UPIs.
 //
 // A PartitionedTable splits one logical table into N shards — each a
-// FracturedAccessPath owning a `FracturedUpi` with its own heap, cutoff
-// index, secondary indexes and MaintenanceManager registration — by hash or
-// key-range on the clustered attribute's *highest-probability* alternative.
-// Inserts route to the owning shard's path, so the single-index ceiling (one
-// latch, one maintenance domain, one flush blocking every reader) turns into
-// N independent domains that flush and merge in parallel. Deletes remove by
+// `FracturedUpi` with its own heap, cutoff index, secondary indexes and
+// MaintenanceManager registration — by hash or key-range on the clustered
+// attribute's *highest-probability* alternative. Inserts route to the
+// owning shard, so the single-index ceiling (one latch, one maintenance
+// domain, one flush blocking every reader) turns into N independent domains
+// that flush and merge in parallel. Deletes remove by
 // TupleId, whatever value the passed tuple carries: every shard that may
 // hold the id (FracturedUpi::MayHoldTupleId) gets the delete. A fracture
 // Bloom false positive (about 1% per fracture) also sends it to a shard
@@ -43,8 +43,9 @@
 #include <thread>
 #include <vector>
 
-#include "engine/access_path.h"
-#include "maintenance/manager.h"
+#include "core/access_path.h"
+#include "core/fractured_upi.h"
+#include "engine/query.h"
 #include "obs/metrics.h"
 #include "storage/db_env.h"
 #include "sync/sync.h"
@@ -132,15 +133,14 @@ class PartitionedTable : public AccessPath {
   /// Bulk-builds N Fractured-UPI shards named `name.s<i>` from `tuples`
   /// (routed by the clustered attribute's highest-probability alternative).
   /// A TupleId repeated in `tuples` is rejected before any shard is built.
-  /// Writes to a shard notify `manager` (may be null: no background
-  /// maintenance); the table's owner registers the shards with it (see
+  /// The table's owner registers the shards for maintenance (see
   /// shard_fractured). `pool` may be null: shard probes run serially on the
   /// calling thread.
   static Result<std::unique_ptr<PartitionedTable>> Create(
-      storage::DbEnv* env, maintenance::MaintenanceManager* manager,
-      GatherPool* pool, std::string name, catalog::Schema schema,
-      core::UpiOptions options, std::vector<int> secondary_columns,
-      PartitionOptions popts, const std::vector<catalog::Tuple>& tuples);
+      storage::DbEnv* env, GatherPool* pool, std::string name,
+      catalog::Schema schema, core::UpiOptions options,
+      std::vector<int> secondary_columns, PartitionOptions popts,
+      const std::vector<catalog::Tuple>& tuples);
 
   PartitionedTable(const PartitionedTable&) = delete;
   PartitionedTable& operator=(const PartitionedTable&) = delete;
@@ -194,7 +194,7 @@ class PartitionedTable : public AccessPath {
   size_t num_shards() const { return shards_.size(); }
   /// Shard i's Fractured UPI.
   core::FracturedUpi* shard_fractured(size_t i) const {
-    return shards_[i]->fractured();
+    return shards_[i].get();
   }
   /// Cumulative shards probed / pruned by query fan-outs (test telemetry).
   uint64_t shards_probed_total() const {
@@ -216,7 +216,7 @@ class PartitionedTable : public AccessPath {
   /// off.
   bool Admissible(size_t i, int column, std::string_view value,
                   double qt) const {
-    return shards_[i]->fractured()->MayMatch(column, value, qt);
+    return shards_[i]->MayMatch(column, value, qt);
   }
   /// Bumps the fan-out counters for one probe that admitted `probed` shards.
   void CountFanout(size_t probed) const;
@@ -228,9 +228,9 @@ class PartitionedTable : public AccessPath {
   /// (its I/O is already charged).
   std::unique_ptr<ResultCursor> Gather(
       int column, std::string_view value, double qt, const char* op,
-      const std::function<std::unique_ptr<ResultCursor>(const AccessPath&)>&
-          open) const;
-  void ForEachShardPath(const std::function<void(const AccessPath&)>& fn) const;
+      const std::function<
+          std::unique_ptr<ResultCursor>(const core::FracturedUpi&)>& open)
+      const;
 
   storage::DbEnv* env_ = nullptr;
   GatherPool* pool_ = nullptr;  // null = serial
@@ -238,7 +238,7 @@ class PartitionedTable : public AccessPath {
   catalog::Schema schema_;
   core::UpiOptions options_;
   Partitioner partitioner_;
-  std::vector<std::unique_ptr<FracturedAccessPath>> shards_;  // own the UPIs
+  std::vector<std::unique_ptr<core::FracturedUpi>> shards_;
 
   mutable std::atomic<uint64_t> shards_probed_total_{0};
   mutable std::atomic<uint64_t> shards_pruned_total_{0};

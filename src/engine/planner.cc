@@ -129,7 +129,7 @@ double QueryPlanner::SortedSweepMs(const PathStats& s, double x,
   uint64_t gap = static_cast<uint64_t>(
       static_cast<double>(s.table.table_bytes) / r);
   double per_seek = params_.SeekMs(gap, s.seek_span_bytes);
-  double pages = r + x * s.avg_entry_bytes / page_size;
+  double pages = r + x * s.avg_entry_bytes() / page_size;
   double cost =
       r * per_seek + params_.ReadMs(static_cast<uint64_t>(pages * page_size));
   // A saturated sweep degenerates to (nearly) a full table scan.
@@ -317,7 +317,7 @@ Plan QueryPlanner::PlanTopK(std::string_view value, size_t k) const {
   direct.predicted_ms =
       probes *
       (LookupMs(s) + params_.ReadMs(static_cast<uint64_t>(
-                         static_cast<double>(k) * s.avg_entry_bytes))) /
+                         static_cast<double>(k) * s.avg_entry_bytes()))) /
       gather;
   std::snprintf(buf, sizeof(buf), "probe=%.0f/%u", probes, pe.total_fractures);
   direct.note = buf;

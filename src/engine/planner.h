@@ -28,7 +28,7 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/access_path.h"
+#include "core/access_path.h"
 #include "engine/query.h"
 #include "obs/metrics.h"
 #include "sim/cost_params.h"

@@ -8,7 +8,7 @@
 #include <tuple>
 #include <utility>
 
-#include "engine/access_path.h"
+#include "core/access_path.h"
 #include "engine/planner.h"
 #include "exec/cursor.h"
 #include "exec/operators.h"

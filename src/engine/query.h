@@ -46,10 +46,21 @@ class SimDisk;
 namespace upi::obs {
 class SlowQueryLog;
 }
+namespace upi::core {
+class AccessPath;
+struct PathStats;
+}
 
 namespace upi::engine {
 
-class AccessPath;
+/// The one read contract starts at the designs (core/result_cursor.h,
+/// core/access_path.h); the engine plans and serves the same types.
+using core::AccessPath;
+using core::MaterializedCursor;
+using core::PathStats;
+using core::ResultCursor;
+using core::RowView;
+
 class QueryPlanner;
 struct Plan;
 
@@ -125,12 +136,6 @@ struct Query {
   /// Shape-level validation against a concrete path (no I/O).
   Status Validate(const AccessPath& path) const;
 };
-
-/// The one read contract starts at the designs (core/result_cursor.h); the
-/// engine serves the same cursor types.
-using core::MaterializedCursor;
-using core::ResultCursor;
-using core::RowView;
 
 class PreparedQuery;
 

@@ -15,7 +15,7 @@ namespace {
 /// threshold descent (both threshold plans share it; they differ only in the
 /// planner-set starting threshold).
 std::unique_ptr<engine::ResultCursor> OpenTopKRun(
-    const engine::AccessPath& path, const engine::Plan& plan, size_t k) {
+    const core::AccessPath& path, const engine::Plan& plan, size_t k) {
   if (plan.kind == engine::PlanKind::kTopKDirect) {
     return path.OpenTopK(plan.value, k);
   }
@@ -32,7 +32,7 @@ std::unique_ptr<engine::ResultCursor> OpenTopKRun(
 /// bound doubled until k rows survive or the table runs out (the run came
 /// back short). Either way the predicate sees each row once.
 std::unique_ptr<engine::ResultCursor> OpenFilteredTopK(
-    const engine::AccessPath& path, const engine::Plan& plan,
+    const core::AccessPath& path, const engine::Plan& plan,
     core::RowPredicate predicate) {
   std::unique_ptr<engine::ResultCursor> run = OpenTopKRun(path, plan, plan.k);
   if (!predicate) return run;
@@ -62,7 +62,7 @@ std::unique_ptr<engine::ResultCursor> OpenFilteredTopK(
 /// the 2^-30 grid index keys store, so a row reports the same confidence,
 /// and qualifies at the same threshold, under every plan.
 std::unique_ptr<engine::ResultCursor> OpenScanFilter(
-    const engine::AccessPath& path, int column, std::string_view value,
+    const core::AccessPath& path, int column, std::string_view value,
     double qt) {
   // The filter rides along so paths with pruning metadata can skip storage
   // units that cannot contain a qualifying alternative; the exact per-tuple
@@ -102,7 +102,7 @@ core::RowPredicate OnDecodedTuple(
 }  // namespace
 
 Result<std::unique_ptr<engine::ResultCursor>> OpenCursor(
-    const engine::AccessPath& path, const engine::Plan& plan,
+    const core::AccessPath& path, const engine::Plan& plan,
     std::function<bool(const catalog::Tuple&)> predicate) {
   core::RowPredicate row_predicate = OnDecodedTuple(std::move(predicate));
   std::unique_ptr<engine::ResultCursor> cursor;

@@ -6,7 +6,7 @@
 
 namespace upi::exec {
 
-Status Execute(const engine::AccessPath& path, const engine::Plan& plan,
+Status Execute(const core::AccessPath& path, const engine::Plan& plan,
                std::vector<core::PtqMatch>* out,
                std::function<bool(const catalog::Tuple&)> predicate) {
   obs::QueryTrace* trace = obs::CurrentTrace();

@@ -1,4 +1,4 @@
-// Materialized plan execution over the engine's AccessPath abstraction.
+// Materialized plan execution over core::AccessPath (core/access_path.h).
 //
 // Execute() runs a planner-produced Plan materialized: the plan's cursor
 // (exec/cursor.h) fully drained, plus the final confidence sort and the
@@ -10,7 +10,7 @@
 #include <functional>
 #include <vector>
 
-#include "engine/access_path.h"
+#include "core/access_path.h"
 #include "engine/planner.h"
 
 namespace upi::exec {
@@ -21,7 +21,7 @@ namespace upi::exec {
 /// top-k / LIMIT plans are truncated, and rows failing `predicate` (when
 /// given; it sees each candidate's tuple decoded once) are dropped before
 /// the limit counts them.
-Status Execute(const engine::AccessPath& path, const engine::Plan& plan,
+Status Execute(const core::AccessPath& path, const engine::Plan& plan,
                std::vector<core::PtqMatch>* out,
                std::function<bool(const catalog::Tuple&)> predicate = {});
 

@@ -6,7 +6,7 @@
 
 namespace upi::exec {
 
-Status TopKByDecreasingThreshold(const engine::AccessPath& path,
+Status TopKByDecreasingThreshold(const core::AccessPath& path,
                                  std::string_view value, size_t k,
                                  double initial_qt,
                                  std::vector<core::PtqMatch>* out, int* rounds) {

@@ -7,7 +7,7 @@
 // queries:
 //  * estimate a minimum probability and issue one PTQ with it;
 //  * issue PTQs with geometrically decreasing thresholds until k results.
-// Both are TopKByDecreasingThreshold over the engine's AccessPath cursors,
+// Both are TopKByDecreasingThreshold over core::AccessPath cursors,
 // so they run unchanged against a plain UPI, a Fractured UPI, a partitioned
 // table, or the PII baseline; they differ only in the starting threshold the
 // planner sets (engine::Plan::initial_qt: the histogram's estimate of the
@@ -17,7 +17,7 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/access_path.h"
+#include "core/access_path.h"
 
 namespace upi::exec {
 
@@ -25,7 +25,7 @@ namespace upi::exec {
 /// thresholds until the answer is produced", starting at `initial_qt`.
 /// Returns the number of PTQ rounds used via `rounds` (for tests /
 /// diagnostics).
-Status TopKByDecreasingThreshold(const engine::AccessPath& path,
+Status TopKByDecreasingThreshold(const core::AccessPath& path,
                                  std::string_view value, size_t k,
                                  double initial_qt,
                                  std::vector<core::PtqMatch>* out,

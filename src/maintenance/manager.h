@@ -3,8 +3,10 @@
 //
 // The paper's Fractured UPI defers index maintenance LSM-style but leaves
 // *when* to flush and merge entirely to the caller. The MaintenanceManager
-// closes that loop: foreground writers call NotifyWrite() after each
-// Insert/Delete, the MergePolicy checks its watermarks, and due work is
+// closes that loop: NotifyWrite() runs after each Insert/Delete (a
+// Database installs it as each table's write hook, FracturedUpi::SetWriteHook;
+// a caller that registers a table itself calls it after each write), the
+// MergePolicy checks its watermarks, and due work is
 // handed to a worker-thread pool through a condition-variable task queue
 // (the buffer-tree flush-pool pattern). After every completed task the
 // policy re-evaluates the Section 6.2 cost model and schedules follow-up
@@ -71,10 +73,11 @@ class MaintenanceManager {
 
   /// Puts `table` under management. The caller keeps ownership; the table
   /// must outlive Stop() (Database stops its manager before any table goes
-  /// away).
+  /// away). Installs no write hook: the caller arranges NotifyWrite.
   void Register(core::FracturedUpi* table);
 
-  /// The write hook: call after Insert/Delete. Checks the flush watermarks
+  /// Call after each Insert/Delete (or install as the table's write hook).
+  /// Checks the flush watermarks
   /// and enqueues a flush when due (deduplicated: a table with a task
   /// already queued or running is left alone — the follow-up re-check after
   /// that task catches anything that accumulated meanwhile).

@@ -233,7 +233,9 @@ std::string MetricsSnapshot::ToPrometheus() const {
       }
       out += s.name;
       if (!s.labels.empty()) out += "{" + s.labels + "}";
-      out += " " + FormatValue(s.value) + "\n";
+      out += ' ';
+      out += FormatValue(s.value);
+      out += '\n';
     }
   };
   emit(counters, "counter");

@@ -43,7 +43,12 @@ void WriteSlot(std::string* page, uint32_t slot, uint32_t off, uint32_t len) {
 }  // namespace
 
 std::string Rid::ToString() const {
-  return "(" + std::to_string(page) + "," + std::to_string(slot) + ")";
+  std::string s = "(";
+  s += std::to_string(page);
+  s += ',';
+  s += std::to_string(slot);
+  s += ')';
+  return s;
 }
 
 uint32_t HeapFile::MaxRecordSize(uint32_t page_size) {

@@ -205,7 +205,8 @@ TEST_P(BTreeRandomOpsTest, MatchesMapOracle) {
     std::string key = Key(key_i);
     double dice = rng.NextDouble();
     if (dice < 0.55) {
-      std::string value = "v" + std::to_string(rng.Uniform(100000));
+      std::string value = "v";
+      value += std::to_string(rng.Uniform(100000));
       bool added = t.Put(key, value).ValueOrDie();
       EXPECT_EQ(added, oracle.find(key) == oracle.end());
       oracle[key] = value;

@@ -10,7 +10,6 @@
 #include "core/fractured_upi.h"
 #include "core/upi.h"
 #include "datagen/dblp.h"
-#include "engine/access_path.h"
 #include "engine/planner.h"
 #include "sim/device_profile.h"
 #include "storage/db_env.h"
@@ -185,17 +184,17 @@ class DeviceProfilePlanFlipTest : public ::testing::Test {
     authors_ = gen.GenerateAuthors();
     UpiOptions opt;
     opt.cluster_column = datagen::AuthorCols::kInstitution;
-    path_ = std::make_unique<engine::UpiAccessPath>(
-        Upi::Build(&env_, "authors", datagen::DblpGenerator::AuthorSchema(),
-                   opt, {datagen::AuthorCols::kCountry}, authors_)
-            .ValueOrDie());
+    path_ = Upi::Build(&env_, "authors",
+                       datagen::DblpGenerator::AuthorSchema(), opt,
+                       {datagen::AuthorCols::kCountry}, authors_)
+                .ValueOrDie();
     value_ = datagen::FindValueWithApproxCount(
         authors_, datagen::AuthorCols::kCountry, 900);
   }
 
   storage::DbEnv env_;
   std::vector<catalog::Tuple> authors_;
-  std::unique_ptr<engine::UpiAccessPath> path_;
+  std::unique_ptr<Upi> path_;
   std::string value_;
 };
 

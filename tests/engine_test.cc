@@ -1,4 +1,4 @@
-// Tests for the engine layer: AccessPath adapters, the cost-based
+// Tests for the engine layer: the designs' AccessPath hooks, the cost-based
 // QueryPlanner (including the Figure 6 planner-vs-measurement agreement the
 // acceptance criteria require), the executor, and the Database facade.
 #include <gtest/gtest.h>
@@ -9,8 +9,10 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 
+#include "common/coding.h"
 #include "datagen/dblp.h"
 #include "engine/access_path.h"
 #include "engine/database.h"
@@ -684,8 +686,49 @@ TEST(DatabaseTest, DestroyWithQueuedSyncMaintenanceDoesNotHang) {
 }
 
 // ---------------------------------------------------------------------------
-// Adapter estimation hooks
+// Access-path estimation hooks
 // ---------------------------------------------------------------------------
+
+TEST(AccessPathTest, EmptyFracturedTablePlansWithItsDeclaredSecondaryIndex) {
+  // A Fractured table created empty has no fracture until its first flush,
+  // but its declared Country index covers the insert buffer from the first
+  // write: both secondary plans are priced, none is marked unsupported. The
+  // chosen plan is not asserted (with no fracture every candidate prices
+  // one probe).
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 3000;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> authors = gen.GenerateAuthors();
+  Database db;
+  core::UpiOptions opt;
+  opt.cluster_column = AuthorCols::kInstitution;
+  Table* t = db.CreateFracturedTable("authors",
+                                     datagen::DblpGenerator::AuthorSchema(),
+                                     opt, {AuthorCols::kCountry}, {})
+                 .ValueOrDie();
+  for (const Tuple& a : authors) ASSERT_TRUE(t->Insert(a).ok());
+  ASSERT_EQ(t->fractured()->num_fractures(), 0u);
+
+  const std::string country = gen.MidCountry();
+  const Query q = Query::Secondary(AuthorCols::kCountry, country, 0.3);
+  const std::string text = t->ExplainAnalyze(q).ValueOrDie();
+  EXPECT_NE(text.find("secondary-first-pointer"), std::string::npos) << text;
+  EXPECT_NE(text.find("secondary-tailored"), std::string::npos) << text;
+  EXPECT_EQ(text.find("(unsupported)"), std::string::npos) << text;
+
+  std::vector<core::PtqMatch> rows;
+  ASSERT_TRUE(t->Run(q, &rows).ok());
+  std::set<catalog::TupleId> got, want;
+  for (const core::PtqMatch& m : rows) got.insert(m.id);
+  for (const Tuple& a : authors) {
+    if (QuantizeProb(a.ConfidenceOf(AuthorCols::kCountry, country)) >= 0.3) {
+      want.insert(a.id());
+    }
+  }
+  EXPECT_EQ(rows.size(), got.size());  // no row twice
+  EXPECT_EQ(got, want);
+  EXPECT_FALSE(want.empty());
+}
 
 TEST(AccessPathTest, SecondaryEstimatesSurviveMerges) {
   // Regression: the merge used to rebuild the secondary index but drop the

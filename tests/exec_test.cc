@@ -111,7 +111,7 @@ TEST(PtqUtilTest, SortSummarize) {
 
 TEST(TopKTest, StrategiesAgree) {
   DblpFx fx;
-  engine::UpiAccessPath path(std::move(fx.author_upi));
+  const core::Upi& path = *fx.author_upi;
   std::string v = fx.gen->PopularInstitution();
   const size_t k = 10;
 
@@ -147,7 +147,7 @@ TEST(TopKTest, UnclusteredBaselineAgrees) {
                    {AuthorCols::kInstitution}, fx.authors)
                    .ValueOrDie();
   std::string v = fx.gen->PopularInstitution();
-  engine::UpiAccessPath upi_path(std::move(fx.author_upi));
+  const core::Upi& upi_path = *fx.author_upi;
   engine::UnclusteredAccessPath heap_path(std::move(table),
                                           AuthorCols::kInstitution, fx.authors);
   std::vector<core::PtqMatch> via_upi, via_heap;
@@ -196,7 +196,7 @@ TEST(SpatialTest, KnnExpandsUntilKFound) {
 
 TEST(TopKTest, KLargerThanMatchesReturnsAll) {
   DblpFx fx;
-  engine::UpiAccessPath path(std::move(fx.author_upi));
+  const core::Upi& path = *fx.author_upi;
   std::string v = fx.gen->InstitutionName(40);  // unpopular
   std::vector<core::PtqMatch> out;
   ASSERT_TRUE(path.OpenTopK(v, 100000)->Drain(&out).ok());
@@ -210,7 +210,7 @@ TEST(TopKTest, KLargerThanMatchesReturnsAll) {
 
 TEST(TopKTest, DecreasingThresholdUsesFewRoundsForPopularValue) {
   DblpFx fx;
-  engine::UpiAccessPath path(std::move(fx.author_upi));
+  const core::Upi& path = *fx.author_upi;
   std::vector<core::PtqMatch> out;
   int rounds = 0;
   ASSERT_TRUE(TopKByDecreasingThreshold(path, fx.gen->PopularInstitution(), 3,

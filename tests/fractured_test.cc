@@ -11,7 +11,6 @@
 #include "core/cost_model.h"
 #include "core/fractured_upi.h"
 #include "datagen/dblp.h"
-#include "engine/access_path.h"
 #include "exec/topk.h"
 #include "storage/db_env.h"
 
@@ -952,7 +951,7 @@ TEST(FracturedHandleCacheTest, ThresholdTopKOpensEachFractureOnceAcrossRounds) {
   Fx fx;
   fx.AddDeltas(2, 550000);
   fx.table->mutable_options()->enable_pruning = false;
-  engine::FracturedAccessPath path(std::move(fx.table), /*manager=*/nullptr);
+  const FracturedUpi& path = *fx.table;
   std::vector<PtqMatch> out;
   int rounds = 0;
   fx.env.ColdCache();
@@ -962,7 +961,7 @@ TEST(FracturedHandleCacheTest, ThresholdTopKOpensEachFractureOnceAcrossRounds) {
                     .ok());
   });
   ASSERT_GE(rounds, 3);  // 0.9, 0.225, then below C = 0.1
-  EXPECT_EQ(opens, ColdFilesTouched(*path.fractured(), "ptq"));
+  EXPECT_EQ(opens, ColdFilesTouched(path, "ptq"));
 }
 
 TEST(FracturedHandleCacheTest, ChargeOpenPerQueryPaysOncePerFilePerQuery) {

@@ -16,7 +16,6 @@
 #include "core/fractured_upi.h"
 #include "datagen/cartel.h"
 #include "datagen/dblp.h"
-#include "engine/access_path.h"
 #include "exec/aggregate.h"
 #include "exec/operators.h"
 #include "exec/spatial.h"
@@ -149,7 +148,7 @@ TEST(IntegrationTest, DiscreteLifecycle) {
 
   // Top-k strategies agree after the whole lifecycle: the direct cursor and
   // a Section 9 plan starting at the histogram's k-th threshold.
-  engine::FracturedAccessPath path(std::move(owned), /*manager=*/nullptr);
+  const core::FracturedUpi& path = table;
   std::vector<core::PtqMatch> direct, est_k;
   ASSERT_TRUE(path.OpenTopK(inst, 5)->Drain(&direct).ok());
   engine::Plan estimated;

@@ -331,7 +331,9 @@ Tuple PartTuple(catalog::TupleId id, int part) {
   std::snprintf(inst, sizeof(inst), "inst%02d_%04llu", part,
                 static_cast<unsigned long long>(id % 1000));
   std::vector<catalog::Value> values(4);
-  values[AuthorCols::kName] = catalog::Value::String("n" + std::to_string(id));
+  std::string name = "n";
+  name += std::to_string(id);
+  values[AuthorCols::kName] = catalog::Value::String(std::move(name));
   values[AuthorCols::kInstitution] = catalog::Value::Discrete(
       prob::DiscreteDistribution::Make({{inst, 0.9}}).ValueOrDie());
   values[AuthorCols::kCountry] = catalog::Value::Discrete(
@@ -511,7 +513,8 @@ TEST(ObsEngineTest, SlowQueryLogRingDropsOldest) {
   SlowQueryLog log(3);
   for (int i = 0; i < 5; ++i) {
     SlowQueryEntry e;
-    e.query = "q" + std::to_string(i);
+    e.query = "q";
+    e.query += std::to_string(i);
     log.Record(std::move(e));
   }
   EXPECT_EQ(log.total_recorded(), 5u);

@@ -33,8 +33,10 @@ Schema TwoColSchema() {
 }
 
 Tuple CertainTuple(catalog::TupleId id, const std::string& key) {
+  std::string name = "n";
+  name += std::to_string(id);
   return Tuple(id, 1.0,
-               {Value::String("n" + std::to_string(id)),
+               {Value::String(std::move(name)),
                 Value::Discrete(Dist({{key, 1.0}}))});
 }
 
@@ -212,7 +214,9 @@ TEST(PartitionTest, BloomFalsePositiveDeleteLowersLiveCountUntilFullMerge) {
   split.range_splits = {"m"};
   std::vector<Tuple> tuples;
   for (catalog::TupleId id = 1; id <= 200; ++id) {
-    tuples.push_back(CertainTuple(id, "a" + std::to_string(id)));
+    std::string key = "a";
+    key += std::to_string(id);
+    tuples.push_back(CertainTuple(id, key));
   }
   Table* s = db.CreatePartitionedTable("s", TwoColSchema(), Options(), {},
                                        split, tuples)
@@ -358,8 +362,10 @@ TEST(PartitionTest, ScanFilterOnAnUnindexedColumnReachesBufferedRows) {
                  {"Tag", ValueType::kDiscrete}});
   auto tagged = [](catalog::TupleId id, const std::string& key,
                    const std::string& tag) {
+    std::string name = "n";
+    name += std::to_string(id);
     return Tuple(id, 1.0,
-                 {Value::String("n" + std::to_string(id)),
+                 {Value::String(std::move(name)),
                   Value::Discrete(Dist({{key, 1.0}})),
                   Value::Discrete(Dist({{tag, 0.8}}))});
   };
@@ -367,7 +373,9 @@ TEST(PartitionTest, ScanFilterOnAnUnindexedColumnReachesBufferedRows) {
   // its buffer can admit it.
   std::vector<Tuple> base;
   for (catalog::TupleId id = 1; id <= 8; ++id) {
-    base.push_back(tagged(id, "x" + std::to_string(id), "old"));
+    std::string key = "x";
+    key += std::to_string(id);
+    base.push_back(tagged(id, key, "old"));
   }
   PartitionOptions split;
   split.scheme = PartitionOptions::Scheme::kRange;

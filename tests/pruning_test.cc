@@ -45,8 +45,9 @@ Tuple MakeSlotTuple(TupleId id, uint64_t key, bool lo_prob, Rng* rng) {
                 static_cast<unsigned long long>(key / 20));
   double existence = lo_prob ? 0.3 : 0.8 + 0.15 * rng->NextDouble();
   std::vector<catalog::Value> values(4);
-  values[datagen::AuthorCols::kName] =
-      catalog::Value::String("n" + std::to_string(id));
+  std::string name = "n";
+  name += std::to_string(id);
+  values[datagen::AuthorCols::kName] = catalog::Value::String(std::move(name));
   values[kInst] = catalog::Value::Discrete(
       prob::DiscreteDistribution::Make({{inst, 0.75}, {inst2, 0.2}})
           .ValueOrDie());
@@ -547,8 +548,9 @@ TEST(PruningFanoutTest, EveryExecutedShapeDecidesEachFractureOnce) {
 
 // ---------------------------------------------------------------------------
 // Seeded differential traces. Shard admission and fracture pruning may only
-// change what a read opens: every read of a trace must equal the same read on
-// a pruning-off twin and a brute-force answer over the live tuples.
+// change what a read opens, and every design answers the same reads: every
+// read of a trace must equal the same read on a pruning-off twin, on every
+// other design, and a brute-force answer over the live tuples.
 // ---------------------------------------------------------------------------
 
 // Columns of the trace schema: a clustered Key, a secondary Region, and a
@@ -581,8 +583,10 @@ catalog::Value TraceDist(const char* prefix, uint64_t n, Rng* rng) {
 }
 
 Tuple TraceTuple(TupleId id, Rng* rng) {
+  std::string name = "n";
+  name += std::to_string(id);
   return Tuple(id, rng->UniformDouble(0.3, 1.0),
-               {catalog::Value::String("n" + std::to_string(id)),
+               {catalog::Value::String(std::move(name)),
                 TraceDist("k", 24, rng), TraceDist("r", 6, rng),
                 TraceDist("t", 4, rng)});
 }
@@ -615,13 +619,15 @@ IdConf Oracle(const std::map<TupleId, Tuple>& live, int column,
   return out;
 }
 
-/// The Fractured UPIs behind a table: itself, or each shard.
+/// The Fractured UPIs behind a table: itself, each shard, or none (a plain
+/// UPI and an unclustered table have no flush or merge).
 std::vector<FracturedUpi*> FracturesOf(engine::Table* t) {
   if (t->fractured() != nullptr) return {t->fractured()};
   std::vector<FracturedUpi*> out;
-  const engine::PartitionedTable* pt = t->partitioned();
-  for (size_t i = 0; i < pt->num_shards(); ++i) {
-    out.push_back(pt->shard_fractured(i));
+  if (const engine::PartitionedTable* pt = t->partitioned()) {
+    for (size_t i = 0; i < pt->num_shards(); ++i) {
+      out.push_back(pt->shard_fractured(i));
+    }
   }
   return out;
 }
@@ -671,6 +677,21 @@ TEST(DifferentialTraceTest, ReadsEqualPruningOffTwinsAndBruteForce) {
                                                {kRegion}, base)
                            .ValueOrDie());
     }
+    // The designs with no fracture, and a Fractured table created with no
+    // tuples, which holds the base in its buffer until a flush.
+    UpiOptions opt;
+    opt.cluster_column = kKey;
+    opt.cutoff = 0.2;
+    tables.push_back(
+        db.CreateUpiTable("upi", schema, opt, {kRegion}, base).ValueOrDie());
+    tables.push_back(db.CreateUnclusteredTable("heap", schema, kKey,
+                                               {kKey, kRegion}, base)
+                         .ValueOrDie());
+    engine::Table* empty =
+        db.CreateFracturedTable("frac_empty", schema, opt, {kRegion}, {})
+            .ValueOrDie();
+    for (const Tuple& t : base) ASSERT_TRUE(empty->Insert(t).ok());
+    tables.push_back(empty);
 
     for (int op = 0; op < 400; ++op) {
       SCOPED_TRACE("op " + std::to_string(op));

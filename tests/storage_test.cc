@@ -378,7 +378,8 @@ TEST(BufferPoolTest, NeverExceedsCapacityWithUnpinnedFramesAvailable) {
   for (int i = 0; i < 16; ++i) {
     PageId id = f.Allocate();
     std::string* data = pool.Fetch(&f, id, /*create=*/true);
-    *data = "p" + std::to_string(i);
+    *data = "p";
+    *data += std::to_string(i);
     pool.Unpin(&f, id);
     EXPECT_LE(pool.cached_bytes(), capacity) << "after page " << i;
   }
@@ -433,7 +434,9 @@ TEST(BufferPoolTest, FullScanDoesNotEvictHotPages) {
   std::vector<PageId> ids;
   for (int i = 0; i < 8; ++i) {
     PageId id = f.Allocate();
-    f.Write(id, "r" + std::to_string(i));
+    std::string record = "r";
+    record += std::to_string(i);
+    f.Write(id, record);
     pool.Fetch(&f, id);
     pool.Unpin(&f, id);
     ids.push_back(id);

@@ -560,9 +560,11 @@ TEST(UpiTest, TopKSpansIntoCutoffIndex) {
   std::vector<Tuple> tuples;
   for (TupleId id = 1; id <= 6; ++id) {
     double strong = 0.55 + 0.05 * static_cast<double>(id);
+    std::string name = "t";
+    name += std::to_string(id);
     tuples.push_back(
         Tuple(id, 1.0,
-              {Value::String("t" + std::to_string(id)),
+              {Value::String(std::move(name)),
                Value::Discrete(Dist({{"X", strong}, {"Y", 1.0 - strong}})),
                Value::Discrete(Dist({{"US", 1.0}}))}));
   }
@@ -579,7 +581,7 @@ TEST(UpiTest, TopKSpansIntoCutoffIndex) {
 }
 
 TEST(UpiTest, DeleteThenPtqAndSecondaryQueries) {
-  // The engine adapters route straight to these paths; a deleted tuple must
+  // The engine plans and runs a UPI table on these paths; a deleted tuple must
   // vanish from the heap scan, the cutoff index, AND both secondary access
   // modes in the same breath.
   storage::DbEnv env;
@@ -628,9 +630,11 @@ TEST(UpiTest, TopKFallsBackToCutoffWhenHeapHasFewerThanK) {
   std::vector<Tuple> tuples;
   for (TupleId id = 1; id <= 6; ++id) {
     double strong = 0.55 + 0.05 * static_cast<double>(id);
+    std::string name = "t";
+    name += std::to_string(id);
     tuples.push_back(
         Tuple(id, 1.0,
-              {Value::String("t" + std::to_string(id)),
+              {Value::String(std::move(name)),
                Value::Discrete(Dist({{"X", strong}, {"Y", 1.0 - strong}})),
                Value::Discrete(Dist({{"US", 1.0}}))}));
   }

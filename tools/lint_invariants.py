@@ -35,6 +35,14 @@ enforce:
                 anywhere else outlives a failed build, and a retry under the
                 same name then collides with it.
 
+  layer         a file under src/ outside engine/, exec/ and wal/ includes
+                no header from those three directories, and one outside
+                them and maintenance/ includes no maintenance/ header. The
+                designs implement core::AccessPath (core/access_path.h) and
+                learn of writes through FracturedUpi's hooks, never through
+                an engine or a maintenance type. engine/, exec/ and wal/
+                include each other; everything else points downward.
+
 Zero third-party dependencies; line-based on purpose (simple enough to
 audit, and the few multi-line cases are handled by the continuation rule).
 Exit status 0 = clean, 1 = findings (printed one per line as
@@ -62,6 +70,8 @@ LOCK_RANK_HEADER = SRC / "sync" / "lock_rank.h"
 RANK_ENUMERATOR = re.compile(r"^\s*(k\w+)\s*=\s*\d+\s*,")
 RANK_USE = re.compile(r"\bLockRank::(k\w+)\b")
 CREATE_FILE = re.compile(r"\bCreateFile\s*\(")
+INCLUDE_DIR = re.compile(r'^\s*#\s*include\s*"(\w+)/')
+UPPER_LAYERS = ("engine", "exec", "wal")
 
 
 def strip_comments_and_strings(line: str, in_block: bool) -> tuple[str, bool]:
@@ -138,11 +148,26 @@ def lint_dead_ranks(files: list[Path]) -> list[str]:
     ]
 
 
+def layer_finding(layer: str, included: str) -> str | None:
+    """Why a file in src/<layer>/ may not include a header of src/<included>/."""
+    if layer in UPPER_LAYERS:
+        return None
+    if included in UPPER_LAYERS:
+        return (f"{layer}/ includes an {included}/ header; only engine/, "
+                "exec/ and wal/ may")
+    if included == "maintenance" and layer != "maintenance":
+        return (f"{layer}/ includes a maintenance/ header; only engine/, "
+                "exec/, wal/ and maintenance/ may")
+    return None
+
+
 def lint_file(path: Path) -> list[str]:
     findings = []
     rel = path.relative_to(REPO)
     in_sync = rel.parts[:2] == ("src", "sync")
     in_storage = rel.parts[:2] == ("src", "storage")
+    layer = rel.parts[1] if len(rel.parts) > 2 else ""
+    raw_lines = path.read_text().splitlines()
     prev_code = ""
     for lineno, code in code_lines(path):
         def report(rule: str, msg: str) -> None:
@@ -176,6 +201,12 @@ def lint_file(path: Path) -> list[str]:
                 "file created outside src/storage/; create it through "
                 "storage::NewFiles (storage/db_env.h)",
             )
+        # The path is a string literal, blanked in `code`: read it raw.
+        include = INCLUDE_DIR.match(raw_lines[lineno - 1])
+        if include and code.lstrip().startswith("#"):
+            why = layer_finding(layer, include.group(1))
+            if why:
+                report("layer", why)
         if code.strip():
             prev_code = code
     return findings
