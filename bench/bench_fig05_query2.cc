@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   storage::DbEnv pii_env(32ull << 20, DeviceFromFlags());
   auto table = baseline::UnclusteredTable::Build(
                    &pii_env, "pub", datagen::DblpGenerator::PublicationSchema(),
+                   datagen::PublicationCols::kInstitution,
                    {datagen::PublicationCols::kInstitution}, d.publications)
                    .ValueOrDie();
   storage::DbEnv upi_env(32ull << 20, DeviceFromFlags());

@@ -14,9 +14,9 @@ int main(int argc, char** argv) {
   CartelData d = MakeCartel();
 
   storage::DbEnv ut_env(32ull << 20, DeviceFromFlags());
-  auto table = baseline::UnclusteredTable::Build(
+  auto table = baseline::UnclusteredTable::BuildHeap(
                    &ut_env, "cars",
-                   datagen::CartelGenerator::CarObservationSchema(), {},
+                   datagen::CartelGenerator::CarObservationSchema(),
                    d.observations)
                    .ValueOrDie();
   auto utree = baseline::SecondaryUtree::Build(&ut_env, "cars", *table,

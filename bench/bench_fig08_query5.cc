@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   auto table = baseline::UnclusteredTable::Build(
                    &pii_env, "cars",
                    datagen::CartelGenerator::CarObservationSchema(),
+                   datagen::CarObsCols::kSegment,
                    {datagen::CarObsCols::kSegment}, d.observations)
                    .ValueOrDie();
   storage::DbEnv upi_env(32ull << 20, DeviceFromFlags());

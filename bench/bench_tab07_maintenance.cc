@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   storage::DbEnv frac_env(32ull << 20, DeviceFromFlags());
   auto table = baseline::UnclusteredTable::Build(
                    &heap_env, "author", datagen::DblpGenerator::AuthorSchema(),
+                   datagen::AuthorCols::kInstitution,
                    {datagen::AuthorCols::kInstitution}, d.authors)
                    .ValueOrDie();
   auto upi = core::Upi::Build(&upi_env, "author",

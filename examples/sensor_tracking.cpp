@@ -47,6 +47,7 @@ int main(int argc, char** argv) {
   auto heap = baseline::UnclusteredTable::Build(
                   &base_env, "cars",
                   datagen::CartelGenerator::CarObservationSchema(),
+                  datagen::CarObsCols::kSegment,
                   {datagen::CarObsCols::kSegment}, obs)
                   .ValueOrDie();
   auto utree = baseline::SecondaryUtree::Build(

@@ -72,7 +72,7 @@ Status SecondaryUtree::QueryRange(const UnclusteredTable& table,
   std::sort(hits.begin(), hits.end(),
             [](const Hit& a, const Hit& b) { return a.rid < b.rid; });
   std::string bytes;
-  auto* heap = const_cast<UnclusteredTable&>(table).heap();
+  const storage::HeapFile* heap = table.heap();
   for (const Hit& h : hits) {
     UPI_RETURN_NOT_OK(heap->Read(h.rid, &bytes));
     core::PtqMatch m;

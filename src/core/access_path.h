@@ -2,19 +2,18 @@
 //
 // Every concrete layout in this codebase — the clustered UPI (Section 3,
 // core/upi.h), the Fractured UPI (Section 4, core/fractured_upi.h), the
-// PII-over-unclustered-heap baseline (Section 7.2) and the horizontally
-// partitioned table (engine/partition.h) — answers the same logical
-// requests: probabilistic threshold queries, top-k, secondary probes.
-// AccessPath is the common interface the executor and the cost-based
-// QueryPlanner work against. The two UPI designs implement it themselves;
-// the engine adds one adapter, engine::UnclusteredAccessPath, which binds the
-// baseline heap to a primary column and keeps the planner's histograms for
-// it. Every probe returns the design's own ResultCursor
-// (core/result_cursor.h), so one cursor protocol runs from the B-tree leaf to
-// the Session. Streaming cursors (clustered PTQ and top-k, the Fractured PTQ
-// fan-out, the PII PTQ) pay for each row as it is pulled; eager ones
-// (secondary probes, the fractured and PII top-k, every partitioned gather)
-// computed every row at open. The path is also the table's write path:
+// PII-over-unclustered-heap baseline (Section 7.2,
+// baseline/unclustered_table.h) and the horizontally partitioned table
+// (engine/partition.h) — answers the same logical requests: probabilistic
+// threshold queries, top-k, secondary probes. AccessPath is the common
+// interface the executor and the cost-based QueryPlanner work against, and
+// every design implements it itself, planner statistics included. Every
+// probe returns the design's own ResultCursor (core/result_cursor.h), so one
+// cursor protocol runs from the B-tree leaf to the Session. Streaming
+// cursors (clustered PTQ and top-k, the Fractured PTQ fan-out, the PII PTQ)
+// pay for each row as it is pulled; eager ones (secondary probes, the
+// fractured and PII top-k, every partitioned gather) computed every row at
+// open. The path is also the table's write path:
 // Insert/Delete are the in-memory mutation (engine::Table journals to the WAL
 // first). The estimation hooks are RAM-only so the planner never spends
 // simulated disk time to make a decision.

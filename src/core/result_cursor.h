@@ -3,10 +3,9 @@
 // Every read of a physical design answers through a ResultCursor: the
 // clustered UPI (core/upi.h), the Fractured UPI (core/fractured_upi.h) and
 // the unclustered baseline (baseline/unclustered_table.h) return one from
-// each of their Open* probes — the UPI designs as AccessPaths themselves
-// (core/access_path.h), the baseline through the engine's one adapter — and
-// exec::OpenCursor caps and filters it. The paper's PTQ is one index
-// seek and a sequential scan a top-k consumer may stop early (Algorithm 2,
+// each of their Open* probes, as AccessPaths (core/access_path.h), and
+// exec::OpenCursor caps and filters it. The paper's PTQ is one index seek
+// and a sequential scan a top-k consumer may stop early (Algorithm 2,
 // Section 3.1); a cursor is exactly that shape.
 //
 // A cursor is either streaming — it reads storage as rows are pulled, so a

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "baseline/unclustered_table.h"
 #include "common/check.h"
 #include "exec/cursor.h"
 #include "exec/operators.h"
@@ -290,11 +291,9 @@ Result<Table*> Database::CreateTable(
     }
     case wal::TableKind::kUnclustered: {
       UPI_ASSIGN_OR_RETURN(
-          std::unique_ptr<baseline::UnclusteredTable> heap,
-          baseline::UnclusteredTable::Build(&env_, name, spec.schema,
-                                            spec.pii_columns, tuples));
-      path = std::make_unique<UnclusteredAccessPath>(
-          std::move(heap), spec.primary_column, tuples);
+          path, baseline::UnclusteredTable::Build(&env_, name, spec.schema,
+                                                  spec.primary_column,
+                                                  spec.pii_columns, tuples));
       break;
     }
     case wal::TableKind::kPartitioned: {
@@ -432,11 +431,12 @@ Status Database::Checkpoint() {
             ids.push_back(t.id());
           }));
       UPI_RETURN_NOT_OK(copied);
-      // The insert paths accept a TupleId that is still live, and the
-      // unclustered and partitioned scans report both tuples. A create
-      // record that repeats an id does not replay (CreateTable rejects it),
-      // so the table would be lost: refuse, and keep the current log, which
-      // replays.
+      // An unclustered table refuses an insert under a live TupleId, but the
+      // UPI, Fractured UPI and partitioned insert paths accept one, and a
+      // partitioned scan reports both tuples when they sit in two shards. A
+      // create record that repeats an id does not replay (CreateTable
+      // rejects it), so the table would be lost: refuse, and keep the
+      // current log, which replays.
       Status distinct = core::CheckDistinctIds(std::move(ids));
       if (!distinct.ok()) {
         return Status::InvalidArgument("checkpoint: table '" + name +

@@ -21,7 +21,6 @@
 
 #include "core/fractured_upi.h"
 #include "core/upi.h"
-#include "engine/access_path.h"
 #include "engine/partition.h"
 #include "engine/planner.h"
 #include "engine/query.h"
@@ -41,9 +40,9 @@ class Database;
 inline constexpr size_t kGatherWorkersAuto = static_cast<size_t>(-1);
 
 /// A named table: its physical design (the AccessPath: a core::Upi, a
-/// core::FracturedUpi, a PartitionedTable or an UnclusteredAccessPath), the
-/// WAL spec that re-creates it, and a QueryPlanner. Created and owned by a
-/// Database.
+/// core::FracturedUpi, a PartitionedTable or a baseline::UnclusteredTable),
+/// the WAL spec that re-creates it, and a QueryPlanner. Created and owned by
+/// a Database.
 class Table {
  public:
   const std::string& name() const { return name_; }
@@ -273,10 +272,11 @@ class Database {
   /// unlogged, or logged but unapplied, across the snapshot). Runs on the
   /// caller's thread; not synchronized against concurrent Create*Table DDL.
   /// Each table's record is written to the new log before the next table is
-  /// scanned. A table whose snapshot repeats a TupleId fails the checkpoint
-  /// with InvalidArgument, and a failed host write, flush or rename with
-  /// IOError; either leaves the log as it was (a repeated id's create
-  /// record would not replay).
+  /// scanned. A table whose snapshot repeats a TupleId (a partitioned table
+  /// can hold one id in two shards; an unclustered table refuses the second
+  /// insert) fails the checkpoint with InvalidArgument, and a failed host
+  /// write, flush or rename with IOError; either leaves the log as it was (a
+  /// repeated id's create record would not replay).
   Status Checkpoint();
 
   /// Enqueues a background checkpoint with the maintenance manager when the

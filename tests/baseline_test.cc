@@ -33,6 +33,7 @@ struct Fx {
     tuples = gen->GenerateAuthors();
     table = UnclusteredTable::Build(&env, "authors",
                                     datagen::DblpGenerator::AuthorSchema(),
+                                    AuthorCols::kInstitution,
                                     {AuthorCols::kInstitution}, tuples)
                 .ValueOrDie();
   }
@@ -126,12 +127,43 @@ TEST(UnclusteredTableTest, InsertDeleteMaintainsIndexes) {
   EXPECT_TRUE(fx.table->Delete(extra.id()).IsNotFound());
 }
 
+TEST(UnclusteredTableTest, InsertRefusesALiveTupleId) {
+  // A second record under a live id could never be deleted (Delete finds
+  // one RID per id), so the first would stay in every scan and PTQ.
+  Fx fx(1000);
+  const Tuple& one = fx.tuples[1];
+  const Tuple& two = fx.tuples[2];
+  EXPECT_TRUE(fx.table->Insert(Tuple(one.id(), two.existence(), two.values()))
+                  .IsAlreadyExists());
+  auto scan = [&fx]() {
+    std::multimap<TupleId, Tuple> rows;
+    EXPECT_TRUE(fx.table
+                    ->ScanTuples([&rows](catalog::TupleView t) {
+                      rows.emplace(t.id(), t.Decode().ValueOrDie());
+                    })
+                    .ok());
+    return rows;
+  };
+  std::multimap<TupleId, Tuple> rows = scan();
+  ASSERT_EQ(rows.count(one.id()), 1u);
+  EXPECT_TRUE(rows.find(one.id())->second == one);
+
+  ASSERT_TRUE(fx.table->Delete(one.id()).ok());
+  EXPECT_TRUE(fx.table->Delete(one.id()).IsNotFound());
+  EXPECT_EQ(scan().count(one.id()), 0u);
+  const std::string inst =
+      one.Get(AuthorCols::kInstitution).discrete().First().value;
+  std::vector<core::PtqMatch> out;
+  ASSERT_TRUE(fx.table->OpenPtq(inst, 0.0)->Drain(&out).ok());
+  ASSERT_FALSE(out.empty());
+  for (const auto& m : out) EXPECT_NE(m.id, one.id());
+}
+
 TEST(UnclusteredTableTest, TopKReadsOnlyKEntries) {
   Fx fx;
   std::string v = fx.gen->PopularInstitution();
   std::vector<core::PtqMatch> out;
-  ASSERT_TRUE(
-      fx.table->OpenTopK(AuthorCols::kInstitution, v, 5)->Drain(&out).ok());
+  ASSERT_TRUE(fx.table->OpenTopK(v, 5)->Drain(&out).ok());
   ASSERT_EQ(out.size(), 5u);
   for (size_t i = 1; i < out.size(); ++i) {
     EXPECT_GE(out[i - 1].confidence, out[i].confidence);
@@ -197,6 +229,7 @@ TEST(BaselineBuildTest, FlushesOnlyItsOwnFiles) {
   auto table = UnclusteredTable::Build(
                    &env, "cars_heap",
                    datagen::CartelGenerator::CarObservationSchema(),
+                   datagen::CarObsCols::kSegment,
                    {datagen::CarObsCols::kSegment}, observations)
                    .ValueOrDie();
   auto utree = SecondaryUtree::Build(&env, "cars_ut", *table,

@@ -335,7 +335,7 @@ TEST(SecondaryUtreeTest, RangeQueryMatchesContinuousUpi) {
   auto table = baseline::UnclusteredTable::Build(
                    &fx.env, "cars_heap",
                    datagen::CartelGenerator::CarObservationSchema(),
-                   {CarObsCols::kSegment}, fx.tuples)
+                   CarObsCols::kSegment, {CarObsCols::kSegment}, fx.tuples)
                    .ValueOrDie();
   auto utree = baseline::SecondaryUtree::Build(&fx.env, "cars_ut", *table,
                                                CarObsCols::kLocation, fx.tuples)
@@ -360,10 +360,9 @@ TEST(ContinuousUpiTest, ClusteredFetchCheaperThanUtree) {
   // Uses enough observations and a small-enough radius that the unclustered
   // heap fetch cannot degenerate into a (cheap) sequential sweep.
   Fx fx(12000, 41);
-  auto table = baseline::UnclusteredTable::Build(
+  auto table = baseline::UnclusteredTable::BuildHeap(
                    &fx.env, "cars_heap2",
-                   datagen::CartelGenerator::CarObservationSchema(), {},
-                   fx.tuples)
+                   datagen::CartelGenerator::CarObservationSchema(), fx.tuples)
                    .ValueOrDie();
   auto utree = baseline::SecondaryUtree::Build(&fx.env, "cars_ut2", *table,
                                                CarObsCols::kLocation, fx.tuples)

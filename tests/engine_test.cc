@@ -14,7 +14,6 @@
 
 #include "common/coding.h"
 #include "datagen/dblp.h"
-#include "engine/access_path.h"
 #include "engine/database.h"
 #include "engine/planner.h"
 #include "exec/operators.h"
@@ -396,7 +395,7 @@ TEST(DatabaseTest, RejectedCreateLeavesNoFileBehind) {
         return db.CreateFracturedTable(kind, schema, opt, columns, rows);
       }
       if (kind == "unclustered") {
-        return db.CreateUnclusteredTable(kind, schema, AuthorCols::kInstitution,
+        return db.CreateUnclusteredTable(kind, schema, AuthorCols::kCountry,
                                          columns, rows);
       }
       return db.CreatePartitionedTable(kind, schema, opt, columns,
@@ -531,7 +530,8 @@ TEST(DatabaseTest, PartitionedCreateRejectsARepeatedTupleId) {
 
 TEST(DatabaseTest, UnclusteredCreateRejectsARepeatedTupleIdOrABadPiiColumn) {
   ExpectRepeatedTupleIdRejected("unclustered");
-  // A bad PII column is rejected before the heap file is created.
+  // A bad PII column is rejected before the heap file is created. Each list
+  // indexes the primary column, so the bad column itself is what fails.
   datagen::DblpConfig cfg;
   cfg.num_authors = 20;
   datagen::DblpGenerator gen(cfg);
@@ -539,7 +539,8 @@ TEST(DatabaseTest, UnclusteredCreateRejectsARepeatedTupleIdOrABadPiiColumn) {
   const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
   Database db;
   for (const std::vector<int>& bad :
-       {std::vector<int>{99}, std::vector<int>{AuthorCols::kName}}) {
+       {std::vector<int>{AuthorCols::kInstitution, 99},
+        std::vector<int>{AuthorCols::kInstitution, AuthorCols::kName}}) {
     EXPECT_EQ(db.CreateUnclusteredTable("t", schema, AuthorCols::kInstitution,
                                         bad, authors)
                   .status()
@@ -547,6 +548,15 @@ TEST(DatabaseTest, UnclusteredCreateRejectsARepeatedTupleIdOrABadPiiColumn) {
               StatusCode::kInvalidArgument);
     EXPECT_EQ(db.env()->TotalFileBytes(), 0u);
   }
+  // So is a primary column without a PII index: every PTQ and top-k on the
+  // table would probe the missing index.
+  EXPECT_EQ(db.CreateUnclusteredTable("t", schema, AuthorCols::kInstitution,
+                                      {AuthorCols::kCountry}, authors)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(db.env()->TotalFileBytes(), 0u);
+  EXPECT_EQ(db.GetTable("t"), nullptr);
   EXPECT_TRUE(db.CreateUnclusteredTable("t", schema, AuthorCols::kInstitution,
                                         {AuthorCols::kInstitution}, authors)
                   .ok());
@@ -786,7 +796,7 @@ TEST(AccessPathTest, StatsAndEstimatesCostNoSimulatedIo) {
   EXPECT_GT(stats.heap_entries, 0u);
 }
 
-TEST(AccessPathTest, UnclusteredAdapterEstimatesFromBuiltStatistics) {
+TEST(AccessPathTest, UnclusteredTableEstimatesFromBuiltStatistics) {
   DblpFx fx;
   Database base_db;
   Table* heap = base_db
@@ -805,10 +815,95 @@ TEST(AccessPathTest, UnclusteredAdapterEstimatesFromBuiltStatistics) {
   EXPECT_GT(est, actual * 0.7);
   EXPECT_LT(est, actual * 1.3);
 
-  // And the adapter's direct top-k (PII inverted list) works.
+  // And the table's direct top-k (PII inverted list) works.
   std::vector<core::PtqMatch> out;
   ASSERT_TRUE(heap->path()->OpenTopK(inst, 5)->Drain(&out).ok());
   EXPECT_EQ(out.size(), 5u);
+}
+
+TEST(AccessPathTest, UnclusteredEstimatesFollowWrites) {
+  // An unclustered table created from 100 authors and filled by inserts
+  // estimates exactly as its twin bulk-built from every author, and plans
+  // the most common country's probe as the twin does. Deleting the inserted
+  // rows brings the estimates back to those of a table built from the 100.
+  datagen::DblpConfig cfg;
+  cfg.num_authors = 5000;
+  datagen::DblpGenerator gen(cfg);
+  const std::vector<Tuple> authors = gen.GenerateAuthors();
+  const std::vector<Tuple> first(authors.begin(), authors.begin() + 100);
+  Database db;
+  auto create = [&](const std::string& name, const std::vector<Tuple>& rows) {
+    return db
+        .CreateUnclusteredTable(
+            name, datagen::DblpGenerator::AuthorSchema(),
+            AuthorCols::kInstitution,
+            {AuthorCols::kInstitution, AuthorCols::kCountry}, rows)
+        .ValueOrDie();
+  };
+  Table* filled = create("filled", first);
+  for (size_t i = first.size(); i < authors.size(); ++i) {
+    ASSERT_TRUE(filled->Insert(authors[i]).ok());
+  }
+  Table* twin = create("twin", authors);
+  Table* base = create("base", first);
+
+  std::map<int, std::set<std::string>> values;
+  std::map<std::string, size_t> country_rows;
+  for (const Tuple& t : authors) {
+    for (int col : {AuthorCols::kInstitution, AuthorCols::kCountry}) {
+      for (const auto& alt : t.Get(col).discrete().alternatives()) {
+        values[col].insert(alt.value);
+        if (col == AuthorCols::kCountry && t.existence() * alt.prob >= 0.1) {
+          ++country_rows[alt.value];
+        }
+      }
+    }
+  }
+  auto expect_same_estimates = [&](const Table* got, const Table* want) {
+    const AccessPath& g = *got->path();
+    const AccessPath& w = *want->path();
+    for (const auto& [col, vals] : values) {
+      for (const std::string& v : vals) {
+        for (double qt : {0.0, 0.1, 0.5}) {
+          EXPECT_EQ(g.EstimateSecondaryMatches(col, v, qt),
+                    w.EstimateSecondaryMatches(col, v, qt))
+              << col << " " << v << " " << qt;
+          if (col != AuthorCols::kInstitution) continue;
+          EXPECT_EQ(g.EstimatePtq(v, qt).heap_entries,
+                    w.EstimatePtq(v, qt).heap_entries)
+              << v << " " << qt;
+          EXPECT_EQ(g.EstimatePtq(v, qt).selectivity,
+                    w.EstimatePtq(v, qt).selectivity)
+              << v << " " << qt;
+        }
+        if (col == AuthorCols::kInstitution) {
+          EXPECT_EQ(g.EstimateTopKThreshold(v, 5),
+                    w.EstimateTopKThreshold(v, 5))
+              << v;
+        }
+      }
+    }
+  };
+  expect_same_estimates(filled, twin);
+
+  const std::string country =
+      std::max_element(country_rows.begin(), country_rows.end(),
+                       [](const auto& a, const auto& b) {
+                         return a.second < b.second;
+                       })
+          ->first;
+  const Query q = Query::Secondary(AuthorCols::kCountry, country, 0.1);
+  const Table::AnalyzeResult got = filled->AnalyzeQuery(q).ValueOrDie();
+  const Table::AnalyzeResult want = twin->AnalyzeQuery(q).ValueOrDie();
+  EXPECT_STREQ(PlanKindName(got.plan.kind), PlanKindName(want.plan.kind))
+      << got.text << want.text;
+  EXPECT_EQ(got.est_rows, want.est_rows);
+  EXPECT_EQ(got.rows.size(), want.rows.size());
+
+  for (size_t i = first.size(); i < authors.size(); ++i) {
+    ASSERT_TRUE(filled->Delete(authors[i]).ok());
+  }
+  expect_same_estimates(filled, base);
 }
 
 }  // namespace

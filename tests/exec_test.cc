@@ -7,7 +7,6 @@
 #include "core/upi.h"
 #include "datagen/cartel.h"
 #include "datagen/dblp.h"
-#include "engine/access_path.h"
 #include "engine/planner.h"
 #include "exec/aggregate.h"
 #include "exec/operators.h"
@@ -144,12 +143,12 @@ TEST(TopKTest, UnclusteredBaselineAgrees) {
   auto table = baseline::UnclusteredTable::Build(
                    &fx.env, "authors_heap",
                    datagen::DblpGenerator::AuthorSchema(),
-                   {AuthorCols::kInstitution}, fx.authors)
+                   AuthorCols::kInstitution, {AuthorCols::kInstitution},
+                   fx.authors)
                    .ValueOrDie();
   std::string v = fx.gen->PopularInstitution();
   const core::Upi& upi_path = *fx.author_upi;
-  engine::UnclusteredAccessPath heap_path(std::move(table),
-                                          AuthorCols::kInstitution, fx.authors);
+  const baseline::UnclusteredTable& heap_path = *table;
   std::vector<core::PtqMatch> via_upi, via_heap;
   ASSERT_TRUE(upi_path.OpenTopK(v, 7)->Drain(&via_upi).ok());
   ASSERT_TRUE(heap_path.OpenTopK(v, 7)->Drain(&via_heap).ok());

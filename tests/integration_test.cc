@@ -184,7 +184,7 @@ TEST(IntegrationTest, ContinuousLifecycle) {
   auto heap = baseline::UnclusteredTable::Build(
                   &env, "cars_heap",
                   datagen::CartelGenerator::CarObservationSchema(),
-                  {CarObsCols::kSegment}, obs)
+                  CarObsCols::kSegment, {CarObsCols::kSegment}, obs)
                   .ValueOrDie();
   auto utree = baseline::SecondaryUtree::Build(&env, "cars_ut", *heap,
                                                CarObsCols::kLocation, obs)

@@ -1195,12 +1195,13 @@ TEST(CheckpointTest, WatermarkSchedulesBackgroundCheckpoint) {
 }
 
 TEST(CheckpointTest, RefusesASnapshotThatRepeatsATupleId) {
-  // The insert paths accept a TupleId that is still live. An unclustered
-  // table keeps both records, and a partitioned table routes the two tuples
-  // to different shards when their first alternatives differ, so a snapshot
-  // of either repeats the id. A create record that repeats an id does not
-  // replay, so the checkpoint fails and leaves the log as it was, and
-  // recovery restores both tables with every row.
+  // An unclustered table refuses an insert under a live TupleId, but a
+  // partitioned table accepts it and routes the two tuples to different
+  // shards when their first alternatives differ, so its snapshot repeats
+  // the id. A create record that repeats an id does not replay, so the
+  // checkpoint fails and leaves the log as it was, and recovery restores
+  // both tables with every row. The refused insert was journaled before it
+  // was applied: it replays, and is refused again.
   datagen::DblpConfig cfg;
   cfg.num_authors = 60;
   cfg.num_institutions = 10;
@@ -1228,19 +1229,24 @@ TEST(CheckpointTest, RefusesASnapshotThatRepeatsATupleId) {
     return n;
   };
 
+  const std::map<std::string, size_t> want_rows = {
+      {"heap", base.size()}, {"shards", base.size() + 1}};
+
   TempDir dir;
   {
     engine::Database db(TestOptions(dir.path));
-    ASSERT_TRUE(db.CreateUnclusteredTable("heap", schema,
-                                          AuthorCols::kInstitution,
-                                          {AuthorCols::kCountry}, base)
+    ASSERT_TRUE(db.CreateUnclusteredTable(
+                      "heap", schema, AuthorCols::kInstitution,
+                      {AuthorCols::kInstitution, AuthorCols::kCountry}, base)
                     .ok());
     ASSERT_TRUE(db.CreatePartitionedTable("shards", schema, AuthorUpiOptions(),
                                           {AuthorCols::kCountry}, popts, base)
                     .ok());
-    for (const char* name : {"heap", "shards"}) {
-      ASSERT_TRUE(db.GetTable(name)->Insert(twin).ok());
-      ASSERT_EQ(rows(db.GetTable(name)), base.size() + 1) << name;
+    EXPECT_EQ(db.GetTable("heap")->Insert(twin).code(),
+              StatusCode::kAlreadyExists);
+    ASSERT_TRUE(db.GetTable("shards")->Insert(twin).ok());
+    for (const auto& [name, n] : want_rows) {
+      ASSERT_EQ(rows(db.GetTable(name)), n) << name;
     }
     const std::string log = ReadAll(dir.Log());
     EXPECT_EQ(db.Checkpoint().code(), StatusCode::kInvalidArgument);
@@ -1250,10 +1256,10 @@ TEST(CheckpointTest, RefusesASnapshotThatRepeatsATupleId) {
   engine::Database recovered(TestOptions(dir.path));
   EXPECT_EQ(recovered.recovery_stats().creates, 2u);
   EXPECT_EQ(recovered.recovery_stats().inserts, 2u);
-  EXPECT_EQ(recovered.recovery_stats().failed, 0u);
-  for (const char* name : {"heap", "shards"}) {
+  EXPECT_EQ(recovered.recovery_stats().failed, 1u);
+  for (const auto& [name, n] : want_rows) {
     ASSERT_NE(recovered.GetTable(name), nullptr) << name;
-    EXPECT_EQ(rows(recovered.GetTable(name)), base.size() + 1) << name;
+    EXPECT_EQ(rows(recovered.GetTable(name)), n) << name;
   }
 }
 
@@ -1306,9 +1312,11 @@ TEST(CheckpointTest, AFailedSnapshotWriteKeepsTheLiveLog) {
 }
 
 TEST(CheckpointTest, ATableRefusedMidSnapshotLeavesNoTempFile) {
-  // Tables snapshot in name order, so "a" is already in wal.log.tmp when "b"
-  // (an unclustered table holding one TupleId twice) refuses. The temp file
-  // goes, the live log stays byte for byte, and it replays all three tables.
+  // Tables snapshot in name order, so "a", "b" and "c" are already in
+  // wal.log.tmp when "d" (a partitioned table holding one TupleId in two
+  // shards) refuses. The temp file goes, the live log stays byte for byte,
+  // and it replays all four tables. "b", an unclustered table, refuses the
+  // same id: its journaled insert replays and is refused again.
   datagen::DblpConfig cfg;
   cfg.num_authors = 60;
   cfg.num_institutions = 10;
@@ -1316,6 +1324,21 @@ TEST(CheckpointTest, ATableRefusedMidSnapshotLeavesNoTempFile) {
   datagen::DblpGenerator gen(cfg);
   const std::vector<Tuple> base = gen.GenerateAuthors();
   const catalog::Schema schema = datagen::DblpGenerator::AuthorSchema();
+  auto first_institution = [](const Tuple& t) {
+    return t.Get(AuthorCols::kInstitution).discrete().First().value;
+  };
+  auto other = std::find_if(base.begin(), base.end(), [&](const Tuple& t) {
+    return first_institution(t) != first_institution(base[0]);
+  });
+  ASSERT_NE(other, base.end());
+  // Another author's values under tuple 0's id; the two first institutions
+  // fall on either side of "d"'s split.
+  const Tuple twin(base[0].id(), other->existence(), other->values());
+  engine::PartitionOptions popts;
+  popts.scheme = engine::PartitionOptions::Scheme::kRange;
+  popts.num_shards = 2;
+  popts.range_splits = {
+      std::max(first_institution(base[0]), first_institution(twin))};
   TempDir dir;
   std::map<std::string, std::vector<Tuple>> want;
   {
@@ -1323,21 +1346,22 @@ TEST(CheckpointTest, ATableRefusedMidSnapshotLeavesNoTempFile) {
     ASSERT_TRUE(db.CreateFracturedTable("a", schema, AuthorUpiOptions(),
                                         {AuthorCols::kCountry}, base)
                     .ok());
-    ASSERT_TRUE(db.CreateUnclusteredTable("b", schema,
-                                          AuthorCols::kInstitution,
-                                          {AuthorCols::kCountry}, base)
+    ASSERT_TRUE(db.CreateUnclusteredTable(
+                      "b", schema, AuthorCols::kInstitution,
+                      {AuthorCols::kInstitution, AuthorCols::kCountry}, base)
                     .ok());
     ASSERT_TRUE(db.CreateUpiTable("c", schema, AuthorUpiOptions(),
                                   {AuthorCols::kCountry}, base)
                     .ok());
-    ASSERT_TRUE(db.GetTable("a")->Insert(gen.MakeAuthor(9'100'000)).ok());
-    // Tuple 1's values under tuple 0's id.
-    ASSERT_TRUE(db.GetTable("b")
-                    ->Insert(Tuple(base[0].id(), base[1].existence(),
-                                   base[1].values()))
+    ASSERT_TRUE(db.CreatePartitionedTable("d", schema, AuthorUpiOptions(),
+                                          {AuthorCols::kCountry}, popts, base)
                     .ok());
+    ASSERT_TRUE(db.GetTable("a")->Insert(gen.MakeAuthor(9'100'000)).ok());
+    EXPECT_EQ(db.GetTable("b")->Insert(twin).code(),
+              StatusCode::kAlreadyExists);
     ASSERT_TRUE(db.GetTable("c")->Delete(base[1]).ok());
-    for (const char* name : {"a", "b", "c"}) {
+    ASSERT_TRUE(db.GetTable("d")->Insert(twin).ok());
+    for (const char* name : {"a", "b", "c", "d"}) {
       want[name] = RowsById(db.GetTable(name));
     }
     const std::string log = ReadAll(dir.Log());
@@ -1347,8 +1371,8 @@ TEST(CheckpointTest, ATableRefusedMidSnapshotLeavesNoTempFile) {
   }
 
   engine::Database recovered(TestOptions(dir.path));
-  EXPECT_EQ(recovered.recovery_stats().creates, 3u);
-  EXPECT_EQ(recovered.recovery_stats().failed, 0u);
+  EXPECT_EQ(recovered.recovery_stats().creates, 4u);
+  EXPECT_EQ(recovered.recovery_stats().failed, 1u);
   for (const auto& [name, rows] : want) {
     ASSERT_NE(recovered.GetTable(name), nullptr) << name;
     const std::vector<Tuple> got = RowsById(recovered.GetTable(name));
