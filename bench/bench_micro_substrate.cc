@@ -225,6 +225,25 @@ void BM_BTreeScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BTreeScan)->Unit(benchmark::kMillisecond);
 
+// BM_BTreeScan from a cold cache: every leaf is a pool miss, so each pass
+// measures the miss path (frame install, device read, image hand-off).
+void BM_BTreeScanCold(benchmark::State& state) {
+  storage::DbEnv env(256ull << 20);
+  storage::PageFile* file = env.CreateFile("t", 8192).ValueOrDie();
+  btree::BTreeBuilder builder(env.MakePager(file));
+  const int kN = 100000;
+  for (int i = 0; i < kN; ++i) (void)builder.Add(Key(i), "value");
+  btree::BTree tree = builder.Finish().ValueOrDie();
+  for (auto _ : state) {
+    env.ColdCache();
+    uint64_t n = 0;
+    for (btree::Cursor c = tree.SeekToFirst(); c.Valid(); c.Next()) ++n;
+    benchmark::DoNotOptimize(n);
+  }
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+BENCHMARK(BM_BTreeScanCold)->Unit(benchmark::kMillisecond);
+
 void BM_GaussianProbInCircle(benchmark::State& state) {
   prob::ConstrainedGaussian2D g({0, 0}, 20.0, 60.0);
   for (auto _ : state) {

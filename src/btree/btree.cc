@@ -43,10 +43,9 @@ Status BTree::FindLeaf(std::string_view key, storage::PageRef* ref,
 
 void BTree::WriteNode(PageId id, const Node& node) {
   storage::PageRef ref = pager_.Get(id);
-  node.Serialize(ref.data());
+  node.Serialize(ref.mutable_data());
   UPI_CHECK(ref.data()->size() <= pager_.page_size(),
             "serialized B-tree node overflows its page");
-  ref.MarkDirty();
 }
 
 // ---------------------------------------------------------------------------
@@ -67,8 +66,7 @@ Result<bool> BTree::Put(std::string_view key, std::string_view value) {
     new_root.children.push_back(ChildEntry{split.sep_key, split.right});
     PageId new_root_id;
     storage::PageRef ref = pager_.New(&new_root_id);
-    new_root.Serialize(ref.data());
-    ref.MarkDirty();
+    new_root.Serialize(ref.mutable_data());
     root_ = new_root_id;
     ++height_;
   }
@@ -143,10 +141,9 @@ Status BTree::PutRec(PageId page_id, std::string_view key, std::string_view valu
       right.right_sibling = node.right_sibling;
       node.right_sibling = right_id;
     }
-    right.Serialize(ref.data());
+    right.Serialize(ref.mutable_data());
     UPI_CHECK(ref.data()->size() <= pager_.page_size(),
               "split B-tree node overflows its page");
-    ref.MarkDirty();
   }
   WriteNode(page_id, node);
   if (node.is_leaf) ++num_leaf_pages_;

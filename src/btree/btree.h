@@ -30,11 +30,14 @@ class BTree;
 /// \brief Forward iterator positioned on a leaf entry.
 ///
 /// Contract:
-///  * The cursor holds one byte copy of its current leaf, never a pin: a pin
-///    held while a consumer stalls, or across a gather hand-off, would block
-///    eviction. The copy is validated (NodeView::Parse) when loaded, and a
-///    leaf that fails validation ends the cursor (Valid() turns false).
-///  * key() and value() view that copy. They are valid until the next call
+///  * The cursor keeps its current leaf's page image (storage::PageImage),
+///    never a pin: a pin held while a consumer stalls, or across a gather
+///    hand-off, would block eviction. The image is shared with the pool and
+///    the device, not copied, and its bytes never change, so the cursor
+///    reads on even after its file is dropped. It is validated
+///    (NodeView::Parse) when loaded, and a leaf that fails validation ends
+///    the cursor (Valid() turns false).
+///  * key() and value() view that image. They are valid until the next call
 ///    to Next(); moving or copying the cursor keeps its position.
 ///  * Each leaf costs one pool fetch when the cursor reaches it; Seek and
 ///    SeekToFirst fetch the first leaf once in their descent and once more
@@ -45,12 +48,8 @@ class Cursor {
   Cursor() = default;
 
   bool Valid() const { return valid_; }
-  std::string_view key() const {
-    return std::string_view(leaf_.data() + key_off_, key_len_);
-  }
-  std::string_view value() const {
-    return std::string_view(leaf_.data() + value_off_, value_len_);
-  }
+  std::string_view key() const { return entry_.key; }
+  std::string_view value() const { return entry_.value; }
   /// Advances to the next entry in key order (following the leaf chain).
   void Next();
 
@@ -68,22 +67,22 @@ class Cursor {
   /// Positions on the first entry >= `key` of leaf `leaf_id`, moving right
   /// if there is none.
   Cursor(const BTree* tree, PageId leaf_id, std::string_view key);
-  /// Copies leaf `id` into leaf_ and parses the copy into *view; false (and
+  /// Takes leaf `id`'s image into leaf_ and parses it into *view; false (and
   /// the cursor invalid) if it is not a valid leaf.
-  bool CopyLeaf(PageId id, NodeView* view);
+  bool LoadLeaf(PageId id, NodeView* view);
   /// Moves right past exhausted leaves, then decodes the entry at offset_.
   void SkipForwardToValid();
   void MaybePrefetch();
 
   const BTree* tree_ = nullptr;
-  std::string leaf_;  // byte copy of the current leaf page
+  storage::PageImage leaf_;  // the current leaf page's image
   PageId right_sibling_ = kInvalidPage;
   uint32_t count_ = 0;  // entries on the current leaf
   uint32_t idx_ = 0;
   size_t offset_ = 0;  // byte offset in leaf_ of the next entry to decode
-  // The current entry as offsets into leaf_, not views: a moved cursor's
-  // short (inline-stored) leaf_ would leave views dangling.
-  size_t key_off_ = 0, key_len_ = 0, value_off_ = 0, value_len_ = 0;
+  // The current entry, decoded in place: views into leaf_'s bytes, which a
+  // copied or moved cursor shares, so they stay valid.
+  EntryView entry_;
   bool valid_ = false;
   uint32_t readahead_ = 0;
   uint32_t prefetch_remaining_ = 0;
@@ -93,13 +92,13 @@ class Cursor {
 /// bitmap-scan style fetch of a sorted pointer list.
 ///
 /// Contract (Cursor's, for point lookups):
-///  * It holds one byte copy of its current leaf, never a pin, and must not
-///    be used across tree modifications.
+///  * It keeps its current leaf's page image, never a pin, and must not be
+///    used across tree modifications.
 ///  * Keys must not descend from one Get to the next (UPI_CHECK); a repeated
 ///    key is answered again.
-///  * A key below the copied leaf's upper fence (the separator that bounds
-///    the leaf on its root-to-leaf path) is answered from the copy, walking
-///    forward from the previous key's position. A key beyond the copied leaf
+///  * A key below the kept leaf's upper fence (the separator that bounds
+///    the leaf on its root-to-leaf path) is answered from its image, walking
+///    forward from the previous key's position. A key beyond the kept leaf
 ///    starts a fresh descent. So each leaf change costs one descent of
 ///    height() pool fetches, where BTree::Get pays one descent per key.
 ///  * It remembers the page of the tree it last read from the device, and
@@ -111,21 +110,21 @@ class SortedLookup {
  public:
   explicit SortedLookup(const BTree* tree) : tree_(tree) {}
 
-  /// Finds exactly `key`: OK with *value viewing the leaf copy (valid until
+  /// Finds exactly `key`: OK with *value viewing the kept leaf (valid until
   /// the next Get), or NotFound.
   Status Get(std::string_view key, std::string_view* value);
 
  private:
-  /// Descends from the root to the leaf covering `key` and copies it.
+  /// Descends from the root to the leaf covering `key` and keeps its image.
   Status Descend(std::string_view key);
 
   const BTree* tree_;
-  std::string leaf_;  // byte copy of the current leaf page
-  bool loaded_ = false;
-  // Exclusive upper bound of the keys the copied leaf covers; empty on the
+  storage::PageImage leaf_;  // the current leaf page's image; null until
+                             // the first descent
+  // Exclusive upper bound of the keys the kept leaf covers; empty on the
   // rightmost root-to-leaf path (a real separator is never empty).
   std::string upper_;
-  uint32_t count_ = 0;  // entries on the copied leaf
+  uint32_t count_ = 0;  // entries on the kept leaf
   uint32_t idx_ = 0;    // first entry not below the previous key
   size_t offset_ = 0;   // its byte offset in leaf_
   std::string last_key_;  // empty sorts first, so any first key ascends

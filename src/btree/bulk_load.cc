@@ -1,6 +1,7 @@
 #include "btree/bulk_load.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/check.h"
 
@@ -20,7 +21,8 @@ BTreeBuilder::BTreeBuilder(storage::Pager pager, double fill_factor)
 void BTreeBuilder::QueuePage(storage::PageId id, std::string bytes) {
   UPI_CHECK(bytes.size() <= pager_.page_size(),
             "bulk-loaded node overflows its page");
-  pending_.push_back(PendingPage{id, std::move(bytes)});
+  pending_.push_back(PendingPage{
+      id, std::make_shared<const std::string>(std::move(bytes))});
   if (pending_.size() >= kOutputBatchPages) FlushPending();
 }
 
@@ -45,8 +47,8 @@ void BTreeBuilder::WriteLeaf(storage::PageId right_sibling) {
 void BTreeBuilder::FlushPending() {
   std::sort(pending_.begin(), pending_.end(),
             [](const PendingPage& a, const PendingPage& b) { return a.id < b.id; });
-  for (const PendingPage& p : pending_) {
-    pager_.file()->Write(p.id, p.bytes);
+  for (PendingPage& p : pending_) {
+    pager_.file()->Write(p.id, std::move(p.image));
   }
   pending_.clear();
 }

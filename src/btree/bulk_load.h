@@ -6,7 +6,8 @@
 // Finished pages are written out in sequential batches directly to the page
 // file (double-buffered merge output), not through the buffer pool: a bulk
 // build or merge must not pay per-page eviction seeks that no real
-// sort-merge pays.
+// sort-merge pays. Each finished page's bytes become its device image as
+// they are, without a copy.
 #pragma once
 
 #include <string>
@@ -36,7 +37,7 @@ class BTreeBuilder {
   };
   struct PendingPage {
     storage::PageId id;
-    std::string bytes;
+    storage::PageImage image;
   };
 
   /// Queues a completed page; batches are written out sorted by page id so

@@ -7,17 +7,14 @@ namespace upi::btree {
 Cursor::Cursor(const BTree* tree, PageId leaf_id, std::string_view key)
     : tree_(tree) {
   NodeView view;
-  if (!CopyLeaf(leaf_id, &view)) return;
+  if (!LoadLeaf(leaf_id, &view)) return;
   idx_ = view.LowerBound(key, &offset_);
   SkipForwardToValid();
 }
 
-bool Cursor::CopyLeaf(PageId id, NodeView* view) {
-  {
-    storage::PageRef ref = tree_->pager_.Get(id);
-    leaf_.assign(*ref.data());
-  }
-  valid_ = NodeView::Parse(leaf_, view).ok() && view->is_leaf();
+bool Cursor::LoadLeaf(PageId id, NodeView* view) {
+  leaf_ = tree_->pager_.Get(id).image();  // pinned for this statement only
+  valid_ = NodeView::Parse(*leaf_, view).ok() && view->is_leaf();
   if (!valid_) return false;
   right_sibling_ = view->right_sibling();
   count_ = view->count();
@@ -49,16 +46,11 @@ void Cursor::SkipForwardToValid() {
       return;
     }
     NodeView view;
-    if (CopyLeaf(right_sibling_, &view)) MaybePrefetch();
+    if (LoadLeaf(right_sibling_, &view)) MaybePrefetch();
   }
   if (!valid_) return;
-  EntryView e;
-  size_t next = DecodeEntry(leaf_, offset_, /*is_leaf=*/true, &e);
-  key_off_ = static_cast<size_t>(e.key.data() - leaf_.data());
-  key_len_ = e.key.size();
-  value_off_ = static_cast<size_t>(e.value.data() - leaf_.data());
-  value_len_ = e.value.size();
-  offset_ = next;  // Next() steps onto the following entry
+  // Next() steps onto the following entry.
+  offset_ = DecodeEntry(*leaf_, offset_, /*is_leaf=*/true, &entry_);
 }
 
 void Cursor::Next() {
@@ -68,7 +60,7 @@ void Cursor::Next() {
 }
 
 Status SortedLookup::Descend(std::string_view key) {
-  loaded_ = false;
+  leaf_.reset();
   upper_.clear();
   storage::PageRef ref;
   NodeView view;
@@ -92,11 +84,10 @@ Status SortedLookup::Descend(std::string_view key) {
     // Deeper levels bound the leaf more tightly, so the last one found wins.
     if (!upper.empty()) upper_.assign(upper);
   }
-  leaf_.assign(*ref.data());
+  leaf_ = ref.image();
   count_ = view.count();
   idx_ = 0;
   offset_ = kNodeHeaderSize;
-  loaded_ = true;
   return Status::OK();
 }
 
@@ -104,13 +95,13 @@ Status SortedLookup::Get(std::string_view key, std::string_view* value) {
   UPI_CHECK(key >= last_key_,
             "SortedLookup keys must arrive in ascending order");
   last_key_.assign(key);
-  if (!loaded_ || (!upper_.empty() && key >= upper_)) {
+  if (leaf_ == nullptr || (!upper_.empty() && key >= upper_)) {
     UPI_RETURN_NOT_OK(Descend(key));
   }
-  // The copy was validated when it was pinned, so every entry decodes.
+  // The image was validated when it was pinned, so every entry decodes.
   EntryView e;
   for (; idx_ < count_; ++idx_) {
-    size_t next = DecodeEntry(leaf_, offset_, /*is_leaf=*/true, &e);
+    size_t next = DecodeEntry(*leaf_, offset_, /*is_leaf=*/true, &e);
     int c = e.key.compare(key);
     if (c == 0) {
       *value = e.value;

@@ -93,8 +93,8 @@ size_t DecodeEntry(std::string_view page, size_t offset, bool is_leaf,
 
 /// \brief Read-only view of one serialized node. Parse checks the header and
 /// every entry's bounds, so lookups never read past the page; the view
-/// borrows the page bytes and is valid only while they are (for a pool
-/// frame: while it stays pinned).
+/// borrows the page bytes and is valid only while they are (for a page of
+/// the pool: while its pin, or a kept storage::PageImage, holds them).
 class NodeView {
  public:
   /// Validates `page` without allocating. A truncated or garbage page, or an

@@ -137,8 +137,7 @@ RTree::RTree(storage::Pager pager, RTreeOptions options, NodeLocator* locator)
   root.is_leaf = true;
   root.label = locator_->AssignInitial(0, 1);
   storage::PageRef ref = pager_.New(&root_);
-  root.Serialize(ref.data());
-  ref.MarkDirty();
+  root.Serialize(ref.mutable_data());
 }
 
 size_t RTree::LeafCapacity() const {
@@ -156,10 +155,9 @@ Status RTree::ReadNode(PageId id, Node* out) const {
 
 void RTree::WriteNode(PageId id, const Node& node) {
   storage::PageRef ref = pager_.Get(id);
-  node.Serialize(ref.data());
+  node.Serialize(ref.mutable_data());
   UPI_CHECK(ref.data()->size() <= pager_.page_size(),
             "serialized R-tree node overflows its page");
-  ref.MarkDirty();
 }
 
 // ---------------------------------------------------------------------------
@@ -261,8 +259,7 @@ Status RTree::Insert(
     new_root.children.push_back(Node::Child{split.right_mbr, split.right_page});
     PageId new_root_id;
     storage::PageRef ref = pager_.New(&new_root_id);
-    new_root.Serialize(ref.data());
-    ref.MarkDirty();
+    new_root.Serialize(ref.mutable_data());
     root_ = new_root_id;
     ++height_;
   }
@@ -318,8 +315,7 @@ Status RTree::InsertRec(
     PageId right_id;
     {
       storage::PageRef ref = pager_.New(&right_id);
-      right.Serialize(ref.data());
-      ref.MarkDirty();
+      right.Serialize(ref.mutable_data());
     }
     WriteNode(page_id, node);
     split->split = true;
@@ -373,8 +369,7 @@ Status RTree::InsertRec(
   PageId right_id;
   {
     storage::PageRef ref = pager_.New(&right_id);
-    right.Serialize(ref.data());
-    ref.MarkDirty();
+    right.Serialize(ref.mutable_data());
   }
   WriteNode(page_id, node);
   split->split = true;
@@ -469,8 +464,7 @@ Result<RTree> RTree::BulkBuild(
     }
     PageId pid;
     storage::PageRef ref = pager.New(&pid);
-    leaf.Serialize(ref.data());
-    ref.MarkDirty();
+    leaf.Serialize(ref.mutable_data());
     level.push_back(Built{leaf.ComputeMbr(), pid});
   }
 
@@ -487,8 +481,7 @@ Result<RTree> RTree::BulkBuild(
       }
       PageId pid;
       storage::PageRef ref = pager.New(&pid);
-      inner.Serialize(ref.data());
-      ref.MarkDirty();
+      inner.Serialize(ref.mutable_data());
       next.push_back(Built{inner.ComputeMbr(), pid});
     }
     level = std::move(next);

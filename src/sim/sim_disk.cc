@@ -207,6 +207,22 @@ DiskStats SimDisk::stats() const {
   return total;
 }
 
+SimDisk::StripeStats SimDisk::stripe_stats() const {
+  StripeStats out;
+  for (size_t i = 0; i < kStripes; ++i) {
+    std::lock_guard<sync::Mutex> lock(stripes_[i].mu);
+    out[i] = stripes_[i].stats;
+  }
+  return out;
+}
+
+DiskStats StatsWindow::Delta() const {
+  const SimDisk::StripeStats now = disk_->stripe_stats();
+  DiskStats d;
+  for (size_t i = 0; i < now.size(); ++i) d += now[i] - start_[i];
+  return d;
+}
+
 std::array<uint64_t, SimDisk::kQueueDepthBuckets> SimDisk::QueueDepthHistogram()
     const {
   std::array<uint64_t, kQueueDepthBuckets> h{};

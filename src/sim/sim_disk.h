@@ -86,6 +86,9 @@ class SimDisk {
   /// with d concurrent issuers registered (index kQueueDepthBuckets - 1
   /// absorbs everything deeper).
   static constexpr size_t kQueueDepthBuckets = 16;
+  /// Counter stripes; see thread_stats().
+  static constexpr size_t kStripes = 64;
+  using StripeStats = std::array<DiskStats, kStripes>;
 
   explicit SimDisk(DeviceProfile profile = DeviceProfile::SpinningDisk())
       : profile_(profile) {}
@@ -137,12 +140,15 @@ class SimDisk {
   /// Sum of all stripes. Each access lands in its stripe atomically, so the
   /// snapshot never sees a half-counted access; exact once traffic quiesces.
   DiskStats stats() const;
+  /// Every stripe's counters, in stripe order.
+  StripeStats stripe_stats() const;
 
   /// The calling thread's own stripe: the I/O this thread issued. Stripe
-  /// indices are handed out once per thread *created over the process
-  /// lifetime* (shared across SimDisk instances), wrapping at kStripes (64);
-  /// past that, threads share stripes and per-thread attribution becomes
-  /// approximate — stats() totals stay exact. Lets a multi-client bench
+  /// indices are handed out once per thread, at its first use, counting
+  /// every thread *over the process lifetime* (shared across SimDisk
+  /// instances) and wrapping at kStripes; past that, threads share stripes
+  /// and per-thread attribution becomes approximate — stats() totals stay
+  /// exact. Lets a multi-client bench
   /// attribute per-operation simulated latency without a global counter.
   DiskStats thread_stats() const;
 
@@ -175,7 +181,6 @@ class SimDisk {
   double TotalMs() const { return stats().SimMs(params()); }
 
  private:
-  static constexpr size_t kStripes = 64;
   struct alignas(64) Stripe {
     mutable sync::Mutex mu{sync::LockRank::kSimDiskStripe};
     DiskStats stats;
@@ -241,19 +246,25 @@ class ConcurrentIoScope {
   SimDisk* disk_;
 };
 
-/// \brief RAII window over a SimDisk's stats: captures a snapshot at
+/// \brief RAII window over a SimDisk's stats: snapshots every stripe at
 /// construction; Elapsed*() report the delta since then.
+///
+/// The delta is the sum of each stripe's own difference, not the difference
+/// of two sums: a stripe no access touched adds exactly 0, so a window's
+/// floating-point totals do not depend on which stripe each thread drew
+/// (that depends on which thread did I/O first) or on what other stripes
+/// held before the window.
 class StatsWindow {
  public:
   explicit StatsWindow(const SimDisk* disk)
-      : disk_(disk), start_(disk->stats()) {}
+      : disk_(disk), start_(disk->stripe_stats()) {}
 
-  DiskStats Delta() const { return disk_->stats() - start_; }
+  DiskStats Delta() const;
   double ElapsedMs() const { return Delta().SimMs(disk_->params()); }
 
  private:
   const SimDisk* disk_;
-  DiskStats start_;
+  SimDisk::StripeStats start_;
 };
 
 /// \brief RAII window over the *calling thread's* stripe: the I/O this thread

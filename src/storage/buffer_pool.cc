@@ -21,6 +21,12 @@ BufferPool::BufferPool(uint64_t capacity_bytes, size_t num_shards)
       shards_count_(num_shards == 0 ? 1 : num_shards),
       shards_(std::make_unique<Shard[]>(shards_count_)) {}
 
+void BufferPool::Frame::Own(std::string_view bytes) {
+  auto copy = std::make_shared<std::string>(bytes);
+  own = copy.get();
+  image = std::move(copy);
+}
+
 size_t BufferPool::ShardIndex(const Key& k) const {
   // Finalize the map hash so low-entropy PageIds spread across shards.
   uint64_t h = KeyHash{}(k);
@@ -90,13 +96,15 @@ std::vector<BufferPool::Victim> BufferPool::DetachVictimsLocked(Shard& s) {
     Frame& f = victim->second;
     UnlinkLocked(s, f);
     ++s.evictions;
-    if (f.dirty) {
+    if (f.dirty()) {
       // Keep the frame mapped (kWriting) until the write-back lands, so a
-      // concurrent re-fetch can't read stale bytes from the file.
+      // concurrent re-fetch can't read stale bytes from the file. Its
+      // private copy becomes the device's image.
       f.state = Frame::State::kWriting;
       ++s.transients;
       ++s.writebacks;
-      victims.push_back(Victim{victim->first, std::move(f.data)});
+      f.own = nullptr;
+      victims.push_back(Victim{victim->first, std::move(f.image)});
     } else {
       s.frames.erase(victim);
     }
@@ -117,9 +125,9 @@ void BufferPool::FinishVictimsLocked(Shard& s,
   if (!victims.empty()) s.cv.notify_all();
 }
 
-std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
-                               std::string_view bytes, PageId after,
-                               bool* read_device) {
+PageImage BufferPool::Fetch(PageFile* file, PageId id, bool create,
+                            std::string_view bytes, PageId after,
+                            bool* read_device) {
   if (read_device != nullptr) *read_device = false;
   const Key k{file, id};
   Shard& s = ShardFor(k);
@@ -143,10 +151,9 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
       // A recycled PageId (freed via one Pager, reallocated via another on
       // the same file) can still have a resident frame; a fresh page must
       // come back with only its new bytes and reach the device.
-      f.data.assign(bytes);
-      f.dirty = true;
+      f.Own(bytes);
     }
-    return &f.data;
+    return f.image;
   }
 
   // Miss: install a loading frame, then do all I/O outside the latch.
@@ -155,7 +162,6 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
   UPI_CHECK(inserted, "loading frame raced an existing mapping");
   Frame& f = it->second;  // node-stable: rehashing never moves it
   f.state = Frame::State::kLoading;
-  f.dirty = create;  // a new page must eventually reach the device
   f.pins = 1;
   f.page_bytes = page_bytes;
   s.bytes += page_bytes;
@@ -168,15 +174,17 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
     // Retire the victims before this miss's own read: a thread re-fetching
     // an evicted page waits only for its write-back, not for our unrelated
     // (in realtime mode, sleeping) page read.
-    for (const Victim& v : victims) v.key.file->Write(v.key.id, v.data);
+    for (const Victim& v : victims) v.key.file->Write(v.key.id, v.image);
     lock.lock();
     FinishVictimsLocked(s, victims);
     lock.unlock();
   }
+  // Still kLoading: no other thread reads the frame yet. A created page is
+  // dirty from here on: it must eventually reach the device.
   if (create) {
-    f.data.assign(bytes);  // still kLoading: no other thread reads it yet
+    f.Own(bytes);
   } else {
-    file->Read(id, &f.data, after);
+    f.image = file->Read(id, after);
     if (read_device != nullptr) *read_device = true;
   }
   lock.lock();
@@ -187,7 +195,7 @@ std::string* BufferPool::Fetch(PageFile* file, PageId id, bool create,
   f.lru_it = s.cold.begin();
   s.transients -= 1;
   s.cv.notify_all();
-  return &f.data;
+  return f.image;
 }
 
 void BufferPool::Unpin(PageFile* file, PageId id) {
@@ -202,15 +210,23 @@ void BufferPool::Unpin(PageFile* file, PageId id) {
   --it->second.pins;
 }
 
-void BufferPool::MarkDirty(PageFile* file, PageId id) {
+std::string* BufferPool::MutableData(PageFile* file, PageId id,
+                                     PageImage* image) {
   const Key k{file, id};
   Shard& s = ShardFor(k);
   std::lock_guard<sync::Mutex> lock(s.mu);
   auto it = s.frames.find(k);
-  UPI_CHECK(it != s.frames.end(), "MarkDirty of a page with no mapped frame");
-  UPI_CHECK(it->second.state == Frame::State::kResident,
-            "MarkDirty of a non-resident frame");
-  it->second.dirty = true;
+  UPI_CHECK(it != s.frames.end(),
+            "MutableData of a page with no mapped frame");
+  Frame& f = it->second;
+  UPI_CHECK(f.state == Frame::State::kResident,
+            "MutableData of a non-resident frame");
+  UPI_CHECK(f.pins > 0, "MutableData of an unpinned frame");
+  // References are only added under this latch (Fetch) or copied from a
+  // holder, so a count of one proves no reader holds the private copy.
+  if (!f.dirty() || f.image.use_count() > 1) f.Own(*f.image);
+  if (image != nullptr) *image = f.image;
+  return f.own;
 }
 
 std::vector<BufferPool::DirtyFile> BufferPool::CollectDirty(
@@ -230,7 +246,7 @@ std::vector<BufferPool::DirtyFile> BufferPool::CollectDirty(
     // pins keeps flushes live under sustained traffic on other pages of the
     // shard.
     for (auto& [k, f] : s.frames) {
-      if (f.state != Frame::State::kResident || !f.dirty || f.pins > 0 ||
+      if (f.state != Frame::State::kResident || !f.dirty() || f.pins > 0 ||
           (only_file != nullptr && k.file != only_file)) {
         continue;
       }
@@ -254,27 +270,29 @@ std::vector<BufferPool::DirtyFile> BufferPool::CollectDirty(
 
 void BufferPool::WriteBackOne(const Key& k) {
   Shard& s = ShardFor(k);
-  std::string snapshot;
+  PageImage image;
   {
     std::lock_guard<sync::Mutex> lock(s.mu);
     auto it = s.frames.find(k);
     if (it == s.frames.end() || it->second.state != Frame::State::kResident ||
-        !it->second.dirty || it->second.pins > 0) {
+        !it->second.dirty() || it->second.pins > 0) {
       // Evicted (and thus written), discarded, or its file dropped since
       // collection: the lookup never touched the PageFile. Or pinned again
       // since collection, and so possibly mid-write: left dirty, as
       // CollectDirty leaves it.
       return;
     }
-    // Flush-pin + snapshot, then write outside the latch (in realtime mode a
-    // write sleeps; holding the shard latch across it would stall every
-    // client on this shard). Clearing dirty now is safe: a concurrent
-    // re-dirty flips it back and a later flush rewrites the newer bytes.
+    // Flush-pin, turn clean, then write outside the latch (in realtime mode
+    // a write sleeps; holding the shard latch across it would stall every
+    // client on this shard). From here the frame's bytes are the image the
+    // device is about to hold, so they never change again: a concurrent
+    // write pin takes a private copy, turning the frame dirty again, and a
+    // later flush writes the newer bytes.
     ++it->second.flush_pins;
-    it->second.dirty = false;
-    snapshot = it->second.data;
+    it->second.own = nullptr;
+    image = it->second.image;
   }
-  k.file->Write(k.id, snapshot);  // the flush pin holds off DiscardFile
+  k.file->Write(k.id, std::move(image));  // the flush pin holds off DiscardFile
   {
     std::lock_guard<sync::Mutex> lock(s.mu);
     auto it = s.frames.find(k);
@@ -308,7 +326,7 @@ void BufferPool::DropAll() {
     for (auto& [k, f] : s.frames) {
       (void)k;
       UPI_CHECK(f.pins == 0, "DropAll with a pinned frame");
-      UPI_CHECK(!f.dirty, "DropAll found a dirty frame after FlushAll");
+      UPI_CHECK(!f.dirty(), "DropAll found a dirty frame after FlushAll");
     }
     cached_bytes_.fetch_sub(s.bytes, std::memory_order_relaxed);
     s.frames.clear();
@@ -361,7 +379,7 @@ void BufferPool::DiscardFile(PageFile* file) {
         continue;
       }
       UPI_CHECK(f.pins == 0, "DiscardFile of a file with a pinned page");
-      UPI_CHECK(!f.dirty, "DiscardFile of a file with a dirty page");
+      UPI_CHECK(!f.dirty(), "DiscardFile of a file with a dirty page");
       UnlinkLocked(s, f);
       it = s.frames.erase(it);
     }
@@ -382,6 +400,18 @@ uint64_t BufferPool::misses() const {
   for (size_t i = 0; i < shards_count_; ++i) {
     std::lock_guard<sync::Mutex> lock(shards_[i].mu);
     total += shards_[i].misses;
+  }
+  return total;
+}
+
+uint64_t BufferPool::private_bytes() const {
+  uint64_t total = 0;
+  for (size_t i = 0; i < shards_count_; ++i) {
+    std::lock_guard<sync::Mutex> lock(shards_[i].mu);
+    // A loading frame is its fetcher's until published: skip it.
+    for (const auto& [k, f] : shards_[i].frames) {
+      if (f.state == Frame::State::kResident && f.dirty()) total += f.page_bytes;
+    }
   }
   return total;
 }

@@ -37,8 +37,17 @@
 // regime of every figure bench) — hashing only picks which latch guards a
 // page, never whether I/O happens.
 //
-// Returned page pointers stay valid while pinned (frames are node-stable and
-// pinned frames are never evicted or flushed); concurrent *readers* of a
+// Page images (PageImage, storage/page_file.h): a frame holds its page's
+// bytes as an immutable image shared with the device, not as a copy. A miss
+// takes a reference to the device's image; Fetch hands the caller another,
+// which stays valid after Unpin (a cursor keeps its leaf that way). The first
+// write of a pin (MutableData) gives the frame a private copy, which its pin
+// holder then writes in place; a flush or a dirty eviction installs that copy
+// as the device's new image, which a flushed frame then shares. So a clean
+// cached page is held once, and a private copy exists only while a frame is
+// dirty (private_bytes()). Capacity is still accounted at page_size per frame.
+//
+// Pinned frames are never evicted or flushed; concurrent *readers* of a
 // pinned page are safe, and writers are serialized above this layer (a page
 // is only written by the single thread building its file, or under the
 // table's exclusive lock). Pin-protocol violations (unpinning an unmapped
@@ -76,20 +85,27 @@ class BufferPool {
 
   ~BufferPool() { FlushAll(); }
 
-  /// Returns the cached contents of (file, id), pinned. If `create` is true
-  /// the page is assumed freshly allocated: no disk read is charged, and the
-  /// frame (even a stale one cached under a recycled PageId) holds `bytes`,
-  /// dirty. The bytes are in place before any other thread can see the
-  /// frame, so another table's flush never copies a page its creator is
-  /// still filling. Otherwise a miss reads the page with
-  /// PageFile::Read(id, ..., after). `*read_device`, when given, tells
+  /// Pins (file, id) and returns its cached image. If `create` is true the
+  /// page is assumed freshly allocated: no disk read is charged, and the
+  /// frame (even a stale one cached under a recycled PageId) holds a private
+  /// copy of `bytes`, dirty. The bytes are in place before any other thread
+  /// can see the frame, so another table's flush never copies a page its
+  /// creator is still filling. Otherwise a miss takes the image
+  /// PageFile::Read(id, after) returns. `*read_device`, when given, tells
   /// whether this call read the device (a miss that was not a create).
-  std::string* Fetch(PageFile* file, PageId id, bool create = false,
-                     std::string_view bytes = {}, PageId after = kInvalidPage,
-                     bool* read_device = nullptr);
+  PageImage Fetch(PageFile* file, PageId id, bool create = false,
+                  std::string_view bytes = {}, PageId after = kInvalidPage,
+                  bool* read_device = nullptr);
 
   void Unpin(PageFile* file, PageId id);
-  void MarkDirty(PageFile* file, PageId id);
+
+  /// The write accessor: marks the pinned page (file, id) dirty and returns
+  /// its bytes for the pin holder to write in place. A clean frame, which
+  /// shares the device's image, first takes a private copy; so does a dirty
+  /// one whose copy some reader still holds, so no image a reader holds ever
+  /// changes. `*image`, when given, is set to share the returned bytes.
+  std::string* MutableData(PageFile* file, PageId id,
+                           PageImage* image = nullptr);
 
   /// Writes back every dirty frame, in (file-name, page-id) order so a batch
   /// flush of a freshly built file is physically sequential. A pinned frame
@@ -133,6 +149,10 @@ class BufferPool {
   uint64_t cached_bytes() const {
     return cached_bytes_.load(std::memory_order_relaxed);
   }
+  /// Bytes of the resident frames that hold a private copy of their page
+  /// (created or written, not yet written back), page_size each. Walks every
+  /// shard under its latch: meant for metrics export, not the hot path.
+  uint64_t private_bytes() const;
   size_t num_shards() const { return shards_count_; }
 
   /// Shard a page maps to (exposed for shard-distribution tests).
@@ -170,9 +190,13 @@ class BufferPool {
     //           frame blocks re-fetch (waiters sleep on the shard condvar
     //           until it is erased) so the file is never read stale.
     enum class State : uint8_t { kLoading, kResident, kWriting };
-    std::string data;
+    // The page's bytes, which Fetch shares with its callers. A clean frame's
+    // are the device's image. A dirty frame (created, or written since its
+    // last write-back) holds a private copy instead, which only its pin
+    // holder writes, in place, through `own`.
+    PageImage image;
+    std::string* own = nullptr;  // image's bytes, writable; set iff dirty
     State state = State::kLoading;
-    bool dirty = false;
     bool hot = false;  // which LRU segment (valid when kResident)
     int pins = 0;
     // Transient hold by a flush writing this frame outside the latch. Kept
@@ -181,6 +205,10 @@ class BufferPool {
     int flush_pins = 0;
     uint32_t page_bytes = 0;
     std::list<Key>::iterator lru_it;  // valid when kResident
+
+    bool dirty() const { return own != nullptr; }
+    /// Gives the frame a private copy of `bytes`, dirty.
+    void Own(std::string_view bytes);
   };
 
   struct Shard {
@@ -198,10 +226,11 @@ class BufferPool {
     uint64_t writebacks = 0;  // device writes issued for this shard's frames
   };
 
-  /// A dirty frame detached for eviction: written back outside the latch.
+  /// A dirty frame detached for eviction: its image is written back outside
+  /// the latch.
   struct Victim {
     Key key;
-    std::string data;
+    PageImage image;
   };
 
   size_t ShardIndex(const Key& k) const;
@@ -240,9 +269,10 @@ class BufferPool {
   /// Writes back every page CollectDirty(only_file) finds.
   void Flush(const PageFile* only_file);
   /// Writes back one page if it is still mapped, resident, and dirty (a key
-  /// whose file was dropped since collection finds nothing); the frame is
-  /// pinned and snapshotted so the device write happens outside the shard
-  /// latch.
+  /// whose file was dropped since collection finds nothing). Under the latch
+  /// the frame is flush-pinned and turns clean, its private copy becoming the
+  /// image it shares with the device; the device write, which installs that
+  /// image, happens outside the latch.
   void WriteBackOne(const Key& k);
 
   const uint64_t capacity_;

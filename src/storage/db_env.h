@@ -1,7 +1,8 @@
 // A "database environment": one simulated disk plus one buffer pool shared by
 // all files of a database, mirroring a BerkeleyDB environment. Owns the page
-// files it creates until DropFile releases one (its pool frames and RAM pages
-// go; its device addresses are never reused) or the environment is destroyed.
+// files it creates until DropFile releases one (its pool frames and its page
+// images go, each image once its last reader lets go; its device addresses
+// are never reused) or the environment is destroyed.
 #pragma once
 
 #include <algorithm>
@@ -79,9 +80,10 @@ class DbEnv {
 
   /// Releases a written-back file this environment created: discards every
   /// pool frame of it (BufferPool::DiscardFile: in-flight I/O is waited out,
-  /// a pinned or dirty frame aborts), then destroys the PageFile and its RAM
-  /// pages and frees its name. The caller guarantees no other thread can
-  /// still reach the file.
+  /// a pinned or dirty frame aborts), then destroys the PageFile, with its
+  /// references to the page images, and frees its name. The caller
+  /// guarantees no other thread can still reach the file; a cursor that
+  /// kept a page image may still read it.
   void DropFile(PageFile* file) {
     pool_.DiscardFile(file);
     std::unique_ptr<PageFile> dropped;
@@ -96,7 +98,7 @@ class DbEnv {
       dropped = std::move(*it);
       files_.erase(it);
     }
-    // `dropped` frees the RAM pages outside the file-table lock.
+    // `dropped` releases the page images outside the file-table lock.
   }
 
   Pager MakePager(PageFile* file) { return Pager(&pool_, file); }
@@ -168,6 +170,10 @@ class DbEnv {
     }
     snap->gauges.push_back({"upi_bufferpool_cached_bytes", "",
                             static_cast<double>(pool_.cached_bytes())});
+    // Frames holding a private copy of their page: the RAM the pool adds to
+    // the device's images. Walks the shards here, off the hot path.
+    snap->gauges.push_back({"upi_bufferpool_private_bytes", "",
+                            static_cast<double>(pool_.private_bytes())});
     snap->gauges.push_back({"upi_storage_file_bytes", "",
                             static_cast<double>(TotalFileBytes())});
   }

@@ -75,12 +75,12 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
   if (!ref.valid()) {
     PageId id;
     ref = pager_.New(&id);
-    ref.data()->assign(page_size, '\0');
-    SetHeader(ref.data(), 0, page_size);
+    ref.mutable_data()->assign(page_size, '\0');
+    SetHeader(ref.mutable_data(), 0, page_size);
     tail_ = id;
   }
 
-  std::string* page = ref.data();
+  std::string* page = ref.mutable_data();
   if (page->size() < page_size) page->resize(page_size, '\0');
   uint32_t ns = NumSlots(*page);
   uint32_t ds = DataStart(*page, page_size);
@@ -88,22 +88,20 @@ Result<Rid> HeapFile::Insert(std::string_view record) {
   std::memcpy(page->data() + new_ds, record.data(), record.size());
   WriteSlot(page, ns, new_ds, static_cast<uint32_t>(record.size()));
   SetHeader(page, ns + 1, new_ds);
-  ref.MarkDirty();
   ++live_records_;
   return Rid{ref.id(), ns};
 }
 
 Status HeapFile::Delete(Rid rid) {
   PageRef ref = pager_.Get(rid.page);
-  std::string* page = ref.data();
-  if (rid.slot >= NumSlots(*page)) {
+  const std::string& page = *ref.data();
+  if (rid.slot >= NumSlots(page)) {
     return Status::NotFound("heap slot out of range: " + rid.ToString());
   }
   uint32_t off, len;
-  ReadSlot(*page, rid.slot, &off, &len);
+  ReadSlot(page, rid.slot, &off, &len);
   if (len == kDeletedLen) return Status::NotFound("heap slot already deleted");
-  WriteSlot(page, rid.slot, off, kDeletedLen);
-  ref.MarkDirty();
+  WriteSlot(ref.mutable_data(), rid.slot, off, kDeletedLen);
   --live_records_;
   return Status::OK();
 }

@@ -22,12 +22,11 @@ PageId PageFile::Allocate() {
     PageId id = free_list_.back();
     free_list_.pop_back();
     pages_[id].in_use = true;
-    data_[id].clear();
     return id;
   }
   PageId id = static_cast<PageId>(pages_.size());
   pages_.push_back(PageMeta{disk_->Allocate(page_size_), true});
-  data_.emplace_back();
+  images_.emplace_back();
   return id;
 }
 
@@ -35,7 +34,7 @@ void PageFile::Free(PageId id) {
   std::lock_guard<sync::Mutex> lock(mu_);
   CheckLiveLocked(id, "Free of an unallocated or already-freed page");
   pages_[id].in_use = false;
-  data_[id].clear();
+  images_[id].reset();
   free_list_.push_back(id);
 }
 
@@ -44,14 +43,15 @@ bool ReadsThroughGap(const sim::SimDisk& disk, uint64_t gap) {
   return p.ReadMs(gap) < p.SeekMs(gap, disk.SeekSpan());
 }
 
-void PageFile::Read(PageId id, std::string* out, PageId after) {
+PageImage PageFile::Read(PageId id, PageId after) {
   uint64_t addr;
   uint64_t after_end = UINT64_MAX;
+  PageImage image;
   {
     std::lock_guard<sync::Mutex> lock(mu_);
     CheckLiveLocked(id, "Read of an unallocated or freed page");
     addr = pages_[id].addr;
-    *out = data_[id];
+    image = images_[id];
     // A page's address outlives its Free, so any page ever allocated will do.
     if (after < pages_.size()) after_end = pages_[after].addr + page_size_;
   }
@@ -60,16 +60,23 @@ void PageFile::Read(PageId id, std::string* out, PageId after) {
     start = after_end;
   }
   disk_->Read(start, addr + page_size_ - start);
+  if (image == nullptr) image = std::make_shared<const std::string>();
+  return image;
 }
 
 void PageFile::Write(PageId id, std::string_view data) {
+  Write(id, std::make_shared<const std::string>(data));
+}
+
+void PageFile::Write(PageId id, PageImage image) {
+  UPI_CHECK(image->size() <= page_size_, "record larger than the page");
   uint64_t addr;
   {
     std::lock_guard<sync::Mutex> lock(mu_);
     CheckLiveLocked(id, "Write to an unallocated or freed page");
-    UPI_CHECK(data.size() <= page_size_, "record larger than the page");
     addr = pages_[id].addr;
-    data_[id].assign(data.data(), data.size());
+    // The old image is released outside the lock, when `image` goes.
+    images_[id].swap(image);
   }
   disk_->Write(addr, page_size_);
 }

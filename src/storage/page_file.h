@@ -6,23 +6,30 @@
 // allocations — which is how B+Tree churn produces physical fragmentation,
 // the effect behind the paper's Section 4.1 maintenance problem.
 //
-// Lifetime: the DbEnv that created a file owns it. DbEnv::DropFile releases
-// it (its pool frames first, then the RAM pages); its device addresses stay
-// allocated on the SimDisk, never handed to another file.
+// Each page's bytes are one immutable, shared image (PageImage). A Read
+// hands out a reference to it, never a copy, so the buffer pool's frame and
+// every cursor that keeps a leaf share the device's bytes; a Write installs
+// a new image and drops the file's reference to the old one, which lives on
+// while a frame or reader still holds it. No image is ever written after it
+// is installed.
 //
-// Thread-safe: allocation metadata, the free list, and the RAM backing store
-// are guarded by an internal mutex, honoring the concurrency contract the
+// Lifetime: the DbEnv that created a file owns it. DbEnv::DropFile releases
+// it (its pool frames first, then its references to the page images); its
+// device addresses stay allocated on the SimDisk, never handed to another
+// file.
+//
+// Thread-safe: allocation metadata, the free list, and the image table are
+// guarded by an internal mutex, honoring the concurrency contract the
 // buffer pool documents (background builders allocate/write while foreground
 // queries read other pages of the same file). The SimDisk charge for a
 // Read/Write is issued *after* the metadata lock is released, so concurrent
 // clients of one file serialize only on the in-RAM bookkeeping, never on the
-// (possibly realtime-sleeping) simulated device. Per-page content access is
-// not additionally ordered here: a page is only written by the single thread
-// building it, per the buffer pool's contract.
+// (possibly realtime-sleeping) simulated device.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -36,6 +43,10 @@ namespace upi::storage {
 
 using PageId = uint32_t;
 inline constexpr PageId kInvalidPage = UINT32_MAX;
+
+/// One page's bytes, immutable once installed and shared by the device, the
+/// pool frame that caches the page, and any reader that keeps it.
+using PageImage = std::shared_ptr<const std::string>;
 
 /// The forward-read rule: true when transferring a forward gap of `gap`
 /// bytes costs less on `disk`'s device than seeking over it (ReadMs(gap) <
@@ -70,11 +81,16 @@ class PageFile {
   /// (ReadsThroughGap), the access starts at the end of `after` and
   /// transfers the gap and the page in one read instead of seeking over the
   /// gap. Only the page is returned; the gap bytes are charged, not cached.
-  void Read(PageId id, std::string* out, PageId after = kInvalidPage);
+  /// The result is the page's current image itself (empty if the page was
+  /// never written), not a copy.
+  PageImage Read(PageId id, PageId after = kInvalidPage);
 
-  /// Writes a full page. `data` may be shorter than page_size; the device
-  /// transfer is always a whole page.
+  /// Writes a full page: a copy of `data` becomes its image. `data` may be
+  /// shorter than page_size; the device transfer is always a whole page.
   void Write(PageId id, std::string_view data);
+  /// Writes a full page whose bytes the caller hands over: `image` becomes
+  /// the page's image without a copy.
+  void Write(PageId id, PageImage image);
 
   /// Charges the paper's Costinit for opening this file, unconditionally.
   void ChargeOpen() { disk_->ChargeFileOpen(); }
@@ -120,9 +136,11 @@ class PageFile {
   std::string name_;
   const uint32_t page_size_;
   mutable sync::Mutex mu_{
-      sync::LockRank::kPageFile};  // guards pages_, data_, free_list_
+      sync::LockRank::kPageFile};  // guards pages_, images_, free_list_
   std::vector<PageMeta> pages_;
-  std::vector<std::string> data_;  // RAM backing store, index == PageId
+  /// RAM backing store, index == PageId; null for a page never written
+  /// since its allocation.
+  std::vector<PageImage> images_;
   std::vector<PageId> free_list_;
   /// Cold epoch this file's handle was last opened in; 0 = never.
   std::atomic<uint64_t> open_epoch_{0};

@@ -14,44 +14,62 @@ namespace upi::storage {
 class Pager;
 
 /// \brief A pinned reference to one cached page. Unpins on destruction.
-/// Call MarkDirty() after mutating data().
+///
+/// A pin reads the page's shared image (data(), image()); image() may be
+/// kept past the pin, and its bytes never change. To write, call
+/// mutable_data(): its first call marks the frame dirty and gives the pin
+/// the frame's private copy (BufferPool::MutableData), which it then writes
+/// in place while pinned.
 class PageRef {
  public:
   PageRef() = default;
-  PageRef(BufferPool* pool, PageFile* file, PageId id, std::string* data)
-      : pool_(pool), file_(file), id_(id), data_(data) {}
+  PageRef(BufferPool* pool, PageFile* file, PageId id, PageImage image)
+      : pool_(pool), file_(file), id_(id), image_(std::move(image)) {}
   PageRef(PageRef&& o) noexcept { *this = std::move(o); }
   PageRef& operator=(PageRef&& o) noexcept {
     Release();
     pool_ = o.pool_;
     file_ = o.file_;
     id_ = o.id_;
-    data_ = o.data_;
+    image_ = std::move(o.image_);
+    writable_ = o.writable_;
     o.pool_ = nullptr;
-    o.data_ = nullptr;
+    o.writable_ = nullptr;
     return *this;
   }
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
   ~PageRef() { Release(); }
 
-  bool valid() const { return data_ != nullptr; }
+  bool valid() const { return image_ != nullptr; }
   PageId id() const { return id_; }
-  std::string* data() { return data_; }
-  const std::string* data() const { return data_; }
-  void MarkDirty() { pool_->MarkDirty(file_, id_); }
+  /// The page's bytes, as this pin last saw or wrote them.
+  const std::string* data() const { return image_.get(); }
+  /// The same bytes as a shared image, valid after Release.
+  const PageImage& image() const { return image_; }
+  /// The bytes to write in place; the first call marks the page dirty.
+  std::string* mutable_data() {
+    if (writable_ == nullptr) {
+      // This pin's own reference must not count as a reader's.
+      image_.reset();
+      writable_ = pool_->MutableData(file_, id_, &image_);
+    }
+    return writable_;
+  }
 
   void Release() {
-    if (pool_ != nullptr && data_ != nullptr) pool_->Unpin(file_, id_);
+    if (pool_ != nullptr && image_ != nullptr) pool_->Unpin(file_, id_);
     pool_ = nullptr;
-    data_ = nullptr;
+    image_.reset();
+    writable_ = nullptr;
   }
 
  private:
   BufferPool* pool_ = nullptr;
   PageFile* file_ = nullptr;
   PageId id_ = kInvalidPage;
-  std::string* data_ = nullptr;
+  PageImage image_;
+  std::string* writable_ = nullptr;  // set by the first mutable_data()
 };
 
 class Pager {

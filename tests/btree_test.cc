@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/coding.h"
 #include "common/random.h"
+#include "storage/db_env.h"
 
 namespace upi::btree {
 namespace {
@@ -462,9 +463,8 @@ TEST(BTreeTest, ReadFetchCountsArePinned) {
   EXPECT_EQ(fetches() - before, h + t.num_leaf_pages());
 }
 
-// The cursor owns its leaf bytes: a moved or copied cursor keeps its entry
-// after the source is overwritten or destroyed, even when the leaf is short
-// enough to be stored inline in the string (views into it would dangle).
+// The cursor shares its leaf's image: a moved or copied cursor keeps its
+// entry after the source is overwritten or destroyed, also for a short leaf.
 TEST(BTreeCursorTest, SurvivesMoveAndCopy) {
   Fixture fx, other;
   BTree t(fx.pager), t2(other.pager);
@@ -473,7 +473,7 @@ TEST(BTreeCursorTest, SurvivesMoveAndCopy) {
   Cursor a = t.SeekToFirst();
   ASSERT_TRUE(a.Valid());
   Cursor moved = std::move(a);
-  a = t2.SeekToFirst();  // reuses a's inline buffer for "b"
+  a = t2.SeekToFirst();  // overwrites the moved-from cursor
   ASSERT_TRUE(moved.Valid());
   EXPECT_EQ(moved.key(), "a");
   EXPECT_EQ(a.key(), "b");
@@ -483,12 +483,35 @@ TEST(BTreeCursorTest, SurvivesMoveAndCopy) {
   {
     Cursor b = t.Seek("k");
     copy = b;
-  }  // b and its leaf copy are gone
+  }  // b is gone
   ASSERT_TRUE(copy.Valid());
   EXPECT_EQ(copy.key(), "k");
   EXPECT_EQ(copy.value(), std::string(40, 'v'));
   copy.Next();
   EXPECT_FALSE(copy.Valid());
+}
+
+// The cursor keeps its leaf's page image, which outlives the file: a
+// dropped file's pool frames and its references to the images are gone, and
+// the cursor reads on (ASan would flag a read of freed bytes).
+TEST(BTreeCursorTest, KeepsReadingItsLeafAfterTheFileIsDropped) {
+  storage::DbEnv env(1 << 20);
+  storage::PageFile* file = env.CreateFile("t", 4096).ValueOrDie();
+  BTreeBuilder b(env.MakePager(file));
+  const int kN = 20;  // one leaf
+  for (int i = 0; i < kN; ++i) ASSERT_TRUE(b.Add(Key(i), Key(i + 1)).ok());
+  BTree t = b.Finish().ValueOrDie();
+  ASSERT_EQ(t.num_leaf_pages(), 1u);
+  Cursor c = t.SeekToFirst();
+  ASSERT_TRUE(c.Valid());
+  env.DropFile(file);
+  EXPECT_EQ(env.pool()->cached_bytes(), 0u);
+  int n = 0;
+  for (; c.Valid(); c.Next(), ++n) {
+    EXPECT_EQ(c.key(), Key(n));
+    EXPECT_EQ(c.value(), Key(n + 1));
+  }
+  EXPECT_EQ(n, kN);
 }
 
 // --- SortedLookup ---
@@ -593,8 +616,7 @@ TEST(SortedLookupTest, FetchesEachLeafOnce) {
 }
 
 TEST(SortedLookupTest, SurvivesMove) {
-  // The leaf copy of a one-entry tree is short enough to be stored inline in
-  // the string; the lookup keeps offsets, not views, so a move is safe.
+  // A moved lookup keeps the short leaf's image it took.
   Fixture fx;
   BTree t(fx.pager);
   ASSERT_TRUE(t.Put("a", "1").ok());

@@ -186,6 +186,31 @@ struct DbFx {
   }
 };
 
+TEST(ObsEngineTest, PoolPrivateBytesCountOnlyWrittenFrames) {
+  // A bulk-built table's pages go straight to the device, so its warm reads
+  // share the device's page images: no frame holds a copy of its own.
+  DbFx fx;
+  auto private_bytes = [&fx] {
+    return fx.db.MetricsSnapshot().Find("upi_bufferpool_private_bytes")->value;
+  };
+  const engine::Query q = engine::Query::Ptq(fx.SomeInstitution(), 0.5);
+  std::vector<core::PtqMatch> rows;
+  fx.db.ColdCache();
+  ASSERT_TRUE(fx.authors_table->Run(q, &rows).ok());
+  ASSERT_TRUE(fx.authors_table->Run(q, &rows).ok());  // warm
+  EXPECT_GT(fx.db.env()->pool()->cached_bytes(), 0u);
+  EXPECT_EQ(private_bytes(), 0.0);
+  // A write pin gives its frame a private copy, until it is written back.
+  storage::Pager* heap = fx.authors_table->upi()->heap_tree()->pager();
+  {
+    storage::PageRef ref = heap->Get(0);
+    ref.mutable_data();
+    EXPECT_EQ(private_bytes(), static_cast<double>(heap->page_size()));
+  }
+  fx.db.env()->pool()->FlushAll();
+  EXPECT_EQ(private_bytes(), 0.0);
+}
+
 TEST(ObsEngineTest, DatabaseExportsEngineMetricFamilies) {
   DbFx fx;
   std::vector<core::PtqMatch> rows;
@@ -199,6 +224,7 @@ TEST(ObsEngineTest, DatabaseExportsEngineMetricFamilies) {
   EXPECT_GT(snap.SumOf("upi_disk_reads_total"), 0.0);
   EXPECT_GT(snap.SumOf("upi_bufferpool_misses_total"), 0.0);
   EXPECT_NE(snap.Find("upi_bufferpool_cached_bytes"), nullptr);
+  EXPECT_NE(snap.Find("upi_bufferpool_private_bytes"), nullptr);
   const Sample* file_bytes = snap.Find("upi_storage_file_bytes");
   ASSERT_NE(file_bytes, nullptr);
   EXPECT_GT(file_bytes->value, 0.0);

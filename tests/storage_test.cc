@@ -47,9 +47,7 @@ TEST(PageFileTest, ReadWriteRoundTrip) {
   PageFile f(&disk, "t", 4096);
   PageId a = f.Allocate();
   f.Write(a, "hello page");
-  std::string out;
-  f.Read(a, &out);
-  EXPECT_EQ(out, "hello page");
+  EXPECT_EQ(*f.Read(a), "hello page");
 }
 
 TEST(PageFileTest, FreeListReuse) {
@@ -99,14 +97,12 @@ TEST(BufferPoolTest, CreateSkipsRead) {
   BufferPool pool(1 << 20);
   PageId a = f.Allocate();
   uint64_t reads_before = disk.stats().reads;
-  std::string* data = pool.Fetch(&f, a, /*create=*/true);
-  *data = "fresh";
+  pool.Fetch(&f, a, /*create=*/true);
+  *pool.MutableData(&f, a) = "fresh";
   pool.Unpin(&f, a);
   EXPECT_EQ(disk.stats().reads, reads_before);
   pool.FlushAll();
-  std::string out;
-  f.Read(a, &out);
-  EXPECT_EQ(out, "fresh");
+  EXPECT_EQ(*f.Read(a), "fresh");
 }
 
 TEST(BufferPoolTest, DirtyPageWrittenBackOnEviction) {
@@ -116,17 +112,14 @@ TEST(BufferPoolTest, DirtyPageWrittenBackOnEviction) {
   std::vector<PageId> ids;
   for (int i = 0; i < 4; ++i) {
     PageId id = f.Allocate();
-    std::string* data = pool.Fetch(&f, id, true);
-    *data = "page" + std::to_string(i);
-    pool.MarkDirty(&f, id);
+    pool.Fetch(&f, id, true);
+    *pool.MutableData(&f, id) = "page" + std::to_string(i);
     pool.Unpin(&f, id);
     ids.push_back(id);
   }
   pool.FlushAll();
   for (int i = 0; i < 4; ++i) {
-    std::string out;
-    f.Read(ids[i], &out);
-    EXPECT_EQ(out, "page" + std::to_string(i));
+    EXPECT_EQ(*f.Read(ids[i]), "page" + std::to_string(i));
   }
 }
 
@@ -151,14 +144,11 @@ TEST(BufferPoolTest, DiscardDropsDirtyData) {
   BufferPool pool(1 << 20);
   PageId a = f.Allocate();
   f.Write(a, "original");
-  std::string* data = pool.Fetch(&f, a);
-  *data = "mutated";
-  pool.MarkDirty(&f, a);
+  pool.Fetch(&f, a);
+  *pool.MutableData(&f, a) = "mutated";
   pool.Unpin(&f, a);
   pool.Discard(&f, a);
-  std::string out;
-  f.Read(a, &out);
-  EXPECT_EQ(out, "original");
+  EXPECT_EQ(*f.Read(a), "original");
 }
 
 TEST(BufferPoolTest, FlushLeavesAPinnedFrameDirty) {
@@ -169,19 +159,90 @@ TEST(BufferPoolTest, FlushLeavesAPinnedFrameDirty) {
   BufferPool pool(1 << 20);
   PageId a = f.Allocate();
   f.Write(a, "original");
-  std::string* data = pool.Fetch(&f, a);
-  *data = "mid-write";
-  pool.MarkDirty(&f, a);
+  pool.Fetch(&f, a);
+  *pool.MutableData(&f, a) = "mid-write";
   pool.FlushAll();
   pool.FlushFile(&f);
-  std::string out;
-  f.Read(a, &out);
-  EXPECT_EQ(out, "original") << "a pinned frame was copied";
+  EXPECT_EQ(*f.Read(a), "original") << "a pinned frame was copied";
   EXPECT_EQ(pool.counters().writebacks, 0u);
   pool.Unpin(&f, a);
   pool.FlushAll();
-  f.Read(a, &out);
-  EXPECT_EQ(out, "mid-write") << "the frame stays dirty until unpinned";
+  EXPECT_EQ(*f.Read(a), "mid-write") << "the frame stays dirty until unpinned";
+}
+
+// --- Page images: each page held once ----------------------------------
+
+TEST(BufferPoolTest, CleanPinsShareTheDeviceImage) {
+  // A miss takes a reference to the device's image, not a copy: a pin before
+  // the cold-cache drop and one after it return the same bytes, at the same
+  // address.
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  BufferPool pool(1 << 20);
+  PageId a = f.Allocate();
+  f.Write(a, "image");
+  const PageImage device = f.Read(a);
+  const PageImage before = pool.Fetch(&f, a);
+  pool.Unpin(&f, a);
+  pool.DropAll();
+  const PageImage after = pool.Fetch(&f, a);
+  pool.Unpin(&f, a);
+  EXPECT_EQ(pool.misses(), 2u);
+  EXPECT_EQ(before.get(), device.get());
+  EXPECT_EQ(after.get(), device.get());
+  EXPECT_EQ(pool.private_bytes(), 0u);
+}
+
+TEST(BufferPoolTest, WriteBackInstallsTheFramesBytesAsTheDeviceImage) {
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  BufferPool pool(1 << 20);
+  PageId a = f.Allocate();
+  f.Write(a, "v1");
+  const PageImage v1 = pool.Fetch(&f, a);
+  std::string* bytes = pool.MutableData(&f, a);
+  EXPECT_NE(bytes, v1.get()) << "a clean frame's first write copies";
+  *bytes = "v2";
+  EXPECT_EQ(*v1, "v1") << "an image a reader holds never changes";
+  EXPECT_EQ(pool.private_bytes(), 4096u);
+  pool.Unpin(&f, a);
+  pool.FlushAll();
+  EXPECT_EQ(pool.private_bytes(), 0u);
+
+  // The device took the frame's bytes, and the frame shares them.
+  const PageImage v2 = f.Read(a);
+  EXPECT_EQ(*v2, "v2");
+  EXPECT_EQ(v2.get(), bytes);
+  EXPECT_EQ(pool.Fetch(&f, a).get(), v2.get());
+  std::string* again = pool.MutableData(&f, a);
+  EXPECT_NE(again, v2.get()) << "a write pin copies the shared image";
+  *again = "v3";
+  EXPECT_EQ(f.Read(a).get(), v2.get())
+      << "the device keeps the written-back bytes until the next write-back";
+  EXPECT_EQ(*v2, "v2");
+  pool.Unpin(&f, a);
+  pool.FlushAll();
+  EXPECT_EQ(*f.Read(a), "v3");
+}
+
+TEST(BufferPoolTest, ADirtyFrameIsWrittenInPlaceUnlessAReaderHoldsIt) {
+  sim::SimDisk disk;
+  PageFile f(&disk, "t", 4096);
+  BufferPool pool(1 << 20);
+  PageId a = f.Allocate();
+  pool.Fetch(&f, a, /*create=*/true, "v1");
+  std::string* bytes = pool.MutableData(&f, a);
+  EXPECT_EQ(pool.MutableData(&f, a), bytes) << "no reader: no copy";
+  const PageImage reader = pool.Fetch(&f, a);  // a second pin
+  pool.Unpin(&f, a);
+  std::string* copy = pool.MutableData(&f, a);
+  EXPECT_NE(copy, bytes);
+  *copy = "v2";
+  EXPECT_EQ(*reader, "v1");
+  EXPECT_EQ(pool.private_bytes(), 4096u);  // one frame, one private copy
+  pool.Unpin(&f, a);
+  pool.FlushAll();
+  EXPECT_EQ(*f.Read(a), "v2");
 }
 
 TEST(PagerTest, PageRefUnpinsOnDestruction) {
@@ -192,8 +253,7 @@ TEST(PagerTest, PageRefUnpinsOnDestruction) {
   PageId id;
   {
     PageRef ref = pager.New(&id);
-    *ref.data() = "abc";
-    ref.MarkDirty();
+    *ref.mutable_data() = "abc";
   }
   pool.DropAll();  // asserts nothing pinned
   {
@@ -306,12 +366,12 @@ TEST(BufferPoolDeathTest, DoubleUnpinAborts) {
   EXPECT_DEATH(pool.Unpin(&f, a), "unpinned frame");
 }
 
-TEST(BufferPoolDeathTest, MarkDirtyOfUnmappedFrameAborts) {
+TEST(BufferPoolDeathTest, MutableDataOfUnmappedFrameAborts) {
   sim::SimDisk disk;
   PageFile f(&disk, "t", 4096);
   BufferPool pool(1 << 20);
   PageId a = f.Allocate();
-  EXPECT_DEATH(pool.MarkDirty(&f, a), "no mapped frame");
+  EXPECT_DEATH(pool.MutableData(&f, a), "no mapped frame");
 }
 
 TEST(BufferPoolDeathTest, DiscardOfPinnedPageAborts) {
@@ -329,8 +389,7 @@ TEST(PageFileDeathTest, ReadOfFreedPageAborts) {
   PageFile f(&disk, "t", 4096);
   PageId a = f.Allocate();
   f.Free(a);
-  std::string out;
-  EXPECT_DEATH(f.Read(a, &out), "freed page");
+  EXPECT_DEATH(f.Read(a), "freed page");
 }
 
 TEST(PageFileDeathTest, DoubleFreeAborts) {
@@ -351,21 +410,18 @@ TEST(BufferPoolTest, RecycledPageIdGetsFreshFrame) {
   PageFile f(&disk, "t", 4096);
   BufferPool pool(1 << 20);
   PageId a = f.Allocate();
-  std::string* data = pool.Fetch(&f, a, /*create=*/true);
-  *data = "stale bytes";
-  pool.MarkDirty(&f, a);
+  pool.Fetch(&f, a, /*create=*/true);
+  *pool.MutableData(&f, a) = "stale bytes";
   pool.Unpin(&f, a);
   f.Free(a);                  // bypasses pool.Discard on purpose
   PageId b = f.Allocate();
   ASSERT_EQ(b, a);            // recycled
-  data = pool.Fetch(&f, b, /*create=*/true);
-  EXPECT_TRUE(data->empty()) << "stale frame returned for a fresh page";
-  *data = "fresh";
+  EXPECT_TRUE(pool.Fetch(&f, b, /*create=*/true)->empty())
+      << "stale frame returned for a fresh page";
+  *pool.MutableData(&f, b) = "fresh";
   pool.Unpin(&f, b);
   pool.FlushAll();            // create-path frames must reach the device
-  std::string out;
-  f.Read(b, &out);
-  EXPECT_EQ(out, "fresh");
+  EXPECT_EQ(*f.Read(b), "fresh");
 }
 
 // --- Capacity accounting ---------------------------------------------------
@@ -377,7 +433,8 @@ TEST(BufferPoolTest, NeverExceedsCapacityWithUnpinnedFramesAvailable) {
   BufferPool pool(capacity, /*num_shards=*/1);
   for (int i = 0; i < 16; ++i) {
     PageId id = f.Allocate();
-    std::string* data = pool.Fetch(&f, id, /*create=*/true);
+    pool.Fetch(&f, id, /*create=*/true);
+    std::string* data = pool.MutableData(&f, id);
     *data = "p";
     *data += std::to_string(i);
     pool.Unpin(&f, id);
@@ -480,8 +537,7 @@ TEST(BufferPoolTest, ConcurrentFetchersOfOnePageShareOneRead) {
       threads.emplace_back([&] {
         ready.fetch_add(1);
         while (ready.load() < kFetchers) {}  // start the stampede together
-        std::string* data = pool.Fetch(&f, id);
-        EXPECT_EQ(*data, payload);
+        EXPECT_EQ(*pool.Fetch(&f, id), payload);
         pool.Unpin(&f, id);
       });
     }
@@ -516,13 +572,14 @@ TEST(BufferPoolStressTest, MixedTrafficAcrossShards) {
         int slot = static_cast<int>(rng() % kPagesPerThread);
         PageId id = ids[t * kPagesPerThread + slot];
         bool fresh = version[slot] < 0;
-        std::string* data = pool.Fetch(&f, id, /*create=*/fresh);
-        if (!fresh) {
-          EXPECT_EQ(*data, std::to_string(version[slot])) << "page " << id;
+        {
+          const PageImage page = pool.Fetch(&f, id, /*create=*/fresh);
+          if (!fresh) {
+            EXPECT_EQ(*page, std::to_string(version[slot])) << "page " << id;
+          }
         }
         version[slot] = i;
-        *data = std::to_string(i);
-        pool.MarkDirty(&f, id);
+        *pool.MutableData(&f, id) = std::to_string(i);
         pool.Unpin(&f, id);
         if (rng() % 64 == 0) {
           // Forget a page entirely; next touch recreates it.
@@ -555,9 +612,7 @@ TEST(PageFileStressTest, ConcurrentAllocateWriteFree) {
         PageId id = f.Allocate();
         std::string payload = std::to_string(t) + ":" + std::to_string(i);
         f.Write(id, payload);
-        std::string out;
-        f.Read(id, &out);
-        EXPECT_EQ(out, payload);
+        EXPECT_EQ(*f.Read(id), payload);
         f.Free(id);
       }
     });
@@ -586,8 +641,7 @@ void FillDirty(DbEnv& env, PageFile* file, int pages) {
   for (int i = 0; i < pages; ++i) {
     PageId id;
     PageRef ref = pager.New(&id);
-    *ref.data() = file->name() + std::to_string(i);
-    ref.MarkDirty();
+    *ref.mutable_data() = file->name() + std::to_string(i);
   }
 }
 
